@@ -1,11 +1,11 @@
 //! Analyzer-core microbenchmarks: event throughput of the online
-//! reuse-distance analyzer, and ablations of its two hot data structures
-//! (order-statistic tree, hierarchical block table).
+//! reuse-distance analyzer, and an ablation of its hierarchical block
+//! table.
 
 use std::time::Duration;
 use reuselens_bench::harness::{BenchmarkId, Criterion, Throughput};
 use reuselens_bench::{criterion_group, criterion_main};
-use reuselens::core::{BlockTable, OrderStatTree, ReuseAnalyzer};
+use reuselens::core::{BlockTable, ReuseAnalyzer};
 use reuselens::ir::{AccessKind, RefId};
 use reuselens::trace::{Executor, NullSink, TraceSink};
 use reuselens::workloads::kernels::{random_gather, streaming};
@@ -63,46 +63,6 @@ fn bench_executor_only(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_ostree(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ostree");
-    g.warm_up_time(Duration::from_secs(1));
-    g.measurement_time(Duration::from_secs(2));
-    for &n in &[1u64 << 10, 1 << 14] {
-        g.throughput(Throughput::Elements(n));
-        g.bench_with_input(BenchmarkId::new("churn", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut t = OrderStatTree::with_capacity(n as usize);
-                for k in 0..n {
-                    t.insert(k);
-                }
-                let mut acc = 0u64;
-                for k in 0..n {
-                    acc += t.count_greater(k);
-                    t.remove(k);
-                    t.insert(n + k);
-                }
-                acc
-            })
-        });
-        // The same churn through the fused reinsert (the analyzer's path).
-        g.bench_with_input(BenchmarkId::new("churn_fused", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut t = OrderStatTree::with_capacity(n as usize);
-                for k in 0..n {
-                    t.insert(k);
-                }
-                let mut acc = 0u64;
-                for k in 0..n {
-                    acc += t.count_greater(k);
-                    t.reinsert(k, n + k);
-                }
-                acc
-            })
-        });
-    }
-    g.finish();
-}
-
 fn bench_blocktable(c: &mut Criterion) {
     let mut g = c.benchmark_group("blocktable");
     g.warm_up_time(Duration::from_secs(1));
@@ -149,7 +109,6 @@ criterion_group!(
     benches,
     bench_analyzer_throughput,
     bench_executor_only,
-    bench_ostree,
     bench_blocktable,
     bench_analyzer_sink
 );

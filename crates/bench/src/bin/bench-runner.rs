@@ -28,27 +28,19 @@
 //!
 //! The **single-grain ladder** (first workload, Sweep3D) replays one
 //! grain at 1/2/4/8 replay threads — the intra-grain time-partitioned
-//! engine — as `sweep3d-single-t<N>` runs, plus the frozen
-//! pre-optimization [`ReferenceAnalyzer`] as `sweep3d-single-ref`.
-//! `single_grain_speedup_ratio` is the best ladder rung over the
-//! reference rung; full (non-smoke) runs fail below
-//! `SINGLE_GRAIN_SPEEDUP_FLOOR`. On a single-core host the thread rungs
-//! measure partition overhead rather than scaling, so the ratio is
-//! carried by the serial-core rewrite (window + fused tree descents +
-//! SoA decode) — an honest "this engine vs the algorithm it replaced"
-//! number either way.
+//! engine — as `sweep3d-single-t<N>` runs. On a single-core host the
+//! thread rungs measure partition overhead rather than scaling.
 
 use reuselens::core::{
     analyze_buffer, analyze_buffer_checkpointed, analyze_buffer_with, capture_program,
-    AnalyzeOptions, CheckpointOptions, ReferenceAnalyzer, ReplayThreads, SamplingConfig,
+    AnalyzeOptions, CheckpointOptions, ReplayThreads, SamplingConfig,
 };
 use reuselens::obs::{self, MetricsRecorder, ServiceConfig, TelemetryService};
 use reuselens::workloads::{gtc, sweep3d, BuiltWorkload};
 use reuselens::statics::estimate_profiles;
 use reuselens_bench::report::{
     diff, BenchReport, BenchRun, StageSeconds, CHECKPOINT_OVERHEAD_CEILING,
-    ESTIMATOR_SPEEDUP_FLOOR, OBS_OVERHEAD_CEILING, SINGLE_GRAIN_SPEEDUP_FLOOR,
-    STORE_REPLAY_SPEEDUP_FLOOR,
+    ESTIMATOR_SPEEDUP_FLOOR, OBS_OVERHEAD_CEILING, STORE_REPLAY_SPEEDUP_FLOOR,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -155,27 +147,6 @@ fn best_replay_wall_with(
         .unwrap_or(Duration::ZERO)
 }
 
-/// Best-of-`reps` wall time of the frozen pre-optimization analyzer over
-/// the same buffer at one grain — the `single_grain_speedup_ratio`
-/// denominator.
-fn best_reference_wall(
-    program: &reuselens::ir::Program,
-    buffer: &reuselens::trace::TraceBuffer,
-    grain: u64,
-    reps: usize,
-) -> Duration {
-    (0..reps.max(1))
-        .map(|_| {
-            let mut analyzer = ReferenceAnalyzer::new(program, grain);
-            let t = Instant::now();
-            buffer.replay(&mut analyzer);
-            std::hint::black_box(analyzer.finish());
-            t.elapsed()
-        })
-        .min()
-        .unwrap_or(Duration::ZERO)
-}
-
 /// Best-of-`reps` wall time of the same multi-grain replay through the
 /// constant-space sampled analyzer at rate 1/100.
 fn best_sampled_replay_wall(
@@ -275,7 +246,7 @@ fn main() -> ExitCode {
     let mut report = BenchReport::new();
     let mut counter_totals: BTreeMap<&'static str, u64> = BTreeMap::new();
 
-    for (name, w) in workloads(opts.smoke) {
+    for (index, (name, w)) in workloads(opts.smoke).into_iter().enumerate() {
         // Capture once per workload, instrumented so the capture stage and
         // counters land in the report's totals.
         let capture_rec = Arc::new(MetricsRecorder::new());
@@ -365,23 +336,9 @@ fn main() -> ExitCode {
         }
 
         // Single-grain ladder on the first (Sweep3D) workload: one grain
-        // replayed at 1/2/4/8 replay threads plus the frozen
-        // pre-optimization baseline (see the module docs).
-        if report.single_grain_speedup_ratio.is_none() {
+        // replayed at 1/2/4/8 replay threads (see the module docs).
+        if index == 0 {
             let grain = GRAIN_LADDER[0];
-            let reference = best_reference_wall(&w.program, &buffer, grain, reps);
-            report.runs.push(BenchRun {
-                workload: format!("{name}-single-ref"),
-                grains: 1,
-                events: buffer.events(),
-                wall_seconds: reference.as_secs_f64(),
-                stage_seconds: Vec::new(),
-            });
-            eprintln!(
-                "{name}-single-ref: {:.3} ms (pre-optimization baseline)",
-                reference.as_secs_f64() * 1e3
-            );
-            let mut best = Duration::MAX;
             for threads in [1usize, 2, 4, 8] {
                 let opts = AnalyzeOptions {
                     replay_threads: match threads {
@@ -396,7 +353,6 @@ fn main() -> ExitCode {
                 obs::uninstall();
                 let snap = recorder.snapshot();
                 accumulate_counters(&mut counter_totals, &snap);
-                best = best.min(wall);
                 let run = BenchRun {
                     workload: format!("{name}-single-t{threads}"),
                     grains: 1,
@@ -411,12 +367,6 @@ fn main() -> ExitCode {
                 );
                 report.runs.push(run);
             }
-            let ratio = reference.as_secs_f64() / best.as_secs_f64().max(f64::MIN_POSITIVE);
-            eprintln!(
-                "single-grain speedup ratio: {ratio:.2}x vs pre-optimization serial core \
-                 (target >= {SINGLE_GRAIN_SPEEDUP_FLOOR}x on full runs)"
-            );
-            report.single_grain_speedup_ratio = Some(ratio);
         }
 
         // Estimator rung on the first (Sweep3D) workload: the zero-trace
@@ -544,15 +494,6 @@ fn main() -> ExitCode {
             if ratio > OBS_OVERHEAD_CEILING {
                 eprintln!(
                     "obs overhead {ratio:.3}x is above the {OBS_OVERHEAD_CEILING}x ceiling"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-        if let Some(ratio) = report.single_grain_speedup_ratio {
-            if ratio < SINGLE_GRAIN_SPEEDUP_FLOOR {
-                eprintln!(
-                    "single-grain speedup {ratio:.2}x is below the \
-                     {SINGLE_GRAIN_SPEEDUP_FLOOR}x floor"
                 );
                 return ExitCode::FAILURE;
             }

@@ -43,12 +43,6 @@
 //! * `sampled_speedup_ratio` is exact-mode replay wall time divided by
 //!   sampled-mode (rate 1/100) replay wall time on the largest Sweep3D
 //!   ladder rung (target ≥ 3x); `null` until measured.
-//! * `single_grain_speedup_ratio` is the single-grain Sweep3D throughput
-//!   of the best replay-thread ladder rung divided by the frozen
-//!   pre-optimization `ReferenceAnalyzer` baseline (target ≥
-//!   [`SINGLE_GRAIN_SPEEDUP_FLOOR`]); `null` until measured. The
-//!   bench-runner gate fails full (non-smoke) runs below the floor, and
-//!   [`diff`] flags a >15% drop against a measured baseline ratio.
 //! * `checkpoint_overhead_ratio` is checkpointed/plain serial replay wall
 //!   time on the single-grain Sweep3D workload, snapshotting four times
 //!   over the run (target ≤ [`CHECKPOINT_OVERHEAD_CEILING`]); `null`
@@ -99,11 +93,6 @@ pub const SCHEMA: &str = "reuselens-bench/v1";
 
 /// Fractional throughput drop that counts as a regression (>15%).
 pub const REGRESSION_THRESHOLD: f64 = 0.15;
-
-/// Acceptance floor for `single_grain_speedup_ratio` on full bench runs:
-/// the optimized single-grain replay (best ladder rung) must be at least
-/// this many times faster than the frozen pre-optimization baseline.
-pub const SINGLE_GRAIN_SPEEDUP_FLOOR: f64 = 5.0;
 
 /// Acceptance ceiling for `obs_overhead_ratio` on full bench runs:
 /// replaying with the recorder installed, the aggregator ticking, and an
@@ -179,9 +168,6 @@ pub struct BenchReport {
     pub obs_overhead_ratio: Option<f64>,
     /// Exact/sampled replay wall-time ratio from the sampled ladder rung.
     pub sampled_speedup_ratio: Option<f64>,
-    /// Best-rung single-grain throughput over the frozen pre-optimization
-    /// baseline (see the module docs).
-    pub single_grain_speedup_ratio: Option<f64>,
     /// Checkpointed/plain serial replay wall-time ratio (see the module
     /// docs); gated against [`CHECKPOINT_OVERHEAD_CEILING`] on full runs.
     pub checkpoint_overhead_ratio: Option<f64>,
@@ -203,7 +189,6 @@ impl BenchReport {
             counters: Vec::new(),
             obs_overhead_ratio: None,
             sampled_speedup_ratio: None,
-            single_grain_speedup_ratio: None,
             checkpoint_overhead_ratio: None,
             estimator_speedup_ratio: None,
             store_replay_speedup_ratio: None,
@@ -275,13 +260,6 @@ impl BenchReport {
             (
                 "sampled_speedup_ratio".into(),
                 match self.sampled_speedup_ratio {
-                    Some(r) => Json::Num(r),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "single_grain_speedup_ratio".into(),
-                match self.single_grain_speedup_ratio {
                     Some(r) => Json::Num(r),
                     None => Json::Null,
                 },
@@ -381,9 +359,6 @@ impl BenchReport {
             counters,
             obs_overhead_ratio: doc.get("obs_overhead_ratio").and_then(Json::as_f64),
             sampled_speedup_ratio: doc.get("sampled_speedup_ratio").and_then(Json::as_f64),
-            single_grain_speedup_ratio: doc
-                .get("single_grain_speedup_ratio")
-                .and_then(Json::as_f64),
             checkpoint_overhead_ratio: doc
                 .get("checkpoint_overhead_ratio")
                 .and_then(Json::as_f64),
@@ -498,18 +473,8 @@ pub fn diff(baseline: &BenchReport, current: &BenchReport) -> DiffOutcome {
             ));
         }
     }
-    // The single-grain speedup is gated like a throughput line: a >15%
-    // drop against a measured baseline ratio regresses the diff (the
-    // absolute >= SINGLE_GRAIN_SPEEDUP_FLOOR bar is enforced by the
-    // bench-runner on full runs).
-    if let (Some(base), Some(cur)) = (
-        baseline.single_grain_speedup_ratio,
-        current.single_grain_speedup_ratio,
-    ) {
-        lines.push(compare("single_grain_speedup", base, cur));
-    }
-    // The obs-overhead ratio is gated the same way, inverted: overhead is
-    // lower-is-better, so a >15% *rise* against a measured baseline ratio
+    // The obs-overhead ratio is gated like a throughput line, inverted:
+    // overhead is lower-is-better, so a >15% *rise* against a measured baseline ratio
     // regresses the diff (the absolute <= OBS_OVERHEAD_CEILING bar is
     // enforced by the bench-runner on full runs).
     if let (Some(base), Some(cur)) = (baseline.obs_overhead_ratio, current.obs_overhead_ratio) {
@@ -560,7 +525,6 @@ mod tests {
             counters: vec![("events_decoded".to_string(), 12345)],
             obs_overhead_ratio: Some(1.05),
             sampled_speedup_ratio: Some(4.2),
-            single_grain_speedup_ratio: Some(6.1),
             checkpoint_overhead_ratio: Some(1.03),
             estimator_speedup_ratio: Some(240.0),
             store_replay_speedup_ratio: Some(3.4),
@@ -618,14 +582,13 @@ mod tests {
         let base = report(vec![run("sweep3d", 4, 1000, 1.0)]);
         let cur = report(vec![run("sweep3d", 8, 1000, 1.0)]);
         let outcome = diff(&base, &cur);
-        // No matched runs: just the overall line and the two gated ratio
-        // lines (both sides of the fixture measure both ratios).
-        assert_eq!(outcome.lines.len(), 3);
-        assert!(outcome.lines.iter().all(|l| {
-            l.subject == "overall"
-                || l.subject == "single_grain_speedup"
-                || l.subject == "obs_overhead"
-        }));
+        // No matched runs: just the overall line and the gated ratio line
+        // (both sides of the fixture measure the ratio).
+        assert_eq!(outcome.lines.len(), 2);
+        assert!(outcome
+            .lines
+            .iter()
+            .all(|l| l.subject == "overall" || l.subject == "obs_overhead"));
     }
 
     #[test]
@@ -640,7 +603,6 @@ mod tests {
             parsed.runs[0].stage_seconds,
             vec![("replay".to_string(), StageSeconds { sum: 0.5, max: 0.5 })]
         );
-        assert_eq!(parsed.single_grain_speedup_ratio, None);
         assert_eq!(parsed.checkpoint_overhead_ratio, None);
         assert_eq!(parsed.estimator_speedup_ratio, None);
         assert_eq!(parsed.store_replay_speedup_ratio, None);
@@ -684,27 +646,6 @@ mod tests {
         // the diff (the bench-runner's ceiling check owns that failure).
         let mut cur = base.clone();
         cur.checkpoint_overhead_ratio = Some(2.5);
-        assert!(!diff(&base, &cur).regressed);
-    }
-
-    #[test]
-    fn diff_gates_single_grain_speedup_ratio() {
-        let mut base = report(vec![run("sweep3d", 4, 1000, 1.0)]);
-        let mut cur = base.clone();
-        base.single_grain_speedup_ratio = Some(6.0);
-        // 33% drop: past the 15% bar.
-        cur.single_grain_speedup_ratio = Some(4.0);
-        let outcome = diff(&base, &cur);
-        assert!(outcome.regressed);
-        assert!(outcome
-            .lines
-            .iter()
-            .any(|l| l.subject == "single_grain_speedup" && l.regressed));
-        // An 8% wobble stays green.
-        cur.single_grain_speedup_ratio = Some(5.5);
-        assert!(!diff(&base, &cur).regressed);
-        // An unmeasured side is skipped, not failed.
-        cur.single_grain_speedup_ratio = None;
         assert!(!diff(&base, &cur).regressed);
     }
 

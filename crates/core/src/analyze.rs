@@ -14,8 +14,8 @@
 //!
 //! The replay pipeline can additionally run each grain through the
 //! constant-space [`SampledAnalyzer`] instead of the exact analyzer: set
-//! [`AnalyzeOptions::sampling`] and use [`analyze_buffer_with`],
-//! [`analyze_program_parallel_with`], or [`analyze_program_degraded`].
+//! [`AnalyzeOptions::sampling`] and use [`analyze_buffer_with`] or
+//! [`analyze_program_degraded`].
 //! Exact mode stays the default and its output is bit-identical to a
 //! build without the knob.
 //!
@@ -467,16 +467,17 @@ impl GrainAnalyzer {
         }
     }
 
-    /// Rebuilds an engine from a snapshot's state frame. `sampled` comes
-    /// from the validated snapshot header and selects the engine.
+    /// Rebuilds an engine from a snapshot's state frame. The validated
+    /// snapshot header selects the engine and bounds the state it holds.
     fn snapshot_decode(
         program: &Program,
-        block_size: u64,
-        sampled: bool,
+        header: &SnapshotHeader,
         d: &mut Dec<'_>,
     ) -> Result<GrainAnalyzer, SnapshotError> {
-        if sampled {
-            SampledAnalyzer::snapshot_decode(program, block_size, d).map(GrainAnalyzer::Sampled)
+        let (block_size, accesses) = (header.block_size, header.accesses_replayed);
+        if header.sampled {
+            SampledAnalyzer::snapshot_decode(program, block_size, accesses, d)
+                .map(GrainAnalyzer::Sampled)
         } else {
             ReuseAnalyzer::snapshot_decode(program, block_size, d).map(GrainAnalyzer::Exact)
         }
@@ -549,6 +550,24 @@ impl TraceSink for GrainAnalyzer {
     }
 }
 
+/// Checks one grain's progress against its budget, publishing the budget
+/// gauges on the way.
+fn check_budget(
+    budget: &AnalysisBudget,
+    analyzer: &GrainAnalyzer,
+    events: u64,
+) -> Result<(), GrainError> {
+    let progress = BudgetProgress {
+        events,
+        distinct_blocks: analyzer.tracked_blocks(),
+        tree_nodes: analyzer.tree_nodes() as u64,
+    };
+    obs::set_gauge(obs::Gauge::BudgetEvents, progress.events);
+    obs::set_gauge(obs::Gauge::BudgetDistinctBlocks, progress.distinct_blocks);
+    obs::set_gauge(obs::Gauge::BudgetTreeNodes, progress.tree_nodes);
+    budget.check(progress).map_err(GrainError::Budget)
+}
+
 /// Replays `buffer` through `analyzer` on the validating decoder,
 /// checking the budget once per batch. Publishes decoded-event progress
 /// into `progress` so a failure still reports how far the grain got.
@@ -561,17 +580,6 @@ fn replay_guarded(
     let mut batch: Vec<AccessRecord> = Vec::with_capacity(GUARDED_BATCH);
     let mut events = 0u64;
     let mut accesses = 0u64;
-    let check = |analyzer: &GrainAnalyzer, events: u64| {
-        let progress = BudgetProgress {
-            events,
-            distinct_blocks: analyzer.tracked_blocks(),
-            tree_nodes: analyzer.tree_nodes() as u64,
-        };
-        obs::set_gauge(obs::Gauge::BudgetEvents, progress.events);
-        obs::set_gauge(obs::Gauge::BudgetDistinctBlocks, progress.distinct_blocks);
-        obs::set_gauge(obs::Gauge::BudgetTreeNodes, progress.tree_nodes);
-        budget.check(progress).map_err(GrainError::Budget)
-    };
     for event in buffer.try_iter() {
         events += 1;
         progress.store(events, Ordering::Relaxed);
@@ -582,276 +590,27 @@ fn replay_guarded(
                 if batch.len() == GUARDED_BATCH {
                     analyzer.access_batch(&batch);
                     batch.clear();
-                    check(analyzer, events)?;
+                    check_budget(budget, analyzer, events)?;
                 }
             }
+            // A scope event flushes the accesses before it (flushing an
+            // empty batch is a no-op).
             Event::Enter(scope) => {
-                if !batch.is_empty() {
-                    analyzer.access_batch(&batch);
-                    batch.clear();
-                }
+                analyzer.access_batch(&batch);
+                batch.clear();
                 analyzer.enter(scope);
             }
             Event::Exit(scope) => {
-                if !batch.is_empty() {
-                    analyzer.access_batch(&batch);
-                    batch.clear();
-                }
+                analyzer.access_batch(&batch);
+                batch.clear();
                 analyzer.exit(scope);
             }
         }
     }
-    if !batch.is_empty() {
-        analyzer.access_batch(&batch);
-    }
+    analyzer.access_batch(&batch);
     obs::add(obs::Counter::EventsDecoded, events);
     obs::add(obs::Counter::AccessesDecoded, accesses);
-    check(analyzer, events)
-}
-
-/// One grain's replay, panic-isolated. Runs on the grain's own thread in
-/// the parallel phase and on the caller's thread in the retry pass.
-fn replay_grain(
-    program: &Program,
-    buffer: &TraceBuffer,
-    block_size: u64,
-    opts: &AnalyzeOptions,
-) -> Result<(ReuseProfile, ReplayTiming, u64), GrainFailure> {
-    let mut span = obs::span_with(obs::Stage::Replay, || obs::TimelineArgs {
-        grain: Some(block_size),
-        ..obs::TimelineArgs::default()
-    });
-    obs::emit(obs::EventKind::GrainStarted { grain: block_size });
-    let start = Instant::now();
-    // Progress lives outside the unwind boundary so a panicking analyzer
-    // still leaves behind how many events it had processed.
-    let progress = AtomicU64::new(0);
-    let outcome = panic::catch_unwind(AssertUnwindSafe(
-        || -> Result<(ReuseProfile, u64), GrainError> {
-            let parts = opts.replay_threads.resolve();
-            if parts > 1 && !matches!(opts.sampling, SamplingConfig::Adaptive { .. }) {
-                // Validate-first: the partitioned engine replays segments
-                // on the unchecked fast path, so an explicit validation
-                // request runs the checking decoder over the whole buffer
-                // up front and surfaces the same `Decode` errors.
-                if opts.validate {
-                    buffer.validate().map_err(GrainError::Decode)?;
-                }
-                return replay_partitioned(
-                    program,
-                    buffer,
-                    block_size,
-                    parts,
-                    opts.sampling,
-                    &opts.budget,
-                );
-            }
-            let mut analyzer = GrainAnalyzer::new(program, block_size, opts.sampling);
-            if opts.validate || !opts.budget.is_unlimited() {
-                replay_guarded(buffer, &mut analyzer, &opts.budget, &progress)?;
-            } else {
-                let mut counting = CountingSink {
-                    inner: &mut analyzer,
-                    events: &progress,
-                };
-                buffer.replay(&mut counting);
-            }
-            // The exact tree only grows during a replay, so its final size
-            // is also its peak; a sampled tree shrinks on eviction, making
-            // this the final *tracked* count. Measured before `finish`
-            // consumes the analyzer.
-            let tree_nodes = analyzer.tree_nodes() as u64;
-            Ok((analyzer.finish(), tree_nodes))
-        },
-    ));
-    match outcome {
-        Ok(Ok((profile, tree_nodes))) => {
-            match profile.sampling {
-                None => {
-                    obs::add(obs::Counter::BlocksTracked, profile.distinct_blocks);
-                    // Every measured (non-cold) reuse re-keys its block's
-                    // node on the order-statistic tree with one fused
-                    // reinsert.
-                    obs::add(
-                        obs::Counter::TreeReinserts,
-                        profile.total_accesses - profile.total_cold(),
-                    );
-                }
-                Some(info) => {
-                    obs::add(obs::Counter::BlocksSampled, info.blocks_sampled);
-                    obs::add(obs::Counter::BlocksEvicted, info.blocks_evicted);
-                    obs::add(obs::Counter::SampleRateDrops, info.rate_drops);
-                    obs::set_gauge(obs::Gauge::SamplingInvRate, info.inv);
-                    if info.rate_drops > 0 {
-                        obs::emit(obs::EventKind::SampleRateDropped {
-                            grain: block_size,
-                            inv_rate: info.inv,
-                            evicted: info.blocks_evicted,
-                        });
-                    }
-                }
-            }
-            span.record(|args| {
-                args.events = Some(buffer.events());
-                args.distinct_blocks = Some(profile.distinct_blocks);
-                args.tree_nodes = Some(tree_nodes);
-                args.sample_inv = profile.sampling.map(|s| s.inv);
-            });
-            Ok((
-                profile,
-                ReplayTiming {
-                    block_size,
-                    wall: start.elapsed(),
-                },
-                tree_nodes,
-            ))
-        }
-        Ok(Err(error)) => Err(GrainFailure {
-            error,
-            events: progress.load(Ordering::Relaxed),
-        }),
-        Err(payload) => Err(GrainFailure {
-            error: GrainError::Panicked(panic_message(payload.as_ref())),
-            events: progress.load(Ordering::Relaxed),
-        }),
-    }
-}
-
-/// The fault-tolerant replay engine: one fresh [`ReuseAnalyzer`] per block
-/// size, each replaying the shared buffer on its own thread **under panic
-/// isolation**. Grains that fail — by panic, decode rejection, or budget
-/// exhaustion — are reported in the returned [`PartialAnalysis`] without
-/// disturbing their siblings; panicked grains get one sequential retry
-/// first (when [`AnalyzeOptions::retry`] is set).
-///
-/// With default options the replay takes the same unchecked fast path as
-/// [`TraceBuffer::replay`]; setting a budget or
-/// [`AnalyzeOptions::validate`] routes it through the validating decoder.
-pub fn analyze_buffer_with(
-    program: &Program,
-    buffer: &TraceBuffer,
-    block_sizes: &[u64],
-    opts: &AnalyzeOptions,
-) -> PartialAnalysis {
-    obs::add(obs::Counter::GrainsRequested, block_sizes.len() as u64);
-    let outcomes: Vec<Result<(ReuseProfile, ReplayTiming, u64), GrainFailure>> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = block_sizes
-                .iter()
-                .map(|&block_size| s.spawn(move || replay_grain(program, buffer, block_size, opts)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(outcome) => outcome,
-                    // `replay_grain` catches panics itself; this arm is a
-                    // backstop for panics outside the catch (e.g. in the
-                    // timing code).
-                    Err(payload) => Err(GrainFailure {
-                        error: GrainError::Panicked(panic_message(payload.as_ref())),
-                        events: 0,
-                    }),
-                })
-                .collect()
-        });
-    let mut profiles = Vec::new();
-    let mut replays = Vec::new();
-    let mut failures = Vec::new();
-    for (&block_size, outcome) in block_sizes.iter().zip(outcomes) {
-        let (outcome, retried) = match outcome {
-            // A panicked grain gets one sequential retry on an otherwise
-            // idle machine; decode and budget failures are deterministic,
-            // so retrying them would only repeat the work.
-            Err(GrainFailure {
-                error: GrainError::Panicked(_),
-                ..
-            }) if opts.retry => {
-                obs::add(obs::Counter::GrainsRetried, 1);
-                obs::emit(obs::EventKind::GrainRetried { grain: block_size });
-                (replay_grain(program, buffer, block_size, opts), true)
-            }
-            other => (other, false),
-        };
-        match outcome {
-            Ok((profile, timing, tree_nodes)) => {
-                obs::add(obs::Counter::GrainsCompleted, 1);
-                obs::emit(obs::EventKind::GrainCompleted {
-                    grain: block_size,
-                    events: buffer.events(),
-                    distinct_blocks: profile.distinct_blocks,
-                    wall_ns: timing.wall.as_nanos() as u64,
-                });
-                obs::record_grain(&obs::GrainProfile {
-                    block_size,
-                    wall: timing.wall,
-                    events: buffer.events(),
-                    distinct_blocks: profile.distinct_blocks,
-                    tree_nodes,
-                    status: if retried {
-                        obs::GrainStatus::Retried
-                    } else {
-                        obs::GrainStatus::Completed
-                    },
-                    blocks_sampled: profile.sampling.map_or(0, |s| s.blocks_sampled),
-                    blocks_evicted: profile.sampling.map_or(0, |s| s.blocks_evicted),
-                    sample_inv: profile.sampling.map_or(0, |s| s.inv),
-                });
-                profiles.push(profile);
-                replays.push(timing);
-            }
-            Err(failure) => {
-                obs::add(obs::Counter::GrainsFailed, 1);
-                obs::emit(obs::EventKind::GrainFailed {
-                    grain: block_size,
-                    reason: failure.error.to_string(),
-                    job: opts.job.clone(),
-                });
-                obs::record_grain(&obs::GrainProfile {
-                    block_size,
-                    wall: Duration::ZERO,
-                    events: failure.events,
-                    distinct_blocks: 0,
-                    tree_nodes: 0,
-                    status: obs::GrainStatus::Failed,
-                    blocks_sampled: 0,
-                    blocks_evicted: 0,
-                    sample_inv: 0,
-                });
-                failures.push(FailureReport {
-                    block_size,
-                    error: failure.error,
-                    retried,
-                    events: failure.events,
-                    job: opts.job.clone(),
-                });
-            }
-        }
-    }
-    PartialAnalysis {
-        profiles,
-        replays,
-        failures,
-    }
-}
-
-/// Replays a captured buffer through one fresh [`ReuseAnalyzer`] per block
-/// size, each on its own thread, and returns the profiles in request order
-/// together with per-thread timings.
-///
-/// This is the strict form: any grain failure is returned as an error
-/// (after all threads have been joined — a failing grain never aborts the
-/// process or poisons its siblings). Use [`analyze_buffer_with`] to keep
-/// the healthy grains' results instead.
-///
-/// # Errors
-///
-/// Returns the first grain failure as an [`AnalysisError`].
-pub fn analyze_buffer(
-    program: &Program,
-    buffer: &TraceBuffer,
-    block_sizes: &[u64],
-) -> Result<(Vec<ReuseProfile>, Vec<ReplayTiming>), AnalysisError> {
-    analyze_buffer_with(program, buffer, block_sizes, &AnalyzeOptions::default()).into_strict()
+    check_budget(budget, analyzer, events)
 }
 
 /// Where and how often [`analyze_buffer_checkpointed`] snapshots its
@@ -875,12 +634,6 @@ pub struct CheckpointOptions {
     pub resume: bool,
 }
 
-/// How one checkpointed grain ended: completed, failed as a grain (kept
-/// as a [`FailureReport`]), or hit a checkpoint-infrastructure error that
-/// fails the whole call.
-type CkptGrainOutcome =
-    Result<Result<(ReuseProfile, ReplayTiming, u64), GrainFailure>, SnapshotError>;
-
 /// Scans the checkpoint directory for this grain's snapshots, newest
 /// first, and rebuilds the analyzer from the first one that passes every
 /// check: intact framing and CRCs, matching grain/engine/program shape,
@@ -903,59 +656,46 @@ fn resume_grain(
         let resumed = (|| -> Result<(GrainAnalyzer, SegmentState), SnapshotError> {
             let bytes = read_snapshot_bytes(&path)?;
             let (header, mut dec) = decode_snapshot(&bytes)?;
-            if header.block_size != block_size {
-                return Err(SnapshotError::Mismatch {
-                    what: format!(
-                        "snapshot is for grain {}, expected {block_size}",
-                        header.block_size
-                    ),
-                });
+            let mismatch = |what: String| Err(SnapshotError::Mismatch { what });
+            let engine = |sampled: bool| if sampled { "sampled" } else { "exact" };
+            let (grain, at) = (header.block_size, header.events_replayed);
+            if grain != block_size {
+                return mismatch(format!(
+                    "snapshot is for grain {grain}, expected {block_size}"
+                ));
             }
             if header.sampled != sampled {
-                return Err(SnapshotError::Mismatch {
-                    what: format!(
-                        "snapshot was taken by the {} engine, this run uses the {} engine",
-                        if header.sampled { "sampled" } else { "exact" },
-                        if sampled { "sampled" } else { "exact" },
-                    ),
-                });
+                return mismatch(format!(
+                    "snapshot was taken by the {} engine, this run uses the {} engine",
+                    engine(header.sampled),
+                    engine(sampled),
+                ));
             }
             if header.nrefs != nrefs {
-                return Err(SnapshotError::Mismatch {
-                    what: format!(
-                        "snapshot program has {} references, this program has {nrefs}",
-                        header.nrefs
-                    ),
-                });
+                return mismatch(format!(
+                    "snapshot program has {} references, this program has {nrefs}",
+                    header.nrefs
+                ));
             }
-            if header.events_replayed != events {
-                return Err(SnapshotError::Mismatch {
-                    what: format!(
-                        "file name claims event {events}, header records {}",
-                        header.events_replayed
-                    ),
-                });
+            if at != events {
+                return mismatch(format!(
+                    "file name claims event {events}, header records {at}"
+                ));
             }
-            if header.events_replayed > buffer.events() {
-                return Err(SnapshotError::Mismatch {
-                    what: format!(
-                        "snapshot is at event {} but the trace has only {}",
-                        header.events_replayed,
-                        buffer.events()
-                    ),
-                });
+            if at > buffer.events() {
+                let have = buffer.events();
+                return mismatch(format!(
+                    "snapshot is at event {at} but the trace has only {have}"
+                ));
             }
-            let state = buffer.state_at(header.events_replayed);
+            let state = buffer.state_at(at);
             if state.accesses != header.accesses_replayed {
-                return Err(SnapshotError::Mismatch {
-                    what: format!(
-                        "snapshot records {} accesses at event {}, the trace has {}",
-                        header.accesses_replayed, header.events_replayed, state.accesses
-                    ),
-                });
+                return mismatch(format!(
+                    "snapshot records {} accesses at event {at}, the trace has {}",
+                    header.accesses_replayed, state.accesses
+                ));
             }
-            let analyzer =
-                GrainAnalyzer::snapshot_decode(program, block_size, header.sampled, &mut dec)?;
+            let analyzer = GrainAnalyzer::snapshot_decode(program, &header, &mut dec)?;
             dec.finish()?;
             Ok((analyzer, state))
         })();
@@ -980,205 +720,259 @@ fn resume_grain(
     Ok(None)
 }
 
-/// One grain's checkpointed replay: resume (optionally), then alternate
+/// The checkpointed replay loop: resume (optionally), then alternate
 /// chunks of [`TraceBuffer::replay_advance`] with snapshot writes at each
-/// interior `every`-event boundary. Panic-isolated like [`replay_grain`].
-fn replay_grain_checkpointed(
+/// interior `every`-event boundary. Publishes progress like the other
+/// paths.
+fn replay_checkpointed(
     program: &Program,
     buffer: &TraceBuffer,
     block_size: u64,
     opts: &AnalyzeOptions,
     ckpt: &CheckpointOptions,
-) -> CkptGrainOutcome {
+    progress: &AtomicU64,
+) -> Result<GrainAnalyzer, Stop> {
+    let sampled = !opts.sampling.is_exact();
+    let resumed = if ckpt.resume {
+        resume_grain(program, buffer, block_size, sampled, &ckpt.dir)?
+    } else {
+        None
+    };
+    let (mut analyzer, mut state) = resumed.unwrap_or_else(|| {
+        (
+            GrainAnalyzer::new(program, block_size, opts.sampling),
+            SegmentState::default(),
+        )
+    });
+    progress.store(state.event, Ordering::Relaxed);
+    let every = ckpt.every.max(1);
+    let nrefs = program.references().len() as u32;
+    while state.event < buffer.events() {
+        let target = state.event.saturating_add(every).min(buffer.events());
+        buffer.replay_advance(&mut state, target, &mut analyzer);
+        progress.store(state.event, Ordering::Relaxed);
+        if !opts.budget.is_unlimited() {
+            check_budget(&opts.budget, &analyzer, state.event)?;
+        }
+        if state.event < buffer.events() {
+            let _ckpt_span = obs::span(obs::Stage::Checkpoint);
+            let mut enc = Enc::new();
+            analyzer.snapshot_encode(&mut enc);
+            let header = SnapshotHeader {
+                block_size,
+                sampled,
+                events_replayed: state.event,
+                accesses_replayed: state.accesses,
+                nrefs,
+            };
+            let image = encode_snapshot(&header, &enc.buf);
+            write_snapshot_file(&ckpt.dir, block_size, state.event, &image)?;
+            obs::add(obs::Counter::CheckpointsWritten, 1);
+            obs::set_gauge(obs::Gauge::SnapshotBytes, image.len() as u64);
+            obs::emit(obs::EventKind::CheckpointWritten {
+                grain: block_size,
+                events_replayed: state.event,
+                bytes: image.len() as u64,
+            });
+        }
+    }
+    Ok(analyzer)
+}
+
+/// Why one grain's replay stopped short: a grain failure (kept as a
+/// [`FailureReport`]) or a checkpoint-infrastructure error that fails the
+/// whole call.
+enum Stop {
+    Grain(GrainError),
+    Snapshot(SnapshotError),
+}
+
+impl From<GrainError> for Stop {
+    fn from(e: GrainError) -> Stop {
+        Stop::Grain(e)
+    }
+}
+
+impl From<SnapshotError> for Stop {
+    fn from(e: SnapshotError) -> Stop {
+        Stop::Snapshot(e)
+    }
+}
+
+/// One grain's result: its profile, replay timing and final
+/// order-statistic set size, or the failure that ended it.
+type GrainOutcome = Result<(ReuseProfile, ReplayTiming, u64), GrainFailure>;
+
+/// One grain's replay, panic-isolated — every replay mode runs through it.
+///
+/// Without checkpoint options the grain runs the partitioned engine when
+/// [`AnalyzeOptions::replay_threads`] resolves to more than one partition
+/// (adaptive sampling excepted), the guarded path under validation or a
+/// budget, and the unchecked fast path otherwise. With them it streams
+/// through [`replay_checkpointed`]. Only a checkpoint-infrastructure
+/// failure is an `Err`; a grain failure is an `Ok(Err(..))`.
+fn replay_grain(
+    program: &Program,
+    buffer: &TraceBuffer,
+    block_size: u64,
+    opts: &AnalyzeOptions,
+    ckpt: Option<&CheckpointOptions>,
+) -> Result<GrainOutcome, SnapshotError> {
     let mut span = obs::span_with(obs::Stage::Replay, || obs::TimelineArgs {
         grain: Some(block_size),
         ..obs::TimelineArgs::default()
     });
     obs::emit(obs::EventKind::GrainStarted { grain: block_size });
     let start = Instant::now();
+    // Progress lives outside the unwind boundary so a panicking analyzer
+    // still leaves behind how many events it had processed.
     let progress = AtomicU64::new(0);
-    let every = ckpt.every.max(1);
-    let sampled = !opts.sampling.is_exact();
-    let outcome = panic::catch_unwind(AssertUnwindSafe(
-        || -> Result<Result<(ReuseProfile, u64), GrainError>, SnapshotError> {
-            // The streaming loop decodes on the unchecked fast path, so an
-            // explicit validation request checks the whole buffer up front,
-            // as the partitioned engine does.
-            if opts.validate {
-                if let Err(e) = buffer.validate() {
-                    return Ok(Err(GrainError::Decode(e)));
-                }
-            }
-            let resumed = if ckpt.resume {
-                resume_grain(program, buffer, block_size, sampled, &ckpt.dir)?
-            } else {
-                None
-            };
-            let (mut analyzer, mut state) = match resumed {
-                Some(from) => from,
-                None => (
-                    GrainAnalyzer::new(program, block_size, opts.sampling),
-                    SegmentState::default(),
-                ),
-            };
-            progress.store(state.event, Ordering::Relaxed);
-            let nrefs = program.references().len() as u32;
-            while state.event < buffer.events() {
-                let target = state.event.saturating_add(every).min(buffer.events());
-                buffer.replay_advance(&mut state, target, &mut analyzer);
-                progress.store(state.event, Ordering::Relaxed);
-                if !opts.budget.is_unlimited() {
-                    let p = BudgetProgress {
-                        events: state.event,
-                        distinct_blocks: analyzer.tracked_blocks(),
-                        tree_nodes: analyzer.tree_nodes() as u64,
-                    };
-                    obs::set_gauge(obs::Gauge::BudgetEvents, p.events);
-                    obs::set_gauge(obs::Gauge::BudgetDistinctBlocks, p.distinct_blocks);
-                    obs::set_gauge(obs::Gauge::BudgetTreeNodes, p.tree_nodes);
-                    if let Err(e) = opts.budget.check(p) {
-                        return Ok(Err(GrainError::Budget(e)));
-                    }
-                }
-                if state.event < buffer.events() {
-                    let _ckpt_span = obs::span(obs::Stage::Checkpoint);
-                    let mut enc = Enc::new();
-                    analyzer.snapshot_encode(&mut enc);
-                    let header = SnapshotHeader {
-                        block_size,
-                        sampled,
-                        events_replayed: state.event,
-                        accesses_replayed: state.accesses,
-                        nrefs,
-                    };
-                    let image = encode_snapshot(&header, &enc.buf);
-                    write_snapshot_file(&ckpt.dir, block_size, state.event, &image)?;
-                    obs::add(obs::Counter::CheckpointsWritten, 1);
-                    obs::set_gauge(obs::Gauge::SnapshotBytes, image.len() as u64);
-                    obs::emit(obs::EventKind::CheckpointWritten {
-                        grain: block_size,
-                        events_replayed: state.event,
-                        bytes: image.len() as u64,
-                    });
-                }
-            }
-            let tree_nodes = analyzer.tree_nodes() as u64;
-            Ok(Ok((analyzer.finish(), tree_nodes)))
-        },
-    ));
-    match outcome {
-        Ok(Ok(Ok((profile, tree_nodes)))) => {
-            match profile.sampling {
-                None => {
-                    obs::add(obs::Counter::BlocksTracked, profile.distinct_blocks);
-                    obs::add(
-                        obs::Counter::TreeReinserts,
-                        profile.total_accesses - profile.total_cold(),
-                    );
-                }
-                Some(info) => {
-                    obs::add(obs::Counter::BlocksSampled, info.blocks_sampled);
-                    obs::add(obs::Counter::BlocksEvicted, info.blocks_evicted);
-                    obs::add(obs::Counter::SampleRateDrops, info.rate_drops);
-                    obs::set_gauge(obs::Gauge::SamplingInvRate, info.inv);
-                    if info.rate_drops > 0 {
-                        obs::emit(obs::EventKind::SampleRateDropped {
-                            grain: block_size,
-                            inv_rate: info.inv,
-                            evicted: info.blocks_evicted,
-                        });
-                    }
-                }
-            }
-            span.record(|args| {
-                args.events = Some(buffer.events());
-                args.distinct_blocks = Some(profile.distinct_blocks);
-                args.tree_nodes = Some(tree_nodes);
-                args.sample_inv = profile.sampling.map(|s| s.inv);
-            });
-            Ok(Ok((
-                profile,
-                ReplayTiming {
-                    block_size,
-                    wall: start.elapsed(),
-                },
-                tree_nodes,
-            )))
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| -> Result<(ReuseProfile, u64), Stop> {
+        let parts = opts.replay_threads.resolve();
+        let partitioned = ckpt.is_none()
+            && parts > 1
+            && !matches!(opts.sampling, SamplingConfig::Adaptive { .. });
+        // Validate-first: the partitioned and checkpointed engines decode
+        // on the unchecked fast path, so an explicit validation request
+        // runs the checking decoder over the whole buffer up front and
+        // surfaces the same `Decode` errors.
+        if opts.validate && (partitioned || ckpt.is_some()) {
+            buffer.validate().map_err(GrainError::Decode)?;
         }
-        Ok(Ok(Err(error))) => Ok(Err(GrainFailure {
-            error,
-            events: progress.load(Ordering::Relaxed),
-        })),
-        Ok(Err(fatal)) => Err(fatal),
-        Err(payload) => Ok(Err(GrainFailure {
-            error: GrainError::Panicked(panic_message(payload.as_ref())),
-            events: progress.load(Ordering::Relaxed),
-        })),
+        if partitioned {
+            return replay_partitioned(
+                program,
+                buffer,
+                block_size,
+                parts,
+                opts.sampling,
+                &opts.budget,
+            )
+            .map_err(Stop::Grain);
+        }
+        let analyzer = match ckpt {
+            Some(ckpt) => replay_checkpointed(program, buffer, block_size, opts, ckpt, &progress)?,
+            None => {
+                let mut analyzer = GrainAnalyzer::new(program, block_size, opts.sampling);
+                if opts.validate || !opts.budget.is_unlimited() {
+                    replay_guarded(buffer, &mut analyzer, &opts.budget, &progress)?;
+                } else {
+                    let mut counting = CountingSink {
+                        inner: &mut analyzer,
+                        events: &progress,
+                    };
+                    buffer.replay(&mut counting);
+                }
+                analyzer
+            }
+        };
+        // The exact set only grows during a replay, so its final size is
+        // also its peak; a sampled set shrinks on eviction, making this
+        // the final *tracked* count. Measured before `finish` consumes the
+        // analyzer.
+        let tree_nodes = analyzer.tree_nodes() as u64;
+        Ok((analyzer.finish(), tree_nodes))
+    }))
+    .unwrap_or_else(|payload| Err(GrainError::Panicked(panic_message(payload.as_ref())).into()));
+    let (profile, tree_nodes) = match outcome {
+        Ok(done) => done,
+        Err(Stop::Snapshot(fatal)) => return Err(fatal),
+        Err(Stop::Grain(error)) => {
+            let events = progress.load(Ordering::Relaxed);
+            return Ok(Err(GrainFailure { error, events }));
+        }
+    };
+    match profile.sampling {
+        None => {
+            obs::add(obs::Counter::BlocksTracked, profile.distinct_blocks);
+            // Every measured (non-cold) reuse re-keys its block's time in
+            // the order-statistic set with one fused reinsert.
+            obs::add(
+                obs::Counter::TreeReinserts,
+                profile.total_accesses - profile.total_cold(),
+            );
+        }
+        Some(info) => {
+            obs::add(obs::Counter::BlocksSampled, info.blocks_sampled);
+            obs::add(obs::Counter::BlocksEvicted, info.blocks_evicted);
+            obs::add(obs::Counter::SampleRateDrops, info.rate_drops);
+            obs::set_gauge(obs::Gauge::SamplingInvRate, info.inv);
+            if info.rate_drops > 0 {
+                obs::emit(obs::EventKind::SampleRateDropped {
+                    grain: block_size,
+                    inv_rate: info.inv,
+                    evicted: info.blocks_evicted,
+                });
+            }
+        }
     }
+    span.record(|args| {
+        args.events = Some(buffer.events());
+        args.distinct_blocks = Some(profile.distinct_blocks);
+        args.tree_nodes = Some(tree_nodes);
+        args.sample_inv = profile.sampling.map(|s| s.inv);
+    });
+    let timing = ReplayTiming {
+        block_size,
+        wall: start.elapsed(),
+    };
+    Ok(Ok((profile, timing, tree_nodes)))
 }
 
-/// Crash-safe streaming form of [`analyze_buffer_with`]: each grain
-/// replays the buffer in chunks of [`CheckpointOptions::every`] events and
-/// serializes its **complete analyzer state** to
-/// [`CheckpointOptions::dir`] at every interior boundary, so a run killed
-/// at any point — including mid-write — can be rerun with
-/// [`CheckpointOptions::resume`] set and continue from the newest intact
-/// snapshot instead of the beginning.
-///
-/// Guarantees:
-///
-/// * **Bit-identical recovery** — a resumed run's profiles are equal, bit
-///   for bit, to an uninterrupted run's, for the exact and the sampled
-///   engine alike. (The streaming loop itself is serial and deterministic;
-///   [`AnalyzeOptions::replay_threads`] is ignored here, and serial exact
-///   profiles are bit-identical to partitioned ones anyway.)
-/// * **Hostile-input recovery** — a snapshot is only resumed from after
-///   full validation: framing, CRCs, version, and agreement with this
-///   program and trace. Anything torn, truncated, bit-flipped, or
-///   version-skewed is rejected with a typed [`SnapshotError`] internally,
-///   counted, and skipped in favor of the next-newest file.
-/// * The usual [`PartialAnalysis`] degradation: panicking or over-budget
-///   grains become [`FailureReport`]s, siblings survive.
-///
-/// Grains run sequentially (the point of checkpointing is surviving long
-/// unattended runs, not peak parallel throughput — use
-/// [`analyze_buffer_with`] when crash-safety is not needed).
-///
-/// # Errors
-///
-/// Only checkpoint-*infrastructure* failures fail the call: an unreadable
-/// checkpoint directory or an error while writing a snapshot (disk full,
-/// permissions). Corrupted snapshot *files* never do — they are fallback
-/// material, not errors.
-pub fn analyze_buffer_checkpointed(
+/// Replays every grain through [`replay_grain`] and folds the outcomes
+/// into a [`PartialAnalysis`] — the one fold behind plain and
+/// checkpointed replay: counters, telemetry events,
+/// [`obs::GrainProfile`]s, and the sequential retry of panicked grains.
+/// Without checkpoints every grain replays on its own thread before the
+/// fold; with them the grains replay one at a time inside it.
+fn analyze_grains(
     program: &Program,
     buffer: &TraceBuffer,
     block_sizes: &[u64],
     opts: &AnalyzeOptions,
-    ckpt: &CheckpointOptions,
+    ckpt: Option<&CheckpointOptions>,
 ) -> Result<PartialAnalysis, SnapshotError> {
-    fs::create_dir_all(&ckpt.dir).map_err(|e| SnapshotError::Io {
-        op: "create checkpoint directory",
-        path: ckpt.dir.clone(),
-        message: e.to_string(),
-    })?;
     obs::add(obs::Counter::GrainsRequested, block_sizes.len() as u64);
+    let replay = |block_size| replay_grain(program, buffer, block_size, opts, ckpt);
+    let concurrent: Vec<Option<Result<GrainOutcome, SnapshotError>>> = match ckpt {
+        Some(_) => block_sizes.iter().map(|_| None).collect(),
+        None => std::thread::scope(|s| {
+            let handles: Vec<_> = block_sizes
+                .iter()
+                .map(|&block_size| s.spawn(move || replay(block_size)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    // `replay_grain` catches panics itself; this is a
+                    // backstop for panics outside the catch (e.g. in the
+                    // timing code).
+                    Some(h.join().unwrap_or_else(|payload| {
+                        Ok(Err(GrainFailure {
+                            error: GrainError::Panicked(panic_message(payload.as_ref())),
+                            events: 0,
+                        }))
+                    }))
+                })
+                .collect()
+        }),
+    };
     let mut profiles = Vec::new();
     let mut replays = Vec::new();
     let mut failures = Vec::new();
-    for &block_size in block_sizes {
-        let outcome = replay_grain_checkpointed(program, buffer, block_size, opts, ckpt)?;
+    for (&block_size, done) in block_sizes.iter().zip(concurrent) {
+        let outcome = done.unwrap_or_else(|| replay(block_size))?;
         let (outcome, retried) = match outcome {
+            // A panicked grain gets one sequential retry on an otherwise
+            // idle machine; decode and budget failures are deterministic,
+            // so retrying them would only repeat the work.
             Err(GrainFailure {
                 error: GrainError::Panicked(_),
                 ..
             }) if opts.retry => {
                 obs::add(obs::Counter::GrainsRetried, 1);
                 obs::emit(obs::EventKind::GrainRetried { grain: block_size });
-                (
-                    replay_grain_checkpointed(program, buffer, block_size, opts, ckpt)?,
-                    true,
-                )
+                (replay(block_size)?, true)
             }
             other => (other, false),
         };
@@ -1244,6 +1038,96 @@ pub fn analyze_buffer_checkpointed(
     })
 }
 
+/// The fault-tolerant replay engine: one fresh [`ReuseAnalyzer`] per block
+/// size, each replaying the shared buffer on its own thread **under panic
+/// isolation**. Grains that fail — by panic, decode rejection, or budget
+/// exhaustion — are reported in the returned [`PartialAnalysis`] without
+/// disturbing their siblings; panicked grains get one sequential retry
+/// first (when [`AnalyzeOptions::retry`] is set).
+///
+/// With default options the replay takes the same unchecked fast path as
+/// [`TraceBuffer::replay`]; setting a budget or
+/// [`AnalyzeOptions::validate`] routes it through the validating decoder.
+pub fn analyze_buffer_with(
+    program: &Program,
+    buffer: &TraceBuffer,
+    block_sizes: &[u64],
+    opts: &AnalyzeOptions,
+) -> PartialAnalysis {
+    match analyze_grains(program, buffer, block_sizes, opts, None) {
+        Ok(partial) => partial,
+        // Snapshot errors come only from checkpoint I/O, and there is none.
+        Err(e) => unreachable!("replay without checkpoints hit a snapshot error: {e}"),
+    }
+}
+/// Replays a captured buffer through one fresh [`ReuseAnalyzer`] per block
+/// size, each on its own thread, and returns the profiles in request order
+/// together with per-thread timings.
+///
+/// This is the strict form: any grain failure is returned as an error
+/// (after all threads have been joined — a failing grain never aborts the
+/// process or poisons its siblings). Use [`analyze_buffer_with`] to keep
+/// the healthy grains' results instead.
+///
+/// # Errors
+///
+/// Returns the first grain failure as an [`AnalysisError`].
+pub fn analyze_buffer(
+    program: &Program,
+    buffer: &TraceBuffer,
+    block_sizes: &[u64],
+) -> Result<(Vec<ReuseProfile>, Vec<ReplayTiming>), AnalysisError> {
+    analyze_buffer_with(program, buffer, block_sizes, &AnalyzeOptions::default()).into_strict()
+}
+
+/// Crash-safe streaming form of [`analyze_buffer_with`]: each grain
+/// replays the buffer in chunks of [`CheckpointOptions::every`] events and
+/// serializes its **complete analyzer state** to
+/// [`CheckpointOptions::dir`] at every interior boundary, so a run killed
+/// at any point — including mid-write — can be rerun with
+/// [`CheckpointOptions::resume`] set and continue from the newest intact
+/// snapshot instead of the beginning.
+///
+/// Guarantees:
+///
+/// * **Bit-identical recovery** — a resumed run's profiles are equal, bit
+///   for bit, to an uninterrupted run's, for the exact and the sampled
+///   engine alike. (The streaming loop itself is serial and deterministic;
+///   [`AnalyzeOptions::replay_threads`] is ignored here, and serial exact
+///   profiles are bit-identical to partitioned ones anyway.)
+/// * **Hostile-input recovery** — a snapshot is only resumed from after
+///   full validation: framing, CRCs, version, and agreement with this
+///   program and trace. Anything torn, truncated, bit-flipped, or
+///   version-skewed is rejected with a typed [`SnapshotError`] internally,
+///   counted, and skipped in favor of the next-newest file.
+/// * The usual [`PartialAnalysis`] degradation: panicking or over-budget
+///   grains become [`FailureReport`]s, siblings survive.
+///
+/// Grains run sequentially (the point of checkpointing is surviving long
+/// unattended runs, not peak parallel throughput — use
+/// [`analyze_buffer_with`] when crash-safety is not needed).
+///
+/// # Errors
+///
+/// Only checkpoint-*infrastructure* failures fail the call: an unreadable
+/// checkpoint directory or an error while writing a snapshot (disk full,
+/// permissions). Corrupted snapshot *files* never do — they are fallback
+/// material, not errors.
+pub fn analyze_buffer_checkpointed(
+    program: &Program,
+    buffer: &TraceBuffer,
+    block_sizes: &[u64],
+    opts: &AnalyzeOptions,
+    ckpt: &CheckpointOptions,
+) -> Result<PartialAnalysis, SnapshotError> {
+    fs::create_dir_all(&ckpt.dir).map_err(|e| SnapshotError::Io {
+        op: "create checkpoint directory",
+        path: ckpt.dir.clone(),
+        message: e.to_string(),
+    })?;
+    analyze_grains(program, buffer, block_sizes, opts, Some(ckpt))
+}
+
 /// Capture-once / replay-many variant of [`analyze_program`]: interprets
 /// the program a single time into a [`TraceBuffer`], then replays it
 /// concurrently — one thread per requested block size. Produces profiles
@@ -1282,39 +1166,10 @@ pub fn analyze_program_parallel(
     block_sizes: &[u64],
     index_arrays: Vec<(ArrayId, Vec<i64>)>,
 ) -> Result<(AnalysisResult, AnalysisStats), AnalysisError> {
-    analyze_program_parallel_with(program, block_sizes, index_arrays, &AnalyzeOptions::default())
-}
-
-/// [`analyze_program_parallel`] with explicit [`AnalyzeOptions`] — the way
-/// to run the strict capture + replay pipeline under sampling, a budget,
-/// or the validating decoder. With default options it is the same call.
-///
-/// # Errors
-///
-/// Propagates any [`ExecError`] from the capture run, and any grain
-/// failure from the replay phase as an [`AnalysisError`].
-pub fn analyze_program_parallel_with(
-    program: &Program,
-    block_sizes: &[u64],
-    index_arrays: Vec<(ArrayId, Vec<i64>)>,
-    opts: &AnalyzeOptions,
-) -> Result<(AnalysisResult, AnalysisStats), AnalysisError> {
-    let start = Instant::now();
-    let (buffer, report) = capture_program(program, index_arrays)?;
-    let capture_wall = start.elapsed();
-    let (profiles, replays) =
-        analyze_buffer_with(program, &buffer, block_sizes, opts).into_strict()?;
-    Ok((
-        AnalysisResult {
-            profiles,
-            exec: report,
-        },
-        AnalysisStats {
-            capture_wall,
-            buffer: buffer.stats(),
-            replays,
-        },
-    ))
+    let (partial, exec, stats) =
+        analyze_program_degraded(program, block_sizes, index_arrays, &AnalyzeOptions::default())?;
+    let (profiles, _) = partial.into_strict()?;
+    Ok((AnalysisResult { profiles, exec }, stats))
 }
 
 /// The degrading form of [`analyze_program_parallel`]: capture once, then
@@ -1446,6 +1301,58 @@ mod tests {
         });
         let prog = p.finish();
         assert!(analyze_program(&prog, &[64], vec![]).is_err());
+    }
+
+    /// A sampled snapshot whose CRCs are valid but whose clock or access
+    /// count disagrees with the header's `accesses_replayed` is rejected
+    /// as corrupt before the order-statistic bitmap is built. The forged
+    /// times span 2^62 ticks: building a bitmap over them would abort
+    /// the test on allocation, so a clean `Err` proves none was built.
+    #[test]
+    fn sampled_snapshot_with_forged_clock_is_rejected_before_building() {
+        let mut p = ProgramBuilder::new("forged");
+        let a = p.array("a", 8, &[16]);
+        p.routine("main", |r| {
+            r.load(a, vec![Expr::c(0)]);
+        });
+        let prog = p.finish();
+        let mut sampled = SampledAnalyzer::new(&prog, 64, SamplingConfig::fixed(1.0));
+        for addr in [0u64, 64, 0] {
+            sampled.access(RefId(0), addr, 8, AccessKind::Load);
+        }
+        let mut enc = Enc::new();
+        sampled.snapshot_encode(&mut enc);
+        let header = SnapshotHeader {
+            block_size: 64,
+            sampled: true,
+            events_replayed: 3,
+            accesses_replayed: 3,
+            nrefs: 1,
+        };
+        // State layout: clock, total accesses, then six more u64 books,
+        // the row count, and 20-byte (block, time, ref) rows sorted by
+        // block — block 1's time sits at byte 100.
+        let forge = |clock: u64, total: u64, time: u64| {
+            let mut state = enc.buf.clone();
+            state[0..8].copy_from_slice(&clock.to_le_bytes());
+            state[8..16].copy_from_slice(&total.to_le_bytes());
+            state[100..108].copy_from_slice(&time.to_le_bytes());
+            encode_snapshot(&header, &state)
+        };
+        let far = 1u64 << 62;
+        // The intact state decodes; each forgery is typed corruption.
+        for (clock, total, valid) in [(3, 3, true), (far, far, false), (far, 3, false)] {
+            let time = if valid { 2 } else { far };
+            let image = forge(clock, total, time);
+            let (h, mut dec) = decode_snapshot(&image).unwrap();
+            match GrainAnalyzer::snapshot_decode(&prog, &h, &mut dec) {
+                Ok(_) => assert!(valid, "forged clock {clock}, total {total} was accepted"),
+                Err(e) => {
+                    assert!(!valid, "intact snapshot rejected: {e}");
+                    assert!(matches!(e, SnapshotError::Corrupt { .. }), "untyped: {e}");
+                }
+            }
+        }
     }
 
     #[test]

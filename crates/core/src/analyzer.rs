@@ -3,7 +3,7 @@
 //! For every memory access the analyzer advances a logical clock, finds the
 //! block's previous access in the [block table](crate::BlockTable), counts
 //! the distinct blocks touched in between with the
-//! [order-statistic tree](crate::OrderStatTree), locates the carrying scope
+//! [order-statistic set](crate::TimeBits), locates the carrying scope
 //! on the [dynamic scope stack](crate::ScopeStack), and records the distance
 //! in the histogram of the *(sink reference, source scope, carrying scope)*
 //! pattern.
@@ -23,22 +23,23 @@ use std::collections::HashMap;
 const SMALL_MAP_LIMIT: usize = 8;
 
 /// Capacity of the recent-access window: the number of most-recently-used
-/// distinct blocks kept out of the tree and the block table entirely.
+/// distinct blocks kept out of the order-statistic set and the block table
+/// entirely.
 ///
 /// Real access streams are dominated by short reuses — the paper's sweeps
 /// spend 7 of every 8 accesses on within-line spatial reuse at distance 0 —
 /// so the hot path resolves any reuse with distance `< WINDOW` by scanning a
 /// tiny array from its most-recent end and never touches the radix table or
-/// the order-statistic tree. Only evictions from the window (one per *cold*
-/// miss once the window is full) pay for tree and table maintenance, and the
-/// reuse path that does reach the tree folds lookup and reinsert into a
+/// the order-statistic set. Only evictions from the window (one per *cold*
+/// miss once the window is full) pay for set and table maintenance, and the
+/// reuse path that does reach the set folds lookup and reinsert into a
 /// single fused operation ([`TimeBits::count_reinsert`]).
 pub(crate) const WINDOW: usize = 32;
 
 /// One entry of the recent-access window (see [`WINDOW`]): a distinct block
 /// plus the clock and static reference of its last access. Entries are kept
-/// in ascending time order, and every entry's time is greater than every key
-/// in the tree — that invariant is what makes window distances exact.
+/// in ascending time order, and every entry's time is greater than every time
+/// in the set — that invariant is what makes window distances exact.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WinEntry {
     pub(crate) block: u64,
@@ -60,6 +61,26 @@ pub(crate) struct SinkPatterns {
     /// record long runs of the same (source, carrier) pair, so this turns
     /// the common record into one comparison.
     hot: u32,
+}
+
+/// Flattens per-sink pattern tables (indexed by sink reference) into a
+/// profile's pattern list, sorted by key.
+pub(crate) fn collect_patterns(per_sink: Vec<SinkPatterns>) -> Vec<ReusePattern> {
+    let mut patterns: Vec<ReusePattern> = per_sink
+        .into_iter()
+        .enumerate()
+        .flat_map(|(sink, sp)| {
+            sp.entries.into_iter().map(move |(source_scope, carrier, histogram)| {
+                let sink = RefId(sink as u32);
+                ReusePattern {
+                    key: PatternKey { sink, source_scope, carrier },
+                    histogram,
+                }
+            })
+        })
+        .collect();
+    patterns.sort_by_key(|p| p.key);
+    patterns
 }
 
 impl SinkPatterns {
@@ -351,8 +372,8 @@ impl ReuseAnalyzer {
         self.distinct
     }
 
-    /// Live blocks tracked for distance counting: order-statistic tree
-    /// nodes plus recent-access window entries (one per distinct block).
+    /// Live blocks tracked for distance counting: order-statistic set
+    /// entries plus recent-access window entries (one per distinct block).
     pub fn tree_nodes(&self) -> usize {
         self.tree.len() + self.window.len()
     }
@@ -367,23 +388,9 @@ impl ReuseAnalyzer {
 
     /// Consumes the analyzer and produces the measured profile.
     pub fn finish(self) -> ReuseProfile {
-        let mut patterns = Vec::new();
-        for (sink_idx, sp) in self.per_sink.into_iter().enumerate() {
-            for (source_scope, carrier, histogram) in sp.entries {
-                patterns.push(ReusePattern {
-                    key: PatternKey {
-                        sink: RefId(sink_idx as u32),
-                        source_scope,
-                        carrier,
-                    },
-                    histogram,
-                });
-            }
-        }
-        patterns.sort_by_key(|p| p.key);
         ReuseProfile {
             block_size: 1 << self.block_shift,
-            patterns,
+            patterns: collect_patterns(self.per_sink),
             cold: self.cold,
             total_accesses: self.clock,
             distinct_blocks: self.distinct,
@@ -558,9 +565,9 @@ impl ReuseAnalyzer {
     ///   `distance = len - 1 - i` with no tree or table work at all;
     /// * **table hit**: all `len` window blocks are more recent than the
     ///   previous access, so `distance = len + |tree keys > prev.time|`,
-    ///   where the count and the tree update (drop `prev.time`, add the
-    ///   newly evicted window head) fuse into one descent
-    ///   ([`OrderStatTree::count_reinsert`]);
+    ///   where the count and the set update (drop `prev.time`, add the
+    ///   newly evicted window head) fuse into one call
+    ///   ([`TimeBits::count_reinsert`]);
     /// * **cold**: first touch; the block enters the window and the oldest
     ///   entry (if any) spills into the tree + table.
     ///

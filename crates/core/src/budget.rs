@@ -4,7 +4,7 @@
 //! pathological trace consume the machine: an adversarial or buggy
 //! workload can inflate the three resources replay analysis actually
 //! grows — events decoded, distinct blocks in the block table, and nodes
-//! in the order-statistic tree. An [`AnalysisBudget`] caps any subset of
+//! in the order-statistic set. An [`AnalysisBudget`] caps any subset of
 //! the three; when a cap is crossed the grain stops with a
 //! [`BudgetExceeded`] carrying the progress counters at the moment of
 //! abandonment, so the caller can report *how far* the analysis got and
@@ -25,7 +25,7 @@ pub enum BudgetLimit {
     Events,
     /// Distinct blocks entered into the block table.
     DistinctBlocks,
-    /// Live nodes in the order-statistic tree.
+    /// Live entries in the order-statistic set.
     TreeNodes,
 }
 
@@ -48,7 +48,7 @@ pub struct BudgetProgress {
     pub events: u64,
     /// Distinct blocks the analyzer has seen.
     pub distinct_blocks: u64,
-    /// Current order-statistic tree size.
+    /// Current order-statistic set size.
     pub tree_nodes: u64,
 }
 
@@ -100,7 +100,7 @@ pub struct AnalysisBudget {
     pub max_events: Option<u64>,
     /// Maximum distinct blocks the analyzer may track.
     pub max_distinct_blocks: Option<u64>,
-    /// Maximum order-statistic tree nodes.
+    /// Maximum order-statistic set entries.
     pub max_tree_nodes: Option<u64>,
 }
 
@@ -122,7 +122,7 @@ impl AnalysisBudget {
         self
     }
 
-    /// Caps the order-statistic tree size.
+    /// Caps the order-statistic set size.
     pub fn with_max_tree_nodes(mut self, n: u64) -> AnalysisBudget {
         self.max_tree_nodes = Some(n);
         self

@@ -11,8 +11,8 @@
 
 use crate::blocktable::BlockTable;
 use crate::histogram::Histogram;
-use crate::ostree::OrderStatTree;
 use crate::scopestack::ScopeStack;
+use crate::timebits::TimeBits;
 use reuselens_ir::{AccessKind, Program, RefId, ScopeId, ScopeKind};
 use reuselens_trace::TraceSink;
 use std::collections::HashMap;
@@ -126,7 +126,7 @@ pub struct ContextAnalyzer {
     block_shift: u32,
     clock: u64,
     table: BlockTable,
-    tree: OrderStatTree,
+    times: TimeBits,
     stack: ScopeStack,
     /// Routine scopes currently active (the call path).
     call_path: Vec<ScopeId>,
@@ -158,7 +158,7 @@ impl ContextAnalyzer {
             block_shift: block_size.trailing_zeros(),
             clock: 0,
             table: BlockTable::new(),
-            tree: OrderStatTree::new(),
+            times: TimeBits::new(),
             stack: ScopeStack::new(),
             call_path: Vec::new(),
             is_routine,
@@ -208,9 +208,7 @@ impl TraceSink for ContextAnalyzer {
         let now = self.clock;
         match self.table.get(block) {
             Some(prev) => {
-                let distance = self.tree.count_greater(prev.time);
-                self.tree.remove(prev.time);
-                self.tree.insert(now);
+                let (_, distance) = self.times.count_reinsert(prev.time, now);
                 let key = CtxPatternKey {
                     sink: r,
                     source_scope: self.ref_scopes[prev.ref_id as usize],
@@ -221,7 +219,7 @@ impl TraceSink for ContextAnalyzer {
             }
             None => {
                 self.cold[r.index()] += 1;
-                self.tree.insert(now);
+                self.times.insert(now);
             }
         }
         self.table.set(block, now, r.0);

@@ -15,8 +15,10 @@
 //! * a logical **access clock** incremented per memory operation;
 //! * a [three-level hierarchical block table](BlockTable) mapping each
 //!   block to its last access time and last accessor;
-//! * a [balanced order-statistic tree](OrderStatTree) that counts the
-//!   distinct blocks accessed since any past time in `O(log M)`;
+//! * an [order-statistic set](TimeBits) over last-access times that counts
+//!   the distinct blocks accessed since any past time — a popcount bitmap
+//!   over the logical clock, the one such structure every engine (exact,
+//!   sampled, partitioned, context-sensitive) shares;
 //! * a [dynamic scope stack](ScopeStack) searched for the carrying scope;
 //! * per-pattern [histograms](Histogram) with logarithmic bins.
 //!
@@ -38,10 +40,8 @@ mod budget;
 mod context;
 mod histogram;
 pub mod oracle;
-mod ostree;
 mod partition;
 mod patterns;
-mod reference;
 mod sampling;
 mod scopestack;
 mod serialize;
@@ -51,18 +51,16 @@ mod timebits;
 
 pub use analyze::{
     analyze_buffer, analyze_buffer_checkpointed, analyze_buffer_with, analyze_program,
-    analyze_program_degraded, analyze_program_parallel, analyze_program_parallel_with,
-    capture_program, AnalysisError, AnalysisResult, AnalysisStats,
-    AnalyzeOptions, CheckpointOptions, FailureReport, GrainError, PartialAnalysis, ReplayTiming,
+    analyze_program_degraded, analyze_program_parallel, capture_program, AnalysisError,
+    AnalysisResult, AnalysisStats, AnalyzeOptions, CheckpointOptions, FailureReport, GrainError,
+    PartialAnalysis, ReplayTiming,
 };
 pub use analyzer::{MultiGrainAnalyzer, ReuseAnalyzer};
 pub use partition::ReplayThreads;
-pub use reference::ReferenceAnalyzer;
 pub use budget::{AnalysisBudget, BudgetExceeded, BudgetLimit, BudgetProgress};
 pub use blocktable::{BlockEntry, BlockTable, MAX_BLOCKS};
 pub use context::{ContextAnalyzer, ContextId, ContextProfile, CtxPattern, CtxPatternKey};
 pub use histogram::Histogram;
-pub use ostree::OrderStatTree;
 pub use patterns::{PatternKey, ReusePattern, ReuseProfile};
 pub use sampling::{SampledAnalyzer, SamplingConfig, SamplingInfo};
 pub use scopestack::ScopeStack;

@@ -2,8 +2,8 @@
 //!
 //! The multi-grain pipeline is embarrassingly parallel across grains, but
 //! one grain's replay is a serial chain: every distance depends on the
-//! block table and tree state left by every earlier access. This module
-//! breaks that chain with the classic PARDA decomposition (Niu et al.;
+//! block table and order-statistic state left by every earlier access.
+//! This module breaks that chain with the classic PARDA decomposition (Niu et al.;
 //! see also "Beyond Reuse Distance Analysis" in PAPERS.md), adapted to
 //! this codebase's scope-attributed patterns:
 //!
@@ -13,7 +13,7 @@
 //!    stack) at each boundary, fast-forwarded through capture-time
 //!    checkpoints.
 //! 2. **Replay.** Each segment replays on its own worker thread through a
-//!    [`PartitionWorker`]: the same window + order-statistic-tree engine
+//!    [`PartitionWorker`]: the same window + order-statistic-set engine
 //!    as the serial analyzer, but starting from an empty block set. The
 //!    first local access to each block cannot be resolved locally — it is
 //!    appended to the worker's ordered **unknown list** (with its sink
@@ -23,14 +23,14 @@
 //!    inside the segment and global/local distinct counts agree there.
 //! 3. **Stitch.** Workers are folded left to right. A cumulative table
 //!    `C` maps every block to its last access (global clock, reference)
-//!    in any earlier segment, with a companion order-statistic tree over
-//!    `C`'s times. The `i`-th unknown of a segment that hits `C` at time
-//!    `t` has distance `i + |{times in C} > t|`: the `i` earlier local
-//!    distinct blocks, plus the blocks last touched after `t` before the
-//!    boundary *that the segment has not seen* — maintained lazily by
-//!    removing each hit's old time from the companion tree as it
-//!    resolves ([`OrderStatTree::remove_counting`], one descent for the
-//!    count and the removal). An unknown that misses `C` is the block's
+//!    in any earlier segment, with a companion [`TimeBits`] set over
+//!    `C`'s times (global clock values, so bounded by the trace length).
+//!    The `i`-th unknown of a segment that hits `C` at time `t` has
+//!    distance `i + |{times in C} > t|`: the `i` earlier local distinct
+//!    blocks, plus the blocks last touched after `t` before the boundary
+//!    *that the segment has not seen* — maintained lazily by removing
+//!    each hit's old time from the companion set as it resolves, then
+//!    counting the times above it. An unknown that misses `C` is the block's
 //!    true global first touch: a cold miss. Per-worker histograms then
 //!    merge bin-wise into one profile.
 //!
@@ -59,12 +59,11 @@
 //! [`BudgetLimit`](crate::BudgetLimit) kind as the serial guarded path.
 
 use crate::analyze::GrainError;
-use crate::analyzer::{SinkPatterns, WinEntry, WINDOW};
+use crate::analyzer::{collect_patterns, SinkPatterns, WinEntry, WINDOW};
 use crate::blocktable::BlockTable;
 use crate::budget::{AnalysisBudget, BudgetProgress};
-use crate::ostree::OrderStatTree;
 use crate::timebits::TimeBits;
-use crate::patterns::{PatternKey, ReusePattern, ReuseProfile};
+use crate::patterns::ReuseProfile;
 use crate::sampling::{spatial_hash, SamplingConfig, SamplingInfo};
 use crate::scopestack::ScopeStack;
 use reuselens_ir::{AccessKind, Program, RefId, ScopeId};
@@ -120,7 +119,7 @@ struct WorkerResult {
     accesses: u64,
 }
 
-/// One time segment's replay engine: the serial window/tree/table hot
+/// One time segment's replay engine: the serial window/set/table hot
 /// path, restarted from an empty block set at the segment boundary, with
 /// unknown-prefix bookkeeping for blocks first seen locally.
 struct PartitionWorker<'p> {
@@ -283,6 +282,9 @@ impl<'p> PartitionWorker<'p> {
         }
         let mut finals = Vec::with_capacity(table.distinct_blocks() as usize);
         table.for_each(|b, ent| finals.push((b, ent.time, ent.ref_id)));
+        // Ascending time, so the stitch's cumulative set only ever grows
+        // at its top end.
+        finals.sort_unstable_by_key(|&(_, time, _)| time);
         Ok(WorkerResult {
             per_sink: self.per_sink,
             unknowns: self.unknowns,
@@ -369,7 +371,7 @@ fn stitch_carrier(seed: &[(ScopeId, u64)], live_seed: usize, t_prev: u64) -> Sco
 /// [`SamplingConfig::Exact`] or fixed-rate (the caller routes adaptive
 /// configurations to the serial engine). Returns the profile plus the
 /// final tracked-block count (the quantity the serial path reports as
-/// its tree size).
+/// its order-statistic set size).
 ///
 /// # Errors
 ///
@@ -448,7 +450,7 @@ pub(crate) fn replay_partitioned(
     let mut per_sink: Vec<SinkPatterns> = (0..nrefs).map(|_| SinkPatterns::default()).collect();
     let mut cold = vec![0u64; nrefs];
     let mut c_map: HashMap<u64, (u64, u32)> = HashMap::new();
-    let mut c_tree = OrderStatTree::new();
+    let mut c_times = TimeBits::new();
     let mut est_distinct = 0u64;
     let mut blocks_sampled = 0u64;
     let mut total_accesses = 0u64;
@@ -460,8 +462,9 @@ pub(crate) fn replay_partitioned(
         for (i, u) in w.unknowns.iter().enumerate() {
             match c_map.get(&u.block) {
                 Some(&(prev_time, prev_ref)) => {
-                    let (removed, count) = c_tree.remove_counting(prev_time);
-                    debug_assert!(removed, "cumulative tree must hold every last-access time");
+                    let removed = c_times.remove(prev_time);
+                    debug_assert!(removed, "cumulative set must hold every last-access time");
+                    let count = c_times.count_greater(prev_time);
                     let distance = i as u64 + count;
                     let carrier = stitch_carrier(seed, u.live_seed, prev_time);
                     let source = ref_scopes[prev_ref as usize];
@@ -483,7 +486,7 @@ pub(crate) fn replay_partitioned(
         for &(block, time, ref_id) in &w.finals {
             // A hit's old time was already removed lazily above; a cold
             // block had none. Either way the new time is a fresh key.
-            c_tree.insert(time);
+            c_times.insert(time);
             c_map.insert(block, (time, ref_id));
         }
         for (sink, patterns) in w.per_sink.into_iter().enumerate() {
@@ -510,20 +513,6 @@ pub(crate) fn replay_partitioned(
             .map_err(GrainError::Budget)?;
     }
 
-    let mut patterns = Vec::new();
-    for (sink_idx, sp) in per_sink.into_iter().enumerate() {
-        for (source_scope, carrier, histogram) in sp.entries {
-            patterns.push(ReusePattern {
-                key: PatternKey {
-                    sink: RefId(sink_idx as u32),
-                    source_scope,
-                    carrier,
-                },
-                histogram,
-            });
-        }
-    }
-    patterns.sort_by_key(|p| p.key);
     let sampling_info = match sampling {
         SamplingConfig::Exact => None,
         _ => Some(SamplingInfo {
@@ -536,7 +525,7 @@ pub(crate) fn replay_partitioned(
     Ok((
         ReuseProfile {
             block_size,
-            patterns,
+            patterns: collect_patterns(per_sink),
             cold,
             total_accesses,
             distinct_blocks: est_distinct,

@@ -1,9 +1,9 @@
 //! Constant-space sampled reuse-distance analysis.
 //!
-//! The exact analyzer pays `O(log M)` tree work per access over the full
-//! block set `M`. On large runs most of that work is statistically
-//! redundant: a spatially hashed *sample* of the blocks recovers the same
-//! reuse-distance histogram shape at a fraction of the cost (the SHARDS
+//! The exact analyzer pays a table probe and an order-statistic update per
+//! access over the full block set `M`. On large runs most of that work is
+//! statistically redundant: a spatially hashed *sample* of the blocks
+//! recovers the same reuse-distance histogram shape at a fraction of the cost (the SHARDS
 //! construction — see also Razzak et al. and Fauzia et al. on how much
 //! approximation locality profiles tolerate).
 //!
@@ -13,9 +13,9 @@
 //! **sampled** iff `hash(block) <= u64::MAX / inv`, where `inv` is the
 //! integer inverse sampling rate (`inv = 100` samples ~1% of blocks).
 //! Only sampled blocks enter the block table and the order-statistic
-//! tree, so:
+//! set, so:
 //!
-//! * an unsampled access costs one hash + compare — no tree, no table;
+//! * an unsampled access costs one hash + compare — no set, no table;
 //! * the logical clock ticks only on sampled accesses, so a measured
 //!   distance `d` counts *sampled* distinct blocks in the reuse interval;
 //!   the estimate of the true distance is `d * inv`, and each observed
@@ -33,18 +33,28 @@
 //! fixed run at the new rate would have tracked, so the stream remains a
 //! consistent spatial sample. Reuses are scaled by the `inv` in force
 //! when they are *recorded*; distances measured across a rate drop use
-//! the tree as it exists then (evicted blocks no longer count), which
+//! the set as it exists then (evicted blocks no longer count), which
 //! biases those few distances low by at most the evicted fraction —
 //! the error model the accuracy harness bounds.
+//!
+//! ## Memory
+//!
+//! The order-statistic set is the same [`TimeBits`] bitmap the exact
+//! engine uses, over the sampled clock. That clock ticks once per sampled
+//! access, so its times are as dense as the exact engine's: sampling thins
+//! the clock exactly as it thins the block set. The analyzer therefore
+//! holds `O(budget)` tracked blocks (or `O(M / inv)` in fixed mode) plus
+//! one bit per sampled access — less than the in-memory trace buffer it
+//! replays, which spends at least a byte per access.
 
 use crate::analyzer::{
-    decode_scope_stack, decode_sink_patterns, encode_scope_stack, encode_sink_patterns,
-    SinkPatterns,
+    collect_patterns, decode_scope_stack, decode_sink_patterns, encode_scope_stack,
+    encode_sink_patterns, SinkPatterns,
 };
-use crate::ostree::OrderStatTree;
-use crate::patterns::{PatternKey, ReusePattern, ReuseProfile};
+use crate::patterns::ReuseProfile;
 use crate::scopestack::ScopeStack;
 use crate::snapshot::{Dec, Enc, SnapshotError};
+use crate::timebits::TimeBits;
 use reuselens_ir::{AccessKind, Program, RefId, ScopeId};
 use reuselens_trace::TraceSink;
 use std::collections::HashMap;
@@ -201,7 +211,8 @@ pub struct SampledAnalyzer {
     /// Adaptive tracked-block budget (`u64::MAX` in fixed mode).
     budget: u64,
     table: HashMap<u64, Tracked>,
-    tree: OrderStatTree,
+    /// Last-access times of the tracked blocks.
+    times: TimeBits,
     stack: ScopeStack,
     per_sink: Vec<SinkPatterns>,
     cold: Vec<u64>,
@@ -242,7 +253,7 @@ impl SampledAnalyzer {
             threshold: u64::MAX / inv,
             budget,
             table: HashMap::new(),
-            tree: OrderStatTree::new(),
+            times: TimeBits::new(),
             stack: ScopeStack::new(),
             per_sink: (0..nrefs).map(|_| SinkPatterns::default()).collect(),
             cold: vec![0; nrefs],
@@ -269,10 +280,10 @@ impl SampledAnalyzer {
         self.table.len() as u64
     }
 
-    /// Current size of the order-statistic tree (one node per tracked
+    /// Current size of the order-statistic set (one time per tracked
     /// block).
     pub fn tree_nodes(&self) -> usize {
-        self.tree.len()
+        self.times.len()
     }
 
     /// Inverse sampling rate currently in force.
@@ -313,8 +324,8 @@ impl SampledAnalyzer {
                 }
             });
             for time in evicted_times {
-                let removed = self.tree.remove(time);
-                debug_assert!(removed, "every tracked block has a tree node");
+                let removed = self.times.remove(time);
+                debug_assert!(removed, "every tracked block has a last-access time");
                 self.blocks_evicted += 1;
             }
         }
@@ -324,7 +335,7 @@ impl SampledAnalyzer {
     /// books, every tracked block, scopes, patterns, cold counts. The
     /// tracked set is written sorted by block number so the encoding is
     /// independent of `HashMap` iteration order; per-block hashes, the
-    /// hash threshold, and the order-statistic tree are derived state and
+    /// hash threshold, and the order-statistic set are derived state and
     /// rebuilt on decode.
     pub(crate) fn snapshot_encode(&self, e: &mut Enc) {
         e.u64(self.clock);
@@ -357,13 +368,19 @@ impl SampledAnalyzer {
 
     /// Rebuilds a mid-stream sampled analyzer from
     /// [`snapshot_encode`](Self::snapshot_encode) output. Validates the
-    /// rate, the books balance (`sampled == tracked + evicted`), and —
+    /// access count against the snapshot header's `accesses_replayed`,
+    /// the rate, the books balance (`sampled == tracked + evicted`), and —
     /// via the recomputed spatial hash — that every tracked block really
     /// belongs to the sample at the recorded rate; a typed
     /// [`SnapshotError`] on any violation, never a panic.
+    ///
+    /// The order-statistic bitmap spans the tracked times, so the clock
+    /// that bounds them is checked against `accesses_replayed` (which the
+    /// caller has verified against the trace) before anything is built.
     pub(crate) fn snapshot_decode(
         program: &Program,
         block_size: u64,
+        accesses_replayed: u64,
         d: &mut Dec<'_>,
     ) -> Result<SampledAnalyzer, SnapshotError> {
         debug_assert!(block_size.is_power_of_two());
@@ -371,6 +388,15 @@ impl SampledAnalyzer {
         let clock = d.u64()?;
         let at = d.offset();
         let total_accesses = d.u64()?;
+        if total_accesses != accesses_replayed {
+            return Err(SnapshotError::Corrupt {
+                offset: at,
+                what: format!(
+                    "sampled analyzer counts {total_accesses} accesses, \
+                     the header records {accesses_replayed}"
+                ),
+            });
+        }
         if clock > total_accesses {
             return Err(SnapshotError::Corrupt {
                 offset: at,
@@ -403,7 +429,7 @@ impl SampledAnalyzer {
             });
         }
         let mut table = HashMap::with_capacity(n);
-        let mut tree = OrderStatTree::with_capacity(n);
+        let mut tracked_times = Vec::with_capacity(n);
         let mut prev_block = None;
         for _ in 0..n {
             let at = d.offset();
@@ -425,14 +451,20 @@ impl SampledAnalyzer {
                     ),
                 });
             }
-            if !tree.insert(time) {
+            prev_block = Some(block);
+            tracked_times.push((time, at));
+            table.insert(block, Tracked { time, ref_id, hash });
+        }
+        // Ascending insertion grows the bitmap at its top end only.
+        tracked_times.sort_unstable();
+        let mut times = TimeBits::new();
+        for &(time, at) in &tracked_times {
+            if !times.insert(time) {
                 return Err(SnapshotError::Corrupt {
                     offset: at,
                     what: format!("duplicate last-access time {time} in the tracked set"),
                 });
             }
-            prev_block = Some(block);
-            table.insert(block, Tracked { time, ref_id, hash });
         }
         let stack = decode_scope_stack(d, clock)?;
         let per_sink = decode_sink_patterns(d, nrefs)?;
@@ -454,7 +486,7 @@ impl SampledAnalyzer {
             threshold,
             budget,
             table,
-            tree,
+            times,
             stack,
             per_sink,
             cold,
@@ -469,23 +501,9 @@ impl SampledAnalyzer {
     /// Consumes the analyzer and produces the scaled profile.
     pub fn finish(self) -> ReuseProfile {
         let info = self.sampling_info();
-        let mut patterns = Vec::new();
-        for (sink_idx, sp) in self.per_sink.into_iter().enumerate() {
-            for (source_scope, carrier, histogram) in sp.entries {
-                patterns.push(ReusePattern {
-                    key: PatternKey {
-                        sink: RefId(sink_idx as u32),
-                        source_scope,
-                        carrier,
-                    },
-                    histogram,
-                });
-            }
-        }
-        patterns.sort_by_key(|p| p.key);
         ReuseProfile {
             block_size: 1 << self.block_shift,
-            patterns,
+            patterns: collect_patterns(self.per_sink),
             cold: self.cold,
             total_accesses: self.total_accesses,
             distinct_blocks: self.est_distinct,
@@ -502,8 +520,8 @@ impl TraceSink for SampledAnalyzer {
         if hash > self.threshold {
             return; // unsampled: one hash + compare, nothing else
         }
-        // The clock ticks only on sampled accesses, so tree distances
-        // count *sampled* distinct blocks and scale back up by `inv`.
+        // The clock ticks only on sampled accesses, so distances count
+        // *sampled* distinct blocks and scale back up by `inv`.
         self.clock += 1;
         let now = self.clock;
         let inv = self.inv;
@@ -512,9 +530,9 @@ impl TraceSink for SampledAnalyzer {
                 let (prev_time, prev_ref) = (prev.time, prev.ref_id);
                 prev.time = now;
                 prev.ref_id = r.0;
-                // One fused descent: count pre-state keys above
-                // `prev_time` and re-key it to `now` (the new maximum).
-                let (_, distance) = self.tree.count_reinsert(prev_time, now);
+                // Count pre-state times above `prev_time` and re-key it
+                // to `now` (the new maximum).
+                let (_, distance) = self.times.count_reinsert(prev_time, now);
                 let carrier = self.stack.carrier(prev_time);
                 let source = self.ref_scopes[prev_ref as usize];
                 self.per_sink[r.index()].record_n(
@@ -528,7 +546,7 @@ impl TraceSink for SampledAnalyzer {
                 self.cold[r.index()] += inv;
                 self.est_distinct += inv;
                 self.blocks_sampled += 1;
-                self.tree.insert(now);
+                self.times.insert(now);
                 self.table.insert(
                     block,
                     Tracked {

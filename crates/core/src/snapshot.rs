@@ -26,7 +26,7 @@
 //! the encoding of a given state is deterministic byte for byte.
 //!
 //! Derivable state is never serialized — Fenwick trees, hash indexes,
-//! hot-entry hints, spatial hashes and the sampled order-statistic tree
+//! hot-entry hints, spatial hashes and the sampled order-statistic set
 //! are all rebuilt on decode — which keeps snapshots small and removes a
 //! whole class of internally-inconsistent-snapshot corruption.
 //!
@@ -601,7 +601,6 @@ mod tests {
     use super::*;
     use crate::analyzer::ReuseAnalyzer;
     use crate::histogram::Histogram;
-    use crate::ostree::OrderStatTree;
     use crate::sampling::{SampledAnalyzer, SamplingConfig};
     use crate::timebits::TimeBits;
     use reuselens_ir::{AccessKind, ProgramBuilder, RefId};
@@ -765,43 +764,6 @@ mod tests {
         }
     }
 
-    /// `OrderStatTree` round-trips through `for_each_key` + rebuild: keys
-    /// come back in order, and every order-statistic query agrees.
-    #[test]
-    fn ostree_round_trips_across_seeds() {
-        for seed in 0..COMPONENT_SEEDS {
-            let mut rng = SplitMix64::seed_from_u64(0x0057_ee00 + seed);
-            let mut tree = OrderStatTree::new();
-            let mut live = Vec::new();
-            for _ in 0..rng.gen_range(1..200) {
-                let k = rng.gen_range(0..1 << 20);
-                if tree.insert(k) {
-                    live.push(k);
-                }
-                if !live.is_empty() && rng.gen_f64() < 0.25 {
-                    let i = rng.gen_range(0..live.len() as u64) as usize;
-                    tree.remove(live.swap_remove(i));
-                }
-            }
-            let mut keys = Vec::new();
-            tree.for_each_key(|k| keys.push(k));
-            assert_eq!(keys.len(), tree.len(), "seed {seed}");
-            assert!(keys.windows(2).all(|w| w[0] < w[1]), "seed {seed}: out of order");
-            let mut again = OrderStatTree::new();
-            for &k in &keys {
-                assert!(again.insert(k), "seed {seed}: duplicate key {k}");
-            }
-            for _ in 0..64 {
-                let probe = rng.gen_range(0..1 << 21);
-                assert_eq!(
-                    again.count_greater(probe),
-                    tree.count_greater(probe),
-                    "seed {seed} probe {probe}"
-                );
-            }
-        }
-    }
-
     /// `Histogram` round-trips through its public `iter`/`add_n` surface —
     /// the exact encoding the snapshot uses for every pattern histogram.
     #[test]
@@ -865,7 +827,7 @@ mod tests {
             a.snapshot_encode(&mut enc);
             let first = enc.buf.clone();
             let mut dec = Dec::new(&first, 0);
-            let b = SampledAnalyzer::snapshot_decode(&program, 64, &mut dec)
+            let b = SampledAnalyzer::snapshot_decode(&program, 64, a.accesses(), &mut dec)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             dec.finish().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             let mut enc2 = Enc::new();

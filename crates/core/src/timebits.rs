@@ -1,19 +1,17 @@
 //! A hierarchical popcount bitmap over the logical access clock — the
-//! serial replay core's order-statistic structure.
+//! crate's one order-statistic structure.
 //!
 //! The analyzer's per-access question is *how many tracked blocks were
 //! last accessed after time `t`*. The paper answers it with a balanced
-//! tree over last-access times ([`OrderStatTree`](crate::OrderStatTree));
-//! that stays the right structure when times are sparse or unbounded (the
-//! sampled analyzer, the stitch pass), but for exact in-memory replay the
-//! times are dense logical clock values bounded by the trace length — and
-//! the trace itself is already materialized in memory. Exploiting that, a
-//! flat bitmap (bit `t` set ⇔ some tracked block was last accessed at
-//! time `t`) plus a Fenwick tree over per-word popcounts answers the same
-//! query in a handful of cache-resident array reads, where each balanced
-//! tree operation chases `O(log M)` pointer-dependent arena nodes and
-//! rebalances on the way back up. On the replay hot path this is worth
-//! 3-5x on the long-reuse (past-window) accesses.
+//! tree over last-access times. Every clock this crate counts with is
+//! dense and bounded by the trace length: the exact analyzer's and the
+//! context analyzer's access clock, the sampled analyzer's clock (which
+//! ticks once per sampled access), and the global clock the partition
+//! stitch resolves against. Exploiting that, a flat bitmap (bit `t` set ⇔
+//! some tracked block was last accessed at time `t`) plus a Fenwick tree
+//! over per-word popcounts answers the same query in a handful of
+//! cache-resident array reads, where a balanced tree chases `O(log M)`
+//! pointer-dependent nodes and rebalances on the way back up.
 //!
 //! Memory is one bit per logical clock tick plus a `u32` per 64 ticks —
 //! ~12.5 bytes per 100 accesses — offset by `base` so a partition worker
@@ -22,9 +20,10 @@
 /// A set of `u64` logical times supporting insert, remove, and
 /// count-greater in a few cache-resident array operations each.
 ///
-/// Semantically identical to [`OrderStatTree`](crate::OrderStatTree)
-/// restricted to the analyzer's monotone-clock usage; the differential
-/// tests below pin the two against each other on random workloads.
+/// An ordered set of `u64` restricted to the analyzer's usage: times
+/// arrive (mostly) in increasing order, so storage grows at the top end.
+/// The differential test below pins it against a `BTreeSet` model on
+/// random workloads.
 ///
 /// # Examples
 ///
@@ -118,10 +117,9 @@ impl TimeBits {
     }
 
     /// Fused `count_greater(old)` + `remove(old)` + `insert(new)` — the
-    /// analyzer's per-access triple, mirroring
-    /// [`OrderStatTree::count_reinsert`](crate::OrderStatTree::count_reinsert).
-    /// Returns `(old_was_present, count)` where `count` is the number of
-    /// stored times strictly greater than `old` before the operation.
+    /// analyzer's per-access triple. Returns `(old_was_present, count)`
+    /// where `count` is the number of stored times strictly greater than
+    /// `old` before the operation.
     pub fn count_reinsert(&mut self, old: u64, new: u64) -> (bool, u64) {
         let removed = self.remove(old);
         let count = self.count_greater(old);
@@ -259,8 +257,8 @@ impl TimeBits {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ostree::OrderStatTree;
     use reuselens_prng::SplitMix64;
+    use std::collections::BTreeSet;
 
     #[test]
     fn empty_set_counts_zero() {
@@ -313,15 +311,15 @@ mod tests {
         assert_eq!(fused.count_greater(0), plain.count_greater(0));
     }
 
-    /// Randomized differential test against the balanced tree: the two
-    /// structures must agree operation by operation on the analyzer's
-    /// monotone-clock pattern and on arbitrary sparse patterns.
+    /// Randomized differential test against a `BTreeSet` model: the two
+    /// must agree operation by operation on the analyzer's monotone-clock
+    /// pattern and on arbitrary sparse patterns.
     #[test]
-    fn matches_order_stat_tree() {
+    fn matches_btreeset_model() {
         let mut rng = SplitMix64::seed_from_u64(0x71b1_7500_bead);
         for case in 0..24 {
             let mut bits = TimeBits::new();
-            let mut tree = OrderStatTree::new();
+            let mut model: BTreeSet<u64> = BTreeSet::new();
             let sparse = case % 3 == 2;
             let mut live: Vec<u64> = Vec::new();
             let mut next = rng.gen_range(1..10_000);
@@ -330,7 +328,7 @@ mod tests {
                     0 | 1 => {
                         // Monotone insert (the eviction pattern).
                         next += rng.gen_range(1..if sparse { 5_000 } else { 40 });
-                        assert_eq!(bits.insert(next), tree.insert(next));
+                        assert_eq!(bits.insert(next), model.insert(next));
                         live.push(next);
                     }
                     2 if !live.is_empty() => {
@@ -338,22 +336,23 @@ mod tests {
                         let old = live.swap_remove(i);
                         next += rng.gen_range(1..40);
                         let a = bits.count_reinsert(old, next);
-                        let b = tree.count_reinsert(old, next);
+                        let b = (model.remove(&old), model.range(old + 1..).count() as u64);
+                        model.insert(next);
                         assert_eq!(a, b);
                         live.push(next);
                     }
                     _ if !live.is_empty() => {
                         let i = rng.gen_range(0..live.len() as u64) as usize;
                         let old = live.swap_remove(i);
-                        assert_eq!(bits.remove(old), tree.remove(old));
+                        assert_eq!(bits.remove(old), model.remove(&old));
                     }
                     _ => {}
                 }
-                assert_eq!(bits.len(), tree.len());
+                assert_eq!(bits.len(), model.len());
                 let probe = rng.gen_range(0..next + 10);
                 assert_eq!(
                     bits.count_greater(probe),
-                    tree.count_greater(probe),
+                    model.range(probe + 1..).count() as u64,
                     "count_greater({probe}) diverged (case {case})"
                 );
             }

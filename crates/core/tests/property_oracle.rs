@@ -14,12 +14,21 @@
 //! Failures are deterministic: the panic message carries the case index,
 //! seed, grain, and the smallest failing prefix length (found by a
 //! fixed-seed shrink loop), so any failure reproduces exactly.
+//!
+//! A fourth, scope-rich shape checks attribution as well as distance:
+//! seeded programs of nested loops, several references and a helper
+//! routine called from two places run through every replay engine, and
+//! each profile's full pattern keys and histograms must equal
+//! [`oracle::reuse_profile`].
 
 use reuselens_core::oracle;
-use reuselens_core::{Histogram, MultiGrainAnalyzer, ReuseAnalyzer};
-use reuselens_ir::{AccessKind, Program, ProgramBuilder, RefId};
+use reuselens_core::{
+    analyze_buffer_with, capture_program, AnalyzeOptions, Histogram, MultiGrainAnalyzer,
+    ReplayThreads, ReuseAnalyzer, ReuseProfile, SamplingConfig,
+};
+use reuselens_ir::{AccessKind, ArrayId, Expr, Program, ProgramBuilder, RefId, RoutineId, VarId};
 use reuselens_prng::SplitMix64;
-use reuselens_trace::TraceSink;
+use reuselens_trace::{Executor, TraceSink, VecSink};
 
 const GRAINS: [u64; 3] = [1, 64, 4096];
 const CASES_PER_SHAPE: usize = 72;
@@ -201,4 +210,194 @@ fn multi_grain_matches_independent_analyzers() {
             );
         }
     }
+}
+
+const SCOPE_RICH_CASES: u64 = 48;
+
+/// One statement of a generated program.
+enum Node {
+    /// A loop of `trips` iterations.
+    Loop { trips: i64, body: Vec<Node> },
+    /// `array[(offset + sum(stride_k * var_k)) mod len]` over the
+    /// enclosing loop variables, innermost last.
+    Access {
+        array: usize,
+        offset: i64,
+        strides: Vec<i64>,
+        store: bool,
+    },
+    /// A call to the shared helper routine.
+    Call,
+}
+
+/// A loop body at nesting `depth` (with `depth + 1` loop variables in
+/// scope): one to three statements, loops nesting at most three deep.
+fn gen_body(rng: &mut SplitMix64, depth: usize, arrays: usize) -> Vec<Node> {
+    (0..rng.gen_range(1..4))
+        .map(|_| match rng.gen_range(0..8) {
+            0..=2 if depth < 3 => Node::Loop {
+                trips: rng.gen_range_i64(2..7),
+                body: gen_body(rng, depth + 1, arrays),
+            },
+            3 if depth > 0 => Node::Call,
+            _ => Node::Access {
+                array: rng.gen_range(0..arrays as u64) as usize,
+                offset: rng.gen_range_i64(0..64),
+                strides: (0..=depth).map(|_| rng.gen_range_i64(-3..9)).collect(),
+                store: rng.gen_f64() < 0.3,
+            },
+        })
+        .collect()
+}
+
+fn emit(
+    r: &mut reuselens_ir::BodyBuilder<'_>,
+    nodes: &[Node],
+    vars: &mut Vec<VarId>,
+    arrays: &[(ArrayId, i64)],
+    helper: RoutineId,
+) {
+    for node in nodes {
+        match node {
+            Node::Loop { trips, body } => {
+                r.for_(&format!("l{}", vars.len()), 0, trips - 1, |r, v| {
+                    vars.push(v);
+                    emit(r, body, vars, arrays, helper);
+                    vars.pop();
+                });
+            }
+            Node::Access {
+                array,
+                offset,
+                strides,
+                store,
+            } => {
+                let (id, len) = arrays[*array];
+                let mut index = Expr::c(*offset);
+                for (&v, &stride) in vars.iter().zip(strides) {
+                    index = index + Expr::var(v) * stride;
+                }
+                let index = vec![index.rem(len)];
+                if *store {
+                    r.store(id, index);
+                } else {
+                    r.load(id, index);
+                }
+            }
+            Node::Call => r.call(helper),
+        }
+    }
+}
+
+/// A seeded scope-rich program: a time loop around two generated loop
+/// nests over two to four arrays, and a helper routine (its own loop over
+/// the first array) that the nests may call.
+fn scope_rich_program(seed: u64) -> Program {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let mut p = ProgramBuilder::new("scope_rich");
+    let arrays: Vec<(ArrayId, i64)> = (0..rng.gen_range(2..5))
+        .map(|k| {
+            let len = rng.gen_range(8..400);
+            (p.array(format!("a{k}"), 8, &[len]), len as i64)
+        })
+        .collect();
+    let phases = [
+        gen_body(&mut rng, 1, arrays.len()),
+        gen_body(&mut rng, 1, arrays.len()),
+    ];
+    let helper_trips = rng.gen_range_i64(2..8);
+    let helper = p.declare_routine("helper");
+    p.routine("main", |r| {
+        r.for_("t", 0, 1, |r, t| {
+            for phase in &phases {
+                r.for_("phase", 0, 2, |r, v| {
+                    let mut vars = vec![t, v];
+                    emit(r, phase, &mut vars, &arrays, helper);
+                });
+            }
+        });
+    });
+    let (first, len) = arrays[0];
+    p.define_routine(helper, |r| {
+        r.for_("h", 0, helper_trips - 1, |r, h| {
+            r.load(first, vec![(Expr::var(h) * 3).rem(len)]);
+        });
+    });
+    p.finish()
+}
+
+/// Every field the oracle computes, compared one by one so a mismatch
+/// names the field (`sampling` is the engine's own bookkeeping).
+fn same_measurements(got: &ReuseProfile, want: &ReuseProfile) -> Result<(), String> {
+    if got.patterns != want.patterns {
+        let got_keys: Vec<_> = got.patterns.iter().map(|p| p.key).collect();
+        let want_keys: Vec<_> = want.patterns.iter().map(|p| p.key).collect();
+        return Err(if got_keys == want_keys {
+            "pattern histograms differ".to_string()
+        } else {
+            format!("pattern keys differ: got {got_keys:?}, want {want_keys:?}")
+        });
+    }
+    if got.cold != want.cold {
+        let (got, want) = (&got.cold, &want.cold);
+        return Err(format!("cold counts differ: got {got:?}, want {want:?}"));
+    }
+    if (got.total_accesses, got.distinct_blocks) != (want.total_accesses, want.distinct_blocks) {
+        return Err(format!(
+            "totals differ: got {} accesses / {} blocks, want {} / {}",
+            got.total_accesses, got.distinct_blocks, want.total_accesses, want.distinct_blocks
+        ));
+    }
+    Ok(())
+}
+
+/// Scope-rich programs through the online exact analyzer and through
+/// buffer replay — serial and partitioned, exact and rate-1 sampled —
+/// must all reproduce the brute-force attribution exactly: same
+/// (sink, source scope, carrier) keys, same histograms, same cold counts.
+#[test]
+fn every_engine_matches_oracle_attribution_on_scope_rich_programs() {
+    let (exact, rate_one) = (SamplingConfig::Exact, SamplingConfig::fixed(1.0));
+    let (serial, split) = (ReplayThreads::Serial, ReplayThreads::Fixed(3));
+    let engines = [
+        ("serial exact", exact, serial),
+        ("partitioned exact", exact, split),
+        ("serial sampled 1/1", rate_one, serial),
+        ("partitioned sampled 1/1", rate_one, split),
+    ];
+    let mut scoped_patterns = 0usize;
+    for case in 0..SCOPE_RICH_CASES {
+        let seed = BASE_SEED ^ 0x5c0e ^ case.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let program = scope_rich_program(seed);
+        let mut events = VecSink::new();
+        Executor::new(&program).run(&mut events).unwrap();
+        let (buffer, _) = capture_program(&program, vec![]).unwrap();
+        for grain in GRAINS {
+            let want = oracle::reuse_profile(&program, &events.events, grain);
+            scoped_patterns += want.patterns.len();
+            let mut online = ReuseAnalyzer::new(&program, grain);
+            Executor::new(&program).run(&mut online).unwrap();
+            if let Err(msg) = same_measurements(&online.finish(), &want) {
+                panic!("case {case} (seed {seed:#x}, grain {grain}), online exact: {msg}");
+            }
+            for (name, sampling, replay_threads) in engines {
+                let opts = AnalyzeOptions {
+                    sampling,
+                    replay_threads,
+                    ..AnalyzeOptions::default()
+                };
+                let partial = analyze_buffer_with(&program, &buffer, &[grain], &opts);
+                assert!(partial.is_complete(), "case {case}: {name} replay failed");
+                if let Err(msg) = same_measurements(&partial.profiles[0], &want) {
+                    panic!("case {case} (seed {seed:#x}, grain {grain}), {name}: {msg}");
+                }
+            }
+        }
+    }
+    // The shape must actually be scope-rich: many distinct patterns per
+    // profile, not one loop's worth.
+    assert!(
+        scoped_patterns > SCOPE_RICH_CASES as usize * GRAINS.len() * 4,
+        "only {scoped_patterns} patterns across all cases"
+    );
 }

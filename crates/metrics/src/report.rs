@@ -4,7 +4,7 @@ use crate::attribution::LevelMetrics;
 use reuselens_cache::{report_from_analysis, HierarchyReport, MemoryHierarchy, ReuseLensError};
 use reuselens_core::{
     analyze_buffer_checkpointed, analyze_buffer_with, capture_program, AnalysisResult,
-    AnalyzeOptions, CheckpointOptions, SamplingConfig,
+    AnalyzeOptions, CheckpointOptions,
 };
 use reuselens_ir::{ArrayId, Program, RefId};
 use reuselens_obs as obs;
@@ -85,34 +85,14 @@ pub fn run_locality_analysis(
     hierarchy: &MemoryHierarchy,
     index_arrays: Vec<(ArrayId, Vec<i64>)>,
 ) -> Result<LocalityAnalysis, ExecError> {
-    run_locality_analysis_sampled(program, hierarchy, index_arrays, SamplingConfig::Exact)
-}
-
-/// [`run_locality_analysis`] with an explicit [`SamplingConfig`]: every
-/// granularity replays through the constant-space sampled analyzer, and
-/// the miss predictions and attribution metrics are computed from the
-/// scaled histograms. [`SamplingConfig::Exact`] reproduces
-/// [`run_locality_analysis`] bit for bit.
-///
-/// # Errors
-///
-/// Propagates executor errors, like [`run_locality_analysis`].
-pub fn run_locality_analysis_sampled(
-    program: &Program,
-    hierarchy: &MemoryHierarchy,
-    index_arrays: Vec<(ArrayId, Vec<i64>)>,
-    sampling: SamplingConfig,
-) -> Result<LocalityAnalysis, ExecError> {
-    let opts = AnalyzeOptions {
-        sampling,
-        ..AnalyzeOptions::default()
-    };
-    run_locality_analysis_opts(program, hierarchy, index_arrays, &opts)
+    run_locality_analysis_opts(program, hierarchy, index_arrays, &AnalyzeOptions::default())
 }
 
 /// [`run_locality_analysis`] with full [`AnalyzeOptions`] control —
-/// sampling *and* intra-grain partitioned replay (`replay_threads`),
-/// budgets, validation. This is what the CLI's `--sample-rate` and
+/// sampling (every granularity replays through the constant-space sampled
+/// analyzer, and the miss predictions and attribution metrics come from
+/// the scaled histograms), intra-grain partitioned replay
+/// (`replay_threads`), budgets, validation. This is what the CLI's `--sample-rate` and
 /// `--replay-threads` flags plumb into. Default options reproduce
 /// [`run_locality_analysis`] bit for bit.
 ///
@@ -257,6 +237,7 @@ pub fn attribute_analysis(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reuselens_core::SamplingConfig;
     use reuselens_ir::ProgramBuilder;
 
     #[test]
@@ -299,12 +280,17 @@ mod tests {
         let prog = p.finish();
         let h = MemoryHierarchy::itanium2_scaled(16);
         let exact = run_locality_analysis(&prog, &h, vec![]).unwrap();
+        let with = |sampling| AnalyzeOptions {
+            sampling,
+            ..AnalyzeOptions::default()
+        };
         let via_sampled_entry =
-            run_locality_analysis_sampled(&prog, &h, vec![], SamplingConfig::Exact).unwrap();
+            run_locality_analysis_opts(&prog, &h, vec![], &with(SamplingConfig::Exact)).unwrap();
         assert_eq!(exact.analysis.profiles, via_sampled_entry.analysis.profiles);
 
         let sampled =
-            run_locality_analysis_sampled(&prog, &h, vec![], SamplingConfig::fixed(0.5)).unwrap();
+            run_locality_analysis_opts(&prog, &h, vec![], &with(SamplingConfig::fixed(0.5)))
+                .unwrap();
         assert!(sampled.analysis.profiles.iter().all(|p| p.is_sampled()));
         let summary = crate::text::format_summary(&sampled);
         assert!(summary.contains("sampled: grain"));

@@ -541,12 +541,14 @@ impl TelemetryService {
 fn aggregator_loop(shared: &Arc<Shared>, tick: Duration, heartbeat: Option<Duration>) {
     let mut last_heartbeat = Instant::now();
     loop {
-        // Sleep one tick, interruptible by shutdown.
+        // Sleep one tick, interruptible by shutdown. The predicate is
+        // checked before waiting, so a stop raised before this thread
+        // reaches the wait is not lost.
         let stop = match shared.stop.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
-        let (stop, _timeout) = match shared.stop_signal.wait_timeout(stop, tick) {
+        let (stop, _timeout) = match shared.stop_signal.wait_timeout_while(stop, tick, |s| !*s) {
             Ok(pair) => pair,
             Err(poisoned) => poisoned.into_inner(),
         };

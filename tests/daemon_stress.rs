@@ -26,7 +26,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Serializes tests that install into the process-global recorder slot.
+/// Serializes every test in this binary: one of them installs into the
+/// process-global recorder slot, and any daemon running alongside it
+/// would count its jobs there too.
 static INSTALL_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -76,6 +78,7 @@ fn seq_of(response: &str) -> Option<u64> {
 
 #[test]
 fn eight_clients_mixed_jobs_lose_nothing() {
+    let _guard = lock();
     let daemon = Arc::new(
         Daemon::start(DaemonConfig::new(tmpdir("mixed"))).expect("start daemon"),
     );
@@ -138,6 +141,7 @@ fn eight_clients_mixed_jobs_lose_nothing() {
 
 #[test]
 fn queue_full_rejects_typed_and_recovers() {
+    let _guard = lock();
     let mut config = DaemonConfig::new(tmpdir("full"));
     config.workers = 1;
     config.queue = 1;
