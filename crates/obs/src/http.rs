@@ -11,19 +11,20 @@
 //!   growing backlog inside the analyzed process.
 //! * **Bounded reads** — request heads are read with a socket timeout and
 //!   an 8 KiB cap, so a stalled or hostile client cannot pin a handler.
-//! * **Graceful shutdown** — [`HttpServer::shutdown`] flips a flag and
-//!   wakes the blocking accept loop with a self-connection, then joins
-//!   the accept thread; no `SO_REUSEADDR` races, no detached listener.
+//! * **Graceful shutdown** — [`HttpServer::shutdown`] stops the shared
+//!   [`TcpServer`] skeleton: no `SO_REUSEADDR` races, no detached
+//!   listener.
+//! * **One write per response** — status line, headers and body leave in
+//!   one [`send`] on a `TCP_NODELAY` socket (see [`crate::net`]).
 //!
 //! Handlers are a plain `Fn(&str) -> Response` over the request path;
 //! routing and body rendering live with the service, keeping this module
 //! transport-only (and independently testable).
 
+use crate::net::{send, ServerSpec, TcpServer};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Concurrent in-flight request handlers; clients past this are refused
@@ -89,16 +90,9 @@ pub type Handler = Arc<dyn Fn(&str) -> Response + Send + Sync>;
 /// A running HTTP listener. Dropping without calling
 /// [`shutdown`](HttpServer::shutdown) leaks the accept thread until
 /// process exit; the service owns one and always shuts it down.
+#[derive(Debug)]
 pub struct HttpServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for HttpServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HttpServer").field("addr", &self.addr).finish()
-    }
+    server: TcpServer,
 }
 
 impl HttpServer {
@@ -109,87 +103,33 @@ impl HttpServer {
     ///
     /// Returns the I/O error when the address cannot be resolved or bound.
     pub fn bind(addr: &str, handler: Handler) -> io::Result<HttpServer> {
-        // Resolve explicitly so a bad flag value fails at startup with a
-        // clear message instead of inside the accept thread.
-        let mut addrs = addr.to_socket_addrs()?;
-        let resolved = addrs.next().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, format!("no address for {addr:?}"))
+        let spec = ServerSpec {
+            name: "obs-http",
+            max_connections: MAX_ACTIVE_CONNECTIONS,
+            socket_timeout: Some(SOCKET_TIMEOUT),
+            refusal: busy_refusal(),
+        };
+        let server = TcpServer::bind(addr, spec, move |stream| {
+            handle_connection(stream, &handler);
         })?;
-        let listener = TcpListener::bind(resolved)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = stop.clone();
-        let accept_thread = std::thread::Builder::new()
-            .name("obs-http-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_stop, &handler))?;
-        Ok(HttpServer {
-            addr: local,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
+        Ok(HttpServer { server })
     }
 
     /// The bound address (carries the real port after binding `:0`).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
     }
 
     /// Stops accepting, wakes the accept loop, and joins it. In-flight
     /// handler threads finish their single response on their own (their
     /// sockets carry [`SOCKET_TIMEOUT`]).
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // The accept loop blocks in accept(); poke it awake. A failure
-        // here means the listener is already gone, which also unblocks.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(thread) = self.accept_thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-fn accept_loop(listener: &TcpListener, stop: &Arc<AtomicBool>, handler: &Handler) {
-    let active = Arc::new(AtomicUsize::new(0));
-    for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
-        let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-        if active.load(Ordering::SeqCst) >= MAX_ACTIVE_CONNECTIONS {
-            // Over budget: refuse inline (cheap — one small write).
-            let mut stream = stream;
-            let _ = write_response(
-                &mut stream,
-                &Response {
-                    status: 503,
-                    content_type: "text/plain; charset=utf-8",
-                    body: "busy\n".into(),
-                },
-            );
-            continue;
-        }
-        active.fetch_add(1, Ordering::SeqCst);
-        let conn_active = active.clone();
-        let handler = handler.clone();
-        let spawned = std::thread::Builder::new()
-            .name("obs-http-conn".into())
-            .spawn(move || {
-                let mut stream = stream;
-                handle_connection(&mut stream, &handler);
-                conn_active.fetch_sub(1, Ordering::SeqCst);
-            });
-        if spawned.is_err() {
-            // Could not spawn (resource exhaustion): undo the count; the
-            // client sees a closed connection.
-            active.fetch_sub(1, Ordering::SeqCst);
-        }
+    pub fn shutdown(self) {
+        self.server.shutdown();
     }
 }
 
 /// Reads the request head (up to the blank line or the size cap).
-fn read_request_head(stream: &mut TcpStream) -> io::Result<String> {
+fn read_request_head(stream: &mut impl Read) -> io::Result<String> {
     let mut head = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     loop {
@@ -205,23 +145,16 @@ fn read_request_head(stream: &mut TcpStream) -> io::Result<String> {
     Ok(String::from_utf8_lossy(&head).into_owned())
 }
 
-fn handle_connection(stream: &mut TcpStream, handler: &Handler) {
-    let head = match read_request_head(stream) {
-        Ok(head) => head,
-        Err(_) => {
-            let _ = write_response(
-                stream,
-                &Response {
-                    status: 408,
-                    content_type: "text/plain; charset=utf-8",
-                    body: "request timed out\n".into(),
-                },
-            );
-            return;
-        }
+fn handle_connection(stream: &mut (impl Read + Write), handler: &Handler) {
+    let response = match read_request_head(stream) {
+        Ok(head) => route_request(&head, handler),
+        Err(_) => Response {
+            status: 408,
+            content_type: "text/plain; charset=utf-8",
+            body: "request timed out\n".into(),
+        },
     };
-    let response = route_request(&head, handler);
-    let _ = write_response(stream, &response);
+    let _ = send(stream, &[&render(&response)]);
 }
 
 /// Parses the request line out of `head` and dispatches: non-GET methods
@@ -248,17 +181,26 @@ fn route_request(head: &str, handler: &Handler) -> Response {
     handler(path)
 }
 
-fn write_response(stream: &mut TcpStream, response: &Response) -> io::Result<()> {
-    let header = format!(
+/// The `503` sent inline to a client past [`MAX_ACTIVE_CONNECTIONS`].
+fn busy_refusal() -> Vec<u8> {
+    render(&Response {
+        status: 503,
+        content_type: "text/plain; charset=utf-8",
+        body: "busy\n".into(),
+    })
+}
+
+/// The whole response: status line, headers, and body.
+fn render(response: &Response) -> Vec<u8> {
+    let mut out = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         response.status,
         status_reason(response.status),
         response.content_type,
         response.body.len(),
     );
-    stream.write_all(header.as_bytes())?;
-    stream.write_all(response.body.as_bytes())?;
-    stream.flush()
+    out.push_str(&response.body);
+    out.into_bytes()
 }
 
 /// A minimal blocking GET against a server bound on `addr`, returning
@@ -293,6 +235,56 @@ pub fn http_get(addr: SocketAddr, path: &str) -> io::Result<(u16, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::tests::CountingWriter;
+
+    /// A connection double: reads come from `request` (or time out when
+    /// it is `None`), writes are counted.
+    struct FakeStream {
+        request: Option<io::Cursor<Vec<u8>>>,
+        out: CountingWriter,
+    }
+
+    impl Read for FakeStream {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match &mut self.request {
+                Some(request) => request.read(buf),
+                None => Err(io::ErrorKind::TimedOut.into()),
+            }
+        }
+    }
+
+    impl Write for FakeStream {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.out.write(buf)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.out.flush()
+        }
+    }
+
+    #[test]
+    fn every_response_is_one_write() {
+        let handler: Handler = Arc::new(|_: &str| Response::ok("text/plain", "pong\n".into()));
+        let mut served = FakeStream {
+            request: Some(io::Cursor::new(b"GET /ping HTTP/1.1\r\n\r\n".to_vec())),
+            out: CountingWriter::default(),
+        };
+        handle_connection(&mut served, &handler);
+        let mut timed_out = FakeStream {
+            request: None,
+            out: CountingWriter::default(),
+        };
+        handle_connection(&mut timed_out, &handler);
+        let mut refused = CountingWriter::default();
+        send(&mut refused, &[&busy_refusal()]).unwrap();
+        for (out, status) in [(served.out, 200), (timed_out.out, 408), (refused, 503)] {
+            let text = String::from_utf8(out.bytes).unwrap();
+            assert!(text.starts_with(&format!("HTTP/1.1 {status} ")), "{text}");
+            assert!(text.ends_with("\n"), "{text}");
+            assert_eq!(out.writes, 1, "{status} took {} writes", out.writes);
+        }
+    }
 
     fn echo_server() -> HttpServer {
         let handler: Handler = Arc::new(|path: &str| match path {

@@ -33,6 +33,9 @@
 //!   recorder snapshots, stderr heartbeats, and a zero-dependency HTTP
 //!   server answering `GET /metrics`, `/healthz`, and `/timeline` while
 //!   the pipeline runs.
+//! * **The server skeleton** ([`net`]) — the one bounded `std::net`
+//!   accept loop, shared by the HTTP server and the analysis daemon,
+//!   that sends every reply in one write on a `TCP_NODELAY` socket.
 //!
 //! ## Zero cost when disabled
 //!
@@ -75,6 +78,7 @@
 mod events;
 mod export;
 mod http;
+pub mod net;
 mod recorder;
 mod service;
 mod timeline;

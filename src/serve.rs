@@ -34,11 +34,16 @@
 //!
 //! Transports are thin wrappers over `submit_line`:
 //!
-//! * [`Daemon::serve`] binds a TCP listener; each connection reads
-//!   request lines and writes response lines back in request order.
+//! * [`Daemon::serve`] binds a TCP listener on the shared [`obs::net`]
+//!   skeleton; each connection reads request lines and writes response
+//!   lines back in request order.
 //! * [`run_stdin`] drives the same loop over stdin/stdout for
 //!   `reuselens serve --stdin` (pipelines, tests, environments without
 //!   a free port).
+//!
+//! Both frame a response the same way: the JSON line and its `\n` leave
+//! in one write ([`obs::net::send`]), which on a `TCP_NODELAY` socket
+//! means no reply waits on the client's delayed ACK.
 //!
 //! Telemetry rides the PR 9 plumbing: `jobs_accepted` /
 //! `jobs_completed` / `jobs_failed` / `jobs_rejected` counters, the
@@ -60,10 +65,10 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -1036,6 +1041,9 @@ pub struct JobRecord {
     pub status: JobStatus,
     /// Global completion sequence number, once finished.
     pub completed_seq: Option<u64>,
+    /// Time from submission until a worker picked the job up (zero for
+    /// rejected jobs and jobs still queued).
+    pub queued: Duration,
     /// Wall time spent executing, once finished.
     pub wall: Duration,
     /// The error message, for failed and rejected jobs.
@@ -1046,6 +1054,9 @@ struct QueuedJob {
     job: String,
     /// Index of this job's row in `State::records`.
     record: usize,
+    /// When `submit_line` queued the job; the worker that picks it up
+    /// records the wait as `JobRecord::queued`.
+    submitted: Instant,
     request: Request,
     reply: mpsc::Sender<String>,
 }
@@ -1089,13 +1100,7 @@ pub struct Daemon {
     shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     worker_count: usize,
-    listener: Mutex<Option<Listener>>,
-}
-
-struct Listener {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: JoinHandle<()>,
+    listener: Mutex<Option<obs::net::TcpServer>>,
 }
 
 impl fmt::Debug for Daemon {
@@ -1162,6 +1167,7 @@ impl Daemon {
                 kind,
                 status: JobStatus::Rejected,
                 completed_seq: None,
+                queued: Duration::ZERO,
                 wall: Duration::ZERO,
                 error: Some(e.to_string()),
             });
@@ -1191,12 +1197,14 @@ impl Daemon {
                         kind,
                         status: JobStatus::Queued,
                         completed_seq: None,
+                        queued: Duration::ZERO,
                         wall: Duration::ZERO,
                         error: None,
                     });
                     st.queue.push_back(QueuedJob {
                         job: job.clone(),
                         record,
+                        submitted: Instant::now(),
                         request,
                         reply: tx,
                     });
@@ -1247,39 +1255,30 @@ impl Daemon {
     /// Returns the I/O error when the address cannot be resolved or
     /// bound. At most one listener per daemon.
     pub fn serve(self: &Arc<Daemon>, addr: &str) -> io::Result<SocketAddr> {
-        let mut addrs = addr.to_socket_addrs()?;
-        let resolved = addrs.next().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("no address for {addr:?}"),
-            )
-        })?;
-        let listener = TcpListener::bind(resolved)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = stop.clone();
-        let daemon = self.clone();
-        let thread = std::thread::Builder::new()
-            .name("reuselens-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_stop, &daemon))?;
         let mut slot = match self.listener.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
         if slot.is_some() {
-            stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(local);
-            let _ = thread.join();
             return Err(io::Error::new(
                 io::ErrorKind::AddrInUse,
                 "daemon already has a listener",
             ));
         }
-        *slot = Some(Listener {
-            addr: local,
-            stop,
-            thread,
-        });
+        let spec = obs::net::ServerSpec {
+            name: "reuselens",
+            max_connections: MAX_CONNECTIONS,
+            socket_timeout: None,
+            refusal: overloaded_refusal(),
+        };
+        let daemon = self.clone();
+        let server = obs::net::TcpServer::bind(addr, spec, move |stream| {
+            if let Ok(read) = stream.try_clone() {
+                let _ = serve_lines(io::BufReader::new(read), stream, &daemon);
+            }
+        })?;
+        let local = server.local_addr();
+        *slot = Some(server);
         Ok(local)
     }
 
@@ -1305,9 +1304,7 @@ impl Daemon {
             Err(poisoned) => poisoned.into_inner().take(),
         };
         if let Some(listener) = listener {
-            listener.stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(listener.addr);
-            let _ = listener.thread.join();
+            listener.shutdown();
         }
     }
 }
@@ -1322,7 +1319,7 @@ fn jobs_json(shared: &Arc<Shared>) -> String {
         let _ = write!(
             out,
             "{{\"job\":\"{}\",\"kind\":\"{}\",\"status\":\"{}\",\"seq\":{},\
-             \"wall_ms\":{:.3},\"error\":{}}}",
+             \"queue_ms\":{:.3},\"wall_ms\":{:.3},\"error\":{}}}",
             json_escape(&r.job),
             r.kind,
             r.status.name(),
@@ -1330,6 +1327,7 @@ fn jobs_json(shared: &Arc<Shared>) -> String {
                 Some(s) => s.to_string(),
                 None => "null".into(),
             },
+            r.queued.as_secs_f64() * 1e3,
             r.wall.as_secs_f64() * 1e3,
             match &r.error {
                 Some(e) => format!("\"{}\"", json_escape(e)),
@@ -1352,7 +1350,9 @@ fn worker_loop(shared: &Arc<Shared>) {
             loop {
                 if let Some(job) = st.queue.pop_front() {
                     let depth = st.queue.len() as u64;
-                    st.records[job.record].status = JobStatus::Running;
+                    let record = &mut st.records[job.record];
+                    record.status = JobStatus::Running;
+                    record.queued = job.submitted.elapsed();
                     break (job, depth);
                 }
                 if st.stop {
@@ -1645,51 +1645,25 @@ fn read_line_capped(reader: &mut impl BufRead, cap: usize) -> io::Result<Option<
     }
 }
 
-fn accept_loop(listener: &TcpListener, stop: &Arc<AtomicBool>, daemon: &Arc<Daemon>) {
-    let active = Arc::new(AtomicUsize::new(0));
-    for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        if active.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
-            let mut stream = stream;
-            let _ = stream.write_all(
-                error_response(
-                    "job-0",
-                    &ServeError::Overloaded {
-                        queue: MAX_CONNECTIONS,
-                    },
-                )
-                .as_bytes(),
-            );
-            let _ = stream.write_all(b"\n");
-            continue;
-        }
-        active.fetch_add(1, Ordering::SeqCst);
-        let conn_active = active.clone();
-        let daemon = daemon.clone();
-        let spawned = std::thread::Builder::new()
-            .name("reuselens-conn".into())
-            .spawn(move || {
-                let mut stream = stream;
-                let _ = handle_connection(&mut stream, &daemon);
-                conn_active.fetch_sub(1, Ordering::SeqCst);
-            });
-        if spawned.is_err() {
-            active.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
+/// The whole line sent to a TCP client past the connection cap.
+fn overloaded_refusal() -> Vec<u8> {
+    let e = ServeError::Overloaded {
+        queue: MAX_CONNECTIONS,
+    };
+    format!("{}\n", error_response("job-0", &e)).into_bytes()
 }
 
-fn handle_connection(stream: &mut TcpStream, daemon: &Arc<Daemon>) -> io::Result<()> {
-    let mut reader = io::BufReader::new(stream.try_clone()?);
+/// Serves one connection: each request line is submitted and its
+/// response line sent back before the next line is read.
+fn serve_lines(
+    mut reader: impl BufRead,
+    writer: &mut impl Write,
+    daemon: &Daemon,
+) -> io::Result<()> {
     while let Some(line) = read_line_capped(&mut reader, MAX_LINE_BYTES)? {
         let rx = daemon.submit_line(&line);
         let Ok(response) = rx.recv() else { break };
-        stream.write_all(response.as_bytes())?;
-        stream.write_all(b"\n")?;
-        stream.flush()?;
+        obs::net::send(writer, &[response.as_bytes(), b"\n"])?;
     }
     Ok(())
 }
@@ -1716,9 +1690,7 @@ pub fn run_stdin(
      -> io::Result<()> {
         if let Some(rx) = pending.pop_front() {
             if let Ok(response) = rx.recv() {
-                output.write_all(response.as_bytes())?;
-                output.write_all(b"\n")?;
-                output.flush()?;
+                obs::net::send(output, &[response.as_bytes(), b"\n"])?;
             }
         }
         Ok(())
@@ -1738,6 +1710,26 @@ pub fn run_stdin(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpStream;
+
+    /// A `Write` double that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1923,6 +1915,53 @@ mod tests {
     }
 
     #[test]
+    fn every_reply_line_is_one_write() {
+        let daemon =
+            Daemon::start(DaemonConfig::new(tmpdir("framing"))).expect("start daemon");
+        let input = b"{\"kind\":\"ping\"}\n{\"kind\":\"list\"}\nnot json\n".to_vec();
+        let mut out = CountingWriter::default();
+        serve_lines(io::Cursor::new(input), &mut out, &daemon).expect("serve");
+        daemon.shutdown();
+        let text = String::from_utf8(out.bytes).expect("utf8 output");
+        assert_eq!(text.lines().count(), 3, "{text}");
+        assert_eq!(out.writes, 3, "{text}");
+
+        let mut refused = CountingWriter::default();
+        obs::net::send(&mut refused, &[&overloaded_refusal()]).expect("send");
+        let line = String::from_utf8(refused.bytes).expect("utf8 refusal");
+        assert!(line.contains("\"type\":\"overloaded\""), "{line}");
+        assert_eq!(line.matches('\n').count(), 1, "{line}");
+        assert!(line.ends_with('\n'), "{line}");
+        assert_eq!(refused.writes, 1);
+    }
+
+    #[test]
+    fn jobs_report_queue_wait_behind_a_busy_worker() {
+        let mut config = DaemonConfig::new(tmpdir("queue-wait"));
+        config.workers = 1;
+        let daemon = Daemon::start(config).expect("start daemon");
+        let slow = daemon.submit_line(br#"{"kind":"sleep","ms":200}"#);
+        let ping = daemon.submit_line(br#"{"kind":"ping"}"#);
+        assert!(recv(slow).contains("\"slept_ms\":200"));
+        assert!(recv(ping).contains("\"pong\":true"));
+        let records = daemon.job_records();
+        assert!(
+            records[1].queued >= Duration::from_millis(150),
+            "{records:?}"
+        );
+        let json = daemon.jobs_json();
+        let row = json.split("\"job\":\"job-2\"").nth(1).expect("job-2 row");
+        let queue_ms: f64 = row
+            .split("\"queue_ms\":")
+            .nth(1)
+            .and_then(|tail| tail.split(',').next())
+            .and_then(|n| n.parse().ok())
+            .expect("queue_ms field");
+        assert!(queue_ms >= 150.0, "{json}");
+        daemon.shutdown();
+    }
+
+    #[test]
     fn jobs_json_tracks_the_table() {
         let daemon =
             Daemon::start(DaemonConfig::new(tmpdir("jobs"))).expect("start daemon");
@@ -1933,6 +1972,7 @@ mod tests {
         assert!(json.contains("\"job\":\"job-1\""), "{json}");
         assert!(json.contains("\"status\":\"completed\""), "{json}");
         assert!(json.contains("\"status\":\"rejected\""), "{json}");
+        assert!(json.contains("\"queue_ms\":"), "{json}");
         let cb = daemon.jobs_callback();
         assert_eq!(cb(), daemon.jobs_json());
         daemon.shutdown();

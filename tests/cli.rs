@@ -1,6 +1,9 @@
 //! Smoke tests for the `reuselens` command-line tool.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn run(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_reuselens"))
@@ -199,4 +202,53 @@ fn patterns_csv_report_is_csv() {
     assert!(ok);
     assert!(stdout.starts_with("sink,array,"));
     assert!(stdout.lines().count() > 2);
+}
+
+/// 100 sequential round trips on one `--listen` connection. A server that
+/// sent a reply in two writes would hold each trailing newline until the
+/// client's delayed ACK (~40 ms on Linux once quick-ACK mode ends after
+/// the first ~16 segments), so the loop would need at least ~3.4 s.
+#[test]
+fn listen_round_trips_do_not_wait_on_delayed_acks() {
+    let store = std::env::temp_dir().join(format!("reuselens-cli-listen-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_reuselens"))
+        .args(["serve", "--store", store.to_str().expect("utf8 path")])
+        .args(["--listen", "127.0.0.1:0"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("daemon starts");
+    let mut stderr = BufReader::new(child.stderr.take().expect("stderr pipe"));
+    let addr = loop {
+        let mut line = String::new();
+        assert!(
+            stderr.read_line(&mut line).expect("read stderr") > 0,
+            "daemon exited"
+        );
+        if let Some(addr) = line.trim().strip_prefix("accepting analysis jobs on ") {
+            break addr.to_string();
+        }
+    };
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let started = Instant::now();
+    for i in 0..100 {
+        stream.write_all(b"{\"kind\":\"ping\"}\n").expect("send");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("receive");
+        assert!(line.contains("\"pong\":true"), "ping {i}: {line}");
+    }
+    let elapsed = started.elapsed();
+    drop(child.stdin.take());
+    assert!(child.wait().expect("daemon exits").success());
+    let _ = std::fs::remove_dir_all(&store);
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "100 pings took {elapsed:?}"
+    );
 }
