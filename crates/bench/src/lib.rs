@@ -10,7 +10,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod harness;
-pub mod json;
 pub mod report;
 
 use reuselens::cache::MemoryHierarchy;

@@ -86,7 +86,7 @@
 //! [`REGRESSION_THRESHOLD`] (15%) — headline and per-run; the bench-runner
 //! binary exits nonzero when the diff regresses.
 
-use crate::json::{self, Json};
+use reuselens::obs::json::{self, Json};
 
 /// Identifies the report layout; bump when the schema changes shape.
 pub const SCHEMA: &str = "reuselens-bench/v1";
@@ -538,6 +538,16 @@ mod tests {
         assert!(text.contains("\"schema\": \"reuselens-bench/v1\""));
         let parsed = BenchReport::from_json(&text).unwrap();
         assert_eq!(parsed, original);
+    }
+
+    /// The committed report loads under the strict shared parser and
+    /// survives a write/read cycle unchanged.
+    #[test]
+    fn committed_report_loads_and_round_trips() {
+        let committed = include_str!("../../../BENCH_reuselens.json");
+        let parsed = BenchReport::from_json(committed).unwrap();
+        assert!(!parsed.runs.is_empty());
+        assert_eq!(BenchReport::from_json(&parsed.to_json()).unwrap(), parsed);
     }
 
     #[test]

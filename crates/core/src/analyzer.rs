@@ -460,11 +460,17 @@ impl ReuseAnalyzer {
         let last_distance = match d.u8()? {
             0 => None,
             1 => Some(d.u64()?),
-            other => return Err(d.corrupt(format!("unknown last-distance tag {other}"))),
+            other => {
+                return Err(d
+                    .corrupt(format!("unknown last-distance tag {other}"))
+                    .into())
+            }
         };
         let wlen = d.len(20)?;
         if wlen > WINDOW {
-            return Err(d.corrupt(format!("window holds {wlen} entries, limit {WINDOW}")));
+            return Err(d
+                .corrupt(format!("window holds {wlen} entries, limit {WINDOW}"))
+                .into());
         }
         let mut window = Vec::with_capacity(WINDOW + 1);
         let mut prev_time = 0u64;

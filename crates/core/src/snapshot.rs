@@ -17,12 +17,13 @@
 //! +--------+---------+----------------------+----------------------+
 //! ```
 //!
-//! Both frames are length-prefixed and guarded by a CRC-32 (IEEE) over
-//! their payload, so torn writes, truncation, bit rot and trailing
-//! garbage are all detected before any state byte is interpreted. The
-//! header frame carries the resume metadata (grain, mode, events and
-//! accesses already consumed, reference count); the state frame carries
-//! the analyzer payload. All integers are little-endian and fixed-width:
+//! This is the shared frame shape of [`reuselens_trace::frame`]: both
+//! frames are length-prefixed and guarded by a CRC-32 (IEEE) over their
+//! payload, so torn writes, truncation, bit rot and trailing garbage are
+//! all detected before any state byte is interpreted. The header frame
+//! carries the resume metadata (grain, mode, events and accesses already
+//! consumed, reference count); the state frame carries the analyzer
+//! payload. All integers are little-endian and fixed-width:
 //! the encoding of a given state is deterministic byte for byte.
 //!
 //! Derivable state is never serialized — Fenwick trees, hash indexes,
@@ -42,9 +43,10 @@
 //! ## Atomic-rename protocol
 //!
 //! Writers never expose a torn file under a valid name: the snapshot is
-//! encoded fully in memory, written to a dot-prefixed temporary in the
-//! same directory, then published with [`std::fs::rename`] (atomic on
-//! POSIX). A crash mid-write leaves only a `.tmp` file the resume scan
+//! encoded fully in memory, then published with
+//! [`frame::publish`](reuselens_trace::frame::publish), a dot-prefixed
+//! temporary in the same directory renamed into place (atomic on POSIX).
+//! A crash mid-write leaves only a `.tmp` file the resume scan
 //! ignores; a crash between write and rename leaves the previous
 //! checkpoint as the newest valid one. The threat model is a dying
 //! *process* (the rename is not fsync-durable against power loss).
@@ -52,8 +54,10 @@
 use std::error::Error;
 use std::fmt;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
+
+use reuselens_trace::frame::{self, FrameError, PublishError};
+pub(crate) use reuselens_trace::frame::{Dec, Enc};
 
 /// Current snapshot format version; see the module docs for the policy.
 pub const SNAPSHOT_VERSION: u16 = 1;
@@ -63,41 +67,6 @@ const MAGIC: [u8; 6] = *b"RLSNAP";
 
 /// File-name extension of published snapshots.
 const EXT: &str = ".rlsnap";
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven, built at compile time.
-// ---------------------------------------------------------------------------
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-/// CRC-32 (IEEE) of `data` — the checksum guarding each snapshot frame.
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
-}
 
 // ---------------------------------------------------------------------------
 // Error taxonomy
@@ -205,120 +174,44 @@ impl fmt::Display for SnapshotError {
 
 impl Error for SnapshotError {}
 
-// ---------------------------------------------------------------------------
-// Byte codec
-// ---------------------------------------------------------------------------
-
-/// Little-endian byte encoder for snapshot payloads.
-#[derive(Debug, Default)]
-pub(crate) struct Enc {
-    pub(crate) buf: Vec<u8>,
+impl From<FrameError> for SnapshotError {
+    fn from(e: FrameError) -> SnapshotError {
+        match e {
+            FrameError::Truncated {
+                offset,
+                needed,
+                have,
+            } => SnapshotError::Truncated {
+                offset,
+                needed,
+                have,
+            },
+            FrameError::BadMagic => SnapshotError::BadMagic,
+            FrameError::UnsupportedVersion { found, supported } => {
+                SnapshotError::UnsupportedVersion { found, supported }
+            }
+            FrameError::CrcMismatch {
+                frame,
+                offset,
+                stored,
+                computed,
+            } => SnapshotError::CrcMismatch {
+                frame,
+                offset,
+                stored,
+                computed,
+            },
+            FrameError::Corrupt { offset, what } => SnapshotError::Corrupt { offset, what },
+        }
+    }
 }
 
-impl Enc {
-    pub(crate) fn new() -> Enc {
-        Enc::default()
-    }
-
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Validating little-endian decoder over one frame's payload. `base` is
-/// the payload's byte offset within the file, so every diagnostic carries
-/// an absolute file offset.
-#[derive(Debug)]
-pub(crate) struct Dec<'a> {
-    data: &'a [u8],
-    pos: usize,
-    base: u64,
-}
-
-impl<'a> Dec<'a> {
-    pub(crate) fn new(data: &'a [u8], base: u64) -> Dec<'a> {
-        Dec { data, pos: 0, base }
-    }
-
-    /// Absolute file offset of the next byte to decode.
-    pub(crate) fn offset(&self) -> u64 {
-        self.base + self.pos as u64
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let have = self.data.len() - self.pos;
-        if have < n {
-            return Err(SnapshotError::Truncated {
-                offset: self.offset(),
-                needed: n as u64,
-                have: have as u64,
-            });
-        }
-        let out = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// A length prefix about to drive a `Vec` allocation. Rejects any
-    /// count that could not possibly fit in the bytes remaining (each
-    /// element needs at least `min_elem_bytes`), so a corrupted length
-    /// cannot cause an absurd allocation before the data runs out.
-    pub(crate) fn len(&mut self, min_elem_bytes: u64) -> Result<usize, SnapshotError> {
-        let at = self.offset();
-        let n = self.u64()?;
-        let remaining = (self.data.len() - self.pos) as u64;
-        if n.saturating_mul(min_elem_bytes.max(1)) > remaining {
-            return Err(SnapshotError::Corrupt {
-                offset: at,
-                what: format!(
-                    "length {n} cannot fit in the {remaining} bytes remaining"
-                ),
-            });
-        }
-        Ok(n as usize)
-    }
-
-    /// Fails unless every payload byte has been consumed — a decoded
-    /// frame with leftover bytes is corruption, not padding.
-    pub(crate) fn finish(self) -> Result<(), SnapshotError> {
-        if self.pos != self.data.len() {
-            return Err(SnapshotError::Corrupt {
-                offset: self.offset(),
-                what: format!("{} unconsumed bytes at end of frame", self.data.len() - self.pos),
-            });
-        }
-        Ok(())
-    }
-
-    /// Builds a [`SnapshotError::Corrupt`] at the current offset.
-    pub(crate) fn corrupt(&self, what: impl Into<String>) -> SnapshotError {
-        SnapshotError::Corrupt {
-            offset: self.offset(),
-            what: what.into(),
+impl From<PublishError> for SnapshotError {
+    fn from(e: PublishError) -> SnapshotError {
+        SnapshotError::Io {
+            op: e.op,
+            path: e.path,
+            message: e.error.to_string(),
         }
     }
 }
@@ -364,15 +257,19 @@ impl SnapshotHeader {
             0 => false,
             1 => true,
             other => {
-                return Err(d.corrupt(format!("unknown analyzer mode byte {other}")));
+                return Err(d
+                    .corrupt(format!("unknown analyzer mode byte {other}"))
+                    .into());
             }
         };
         let events_replayed = d.u64()?;
         let accesses_replayed = d.u64()?;
         if accesses_replayed > events_replayed {
-            return Err(d.corrupt(format!(
-                "{accesses_replayed} accesses exceed {events_replayed} events"
-            )));
+            return Err(d
+                .corrupt(format!(
+                    "{accesses_replayed} accesses exceed {events_replayed} events"
+                ))
+                .into());
         }
         let nrefs = d.u32()?;
         Ok(SnapshotHeader {
@@ -402,98 +299,18 @@ pub struct SnapshotMeta {
     pub accesses_replayed: u64,
 }
 
-fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-}
-
 /// Assembles a complete snapshot file image from the two frame payloads.
 pub(crate) fn encode_snapshot(header: &SnapshotHeader, state: &[u8]) -> Vec<u8> {
     let mut henc = Enc::new();
     header.encode(&mut henc);
-    let mut out = Vec::with_capacity(8 + 8 + henc.buf.len() + 8 + state.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    push_frame(&mut out, &henc.buf);
-    push_frame(&mut out, state);
-    out
-}
-
-/// Reads one length-prefixed, CRC-guarded frame starting at `pos`.
-fn read_frame<'a>(
-    bytes: &'a [u8],
-    pos: &mut usize,
-    frame: &'static str,
-) -> Result<Dec<'a>, SnapshotError> {
-    let need = |offset: usize, n: usize| -> Result<(), SnapshotError> {
-        if bytes.len() < offset + n {
-            return Err(SnapshotError::Truncated {
-                offset: offset as u64,
-                needed: n as u64,
-                have: (bytes.len() - offset.min(bytes.len())) as u64,
-            });
-        }
-        Ok(())
-    };
-    need(*pos, 8)?;
-    let len =
-        u32::from_le_bytes([bytes[*pos], bytes[*pos + 1], bytes[*pos + 2], bytes[*pos + 3]])
-            as usize;
-    let stored = u32::from_le_bytes([
-        bytes[*pos + 4],
-        bytes[*pos + 5],
-        bytes[*pos + 6],
-        bytes[*pos + 7],
-    ]);
-    let payload_at = *pos + 8;
-    need(payload_at, len)?;
-    let payload = &bytes[payload_at..payload_at + len];
-    let computed = crc32(payload);
-    if computed != stored {
-        return Err(SnapshotError::CrcMismatch {
-            frame,
-            offset: payload_at as u64,
-            stored,
-            computed,
-        });
-    }
-    *pos = payload_at + len;
-    Ok(Dec::new(payload, payload_at as u64))
+    frame::encode(&MAGIC, SNAPSHOT_VERSION, &[&henc.buf, state])
 }
 
 /// Splits a snapshot file image into its verified header and state
 /// decoders. Checks magic, version, both lengths, both CRCs, and that no
 /// garbage trails the last frame.
-pub(crate) fn decode_snapshot(
-    bytes: &[u8],
-) -> Result<(SnapshotHeader, Dec<'_>), SnapshotError> {
-    if bytes.len() < 8 {
-        return Err(SnapshotError::Truncated {
-            offset: 0,
-            needed: 8,
-            have: bytes.len() as u64,
-        });
-    }
-    if bytes[..6] != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = u16::from_le_bytes([bytes[6], bytes[7]]);
-    if version != SNAPSHOT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion {
-            found: version,
-            supported: SNAPSHOT_VERSION,
-        });
-    }
-    let mut pos = 8usize;
-    let mut hdec = read_frame(bytes, &mut pos, "header")?;
-    let sdec = read_frame(bytes, &mut pos, "state")?;
-    if pos != bytes.len() {
-        return Err(SnapshotError::Corrupt {
-            offset: pos as u64,
-            what: format!("{} bytes of trailing garbage after the state frame", bytes.len() - pos),
-        });
-    }
+pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<(SnapshotHeader, Dec<'_>), SnapshotError> {
+    let [mut hdec, sdec] = frame::decode(bytes, &MAGIC, SNAPSHOT_VERSION, ["header", "state"])?;
     let header = SnapshotHeader::decode(&mut hdec)?;
     hdec.finish()?;
     Ok((header, sdec))
@@ -558,13 +375,8 @@ pub(crate) fn write_snapshot_file(
     bytes: &[u8],
 ) -> Result<PathBuf, SnapshotError> {
     fs::create_dir_all(dir).map_err(|e| io_err("create dir", dir, &e))?;
-    let tmp = dir.join(format!(".ckpt-g{block_size}-{events:020}.tmp"));
-    let publish = dir.join(snapshot_file_name(block_size, events));
-    let mut f = fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, &e))?;
-    f.write_all(bytes).map_err(|e| io_err("write", &tmp, &e))?;
-    drop(f);
-    fs::rename(&tmp, &publish).map_err(|e| io_err("rename", &publish, &e))?;
-    Ok(publish)
+    let name = snapshot_file_name(block_size, events);
+    Ok(frame::publish(dir, &name, bytes)?)
 }
 
 /// Every published checkpoint of the given grain in `dir`, newest (most
@@ -619,9 +431,10 @@ mod tests {
 
     #[test]
     fn crc32_matches_known_vectors() {
-        // The classic IEEE test vector.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+        // Snapshots are checksummed with the shared frame CRC; pin it to
+        // the classic IEEE test vector.
+        assert_eq!(frame::crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(frame::crc32(b""), 0);
     }
 
     #[test]
@@ -716,7 +529,7 @@ mod tests {
         e.u64(u64::MAX); // a length that cannot possibly fit
         let mut d = Dec::new(&e.buf, 0);
         assert!(matches!(
-            d.len(8),
+            d.len(8).map_err(SnapshotError::from),
             Err(SnapshotError::Corrupt { offset: 0, .. })
         ));
     }

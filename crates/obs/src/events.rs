@@ -46,7 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use crate::escape_json;
+use crate::json::escape;
 
 /// How urgent one event line is. Rendered lowercase in the `severity`
 /// field; the default mapping lives in [`EventKind::severity`].
@@ -250,7 +250,7 @@ impl EventKind {
     fn write_fields(&self, out: &mut String) {
         match self {
             EventKind::RunStarted { command } => {
-                let _ = write!(out, ",\"command\":\"{}\"", escape_json(command));
+                let _ = write!(out, ",\"command\":\"{}\"", escape(command));
             }
             EventKind::RunFinished { ok } => {
                 let _ = write!(out, ",\"ok\":{ok}");
@@ -274,13 +274,9 @@ impl EventKind {
                 let _ = write!(out, ",\"grain\":{grain}");
             }
             EventKind::GrainFailed { grain, reason, job } => {
-                let _ = write!(
-                    out,
-                    ",\"grain\":{grain},\"reason\":\"{}\"",
-                    escape_json(reason)
-                );
+                let _ = write!(out, ",\"grain\":{grain},\"reason\":\"{}\"", escape(reason));
                 if let Some(job) = job {
-                    let _ = write!(out, ",\"job\":\"{}\"", escape_json(job));
+                    let _ = write!(out, ",\"job\":\"{}\"", escape(job));
                 }
             }
             EventKind::CheckpointWritten {
@@ -306,8 +302,8 @@ impl EventKind {
                 let _ = write!(
                     out,
                     ",\"path\":\"{}\",\"reason\":\"{}\"",
-                    escape_json(path),
-                    escape_json(reason)
+                    escape(path),
+                    escape(reason)
                 );
             }
             EventKind::PartitionStitched {
@@ -334,33 +330,33 @@ impl EventKind {
                 let _ = write!(
                     out,
                     ",\"job\":\"{}\",\"kind\":\"{}\"",
-                    escape_json(job),
-                    escape_json(kind)
+                    escape(job),
+                    escape(kind)
                 );
             }
             EventKind::JobCompleted { job, kind, wall_ns } => {
                 let _ = write!(
                     out,
                     ",\"job\":\"{}\",\"kind\":\"{}\",\"wall_ns\":{wall_ns}",
-                    escape_json(job),
-                    escape_json(kind)
+                    escape(job),
+                    escape(kind)
                 );
             }
             EventKind::JobFailed { job, kind, reason } => {
                 let _ = write!(
                     out,
                     ",\"job\":\"{}\",\"kind\":\"{}\",\"reason\":\"{}\"",
-                    escape_json(job),
-                    escape_json(kind),
-                    escape_json(reason)
+                    escape(job),
+                    escape(kind),
+                    escape(reason)
                 );
             }
             EventKind::JobRejected { job, reason } => {
                 let _ = write!(
                     out,
                     ",\"job\":\"{}\",\"reason\":\"{}\"",
-                    escape_json(job),
-                    escape_json(reason)
+                    escape(job),
+                    escape(reason)
                 );
             }
             EventKind::Heartbeat {

@@ -122,7 +122,7 @@ impl HttpServer {
 
     /// Stops accepting, wakes the accept loop, and joins it. In-flight
     /// handler threads finish their single response on their own (their
-    /// sockets carry [`SOCKET_TIMEOUT`]).
+    /// sockets carry a 5 s read/write timeout).
     pub fn shutdown(self) {
         self.server.shutdown();
     }

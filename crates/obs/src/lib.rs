@@ -78,6 +78,7 @@
 mod events;
 mod export;
 mod http;
+pub mod json;
 pub mod net;
 mod recorder;
 mod service;
@@ -91,8 +92,6 @@ pub use recorder::{
 };
 pub use service::{ServiceConfig, TelemetryService};
 pub use timeline::{format_chrome_trace, Timeline, TimelineArgs, TimelineEvent, TimelineSnapshot};
-
-pub(crate) use timeline::escape_json;
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -52,6 +52,7 @@
 //! assert!(obs::format_chrome_trace(&snapshot).contains("\"name\":\"replay\""));
 //! ```
 
+use crate::json::escape;
 use crate::{Counter, Stage};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -289,26 +290,6 @@ impl TimelineSnapshot {
     }
 }
 
-/// Escapes a string for a JSON literal (quotes, backslashes, control
-/// characters; everything else passes through as UTF-8).
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Microseconds with nanosecond precision, the unit Chrome trace `ts` and
 /// `dur` fields use.
 fn micros(ns: u64) -> String {
@@ -354,7 +335,7 @@ pub fn format_chrome_trace(snapshot: &TimelineSnapshot) -> String {
             let _ = write!(out, ",\"sample_inv\":{inv}");
         }
         if let Some(hierarchy) = &event.args.hierarchy {
-            let _ = write!(out, ",\"hierarchy\":\"{}\"", escape_json(hierarchy));
+            let _ = write!(out, ",\"hierarchy\":\"{}\"", escape(hierarchy));
         }
         out.push_str("}}");
         if i + 1 < snapshot.events.len() {
@@ -454,8 +435,8 @@ mod tests {
 
     #[test]
     fn json_escaping_covers_specials() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
         assert_eq!(micros(0), "0.000");
         assert_eq!(micros(1_234_567), "1234.567");
     }

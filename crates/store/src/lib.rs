@@ -22,9 +22,9 @@
 //!                               +--------+---------+--------------+-------------+
 //! ```
 //!
-//! Every frame is length-prefixed and guarded by a CRC-32 (IEEE) over its
-//! payload — the same framing discipline as the analyzer snapshot format —
-//! so torn writes, truncation, bit rot and trailing garbage are all
+//! Both file kinds use the shared frame codec ([`reuselens_trace::frame`],
+//! the same one analyzer snapshots use): every frame is length-prefixed
+//! and guarded by a CRC-32 (IEEE) over its payload, so torn writes, truncation, bit rot and trailing garbage are all
 //! detected, with byte-offset diagnostics, before any trace byte is
 //! interpreted. The segment header carries {trace id, segment index and
 //! count, the chunk's byte range within the image, and the whole image's
@@ -40,8 +40,8 @@
 //!
 //! ## Atomicity
 //!
-//! Writers publish via dot-prefixed temporaries renamed into place
-//! (atomic on POSIX), segments first, index last: a crash mid-`put`
+//! Writers publish with [`frame::publish`], a dot-prefixed temporary
+//! renamed into place (atomic on POSIX), segments first, index last: a crash mid-`put`
 //! leaves orphan segment files no index entry points at — never a torn
 //! trace under a valid name. Eviction inverts the order (index first,
 //! then segment deletion), so a crash mid-`evict` also degrades to
@@ -54,9 +54,10 @@
 use std::error::Error;
 use std::fmt;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use reuselens_trace::frame::{self, Dec, Enc, FrameError, PublishError};
+pub use reuselens_trace::frame::{crc32, crc32_combine};
 use reuselens_trace::{DecodeError, ExportedTrace, TraceBuffer};
 
 /// Current store format version, shared by segment and index files; any
@@ -71,7 +72,6 @@ const MAGIC_SEGMENT: [u8; 6] = *b"RLSEGM";
 /// File magic of the index file.
 const MAGIC_INDEX: [u8; 6] = *b"RLINDX";
 
-/// Published file name of the store index.
 /// File name of the store's index within its directory.
 pub const INDEX_FILE: &str = "index.rlidx";
 
@@ -83,142 +83,6 @@ const DEFAULT_SEGMENT_BYTES: usize = 4 << 20;
 
 /// Longest accepted trace id.
 pub const MAX_ID_LEN: usize = 64;
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), slice-by-8, tables built at compile time.
-//
-// The byte-at-a-time loop tops out around 350 MB/s, which made checksum
-// passes the dominant cost of `TraceStore::get` on multi-megabyte trace
-// images. Slice-by-8 folds eight input bytes per iteration through eight
-// derived tables; same polynomial, same values, ~4-6x the throughput.
-// ---------------------------------------------------------------------------
-
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        tables[0][i] = crc;
-        i += 1;
-    }
-    // tables[k][b] = CRC of byte b followed by k zero bytes, so the eight
-    // lanes of a u64 can be folded independently and XOR-combined.
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-}
-
-static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
-
-/// CRC-32 of the concatenation `A || B` given `crc32(A)`, `crc32(B)`,
-/// and `B`'s length — zlib's `crc32_combine`, built from the linearity
-/// of CRC over GF(2). Appending `len_b` zero bytes to `A` multiplies its
-/// CRC register by `x^(8*len_b)` mod the polynomial; that operator is a
-/// 32x32 bit matrix applied by square-and-multiply, so combining costs
-/// `O(log len_b)` matrix products instead of a pass over the bytes.
-///
-/// Lets [`TraceStore::get`] derive the assembled image's checksum from
-/// the per-chunk checksums it has already verified, without re-hashing
-/// the image.
-pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
-    // mat[i] is the image of bit i under the operator; applying is a
-    // masked XOR fold.
-    fn apply(mat: &[u32; 32], mut vec: u32) -> u32 {
-        let mut out = 0u32;
-        let mut i = 0;
-        while vec != 0 {
-            if vec & 1 != 0 {
-                out ^= mat[i];
-            }
-            vec >>= 1;
-            i += 1;
-        }
-        out
-    }
-    fn square(mat: &[u32; 32]) -> [u32; 32] {
-        let mut out = [0u32; 32];
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = apply(mat, mat[i]);
-        }
-        out
-    }
-    if len_b == 0 {
-        return crc_a;
-    }
-    // The operator for one zero bit: shift down, feeding bit 0 into the
-    // polynomial taps.
-    let mut odd = [0u32; 32];
-    odd[0] = 0xEDB8_8320;
-    for (i, slot) in odd.iter_mut().enumerate().skip(1) {
-        *slot = 1 << (i - 1);
-    }
-    let mut even = square(&odd); // two zero bits
-    odd = square(&even); // four zero bits
-    let mut crc = crc_a;
-    let mut n = len_b;
-    // Walk the bits of the byte count; each squaring doubles the
-    // zero-run the operator appends (8 bits, 16, 32, ...).
-    loop {
-        even = square(&odd);
-        if n & 1 != 0 {
-            crc = apply(&even, crc);
-        }
-        n >>= 1;
-        if n == 0 {
-            break;
-        }
-        odd = square(&even);
-        if n & 1 != 0 {
-            crc = apply(&odd, crc);
-        }
-        n >>= 1;
-        if n == 0 {
-            break;
-        }
-    }
-    crc ^ crc_b
-}
-
-/// CRC-32 (IEEE) of `data` — the checksum guarding every store frame and
-/// the assembled trace image.
-pub fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut chunks = data.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
-}
 
 // ---------------------------------------------------------------------------
 // Error taxonomy
@@ -368,6 +232,54 @@ impl fmt::Display for StoreError {
 
 impl Error for StoreError {}
 
+impl StoreError {
+    /// A frame-level decode failure, blamed on the file at `path`.
+    fn framed(path: &Path, e: FrameError) -> StoreError {
+        let path = path.to_path_buf();
+        match e {
+            FrameError::Truncated {
+                offset,
+                needed,
+                have,
+            } => StoreError::Truncated {
+                path,
+                offset,
+                needed,
+                have,
+            },
+            FrameError::BadMagic => StoreError::BadMagic { path },
+            FrameError::UnsupportedVersion { found, supported } => StoreError::UnsupportedVersion {
+                path,
+                found,
+                supported,
+            },
+            FrameError::CrcMismatch {
+                frame,
+                offset,
+                stored,
+                computed,
+            } => StoreError::CrcMismatch {
+                path,
+                frame,
+                offset,
+                stored,
+                computed,
+            },
+            FrameError::Corrupt { offset, what } => StoreError::Corrupt { path, offset, what },
+        }
+    }
+}
+
+impl From<PublishError> for StoreError {
+    fn from(e: PublishError) -> StoreError {
+        StoreError::Io {
+            op: e.op,
+            path: e.path,
+            message: e.error.to_string(),
+        }
+    }
+}
+
 fn io_err(op: &'static str, path: &Path, e: &std::io::Error) -> StoreError {
     StoreError::Io {
         op,
@@ -400,250 +312,6 @@ pub fn validate_trace_id(id: &str) -> Result<(), StoreError> {
 }
 
 // ---------------------------------------------------------------------------
-// Byte codec (LE, fixed-width — deterministic byte for byte)
-// ---------------------------------------------------------------------------
-
-/// Little-endian byte encoder for frame payloads.
-#[derive(Debug, Default)]
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn new() -> Enc {
-        Enc::default()
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn bytes(&mut self, v: &[u8]) {
-        self.u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
-    }
-
-    fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-}
-
-/// Validating little-endian decoder over one frame's payload. `base` is
-/// the payload's byte offset within the file, so every diagnostic carries
-/// an absolute file offset; `path` names the file.
-struct Dec<'a> {
-    data: &'a [u8],
-    pos: usize,
-    base: u64,
-    path: &'a Path,
-    /// CRC-32 of `data` as verified by [`read_frame`] (0 for decoders
-    /// built outside a frame). Lets callers cross-check the payload
-    /// against an independently stored checksum without a second pass.
-    crc: u32,
-}
-
-impl<'a> Dec<'a> {
-    fn new(data: &'a [u8], base: u64, path: &'a Path) -> Dec<'a> {
-        Dec {
-            data,
-            pos: 0,
-            base,
-            path,
-            crc: 0,
-        }
-    }
-
-    /// Absolute file offset of the next byte to decode.
-    fn offset(&self) -> u64 {
-        self.base + self.pos as u64
-    }
-
-    fn corrupt(&self, what: impl Into<String>) -> StoreError {
-        StoreError::Corrupt {
-            path: self.path.to_path_buf(),
-            offset: self.offset(),
-            what: what.into(),
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        let have = self.data.len() - self.pos;
-        if have < n {
-            return Err(StoreError::Truncated {
-                path: self.path.to_path_buf(),
-                offset: self.offset(),
-                needed: n as u64,
-                have: have as u64,
-            });
-        }
-        let out = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// A length prefix about to drive a `Vec` allocation. Rejects any
-    /// count that could not possibly fit in the bytes remaining (each
-    /// element needs at least `min_elem_bytes`), so a corrupted length
-    /// cannot cause an absurd allocation before the data runs out.
-    fn len(&mut self, min_elem_bytes: u64) -> Result<usize, StoreError> {
-        let at = self.offset();
-        let n = self.u64()?;
-        let remaining = (self.data.len() - self.pos) as u64;
-        if n.saturating_mul(min_elem_bytes.max(1)) > remaining {
-            return Err(StoreError::Corrupt {
-                path: self.path.to_path_buf(),
-                offset: at,
-                what: format!("length {n} cannot fit in the {remaining} bytes remaining"),
-            });
-        }
-        Ok(n as usize)
-    }
-
-    fn bytes(&mut self) -> Result<&'a [u8], StoreError> {
-        let n = self.len(1)?;
-        self.take(n)
-    }
-
-    fn str(&mut self) -> Result<String, StoreError> {
-        let at = self.offset();
-        let raw = self.bytes()?;
-        String::from_utf8(raw.to_vec()).map_err(|_| StoreError::Corrupt {
-            path: self.path.to_path_buf(),
-            offset: at,
-            what: "string is not valid UTF-8".to_string(),
-        })
-    }
-
-    /// Fails unless every payload byte has been consumed — a decoded
-    /// frame with leftover bytes is corruption, not padding.
-    fn finish(self) -> Result<(), StoreError> {
-        if self.pos != self.data.len() {
-            return Err(StoreError::Corrupt {
-                path: self.path.to_path_buf(),
-                offset: self.offset(),
-                what: format!(
-                    "{} unconsumed bytes at end of frame",
-                    self.data.len() - self.pos
-                ),
-            });
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Frame assembly (shared by segment and index files)
-// ---------------------------------------------------------------------------
-
-fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-}
-
-/// Reads one length-prefixed, CRC-guarded frame starting at `pos`.
-fn read_frame<'a>(
-    bytes: &'a [u8],
-    pos: &mut usize,
-    frame: &'static str,
-    path: &'a Path,
-) -> Result<Dec<'a>, StoreError> {
-    let need = |offset: usize, n: usize| -> Result<(), StoreError> {
-        if bytes.len() < offset + n {
-            return Err(StoreError::Truncated {
-                path: path.to_path_buf(),
-                offset: offset as u64,
-                needed: n as u64,
-                have: (bytes.len() - offset.min(bytes.len())) as u64,
-            });
-        }
-        Ok(())
-    };
-    need(*pos, 8)?;
-    let len = u32::from_le_bytes([bytes[*pos], bytes[*pos + 1], bytes[*pos + 2], bytes[*pos + 3]])
-        as usize;
-    let stored = u32::from_le_bytes([
-        bytes[*pos + 4],
-        bytes[*pos + 5],
-        bytes[*pos + 6],
-        bytes[*pos + 7],
-    ]);
-    let payload_at = *pos + 8;
-    need(payload_at, len)?;
-    let payload = &bytes[payload_at..payload_at + len];
-    let computed = crc32(payload);
-    if computed != stored {
-        return Err(StoreError::CrcMismatch {
-            path: path.to_path_buf(),
-            frame,
-            offset: payload_at as u64,
-            stored,
-            computed,
-        });
-    }
-    *pos = payload_at + len;
-    let mut d = Dec::new(payload, payload_at as u64, path);
-    d.crc = computed;
-    Ok(d)
-}
-
-/// Checks magic + version and returns the offset of the first frame.
-fn check_preamble(bytes: &[u8], magic: &[u8; 6], path: &Path) -> Result<usize, StoreError> {
-    if bytes.len() < 8 {
-        return Err(StoreError::Truncated {
-            path: path.to_path_buf(),
-            offset: 0,
-            needed: 8,
-            have: bytes.len() as u64,
-        });
-    }
-    if bytes[..6] != magic[..] {
-        return Err(StoreError::BadMagic {
-            path: path.to_path_buf(),
-        });
-    }
-    let version = u16::from_le_bytes([bytes[6], bytes[7]]);
-    if version != STORE_VERSION {
-        return Err(StoreError::UnsupportedVersion {
-            path: path.to_path_buf(),
-            found: version,
-            supported: STORE_VERSION,
-        });
-    }
-    Ok(8)
-}
-
-fn reject_trailing(bytes: &[u8], pos: usize, path: &Path) -> Result<(), StoreError> {
-    if pos != bytes.len() {
-        return Err(StoreError::Corrupt {
-            path: path.to_path_buf(),
-            offset: pos as u64,
-            what: format!(
-                "{} bytes of trailing garbage after the last frame",
-                bytes.len() - pos
-            ),
-        });
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
 // Canonical trace image
 // ---------------------------------------------------------------------------
 
@@ -663,10 +331,9 @@ fn encode_image(t: &ExportedTrace) -> Vec<u8> {
     e.buf
 }
 
-/// Decodes a canonical image back into an [`ExportedTrace`]. `path` names
-/// the file the diagnostics should blame (the trace's first segment).
-fn decode_image(bytes: &[u8], path: &Path) -> Result<ExportedTrace, StoreError> {
-    let mut d = Dec::new(bytes, 0, path);
+/// Decodes a canonical image back into an [`ExportedTrace`].
+fn decode_image(bytes: &[u8]) -> Result<ExportedTrace, FrameError> {
+    let mut d = Dec::new(bytes, 0);
     let events = d.u64()?;
     let accesses = d.u64()?;
     let scope_events = d.u64()?;
@@ -777,24 +444,17 @@ fn encode_index(entries: &[TraceEntry]) -> Vec<u8> {
             e.u32(s.crc);
         }
     }
-    let mut out = Vec::with_capacity(16 + e.buf.len());
-    out.extend_from_slice(&MAGIC_INDEX);
-    out.extend_from_slice(&STORE_VERSION.to_le_bytes());
-    push_frame(&mut out, &e.buf);
-    out
+    frame::encode(&MAGIC_INDEX, STORE_VERSION, &[&e.buf])
 }
 
-fn decode_index(bytes: &[u8], path: &Path) -> Result<Vec<TraceEntry>, StoreError> {
-    let mut pos = check_preamble(bytes, &MAGIC_INDEX, path)?;
-    let mut d = read_frame(bytes, &mut pos, "index", path)?;
-    reject_trailing(bytes, pos, path)?;
+fn decode_index(bytes: &[u8]) -> Result<Vec<TraceEntry>, FrameError> {
+    let [mut d] = frame::decode(bytes, &MAGIC_INDEX, STORE_VERSION, ["index"])?;
     let count = d.len(8)?;
     let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
         let at = d.offset();
         let id = d.str()?;
-        validate_trace_id(&id).map_err(|e| StoreError::Corrupt {
-            path: path.to_path_buf(),
+        validate_trace_id(&id).map_err(|e| FrameError::Corrupt {
             offset: at,
             what: e.to_string(),
         })?;
@@ -881,26 +541,15 @@ fn encode_segment(header: &SegmentHeader, chunk: &[u8]) -> Vec<u8> {
     h.u64(header.chunk_len);
     h.u64(header.image_len);
     h.u32(header.image_crc);
-    let mut out = Vec::with_capacity(24 + h.buf.len() + 8 + chunk.len());
-    out.extend_from_slice(&MAGIC_SEGMENT);
-    out.extend_from_slice(&STORE_VERSION.to_le_bytes());
-    push_frame(&mut out, &h.buf);
-    push_frame(&mut out, chunk);
-    out
+    frame::encode(&MAGIC_SEGMENT, STORE_VERSION, &[&h.buf, chunk])
 }
 
 /// Decodes one segment file into its header, chunk payload, and the
 /// chunk's CRC-32 (already verified against the chunk frame's stored
 /// checksum — callers cross-check it against the index copy without
 /// re-hashing the payload).
-fn decode_segment<'a>(
-    bytes: &'a [u8],
-    path: &'a Path,
-) -> Result<(SegmentHeader, &'a [u8], u32), StoreError> {
-    let mut pos = check_preamble(bytes, &MAGIC_SEGMENT, path)?;
-    let mut h = read_frame(bytes, &mut pos, "header", path)?;
-    let c = read_frame(bytes, &mut pos, "chunk", path)?;
-    reject_trailing(bytes, pos, path)?;
+fn decode_segment(bytes: &[u8]) -> Result<(SegmentHeader, &[u8], u32), FrameError> {
+    let [mut h, c] = frame::decode(bytes, &MAGIC_SEGMENT, STORE_VERSION, ["header", "chunk"])?;
     let id = h.str()?;
     let seg_index = h.u32()?;
     let seg_count = h.u32()?;
@@ -909,16 +558,12 @@ fn decode_segment<'a>(
     let image_len = h.u64()?;
     let image_crc = h.u32()?;
     h.finish()?;
-    let chunk = c.data;
+    let chunk = c.payload();
     if chunk.len() as u64 != chunk_len {
-        return Err(StoreError::Corrupt {
-            path: path.to_path_buf(),
-            offset: c.base,
-            what: format!(
-                "chunk frame holds {} bytes but the header declares {chunk_len}",
-                chunk.len()
-            ),
-        });
+        return Err(c.corrupt(format!(
+            "chunk frame holds {} bytes but the header declares {chunk_len}",
+            chunk.len()
+        )));
     }
     Ok((
         SegmentHeader {
@@ -931,7 +576,7 @@ fn decode_segment<'a>(
             image_crc,
         },
         chunk,
-        c.crc,
+        c.crc(),
     ))
 }
 
@@ -993,7 +638,7 @@ impl TraceStore {
         fs::create_dir_all(&dir).map_err(|e| io_err("create dir", &dir, &e))?;
         let index_path = dir.join(INDEX_FILE);
         let entries = match fs::read(&index_path) {
-            Ok(bytes) => decode_index(&bytes, &index_path)?,
+            Ok(bytes) => decode_index(&bytes).map_err(|e| StoreError::framed(&index_path, e))?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(io_err("read", &index_path, &e)),
         };
@@ -1019,17 +664,9 @@ impl TraceStore {
         self.entries.iter().find(|t| t.id == id)
     }
 
-    fn write_atomic(&self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        let tmp = self.dir.join(format!(".{name}.tmp"));
-        let publish = self.dir.join(name);
-        let mut f = fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, &e))?;
-        f.write_all(bytes).map_err(|e| io_err("write", &tmp, &e))?;
-        drop(f);
-        fs::rename(&tmp, &publish).map_err(|e| io_err("rename", &publish, &e))
-    }
-
     fn publish_index(&self) -> Result<(), StoreError> {
-        self.write_atomic(INDEX_FILE, &encode_index(&self.entries))
+        frame::publish(&self.dir, INDEX_FILE, &encode_index(&self.entries))?;
+        Ok(())
     }
 
     /// Stores a captured buffer under `id`: encodes the canonical image,
@@ -1069,7 +706,8 @@ impl TraceStore {
                 image_len,
                 image_crc,
             };
-            self.write_atomic(&segment_file_name(id, k), &encode_segment(&header, chunk))?;
+            let segment = encode_segment(&header, chunk);
+            frame::publish(&self.dir, &segment_file_name(id, k), &segment)?;
             segments.push(SegmentInfo {
                 offset,
                 len: chunk.len() as u64,
@@ -1114,7 +752,8 @@ impl TraceStore {
         for (k, info) in entry.segments.iter().enumerate() {
             let path = self.dir.join(entry.segment_file(k));
             let bytes = fs::read(&path).map_err(|e| io_err("read", &path, &e))?;
-            let (header, chunk, chunk_crc) = decode_segment(&bytes, &path)?;
+            let (header, chunk, chunk_crc) =
+                decode_segment(&bytes).map_err(|e| StoreError::framed(&path, e))?;
             let mismatch = |what: String| StoreError::Mismatch {
                 path: path.clone(),
                 what,
@@ -1187,7 +826,7 @@ impl TraceStore {
                 computed: image_crc,
             });
         }
-        let exported = decode_image(&image, &first_seg)?;
+        let exported = decode_image(&image).map_err(|e| StoreError::framed(&first_seg, e))?;
         if exported.events != entry.events || exported.accesses != entry.accesses {
             return Err(StoreError::Mismatch {
                 path: first_seg,
@@ -1249,6 +888,13 @@ mod tests {
     use super::*;
     use reuselens_ir::{ProgramBuilder, ScopeId};
     use reuselens_trace::{Executor, TraceSink, VecSink};
+
+    #[test]
+    fn crc32_matches_known_vectors() {
+        // The re-exported CRC checksums segment chunks and whole images.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
 
     fn captured(n: i64) -> TraceBuffer {
         let mut p = ProgramBuilder::new("store_test");
@@ -1425,33 +1071,6 @@ mod tests {
         loaded.replay(&mut b);
         assert_eq!(a, b);
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn crc32_combine_matches_whole_buffer_crc() {
-        let data: Vec<u8> = (0..10_000u32).map(|i| (i * 7 + i / 13) as u8).collect();
-        let whole = crc32(&data);
-        for split in [0, 1, 9, 4096, 9_999, 10_000] {
-            let (a, b) = data.split_at(split);
-            assert_eq!(
-                crc32_combine(crc32(a), crc32(b), b.len() as u64),
-                whole,
-                "split at {split}"
-            );
-        }
-        // Folding a many-chunk sequence, the way `get` reassembles an
-        // image from segment chunks.
-        let mut crc = 0u32; // crc32 of the empty prefix
-        for part in data.chunks(777) {
-            crc = crc32_combine(crc, crc32(part), part.len() as u64);
-        }
-        assert_eq!(crc, whole);
     }
 
     #[test]

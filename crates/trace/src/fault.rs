@@ -15,8 +15,9 @@
 //! * **torn writes** — [`CrashPoint`], an [`io::Write`] adapter that
 //!   forwards a fixed byte budget and then fails, simulating a process
 //!   killed at an arbitrary point while serializing a checkpoint; plus
-//!   [`Corruptor`] methods over raw byte vectors ([`flip_bytes`]
-//!   (Corruptor::flip_bytes), [`flip_header`](Corruptor::flip_header),
+//!   [`Corruptor`] methods over raw byte vectors
+//!   ([`flip_bytes`](Corruptor::flip_bytes),
+//!   [`flip_header`](Corruptor::flip_header),
 //!   [`truncate_bytes`](Corruptor::truncate_bytes),
 //!   [`trailing_garbage`](Corruptor::trailing_garbage)) for mutating
 //!   on-disk snapshot images the same seeded way buffers are mutated;

@@ -41,6 +41,7 @@ mod decode;
 mod event;
 mod exec;
 pub mod fault;
+pub mod frame;
 
 pub use buffer::{BufferStats, CheckedIter, ExportedTrace, SegmentState, TraceBuffer, TraceIter};
 pub use decode::{Column, DecodeError};

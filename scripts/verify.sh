@@ -2,7 +2,7 @@
 # Full verification gate: release build and offline test suite across
 # the whole workspace (the root manifest's `default-members` lists every
 # crate, so a bare `cargo test` runs every member's suites), warning-free
-# clippy, and end-to-end CLI, daemon and bench-runner smokes.
+# clippy and rustdoc, and end-to-end CLI, daemon and bench-runner smokes.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -11,6 +11,9 @@ cargo build --release
 cargo test -q
 
 cargo clippy --workspace --all-targets --no-deps -- -D warnings
+
+# Broken intra-doc links (for example after a module moves) fail the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Kill-and-resume CLI smoke: a checkpointed run whose newest snapshot is
 # then torn mid-file must resume to a profile byte-identical to a plain

@@ -1,6 +1,6 @@
 //! Analysis-as-a-service: a long-running daemon that accepts analysis
 //! jobs over a newline-delimited JSON protocol and persists captured
-//! traces in an on-disk [`TraceStore`](reuselens_store::TraceStore).
+//! traces in an on-disk [`TraceStore`].
 //!
 //! One request per line, one response per line. A request is a flat JSON
 //! object whose `kind` field selects the job:
@@ -56,6 +56,7 @@ use reuselens_core::{
 };
 use reuselens_metrics::run_locality_estimate;
 use reuselens_obs as obs;
+use reuselens_obs::json::{self, Json};
 use reuselens_store::{self as store, StoreError, TraceMeta, TraceStore};
 use reuselens_workloads::gtc::{build as build_gtc, GtcConfig, GtcTransforms};
 use reuselens_workloads::kernels;
@@ -204,263 +205,43 @@ impl From<StoreError> for ServeError {
 // Strict flat-JSON request parsing
 // ---------------------------------------------------------------------------
 
-/// A parsed JSON value. The protocol is deliberately flat: a request is
-/// one object whose values are scalars or arrays of scalars — nested
-/// objects are rejected with a typed error.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
 type Fields = Vec<(String, Json)>;
 
-impl<'a> JsonParser<'a> {
-    fn new(bytes: &'a [u8]) -> JsonParser<'a> {
-        JsonParser { bytes, pos: 0 }
+/// Checks the protocol's shape rules on a parsed request line: one
+/// object whose values are scalars or arrays of scalars, no string over
+/// [`MAX_STRING_LEN`] bytes and no array over [`MAX_ARRAY_LEN`] elements.
+/// Lines are capped at [`MAX_LINE_BYTES`] before parsing, so checking
+/// after the parse bounds memory the same way.
+fn flat_fields(doc: Json) -> Result<Fields, ServeError> {
+    fn short(s: &str) -> Result<(), String> {
+        if s.len() > MAX_STRING_LEN {
+            return Err(format!("string exceeds {MAX_STRING_LEN} bytes"));
+        }
+        Ok(())
     }
-
-    fn err(&self, what: impl fmt::Display) -> ServeError {
-        ServeError::Parse(format!("{what} at byte {}", self.pos))
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
+    fn scalar(v: &Json) -> Result<(), String> {
+        match v {
+            Json::Obj(_) => Err("nested objects are not allowed".into()),
+            Json::Arr(_) => Err("nested arrays are not allowed".into()),
+            Json::Str(s) => short(s),
+            _ => Ok(()),
         }
     }
-
-    fn expect(&mut self, b: u8) -> Result<(), ServeError> {
-        self.skip_ws();
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format_args!("expected '{}'", b as char)))
-        }
-    }
-
-    /// Parses the single top-level object and requires end of input.
-    fn object(mut self) -> Result<Fields, ServeError> {
-        self.expect(b'{')?;
-        let mut fields = Fields::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-        } else {
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                if fields.iter().any(|(k, _)| *k == key) {
-                    return Err(self.err(format_args!("duplicate field '{key}'")));
+    let Json::Obj(fields) = doc else {
+        return Err(ServeError::Parse("request is not a JSON object".into()));
+    };
+    for (key, value) in &fields {
+        short(key)
+            .and_then(|()| match value {
+                Json::Arr(items) if items.len() > MAX_ARRAY_LEN => {
+                    Err(format!("array exceeds {MAX_ARRAY_LEN} elements"))
                 }
-                self.expect(b':')?;
-                let value = self.value(0)?;
-                fields.push((key, value));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return Err(self.err("expected ',' or '}'")),
-                }
-            }
-        }
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing bytes after request object"));
-        }
-        Ok(fields)
+                Json::Arr(items) => items.iter().try_for_each(scalar),
+                other => scalar(other),
+            })
+            .map_err(ServeError::Parse)?;
     }
-
-    fn value(&mut self, depth: usize) -> Result<Json, ServeError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => {
-                if depth > 0 {
-                    return Err(self.err("nested arrays are not allowed"));
-                }
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value(depth + 1)?);
-                    if items.len() > MAX_ARRAY_LEN {
-                        return Err(self.err(format_args!(
-                            "array exceeds {MAX_ARRAY_LEN} elements"
-                        )));
-                    }
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            break;
-                        }
-                        _ => return Err(self.err("expected ',' or ']'")),
-                    }
-                }
-                Ok(Json::Arr(items))
-            }
-            Some(b'{') => Err(self.err("nested objects are not allowed")),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, text: &'static str, value: Json) -> Result<Json, ServeError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(self.err(format_args!("expected '{text}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, ServeError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || c == b'.' || c == b'e' || c == b'E' || c == b'+' || c == b'-')
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("non-UTF-8 number"))?;
-        let n: f64 = text
-            .parse()
-            .map_err(|_| self.err(format_args!("bad number '{text}'")))?;
-        if !n.is_finite() {
-            return Err(self.err("non-finite number"));
-        }
-        Ok(Json::Num(n))
-    }
-
-    fn string(&mut self) -> Result<String, ServeError> {
-        self.skip_ws();
-        if self.peek() != Some(b'"') {
-            return Err(self.err("expected a string"));
-        }
-        self.pos += 1;
-        let mut out = String::new();
-        loop {
-            if out.len() > MAX_STRING_LEN {
-                return Err(self.err(format_args!("string exceeds {MAX_STRING_LEN} bytes")));
-            }
-            let Some(c) = self.peek() else {
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => out.push(self.unicode_escape()?),
-                        other => {
-                            return Err(
-                                self.err(format_args!("bad escape '\\{}'", other as char))
-                            )
-                        }
-                    }
-                }
-                0x00..=0x1f => return Err(self.err("raw control byte in string")),
-                _ => {
-                    // Re-scan the full UTF-8 sequence starting at c.
-                    let start = self.pos - 1;
-                    let len = utf8_len(c).ok_or_else(|| self.err("invalid UTF-8"))?;
-                    let end = start + len;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or_else(|| self.err("truncated UTF-8 sequence"))?;
-                    let s = std::str::from_utf8(chunk)
-                        .map_err(|_| self.err("invalid UTF-8 sequence"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn unicode_escape(&mut self) -> Result<char, ServeError> {
-        let first = self.hex4()?;
-        if (0xD800..=0xDBFF).contains(&first) {
-            // High surrogate: require the paired low surrogate.
-            if self.bytes.get(self.pos..self.pos + 2) != Some(b"\\u") {
-                return Err(self.err("lone high surrogate"));
-            }
-            self.pos += 2;
-            let second = self.hex4()?;
-            if !(0xDC00..=0xDFFF).contains(&second) {
-                return Err(self.err("invalid low surrogate"));
-            }
-            let combined = 0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00);
-            char::from_u32(combined).ok_or_else(|| self.err("invalid surrogate pair"))
-        } else if (0xDC00..=0xDFFF).contains(&first) {
-            Err(self.err("lone low surrogate"))
-        } else {
-            char::from_u32(first).ok_or_else(|| self.err("invalid \\u escape"))
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, ServeError> {
-        let chunk = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let text =
-            std::str::from_utf8(chunk).map_err(|_| self.err("non-hex \\u escape"))?;
-        let v = u32::from_str_radix(text, 16).map_err(|_| self.err("non-hex \\u escape"))?;
-        self.pos += 4;
-        Ok(v)
-    }
-}
-
-/// Bytes in the UTF-8 sequence led by `first`, or `None` for an invalid
-/// lead byte (continuation bytes and overlong leads).
-fn utf8_len(first: u8) -> Option<usize> {
-    match first {
-        0x20..=0x7f => Some(1),
-        0xc2..=0xdf => Some(2),
-        0xe0..=0xef => Some(3),
-        0xf0..=0xf4 => Some(4),
-        _ => None,
-    }
+    Ok(fields)
 }
 
 // --- field accessors over the parsed object --------------------------------
@@ -815,7 +596,8 @@ fn parse_request(line: &[u8]) -> Result<Request, ServeError> {
     if trimmed.is_empty() {
         return Err(ServeError::Parse("empty request line".into()));
     }
-    let fields = JsonParser::new(trimmed.as_bytes()).object()?;
+    let doc = json::parse(trimmed).map_err(|e| ServeError::Parse(e.to_string()))?;
+    let fields = flat_fields(doc)?;
     let kind = req_str(&fields, "kind")?;
     match kind.as_str() {
         "capture" => {
@@ -929,38 +711,19 @@ fn parse_request(line: &[u8]) -> Result<Request, ServeError> {
 // Responses
 // ---------------------------------------------------------------------------
 
-/// Escapes a string for embedding in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn error_response(job: &str, e: &ServeError) -> String {
     format!(
         "{{\"ok\":false,\"job\":\"{}\",\"error\":{{\"type\":\"{}\",\"message\":\"{}\"}}}}",
-        json_escape(job),
+        json::escape(job),
         e.type_name(),
-        json_escape(&e.to_string()),
+        json::escape(&e.to_string()),
     )
 }
 
 fn ok_response(job: &str, kind: &str, seq: u64, payload: &str) -> String {
     let mut out = format!(
         "{{\"ok\":true,\"job\":\"{}\",\"kind\":\"{kind}\",\"seq\":{seq}",
-        json_escape(job)
+        json::escape(job)
     );
     if !payload.is_empty() {
         out.push(',');
@@ -1320,7 +1083,7 @@ fn jobs_json(shared: &Arc<Shared>) -> String {
             out,
             "{{\"job\":\"{}\",\"kind\":\"{}\",\"status\":\"{}\",\"seq\":{},\
              \"queue_ms\":{:.3},\"wall_ms\":{:.3},\"error\":{}}}",
-            json_escape(&r.job),
+            json::escape(&r.job),
             r.kind,
             r.status.name(),
             match r.completed_seq {
@@ -1330,7 +1093,7 @@ fn jobs_json(shared: &Arc<Shared>) -> String {
             r.queued.as_secs_f64() * 1e3,
             r.wall.as_secs_f64() * 1e3,
             match &r.error {
-                Some(e) => format!("\"{}\"", json_escape(e)),
+                Some(e) => format!("\"{}\"", json::escape(e)),
                 None => "null".into(),
             },
         );
@@ -1445,8 +1208,8 @@ fn execute(shared: &Arc<Shared>, job: &str, request: &Request) -> Result<String,
                     payload,
                     "{{\"id\":\"{}\",\"workload\":\"{}\",\"events\":{},\"accesses\":{},\
                      \"image_len\":{},\"segments\":{}}}",
-                    json_escape(&t.id),
-                    json_escape(&t.meta.workload),
+                    json::escape(&t.id),
+                    json::escape(&t.meta.workload),
                     t.events,
                     t.accesses,
                     t.image_len,
@@ -1459,7 +1222,7 @@ fn execute(shared: &Arc<Shared>, job: &str, request: &Request) -> Result<String,
         Request::Evict { id } => {
             let mut store = shared.lock_store();
             store.evict(id)?;
-            Ok(format!("\"evicted\":\"{}\"", json_escape(id)))
+            Ok(format!("\"evicted\":\"{}\"", json::escape(id)))
         }
         Request::Capture { id, spec, grains } => {
             let w = spec.build()?;
@@ -1474,7 +1237,7 @@ fn execute(shared: &Arc<Shared>, job: &str, request: &Request) -> Result<String,
             Ok(format!(
                 "\"id\":\"{}\",\"events\":{},\"accesses\":{},\"image_len\":{},\
                  \"image_crc\":{},\"segments\":{}",
-                json_escape(id),
+                json::escape(id),
                 entry.events,
                 entry.accesses,
                 entry.image_len,
@@ -1595,7 +1358,7 @@ fn execute_replay(
     }
     let mut payload = format!(
         "\"id\":\"{}\",\"events\":{},\"profiles_crc\":{profiles_crc},\"grains\":[",
-        json_escape(&req.id),
+        json::escape(&req.id),
         buffer.events(),
     );
     for (i, p) in partial.profiles.iter().enumerate() {
