@@ -32,8 +32,8 @@
 //! thread rungs measure partition overhead rather than scaling.
 
 use reuselens::core::{
-    analyze_buffer, analyze_buffer_checkpointed, analyze_buffer_with, capture_program,
-    AnalyzeOptions, CheckpointOptions, ReplayThreads, SamplingConfig,
+    analyze_buffer, analyze_buffer_with, capture_program, AnalyzeOptions, CheckpointOptions,
+    ReplayThreads, SamplingConfig,
 };
 use reuselens::obs::{self, MetricsRecorder, ServiceConfig, TelemetryService};
 use reuselens::workloads::{gtc, sweep3d, BuiltWorkload};
@@ -181,17 +181,18 @@ fn best_checkpointed_replay_wall(
     reps: usize,
 ) -> Duration {
     let dir = std::env::temp_dir().join(format!("reuselens-ckpt-bench-{}", std::process::id()));
-    let ckpt = CheckpointOptions {
-        dir: dir.clone(),
-        every: (buffer.events() / 4).max(1),
-        resume: false,
+    let opts = AnalyzeOptions {
+        checkpoint: Some(CheckpointOptions {
+            dir: dir.clone(),
+            every: (buffer.events() / 4).max(1),
+            resume: false,
+        }),
+        ..AnalyzeOptions::default()
     };
-    let opts = AnalyzeOptions::default();
     let wall = (0..reps.max(1))
         .map(|_| {
             let t = Instant::now();
-            let partial = analyze_buffer_checkpointed(program, buffer, &[grain], &opts, &ckpt)
-                .expect("checkpointed replay");
+            let partial = analyze_buffer_with(program, buffer, &[grain], &opts);
             assert!(partial.is_complete(), "checkpointed replay failed");
             std::hint::black_box(partial);
             t.elapsed()

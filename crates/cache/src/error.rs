@@ -232,6 +232,7 @@ impl From<AnalysisError> for ReuseLensError {
             AnalysisError::Exec(e) => ReuseLensError::Exec(e),
             AnalysisError::Decode(e) => ReuseLensError::Decode(e),
             AnalysisError::Budget(e) => ReuseLensError::Budget(e),
+            AnalysisError::Checkpoint(e) => ReuseLensError::Snapshot(e),
             AnalysisError::GrainPanicked {
                 block_size,
                 message,

@@ -10,7 +10,7 @@ use crate::config::MemoryHierarchy;
 use crate::error::ReuseLensError;
 use crate::model::{predict_level, LevelPrediction};
 use crate::timing::{predict_cycles, TimingBreakdown};
-use reuselens_core::{analyze_program, analyze_program_parallel, AnalysisResult};
+use reuselens_core::{analyze_buffer, analyze_program, capture_program, AnalysisResult};
 use reuselens_ir::{ArrayId, Program};
 use reuselens_obs as obs;
 use reuselens_trace::ExecError;
@@ -356,7 +356,9 @@ pub fn evaluate_program_sweep(
         .collect();
     grains.sort_unstable();
     grains.dedup();
-    let (analysis, _stats) = analyze_program_parallel(program, &grains, index_arrays)?;
+    let (buffer, exec) = capture_program(program, index_arrays)?;
+    let (profiles, _timings) = analyze_buffer(program, &buffer, &grains)?;
+    let analysis = AnalysisResult { profiles, exec };
     let (reports, _timings) = evaluate_sweep(&analysis, hierarchies)?;
     Ok((reports, analysis))
 }

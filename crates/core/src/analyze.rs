@@ -1,23 +1,31 @@
-//! One-call program analysis: execute a program once, measure reuse at
-//! several granularities.
+//! Program analysis: execute a program once, measure reuse at several
+//! granularities.
 //!
 //! Two pipelines produce bit-identical profiles:
 //!
 //! * **Online** ([`analyze_program`]) — every grain's analyzer observes the
 //!   event stream while the program is interpreted, as the paper's
-//!   instrumented binaries do.
-//! * **Capture + replay** ([`analyze_program_parallel`]) — the program is
-//!   interpreted exactly once into a compact [`TraceBuffer`]; each grain
-//!   then replays the buffer on its own thread. Decoding the buffer is far
-//!   cheaper than re-interpreting the program, and the per-grain analyzers
-//!   share nothing, so the replays are embarrassingly parallel.
+//!   instrumented binaries do. It is the reference the replay pipeline is
+//!   checked against.
+//! * **Capture + replay** ([`capture_program`], then [`analyze_buffer`] or
+//!   [`analyze_buffer_with`]) — the program is interpreted exactly once
+//!   into a compact [`TraceBuffer`]; each grain then replays the buffer on
+//!   its own thread. Decoding the buffer is far cheaper than
+//!   re-interpreting the program, and the per-grain analyzers share
+//!   nothing, so the replays are embarrassingly parallel.
 //!
-//! The replay pipeline can additionally run each grain through the
-//! constant-space [`SampledAnalyzer`] instead of the exact analyzer: set
-//! [`AnalyzeOptions::sampling`] and use [`analyze_buffer_with`] or
-//! [`analyze_program_degraded`].
-//! Exact mode stays the default and its output is bit-identical to a
-//! build without the knob.
+//! [`analyze_buffer_with`] is the one call for every replay configuration;
+//! each knob is a field of [`AnalyzeOptions`]: sampling (the
+//! constant-space [`SampledAnalyzer`]), intra-grain partitioned replay,
+//! validation, a resource budget, and crash-safe checkpointing. Exact mode
+//! with default options stays the default, and its output is bit-identical
+//! to a build without the knobs.
+//!
+//! Under it sit two engines per grain: the time-partitioned engine
+//! (`replay_threads` > 1) and **one serial loop**, which advances the
+//! unchecked decoder ([`TraceBuffer::replay_advance`]) in steps of at most
+//! 4096 events, publishing progress and checking the budget after each
+//! step and writing a snapshot at every checkpoint boundary.
 //!
 //! ## Fault tolerance
 //!
@@ -31,14 +39,14 @@
 //!   sequential single-grain retry pass (transient panics get one more
 //!   chance on an otherwise idle machine before the grain is declared
 //!   dead);
-//! * [`AnalyzeOptions`] can route replay through the validating decoder
-//!   ([`TraceBuffer::try_replay`]) and enforce an [`AnalysisBudget`], so
+//! * [`AnalyzeOptions`] can validate the buffer up front
+//!   ([`TraceBuffer::validate`]) and enforce an [`AnalysisBudget`], so
 //!   corrupted captures surface as [`DecodeError`]s and runaway traces
 //!   stop with [`BudgetExceeded`] — both carrying diagnostics, neither
-//!   panicking;
-//! * the strict entry points ([`analyze_buffer`],
-//!   [`analyze_program_parallel`]) return `Result` and map the first grain
-//!   failure into an [`AnalysisError`].
+//!   panicking; a checkpoint I/O failure is that grain's
+//!   [`GrainError::Checkpoint`];
+//! * [`analyze_buffer`] and [`PartialAnalysis::into_strict`] return
+//!   `Result` and map the first grain failure into an [`AnalysisError`].
 
 use crate::analyzer::{MultiGrainAnalyzer, ReuseAnalyzer};
 use crate::budget::{AnalysisBudget, BudgetExceeded, BudgetProgress};
@@ -52,8 +60,8 @@ use crate::snapshot::{
 use reuselens_ir::{AccessKind, ArrayId, Program, RefId, ScopeId};
 use reuselens_obs as obs;
 use reuselens_trace::{
-    AccessRecord, BufferStats, DecodeError, Event, ExecError, ExecReport, Executor, SegmentState,
-    SoaBatch, TraceBuffer, TraceSink,
+    AccessRecord, DecodeError, ExecError, ExecReport, Executor, SegmentState, TraceBuffer,
+    TraceSink,
 };
 use std::error::Error;
 use std::fmt;
@@ -63,13 +71,13 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Events per batch on the guarded (validated / budgeted) replay path;
-/// matches the trace buffer's internal batching.
-const GUARDED_BATCH: usize = 256;
+/// Events the serial grain loop replays between progress publications and
+/// budget checks. A checkpoint boundary also ends a step.
+const STEP: u64 = 4096;
 
-/// Why one grain's replay failed. Deterministic failures (decode, budget)
-/// are not retried; panics get one sequential retry before the grain is
-/// declared dead.
+/// Why one grain's replay failed. Deterministic failures (decode, budget,
+/// checkpoint I/O) are not retried; panics get one sequential retry before
+/// the grain is declared dead.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GrainError {
     /// The grain's replay thread panicked; the payload's message, or
@@ -79,6 +87,10 @@ pub enum GrainError {
     Decode(DecodeError),
     /// The grain crossed its resource budget.
     Budget(BudgetExceeded),
+    /// Checkpoint I/O failed: the checkpoint directory could not be
+    /// created or listed, or a snapshot could not be written. Corrupted
+    /// snapshot *files* are never an error — resume skips them.
+    Checkpoint(SnapshotError),
 }
 
 impl fmt::Display for GrainError {
@@ -87,6 +99,7 @@ impl fmt::Display for GrainError {
             GrainError::Panicked(msg) => write!(f, "replay thread panicked: {msg}"),
             GrainError::Decode(e) => write!(f, "trace decode failed: {e}"),
             GrainError::Budget(e) => e.fmt(f),
+            GrainError::Checkpoint(e) => write!(f, "checkpoint failed: {e}"),
         }
     }
 }
@@ -102,6 +115,8 @@ pub enum AnalysisError {
     Decode(DecodeError),
     /// A grain crossed its resource budget.
     Budget(BudgetExceeded),
+    /// A grain's checkpoint I/O failed.
+    Checkpoint(SnapshotError),
     /// A grain's replay thread panicked (after the retry pass).
     GrainPanicked {
         /// Block size of the failed grain.
@@ -117,6 +132,7 @@ impl fmt::Display for AnalysisError {
             AnalysisError::Exec(e) => e.fmt(f),
             AnalysisError::Decode(e) => write!(f, "trace decode failed: {e}"),
             AnalysisError::Budget(e) => e.fmt(f),
+            AnalysisError::Checkpoint(e) => write!(f, "checkpoint failed: {e}"),
             AnalysisError::GrainPanicked {
                 block_size,
                 message,
@@ -131,6 +147,7 @@ impl Error for AnalysisError {
             AnalysisError::Exec(e) => Some(e),
             AnalysisError::Decode(e) => Some(e),
             AnalysisError::Budget(e) => Some(e),
+            AnalysisError::Checkpoint(e) => Some(e),
             AnalysisError::GrainPanicked { .. } => None,
         }
     }
@@ -219,19 +236,6 @@ pub fn analyze_program(
     })
 }
 
-/// Wall-clock and buffer statistics from a capture + parallel-replay run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnalysisStats {
-    /// Time to interpret the program once into the trace buffer.
-    pub capture_wall: Duration,
-    /// Size and compression statistics of the captured buffer.
-    pub buffer: BufferStats,
-    /// Per-grain replay wall time, in request order. Each entry is the time
-    /// the grain's own thread spent decoding the buffer and updating its
-    /// analyzer; the slowest entry bounds the parallel phase.
-    pub replays: Vec<ReplayTiming>,
-}
-
 /// Wall time one grain's replay thread took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplayTiming {
@@ -243,11 +247,38 @@ pub struct ReplayTiming {
 
 /// Interprets `program` exactly once and returns the captured trace plus
 /// the executor's report. The buffer can then be replayed any number of
-/// times — per grain, per experiment — without re-interpreting.
+/// times — per grain, per experiment — without re-interpreting, by
+/// [`analyze_buffer`] or [`analyze_buffer_with`].
 ///
 /// # Errors
 ///
 /// Propagates any [`ExecError`] from the executor.
+///
+/// # Examples
+///
+/// ```
+/// use reuselens_core::{analyze_buffer, analyze_program, capture_program};
+/// use reuselens_ir::ProgramBuilder;
+///
+/// let mut p = ProgramBuilder::new("demo");
+/// let a = p.array("a", 8, &[256]);
+/// p.routine("main", |r| {
+///     r.for_("t", 0, 2, |r, _| {
+///         r.for_("i", 0, 255, |r, i| {
+///             r.load(a, vec![i.into()]);
+///         });
+///     });
+/// });
+/// let prog = p.finish();
+/// let (buffer, exec) = capture_program(&prog, vec![])?;
+/// let (profiles, timings) = analyze_buffer(&prog, &buffer, &[64, 4096])?;
+/// let online = analyze_program(&prog, &[64, 4096], vec![])?;
+/// assert_eq!(profiles, online.profiles);
+/// assert_eq!(exec, online.exec);
+/// assert_eq!(timings.len(), 2);
+/// assert!(buffer.stats().encoded_bytes < buffer.stats().raw_bytes);
+/// # Ok::<(), reuselens_core::AnalysisError>(())
+/// ```
 pub fn capture_program(
     program: &Program,
     index_arrays: Vec<(ArrayId, Vec<i64>)>,
@@ -268,19 +299,23 @@ pub fn capture_program(
     Ok((buffer, report))
 }
 
-/// Knobs for the fault-tolerant replay pipeline
-/// ([`analyze_buffer_with`] / [`analyze_program_degraded`]).
+/// Every knob of the replay pipeline ([`analyze_buffer_with`]). The
+/// defaults run exact, unchecked, unbudgeted serial replay with no
+/// checkpoints — the configuration [`analyze_buffer`] uses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalyzeOptions {
-    /// Resource caps per grain; unlimited by default.
+    /// Resource caps per grain; unlimited by default. A budgeted grain is
+    /// validated up front like [`validate`](Self::validate) asks, so a
+    /// malformed buffer is reported as a decode error, not a budget trip.
     pub budget: AnalysisBudget,
-    /// Route replay through the validating decoder even with an unlimited
-    /// budget (budgeted replay always validates). Off by default: buffers
-    /// captured in-process are trusted and take the unchecked fast path.
+    /// Run the validating decoder ([`TraceBuffer::validate`]) over the
+    /// whole buffer before replaying, so corruption surfaces as
+    /// [`GrainError::Decode`]. Off by default: buffers captured in-process
+    /// are trusted and replay on the unchecked fast path.
     pub validate: bool,
     /// Retry a *panicked* grain once, sequentially, before declaring it
-    /// dead. Deterministic failures (decode, budget) are never retried.
-    /// On by default.
+    /// dead. Deterministic failures (decode, budget, checkpoint) are never
+    /// retried. On by default.
     pub retry: bool,
     /// How to sample the block stream. [`SamplingConfig::Exact`] (the
     /// default) runs the exact analyzer and produces output bit-identical
@@ -293,8 +328,12 @@ pub struct AnalyzeOptions {
     /// than one partition, exact and fixed-rate-sampled replays run the
     /// time-partitioned engine (see [`crate::ReplayThreads`]) with
     /// bit-identical output; adaptive sampling is inherently sequential
-    /// and falls back to serial replay.
+    /// and checkpointed runs stream, so both fall back to serial replay.
     pub replay_threads: ReplayThreads,
+    /// Crash-safe checkpointing (`None` by default): snapshot each grain's
+    /// full analyzer state at regular event intervals and optionally
+    /// resume from the newest valid snapshot. See [`CheckpointOptions`].
+    pub checkpoint: Option<CheckpointOptions>,
     /// Daemon job this replay runs on behalf of, threaded verbatim into
     /// every [`FailureReport`] and `grain_failed` telemetry event so a
     /// multi-tenant daemon can attribute failures to the request that
@@ -310,9 +349,46 @@ impl Default for AnalyzeOptions {
             retry: true,
             sampling: SamplingConfig::Exact,
             replay_threads: ReplayThreads::Serial,
+            checkpoint: None,
             job: None,
         }
     }
+}
+
+/// Where and how often a checkpointed replay
+/// ([`AnalyzeOptions::checkpoint`]) snapshots each grain, and whether it
+/// looks for earlier snapshots to resume from.
+///
+/// Each grain serializes its **complete analyzer state** at every interior
+/// interval boundary, so a run killed at any point — including mid-write —
+/// can be rerun with [`resume`](Self::resume) set and continue from the
+/// newest intact snapshot. A resumed run's profiles are bit-identical to
+/// an uninterrupted run's, for the exact and the sampled engine alike. A
+/// snapshot is only resumed from after full validation (framing, CRCs,
+/// version, agreement with this program and trace); anything torn,
+/// truncated, bit-flipped or version-skewed is counted and skipped in
+/// favor of the next-newest file.
+///
+/// Grains replay in parallel, one thread each, and their snapshot files
+/// are named per grain, so the requested grains must be distinct.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckpointOptions {
+    /// Directory holding the snapshot files. Created if missing; one file
+    /// per grain and checkpoint boundary, named by
+    /// [`snapshot_file_name`](crate::snapshot_file_name).
+    pub dir: PathBuf,
+    /// Trace events between checkpoints, counted from the start or resume
+    /// point. Values below 1 behave as 1. Each interior multiple of this
+    /// interval writes one snapshot per grain; a finished grain writes
+    /// none (its profile is the result).
+    pub every: u64,
+    /// Scan `dir` for this analysis's snapshots before replaying and
+    /// resume from the newest one that validates end to end. Corrupted,
+    /// torn, version-skewed, or mismatched files are rejected (counted on
+    /// [`obs::Counter::CheckpointsRejected`]) and the scan falls back to
+    /// the next-newest; with no valid snapshot the grain starts from the
+    /// beginning.
+    pub resume: bool,
 }
 
 /// One grain's failure, reported inside a [`PartialAnalysis`].
@@ -326,9 +402,11 @@ pub struct FailureReport {
     /// grain dead.
     pub retried: bool,
     /// Trace events the grain had processed when the final attempt
-    /// failed — how far the replay got before dying, so degraded and
-    /// resumed runs can report exact progress instead of discarding it.
-    /// Counted at batch granularity on the fast path.
+    /// failed — how far the replay got before dying. Serial grains publish
+    /// progress once per replay step (at most 4096 events, or a
+    /// checkpoint boundary), so this is the last step boundary reached; a
+    /// resumed grain starts from its snapshot's event. A failure found by
+    /// up-front validation, and any partitioned-replay failure, reports 0.
     pub events: u64,
     /// Daemon job the grain was replayed for ([`AnalyzeOptions::job`]);
     /// `None` outside the daemon. Carried through the degradation path so
@@ -398,6 +476,7 @@ impl PartialAnalysis {
             Some(f) => Err(match f.error {
                 GrainError::Decode(e) => AnalysisError::Decode(e),
                 GrainError::Budget(e) => AnalysisError::Budget(e),
+                GrainError::Checkpoint(e) => AnalysisError::Checkpoint(e),
                 GrainError::Panicked(message) => AnalysisError::GrainPanicked {
                     block_size: f.block_size,
                     message,
@@ -420,7 +499,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// One grain's measurement engine: the exact analyzer or its
 /// constant-space sampled counterpart, behind one [`TraceSink`] surface so
-/// the fast and guarded replay paths serve both modes.
+/// the serial replay loop serves both modes.
 enum GrainAnalyzer {
     Exact(ReuseAnalyzer),
     Sampled(SampledAnalyzer),
@@ -491,37 +570,6 @@ struct GrainFailure {
     events: u64,
 }
 
-/// Forwards a replay stream to a [`GrainAnalyzer`] while publishing the
-/// number of events delivered into an atomic cell — progress stays
-/// readable after the analyzer panics mid-stream, at batch granularity.
-struct CountingSink<'a> {
-    inner: &'a mut GrainAnalyzer,
-    events: &'a AtomicU64,
-}
-
-impl TraceSink for CountingSink<'_> {
-    fn access(&mut self, r: RefId, addr: u64, size: u32, kind: AccessKind) {
-        self.events.fetch_add(1, Ordering::Relaxed);
-        self.inner.access(r, addr, size, kind);
-    }
-    fn enter(&mut self, scope: ScopeId) {
-        self.events.fetch_add(1, Ordering::Relaxed);
-        self.inner.enter(scope);
-    }
-    fn exit(&mut self, scope: ScopeId) {
-        self.events.fetch_add(1, Ordering::Relaxed);
-        self.inner.exit(scope);
-    }
-    fn access_batch(&mut self, batch: &[AccessRecord]) {
-        self.events.fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.inner.access_batch(batch);
-    }
-    fn access_soa(&mut self, batch: &SoaBatch) {
-        self.events.fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.inner.access_soa(batch);
-    }
-}
-
 impl TraceSink for GrainAnalyzer {
     fn access(&mut self, r: RefId, addr: u64, size: u32, kind: AccessKind) {
         match self {
@@ -568,72 +616,6 @@ fn check_budget(
     budget.check(progress).map_err(GrainError::Budget)
 }
 
-/// Replays `buffer` through `analyzer` on the validating decoder,
-/// checking the budget once per batch. Publishes decoded-event progress
-/// into `progress` so a failure still reports how far the grain got.
-fn replay_guarded(
-    buffer: &TraceBuffer,
-    analyzer: &mut GrainAnalyzer,
-    budget: &AnalysisBudget,
-    progress: &AtomicU64,
-) -> Result<(), GrainError> {
-    let mut batch: Vec<AccessRecord> = Vec::with_capacity(GUARDED_BATCH);
-    let mut events = 0u64;
-    let mut accesses = 0u64;
-    for event in buffer.try_iter() {
-        events += 1;
-        progress.store(events, Ordering::Relaxed);
-        match event.map_err(GrainError::Decode)? {
-            Event::Access { r, addr, size, kind } => {
-                accesses += 1;
-                batch.push(AccessRecord { r, addr, size, kind });
-                if batch.len() == GUARDED_BATCH {
-                    analyzer.access_batch(&batch);
-                    batch.clear();
-                    check_budget(budget, analyzer, events)?;
-                }
-            }
-            // A scope event flushes the accesses before it (flushing an
-            // empty batch is a no-op).
-            Event::Enter(scope) => {
-                analyzer.access_batch(&batch);
-                batch.clear();
-                analyzer.enter(scope);
-            }
-            Event::Exit(scope) => {
-                analyzer.access_batch(&batch);
-                batch.clear();
-                analyzer.exit(scope);
-            }
-        }
-    }
-    analyzer.access_batch(&batch);
-    obs::add(obs::Counter::EventsDecoded, events);
-    obs::add(obs::Counter::AccessesDecoded, accesses);
-    check_budget(budget, analyzer, events)
-}
-
-/// Where and how often [`analyze_buffer_checkpointed`] snapshots its
-/// progress, and whether it looks for earlier snapshots to resume from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointOptions {
-    /// Directory holding the snapshot files. Created if missing; one file
-    /// per grain and checkpoint boundary, named by
-    /// [`snapshot_file_name`](crate::snapshot_file_name).
-    pub dir: PathBuf,
-    /// Trace events between checkpoints. Values below 1 behave as 1. Each
-    /// interior multiple of this interval writes one snapshot per grain;
-    /// a finished grain writes none (its profile is the result).
-    pub every: u64,
-    /// Scan `dir` for this analysis's snapshots before replaying and
-    /// resume from the newest one that validates end to end. Corrupted,
-    /// torn, version-skewed, or mismatched files are rejected (counted on
-    /// [`obs::Counter::CheckpointsRejected`]) and the scan falls back to
-    /// the next-newest; with no valid snapshot the grain starts from the
-    /// beginning.
-    pub resume: bool,
-}
-
 /// Scans the checkpoint directory for this grain's snapshots, newest
 /// first, and rebuilds the analyzer from the first one that passes every
 /// check: intact framing and CRCs, matching grain/engine/program shape,
@@ -642,8 +624,8 @@ pub struct CheckpointOptions {
 /// scan — recovery from a torn newest checkpoint is falling back to the
 /// one before it.
 ///
-/// Only I/O on the directory listing itself is fatal; every per-file
-/// failure is counted and skipped.
+/// Only I/O on the directory listing itself fails the grain; every
+/// per-file failure is counted and skipped.
 fn resume_grain(
     program: &Program,
     buffer: &TraceBuffer,
@@ -720,24 +702,34 @@ fn resume_grain(
     Ok(None)
 }
 
-/// The checkpointed replay loop: resume (optionally), then alternate
-/// chunks of [`TraceBuffer::replay_advance`] with snapshot writes at each
-/// interior `every`-event boundary. Publishes progress like the other
-/// paths.
-fn replay_checkpointed(
+/// The one serial replay loop. Resumes from the newest valid snapshot when
+/// asked, then advances the unchecked decoder in steps of at most
+/// [`STEP`] events, ending a step at each checkpoint boundary too. After
+/// every step it publishes progress and checks the budget (if one is
+/// set); at every interior checkpoint boundary it writes a snapshot.
+fn replay_serial(
     program: &Program,
     buffer: &TraceBuffer,
     block_size: u64,
     opts: &AnalyzeOptions,
-    ckpt: &CheckpointOptions,
     progress: &AtomicU64,
-) -> Result<GrainAnalyzer, Stop> {
+) -> Result<GrainAnalyzer, GrainError> {
     let sampled = !opts.sampling.is_exact();
-    let resumed = if ckpt.resume {
-        resume_grain(program, buffer, block_size, sampled, &ckpt.dir)?
-    } else {
-        None
-    };
+    let ckpt = opts.checkpoint.as_ref();
+    let mut resumed = None;
+    if let Some(ckpt) = ckpt {
+        fs::create_dir_all(&ckpt.dir).map_err(|e| {
+            GrainError::Checkpoint(SnapshotError::Io {
+                op: "create checkpoint directory",
+                path: ckpt.dir.clone(),
+                message: e.to_string(),
+            })
+        })?;
+        if ckpt.resume {
+            resumed = resume_grain(program, buffer, block_size, sampled, &ckpt.dir)
+                .map_err(GrainError::Checkpoint)?;
+        }
+    }
     let (mut analyzer, mut state) = resumed.unwrap_or_else(|| {
         (
             GrainAnalyzer::new(program, block_size, opts.sampling),
@@ -745,16 +737,17 @@ fn replay_checkpointed(
         )
     });
     progress.store(state.event, Ordering::Relaxed);
-    let every = ckpt.every.max(1);
-    let nrefs = program.references().len() as u32;
-    while state.event < buffer.events() {
-        let target = state.event.saturating_add(every).min(buffer.events());
+    let every = ckpt.map_or(u64::MAX, |c| c.every.max(1));
+    let mut boundary = state.event.saturating_add(every);
+    let end = buffer.events();
+    while state.event < end {
+        let target = state.event.saturating_add(STEP).min(boundary);
         buffer.replay_advance(&mut state, target, &mut analyzer);
         progress.store(state.event, Ordering::Relaxed);
         if !opts.budget.is_unlimited() {
             check_budget(&opts.budget, &analyzer, state.event)?;
         }
-        if state.event < buffer.events() {
+        if let Some(ckpt) = ckpt.filter(|_| state.event == boundary && state.event < end) {
             let _ckpt_span = obs::span(obs::Stage::Checkpoint);
             let mut enc = Enc::new();
             analyzer.snapshot_encode(&mut enc);
@@ -763,10 +756,11 @@ fn replay_checkpointed(
                 sampled,
                 events_replayed: state.event,
                 accesses_replayed: state.accesses,
-                nrefs,
+                nrefs: program.references().len() as u32,
             };
             let image = encode_snapshot(&header, &enc.buf);
-            write_snapshot_file(&ckpt.dir, block_size, state.event, &image)?;
+            write_snapshot_file(&ckpt.dir, block_size, state.event, &image)
+                .map_err(GrainError::Checkpoint)?;
             obs::add(obs::Counter::CheckpointsWritten, 1);
             obs::set_gauge(obs::Gauge::SnapshotBytes, image.len() as u64);
             obs::emit(obs::EventKind::CheckpointWritten {
@@ -774,29 +768,10 @@ fn replay_checkpointed(
                 events_replayed: state.event,
                 bytes: image.len() as u64,
             });
+            boundary = state.event.saturating_add(every);
         }
     }
     Ok(analyzer)
-}
-
-/// Why one grain's replay stopped short: a grain failure (kept as a
-/// [`FailureReport`]) or a checkpoint-infrastructure error that fails the
-/// whole call.
-enum Stop {
-    Grain(GrainError),
-    Snapshot(SnapshotError),
-}
-
-impl From<GrainError> for Stop {
-    fn from(e: GrainError) -> Stop {
-        Stop::Grain(e)
-    }
-}
-
-impl From<SnapshotError> for Stop {
-    fn from(e: SnapshotError) -> Stop {
-        Stop::Snapshot(e)
-    }
 }
 
 /// One grain's result: its profile, replay timing and final
@@ -805,19 +780,17 @@ type GrainOutcome = Result<(ReuseProfile, ReplayTiming, u64), GrainFailure>;
 
 /// One grain's replay, panic-isolated — every replay mode runs through it.
 ///
-/// Without checkpoint options the grain runs the partitioned engine when
+/// Validates the buffer first when [`AnalyzeOptions::validate`] or a
+/// budget is set. Then runs the partitioned engine when
 /// [`AnalyzeOptions::replay_threads`] resolves to more than one partition
-/// (adaptive sampling excepted), the guarded path under validation or a
-/// budget, and the unchecked fast path otherwise. With them it streams
-/// through [`replay_checkpointed`]. Only a checkpoint-infrastructure
-/// failure is an `Err`; a grain failure is an `Ok(Err(..))`.
+/// (adaptive sampling and checkpointing excepted), and [`replay_serial`]
+/// otherwise.
 fn replay_grain(
     program: &Program,
     buffer: &TraceBuffer,
     block_size: u64,
     opts: &AnalyzeOptions,
-    ckpt: Option<&CheckpointOptions>,
-) -> Result<GrainOutcome, SnapshotError> {
+) -> GrainOutcome {
     let mut span = obs::span_with(obs::Stage::Replay, || obs::TimelineArgs {
         grain: Some(block_size),
         ..obs::TimelineArgs::default()
@@ -827,19 +800,15 @@ fn replay_grain(
     // Progress lives outside the unwind boundary so a panicking analyzer
     // still leaves behind how many events it had processed.
     let progress = AtomicU64::new(0);
-    let outcome = panic::catch_unwind(AssertUnwindSafe(|| -> Result<(ReuseProfile, u64), Stop> {
-        let parts = opts.replay_threads.resolve();
-        let partitioned = ckpt.is_none()
-            && parts > 1
-            && !matches!(opts.sampling, SamplingConfig::Adaptive { .. });
-        // Validate-first: the partitioned and checkpointed engines decode
-        // on the unchecked fast path, so an explicit validation request
-        // runs the checking decoder over the whole buffer up front and
-        // surfaces the same `Decode` errors.
-        if opts.validate && (partitioned || ckpt.is_some()) {
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+        if opts.validate || !opts.budget.is_unlimited() {
             buffer.validate().map_err(GrainError::Decode)?;
         }
-        if partitioned {
+        let parts = opts.replay_threads.resolve();
+        if parts > 1
+            && opts.checkpoint.is_none()
+            && !matches!(opts.sampling, SamplingConfig::Adaptive { .. })
+        {
             return replay_partitioned(
                 program,
                 buffer,
@@ -847,25 +816,9 @@ fn replay_grain(
                 parts,
                 opts.sampling,
                 &opts.budget,
-            )
-            .map_err(Stop::Grain);
+            );
         }
-        let analyzer = match ckpt {
-            Some(ckpt) => replay_checkpointed(program, buffer, block_size, opts, ckpt, &progress)?,
-            None => {
-                let mut analyzer = GrainAnalyzer::new(program, block_size, opts.sampling);
-                if opts.validate || !opts.budget.is_unlimited() {
-                    replay_guarded(buffer, &mut analyzer, &opts.budget, &progress)?;
-                } else {
-                    let mut counting = CountingSink {
-                        inner: &mut analyzer,
-                        events: &progress,
-                    };
-                    buffer.replay(&mut counting);
-                }
-                analyzer
-            }
-        };
+        let analyzer = replay_serial(program, buffer, block_size, opts, &progress)?;
         // The exact set only grows during a replay, so its final size is
         // also its peak; a sampled set shrinks on eviction, making this
         // the final *tracked* count. Measured before `finish` consumes the
@@ -873,15 +826,11 @@ fn replay_grain(
         let tree_nodes = analyzer.tree_nodes() as u64;
         Ok((analyzer.finish(), tree_nodes))
     }))
-    .unwrap_or_else(|payload| Err(GrainError::Panicked(panic_message(payload.as_ref())).into()));
-    let (profile, tree_nodes) = match outcome {
-        Ok(done) => done,
-        Err(Stop::Snapshot(fatal)) => return Err(fatal),
-        Err(Stop::Grain(error)) => {
-            let events = progress.load(Ordering::Relaxed);
-            return Ok(Err(GrainFailure { error, events }));
-        }
-    };
+    .unwrap_or_else(|payload| Err(GrainError::Panicked(panic_message(payload.as_ref()))));
+    let (profile, tree_nodes) = outcome.map_err(|error| GrainFailure {
+        error,
+        events: progress.load(Ordering::Relaxed),
+    })?;
     match profile.sampling {
         None => {
             obs::add(obs::Counter::BlocksTracked, profile.distinct_blocks);
@@ -916,63 +865,62 @@ fn replay_grain(
         block_size,
         wall: start.elapsed(),
     };
-    Ok(Ok((profile, timing, tree_nodes)))
+    Ok((profile, timing, tree_nodes))
 }
 
-/// Replays every grain through [`replay_grain`] and folds the outcomes
-/// into a [`PartialAnalysis`] — the one fold behind plain and
-/// checkpointed replay: counters, telemetry events,
-/// [`obs::GrainProfile`]s, and the sequential retry of panicked grains.
-/// Without checkpoints every grain replays on its own thread before the
-/// fold; with them the grains replay one at a time inside it.
-fn analyze_grains(
+/// The replay pipeline: one fresh analyzer per block size, each replaying
+/// the shared buffer on its own thread **under panic isolation**, with
+/// every knob taken from `opts`. Grains that fail — by panic, decode
+/// rejection, budget exhaustion or checkpoint I/O — are reported in the
+/// returned [`PartialAnalysis`] without disturbing their siblings;
+/// panicked grains get one sequential retry first (when
+/// [`AnalyzeOptions::retry`] is set). Counters, telemetry events and
+/// [`obs::GrainProfile`]s are recorded per grain.
+///
+/// With default options the replay takes the same unchecked fast path as
+/// [`TraceBuffer::replay`].
+pub fn analyze_buffer_with(
     program: &Program,
     buffer: &TraceBuffer,
     block_sizes: &[u64],
     opts: &AnalyzeOptions,
-    ckpt: Option<&CheckpointOptions>,
-) -> Result<PartialAnalysis, SnapshotError> {
+) -> PartialAnalysis {
     obs::add(obs::Counter::GrainsRequested, block_sizes.len() as u64);
-    let replay = |block_size| replay_grain(program, buffer, block_size, opts, ckpt);
-    let concurrent: Vec<Option<Result<GrainOutcome, SnapshotError>>> = match ckpt {
-        Some(_) => block_sizes.iter().map(|_| None).collect(),
-        None => std::thread::scope(|s| {
-            let handles: Vec<_> = block_sizes
-                .iter()
-                .map(|&block_size| s.spawn(move || replay(block_size)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    // `replay_grain` catches panics itself; this is a
-                    // backstop for panics outside the catch (e.g. in the
-                    // timing code).
-                    Some(h.join().unwrap_or_else(|payload| {
-                        Ok(Err(GrainFailure {
-                            error: GrainError::Panicked(panic_message(payload.as_ref())),
-                            events: 0,
-                        }))
-                    }))
+    let replay = |block_size| replay_grain(program, buffer, block_size, opts);
+    let outcomes: Vec<GrainOutcome> = std::thread::scope(|s| {
+        let handles: Vec<_> = block_sizes
+            .iter()
+            .map(|&block_size| s.spawn(move || replay(block_size)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                // `replay_grain` catches panics itself; this is a backstop
+                // for panics outside the catch (e.g. in the timing code).
+                h.join().unwrap_or_else(|payload| {
+                    Err(GrainFailure {
+                        error: GrainError::Panicked(panic_message(payload.as_ref())),
+                        events: 0,
+                    })
                 })
-                .collect()
-        }),
-    };
+            })
+            .collect()
+    });
     let mut profiles = Vec::new();
     let mut replays = Vec::new();
     let mut failures = Vec::new();
-    for (&block_size, done) in block_sizes.iter().zip(concurrent) {
-        let outcome = done.unwrap_or_else(|| replay(block_size))?;
+    for (&block_size, outcome) in block_sizes.iter().zip(outcomes) {
         let (outcome, retried) = match outcome {
             // A panicked grain gets one sequential retry on an otherwise
-            // idle machine; decode and budget failures are deterministic,
-            // so retrying them would only repeat the work.
+            // idle machine; the other failures are deterministic, so
+            // retrying them would only repeat the work.
             Err(GrainFailure {
                 error: GrainError::Panicked(_),
                 ..
             }) if opts.retry => {
                 obs::add(obs::Counter::GrainsRetried, 1);
                 obs::emit(obs::EventKind::GrainRetried { grain: block_size });
-                (replay(block_size)?, true)
+                (replay(block_size), true)
             }
             other => (other, false),
         };
@@ -1031,43 +979,22 @@ fn analyze_grains(
             }
         }
     }
-    Ok(PartialAnalysis {
+    PartialAnalysis {
         profiles,
         replays,
         failures,
-    })
-}
-
-/// The fault-tolerant replay engine: one fresh [`ReuseAnalyzer`] per block
-/// size, each replaying the shared buffer on its own thread **under panic
-/// isolation**. Grains that fail — by panic, decode rejection, or budget
-/// exhaustion — are reported in the returned [`PartialAnalysis`] without
-/// disturbing their siblings; panicked grains get one sequential retry
-/// first (when [`AnalyzeOptions::retry`] is set).
-///
-/// With default options the replay takes the same unchecked fast path as
-/// [`TraceBuffer::replay`]; setting a budget or
-/// [`AnalyzeOptions::validate`] routes it through the validating decoder.
-pub fn analyze_buffer_with(
-    program: &Program,
-    buffer: &TraceBuffer,
-    block_sizes: &[u64],
-    opts: &AnalyzeOptions,
-) -> PartialAnalysis {
-    match analyze_grains(program, buffer, block_sizes, opts, None) {
-        Ok(partial) => partial,
-        // Snapshot errors come only from checkpoint I/O, and there is none.
-        Err(e) => unreachable!("replay without checkpoints hit a snapshot error: {e}"),
     }
 }
+
 /// Replays a captured buffer through one fresh [`ReuseAnalyzer`] per block
 /// size, each on its own thread, and returns the profiles in request order
 /// together with per-thread timings.
 ///
-/// This is the strict form: any grain failure is returned as an error
-/// (after all threads have been joined — a failing grain never aborts the
-/// process or poisons its siblings). Use [`analyze_buffer_with`] to keep
-/// the healthy grains' results instead.
+/// This is the strict form of [`analyze_buffer_with`] with default
+/// options: any grain failure is returned as an error (after all threads
+/// have been joined — a failing grain never aborts the process or poisons
+/// its siblings). Use [`analyze_buffer_with`] to keep the healthy grains'
+/// results instead.
 ///
 /// # Errors
 ///
@@ -1078,126 +1005,6 @@ pub fn analyze_buffer(
     block_sizes: &[u64],
 ) -> Result<(Vec<ReuseProfile>, Vec<ReplayTiming>), AnalysisError> {
     analyze_buffer_with(program, buffer, block_sizes, &AnalyzeOptions::default()).into_strict()
-}
-
-/// Crash-safe streaming form of [`analyze_buffer_with`]: each grain
-/// replays the buffer in chunks of [`CheckpointOptions::every`] events and
-/// serializes its **complete analyzer state** to
-/// [`CheckpointOptions::dir`] at every interior boundary, so a run killed
-/// at any point — including mid-write — can be rerun with
-/// [`CheckpointOptions::resume`] set and continue from the newest intact
-/// snapshot instead of the beginning.
-///
-/// Guarantees:
-///
-/// * **Bit-identical recovery** — a resumed run's profiles are equal, bit
-///   for bit, to an uninterrupted run's, for the exact and the sampled
-///   engine alike. (The streaming loop itself is serial and deterministic;
-///   [`AnalyzeOptions::replay_threads`] is ignored here, and serial exact
-///   profiles are bit-identical to partitioned ones anyway.)
-/// * **Hostile-input recovery** — a snapshot is only resumed from after
-///   full validation: framing, CRCs, version, and agreement with this
-///   program and trace. Anything torn, truncated, bit-flipped, or
-///   version-skewed is rejected with a typed [`SnapshotError`] internally,
-///   counted, and skipped in favor of the next-newest file.
-/// * The usual [`PartialAnalysis`] degradation: panicking or over-budget
-///   grains become [`FailureReport`]s, siblings survive.
-///
-/// Grains run sequentially (the point of checkpointing is surviving long
-/// unattended runs, not peak parallel throughput — use
-/// [`analyze_buffer_with`] when crash-safety is not needed).
-///
-/// # Errors
-///
-/// Only checkpoint-*infrastructure* failures fail the call: an unreadable
-/// checkpoint directory or an error while writing a snapshot (disk full,
-/// permissions). Corrupted snapshot *files* never do — they are fallback
-/// material, not errors.
-pub fn analyze_buffer_checkpointed(
-    program: &Program,
-    buffer: &TraceBuffer,
-    block_sizes: &[u64],
-    opts: &AnalyzeOptions,
-    ckpt: &CheckpointOptions,
-) -> Result<PartialAnalysis, SnapshotError> {
-    fs::create_dir_all(&ckpt.dir).map_err(|e| SnapshotError::Io {
-        op: "create checkpoint directory",
-        path: ckpt.dir.clone(),
-        message: e.to_string(),
-    })?;
-    analyze_grains(program, buffer, block_sizes, opts, Some(ckpt))
-}
-
-/// Capture-once / replay-many variant of [`analyze_program`]: interprets
-/// the program a single time into a [`TraceBuffer`], then replays it
-/// concurrently — one thread per requested block size. Produces profiles
-/// bit-identical to the online pipeline, plus timing and buffer statistics.
-///
-/// # Errors
-///
-/// Propagates any [`ExecError`] from the capture run, and any grain
-/// failure from the replay phase as an [`AnalysisError`].
-///
-/// # Examples
-///
-/// ```
-/// use reuselens_core::{analyze_program, analyze_program_parallel};
-/// use reuselens_ir::ProgramBuilder;
-///
-/// let mut p = ProgramBuilder::new("demo");
-/// let a = p.array("a", 8, &[256]);
-/// p.routine("main", |r| {
-///     r.for_("t", 0, 2, |r, _| {
-///         r.for_("i", 0, 255, |r, i| {
-///             r.load(a, vec![i.into()]);
-///         });
-///     });
-/// });
-/// let prog = p.finish();
-/// let (par, stats) = analyze_program_parallel(&prog, &[64, 4096], vec![])?;
-/// let online = analyze_program(&prog, &[64, 4096], vec![])?;
-/// assert_eq!(par.profiles, online.profiles);
-/// assert_eq!(stats.replays.len(), 2);
-/// assert!(stats.buffer.encoded_bytes < stats.buffer.raw_bytes);
-/// # Ok::<(), reuselens_core::AnalysisError>(())
-/// ```
-pub fn analyze_program_parallel(
-    program: &Program,
-    block_sizes: &[u64],
-    index_arrays: Vec<(ArrayId, Vec<i64>)>,
-) -> Result<(AnalysisResult, AnalysisStats), AnalysisError> {
-    let (partial, exec, stats) =
-        analyze_program_degraded(program, block_sizes, index_arrays, &AnalyzeOptions::default())?;
-    let (profiles, _) = partial.into_strict()?;
-    Ok((AnalysisResult { profiles, exec }, stats))
-}
-
-/// The degrading form of [`analyze_program_parallel`]: capture once, then
-/// replay every grain under panic isolation with the given options,
-/// returning whatever survived as a [`PartialAnalysis`] plus the capture
-/// report and statistics.
-///
-/// # Errors
-///
-/// Only the capture run can fail the whole call (there is nothing to
-/// replay without a trace); per-grain replay failures are reported inside
-/// the [`PartialAnalysis`].
-pub fn analyze_program_degraded(
-    program: &Program,
-    block_sizes: &[u64],
-    index_arrays: Vec<(ArrayId, Vec<i64>)>,
-    opts: &AnalyzeOptions,
-) -> Result<(PartialAnalysis, ExecReport, AnalysisStats), ExecError> {
-    let start = Instant::now();
-    let (buffer, report) = capture_program(program, index_arrays)?;
-    let capture_wall = start.elapsed();
-    let partial = analyze_buffer_with(program, &buffer, block_sizes, opts);
-    let stats = AnalysisStats {
-        capture_wall,
-        buffer: buffer.stats(),
-        replays: partial.replays.clone(),
-    };
-    Ok((partial, report, stats))
 }
 
 #[cfg(test)]
@@ -1241,15 +1048,16 @@ mod tests {
         let prog = p.finish();
         let grains = [64u64, 256, 4096];
         let online = analyze_program(&prog, &grains, vec![]).unwrap();
-        let (par, stats) = analyze_program_parallel(&prog, &grains, vec![]).unwrap();
-        assert_eq!(online.profiles, par.profiles);
-        assert_eq!(online.exec, par.exec);
-        assert_eq!(stats.replays.len(), grains.len());
-        for (timing, &g) in stats.replays.iter().zip(&grains) {
+        let (buffer, exec) = capture_program(&prog, vec![]).unwrap();
+        let (profiles, replays) = analyze_buffer(&prog, &buffer, &grains).unwrap();
+        assert_eq!(online.profiles, profiles);
+        assert_eq!(online.exec, exec);
+        assert_eq!(replays.len(), grains.len());
+        for (timing, &g) in replays.iter().zip(&grains) {
             assert_eq!(timing.block_size, g);
         }
-        assert_eq!(stats.buffer.accesses, online.exec.accesses);
-        assert!(stats.buffer.compression_ratio() > 1.0);
+        assert_eq!(buffer.stats().accesses, online.exec.accesses);
+        assert!(buffer.stats().compression_ratio() > 1.0);
     }
 
     #[test]
@@ -1267,8 +1075,9 @@ mod tests {
         let prog = p.finish();
         let idx: Vec<i64> = (0..32).map(|i| (i * 37) % 512).collect();
         let online = analyze_program(&prog, &[64], vec![(ix, idx.clone())]).unwrap();
-        let (par, _) = analyze_program_parallel(&prog, &[64], vec![(ix, idx)]).unwrap();
-        assert_eq!(online.profiles, par.profiles);
+        let (buffer, _) = capture_program(&prog, vec![(ix, idx)]).unwrap();
+        let (profiles, _) = analyze_buffer(&prog, &buffer, &[64]).unwrap();
+        assert_eq!(online.profiles, profiles);
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! abandonment, so the caller can report *how far* the analysis got and
 //! re-run with a larger budget if the trace is worth it.
 //!
-//! Budgets are enforced on the guarded replay path (see
-//! [`analyze_buffer_with`](crate::analyze_buffer_with)), checked once per
-//! decoded batch — cheap enough to leave on for untrusted inputs, precise
-//! to within one batch (256 events).
+//! Budgets are enforced by [`analyze_buffer_with`](crate::analyze_buffer_with):
+//! the serial loop checks them once per replay step, so a trip lands
+//! within 4096 events of the cap; the partitioned engine checks once per
+//! decoded batch. A budgeted grain also validates the buffer up front,
+//! so budgets are safe to leave on for untrusted inputs.
 
 use std::error::Error;
 use std::fmt;

@@ -22,12 +22,17 @@
 //! * a [dynamic scope stack](ScopeStack) searched for the carrying scope;
 //! * per-pattern [histograms](Histogram) with logarithmic bins.
 //!
-//! Start with [`analyze_program`] for the one-call API, or
-//! [`analyze_program_parallel`] to interpret the program once into a
-//! compact trace buffer and replay it concurrently — one thread per block
-//! granularity, with bit-identical profiles. Or drive a
-//! [`ReuseAnalyzer`] / [`MultiGrainAnalyzer`] through
-//! [`reuselens_trace::Executor`] yourself.
+//! Four calls cover whole-program analysis. [`analyze_program`] measures
+//! every grain online while the program runs. [`capture_program`]
+//! interprets the program once into a compact trace buffer, and
+//! [`analyze_buffer`] replays it concurrently — one thread per block
+//! granularity, with bit-identical profiles. [`analyze_buffer_with`] is
+//! the same replay with every knob in one [`AnalyzeOptions`]: sampling,
+//! partitioned replay threads, validation, a budget, and checkpointing.
+//! Each grain replays either on the time-partitioned engine or through
+//! one serial loop that steps the decoder, checks the budget, and writes
+//! snapshots between steps. Or drive a [`ReuseAnalyzer`] /
+//! [`MultiGrainAnalyzer`] through [`reuselens_trace::Executor`] yourself.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,10 +55,9 @@ mod spatial;
 mod timebits;
 
 pub use analyze::{
-    analyze_buffer, analyze_buffer_checkpointed, analyze_buffer_with, analyze_program,
-    analyze_program_degraded, analyze_program_parallel, capture_program, AnalysisError,
-    AnalysisResult, AnalysisStats, AnalyzeOptions, CheckpointOptions, FailureReport, GrainError,
-    PartialAnalysis, ReplayTiming,
+    analyze_buffer, analyze_buffer_with, analyze_program, capture_program, AnalysisError,
+    AnalysisResult, AnalyzeOptions, CheckpointOptions, FailureReport, GrainError, PartialAnalysis,
+    ReplayTiming,
 };
 pub use analyzer::{MultiGrainAnalyzer, ReuseAnalyzer};
 pub use partition::ReplayThreads;

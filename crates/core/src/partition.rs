@@ -56,7 +56,7 @@
 //! its (necessarily smaller) local footprint per batch, so memory stays
 //! bounded while replaying; the exact global footprint is re-checked
 //! after the stitch. A budgeted partitioned run trips the same
-//! [`BudgetLimit`](crate::BudgetLimit) kind as the serial guarded path.
+//! [`BudgetLimit`](crate::BudgetLimit) kind as the serial replay loop.
 
 use crate::analyze::GrainError;
 use crate::analyzer::{collect_patterns, SinkPatterns, WinEntry, WINDOW};

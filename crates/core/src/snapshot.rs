@@ -1,5 +1,5 @@
 //! Crash-safe analyzer snapshots: the checkpoint format behind
-//! [`analyze_buffer_checkpointed`](crate::analyze_buffer_checkpointed).
+//! [`AnalyzeOptions::checkpoint`](crate::AnalyzeOptions::checkpoint).
 //!
 //! A snapshot freezes one grain's full mid-stream analyzer state — clock,
 //! block table, order-statistic structure, recent-access window, scope

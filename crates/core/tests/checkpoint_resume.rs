@@ -29,8 +29,7 @@
 //! installs a recorder must not absorb a concurrent test's counters.
 
 use reuselens_core::{
-    analyze_buffer_checkpointed, analyze_buffer_with, snapshot_file_name, snapshot_meta,
-    AnalyzeOptions, CheckpointOptions, ReplayThreads, ReuseProfile, SamplingConfig, SnapshotError,
+    analyze_buffer_with, snapshot_file_name, snapshot_meta, AnalyzeOptions, CheckpointOptions, ReplayThreads, ReuseProfile, SamplingConfig, SnapshotError,
     SNAPSHOT_VERSION,
 };
 use reuselens_ir::{AccessKind, Program, ProgramBuilder, RefId, ScopeId};
@@ -141,6 +140,14 @@ fn ckpt(dir: &Path, every: u64, resume: bool) -> CheckpointOptions {
     }
 }
 
+/// `opts` with checkpointing switched on.
+fn with_ckpt(opts: &AnalyzeOptions, ckpt: &CheckpointOptions) -> AnalyzeOptions {
+    AnalyzeOptions {
+        checkpoint: Some(ckpt.clone()),
+        ..opts.clone()
+    }
+}
+
 /// Uninterrupted baseline profiles, strict.
 fn baseline(program: &Program, buf: &TraceBuffer, opts: &AnalyzeOptions) -> Vec<ReuseProfile> {
     let (profiles, _timings) = analyze_buffer_with(program, buf, &GRAINS, opts)
@@ -156,8 +163,7 @@ fn checkpointed(
     opts: &AnalyzeOptions,
     ckpt: &CheckpointOptions,
 ) -> Vec<ReuseProfile> {
-    let (profiles, _timings) = analyze_buffer_checkpointed(program, buf, &GRAINS, opts, ckpt)
-        .expect("checkpoint infrastructure must hold")
+    let (profiles, _timings) = analyze_buffer_with(program, buf, &GRAINS, &with_ckpt(opts, ckpt))
         .into_strict()
         .expect("checkpointed replay must complete");
     profiles
@@ -312,8 +318,8 @@ fn every_torn_newest_snapshot_recovers_bit_identically() {
     let grain = [64u64];
     let serial_one = vec![serial[1].clone()];
     let dir = temp_dir("crashpoint");
-    let populate = analyze_buffer_checkpointed(&program, &buf, &grain, &opts, &ckpt(&dir, 128, false))
-        .expect("populate")
+    let populate_opts = with_ckpt(&opts, &ckpt(&dir, 128, false));
+    let populate = analyze_buffer_with(&program, &buf, &grain, &populate_opts)
         .into_strict()
         .expect("populate strict")
         .0;
@@ -327,14 +333,12 @@ fn every_torn_newest_snapshot_recovers_bit_identically() {
         let torn = cp.into_inner();
         assert_eq!(torn.len() as u64, torn_len.min(newest_bytes.len() as u64));
         std::fs::write(dir.join(&newest_name), &torn).expect("plant torn snapshot");
-        let resumed = analyze_buffer_checkpointed(
+        let resumed = analyze_buffer_with(
             &program,
             &buf,
             &grain,
-            &opts,
-            &ckpt(&dir, u64::MAX, true),
+            &with_ckpt(&opts, &ckpt(&dir, u64::MAX, true)),
         )
-        .unwrap_or_else(|e| panic!("torn at byte {torn_len}: infrastructure error {e}"))
         .into_strict()
         .unwrap_or_else(|e| panic!("torn at byte {torn_len}: grain failed {e}"))
         .0;

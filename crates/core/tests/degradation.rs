@@ -4,9 +4,8 @@
 //! report rather than a process abort.
 
 use reuselens_core::{
-    analyze_buffer, analyze_buffer_with, analyze_program, analyze_program_degraded,
-    capture_program, AnalysisBudget, AnalysisError, AnalyzeOptions, BudgetLimit, GrainError,
-    SamplingConfig,
+    analyze_buffer, analyze_buffer_with, analyze_program, capture_program, AnalysisBudget,
+    AnalysisError, AnalyzeOptions, BudgetLimit, CheckpointOptions, GrainError, SamplingConfig,
 };
 use reuselens_ir::{Program, ProgramBuilder};
 use reuselens_trace::fault::Corruptor;
@@ -137,6 +136,50 @@ fn budgets_trip_with_progress_counters() {
     }
 }
 
+/// The serial loop checks the budget after every replay step of at most
+/// 4096 events, with or without checkpoints: a checkpointed grain whose
+/// snapshot interval is longer than the trace still trips an event budget
+/// within one step of the limit, not at the end of the trace.
+#[test]
+fn serial_and_checkpointed_grains_trip_the_budget_within_one_step() {
+    const STEP: u64 = 4096;
+    let prog = workload(1 << 14); // 32768 accesses
+    let (buffer, _) = capture_program(&prog, vec![]).unwrap();
+    let dir = std::env::temp_dir().join(format!(
+        "reuselens-degradation-budget-{}",
+        std::process::id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    let serial = AnalyzeOptions {
+        budget: AnalysisBudget::unlimited().with_max_events(100),
+        ..AnalyzeOptions::default()
+    };
+    let checkpointed = AnalyzeOptions {
+        checkpoint: Some(CheckpointOptions {
+            dir: dir.clone(),
+            every: 1 << 20,
+            resume: false,
+        }),
+        ..serial.clone()
+    };
+    for (name, opts) in [("serial", serial), ("checkpointed", checkpointed)] {
+        let partial = analyze_buffer_with(&prog, &buffer, &[64], &opts);
+        let failure = partial.failure_at(64).expect("budget must trip");
+        match &failure.error {
+            GrainError::Budget(e) => {
+                assert_eq!(e.limit, BudgetLimit::Events);
+                assert!(
+                    e.progress.events <= 100 + STEP,
+                    "{name}: budget tripped only at event {}",
+                    e.progress.events
+                );
+            }
+            other => panic!("{name}: expected a budget report, got {other}"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A budget generous enough never trips, and the budgeted (validated)
 /// replay path produces bit-identical profiles to the unchecked fast path.
 #[test]
@@ -258,13 +301,13 @@ fn mixed_failure_modes_in_one_request() {
 fn analyze_program_degraded_end_to_end() {
     let prog = workload(1024);
     let grains = [64u64, PANICKING_GRAIN, 4096];
-    let (partial, report, stats) =
-        analyze_program_degraded(&prog, &grains, vec![], &AnalyzeOptions::default()).unwrap();
+    let (buffer, report) = capture_program(&prog, vec![]).unwrap();
+    let partial = analyze_buffer_with(&prog, &buffer, &grains, &AnalyzeOptions::default());
     assert_eq!(report.accesses, 2 * 1024);
     assert_eq!(partial.profiles.len(), 2);
     assert_eq!(partial.failures.len(), 1);
-    assert_eq!(stats.replays.len(), 2, "timings cover surviving grains only");
-    assert_eq!(stats.buffer.accesses, report.accesses);
+    assert_eq!(partial.replays.len(), 2, "timings cover surviving grains only");
+    assert_eq!(buffer.stats().accesses, report.accesses);
 }
 
 /// `into_strict` converts failures into the typed error taxonomy.

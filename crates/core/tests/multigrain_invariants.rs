@@ -108,11 +108,10 @@ fn parallel_replay_equals_online_on_random_gather() {
         let idx: Vec<i64> = (0..n).map(|_| rng.gen_range(0..8192) as i64).collect();
         let online =
             reuselens_core::analyze_program(&prog, &[64, 4096], vec![(ix, idx.clone())]).unwrap();
-        let (par, stats) =
-            reuselens_core::analyze_program_parallel(&prog, &[64, 4096], vec![(ix, idx)])
-                .unwrap();
-        assert_eq!(online.profiles, par.profiles);
-        assert_eq!(stats.buffer.accesses, online.exec.accesses);
+        let (buffer, _) = reuselens_core::capture_program(&prog, vec![(ix, idx)]).unwrap();
+        let (profiles, _) = reuselens_core::analyze_buffer(&prog, &buffer, &[64, 4096]).unwrap();
+        assert_eq!(online.profiles, profiles);
+        assert_eq!(buffer.stats().accesses, online.exec.accesses);
     }
 }
 

@@ -23,12 +23,13 @@
 
 use reuselens_core::oracle;
 use reuselens_core::{
-    analyze_buffer_with, capture_program, AnalyzeOptions, Histogram, MultiGrainAnalyzer,
-    ReplayThreads, ReuseAnalyzer, ReuseProfile, SamplingConfig,
+    analyze_buffer_with, capture_program, AnalysisBudget, AnalyzeOptions, CheckpointOptions,
+    Histogram, MultiGrainAnalyzer, ReplayThreads, ReuseAnalyzer, ReuseProfile, SamplingConfig,
 };
 use reuselens_ir::{AccessKind, ArrayId, Expr, Program, ProgramBuilder, RefId, RoutineId, VarId};
 use reuselens_prng::SplitMix64;
-use reuselens_trace::{Executor, TraceSink, VecSink};
+use reuselens_trace::{Executor, TraceBuffer, TraceSink, VecSink};
+use std::path::{Path, PathBuf};
 
 const GRAINS: [u64; 3] = [1, 64, 4096];
 const CASES_PER_SHAPE: usize = 72;
@@ -351,20 +352,111 @@ fn same_measurements(got: &ReuseProfile, want: &ReuseProfile) -> Result<(), Stri
     Ok(())
 }
 
+/// How a row of the engine matrix configures replay beyond its sampling
+/// and thread count.
+#[derive(Clone, Copy, PartialEq)]
+enum Mode {
+    /// Default options.
+    Plain,
+    /// Validate the buffer up front.
+    Validated,
+    /// A budget too roomy to trip on any axis.
+    RoomyBudget,
+    /// Snapshot every sixth of the trace.
+    Checkpointed,
+    /// Resume from a snapshot directory whose newer half was deleted and
+    /// whose newest survivor was truncated mid-file.
+    Resumed,
+}
+
+/// Options for one matrix row; for [`Mode::Resumed`] this first leaves a
+/// truncated snapshot directory behind in `dir` to resume from.
+fn row_options(
+    program: &Program,
+    buffer: &TraceBuffer,
+    grain: u64,
+    base: AnalyzeOptions,
+    mode: Mode,
+    dir: &Path,
+) -> AnalyzeOptions {
+    let checkpoint = |resume| CheckpointOptions {
+        dir: dir.to_path_buf(),
+        every: (buffer.events() / 6).max(1),
+        resume,
+    };
+    match mode {
+        Mode::Plain => base,
+        Mode::Validated => AnalyzeOptions {
+            validate: true,
+            ..base
+        },
+        Mode::RoomyBudget => AnalyzeOptions {
+            budget: AnalysisBudget::unlimited()
+                .with_max_events(1 << 40)
+                .with_max_distinct_blocks(1 << 40)
+                .with_max_tree_nodes(1 << 40),
+            ..base
+        },
+        Mode::Checkpointed => AnalyzeOptions {
+            checkpoint: Some(checkpoint(false)),
+            ..base
+        },
+        Mode::Resumed => {
+            let populate = AnalyzeOptions {
+                checkpoint: Some(checkpoint(false)),
+                ..base.clone()
+            };
+            assert!(analyze_buffer_with(program, buffer, &[grain], &populate).is_complete());
+            let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|entry| entry.unwrap().path())
+                .collect();
+            files.sort();
+            assert!(files.len() >= 4, "only {} snapshots written", files.len());
+            let keep = files.len().div_ceil(2);
+            for stale in &files[keep..] {
+                std::fs::remove_file(stale).unwrap();
+            }
+            if let Some(newest) = files[..keep].last() {
+                let bytes = std::fs::read(newest).unwrap();
+                std::fs::write(newest, &bytes[..bytes.len() / 2]).unwrap();
+            }
+            AnalyzeOptions {
+                checkpoint: Some(checkpoint(true)),
+                ..base
+            }
+        }
+    }
+}
+
 /// Scope-rich programs through the online exact analyzer and through
-/// buffer replay — serial and partitioned, exact and rate-1 sampled —
-/// must all reproduce the brute-force attribution exactly: same
-/// (sink, source scope, carrier) keys, same histograms, same cold counts.
+/// buffer replay — serial and partitioned, exact and rate-1 sampled, and
+/// serially with validation, a roomy budget, checkpoints, and a resume
+/// from a truncated snapshot directory — must all reproduce the
+/// brute-force attribution exactly: same (sink, source scope, carrier)
+/// keys, same histograms, same cold counts.
 #[test]
 fn every_engine_matches_oracle_attribution_on_scope_rich_programs() {
     let (exact, rate_one) = (SamplingConfig::Exact, SamplingConfig::fixed(1.0));
     let (serial, split) = (ReplayThreads::Serial, ReplayThreads::Fixed(3));
     let engines = [
-        ("serial exact", exact, serial),
-        ("partitioned exact", exact, split),
-        ("serial sampled 1/1", rate_one, serial),
-        ("partitioned sampled 1/1", rate_one, split),
+        ("serial exact", exact, serial, Mode::Plain),
+        ("partitioned exact", exact, split, Mode::Plain),
+        ("serial sampled 1/1", rate_one, serial, Mode::Plain),
+        ("partitioned sampled 1/1", rate_one, split, Mode::Plain),
+        ("validated exact", exact, serial, Mode::Validated),
+        ("validated sampled 1/1", rate_one, serial, Mode::Validated),
+        ("roomy budget exact", exact, serial, Mode::RoomyBudget),
+        ("roomy budget sampled 1/1", rate_one, serial, Mode::RoomyBudget),
+        ("checkpointed exact", exact, serial, Mode::Checkpointed),
+        ("checkpointed sampled 1/1", rate_one, serial, Mode::Checkpointed),
+        ("resumed exact", exact, serial, Mode::Resumed),
+        ("resumed sampled 1/1", rate_one, serial, Mode::Resumed),
     ];
+    let dir = std::env::temp_dir().join(format!(
+        "reuselens-property-oracle-ckpt-{}",
+        std::process::id()
+    ));
     let mut scoped_patterns = 0usize;
     for case in 0..SCOPE_RICH_CASES {
         let seed = BASE_SEED ^ 0x5c0e ^ case.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -380,12 +472,14 @@ fn every_engine_matches_oracle_attribution_on_scope_rich_programs() {
             if let Err(msg) = same_measurements(&online.finish(), &want) {
                 panic!("case {case} (seed {seed:#x}, grain {grain}), online exact: {msg}");
             }
-            for (name, sampling, replay_threads) in engines {
-                let opts = AnalyzeOptions {
+            for (name, sampling, replay_threads, mode) in engines {
+                std::fs::remove_dir_all(&dir).ok();
+                let base = AnalyzeOptions {
                     sampling,
                     replay_threads,
                     ..AnalyzeOptions::default()
                 };
+                let opts = row_options(&program, &buffer, grain, base, mode, &dir);
                 let partial = analyze_buffer_with(&program, &buffer, &[grain], &opts);
                 assert!(partial.is_complete(), "case {case}: {name} replay failed");
                 if let Err(msg) = same_measurements(&partial.profiles[0], &want) {
@@ -394,6 +488,7 @@ fn every_engine_matches_oracle_attribution_on_scope_rich_programs() {
             }
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
     // The shape must actually be scope-rich: many distinct patterns per
     // profile, not one loop's worth.
     assert!(

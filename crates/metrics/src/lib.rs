@@ -23,8 +23,8 @@ mod xml;
 
 pub use attribution::{LevelMetrics, PatternRow};
 pub use report::{
-    attribute_analysis, run_locality_analysis, run_locality_analysis_checkpointed,
-    run_locality_analysis_opts, run_locality_estimate, EstimateRun, LocalityAnalysis,
+    attribute_analysis, run_locality_analysis, run_locality_analysis_opts, run_locality_estimate,
+    EstimateRun, LocalityAnalysis,
 };
 pub use text::{
     format_array_breakdown, format_carried_misses, format_fragmentation, format_pattern_db,

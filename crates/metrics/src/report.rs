@@ -2,14 +2,10 @@
 
 use crate::attribution::LevelMetrics;
 use reuselens_cache::{report_from_analysis, HierarchyReport, MemoryHierarchy, ReuseLensError};
-use reuselens_core::{
-    analyze_buffer_checkpointed, analyze_buffer_with, capture_program, AnalysisResult,
-    AnalyzeOptions, CheckpointOptions,
-};
+use reuselens_core::{analyze_buffer_with, capture_program, AnalysisResult, AnalyzeOptions};
 use reuselens_ir::{ArrayId, Program, RefId};
 use reuselens_obs as obs;
 use reuselens_static::{estimate_profiles, StaticAnalysis};
-use reuselens_trace::ExecError;
 
 /// Everything the toolchain produces for one program on one hierarchy:
 /// per-level predictions, per-level attribution metrics, and the static
@@ -54,7 +50,7 @@ impl LocalityAnalysis {
 /// # Errors
 ///
 /// Propagates executor errors (out-of-bounds accesses, missing index-array
-/// contents).
+/// contents) and grain failures, as a [`ReuseLensError`].
 ///
 /// # Examples
 ///
@@ -78,13 +74,13 @@ impl LocalityAnalysis {
 /// let t = prog.scope_by_name("t").unwrap();
 /// // The repeat loop carries the L2 capacity misses.
 /// assert_eq!(l2.top_carriers()[0].0, t);
-/// # Ok::<(), reuselens_trace::ExecError>(())
+/// # Ok::<(), reuselens_cache::ReuseLensError>(())
 /// ```
 pub fn run_locality_analysis(
     program: &Program,
     hierarchy: &MemoryHierarchy,
     index_arrays: Vec<(ArrayId, Vec<i64>)>,
-) -> Result<LocalityAnalysis, ExecError> {
+) -> Result<LocalityAnalysis, ReuseLensError> {
     run_locality_analysis_opts(program, hierarchy, index_arrays, &AnalyzeOptions::default())
 }
 
@@ -92,66 +88,32 @@ pub fn run_locality_analysis(
 /// sampling (every granularity replays through the constant-space sampled
 /// analyzer, and the miss predictions and attribution metrics come from
 /// the scaled histograms), intra-grain partitioned replay
-/// (`replay_threads`), budgets, validation. This is what the CLI's `--sample-rate` and
-/// `--replay-threads` flags plumb into. Default options reproduce
+/// (`replay_threads`), budgets, validation, and crash-safe checkpointing
+/// (`checkpoint`: a checkpointed or resumed run is bit-identical to an
+/// uninterrupted one). This is what the CLI's `--sample-rate`,
+/// `--replay-threads`, `--checkpoint-dir`, `--checkpoint-every` and
+/// `--resume` flags plumb into. Default options reproduce
 /// [`run_locality_analysis`] bit for bit.
 ///
 /// # Errors
 ///
-/// Propagates executor errors, like [`run_locality_analysis`].
+/// Propagates executor errors and the first grain failure — decode,
+/// budget, checkpoint I/O ([`ReuseLensError::Snapshot`]) or panic — as a
+/// typed [`ReuseLensError`].
 pub fn run_locality_analysis_opts(
     program: &Program,
     hierarchy: &MemoryHierarchy,
     index_arrays: Vec<(ArrayId, Vec<i64>)>,
     opts: &AnalyzeOptions,
-) -> Result<LocalityAnalysis, ExecError> {
+) -> Result<LocalityAnalysis, ReuseLensError> {
     // Capture once, then replay per granularity: this is the pipeline the
     // CLI reports on, so each stage runs under its own span (capture and
     // replay spans are recorded inside `capture_program`/`analyze_buffer`).
     let (buffer, exec) = capture_program(program, index_arrays)?;
-    // An in-process capture can only fail validation through a ReuseLens
-    // bug, so surface that as a panic rather than widening the error type.
-    buffer
-        .validate()
-        .unwrap_or_else(|e| panic!("in-process capture failed validation: {e}"));
+    buffer.validate()?;
     let grains = hierarchy.required_granularities();
-    let (profiles, _timings) = analyze_buffer_with(program, &buffer, &grains, opts)
-        .into_strict()
-        .unwrap_or_else(|e| panic!("{e}"));
-    let analysis = AnalysisResult { profiles, exec };
-    Ok(attribute_analysis(program, hierarchy, analysis))
-}
-
-/// [`run_locality_analysis_opts`] through the crash-safe streaming replay
-/// engine ([`analyze_buffer_checkpointed`]): each granularity snapshots
-/// its analyzer state to [`CheckpointOptions::dir`] every
-/// [`CheckpointOptions::every`] events, and with
-/// [`CheckpointOptions::resume`] set a rerun continues from the newest
-/// valid snapshot. The resulting analysis is bit-identical to an
-/// uninterrupted [`run_locality_analysis_opts`] run with the same
-/// [`AnalyzeOptions`]. This is what the CLI's `--checkpoint-dir`,
-/// `--checkpoint-every`, and `--resume` flags plumb into.
-///
-/// # Errors
-///
-/// Propagates executor errors, checkpoint-infrastructure failures
-/// ([`ReuseLensError::Snapshot`]), and any grain failure — unlike the
-/// panic-on-grain-failure shortcut in [`run_locality_analysis_opts`],
-/// everything here surfaces as a typed [`ReuseLensError`].
-pub fn run_locality_analysis_checkpointed(
-    program: &Program,
-    hierarchy: &MemoryHierarchy,
-    index_arrays: Vec<(ArrayId, Vec<i64>)>,
-    opts: &AnalyzeOptions,
-    ckpt: &CheckpointOptions,
-) -> Result<LocalityAnalysis, ReuseLensError> {
-    let (buffer, exec) = capture_program(program, index_arrays)?;
-    buffer
-        .validate()
-        .unwrap_or_else(|e| panic!("in-process capture failed validation: {e}"));
-    let grains = hierarchy.required_granularities();
-    let (profiles, _timings) = analyze_buffer_checkpointed(program, &buffer, &grains, opts, ckpt)?
-        .into_strict()?;
+    let (profiles, _timings) =
+        analyze_buffer_with(program, &buffer, &grains, opts).into_strict()?;
     let analysis = AnalysisResult { profiles, exec };
     Ok(attribute_analysis(program, hierarchy, analysis))
 }
@@ -237,7 +199,7 @@ pub fn attribute_analysis(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reuselens_core::SamplingConfig;
+    use reuselens_core::{AnalysisBudget, SamplingConfig};
     use reuselens_ir::ProgramBuilder;
 
     #[test]
@@ -295,5 +257,28 @@ mod tests {
         let summary = crate::text::format_summary(&sampled);
         assert!(summary.contains("sampled: grain"));
         assert!(!crate::text::format_summary(&exact).contains("sampled"));
+    }
+
+    #[test]
+    fn grain_failure_is_an_error_not_a_panic() {
+        let mut p = ProgramBuilder::new("t");
+        let a = p.array("a", 8, &[4096]);
+        p.routine("main", |r| {
+            r.for_("i", 0, 4095, |r, i| {
+                r.load(a, vec![i.into()]);
+            });
+        });
+        let prog = p.finish();
+        let h = MemoryHierarchy::itanium2_scaled(16);
+        let opts = AnalyzeOptions {
+            budget: AnalysisBudget::unlimited().with_max_events(10),
+            ..AnalyzeOptions::default()
+        };
+        let result = run_locality_analysis_opts(&prog, &h, vec![], &opts);
+        assert!(
+            matches!(result, Err(ReuseLensError::Budget(_))),
+            "expected a budget error, got {:?}",
+            result.map(|la| la.analysis.profiles.len())
+        );
     }
 }

@@ -28,7 +28,7 @@
 //! figure.
 
 use crate::decode::{try_varint, Column, DecodeError};
-use crate::event::{AccessRecord, Event, SoaBatch, TraceSink};
+use crate::event::{AccessRecord, Event, NullSink, SoaBatch, TraceSink};
 use reuselens_ir::{AccessKind, RefId, ScopeId};
 use reuselens_obs as obs;
 
@@ -334,9 +334,7 @@ impl TraceBuffer {
     /// [`TraceSink::access_batch`]). The buffer is unchanged and can be
     /// replayed concurrently from many threads.
     pub fn replay<S: TraceSink + ?Sized>(&self, sink: &mut S) {
-        self.decode_range(&SegmentState::default(), self.events, sink);
-        obs::add(obs::Counter::EventsDecoded, self.events);
-        obs::add(obs::Counter::AccessesDecoded, self.accesses);
+        self.replay_advance(&mut SegmentState::default(), self.events, sink);
     }
 
     /// Replays the half-open event range `[from.event, to_event)` into
@@ -351,35 +349,111 @@ impl TraceBuffer {
         to_event: u64,
         sink: &mut S,
     ) {
-        let to_event = to_event.min(self.events);
-        if to_event <= from.event {
-            return;
-        }
-        let accesses = self.decode_range(from, to_event, sink);
-        obs::add(obs::Counter::EventsDecoded, to_event - from.event);
-        obs::add(obs::Counter::AccessesDecoded, accesses);
+        self.replay_advance(&mut from.clone(), to_event, sink);
     }
 
-    /// The shared unchecked decode loop behind [`replay`](Self::replay)
-    /// and [`replay_segment`](Self::replay_segment). Returns the number of
-    /// access events decoded.
-    fn decode_range<S: TraceSink + ?Sized>(
+    /// Splits the captured stream into `parts` contiguous time segments of
+    /// (nearly) equal event count and returns the decoder state at the
+    /// start of each — segment `k` covers events
+    /// `[states[k].event, states[k + 1].event)` (the last segment ends at
+    /// [`events`](Self::events)). One forward scan computes every state,
+    /// fast-forwarding through the capture-side checkpoints where they are
+    /// self-consistent and falling back to pure decoding where they are
+    /// not (e.g. a buffer forged or corrupted after capture), so the
+    /// result is a function of the encoded columns alone.
+    pub fn segment_states(&self, parts: usize) -> Vec<SegmentState> {
+        let parts = parts.max(1);
+        let mut out = Vec::with_capacity(parts);
+        let mut cur = SegmentState::default();
+        for k in 0..parts as u64 {
+            let target = self.events * k / parts as u64;
+            self.seek(&mut cur, target);
+            out.push(cur.clone());
+        }
+        out
+    }
+
+    /// The decoder state at one event boundary (clamped to the captured
+    /// event count) — [`segment_states`](Self::segment_states) for a
+    /// single arbitrary target. Checkpoint/resume uses this to seek a
+    /// resumed analysis to the event its snapshot was taken at without
+    /// decoding the whole prefix.
+    pub fn state_at(&self, event: u64) -> SegmentState {
+        let mut cur = SegmentState::default();
+        self.seek(&mut cur, event);
+        cur
+    }
+
+    /// Moves `cur` forward to event `target` (clamped to the captured
+    /// event count): jumps to the last sane capture-side checkpoint in
+    /// `(cur.event, target]`, then decodes the rest into [`NullSink`].
+    /// Counts nothing on the decode counters — a seek delivers no events.
+    fn seek(&self, cur: &mut SegmentState, target: u64) {
+        let target = target.min(self.events);
+        let usable = |c: &&Checkpoint| c.event > cur.event && self.checkpoint_sane(c);
+        let after = self.checkpoints.partition_point(|c| c.event <= target);
+        if let Some(c) = self.checkpoints[..after].iter().rev().find(usable) {
+            *cur = SegmentState {
+                event: c.event,
+                accesses: c.accesses,
+                scopes: c
+                    .open_scopes
+                    .iter()
+                    .map(|&(s, t)| (ScopeId(s), t))
+                    .collect(),
+                addr_pos: c.addr_pos,
+                ref_pos: c.ref_pos,
+                size_pos: c.size_pos,
+                scope_pos: c.scope_pos,
+                last_addr: c.last_addr,
+                last_ref: c.last_ref,
+            };
+        }
+        self.advance(cur, target, &mut NullSink);
+    }
+
+    /// Replays the half-open event range `[state.event, to_event)` into
+    /// `sink` while advancing `state` in place to `to_event`, decoding
+    /// each event exactly once. Every unchecked replay — whole-buffer,
+    /// per segment, and the step-wise grain loop that publishes progress,
+    /// checks budgets and writes snapshots between calls — runs through
+    /// here; `state` always describes the boundary the next call resumes
+    /// from. `to_event` is clamped to the captured event count. Like
+    /// [`replay`](Self::replay), this is the unchecked fast path.
+    pub fn replay_advance<S: TraceSink + ?Sized>(
         &self,
-        from: &SegmentState,
+        state: &mut SegmentState,
         to_event: u64,
         sink: &mut S,
-    ) -> u64 {
+    ) {
+        let (from_event, from_accesses) = (state.event, state.accesses);
+        self.advance(state, to_event, sink);
+        obs::add(obs::Counter::EventsDecoded, state.event - from_event);
+        obs::add(obs::Counter::AccessesDecoded, state.accesses - from_accesses);
+    }
+
+    /// The one unchecked decode loop, behind [`replay_advance`] and the
+    /// seek. The decoder state lives in locals for the loop and is written
+    /// back once at the end.
+    ///
+    /// [`replay_advance`]: Self::replay_advance
+    fn advance<S: TraceSink + ?Sized>(
+        &self,
+        state: &mut SegmentState,
+        to_event: u64,
+        sink: &mut S,
+    ) {
+        let to_event = to_event.min(self.events);
+        if to_event <= state.event {
+            return;
+        }
         let mut batch = SoaBatch::with_capacity(BATCH);
-        let mut addr = from.last_addr;
-        let mut r = from.last_ref;
-        let (mut ap, mut rp, mut sp, mut cp) = (
-            from.addr_pos,
-            from.ref_pos,
-            from.size_pos,
-            from.scope_pos,
-        );
-        let mut accesses = 0u64;
-        for i in from.event..to_event {
+        let mut addr = state.last_addr;
+        let mut r = state.last_ref;
+        let (mut ap, mut rp, mut sp, mut cp) =
+            (state.addr_pos, state.ref_pos, state.size_pos, state.scope_pos);
+        let mut accesses = state.accesses;
+        for i in state.event..to_event {
             let op = (self.ops[(i / 4) as usize] >> ((i % 4) * 2)) & 0b11;
             match op {
                 OP_LOAD | OP_STORE => {
@@ -406,153 +480,7 @@ impl TraceBuffer {
                     let scope = ScopeId(get_varint(&self.scope_bytes, &mut cp) as u32);
                     if op == OP_ENTER {
                         sink.enter(scope);
-                    } else {
-                        sink.exit(scope);
-                    }
-                }
-            }
-        }
-        if !batch.is_empty() {
-            sink.access_soa(&batch);
-        }
-        accesses
-    }
-
-    /// Splits the captured stream into `parts` contiguous time segments of
-    /// (nearly) equal event count and returns the decoder state at the
-    /// start of each — segment `k` covers events
-    /// `[states[k].event, states[k + 1].event)` (the last segment ends at
-    /// [`events`](Self::events)). One forward scan computes every state,
-    /// fast-forwarding through the capture-side checkpoints where they are
-    /// self-consistent and falling back to pure decoding where they are
-    /// not (e.g. a buffer forged or corrupted after capture), so the
-    /// result is a function of the encoded columns alone.
-    pub fn segment_states(&self, parts: usize) -> Vec<SegmentState> {
-        let parts = parts.max(1);
-        let mut out = Vec::with_capacity(parts);
-        let mut cur = SegmentState::default();
-        let mut next_ckpt = 0usize;
-        for k in 0..parts as u64 {
-            let target = self.events * k / parts as u64;
-            while next_ckpt < self.checkpoints.len() {
-                let c = &self.checkpoints[next_ckpt];
-                if c.event > target {
-                    break;
-                }
-                next_ckpt += 1;
-                if c.event >= cur.event && self.checkpoint_sane(c) {
-                    cur = SegmentState {
-                        event: c.event,
-                        accesses: c.accesses,
-                        scopes: c
-                            .open_scopes
-                            .iter()
-                            .map(|&(s, t)| (ScopeId(s), t))
-                            .collect(),
-                        addr_pos: c.addr_pos,
-                        ref_pos: c.ref_pos,
-                        size_pos: c.size_pos,
-                        scope_pos: c.scope_pos,
-                        last_addr: c.last_addr,
-                        last_ref: c.last_ref,
-                    };
-                }
-            }
-            self.advance_state(&mut cur, target);
-            out.push(cur.clone());
-        }
-        out
-    }
-
-    /// The decoder state at one event boundary (clamped to the captured
-    /// event count) — [`segment_states`](Self::segment_states) for a
-    /// single arbitrary target. Checkpoint/resume uses this to seek a
-    /// resumed analysis to the event its snapshot was taken at without
-    /// decoding the whole prefix.
-    pub fn state_at(&self, event: u64) -> SegmentState {
-        let target = event.min(self.events);
-        let mut cur = SegmentState::default();
-        for c in &self.checkpoints {
-            if c.event > target {
-                break;
-            }
-            if c.event >= cur.event && self.checkpoint_sane(c) {
-                cur = SegmentState {
-                    event: c.event,
-                    accesses: c.accesses,
-                    scopes: c
-                        .open_scopes
-                        .iter()
-                        .map(|&(s, t)| (ScopeId(s), t))
-                        .collect(),
-                    addr_pos: c.addr_pos,
-                    ref_pos: c.ref_pos,
-                    size_pos: c.size_pos,
-                    scope_pos: c.scope_pos,
-                    last_addr: c.last_addr,
-                    last_ref: c.last_ref,
-                };
-            }
-        }
-        self.advance_state(&mut cur, target);
-        cur
-    }
-
-    /// Replays the half-open event range `[state.event, to_event)` into
-    /// `sink` while advancing `state` in place to `to_event` — the fused
-    /// combination of [`replay_segment`](Self::replay_segment) and
-    /// [`state_at`](Self::state_at) that decodes each event exactly once.
-    /// This is the streaming loop behind checkpoint/resume: the caller
-    /// alternates chunks of replay with snapshots of the sink, and `state`
-    /// always describes the boundary the next snapshot will be taken at.
-    /// `to_event` is clamped to the captured event count. Like
-    /// [`replay`](Self::replay), this is the unchecked fast path.
-    pub fn replay_advance<S: TraceSink + ?Sized>(
-        &self,
-        state: &mut SegmentState,
-        to_event: u64,
-        sink: &mut S,
-    ) {
-        let to_event = to_event.min(self.events);
-        if to_event <= state.event {
-            return;
-        }
-        let from_event = state.event;
-        let mut batch = SoaBatch::with_capacity(BATCH);
-        let mut accesses = 0u64;
-        for i in from_event..to_event {
-            let op = (self.ops[(i / 4) as usize] >> ((i % 4) * 2)) & 0b11;
-            match op {
-                OP_LOAD | OP_STORE => {
-                    state.last_addr = state.last_addr.wrapping_add(
-                        unzigzag(get_varint(&self.addr_bytes, &mut state.addr_pos)) as u64,
-                    );
-                    state.last_ref = (i64::from(state.last_ref)
-                        + unzigzag(get_varint(&self.ref_bytes, &mut state.ref_pos)))
-                        as u32;
-                    let size = get_varint(&self.size_bytes, &mut state.size_pos) as u32;
-                    let kind = if op == OP_LOAD {
-                        AccessKind::Load
-                    } else {
-                        AccessKind::Store
-                    };
-                    batch.push(state.last_ref, state.last_addr, size, kind);
-                    state.accesses += 1;
-                    accesses += 1;
-                    if batch.len() == BATCH {
-                        sink.access_soa(&batch);
-                        batch.clear();
-                    }
-                }
-                _ => {
-                    if !batch.is_empty() {
-                        sink.access_soa(&batch);
-                        batch.clear();
-                    }
-                    let scope = ScopeId(get_varint(&self.scope_bytes, &mut state.scope_pos) as u32);
-                    if op == OP_ENTER {
-                        sink.enter(scope);
-                        state.scopes.push((scope, state.accesses));
+                        state.scopes.push((scope, accesses));
                     } else {
                         sink.exit(scope);
                         state.scopes.pop();
@@ -564,38 +492,9 @@ impl TraceBuffer {
             sink.access_soa(&batch);
         }
         state.event = to_event;
-        obs::add(obs::Counter::EventsDecoded, to_event - from_event);
-        obs::add(obs::Counter::AccessesDecoded, accesses);
-    }
-
-    /// Decodes forward from `cur` until it sits at event `target`,
-    /// updating the decoder state and the dynamic scope context in place.
-    fn advance_state(&self, cur: &mut SegmentState, target: u64) {
-        while cur.event < target {
-            let i = cur.event;
-            let op = (self.ops[(i / 4) as usize] >> ((i % 4) * 2)) & 0b11;
-            match op {
-                OP_LOAD | OP_STORE => {
-                    cur.last_addr = cur.last_addr.wrapping_add(
-                        unzigzag(get_varint(&self.addr_bytes, &mut cur.addr_pos)) as u64,
-                    );
-                    cur.last_ref = (i64::from(cur.last_ref)
-                        + unzigzag(get_varint(&self.ref_bytes, &mut cur.ref_pos)))
-                        as u32;
-                    let _ = get_varint(&self.size_bytes, &mut cur.size_pos);
-                    cur.accesses += 1;
-                }
-                _ => {
-                    let scope = get_varint(&self.scope_bytes, &mut cur.scope_pos) as u32;
-                    if op == OP_ENTER {
-                        cur.scopes.push((ScopeId(scope), cur.accesses));
-                    } else {
-                        cur.scopes.pop();
-                    }
-                }
-            }
-            cur.event += 1;
-        }
+        state.accesses = accesses;
+        (state.addr_pos, state.ref_pos, state.size_pos, state.scope_pos) = (ap, rp, sp, cp);
+        (state.last_addr, state.last_ref) = (addr, r);
     }
 
     /// A checkpoint is trusted only when every recorded position is in

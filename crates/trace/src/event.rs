@@ -174,6 +174,7 @@ impl TraceSink for NullSink {
     fn access(&mut self, _r: RefId, _addr: u64, _size: u32, _kind: AccessKind) {}
     fn enter(&mut self, _scope: ScopeId) {}
     fn exit(&mut self, _scope: ScopeId) {}
+    fn access_soa(&mut self, _batch: &SoaBatch) {}
 }
 
 /// A sink that records the full event stream in memory. Intended for tests

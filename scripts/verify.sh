@@ -33,6 +33,25 @@ head -c 13 "$newest" > "$newest.torn" && mv "$newest.torn" "$newest"
     --save-profile "$CKPT_TMP/resumed.rlp" >/dev/null
 cmp "$CKPT_TMP/plain.rlp" "$CKPT_TMP/ckpt.rlp"
 cmp "$CKPT_TMP/plain.rlp" "$CKPT_TMP/resumed.rlp"
+# The same kill-and-resume leg sampled and asking for two replay threads:
+# the plain run partitions each grain, the checkpointed runs stream it
+# serially, and all three must save the same bytes.
+SAMPLED="--sample-rate 0.5 --replay-threads 2"
+# shellcheck disable=SC2086 # $SAMPLED is a flag list
+./target/release/reuselens kernel stream $SAMPLED \
+    --save-profile "$CKPT_TMP/sampled-plain.rlp" >/dev/null
+# shellcheck disable=SC2086
+./target/release/reuselens kernel stream $SAMPLED \
+    --checkpoint-dir "$CKPT_TMP/sampled-snaps" --checkpoint-every 10000 \
+    --save-profile "$CKPT_TMP/sampled-ckpt.rlp" >/dev/null
+newest=$(ls "$CKPT_TMP/sampled-snaps"/*.rlsnap | sort | tail -n 1)
+head -c 13 "$newest" > "$newest.torn" && mv "$newest.torn" "$newest"
+# shellcheck disable=SC2086
+./target/release/reuselens kernel stream $SAMPLED \
+    --checkpoint-dir "$CKPT_TMP/sampled-snaps" --checkpoint-every 10000 --resume \
+    --save-profile "$CKPT_TMP/sampled-resumed.rlp" >/dev/null
+cmp "$CKPT_TMP/sampled-plain.rlp" "$CKPT_TMP/sampled-ckpt.rlp"
+cmp "$CKPT_TMP/sampled-plain.rlp" "$CKPT_TMP/sampled-resumed.rlp"
 rm -rf "$CKPT_TMP"
 
 # Live-telemetry CLI smoke: a run with --serve-metrics must answer

@@ -36,8 +36,8 @@ use reuselens::ir::Program;
 use reuselens::obs::{self, MetricsRecorder};
 use reuselens::metrics::{
     format_array_breakdown, format_carried_misses, format_fragmentation, format_pattern_db,
-    format_spatial, format_summary, run_locality_analysis_checkpointed,
-    run_locality_analysis_opts, run_locality_estimate, to_xml, LocalityAnalysis,
+    format_spatial, format_summary, run_locality_analysis_opts, run_locality_estimate, to_xml,
+    LocalityAnalysis,
 };
 use reuselens::workloads::gtc::{build as build_gtc, GtcConfig, GtcTransforms};
 use reuselens::workloads::kernels;
@@ -548,39 +548,31 @@ fn run(args: &[String]) -> Result<(), String> {
         return print_report(&w.program, &run.analysis, report, level);
     }
 
-    let opts = AnalyzeOptions {
-        sampling,
-        replay_threads,
-        ..AnalyzeOptions::default()
-    };
-    let la = match flags.value("--checkpoint-dir") {
+    let checkpoint = match flags.value("--checkpoint-dir") {
         Some(dir) => {
             let every: u64 = flags.parsed("--checkpoint-every", 1_000_000u64)?;
             if every == 0 {
                 return Err("--checkpoint-every must be at least 1".into());
             }
-            let ckpt = CheckpointOptions {
+            Some(CheckpointOptions {
                 dir: dir.into(),
                 every,
                 resume: flags.flag("--resume"),
-            };
-            run_locality_analysis_checkpointed(
-                &w.program,
-                &hierarchy,
-                w.index_arrays.clone(),
-                &opts,
-                &ckpt,
-            )
-            .map_err(|e| e.to_string())?
+            })
         }
-        None => {
-            if flags.flag("--resume") {
-                return Err("--resume requires --checkpoint-dir".into());
-            }
-            run_locality_analysis_opts(&w.program, &hierarchy, w.index_arrays.clone(), &opts)
-                .map_err(|e| e.to_string())?
+        None if flags.flag("--resume") => {
+            return Err("--resume requires --checkpoint-dir".into());
         }
+        None => None,
     };
+    let opts = AnalyzeOptions {
+        sampling,
+        replay_threads,
+        checkpoint,
+        ..AnalyzeOptions::default()
+    };
+    let la = run_locality_analysis_opts(&w.program, &hierarchy, w.index_arrays.clone(), &opts)
+        .map_err(|e| e.to_string())?;
 
     if let Some(path) = flags.value("--save-profile") {
         let size: f64 = flags.parsed("--size", default_size(workload, &flags)?)?;

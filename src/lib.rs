@@ -55,7 +55,7 @@
 //! let (carrier, _, share) = l2.top_carriers()[0];
 //! assert_eq!(carrier, prog.scope_by_name("t").unwrap());
 //! assert!(share > 0.4);
-//! # Ok::<(), reuselens::trace::ExecError>(())
+//! # Ok::<(), reuselens::ReuseLensError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -971,10 +971,11 @@ impl Daemon {
                         request,
                         reply: tx,
                     });
-                    let depth = st.queue.len() as u64;
+                    // Set under the lock so a worker's later pop cannot be
+                    // overwritten by this stale depth.
+                    obs::set_gauge(obs::Gauge::JobQueueDepth, st.queue.len() as u64);
                     drop(st);
                     obs::add(obs::Counter::JobsAccepted, 1);
-                    obs::set_gauge(obs::Gauge::JobQueueDepth, depth);
                     obs::emit(obs::EventKind::JobAccepted {
                         job,
                         kind: kind.to_string(),
@@ -1108,15 +1109,15 @@ fn jobs_json(shared: &Arc<Shared>) -> String {
 
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
-        let (job, depth) = {
+        let job = {
             let mut st = shared.lock_state();
             loop {
                 if let Some(job) = st.queue.pop_front() {
-                    let depth = st.queue.len() as u64;
+                    obs::set_gauge(obs::Gauge::JobQueueDepth, st.queue.len() as u64);
                     let record = &mut st.records[job.record];
                     record.status = JobStatus::Running;
                     record.queued = job.submitted.elapsed();
-                    break (job, depth);
+                    break job;
                 }
                 if st.stop {
                     return;
@@ -1127,7 +1128,6 @@ fn worker_loop(shared: &Arc<Shared>) {
                 };
             }
         };
-        obs::set_gauge(obs::Gauge::JobQueueDepth, depth);
         let kind = job.request.kind_name();
         let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {

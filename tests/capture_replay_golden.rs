@@ -8,7 +8,7 @@
 //! event order, clock arithmetic, or scope bookkeeping shows up as a
 //! profile mismatch here.
 
-use reuselens::core::{analyze_program, analyze_program_parallel};
+use reuselens::core::{analyze_buffer, analyze_program, capture_program};
 use reuselens::workloads::gtc::{build as build_gtc, GtcConfig};
 use reuselens::workloads::sweep3d::{build as build_sweep, SweepConfig};
 use reuselens::workloads::BuiltWorkload;
@@ -18,22 +18,22 @@ const GRAINS: [u64; 2] = [64, 4096];
 
 fn assert_pipelines_identical(w: &BuiltWorkload, grains: &[u64]) {
     let online = analyze_program(&w.program, grains, w.index_arrays.clone()).unwrap();
-    let (par, stats) =
-        analyze_program_parallel(&w.program, grains, w.index_arrays.clone()).unwrap();
+    let (buffer, exec) = capture_program(&w.program, w.index_arrays.clone()).unwrap();
+    let (profiles, replays) = analyze_buffer(&w.program, &buffer, grains).unwrap();
     assert_eq!(
-        online.profiles, par.profiles,
+        online.profiles, profiles,
         "replayed profiles diverged from the online pass"
     );
-    assert_eq!(online.exec, par.exec);
-    assert_eq!(stats.buffer.accesses, online.exec.accesses);
-    assert_eq!(stats.replays.len(), grains.len());
+    assert_eq!(online.exec, exec);
+    assert_eq!(buffer.stats().accesses, online.exec.accesses);
+    assert_eq!(replays.len(), grains.len());
     // The columnar encoding must actually compress the event stream.
     assert!(
-        stats.buffer.compression_ratio() > 1.0,
+        buffer.stats().compression_ratio() > 1.0,
         "buffer stats: {}",
-        stats.buffer
+        buffer.stats()
     );
-    for p in &par.profiles {
+    for p in &profiles {
         assert!(p.accesses_balance());
     }
 }

@@ -155,6 +155,27 @@ fn save_and_predict_workflow() {
     );
 }
 
+/// A checkpoint directory path occupied by a regular file is a reported
+/// error: the process exits with the CLI's failure code, not the panic
+/// code 101, and says what failed.
+#[test]
+fn checkpoint_failure_is_reported_not_panicked() {
+    let path = std::env::temp_dir().join(format!(
+        "reuselens-cli-ckpt-notadir-{}",
+        std::process::id()
+    ));
+    std::fs::write(&path, b"occupied").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_reuselens"))
+        .args(["kernel", "stream", "--checkpoint-dir"])
+        .arg(&path)
+        .output()
+        .expect("binary runs");
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("checkpoint failed"), "stderr: {stderr}");
+}
+
 #[test]
 fn predict_rejects_too_few_profiles() {
     let (_, stderr, ok) = run(&["predict", "--at", "16"]);

@@ -7,10 +7,10 @@ use reuselens::cache::{
     ConfigError, MemoryHierarchy,
 };
 use reuselens::core::{
-    analyze_program_degraded, analyze_program_parallel, capture_program, AnalysisBudget,
+    analyze_buffer, analyze_buffer_with, capture_program, AnalysisBudget, AnalysisResult,
     AnalyzeOptions, CheckpointOptions, GrainError, SnapshotError,
 };
-use reuselens::metrics::{run_locality_analysis_checkpointed, run_locality_analysis_opts};
+use reuselens::metrics::run_locality_analysis_opts;
 use reuselens::trace::fault::Corruptor;
 use reuselens::trace::VecSink;
 use reuselens::workloads::kernels::random_gather;
@@ -18,9 +18,17 @@ use reuselens::ReuseLensError;
 
 fn measured_analysis() -> (reuselens::core::AnalysisResult, reuselens::ir::Program) {
     let w = random_gather(1 << 10, 1 << 12, 2, 7);
-    let (analysis, _) =
-        analyze_program_parallel(&w.program, &[128, 16 * 1024], w.index_arrays.clone()).unwrap();
-    (analysis, w.program)
+    let (buffer, exec) = capture_program(&w.program, w.index_arrays.clone()).unwrap();
+    let (profiles, _) = analyze_buffer(&w.program, &buffer, &[128, 16 * 1024]).unwrap();
+    (AnalysisResult { profiles, exec }, w.program)
+}
+
+/// `opts` with checkpointing switched on.
+fn with_ckpt(opts: &AnalyzeOptions, ckpt: &CheckpointOptions) -> AnalyzeOptions {
+    AnalyzeOptions {
+        checkpoint: Some(ckpt.clone()),
+        ..opts.clone()
+    }
 }
 
 /// An invalid candidate hierarchy fails a sweep with a `Config` error
@@ -100,8 +108,8 @@ fn budgeted_analysis_on_real_workload() {
         budget: AnalysisBudget::unlimited().with_max_distinct_blocks(8),
         ..AnalyzeOptions::default()
     };
-    let (partial, _, _) =
-        analyze_program_degraded(&w.program, &[128], w.index_arrays.clone(), &tight).unwrap();
+    let (buffer, report) = capture_program(&w.program, w.index_arrays.clone()).unwrap();
+    let partial = analyze_buffer_with(&w.program, &buffer, &[128], &tight);
     let failure = partial.failure_at(128).expect("tight budget must trip");
     match &failure.error {
         GrainError::Budget(e) => {
@@ -115,8 +123,7 @@ fn budgeted_analysis_on_real_workload() {
         budget: AnalysisBudget::unlimited().with_max_events(u64::MAX),
         ..AnalyzeOptions::default()
     };
-    let (partial, report, _) =
-        analyze_program_degraded(&w.program, &[128], w.index_arrays.clone(), &generous).unwrap();
+    let partial = analyze_buffer_with(&w.program, &buffer, &[128], &generous);
     assert!(partial.is_complete());
     assert_eq!(partial.profiles[0].total_accesses, report.accesses);
 }
@@ -167,9 +174,13 @@ fn checkpointed_pipeline_survives_snapshot_corruption() {
         every: 1500,
         resume: false,
     };
-    let first =
-        run_locality_analysis_checkpointed(&w.program, &h, w.index_arrays.clone(), &opts, &ckpt)
-            .unwrap();
+    let first = run_locality_analysis_opts(
+        &w.program,
+        &h,
+        w.index_arrays.clone(),
+        &with_ckpt(&opts, &ckpt),
+    )
+    .unwrap();
     assert_eq!(plain.analysis.profiles, first.analysis.profiles);
 
     // Mutate every snapshot on disk, a different way each time.
@@ -191,9 +202,13 @@ fn checkpointed_pipeline_survives_snapshot_corruption() {
         every: 1500,
         resume: true,
     };
-    let resumed =
-        run_locality_analysis_checkpointed(&w.program, &h, w.index_arrays.clone(), &opts, &ckpt)
-            .unwrap();
+    let resumed = run_locality_analysis_opts(
+        &w.program,
+        &h,
+        w.index_arrays.clone(),
+        &with_ckpt(&opts, &ckpt),
+    )
+    .unwrap();
     assert_eq!(plain.analysis.profiles, resumed.analysis.profiles);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -215,12 +230,11 @@ fn unwritable_checkpoint_dir_is_a_snapshot_error() {
         every: 100,
         resume: false,
     };
-    let err = run_locality_analysis_checkpointed(
+    let err = run_locality_analysis_opts(
         &w.program,
         &h,
         w.index_arrays.clone(),
-        &AnalyzeOptions::default(),
-        &ckpt,
+        &with_ckpt(&AnalyzeOptions::default(), &ckpt),
     )
     .unwrap_err();
     match &err {
@@ -238,8 +252,9 @@ fn unwritable_checkpoint_dir_is_a_snapshot_error() {
 fn error_taxonomy_composes_with_question_mark() {
     fn pipeline() -> Result<usize, ReuseLensError> {
         let w = random_gather(1 << 8, 1 << 10, 2, 7);
-        let (analysis, _) =
-            analyze_program_parallel(&w.program, &[128, 16 * 1024], w.index_arrays.clone())?;
+        let (buffer, exec) = capture_program(&w.program, w.index_arrays.clone())?;
+        let (profiles, _) = analyze_buffer(&w.program, &buffer, &[128, 16 * 1024])?;
+        let analysis = AnalysisResult { profiles, exec };
         let (reports, _) = evaluate_sweep(&analysis, &[MemoryHierarchy::itanium2()])?;
         Ok(reports.len())
     }

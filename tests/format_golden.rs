@@ -4,9 +4,7 @@
 //! encodings or the checksum shows up here even when the replayed
 //! profiles still agree (the identity suites only compare profiles).
 
-use reuselens::core::{
-    analyze_buffer_checkpointed, capture_program, AnalyzeOptions, CheckpointOptions,
-};
+use reuselens::core::{analyze_buffer_with, capture_program, AnalyzeOptions, CheckpointOptions};
 use reuselens::store::{crc32, StoreConfig, TraceMeta, TraceStore};
 use reuselens::workloads::kernels::streaming;
 use std::path::{Path, PathBuf};
@@ -46,21 +44,17 @@ fn checkpoint_files_are_byte_stable() {
     let w = streaming(48, 2);
     let (buffer, _) = capture_program(&w.program, w.index_arrays.clone()).unwrap();
     let dir = tmpdir("rlsnap");
-    let ckpt = CheckpointOptions {
-        dir: dir.clone(),
-        every: 40,
-        resume: false,
+    let opts = AnalyzeOptions {
+        checkpoint: Some(CheckpointOptions {
+            dir: dir.clone(),
+            every: 40,
+            resume: false,
+        }),
+        ..AnalyzeOptions::default()
     };
-    analyze_buffer_checkpointed(
-        &w.program,
-        &buffer,
-        &[64],
-        &AnalyzeOptions::default(),
-        &ckpt,
-    )
-    .unwrap()
-    .into_strict()
-    .unwrap();
+    analyze_buffer_with(&w.program, &buffer, &[64], &opts)
+        .into_strict()
+        .unwrap();
     let got = fingerprint(&dir);
     std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(

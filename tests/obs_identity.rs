@@ -14,9 +14,8 @@
 
 use reuselens::cache::{report_from_analysis, HierarchyReport, MemoryHierarchy};
 use reuselens::core::{
-    analyze_buffer, analyze_buffer_checkpointed, analyze_buffer_with, capture_program,
-    AnalysisResult, AnalyzeOptions, CheckpointOptions, ReplayThreads, ReuseProfile,
-    SamplingConfig,
+    analyze_buffer, analyze_buffer_with, capture_program, AnalysisResult, AnalyzeOptions,
+    CheckpointOptions, ReplayThreads, ReuseProfile, SamplingConfig,
 };
 use reuselens::metrics::run_locality_analysis;
 use reuselens::obs::{
@@ -645,21 +644,17 @@ fn jsonl_event_log_reconciles_with_counters() {
         let log = Arc::new(EventLog::to_vec());
         obs::install(recorder.clone());
         obs::install_events(log.clone());
-        let ckpt = CheckpointOptions {
-            dir: dir.clone(),
-            every,
-            resume: false,
+        let opts = AnalyzeOptions {
+            checkpoint: Some(CheckpointOptions {
+                dir: dir.clone(),
+                every,
+                resume: false,
+            }),
+            ..AnalyzeOptions::default()
         };
-        let (profiles, _timings) = analyze_buffer_checkpointed(
-            &w.program,
-            &buffer,
-            &g,
-            &AnalyzeOptions::default(),
-            &ckpt,
-        )
-        .unwrap()
-        .into_strict()
-        .unwrap();
+        let (profiles, _timings) = analyze_buffer_with(&w.program, &buffer, &g, &opts)
+            .into_strict()
+            .unwrap();
         obs::uninstall_events();
         obs::uninstall();
         let _ = std::fs::remove_dir_all(&dir);
