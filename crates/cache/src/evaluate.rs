@@ -259,7 +259,7 @@ fn sweep_outcomes(
     std::thread::scope(|s| {
         let handles: Vec<_> = hierarchies
             .iter()
-            .map(|h| s.spawn(move || score_hierarchy(analysis, h)))
+            .map(|h| s.spawn(obs::Obs::inherit(move || score_hierarchy(analysis, h))))
             .collect();
         handles
             .into_iter()

@@ -890,7 +890,7 @@ pub fn analyze_buffer_with(
     let outcomes: Vec<GrainOutcome> = std::thread::scope(|s| {
         let handles: Vec<_> = block_sizes
             .iter()
-            .map(|&block_size| s.spawn(move || replay(block_size)))
+            .map(|&block_size| s.spawn(obs::Obs::inherit(move || replay(block_size))))
             .collect();
         handles
             .into_iter()

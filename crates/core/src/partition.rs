@@ -410,7 +410,7 @@ pub(crate) fn replay_partitioned(
                 let from = &states[k];
                 let to = states.get(k + 1).map_or(total_events, |next| next.event);
                 let ref_scopes = &ref_scopes;
-                s.spawn(move || {
+                s.spawn(obs::Obs::inherit(move || {
                     let mut span = obs::span_with(obs::Stage::Partition, || obs::TimelineArgs {
                         grain: Some(block_size),
                         events: Some(to - from.event),
@@ -431,7 +431,7 @@ pub(crate) fn replay_partitioned(
                         args.distinct_blocks = Some(worker.local_distinct);
                     });
                     worker.into_result()
-                })
+                }))
             })
             .collect();
         handles

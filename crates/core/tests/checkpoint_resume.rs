@@ -39,20 +39,11 @@ use reuselens_trace::fault::{Corruptor, CrashPoint};
 use reuselens_trace::{TraceBuffer, TraceSink};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 const GRAINS: [u64; 3] = [1, 64, 4096];
 const NREFS: u32 = 5;
 const BASE_SEED: u64 = 0xc4ec_9011_2e5e_0001;
-
-/// Serializes tests around the process-global recorder slot.
-static INSTALL_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    INSTALL_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// A program with [`NREFS`] references so buffer `RefId`s resolve to
 /// real sinks; the suite drives the [`TraceSink`] interface directly.
@@ -203,7 +194,6 @@ fn sampling_modes() -> Vec<SamplingConfig> {
 /// uninterrupted side — and leaves no temp files behind.
 #[test]
 fn checkpointed_run_matches_uninterrupted_bit_for_bit() {
-    let _guard = lock();
     let program = program();
     let mut case = 0usize;
     for shape in SHAPES {
@@ -268,7 +258,6 @@ fn checkpointed_run_matches_uninterrupted_bit_for_bit() {
 /// resuming reproduces the uninterrupted profiles bit for bit.
 #[test]
 fn resume_from_any_surviving_snapshot_prefix_is_bit_identical() {
-    let _guard = lock();
     let program = program();
     for (case, shape) in SHAPES.into_iter().enumerate() {
         let seed = BASE_SEED ^ 0xdead ^ (case as u64) << 17;
@@ -309,7 +298,6 @@ fn resume_from_any_surviving_snapshot_prefix_is_bit_identical() {
 /// never silent corruption.
 #[test]
 fn every_torn_newest_snapshot_recovers_bit_identically() {
-    let _guard = lock();
     let program = program();
     let buf = gen_buffer(Shape::Clustered, BASE_SEED ^ 0x7011, 500);
     let opts = AnalyzeOptions::default();
@@ -354,7 +342,6 @@ fn every_torn_newest_snapshot_recovers_bit_identically() {
 /// [`snapshot_meta`] — precise diagnostics, not a generic failure.
 #[test]
 fn snapshot_meta_reports_typed_errors_for_each_mutation() {
-    let _guard = lock();
     let program = program();
     let buf = gen_buffer(Shape::Strided, BASE_SEED ^ 0x5eed, 400);
     let dir = temp_dir("typed-errors");
@@ -436,7 +423,6 @@ fn snapshot_meta_reports_typed_errors_for_each_mutation() {
 /// resumed / rejected counters reconciling against the files on disk.
 #[test]
 fn resume_rejects_hostile_files_and_counters_reconcile() {
-    let _guard = lock();
     let program = program();
     let buf = gen_buffer(Shape::PointerChasing, BASE_SEED ^ 0xfa11, 700);
     let opts = AnalyzeOptions::default();
@@ -445,9 +431,9 @@ fn resume_rejects_hostile_files_and_counters_reconcile() {
     let every = 128u64;
 
     let recorder = Arc::new(MetricsRecorder::new());
-    obs::install(recorder.clone());
+    let scope = obs::Obs::from(recorder.clone()).enter();
     let got = checkpointed(&program, &buf, &opts, &ckpt(&dir, every, false));
-    obs::uninstall();
+    drop(scope);
     assert_eq!(serial, got);
     let files = snapshot_files(&dir);
     // Interior boundaries only: each grain snapshots at every multiple
@@ -487,9 +473,9 @@ fn resume_rejects_hostile_files_and_counters_reconcile() {
         }
     }
     let recorder = Arc::new(MetricsRecorder::new());
-    obs::install(recorder.clone());
+    let scope = obs::Obs::from(recorder.clone()).enter();
     let resumed = checkpointed(&program, &buf, &opts, &ckpt(&dir, u64::MAX, true));
-    obs::uninstall();
+    drop(scope);
     assert_eq!(
         serial, resumed,
         "resume across hostile snapshot files diverged from uninterrupted"
@@ -507,7 +493,6 @@ fn resume_rejects_hostile_files_and_counters_reconcile() {
 /// and `every` larger than the trace writes no snapshots at all.
 #[test]
 fn cold_start_and_oversized_interval_edge_cases() {
-    let _guard = lock();
     let program = program();
     let buf = gen_buffer(Shape::Strided, BASE_SEED ^ 0xc01d, 300);
     let opts = AnalyzeOptions::default();

@@ -11,12 +11,12 @@
 //! timestamp (nanoseconds since the Unix epoch — joinable with external
 //! logs), the event name, and the event's typed fields.
 //!
-//! Like the recorder and timeline, the log is a process-global optional
-//! slot: nothing is formatted or written until [`crate::install_events`]
-//! installs an [`EventLog`], and every emit site first checks one relaxed
-//! atomic. Lines are flushed per event so `tail -f` (and a crash) always
-//! sees complete records; a write error increments a counter and drops the
-//! line rather than failing the pipeline.
+//! Like the recorder and timeline, the log is an optional part of an
+//! [`crate::Obs`] handle: nothing is formatted or written unless the
+//! emitting thread's handle carries an [`EventLog`]. Lines are flushed
+//! per event so `tail -f` (and a crash) always sees complete records; a
+//! write error increments a counter and drops the line rather than
+//! failing the pipeline.
 //!
 //! # Examples
 //!
@@ -25,14 +25,18 @@
 //! use std::sync::Arc;
 //!
 //! let log = Arc::new(obs::EventLog::to_vec());
-//! obs::install_events(log.clone());
+//! let handle = obs::Obs {
+//!     events: Some(log.clone()),
+//!     ..obs::Obs::default()
+//! };
+//! let scope = handle.enter();
 //! obs::emit(obs::EventKind::GrainCompleted {
 //!     grain: 64,
 //!     events: 1024,
 //!     distinct_blocks: 17,
 //!     wall_ns: 5_000,
 //! });
-//! obs::uninstall_events();
+//! drop(scope);
 //!
 //! let lines = log.captured();
 //! assert_eq!(lines.lines().count(), 1);
@@ -385,8 +389,8 @@ enum Sink {
     Vec(Mutex<Vec<u8>>),
 }
 
-/// A line-oriented JSONL event sink. Install process-wide with
-/// [`crate::install_events`]; every [`crate::emit`] then appends one
+/// A line-oriented JSONL event sink. Carried by an [`crate::Obs`]
+/// handle; every [`crate::emit`] reporting to that handle appends one
 /// complete, flushed line. Thread-safe: lines from concurrent emitters
 /// never interleave (one brief mutex per line, far off the per-event hot
 /// path — emits are per grain / per checkpoint, never per access).

@@ -236,7 +236,7 @@ pub fn format_summary(snapshot: &MetricsSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MetricsRecorder, Recorder, Stage};
+    use crate::{MetricsRecorder, Stage};
 
     #[test]
     fn prometheus_exports_every_metric_even_at_zero() {

@@ -37,16 +37,27 @@
 //!   accept loop, shared by the HTTP server and the analysis daemon,
 //!   that sends every reply in one write on a `TCP_NODELAY` socket.
 //!
+//! ## One handle, passed in
+//!
+//! A run reports into one [`Obs`] handle: an optional recorder, timeline
+//! and event log. The run's thread enters it with [`Obs::enter`], and
+//! every thread the library spawns (grain replays, partitions, hierarchy
+//! scoring, daemon workers and connections, the telemetry aggregator)
+//! enters its spawner's scope, so two runs in one process each count
+//! into their own handle. A thread with no scope falls back to the one
+//! global slot ([`install`] / [`uninstall`]), which records everything
+//! such threads do without passing a handle around.
+//!
 //! ## Zero cost when disabled
 //!
-//! Nothing is recorded until a [`Recorder`] is installed with [`install`].
-//! Every instrumentation entry point is `#[inline]` and first checks one
-//! relaxed atomic load ([`enabled`]); when no recorder is installed the
-//! call is a branch on an already-cached cacheline and returns
-//! immediately — no clock read, no lock, no allocation. The non-perturbation
-//! guarantee is stronger than performance, though: instrumentation *never*
-//! feeds back into analysis, so results are bit-identical with a recorder
-//! installed, absent, or installed halfway through a run.
+//! Nothing is recorded until a handle is entered or installed. Every
+//! instrumentation entry point is `#[inline]` and first checks the
+//! thread's scope and one relaxed atomic ([`enabled`]); with neither, the
+//! call returns immediately — no clock read, no lock, no allocation. The
+//! non-perturbation guarantee is stronger than performance, though:
+//! instrumentation *never* feeds back into analysis, so results are
+//! bit-identical with a handle present, absent, or attached halfway
+//! through a run.
 //!
 //! # Examples
 //!
@@ -58,12 +69,11 @@
 //! obs::add(obs::Counter::EventsDecoded, 10);
 //!
 //! let recorder = Arc::new(obs::MetricsRecorder::new());
-//! obs::install(recorder.clone());
 //! {
+//!     let _scope = obs::Obs::from(recorder.clone()).enter();
 //!     let _span = obs::span(obs::Stage::Replay);
 //!     obs::add(obs::Counter::EventsDecoded, 990);
 //! }
-//! obs::uninstall();
 //!
 //! let snapshot = recorder.snapshot();
 //! assert_eq!(snapshot.counter(obs::Counter::EventsDecoded), 990);
@@ -88,14 +98,15 @@ pub use events::{EventKind, EventLog, Severity};
 pub use export::{format_prometheus, format_summary};
 pub use http::{http_get, HttpServer, Response, MAX_ACTIVE_CONNECTIONS};
 pub use recorder::{
-    GrainProfile, GrainStatus, MetricsRecorder, MetricsSnapshot, Recorder, SpanStats,
+    GrainProfile, GrainStatus, MetricsRecorder, MetricsSnapshot, SpanStats,
 };
 pub use service::{ServiceConfig, TelemetryService};
 pub use timeline::{format_chrome_trace, Timeline, TimelineArgs, TimelineEvent, TimelineSnapshot};
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 /// A pipeline stage a [`span`] can time. One execution of the full
@@ -443,200 +454,174 @@ impl Gauge {
     }
 }
 
+/// One observability handle: the recorder, timeline and event log a run
+/// reports into (see [the crate docs](crate)). Cloning is cheap. Enter it
+/// on a thread with [`Obs::enter`], or make it the handle of every thread
+/// without a scope with [`install`]. An empty handle (`Obs::default()`)
+/// records nothing, so entering one runs a thread dark.
+#[derive(Debug, Clone, Default)]
+pub struct Obs {
+    /// Counters, gauges, stage timings and grain profiles.
+    pub metrics: Option<Arc<MetricsRecorder>>,
+    /// One event per completed span, for the Chrome trace view.
+    pub timeline: Option<Arc<Timeline>>,
+    /// The structured JSONL event log.
+    pub events: Option<Arc<EventLog>>,
+}
+
+impl From<Arc<MetricsRecorder>> for Obs {
+    fn from(metrics: Arc<MetricsRecorder>) -> Obs {
+        Obs {
+            metrics: Some(metrics),
+            ..Obs::default()
+        }
+    }
+}
+
+impl Obs {
+    /// Makes this handle the calling thread's scope until the returned
+    /// guard drops; the guard then restores whatever scope (or none) the
+    /// thread had before, so scopes nest.
+    pub fn enter(&self) -> ObsScope {
+        let previous = SCOPE.with(|scope| scope.replace(Some(self.clone())));
+        ObsScope {
+            previous,
+            _thread: PhantomData,
+        }
+    }
+
+    /// Wraps `f`, the body of a thread about to be spawned, so the new
+    /// thread enters the calling thread's scope — or, when the caller has
+    /// none, follows the global slot like it. Every thread the library
+    /// spawns runs through this.
+    pub fn inherit<T>(f: impl FnOnce() -> T) -> impl FnOnce() -> T {
+        let scope = SCOPE.with(|scope| scope.borrow().clone());
+        move || {
+            let _scope = scope.as_ref().map(Obs::enter);
+            f()
+        }
+    }
+}
+
+/// Guard returned by [`Obs::enter`]: restores the thread's previous scope
+/// on drop. It belongs to the thread that entered, so it is not `Send`.
+#[derive(Debug)]
+#[must_use = "the scope ends when the guard drops; bind it to a variable"]
+pub struct ObsScope {
+    previous: Option<Obs>,
+    _thread: PhantomData<*const ()>,
+}
+
+impl Drop for ObsScope {
+    fn drop(&mut self) {
+        let previous = self.previous.take();
+        // The handle leaving scope is dropped outside the borrow.
+        let _left = SCOPE.with(|scope| scope.replace(previous));
+    }
+}
+
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static RECORDER: RwLock<Option<Arc<dyn Recorder>>> = RwLock::new(None);
-static TIMELINE_ENABLED: AtomicBool = AtomicBool::new(false);
-static TIMELINE: RwLock<Option<Arc<Timeline>>> = RwLock::new(None);
-static EVENTS_ENABLED: AtomicBool = AtomicBool::new(false);
-static EVENTS: RwLock<Option<Arc<EventLog>>> = RwLock::new(None);
+static GLOBAL: RwLock<Option<Obs>> = RwLock::new(None);
 
 thread_local! {
+    /// The handle this thread entered with [`Obs::enter`], if any.
+    static SCOPE: RefCell<Option<Obs>> = const { RefCell::new(None) };
     /// Nesting depth of open spans on this thread (1 = top level).
     static SPAN_DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
-/// True when a recorder is installed. Instrumented code checks this one
-/// relaxed load before doing anything else; the disabled path is a single
-/// predictable branch.
+/// Runs `f` on the calling thread's handle: its scope if it entered one,
+/// else the global slot. `None` — without reading any lock — when the
+/// thread has no scope and the global slot is empty.
+#[inline]
+fn with_obs<R>(f: impl FnOnce(&Obs) -> R) -> Option<R> {
+    SCOPE.with(|scope| {
+        if let Some(obs) = scope.borrow().as_ref() {
+            return Some(f(obs));
+        }
+        if !ENABLED.load(Ordering::Relaxed) {
+            return None;
+        }
+        // A sink panicking mid-call could poison the lock; observability
+        // must never take the pipeline down, so a poisoned slot is read.
+        let global = GLOBAL.read().unwrap_or_else(|poisoned| poisoned.into_inner());
+        global.as_ref().map(f)
+    })
+}
+
+/// True when the calling thread records metrics: its scope, or else the
+/// global slot, holds a recorder.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    with_obs(|obs| obs.metrics.is_some()).unwrap_or(false)
 }
 
-fn recorder_slot() -> RwLockReadGuard<'static, Option<Arc<dyn Recorder>>> {
-    // A recorder panicking mid-call could poison the lock; observability
-    // must never take the pipeline down, so a poisoned slot is still read.
-    match RECORDER.read() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Installs a recorder and enables instrumentation process-wide, returning
-/// the previously installed recorder if any. Recording starts immediately:
-/// counters added before installation are simply lost, which is exactly
-/// the mid-run-install semantics the identity tests pin down.
-pub fn install(recorder: Arc<dyn Recorder>) -> Option<Arc<dyn Recorder>> {
-    let mut slot = match RECORDER.write() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    let previous = slot.replace(recorder);
+/// Fills the global slot — the handle of every thread without a scope —
+/// and returns the handle it replaces. Recording starts immediately:
+/// probes that ran before are simply lost, which is exactly the
+/// mid-run-install semantics the identity tests pin down.
+pub fn install(obs: impl Into<Obs>) -> Option<Obs> {
+    let mut global = GLOBAL.write().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let previous = global.replace(obs.into());
     ENABLED.store(true, Ordering::SeqCst);
     previous
 }
 
-/// Disables instrumentation and removes the installed recorder, returning
-/// it so callers can snapshot after the pipeline quiesces.
-pub fn uninstall() -> Option<Arc<dyn Recorder>> {
+/// Empties the global slot and returns its handle, so callers can
+/// snapshot after the pipeline quiesces.
+pub fn uninstall() -> Option<Obs> {
     ENABLED.store(false, Ordering::SeqCst);
-    let mut slot = match RECORDER.write() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    slot.take()
-}
-
-/// True when a timeline is installed. Like [`enabled`], one relaxed load.
-#[inline]
-pub fn timeline_enabled() -> bool {
-    TIMELINE_ENABLED.load(Ordering::Relaxed)
-}
-
-fn timeline_slot() -> RwLockReadGuard<'static, Option<Arc<Timeline>>> {
-    match TIMELINE.read() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Installs a timeline process-wide, returning the previous one if any.
-/// Only spans that *close* while a timeline is installed are recorded
-/// (see [`Timeline`] for the mid-run install/uninstall semantics), so a
-/// timeline can be attached to a long-running pipeline at any point.
-pub fn install_timeline(timeline: Arc<Timeline>) -> Option<Arc<Timeline>> {
-    let mut slot = match TIMELINE.write() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    let previous = slot.replace(timeline);
-    TIMELINE_ENABLED.store(true, Ordering::SeqCst);
-    previous
-}
-
-/// Disables timeline recording and removes the installed timeline,
-/// returning it so callers can snapshot and export it.
-pub fn uninstall_timeline() -> Option<Arc<Timeline>> {
-    TIMELINE_ENABLED.store(false, Ordering::SeqCst);
-    let mut slot = match TIMELINE.write() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    slot.take()
-}
-
-/// True when an event log is installed. Like [`enabled`], one relaxed load.
-#[inline]
-pub fn events_enabled() -> bool {
-    EVENTS_ENABLED.load(Ordering::Relaxed)
-}
-
-fn events_slot() -> RwLockReadGuard<'static, Option<Arc<EventLog>>> {
-    match EVENTS.read() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Installs a JSONL event log process-wide, returning the previous one if
-/// any. Emits before installation are simply lost (the same mid-run
-/// install semantics as [`install`]).
-pub fn install_events(log: Arc<EventLog>) -> Option<Arc<EventLog>> {
-    let mut slot = match EVENTS.write() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    let previous = slot.replace(log);
-    EVENTS_ENABLED.store(true, Ordering::SeqCst);
-    previous
-}
-
-/// Disables event emission and removes the installed log, returning it so
-/// callers can flush/inspect after the pipeline quiesces.
-pub fn uninstall_events() -> Option<Arc<EventLog>> {
-    EVENTS_ENABLED.store(false, Ordering::SeqCst);
-    let mut slot = match EVENTS.write() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    slot.take()
+    let mut global = GLOBAL.write().unwrap_or_else(|poisoned| poisoned.into_inner());
+    global.take()
 }
 
 /// Emits one typed event at its default severity ([`EventKind::severity`]).
-/// A no-op branch when no event log is installed; never per-access — emit
-/// sites are grain/checkpoint/stitch-grained like counter bulk adds.
+/// A no-op branch when the calling thread's handle has no event log;
+/// never per-access — emit sites are grain/checkpoint/stitch-grained like
+/// counter bulk adds.
 #[inline]
 pub fn emit(kind: EventKind) {
-    if !events_enabled() {
-        return;
-    }
-    if let Some(log) = events_slot().as_ref() {
-        log.emit(kind.severity(), &kind);
-    }
+    emit_at(kind.severity(), kind);
 }
 
 /// Emits one typed event at an explicit severity. A no-op when disabled.
 #[inline]
 pub fn emit_at(severity: Severity, kind: EventKind) {
-    if !events_enabled() {
-        return;
-    }
-    if let Some(log) = events_slot().as_ref() {
-        log.emit(severity, &kind);
-    }
+    with_obs(|obs| obs.events.as_ref().map(|log| log.emit(severity, &kind)));
 }
 
 /// Adds a bulk delta to a counter. A no-op branch when disabled.
 #[inline]
 pub fn add(counter: Counter, delta: u64) {
-    if !enabled() {
-        return;
-    }
-    if let Some(recorder) = recorder_slot().as_deref() {
-        recorder.add(counter, delta);
-    }
+    with_obs(|obs| obs.metrics.as_ref().map(|m| m.add(counter, delta)));
 }
 
 /// Sets a gauge to its latest observed value. A no-op branch when disabled.
 #[inline]
 pub fn set_gauge(gauge: Gauge, value: u64) {
-    if !enabled() {
-        return;
-    }
-    if let Some(recorder) = recorder_slot().as_deref() {
-        recorder.set_gauge(gauge, value);
-    }
+    with_obs(|obs| obs.metrics.as_ref().map(|m| m.set_gauge(gauge, value)));
 }
 
 /// Opens a timing span for a pipeline stage. The returned guard records
 /// the elapsed wall time (and the thread-local nesting depth) when
-/// dropped — to the installed recorder as aggregate stage timing, and to
-/// the installed timeline as one [`TimelineEvent`]. When neither is
-/// installed the guard is inert: no clock is read on open or close.
+/// dropped — to the thread's recorder as aggregate stage timing, and to
+/// its timeline as one [`TimelineEvent`]. When the thread's handle has
+/// neither, the guard is inert: no clock is read on open or close.
 #[inline]
 pub fn span(stage: Stage) -> SpanGuard {
     span_with(stage, TimelineArgs::default)
 }
 
 /// Opens a timing span carrying typed timeline args. `args` is evaluated
-/// only when a timeline is installed, so call sites can clone names and
-/// build strings inside the closure without cost on the disabled (or
-/// metrics-only) path. Args known only at completion are added through
-/// [`SpanGuard::record`].
+/// only when the thread's handle has a timeline, so call sites can clone
+/// names and build strings inside the closure without cost on the
+/// disabled (or metrics-only) path. Args known only at completion are
+/// added through [`SpanGuard::record`].
 #[inline]
 pub fn span_with(stage: Stage, args: impl FnOnce() -> TimelineArgs) -> SpanGuard {
-    let timeline = timeline_enabled();
-    if !enabled() && !timeline {
+    let (metrics, timeline) =
+        with_obs(|obs| (obs.metrics.is_some(), obs.timeline.is_some())).unwrap_or_default();
+    if !metrics && !timeline {
         return SpanGuard { armed: None };
     }
     let depth = SPAN_DEPTH.with(|d| {
@@ -667,8 +652,8 @@ struct ArmedSpan {
 }
 
 /// Guard returned by [`span`] / [`span_with`]; reports the stage's
-/// elapsed wall time to the installed recorder and its timeline event to
-/// the installed timeline on drop.
+/// elapsed wall time to the thread's recorder and its timeline event to
+/// the thread's timeline on drop.
 #[derive(Debug)]
 #[must_use = "a span measures the scope it lives in; bind it to a variable"]
 pub struct SpanGuard {
@@ -694,72 +679,58 @@ impl Drop for SpanGuard {
         };
         let wall = armed.start.elapsed();
         SPAN_DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        // The recorder or timeline may have been uninstalled while the
-        // span was open; the measurement is then dropped, never blocked
-        // on — and a timeline never receives half-open events.
-        if enabled() {
-            if let Some(recorder) = recorder_slot().as_deref() {
-                recorder.record_span(armed.stage, wall, armed.depth);
+        // The span reports to the handle it closes into: one removed
+        // while the span was open drops the measurement, never blocks on
+        // it — and a timeline never receives half-open events.
+        with_obs(|obs| {
+            if let Some(metrics) = &obs.metrics {
+                metrics.record_span(armed.stage, wall, armed.depth);
             }
-        }
-        if timeline_enabled() {
-            if let Some(timeline) = timeline_slot().as_ref() {
-                timeline.record(armed.stage, armed.start, wall, armed.depth, armed.args);
+            if let Some(timeline) = &obs.timeline {
+                let evicted =
+                    timeline.record(armed.stage, armed.start, wall, armed.depth, armed.args);
+                if let (true, Some(metrics)) = (evicted, &obs.metrics) {
+                    metrics.add(Counter::TimelineDropped, 1);
+                }
             }
-        }
+        });
     }
 }
 
-/// Reports one grain's cost profile to the installed recorder. A no-op
+/// Reports one grain's cost profile to the thread's recorder. A no-op
 /// branch when disabled; called once per grain by the replay engine.
 #[inline]
 pub fn record_grain(profile: &GrainProfile) {
-    if !enabled() {
-        return;
-    }
-    if let Some(recorder) = recorder_slot().as_deref() {
-        recorder.record_grain(profile);
-    }
+    with_obs(|obs| obs.metrics.as_ref().map(|m| m.record_grain(profile)));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// The recorder slot is process-global; tests that install serialize
-    /// through this lock so `cargo test` parallelism cannot interleave them.
-    static INSTALL_LOCK: Mutex<()> = Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        match INSTALL_LOCK.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
 
     #[test]
     fn disabled_calls_are_inert() {
-        let _serial = serial();
+        // An empty handle runs the thread dark whatever the global slot
+        // holds: no probe arms a span or reads a clock.
+        let _dark = Obs::default().enter();
         assert!(!enabled());
         add(Counter::EventsDecoded, 5);
         set_gauge(Gauge::BudgetEvents, 5);
-        let guard = span(Stage::Replay);
-        assert!(guard.armed.is_none());
-        drop(guard);
-        // Nothing observable happened: installing a fresh recorder now
-        // sees a clean slate.
-        let rec = Arc::new(MetricsRecorder::new());
-        install(rec.clone());
-        uninstall();
-        let snap = rec.snapshot();
-        assert_eq!(snap.counter(Counter::EventsDecoded), 0);
-        assert!(snap.spans.iter().all(|s| s.count == 0));
+        emit(EventKind::GrainStarted { grain: 1 });
+        assert!(span(Stage::Replay).armed.is_none());
+    }
+
+    /// The two tests that touch the global slot take this lock, so
+    /// `cargo test` parallelism cannot interleave their installs.
+    static GLOBAL_SLOT: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn global_slot() -> std::sync::MutexGuard<'static, ()> {
+        GLOBAL_SLOT.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     #[test]
     fn install_records_and_uninstall_stops() {
-        let _serial = serial();
+        let _slot = global_slot();
         let rec = Arc::new(MetricsRecorder::new());
         assert!(install(rec.clone()).is_none());
         assert!(enabled());
@@ -769,12 +740,23 @@ mod tests {
             let _outer = span(Stage::Replay);
             let _inner = span(Stage::Decode);
         }
-        let returned = uninstall();
-        assert!(returned.is_some());
+        // A scope shadows the global slot.
+        {
+            let _dark = Obs::default().enter();
+            add(Counter::GrainsCompleted, 50);
+        }
+        // Installing again replaces the handle and returns the previous.
+        let second = Arc::new(MetricsRecorder::new());
+        let previous = install(second.clone()).expect("first handle is returned");
+        assert!(Arc::ptr_eq(&previous.metrics.expect("a recorder"), &rec));
+        add(Counter::ReportsGenerated, 10);
+        let returned = uninstall().expect("second handle is returned");
+        assert!(Arc::ptr_eq(&returned.metrics.expect("a recorder"), &second));
         assert!(!enabled());
         add(Counter::GrainsCompleted, 99); // dropped: disabled again
         let snap = rec.snapshot();
         assert_eq!(snap.counter(Counter::GrainsCompleted), 2);
+        assert_eq!(snap.counter(Counter::ReportsGenerated), 0);
         assert_eq!(snap.gauge(Gauge::BudgetTreeNodes), 7);
         let replay = snap.stage(Stage::Replay);
         let decode = snap.stage(Stage::Decode);
@@ -782,21 +764,45 @@ mod tests {
         assert_eq!(decode.count, 1);
         assert_eq!(replay.max_depth, 1);
         assert_eq!(decode.max_depth, 2, "nested span must record depth 2");
+        assert_eq!(second.snapshot().counter(Counter::ReportsGenerated), 10);
+        assert_eq!(second.snapshot().counter(Counter::GrainsCompleted), 0);
     }
 
     #[test]
     fn install_replaces_and_returns_previous_recorder() {
-        let _serial = serial();
+        let _slot = global_slot();
         let first = Arc::new(MetricsRecorder::new());
         let second = Arc::new(MetricsRecorder::new());
-        install(first.clone());
+        assert!(install(first.clone()).is_none());
         add(Counter::ReportsGenerated, 1);
-        let previous = install(second.clone());
-        assert!(previous.is_some());
+        let previous = install(second.clone()).expect("first handle is returned");
+        assert!(Arc::ptr_eq(&previous.metrics.expect("a recorder"), &first));
         add(Counter::ReportsGenerated, 10);
-        uninstall();
+        let returned = uninstall().expect("second handle is returned");
+        assert!(Arc::ptr_eq(&returned.metrics.expect("a recorder"), &second));
         assert_eq!(first.snapshot().counter(Counter::ReportsGenerated), 1);
         assert_eq!(second.snapshot().counter(Counter::ReportsGenerated), 10);
+    }
+
+    #[test]
+    fn scopes_nest_restore_and_pass_to_spawned_threads() {
+        let outer = Arc::new(MetricsRecorder::new());
+        let inner = Arc::new(MetricsRecorder::new());
+        let outer_scope = Obs::from(outer.clone()).enter();
+        add(Counter::ReportsGenerated, 1);
+        {
+            let _inner_scope = Obs::from(inner.clone()).enter();
+            std::thread::spawn(Obs::inherit(|| add(Counter::ReportsGenerated, 10)))
+                .join()
+                .expect("inheriting thread");
+        }
+        add(Counter::ReportsGenerated, 100);
+        drop(outer_scope);
+        // Without a scope to inherit, the thread has none.
+        let spawned = std::thread::spawn(Obs::inherit(|| SCOPE.with(|s| s.borrow().is_none())));
+        assert!(spawned.join().expect("unscoped thread"));
+        assert_eq!(outer.counter(Counter::ReportsGenerated), 101);
+        assert_eq!(inner.counter(Counter::ReportsGenerated), 10);
     }
 
     #[test]
@@ -830,16 +836,18 @@ mod tests {
 
     #[test]
     fn event_emission_respects_install_state() {
-        let _serial = serial();
-        assert!(!events_enabled());
-        emit(EventKind::GrainStarted { grain: 1 }); // inert: no log installed
+        let _dark = Obs::default().enter();
+        emit(EventKind::GrainStarted { grain: 1 }); // inert: no log in scope
         let log = Arc::new(EventLog::to_vec());
-        assert!(install_events(log.clone()).is_none());
+        let scope = Obs {
+            events: Some(log.clone()),
+            ..Obs::default()
+        }
+        .enter();
         emit(EventKind::GrainStarted { grain: 64 });
         emit_at(Severity::Warn, EventKind::GrainStarted { grain: 128 });
-        let returned = uninstall_events();
-        assert!(returned.is_some());
-        emit(EventKind::GrainStarted { grain: 999 }); // dropped: disabled
+        drop(scope);
+        emit(EventKind::GrainStarted { grain: 999 }); // dropped: scope ended
         let text = log.captured();
         assert_eq!(text.lines().count(), 2);
         assert!(text.contains("\"grain\":64"));

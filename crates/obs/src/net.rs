@@ -28,6 +28,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::Obs;
+
 /// Writes `parts` as one reply: concatenated into one buffer, then
 /// exactly one `write_all` and one `flush`.
 ///
@@ -99,7 +101,9 @@ impl TcpServer {
         let accept_stop = stop.clone();
         let accept_thread = std::thread::Builder::new()
             .name(format!("{}-accept", spec.name))
-            .spawn(move || accept_loop(&listener, &accept_stop, &spec, Arc::new(handler)))?;
+            .spawn(Obs::inherit(move || {
+                accept_loop(&listener, &accept_stop, &spec, Arc::new(handler));
+            }))?;
         Ok(TcpServer {
             addr: local,
             stop,
@@ -148,10 +152,10 @@ where
         let handler = handler.clone();
         let spawned = std::thread::Builder::new()
             .name(format!("{}-conn", spec.name))
-            .spawn(move || {
+            .spawn(Obs::inherit(move || {
                 handler(&mut stream);
                 conn_active.fetch_sub(1, Ordering::SeqCst);
-            });
+            }));
         if spawned.is_err() {
             // Could not spawn (resource exhaustion): undo the count; the
             // client sees a closed connection.

@@ -1,4 +1,5 @@
-//! The recorder trait and the default all-atomic implementation.
+//! The metrics recorder: counters, gauges, stage timings and grain
+//! profiles, all in relaxed atomics.
 
 use crate::{Counter, Gauge, Stage};
 use std::array;
@@ -73,36 +74,18 @@ impl GrainProfile {
     }
 }
 
-/// Receives instrumentation from the pipeline. Implementations must be
-/// cheap and wait-free-ish: they are called from replay threads with bulk
-/// deltas (per batch / per grain / per buffer, never per event) and must
-/// never panic — a panicking recorder poisons nothing, but its
-/// measurement is lost.
-pub trait Recorder: Send + Sync {
-    /// Adds a bulk delta to a counter.
-    fn add(&self, counter: Counter, delta: u64);
-    /// Sets a gauge to its latest observed value.
-    fn set_gauge(&self, gauge: Gauge, value: u64);
-    /// Records one completed span: its stage, wall time, and the
-    /// thread-local nesting depth it ran at (1 = top level).
-    fn record_span(&self, stage: Stage, wall: Duration, depth: u32);
-    /// Records one grain's cost profile. Default: ignored, so recorders
-    /// that only aggregate counters need not store a table.
-    fn record_grain(&self, profile: &GrainProfile) {
-        let _ = profile;
-    }
-}
-
 /// Bound on stored grain profiles: one row per grain per run is tiny, but
 /// a recorder left installed across millions of runs must stay bounded.
 /// Past the cap new rows are dropped (the aggregate grain counters keep
 /// counting).
 const MAX_GRAIN_PROFILES: usize = 65_536;
 
-/// The default [`Recorder`]: plain relaxed atomics, no locks, no
+/// Receives the pipeline's metrics: plain relaxed atomics, no locks, no
 /// allocation after construction. Safe to share across every replay and
-/// sweep thread; [`snapshot`](MetricsRecorder::snapshot) can be taken at
-/// any time (values are each individually consistent).
+/// sweep thread; it is called with bulk deltas (per batch / per grain /
+/// per buffer, never per event) and never panics.
+/// [`snapshot`](MetricsRecorder::snapshot) can be taken at any time
+/// (values are each individually consistent).
 #[derive(Debug)]
 pub struct MetricsRecorder {
     counters: [AtomicU64; Counter::ALL.len()],
@@ -112,7 +95,7 @@ pub struct MetricsRecorder {
     span_max_nanos: [AtomicU64; Stage::ALL.len()],
     span_depths: [AtomicU64; Stage::ALL.len()],
     // Off the hot path: one push per grain per run, behind a mutex held
-    // for the push only (poison-tolerant like the global slots).
+    // for the push only (poison-tolerant like the global slot).
     grains: Mutex<Vec<GrainProfile>>,
 }
 
@@ -127,6 +110,40 @@ impl MetricsRecorder {
             span_max_nanos: array::from_fn(|_| AtomicU64::new(0)),
             span_depths: array::from_fn(|_| AtomicU64::new(0)),
             grains: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Adds a bulk delta to a counter.
+    pub fn add(&self, counter: Counter, delta: u64) {
+        self.counters[counter.index()].fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// Sets a gauge to its latest observed value.
+    pub fn set_gauge(&self, gauge: Gauge, value: u64) {
+        self.gauges[gauge.index()].store(value, Ordering::Relaxed);
+    }
+
+    /// Records one completed span: its stage, wall time, and the
+    /// thread-local nesting depth it ran at (1 = top level).
+    pub fn record_span(&self, stage: Stage, wall: Duration, depth: u32) {
+        let i = stage.index();
+        self.span_counts[i].fetch_add(1, Ordering::Relaxed);
+        // Saturating: 2^64 ns is ~584 years of span time.
+        let nanos = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
+        self.span_nanos[i].fetch_add(nanos, Ordering::Relaxed);
+        self.span_max_nanos[i].fetch_max(nanos, Ordering::Relaxed);
+        self.span_depths[i].fetch_max(u64::from(depth), Ordering::Relaxed);
+    }
+
+    /// Records one grain's cost profile (bounded: past
+    /// `MAX_GRAIN_PROFILES` rows new ones are dropped).
+    pub fn record_grain(&self, profile: &GrainProfile) {
+        let mut grains = match self.grains.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        if grains.len() < MAX_GRAIN_PROFILES {
+            grains.push(profile.clone());
         }
     }
 
@@ -168,36 +185,6 @@ impl MetricsRecorder {
 impl Default for MetricsRecorder {
     fn default() -> MetricsRecorder {
         MetricsRecorder::new()
-    }
-}
-
-impl Recorder for MetricsRecorder {
-    fn add(&self, counter: Counter, delta: u64) {
-        self.counters[counter.index()].fetch_add(delta, Ordering::Relaxed);
-    }
-
-    fn set_gauge(&self, gauge: Gauge, value: u64) {
-        self.gauges[gauge.index()].store(value, Ordering::Relaxed);
-    }
-
-    fn record_span(&self, stage: Stage, wall: Duration, depth: u32) {
-        let i = stage.index();
-        self.span_counts[i].fetch_add(1, Ordering::Relaxed);
-        // Saturating: 2^64 ns is ~584 years of span time.
-        let nanos = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
-        self.span_nanos[i].fetch_add(nanos, Ordering::Relaxed);
-        self.span_max_nanos[i].fetch_max(nanos, Ordering::Relaxed);
-        self.span_depths[i].fetch_max(u64::from(depth), Ordering::Relaxed);
-    }
-
-    fn record_grain(&self, profile: &GrainProfile) {
-        let mut grains = match self.grains.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if grains.len() < MAX_GRAIN_PROFILES {
-            grains.push(profile.clone());
-        }
     }
 }
 

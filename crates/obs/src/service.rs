@@ -27,7 +27,6 @@
 //!
 //! ```
 //! use reuselens_obs as obs;
-//! use obs::Recorder as _;
 //! use std::sync::Arc;
 //!
 //! let recorder = Arc::new(obs::MetricsRecorder::new());
@@ -57,7 +56,8 @@ use std::time::{Duration, Instant};
 use crate::export::fmt_rate;
 use crate::http::{Handler, HttpServer, Response};
 use crate::{
-    format_chrome_trace, Counter, EventKind, MetricsRecorder, Stage, Timeline, TimelineSnapshot,
+    format_chrome_trace, Counter, EventKind, MetricsRecorder, Obs, Stage, Timeline,
+    TimelineSnapshot,
 };
 
 /// How the aggregator paces itself and what the run promised upfront.
@@ -433,8 +433,10 @@ impl std::fmt::Debug for TelemetryService {
 impl TelemetryService {
     /// Starts the aggregator thread over `recorder` (and `timeline`, when
     /// the run keeps one, for `/timeline`). The service holds its own
-    /// `Arc`s: installing or uninstalling the process-global slots while
-    /// it runs is safe and does not disturb it.
+    /// `Arc`s: filling or emptying the global slot while it runs is safe
+    /// and does not disturb it. The aggregator and the HTTP threads enter
+    /// the caller's [`Obs`] scope, so heartbeats land in the caller's
+    /// event log.
     pub fn start(
         recorder: Arc<MetricsRecorder>,
         timeline: Option<Arc<Timeline>>,
@@ -459,7 +461,7 @@ impl TelemetryService {
         let thread_shared = shared.clone();
         let aggregator = std::thread::Builder::new()
             .name("obs-aggregator".into())
-            .spawn(move || aggregator_loop(&thread_shared, tick, heartbeat))
+            .spawn(Obs::inherit(move || aggregator_loop(&thread_shared, tick, heartbeat)))
             .ok();
         TelemetryService {
             shared,
@@ -583,7 +585,7 @@ fn aggregator_loop(shared: &Arc<Shared>, tick: Duration, heartbeat: Option<Durat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Gauge, Recorder as _};
+    use crate::Gauge;
 
     fn fast_config() -> ServiceConfig {
         ServiceConfig {

@@ -3,12 +3,12 @@
 //!
 //! Aggregate counters (§ [`crate::MetricsRecorder`]) say *how much* time
 //! the pipeline spends per stage; the timeline says *where across threads
-//! and grains* it goes. Every completed [`crate::span`] whose lifetime
-//! overlapped an installed [`Timeline`] becomes one [`TimelineEvent`]
-//! carrying monotonic begin/end timestamps (nanoseconds since the
-//! timeline's epoch), a dense in-process thread index, the span's nesting
-//! depth, and its typed [`TimelineArgs`] (grain, events replayed, distinct
-//! blocks, tree nodes, hierarchy name).
+//! and grains* it goes. Every [`crate::span`] that closes into a handle
+//! carrying a [`Timeline`] becomes one [`TimelineEvent`] carrying
+//! monotonic begin/end timestamps (nanoseconds since the timeline's
+//! epoch), a dense in-process thread index, the span's nesting depth, and
+//! its typed [`TimelineArgs`] (grain, events replayed, distinct blocks,
+//! tree nodes, hierarchy name).
 //!
 //! ## Sharding and overflow policy
 //!
@@ -19,15 +19,16 @@
 //! never a rendezvous). Each shard is a ring holding at most
 //! `capacity_per_shard` events: when full, the **oldest** event in that
 //! shard is dropped, the [`Counter::TimelineDropped`](crate::Counter)
-//! counter ticks, and the push proceeds. A full timeline therefore never
-//! blocks the pipeline and never grows past its configured bound.
+//! counter of the same handle's recorder ticks, and the push proceeds. A
+//! full timeline therefore never blocks the pipeline and never grows past
+//! its configured bound.
 //!
-//! Events are recorded only when a span *closes*, so an install or
-//! uninstall mid-run can never leave a half-open ("dangling") event in the
-//! buffer: a span that closes after [`crate::uninstall_timeline`] is
-//! simply not recorded, and one that opened before
-//! [`crate::install_timeline`] is recorded with its begin clamped to the
-//! timeline's epoch.
+//! Events are recorded only when a span *closes*, into the timeline of
+//! the handle ([`crate::Obs`]) the closing thread reports to, so adding or
+//! removing a timeline mid-run can never leave a half-open ("dangling")
+//! event in the buffer: a span that closes after its scope ends is simply
+//! not recorded, and one that opened before the timeline arrived is
+//! recorded with its begin clamped to the timeline's epoch.
 //!
 //! # Examples
 //!
@@ -36,15 +37,18 @@
 //! use std::sync::Arc;
 //!
 //! let timeline = Arc::new(obs::Timeline::new());
-//! obs::install_timeline(timeline.clone());
+//! let handle = obs::Obs {
+//!     timeline: Some(timeline.clone()),
+//!     ..obs::Obs::default()
+//! };
 //! {
+//!     let _scope = handle.enter();
 //!     let mut span = obs::span_with(obs::Stage::Replay, || obs::TimelineArgs {
 //!         grain: Some(64),
 //!         ..obs::TimelineArgs::default()
 //!     });
 //!     span.record(|args| args.events = Some(1024));
 //! }
-//! obs::uninstall_timeline();
 //!
 //! let snapshot = timeline.snapshot();
 //! assert_eq!(snapshot.events.len(), 1);
@@ -53,7 +57,7 @@
 //! ```
 
 use crate::json::escape;
-use crate::{Counter, Stage};
+use crate::Stage;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -126,7 +130,7 @@ pub struct TimelineEvent {
     /// The pipeline stage the span timed.
     pub stage: Stage,
     /// Nanoseconds from the timeline's epoch to the span's open (clamped
-    /// to zero for spans opened before the timeline was installed).
+    /// to zero for spans opened before the timeline was attached).
     pub begin_ns: u64,
     /// Nanoseconds from the epoch to the span's close; `>= begin_ns`.
     pub end_ns: u64,
@@ -147,8 +151,8 @@ struct Shard {
     seq: u64,
 }
 
-/// The bounded, sharded timeline buffer. Install with
-/// [`crate::install_timeline`]; snapshot any time with
+/// The bounded, sharded timeline buffer. Spans reach it through an
+/// [`crate::Obs`] handle; snapshot any time with
 /// [`snapshot`](Timeline::snapshot).
 #[derive(Debug)]
 pub struct Timeline {
@@ -186,9 +190,10 @@ impl Timeline {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Records one completed span. Called from [`crate::SpanGuard`]'s drop
-    /// on the closing thread; also usable directly by tests.
-    pub fn record(&self, stage: Stage, start: Instant, wall: Duration, depth: u32, args: TimelineArgs) {
+    /// Records one completed span; true when a full shard dropped its
+    /// oldest event for it. Called from [`crate::SpanGuard`]'s drop on the
+    /// closing thread; also usable directly by tests.
+    pub fn record(&self, stage: Stage, start: Instant, wall: Duration, depth: u32, args: TimelineArgs) -> bool {
         let begin_ns = duration_ns(start.saturating_duration_since(self.epoch));
         let end_ns = begin_ns.saturating_add(duration_ns(wall));
         let thread = thread_index();
@@ -199,10 +204,10 @@ impl Timeline {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
-        if shard.ring.len() >= self.capacity_per_shard {
+        let evicted = shard.ring.len() >= self.capacity_per_shard;
+        if evicted {
             shard.ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            crate::add(Counter::TimelineDropped, 1);
         }
         let seq = shard.seq;
         shard.seq += 1;
@@ -215,6 +220,7 @@ impl Timeline {
             seq,
             args,
         });
+        evicted
     }
 
     /// A point-in-time merge of every shard, sorted by begin timestamp

@@ -7,7 +7,7 @@
 //! series, changed help text, shifted columns — fails here first, before
 //! it breaks a downstream scrape config.
 
-use reuselens_obs::{Counter, Gauge, GrainProfile, GrainStatus, MetricsRecorder, Recorder, Stage};
+use reuselens_obs::{Counter, Gauge, GrainProfile, GrainStatus, MetricsRecorder, Stage};
 use std::time::Duration;
 
 /// Every counter at `(index + 1) * 10`, every gauge at `(index + 1) * 7`,

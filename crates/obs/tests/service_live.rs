@@ -1,21 +1,21 @@
 //! End-to-end tests of the live telemetry service: the background
 //! aggregator, the HTTP surface (`/metrics`, `/healthz`, `/timeline`),
 //! and the structured JSONL event log, exercised the way a real run
-//! uses them — over sockets, under concurrency, and against the
-//! process-global recorder slots being installed and uninstalled while
-//! the aggregator keeps snapshotting.
+//! uses them — over sockets, under concurrency, and against the global
+//! slot being filled and emptied while the aggregator keeps
+//! snapshotting.
+//!
+//! `aggregator_survives_concurrent_install_uninstall` is the one test
+//! here that uses the global slot; every other test emits only inside
+//! its own `Obs` scope.
 
 use reuselens_obs::{
     http_get, Counter, EventKind, EventLog, Gauge, GrainProfile, GrainStatus, MetricsRecorder,
-    Recorder, ServiceConfig, Stage, TelemetryService, Timeline,
+    Obs, ServiceConfig, Stage, TelemetryService, Timeline,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
-
-/// The process-global recorder/event slots are shared by every test in
-/// this binary; tests that install or uninstall them serialize here.
-static INSTALL_LOCK: Mutex<()> = Mutex::new(());
 
 fn service_over(recorder: Arc<MetricsRecorder>, tick: Duration) -> TelemetryService {
     TelemetryService::start(
@@ -132,7 +132,6 @@ fn service_shutdown_quickly(service: TelemetryService) {
 /// page.
 #[test]
 fn aggregator_survives_concurrent_install_uninstall() {
-    let _guard = INSTALL_LOCK.lock().expect("install lock");
     let service_recorder = Arc::new(MetricsRecorder::new());
     let mut service = service_over(service_recorder.clone(), Duration::from_millis(1));
     let addr = service.serve("127.0.0.1:0").expect("bind ephemeral port");
@@ -145,7 +144,7 @@ fn aggregator_survives_concurrent_install_uninstall() {
         let churn_recorder = service_recorder.clone();
         s.spawn(move || {
             while !churn_stop.load(Ordering::Relaxed) {
-                let fresh: Arc<dyn Recorder> = Arc::new(MetricsRecorder::new());
+                let fresh = Arc::new(MetricsRecorder::new());
                 reuselens_obs::install(fresh);
                 reuselens_obs::add(Counter::EventsDecoded, 1);
                 reuselens_obs::install(churn_recorder.clone());
@@ -207,13 +206,12 @@ fn aggregator_survives_concurrent_install_uninstall() {
     service.shutdown();
 }
 
-/// Events emitted through the process-global slot land in the installed
-/// JSONL log with the documented envelope and typed fields.
+/// Events emitted inside a scope land in its JSONL log with the
+/// documented envelope and typed fields.
 #[test]
 fn emitted_events_carry_typed_jsonl_fields() {
-    let _guard = INSTALL_LOCK.lock().expect("install lock");
     let log = Arc::new(EventLog::to_vec());
-    reuselens_obs::install_events(log.clone());
+    let scope = Obs { events: Some(log.clone()), ..Obs::default() }.enter();
     reuselens_obs::emit(EventKind::GrainCompleted {
         grain: 4096,
         events: 151_100,
@@ -224,7 +222,7 @@ fn emitted_events_carry_typed_jsonl_fields() {
         path: "ckpt/grain-64.bin".into(),
         reason: "truncated \"frame\"".into(),
     });
-    reuselens_obs::uninstall_events();
+    drop(scope);
     reuselens_obs::emit(EventKind::GrainCompleted {
         grain: 1,
         events: 1,
@@ -264,9 +262,8 @@ fn emitted_events_carry_typed_jsonl_fields() {
 /// structured `heartbeat` event.
 #[test]
 fn heartbeat_emits_structured_events() {
-    let _guard = INSTALL_LOCK.lock().expect("install lock");
     let log = Arc::new(EventLog::to_vec());
-    reuselens_obs::install_events(log.clone());
+    let scope = Obs { events: Some(log.clone()), ..Obs::default() }.enter();
     let recorder = Arc::new(MetricsRecorder::new());
     recorder.add(Counter::GrainsRequested, 2);
     recorder.add(Counter::GrainsCompleted, 1);
@@ -289,7 +286,7 @@ fn heartbeat_emits_structured_events() {
         std::thread::sleep(Duration::from_millis(5));
     }
     service.shutdown();
-    reuselens_obs::uninstall_events();
+    drop(scope);
     let captured = log.captured();
     let beat = captured
         .lines()

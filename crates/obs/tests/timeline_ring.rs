@@ -1,42 +1,22 @@
 //! Timeline ring-buffer behavior under pressure: bounded overflow that
 //! drops oldest and counts drops (never blocks, never reallocates past
 //! the bound), well-formed merges from many concurrent writer threads,
-//! and clean install/uninstall mid-run (no dangling events).
+//! and clean attach/detach mid-run (no dangling events).
 //!
-//! Tests that install the process-global timeline slot serialize on a
-//! mutex so `cargo test`'s parallel runner cannot interleave them.
+//! Every test records through its own `Obs` scope except
+//! `reinstalling_returns_the_previous_timeline`, the one test of the
+//! global slot, so the tests can run in parallel.
 
 use reuselens_obs as obs;
-use reuselens_obs::{Counter, MetricsRecorder, Stage, Timeline, TimelineArgs};
-use std::sync::{Arc, Mutex, MutexGuard};
+use reuselens_obs::{Counter, MetricsRecorder, Obs, Stage, Timeline, TimelineArgs};
+use std::sync::Arc;
 use std::time::Duration;
-
-static INSTALL_LOCK: Mutex<()> = Mutex::new(());
-
-fn serialized() -> MutexGuard<'static, ()> {
-    INSTALL_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Guarantees the global slots are clear even when an assert fails.
-struct Uninstall;
-
-impl Drop for Uninstall {
-    fn drop(&mut self) {
-        obs::uninstall_timeline();
-        obs::uninstall();
-    }
-}
 
 #[test]
 fn overflow_drops_oldest_and_ticks_the_counter() {
-    let _guard = serialized();
-    let _cleanup = Uninstall;
     let recorder = Arc::new(MetricsRecorder::new());
-    obs::install(recorder.clone());
     let timeline = Arc::new(Timeline::with_capacity(1, 4));
-    obs::install_timeline(timeline.clone());
+    let _scope = Obs { timeline: Some(timeline.clone()), ..recorder.clone().into() }.enter();
 
     // 10 spans into a 4-slot ring: 6 oldest dropped, 4 newest kept.
     for i in 0..10u64 {
@@ -62,16 +42,15 @@ fn overflow_drops_oldest_and_ticks_the_counter() {
 
 #[test]
 fn eight_concurrent_writers_merge_into_a_well_formed_timeline() {
-    let _guard = serialized();
-    let _cleanup = Uninstall;
     const THREADS: u64 = 8;
     const SPANS_PER_THREAD: u64 = 200;
     let timeline = Arc::new(Timeline::new());
-    obs::install_timeline(timeline.clone());
+    let obs = &Obs { timeline: Some(timeline.clone()), ..Obs::default() };
 
     std::thread::scope(|s| {
         for t in 0..THREADS {
             s.spawn(move || {
+                let _scope = obs.enter();
                 for i in 0..SPANS_PER_THREAD {
                     let _span = obs::span_with(Stage::Replay, || TimelineArgs {
                         grain: Some(t),
@@ -113,11 +92,10 @@ fn eight_concurrent_writers_merge_into_a_well_formed_timeline() {
 
 #[test]
 fn install_and_uninstall_mid_run_leave_no_dangling_events() {
-    let _guard = serialized();
-    let _cleanup = Uninstall;
     // A recorder is already running (arming spans) when the timeline is
     // attached mid-run — the CLI's `--metrics` + `--trace-timeline` shape.
-    obs::install(Arc::new(MetricsRecorder::new()));
+    let recorder = Arc::new(MetricsRecorder::new());
+    let _recording = Obs::from(recorder.clone()).enter();
 
     // Span opened before the timeline existed, closed after install:
     // recorded, begin clamped to the timeline epoch (never a negative /
@@ -125,7 +103,7 @@ fn install_and_uninstall_mid_run_leave_no_dangling_events() {
     let span_before = obs::span_with(Stage::Capture, TimelineArgs::default);
     std::thread::sleep(Duration::from_millis(2));
     let timeline = Arc::new(Timeline::new());
-    obs::install_timeline(timeline.clone());
+    let attached = Obs { timeline: Some(timeline.clone()), ..recorder.clone().into() }.enter();
     drop(span_before);
 
     // Span opened while installed, closed after uninstall: not recorded —
@@ -137,7 +115,7 @@ fn install_and_uninstall_mid_run_leave_no_dangling_events() {
             ..TimelineArgs::default()
         });
     }
-    obs::uninstall_timeline();
+    drop(attached);
     drop(span_across);
 
     // Spans after uninstall leave no trace at all.
@@ -155,16 +133,15 @@ fn install_and_uninstall_mid_run_leave_no_dangling_events() {
 
 #[test]
 fn reinstalling_returns_the_previous_timeline() {
-    let _guard = serialized();
-    let _cleanup = Uninstall;
     let first = Arc::new(Timeline::new());
     let second = Arc::new(Timeline::new());
-    assert!(obs::install_timeline(first.clone()).is_none());
+    assert!(obs::install(Obs { timeline: Some(first.clone()), ..Obs::default() }).is_none());
     drop(obs::span_with(Stage::Capture, TimelineArgs::default));
-    let previous = obs::install_timeline(second.clone()).expect("first is returned");
-    assert!(Arc::ptr_eq(&previous, &first));
+    let previous = obs::install(Obs { timeline: Some(second.clone()), ..Obs::default() });
+    let previous = previous.expect("first is returned");
+    assert!(Arc::ptr_eq(&previous.timeline.expect("a timeline"), &first));
     drop(obs::span_with(Stage::Sweep, TimelineArgs::default));
-    obs::uninstall_timeline();
+    obs::uninstall();
     assert_eq!(first.snapshot().events.len(), 1);
     assert_eq!(second.snapshot().events.len(), 1);
     assert_eq!(second.snapshot().events[0].stage, Stage::Sweep);

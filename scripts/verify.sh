@@ -10,6 +10,15 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 
+# The suites that used to serialize on process-global obs slots record
+# through `Obs` scopes now; three more runs at default test parallelism
+# catch cross-test interference that a single run can miss.
+for _ in 1 2 3; do
+    cargo test -q --test obs_identity --test daemon_stress --test static_vs_dynamic
+    cargo test -q -p reuselens-core --test checkpoint_resume
+    cargo test -q -p reuselens-obs
+done
+
 cargo clippy --workspace --all-targets --no-deps -- -D warnings
 
 # Broken intra-doc links (for example after a module moves) fail the gate.

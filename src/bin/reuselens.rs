@@ -39,11 +39,9 @@ use reuselens::metrics::{
     format_spatial, format_summary, run_locality_analysis_opts, run_locality_estimate, to_xml,
     LocalityAnalysis,
 };
-use reuselens::workloads::gtc::{build as build_gtc, GtcConfig, GtcTransforms};
-use reuselens::workloads::kernels;
-use reuselens::workloads::sweep3d::{build as build_sweep, SweepConfig};
-use reuselens::workloads::BuiltWorkload;
+use reuselens::serve::{ServeError, WorkloadSpec};
 use std::process::ExitCode;
+use std::sync::Arc;
 
 const USAGE: &str = "\
 reuselens — reuse-distance data-locality analysis (ISPASS 2008 reproduction)
@@ -147,15 +145,11 @@ fn main() -> ExitCode {
     if args.first().map(String::as_str) == Some("serve") {
         return run_serve(&args[1..]);
     }
-    let flag_value = |key: &str| {
-        args.windows(2)
-            .find(|w| w[0] == key)
-            .map(|w| w[1].clone())
-    };
-    let metrics_target = flag_value("--metrics");
-    let timeline_target = flag_value("--trace-timeline");
-    let serve_addr = flag_value("--serve-metrics");
-    let heartbeat = match flag_value("--heartbeat").as_deref().map(str::parse::<f64>) {
+    let flags = Flags { args: &args };
+    let metrics_target = flags.value("--metrics");
+    let timeline_target = flags.value("--trace-timeline");
+    let serve_addr = flags.value("--serve-metrics");
+    let heartbeat = match flags.value("--heartbeat").map(str::parse::<f64>) {
         None => None,
         Some(Ok(secs)) if secs > 0.0 && secs.is_finite() => {
             Some(std::time::Duration::from_secs_f64(secs))
@@ -165,111 +159,50 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let log_target = flag_value("--log-jsonl");
     // The live service and the heartbeat both read from a recorder, so
     // either flag provisions one even without `--metrics`.
-    let recorder = (metrics_target.is_some() || serve_addr.is_some() || heartbeat.is_some())
-        .then(|| {
-            let r = std::sync::Arc::new(MetricsRecorder::new());
-            obs::install(r.clone());
-            r
-        });
-    let timeline = timeline_target.as_ref().map(|_| {
-        let t = std::sync::Arc::new(obs::Timeline::new());
-        obs::install_timeline(t.clone());
-        t
-    });
-    let events = match &log_target {
-        None => None,
-        Some(target) => {
-            let log = if target == "-" {
-                obs::EventLog::stderr()
-            } else {
-                match obs::EventLog::create(std::path::Path::new(target)) {
-                    Ok(log) => log,
-                    Err(e) => {
-                        eprintln!("error: cannot create event log {target}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            };
-            let log = std::sync::Arc::new(log);
-            obs::install_events(log.clone());
-            Some(log)
+    let live = serve_addr.is_some() || heartbeat.is_some();
+    let recorder = (metrics_target.is_some() || live).then(|| Arc::new(MetricsRecorder::new()));
+    let timeline = timeline_target.map(|_| Arc::new(obs::Timeline::new()));
+    let events = match open_event_log(flags.value("--log-jsonl")) {
+        Ok(events) => events,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
     };
-    obs::emit(obs::EventKind::RunStarted {
-        command: args.join(" "),
-    });
-    let service = recorder.as_ref().and_then(|r| {
-        if serve_addr.is_none() && heartbeat.is_none() {
-            return None;
-        }
-        let mut service = obs::TelemetryService::start(
-            r.clone(),
-            timeline.clone(),
-            obs::ServiceConfig {
-                heartbeat,
-                ..obs::ServiceConfig::default()
-            },
-        );
-        if let Some(addr) = &serve_addr {
-            match service.serve(addr) {
-                Ok(bound) => eprintln!("serving telemetry on http://{bound}/"),
-                Err(e) => {
-                    eprintln!("error: cannot serve telemetry on {addr}: {e}");
-                    return None;
-                }
-            }
-        }
-        Some(service)
-    });
-    if serve_addr.is_some() && service.is_none() {
-        return ExitCode::FAILURE;
-    }
-    let result = run(&args);
-    obs::emit(obs::EventKind::RunFinished {
-        ok: result.is_ok(),
-    });
-    if let Some(service) = service {
-        service.shutdown();
-    }
-    if let Some(events) = &events {
-        obs::uninstall_events();
-        if events.write_errors() > 0 {
-            eprintln!(
-                "warning: {} event-log write(s) failed",
-                events.write_errors()
-            );
-        }
-    }
-    if recorder.is_some() {
-        obs::uninstall();
-    }
-    if let (Some(target), Some(recorder)) = (&metrics_target, &recorder) {
-        let snapshot = recorder.snapshot();
-        eprint!("{}", snapshot.to_summary());
-        let text = snapshot.to_prometheus();
-        if target == "-" {
-            print!("{text}");
-        } else if let Err(e) = std::fs::write(target, text) {
-            eprintln!("error: cannot write metrics to {target}: {e}");
+    let handle = obs::Obs { metrics: recorder.clone(), timeline: timeline.clone(), events };
+    let mut observed = Observed::start(handle, args.join(" "));
+    if let Some(recorder) = recorder.as_ref().filter(|_| live) {
+        let config = obs::ServiceConfig {
+            heartbeat,
+            ..obs::ServiceConfig::default()
+        };
+        if let Err(e) = observed.serve(recorder, config, serve_addr) {
+            observed.finish(false);
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     }
-    if let (Some(target), Some(timeline)) = (&timeline_target, &timeline) {
-        obs::uninstall_timeline();
+    let result = run(&args);
+    observed.finish(result.is_ok());
+    if let (Some(target), Some(recorder)) = (metrics_target, &recorder) {
+        let snapshot = recorder.snapshot();
+        eprint!("{}", snapshot.to_summary());
+        if let Err(e) = write_output(target, &snapshot.to_prometheus(), "metrics") {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    if let (Some(target), Some(timeline)) = (timeline_target, &timeline) {
         let snapshot = timeline.snapshot();
         eprintln!(
             "timeline: {} events, {} dropped",
             snapshot.events.len(),
             snapshot.dropped
         );
-        let text = snapshot.to_chrome_trace();
-        if target == "-" {
-            print!("{text}");
-        } else if let Err(e) = std::fs::write(target, text) {
-            eprintln!("error: cannot write timeline to {target}: {e}");
+        if let Err(e) = write_output(target, &snapshot.to_chrome_trace(), "timeline") {
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     }
@@ -317,64 +250,44 @@ fn run_serve(args: &[String]) -> ExitCode {
     };
     // Counters/gauges and the JSONL event stream reconcile against the
     // daemon's completion records, so the recorder is always on.
-    let recorder = std::sync::Arc::new(MetricsRecorder::new());
-    obs::install(recorder.clone());
-    let events = match flags.value("--log-jsonl") {
-        None => None,
-        Some(target) => {
-            let log = if target == "-" {
-                obs::EventLog::stderr()
-            } else {
-                match obs::EventLog::create(std::path::Path::new(target)) {
-                    Ok(log) => log,
-                    Err(e) => return fail(format!("cannot create event log {target}: {e}")),
-                }
-            };
-            let log = std::sync::Arc::new(log);
-            obs::install_events(log.clone());
-            Some(log)
-        }
+    let recorder = Arc::new(MetricsRecorder::new());
+    let events = match open_event_log(flags.value("--log-jsonl")) {
+        Ok(events) => events,
+        Err(e) => return fail(e),
     };
-    obs::emit(obs::EventKind::RunStarted {
-        command: std::iter::once("serve")
-            .chain(args.iter().map(String::as_str))
-            .collect::<Vec<_>>()
-            .join(" "),
-    });
+    let command = std::iter::once("serve")
+        .chain(args.iter().map(String::as_str))
+        .collect::<Vec<_>>()
+        .join(" ");
+    let mut observed = Observed::start(obs::Obs { events, ..recorder.clone().into() }, command);
     let mut config = reuselens::serve::DaemonConfig::new(store_dir);
     config.workers = workers;
     config.queue = queue;
     config.scale = scale;
     let daemon = match reuselens::serve::Daemon::start(config) {
-        Ok(daemon) => std::sync::Arc::new(daemon),
-        Err(e) => return fail(format!("cannot open store {store_dir}: {e}")),
-    };
-    let service = match flags.value("--serve-metrics") {
-        None => None,
-        Some(addr) => {
-            let mut service = obs::TelemetryService::start(
-                recorder.clone(),
-                None,
-                obs::ServiceConfig {
-                    jobs: Some(daemon.jobs_callback()),
-                    ..obs::ServiceConfig::default()
-                },
-            );
-            match service.serve(addr) {
-                Ok(bound) => eprintln!("serving telemetry on http://{bound}/"),
-                Err(e) => {
-                    daemon.shutdown();
-                    return fail(format!("cannot serve telemetry on {addr}: {e}"));
-                }
-            }
-            Some(service)
+        Ok(daemon) => Arc::new(daemon),
+        Err(e) => {
+            observed.finish(false);
+            return fail(format!("cannot open store {store_dir}: {e}"));
         }
     };
+    if let Some(addr) = flags.value("--serve-metrics") {
+        let config = obs::ServiceConfig {
+            jobs: Some(daemon.jobs_callback()),
+            ..obs::ServiceConfig::default()
+        };
+        if let Err(e) = observed.serve(&recorder, config, Some(addr)) {
+            daemon.shutdown();
+            observed.finish(false);
+            return fail(e);
+        }
+    }
     if let Some(addr) = listen {
         match daemon.serve(addr) {
             Ok(bound) => eprintln!("accepting analysis jobs on {bound}"),
             Err(e) => {
                 daemon.shutdown();
+                observed.finish(false);
                 return fail(format!("cannot listen on {addr}: {e}"));
             }
         }
@@ -398,27 +311,92 @@ fn run_serve(args: &[String]) -> ExitCode {
         Ok(())
     };
     daemon.shutdown();
-    obs::emit(obs::EventKind::RunFinished {
-        ok: result.is_ok(),
-    });
-    if let Some(service) = service {
-        service.shutdown();
-    }
-    if let Some(events) = &events {
-        obs::uninstall_events();
-        if events.write_errors() > 0 {
-            eprintln!(
-                "warning: {} event-log write(s) failed",
-                events.write_errors()
-            );
-        }
-    }
-    obs::uninstall();
+    observed.finish(result.is_ok());
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: stdin transport failed: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+/// Writes an exported `what` to `target` (`-` is stdout).
+fn write_output(target: &str, text: &str, what: &str) -> Result<(), String> {
+    if target == "-" {
+        print!("{text}");
+        return Ok(());
+    }
+    std::fs::write(target, text).map_err(|e| format!("cannot write {what} to {target}: {e}"))
+}
+
+/// Opens the `--log-jsonl` target (`-` is stderr), if one was given.
+fn open_event_log(target: Option<&str>) -> Result<Option<Arc<obs::EventLog>>, String> {
+    let Some(target) = target else {
+        return Ok(None);
+    };
+    let log = if target == "-" {
+        obs::EventLog::stderr()
+    } else {
+        obs::EventLog::create(std::path::Path::new(target))
+            .map_err(|e| format!("cannot create event log {target}: {e}"))?
+    };
+    Ok(Some(Arc::new(log)))
+}
+
+/// One command's observability: the handle built from its flags, entered
+/// on the main thread for the whole run so every thread the run spawns
+/// reports into it, plus the live telemetry service when one is asked
+/// for. Every exit after [`Observed::start`] goes through
+/// [`Observed::finish`], so a `run_started` event always has its
+/// `run_finished`.
+struct Observed {
+    handle: obs::Obs,
+    service: Option<obs::TelemetryService>,
+    scope: obs::ObsScope,
+}
+
+impl Observed {
+    /// Enters `handle` and logs `run_started`.
+    fn start(handle: obs::Obs, command: String) -> Observed {
+        let scope = handle.enter();
+        obs::emit(obs::EventKind::RunStarted { command });
+        Observed { handle, service: None, scope }
+    }
+
+    /// Starts the telemetry service over `recorder` and, given `addr`,
+    /// its HTTP surface.
+    fn serve(
+        &mut self,
+        recorder: &Arc<MetricsRecorder>,
+        config: obs::ServiceConfig,
+        addr: Option<&str>,
+    ) -> Result<(), String> {
+        let mut service =
+            obs::TelemetryService::start(recorder.clone(), self.handle.timeline.clone(), config);
+        if let Some(addr) = addr {
+            match service.serve(addr) {
+                Ok(bound) => eprintln!("serving telemetry on http://{bound}/"),
+                Err(e) => {
+                    service.shutdown();
+                    return Err(format!("cannot serve telemetry on {addr}: {e}"));
+                }
+            }
+        }
+        self.service = Some(service);
+        Ok(())
+    }
+
+    /// The one teardown: stops the service, logs `run_finished`, leaves
+    /// the scope, and reports event-log writes that failed.
+    fn finish(self, ok: bool) {
+        if let Some(service) = self.service {
+            service.shutdown();
+        }
+        obs::emit(obs::EventKind::RunFinished { ok });
+        drop(self.scope);
+        if let Some(events) = self.handle.events.filter(|e| e.write_errors() > 0) {
+            eprintln!("warning: {} event-log write(s) failed", events.write_errors());
         }
     }
 }
@@ -474,7 +452,12 @@ fn run(args: &[String]) -> Result<(), String> {
     let sampling = parse_sampling(&flags)?;
     let replay_threads = parse_replay_threads(&flags)?;
 
-    let w = build_workload(workload.as_str(), &flags)?;
+    let w = workload_spec(workload, &flags)?
+        .build()
+        .map_err(|e| match e {
+            ServeError::InvalidField { why, .. } => why,
+            other => other.to_string(),
+        })?;
     eprintln!(
         "analyzing `{}` on {hierarchy} ...",
         w.program.name()
@@ -740,65 +723,35 @@ fn run_predict(flags: &Flags<'_>) -> Result<(), String> {
     Ok(())
 }
 
-fn build_workload(kind: &str, flags: &Flags<'_>) -> Result<BuiltWorkload, String> {
-    match kind {
-        "sweep3d" => {
-            let mesh = flags.parsed("--mesh", 12u64)?;
-            let block = flags.parsed("--block", 1u64)?;
-            let timesteps = flags.parsed("--timesteps", 1u64)?;
-            let mut cfg = SweepConfig::new(mesh).with_timesteps(timesteps);
-            if flags.flag("--octant-inner") {
-                cfg = cfg.with_octant_inner();
-            } else {
-                cfg = cfg.with_mi_block(block);
-            }
-            if flags.flag("--dim-ic") {
-                cfg = cfg.with_dim_interchange();
-            }
-            Ok(build_sweep(&cfg))
-        }
-        "gtc" => {
-            let mgrid = flags.parsed("--mgrid", 512u64)?;
-            let micell = flags.parsed("--micell", 16u64)?;
-            let variant: usize = flags.parsed("--variant", 0usize)?;
-            if variant > 6 {
-                return Err("--variant must be 0..=6".into());
-            }
-            let timesteps = flags.parsed("--timesteps", 1u64)?;
-            Ok(build_gtc(
-                &GtcConfig::new(mgrid, micell)
-                    .with_transforms(GtcTransforms::cumulative(variant))
-                    .with_timesteps(timesteps),
-            ))
-        }
+/// The daemon's workload description, filled from the CLI flags, so the
+/// CLI and the daemon build workloads from one table.
+fn workload_spec(kind: &str, flags: &Flags<'_>) -> Result<WorkloadSpec, String> {
+    let kind = match kind {
+        "sweep3d" | "gtc" => kind.to_string(),
         "kernel" => {
-            let name = flags
-                .args
-                .first()
-                .ok_or_else(|| "kernel needs a name".to_string())?;
-            match name.as_str() {
-                "fig1a" => Ok(kernels::fig1_interchange(
-                    512,
-                    2048,
-                    kernels::Fig1Variant::RowOrder,
-                )),
-                "fig1b" => Ok(kernels::fig1_interchange(
-                    512,
-                    2048,
-                    kernels::Fig1Variant::Interchanged,
-                )),
-                "fig2" => Ok(kernels::fig2_fragmentation(64, 16)),
-                "stream" => Ok(kernels::streaming(1 << 16, 4)),
-                "gather" => Ok(kernels::random_gather(1 << 15, 1 << 14, 3, 42)),
-                "stencil" => Ok(kernels::stencil2d(128, 3)),
-                "matmul" => Ok(kernels::matmul(96, None)),
-                "matmul-tiled" => Ok(kernels::matmul(96, Some(16))),
-                "transpose" => Ok(kernels::transpose(256)),
-                other => Err(format!("unknown kernel '{other}'")),
-            }
+            let name = flags.args.first().ok_or("kernel needs a name")?;
+            format!("kernel:{name}")
         }
-        other => Err(format!("unknown workload '{other}'")),
+        other => return Err(format!("unknown workload '{other}'")),
+    };
+    let value = |key: &str| -> Result<Option<u64>, String> {
+        flags.value(key).map(|_| flags.parsed(key, 0u64)).transpose()
+    };
+    let spec = WorkloadSpec {
+        kind,
+        mesh: value("--mesh")?,
+        block: value("--block")?,
+        dim_ic: flags.flag("--dim-ic"),
+        octant_inner: flags.flag("--octant-inner"),
+        timesteps: value("--timesteps")?,
+        mgrid: value("--mgrid")?,
+        micell: value("--micell")?,
+        variant: value("--variant")?,
+    };
+    if spec.variant.is_some_and(|v| v > 6) {
+        return Err("--variant must be 0..=6".into());
     }
+    Ok(spec)
 }
 
 fn print_report(

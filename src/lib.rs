@@ -110,8 +110,10 @@ pub mod workloads {
 }
 
 /// Pipeline observability: hierarchical stage spans, typed counters and
-/// gauges, and Prometheus/human exporters. Disabled by default; install a
-/// recorder with [`obs::install`] to start collecting.
+/// gauges, a span timeline, a JSONL event log, and Prometheus/human
+/// exporters. Disabled by default; enter an [`obs::Obs`] handle with
+/// [`obs::Obs::enter`] to record a run (the threads it spawns inherit the
+/// scope), or fill the global slot with [`obs::install`].
 pub mod obs {
     pub use reuselens_obs::*;
 }

@@ -901,7 +901,7 @@ impl Daemon {
                 let shared = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("reuselens-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(obs::Obs::inherit(move || worker_loop(&shared)))
                     .ok()
             })
             .collect();

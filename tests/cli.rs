@@ -273,3 +273,55 @@ fn listen_round_trips_do_not_wait_on_delayed_acks() {
         "100 pings took {elapsed:?}"
     );
 }
+
+/// A scratch path unique to this process and `tag`.
+fn temp_path(tag: &str) -> String {
+    let path = std::env::temp_dir().join(format!("reuselens-cli-{}-{tag}", std::process::id()));
+    path.to_str().expect("utf8 path").to_string()
+}
+
+/// `--metrics`, `--trace-timeline` and `--log-jsonl` together: each sink
+/// receives the run.
+#[test]
+fn metrics_timeline_and_event_log_sinks_all_record_the_run() {
+    let files = ["sinks.prom", "sinks.trace.json", "sinks.jsonl"].map(temp_path);
+    let [metrics, timeline, log] = &files;
+    let (_, stderr, ok) = run(&[
+        "kernel", "stream", "--metrics", metrics, "--trace-timeline", timeline, "--log-jsonl", log,
+    ]);
+    assert!(ok, "{stderr}");
+    let [metrics, timeline, log] = files.map(|f| {
+        let text = std::fs::read_to_string(&f).expect("sink file written");
+        let _ = std::fs::remove_file(&f);
+        text
+    });
+    assert!(metrics.contains("reuselens_events_decoded_total "), "{metrics}");
+    assert!(timeline.contains("\"name\":\"replay\""), "{timeline}");
+    assert!(log.contains("\"event\":\"run_started\""), "{log}");
+    assert!(log.contains("\"event\":\"run_finished\""), "{log}");
+}
+
+/// A `--serve-metrics` bind that fails after `run_started` was logged
+/// still logs `run_finished`, for an analysis run and for the daemon.
+#[test]
+fn failed_metrics_bind_still_logs_run_finished() {
+    let held = std::net::TcpListener::bind("127.0.0.1:0").expect("hold a port");
+    let addr = held.local_addr().expect("held address").to_string();
+    let (store, log) = (temp_path("bind-store"), temp_path("bind.jsonl"));
+    for command in [&["kernel", "fig2"][..], &["serve", "--stdin", "--store", &store]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_reuselens"))
+            .args(command)
+            .args(["--serve-metrics", &addr, "--log-jsonl", &log])
+            .output()
+            .expect("binary runs");
+        let text = std::fs::read_to_string(&log).expect("event log written");
+        let _ = std::fs::remove_file(&log);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains("cannot serve telemetry"), "{stderr}");
+        assert!(text.contains("\"event\":\"run_started\""), "{text}");
+        let finished = "\"event\":\"run_finished\",\"ok\":false";
+        assert!(text.contains(finished), "{command:?}: {text}");
+    }
+    let _ = std::fs::remove_dir_all(&store);
+}

@@ -23,19 +23,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Serializes every test in this binary: one of them installs into the
-/// process-global recorder slot, and any daemon running alongside it
-/// would count its jobs there too.
-static INSTALL_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    INSTALL_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 fn tmpdir(tag: &str) -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -78,7 +67,6 @@ fn seq_of(response: &str) -> Option<u64> {
 
 #[test]
 fn eight_clients_mixed_jobs_lose_nothing() {
-    let _guard = lock();
     let daemon = Arc::new(
         Daemon::start(DaemonConfig::new(tmpdir("mixed"))).expect("start daemon"),
     );
@@ -141,7 +129,6 @@ fn eight_clients_mixed_jobs_lose_nothing() {
 
 #[test]
 fn queue_full_rejects_typed_and_recovers() {
-    let _guard = lock();
     let mut config = DaemonConfig::new(tmpdir("full"));
     config.workers = 1;
     config.queue = 1;
@@ -175,11 +162,9 @@ fn queue_full_rejects_typed_and_recovers() {
 
 #[test]
 fn counters_and_jsonl_reconcile_with_the_completion_record() {
-    let _guard = lock();
     let recorder = Arc::new(MetricsRecorder::new());
-    obs::install(recorder.clone());
     let log = Arc::new(EventLog::to_vec());
-    obs::install_events(log.clone());
+    let scope = obs::Obs { events: Some(log.clone()), ..recorder.clone().into() }.enter();
 
     let mut config = DaemonConfig::new(tmpdir("reconcile"));
     config.workers = 2;
@@ -276,6 +261,5 @@ fn counters_and_jsonl_reconcile_with_the_completion_record() {
         );
     }
 
-    obs::uninstall_events();
-    obs::uninstall();
+    drop(scope);
 }

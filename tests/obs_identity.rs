@@ -9,8 +9,9 @@
 //! grain counts, hierarchy counts), so the numbers the exporters print
 //! are provably the numbers the pipeline produced.
 //!
-//! The recorder slot is process-global, so every test serializes on one
-//! mutex (poison-tolerant: one failed test must not wedge the rest).
+//! Every instrumented run records inside its own `Obs` scope, which the
+//! pipeline's threads inherit, so the tests run in parallel and no test
+//! sees another's counts.
 
 use reuselens::cache::{report_from_analysis, HierarchyReport, MemoryHierarchy};
 use reuselens::core::{
@@ -27,17 +28,8 @@ use reuselens::workloads::gtc::{build as build_gtc, GtcConfig};
 use reuselens::workloads::sweep3d::{build as build_sweep, SweepConfig};
 use reuselens::workloads::BuiltWorkload;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Duration;
-
-/// Serializes tests that touch the process-global recorder slot.
-static INSTALL_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    INSTALL_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 fn workloads() -> Vec<BuiltWorkload> {
     vec![
@@ -135,18 +127,16 @@ fn assert_reconciles(snap: &MetricsSnapshot, run: &PipelineRun, hs: usize, ngrai
 
 #[test]
 fn enabling_obs_changes_nothing() {
-    let _guard = lock();
     let hs = hierarchies();
     for w in workloads() {
         // Phase A: observability fully disabled (the default).
-        obs::uninstall();
         let baseline = run_pipeline(&w, &hs);
 
         // Phase B: recorder installed before the pipeline starts.
         let recorder = Arc::new(MetricsRecorder::new());
-        obs::install(recorder.clone());
+        let scope = obs::Obs::from(recorder.clone()).enter();
         let observed = run_pipeline(&w, &hs);
-        obs::uninstall();
+        drop(scope);
 
         assert_eq!(
             baseline.profiles, observed.profiles,
@@ -165,25 +155,20 @@ fn enabling_obs_changes_nothing() {
 
 #[test]
 fn enabling_timeline_changes_nothing_and_reconciles_with_grain_profiles() {
-    let _guard = lock();
     let hs = hierarchies();
     let g = grains(&hs);
     let ngrains = g.len() as u64;
     for w in workloads() {
         // Phase A: neither recorder nor timeline installed.
-        obs::uninstall();
-        obs::uninstall_timeline();
         let baseline = run_pipeline(&w, &hs);
 
         // Phase B: recorder + timeline, the CLI's
         // `--metrics` + `--trace-timeline` shape.
         let recorder = Arc::new(MetricsRecorder::new());
         let timeline = Arc::new(Timeline::new());
-        obs::install(recorder.clone());
-        obs::install_timeline(timeline.clone());
+        let scope = obs::Obs { timeline: Some(timeline.clone()), ..recorder.clone().into() }.enter();
         let observed = run_pipeline(&w, &hs);
-        obs::uninstall_timeline();
-        obs::uninstall();
+        drop(scope);
 
         assert_eq!(
             baseline.profiles, observed.profiles,
@@ -243,20 +228,18 @@ fn enabling_timeline_changes_nothing_and_reconciles_with_grain_profiles() {
 
 #[test]
 fn installing_obs_mid_run_changes_nothing() {
-    let _guard = lock();
     let hs = hierarchies();
     let g = grains(&hs);
     for w in workloads() {
-        obs::uninstall();
         let baseline = run_pipeline(&w, &hs);
 
         // Capture runs dark; the recorder arrives between capture and
         // replay — the supported "attach to a long-running job" path.
         let (buffer, exec) = capture_program(&w.program, w.index_arrays.clone()).unwrap();
         let recorder = Arc::new(MetricsRecorder::new());
-        obs::install(recorder.clone());
+        let scope = obs::Obs::from(recorder.clone()).enter();
         let (profiles, _timings) = analyze_buffer(&w.program, &buffer, &g).unwrap();
-        obs::uninstall();
+        drop(scope);
 
         let analysis = AnalysisResult { profiles, exec };
         let reports: Vec<HierarchyReport> = hs
@@ -288,15 +271,13 @@ fn installing_obs_mid_run_changes_nothing() {
 /// themselves carry.
 #[test]
 fn sampled_run_reconciles_counters_and_grain_profiles() {
-    let _guard = lock();
     let hs = hierarchies();
     let g = grains(&hs);
     for w in workloads() {
-        obs::uninstall();
         let (buffer, _exec) = capture_program(&w.program, w.index_arrays.clone()).unwrap();
 
         let recorder = Arc::new(MetricsRecorder::new());
-        obs::install(recorder.clone());
+        let scope = obs::Obs::from(recorder.clone()).enter();
         let opts = AnalyzeOptions {
             sampling: SamplingConfig::fixed(0.1),
             ..AnalyzeOptions::default()
@@ -304,7 +285,7 @@ fn sampled_run_reconciles_counters_and_grain_profiles() {
         let (profiles, _timings) = analyze_buffer_with(&w.program, &buffer, &g, &opts)
             .into_strict()
             .unwrap();
-        obs::uninstall();
+        drop(scope);
         let snap = recorder.snapshot();
 
         // Every profile is annotated, and the recorder's sampling
@@ -356,11 +337,9 @@ fn sampled_run_reconciles_counters_and_grain_profiles() {
 /// annotation) and identical hierarchy reports on both workloads.
 #[test]
 fn exact_sampling_config_is_bit_identical_to_default_path() {
-    let _guard = lock();
     let hs = hierarchies();
     let g = grains(&hs);
     for w in workloads() {
-        obs::uninstall();
         let baseline = run_pipeline(&w, &hs);
 
         let (buffer, exec) = capture_program(&w.program, w.index_arrays.clone()).unwrap();
@@ -397,14 +376,11 @@ fn exact_sampling_config_is_bit_identical_to_default_path() {
 /// summing to exactly the serial decode totals.
 #[test]
 fn partitioned_replay_is_bit_identical_and_reconciles() {
-    let _guard = lock();
     let hs = hierarchies();
     let g = grains(&hs);
     let ngrains = g.len() as u64;
     let parts = 3u64;
     for w in workloads() {
-        obs::uninstall();
-        obs::uninstall_timeline();
         let baseline = run_pipeline(&w, &hs);
 
         let (buffer, _exec) = capture_program(&w.program, w.index_arrays.clone()).unwrap();
@@ -426,13 +402,11 @@ fn partitioned_replay_is_bit_identical_and_reconciles() {
         // Phase B: same partitioned replay, recorder + timeline lit.
         let recorder = Arc::new(MetricsRecorder::new());
         let timeline = Arc::new(Timeline::new());
-        obs::install(recorder.clone());
-        obs::install_timeline(timeline.clone());
+        let scope = obs::Obs { timeline: Some(timeline.clone()), ..recorder.clone().into() }.enter();
         let (lit, _timings) = analyze_buffer_with(&w.program, &buffer, &g, &opts)
             .into_strict()
             .unwrap();
-        obs::uninstall_timeline();
-        obs::uninstall();
+        drop(scope);
         assert_eq!(
             baseline.profiles, lit,
             "{}: partitioned replay must be bit-identical to serial with obs on",
@@ -501,15 +475,13 @@ fn prom_value(body: &str, series: &str) -> u64 {
 /// exit exporter's page byte for byte.
 #[test]
 fn service_enabled_run_is_bit_identical_and_scrapes_reconcile() {
-    let _guard = lock();
     let hs = hierarchies();
     let ngrains = grains(&hs).len() as u64;
     for w in workloads() {
-        obs::uninstall();
         let baseline = run_pipeline(&w, &hs);
 
         let recorder = Arc::new(MetricsRecorder::new());
-        obs::install(recorder.clone());
+        let scope = obs::Obs::from(recorder.clone()).enter();
         let mut service = TelemetryService::start(
             recorder.clone(),
             None,
@@ -539,7 +511,7 @@ fn service_enabled_run_is_bit_identical_and_scrapes_reconcile() {
             stop.store(true, Ordering::Relaxed);
             (observed, scraper.join().expect("scraper thread"))
         });
-        obs::uninstall();
+        drop(scope);
 
         assert_eq!(
             baseline.profiles, observed.profiles,
@@ -591,22 +563,17 @@ fn service_enabled_run_is_bit_identical_and_scrapes_reconcile() {
 /// checkpointed path, and results bit-identical throughout.
 #[test]
 fn jsonl_event_log_reconciles_with_counters() {
-    let _guard = lock();
     let hs = hierarchies();
     let g = grains(&hs);
     let ngrains = g.len() as u64;
     for w in workloads() {
-        obs::uninstall();
-        obs::uninstall_events();
         let baseline = run_pipeline(&w, &hs);
 
         let recorder = Arc::new(MetricsRecorder::new());
         let log = Arc::new(EventLog::to_vec());
-        obs::install(recorder.clone());
-        obs::install_events(log.clone());
+        let scope = obs::Obs { events: Some(log.clone()), ..recorder.clone().into() }.enter();
         let observed = run_pipeline(&w, &hs);
-        obs::uninstall_events();
-        obs::uninstall();
+        drop(scope);
 
         assert_eq!(
             baseline.profiles, observed.profiles,
@@ -642,8 +609,7 @@ fn jsonl_event_log_reconciles_with_counters() {
         let every = (buffer.stats().events / 4).max(1);
         let recorder = Arc::new(MetricsRecorder::new());
         let log = Arc::new(EventLog::to_vec());
-        obs::install(recorder.clone());
-        obs::install_events(log.clone());
+        let scope = obs::Obs { events: Some(log.clone()), ..recorder.clone().into() }.enter();
         let opts = AnalyzeOptions {
             checkpoint: Some(CheckpointOptions {
                 dir: dir.clone(),
@@ -655,8 +621,7 @@ fn jsonl_event_log_reconciles_with_counters() {
         let (profiles, _timings) = analyze_buffer_with(&w.program, &buffer, &g, &opts)
             .into_strict()
             .unwrap();
-        obs::uninstall_events();
-        obs::uninstall();
+        drop(scope);
         let _ = std::fs::remove_dir_all(&dir);
 
         assert_eq!(
@@ -688,17 +653,15 @@ fn jsonl_event_log_reconciles_with_counters() {
 
 #[test]
 fn locality_analysis_counts_reports() {
-    let _guard = lock();
     let w = build_sweep(&SweepConfig::new(8));
     let h = MemoryHierarchy::itanium2_scaled(16);
 
-    obs::uninstall();
     let baseline = run_locality_analysis(&w.program, &h, w.index_arrays.clone()).unwrap();
 
     let recorder = Arc::new(MetricsRecorder::new());
-    obs::install(recorder.clone());
+    let scope = obs::Obs::from(recorder.clone()).enter();
     let observed = run_locality_analysis(&w.program, &h, w.index_arrays.clone()).unwrap();
-    obs::uninstall();
+    drop(scope);
 
     assert_eq!(baseline.report, observed.report);
     assert_eq!(

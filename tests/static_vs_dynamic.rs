@@ -38,7 +38,7 @@ use reuselens::workloads::kernels::{
     fig1_interchange, matmul, stencil2d, streaming, transpose, Fig1Variant,
 };
 use reuselens::workloads::{gtc, sweep3d, BuiltWorkload};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 /// Absolute miss-rate drift allowed at every checked level.
 const MISS_RATE_ABS_BAND: f64 = 0.08;
@@ -47,15 +47,6 @@ const MISS_REL_BAND: f64 = 0.75;
 /// A level is material when the dynamic model predicts at least this
 /// miss rate; below it only the absolute band applies.
 const MATERIAL_MISS_RATE: f64 = 0.01;
-
-/// Serializes the tests that install the process-global recorder.
-static INSTALL_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    INSTALL_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Every workload family at (at least) three problem sizes.
 fn workloads() -> Vec<(String, BuiltWorkload)> {
@@ -180,13 +171,12 @@ fn static_miss_predictions_stay_within_bands() {
 /// Estimate/Report stages run (never Capture/Decode/Replay).
 #[test]
 fn static_path_executes_zero_trace_events() {
-    let _guard = lock();
     let recorder = Arc::new(MetricsRecorder::new());
-    obs::install(recorder.clone());
+    let scope = obs::Obs::from(recorder.clone()).enter();
     let w = sweep3d::build(&sweep3d::SweepConfig::new(8).with_timesteps(1));
     let hierarchy = MemoryHierarchy::itanium2_scaled(16);
     let run = run_locality_estimate(&w.program, &hierarchy, &w.index_arrays);
-    obs::uninstall();
+    drop(scope);
     let snap = recorder.snapshot();
 
     for counter in [
@@ -234,13 +224,12 @@ fn static_path_executes_zero_trace_events() {
 /// rather than silently pretending they are affine.
 #[test]
 fn indirect_references_are_reported_as_fallback() {
-    let _guard = lock();
     let recorder = Arc::new(MetricsRecorder::new());
-    obs::install(recorder.clone());
+    let scope = obs::Obs::from(recorder.clone()).enter();
     let w = gtc::build(&gtc::GtcConfig::new(256, 8).with_timesteps(1));
     let hierarchy = MemoryHierarchy::itanium2_scaled(16);
     let run = run_locality_estimate(&w.program, &hierarchy, &w.index_arrays);
-    obs::uninstall();
+    drop(scope);
     let snap = recorder.snapshot();
 
     assert!(
