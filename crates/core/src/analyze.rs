@@ -60,8 +60,8 @@ use crate::snapshot::{
 use reuselens_ir::{AccessKind, ArrayId, Program, RefId, ScopeId};
 use reuselens_obs as obs;
 use reuselens_trace::{
-    AccessRecord, DecodeError, ExecError, ExecReport, Executor, SegmentState, TraceBuffer,
-    TraceSink,
+    AccessRecord, DecodeError, ExecError, ExecReport, Executor, SegmentState, SoaBatch,
+    TraceBuffer, TraceSink,
 };
 use std::error::Error;
 use std::fmt;
@@ -596,6 +596,13 @@ impl TraceSink for GrainAnalyzer {
             GrainAnalyzer::Sampled(a) => a.access_batch(batch),
         }
     }
+    fn access_soa(&mut self, batch: &SoaBatch) {
+        // Both engines read the lanes directly; one match per batch.
+        match self {
+            GrainAnalyzer::Exact(a) => a.access_soa(batch),
+            GrainAnalyzer::Sampled(a) => a.access_soa(batch),
+        }
+    }
 }
 
 /// Checks one grain's progress against its budget, publishing the budget
@@ -1011,6 +1018,43 @@ pub fn analyze_buffer(
 mod tests {
     use super::*;
     use reuselens_ir::{Expr, ProgramBuilder};
+    use reuselens_trace::Event;
+
+    #[test]
+    fn grain_replay_matches_event_by_event_access_for_every_engine() {
+        let mut p = ProgramBuilder::new("stencil");
+        let a = p.array("a", 8, &[96, 40]);
+        let b = p.array("b", 8, &[40, 96]);
+        p.routine("main", |r| {
+            r.for_("t", 0, 2, |r, _| {
+                r.for_("j", 0, 39, |r, j| {
+                    r.for_("i", 0, 95, |r, i| {
+                        r.load(a, vec![i.into(), j.into()]);
+                        r.store(b, vec![j.into(), i.into()]);
+                    });
+                });
+            });
+        });
+        let prog = p.finish();
+        let (buffer, _) = capture_program(&prog, vec![]).unwrap();
+        for sampling in [
+            SamplingConfig::exact(),
+            SamplingConfig::fixed(0.1),
+            SamplingConfig::adaptive(16),
+        ] {
+            let mut batched = GrainAnalyzer::new(&prog, 64, sampling);
+            buffer.replay(&mut batched);
+            let mut single = GrainAnalyzer::new(&prog, 64, sampling);
+            for event in buffer.iter() {
+                match event {
+                    Event::Access { r, addr, size, kind } => single.access(r, addr, size, kind),
+                    Event::Enter(s) => single.enter(s),
+                    Event::Exit(s) => single.exit(s),
+                }
+            }
+            assert_eq!(batched.finish(), single.finish(), "{sampling:?}");
+        }
+    }
 
     #[test]
     fn analyze_program_with_index_arrays() {

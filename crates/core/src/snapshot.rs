@@ -303,7 +303,14 @@ pub struct SnapshotMeta {
 pub(crate) fn encode_snapshot(header: &SnapshotHeader, state: &[u8]) -> Vec<u8> {
     let mut henc = Enc::new();
     header.encode(&mut henc);
-    frame::encode(&MAGIC, SNAPSHOT_VERSION, &[&henc.buf, state])
+    frame::encode(
+        &MAGIC,
+        SNAPSHOT_VERSION,
+        &[
+            (&henc.buf, frame::crc32(&henc.buf)),
+            (state, frame::crc32(state)),
+        ],
+    )
 }
 
 /// Splits a snapshot file image into its verified header and state

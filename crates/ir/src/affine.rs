@@ -14,7 +14,9 @@ use std::fmt;
 /// A multi-variable affine form `constant + Σ coeff·var`.
 ///
 /// Terms are kept sorted by variable id with no zero coefficients, so two
-/// equal forms compare equal structurally.
+/// equal forms compare equal structurally. Arithmetic wraps, exactly like
+/// [`Expr::eval`], so a form evaluates to the value of the expression it
+/// was recovered from for every variable assignment.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Affine {
     /// The constant term.
@@ -58,7 +60,7 @@ impl Affine {
     /// Adds another form.
     pub fn add(&self, other: &Affine) -> Affine {
         let mut out = self.clone();
-        out.constant += other.constant;
+        out.constant = out.constant.wrapping_add(other.constant);
         for &(v, c) in &other.terms {
             out.add_term(v, c);
         }
@@ -76,19 +78,21 @@ impl Affine {
             return Affine::constant(0);
         }
         Affine {
-            constant: self.constant * k,
-            terms: self.terms.iter().map(|&(v, c)| (v, c * k)).collect(),
+            constant: self.constant.wrapping_mul(k),
+            terms: self
+                .terms
+                .iter()
+                .map(|&(v, c)| (v, c.wrapping_mul(k)))
+                .filter(|&(_, c)| c != 0)
+                .collect(),
         }
     }
 
     /// Evaluates the form with variable values supplied by `lookup`.
     pub fn eval(&self, mut lookup: impl FnMut(VarId) -> i64) -> i64 {
-        self.constant
-            + self
-                .terms
-                .iter()
-                .map(|&(v, c)| c * lookup(v))
-                .sum::<i64>()
+        self.terms.iter().fold(self.constant, |acc, &(v, c)| {
+            acc.wrapping_add(c.wrapping_mul(lookup(v)))
+        })
     }
 
     /// Substitutes a constant value for `v`, folding it into the constant
@@ -100,7 +104,7 @@ impl Affine {
         };
         for &(w, c) in &self.terms {
             if w == v {
-                out.constant += c * value;
+                out.constant = out.constant.wrapping_add(c.wrapping_mul(value));
             } else {
                 out.terms.push((w, c));
             }
@@ -114,7 +118,7 @@ impl Affine {
         }
         match self.terms.binary_search_by_key(&v, |&(w, _)| w) {
             Ok(pos) => {
-                self.terms[pos].1 += c;
+                self.terms[pos].1 = self.terms[pos].1.wrapping_add(c);
                 if self.terms[pos].1 == 0 {
                     self.terms.remove(pos);
                 }
@@ -138,9 +142,68 @@ impl fmt::Display for Affine {
     }
 }
 
+/// One subscript of an [`AddressPlan`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct PlanDim {
+    /// The subscript as an affine form over variable slots.
+    pub index: Affine,
+    /// The dimension's extent: valid subscripts are `0..extent`.
+    pub extent: u64,
+    /// Bytes that a unit step of this subscript moves the address.
+    pub byte_stride: u64,
+}
+
+/// A reference's address computation, lowered once from its subscript
+/// expressions: the array's base address plus, per dimension, an affine
+/// subscript with its extent and byte stride. Built by
+/// [`Program::address_plan`](crate::Program::address_plan).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct AddressPlan {
+    /// The array's base address.
+    pub base: u64,
+    /// One entry per array dimension, in subscript order.
+    pub dims: Vec<PlanDim>,
+}
+
+impl AddressPlan {
+    /// The address accessed when each variable `v` holds
+    /// `vars[v.index()]`, or `None` when a subscript falls outside its
+    /// extent. Equals [`ArrayDecl::address`](crate::ArrayDecl::address)
+    /// applied to the [`Expr::eval`] values of the original subscripts.
+    #[inline]
+    pub fn address(&self, vars: &[i64]) -> Option<u64> {
+        let mut addr = self.base;
+        for d in &self.dims {
+            let idx = d.index.eval(|v| vars[v.index()]);
+            if idx < 0 || idx as u64 >= d.extent {
+                return None;
+            }
+            addr = addr.wrapping_add((idx as u64).wrapping_mul(d.byte_stride));
+        }
+        Some(addr)
+    }
+
+    /// Every subscript's value at `vars`, in subscript order.
+    pub fn indices(&self, vars: &[i64]) -> Vec<i64> {
+        self.dims
+            .iter()
+            .map(|d| d.index.eval(|v| vars[v.index()]))
+            .collect()
+    }
+
+    /// The linearized byte offset within the array (base excluded) as one
+    /// affine form.
+    pub fn byte_offset(&self) -> Affine {
+        self.dims.iter().fold(Affine::constant(0), |acc, d| {
+            acc.add(&d.index.scale(d.byte_stride as i64))
+        })
+    }
+}
+
 /// Computes the affine form of an expression, or `None` when the expression
 /// is not affine (contains indirect loads, min/max, or non-constant
-/// division/remainder/multiplication).
+/// division/remainder/multiplication) or folds a constant division or
+/// remainder that would trap (by zero, or `i64::MIN / -1`). Never panics.
 pub fn affine_form(expr: &Expr) -> Option<Affine> {
     match expr {
         Expr::Const(c) => Some(Affine::constant(*c)),
@@ -164,11 +227,10 @@ pub fn affine_form(expr: &Expr) -> Option<Affine> {
             if fa.is_constant() && fb.is_constant() {
                 let (x, y) = (fa.constant, fb.constant);
                 let folded = match expr {
-                    Expr::Div(..) => x.div_euclid(y),
-                    Expr::Mod(..) => x.rem_euclid(y),
+                    Expr::Div(..) => x.checked_div_euclid(y)?,
+                    Expr::Mod(..) => x.checked_rem_euclid(y)?,
                     Expr::Min(..) => x.min(y),
-                    Expr::Max(..) => x.max(y),
-                    _ => unreachable!(),
+                    _ => x.max(y),
                 };
                 Some(Affine::constant(folded))
             } else {
@@ -249,7 +311,7 @@ fn merge_worst(a: Stride, b: Stride) -> Stride {
     match (a, b) {
         (Indirect, _) | (_, Indirect) => Indirect,
         (Irregular, _) | (_, Irregular) => Irregular,
-        (Constant(x), Constant(y)) => Constant(x + y),
+        (Constant(x), Constant(y)) => Constant(x.wrapping_add(y)),
     }
 }
 
@@ -270,7 +332,7 @@ fn classify(expr: &Expr, v: VarId) -> Class {
         Expr::Sub(a, b) => {
             let (ca, cb) = (classify(a, v), classify(b, v));
             let neg = match cb.stride {
-                Stride::Constant(c) => Stride::Constant(-c),
+                Stride::Constant(c) => Stride::Constant(c.wrapping_neg()),
                 other => other,
             };
             Class {
@@ -330,7 +392,7 @@ fn escalate(a: Stride, b: Stride) -> Stride {
 fn scale_stride(s: Stride, factor: &Expr) -> Stride {
     match s {
         Stride::Constant(c) => match affine_form(factor) {
-            Some(f) if f.is_constant() => Stride::Constant(c * f.constant),
+            Some(f) if f.is_constant() => Stride::Constant(c.wrapping_mul(f.constant)),
             // The factor is loop-invariant but not a compile-time constant;
             // the stride is fixed within the loop but unknown statically.
             _ => Stride::Irregular,
@@ -385,6 +447,54 @@ mod tests {
         assert!(affine_form(&i().min(j())).is_none());
         assert!(affine_form(&Expr::load(ArrayId(0), vec![i()])).is_none());
         assert!(affine_form(&i().div(2)).is_none());
+    }
+
+    #[test]
+    fn affine_form_rejects_trapping_folds_without_panicking() {
+        assert!(affine_form(&Expr::c(1).div(0)).is_none());
+        assert!(affine_form(&Expr::c(1).rem(0)).is_none());
+        assert!(affine_form(&Expr::c(i64::MIN).div(-1)).is_none());
+        assert!(affine_form(&Expr::c(i64::MIN).rem(-1)).is_none());
+        // A trapping fold taints the whole subscript, even when scaled
+        // away by zero.
+        assert!(affine_form(&(i() + Expr::c(3).div(0) * Expr::c(0))).is_none());
+        // Non-trapping folds at the edges still fold.
+        let f = affine_form(&Expr::c(i64::MIN).div(1)).unwrap();
+        assert_eq!(f, Affine::constant(i64::MIN));
+    }
+
+    /// Variable values for [`Expr::eval`]; these expressions never load.
+    struct Vars([i64; 2]);
+
+    impl crate::expr::EvalCtx for Vars {
+        fn var(&self, v: VarId) -> i64 {
+            self.0[v.index()]
+        }
+        fn load_index(&self, _: ArrayId, _: &[i64]) -> i64 {
+            unreachable!("no indirect loads here")
+        }
+    }
+
+    #[test]
+    fn affine_arithmetic_wraps_like_eval() {
+        let exprs = [
+            i() * i64::MAX * 3 + j() * (i64::MIN + 1),
+            Expr::c(i64::MAX) + 1 - i() * 4_000_000_000_000_000_000i64,
+            (i() - j()) * i64::MIN + Expr::c(i64::MIN).min(5) - 1,
+            // 2^32 * 2^32 wraps to a zero coefficient, which must vanish.
+            i() * (1i64 << 32) * (1i64 << 32) + j(),
+        ];
+        for e in &exprs {
+            let f = affine_form(e).unwrap();
+            for vals in [[0, 0], [1, -1], [i64::MAX, 7], [-3, i64::MIN]] {
+                let ctx = Vars(vals);
+                assert_eq!(f.eval(|v| ctx.0[v.index()]), e.eval(&ctx), "{e} at {vals:?}");
+            }
+        }
+        let f = affine_form(&exprs[3]).unwrap();
+        assert_eq!(f.terms, vec![(J, 1)]);
+        let g = affine_form(&(i() * i64::MAX)).unwrap().substitute(I, 2);
+        assert_eq!(g, Affine::constant(i64::MAX.wrapping_mul(2)));
     }
 
     #[test]

@@ -59,7 +59,7 @@ mod pretty;
 mod program;
 mod stmt;
 
-pub use affine::{affine_form, stride_wrt, Affine, Stride};
+pub use affine::{affine_form, stride_wrt, AddressPlan, Affine, PlanDim, Stride};
 pub use array::{ArrayDecl, ArrayKind, Layout};
 pub use builder::{BodyBuilder, ProgramBuilder};
 pub use expr::{EvalCtx, Expr, Pred};

@@ -1,6 +1,8 @@
 //! The [`Program`]: routines, arrays, references, and the static scope tree.
 
+use crate::affine::{affine_form, AddressPlan, Affine, PlanDim};
 use crate::array::{ArrayDecl, ArrayKind};
+use crate::expr::Expr;
 use crate::ids::{ArrayId, RefId, RoutineId, ScopeId, VarId};
 use crate::stmt::{walk_stmts, Reference, Stmt};
 use std::error::Error;
@@ -372,16 +374,41 @@ impl Program {
         parts.join("/")
     }
 
-    /// Subscript expression helper: the affine form of a reference's
-    /// linearized byte offset within its array (base not included).
-    pub fn byte_offset_expr(&self, r: &Reference) -> Option<crate::affine::Affine> {
-        let arr = self.array(r.array);
-        let mut total = crate::affine::Affine::constant(0);
-        for (d, idx) in r.indices.iter().enumerate() {
-            let f = crate::affine::affine_form(idx)?;
-            total = total.add(&f.scale(arr.byte_stride_of_dim(d) as i64));
+    /// Lowers the subscripts of an access to `array` to an
+    /// [`AddressPlan`], so its addresses can be computed without walking
+    /// `Expr` trees. `None` when the subscript count differs from the
+    /// array's rank or a subscript has no [`affine_form`]: an indirect
+    /// load, a non-constant `*`, `/`, `%`, `min` or `max`, or a constant
+    /// fold that would trap. Never panics for an array of this program.
+    pub fn address_plan(&self, array: ArrayId, indices: &[Expr]) -> Option<AddressPlan> {
+        let decl = self.array(array);
+        if indices.len() != decl.dims().len() {
+            return None;
         }
-        Some(total)
+        let dims = indices
+            .iter()
+            .zip(decl.dims())
+            .enumerate()
+            .map(|(d, (e, &extent))| {
+                Some(PlanDim {
+                    index: affine_form(e)?,
+                    extent,
+                    byte_stride: decl.byte_stride_of_dim(d),
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(AddressPlan {
+            base: decl.base(),
+            dims,
+        })
+    }
+
+    /// The affine form of a reference's linearized byte offset within its
+    /// array (base not included): [`Program::address_plan`]'s
+    /// [`byte_offset`](AddressPlan::byte_offset).
+    pub fn byte_offset_expr(&self, r: &Reference) -> Option<Affine> {
+        self.address_plan(r.array, &r.indices)
+            .map(|plan| plan.byte_offset())
     }
 }
 
@@ -461,6 +488,47 @@ mod tests {
         let j_var = p.loop_var(p.scope_by_name("j").unwrap()).unwrap();
         assert_eq!(aff.coeff(i_var), 8);
         assert_eq!(aff.coeff(j_var), 128);
+    }
+
+    #[test]
+    fn address_plan_matches_decl_address() {
+        use crate::array::{ArrayKind, Layout};
+        use crate::expr::Expr;
+        let mut p = ProgramBuilder::new("t");
+        let a = p.array("a", 8, &[5, 4, 3]);
+        let r = p.array_with("r", 4, &[5, 4, 3], Layout::RowMajor, ArrayKind::Data);
+        let ix = p.index_array("ix", &[4]);
+        p.routine("main", |b| {
+            b.for_("i", 0, 4, |b, i| {
+                b.load(a, vec![i.into(), Expr::var(i) - 1, Expr::c(7).div(3)]);
+                b.load(r, vec![Expr::c(4) - i, Expr::c(0), Expr::var(i) * 2 - 6]);
+                // Not lowered: indirect, non-constant division, trapping
+                // fold, wrong rank.
+                b.load(a, vec![Expr::load(ix, vec![i.into()]), 0.into(), 0.into()]);
+                b.load(a, vec![Expr::var(i).div(2), 0.into(), 0.into()]);
+                b.load(a, vec![i.into(), Expr::c(1).div(0), 0.into()]);
+                b.load(a, vec![i.into(), 0.into()]);
+            });
+        });
+        let prog = p.finish();
+        let refs = prog.references();
+        let i_var = prog.loop_var(prog.scope_by_name("i").unwrap()).unwrap();
+        for r in &refs[..2] {
+            let plan = prog.address_plan(r.array(), r.indices()).unwrap();
+            let decl = prog.array(r.array());
+            assert_eq!(plan.base, decl.base());
+            for v in -2..8 {
+                let mut vars = vec![0; prog.var_count()];
+                vars[i_var.index()] = v;
+                let indices = plan.indices(&vars);
+                assert_eq!(plan.address(&vars), decl.address(&indices), "i = {v}");
+            }
+            assert_eq!(prog.byte_offset_expr(r), Some(plan.byte_offset()));
+        }
+        for r in &refs[2..] {
+            assert_eq!(prog.address_plan(r.array(), r.indices()), None, "{}", r.label());
+            assert_eq!(prog.byte_offset_expr(r), None);
+        }
     }
 
     #[test]

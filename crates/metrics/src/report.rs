@@ -259,6 +259,31 @@ mod tests {
         assert!(!crate::text::format_summary(&exact).contains("sampled"));
     }
 
+    /// A subscript that would trap (`1/0`) under a guard that never holds:
+    /// the executor never evaluates it, and the estimator must not either.
+    #[test]
+    fn estimate_survives_a_trapping_subscript_behind_a_false_guard() {
+        use reuselens_ir::{Expr, Pred};
+        let mut p = ProgramBuilder::new("t");
+        let a = p.array("a", 8, &[512]);
+        p.routine("main", |r| {
+            r.for_("i", 0, 511, |r, i| {
+                r.load(a, vec![i.into()]);
+                r.if_(Pred::Lt(Expr::var(i), Expr::c(0)), |r| {
+                    r.load(a, vec![Expr::c(1).div(0)]);
+                });
+            });
+        });
+        let prog = p.finish();
+        let h = MemoryHierarchy::itanium2_scaled(16);
+        let dynamic = run_locality_analysis(&prog, &h, vec![]).unwrap();
+        let est = run_locality_estimate(&prog, &h, &[]);
+        assert_eq!(est.analysis.analysis.exec.accesses, 512);
+        assert_eq!(dynamic.analysis.exec.accesses, 512);
+        assert_eq!(est.covered, vec![prog.references()[0].id()]);
+        assert!(est.fallback.is_empty());
+    }
+
     #[test]
     fn grain_failure_is_an_error_not_a_panic() {
         let mut p = ProgramBuilder::new("t");

@@ -23,7 +23,7 @@
 
 use reuselens_core::{Histogram, PatternKey, ReusePattern, ReuseProfile};
 use reuselens_ir::{
-    affine_form, AccessKind, Affine, ArrayId, EvalCtx, Expr, Pred, Program, RefId, ScopeId, Stmt,
+    AccessKind, Affine, ArrayId, EvalCtx, Expr, Pred, Program, RefId, ScopeId, Stmt,
     VarId,
 };
 use reuselens_obs::{self as obs, Counter, Stage};
@@ -322,21 +322,13 @@ impl<'p> Walker<'p> {
             AccessKind::Load => self.loads += count,
             AccessKind::Store => self.stores += count,
         }
-        // Byte-offset affine over loop variables, if the subscripts allow.
-        let mut offset = Some(Affine::constant(0));
-        for (d, idx) in r.indices().iter().enumerate() {
-            let sub = self.subst(idx);
-            match (offset.take(), affine_form(&sub)) {
-                (Some(acc), Some(a)) => {
-                    let stride = decl.byte_stride_of_dim(d) as i64;
-                    offset = Some(acc.add(&a.scale(stride)));
-                }
-                _ => {
-                    offset = None;
-                    break;
-                }
-            }
-        }
+        // Byte-offset affine over loop variables, if the subscripts (with
+        // assigned scalars substituted) lower.
+        let subs: Vec<Expr> = r.indices().iter().map(|idx| self.subst(idx)).collect();
+        let offset = self
+            .program
+            .address_plan(r.array(), &subs)
+            .map(|plan| plan.byte_offset());
         let frames: Vec<SiteFrame> = self
             .frames
             .iter()
@@ -352,7 +344,7 @@ impl<'p> Walker<'p> {
                 .frames
                 .iter()
                 .rev()
-                .map(|lf| (o.coeff(lf.var) * lf.step) as f64)
+                .map(|lf| o.coeff(lf.var).wrapping_mul(lf.step) as f64)
                 .collect(),
             None => Vec::new(),
         };

@@ -444,7 +444,7 @@ fn encode_index(entries: &[TraceEntry]) -> Vec<u8> {
             e.u32(s.crc);
         }
     }
-    frame::encode(&MAGIC_INDEX, STORE_VERSION, &[&e.buf])
+    frame::encode(&MAGIC_INDEX, STORE_VERSION, &[(&e.buf, crc32(&e.buf))])
 }
 
 fn decode_index(bytes: &[u8]) -> Result<Vec<TraceEntry>, FrameError> {
@@ -532,7 +532,8 @@ struct SegmentHeader {
     image_crc: u32,
 }
 
-fn encode_segment(header: &SegmentHeader, chunk: &[u8]) -> Vec<u8> {
+/// `chunk_crc` is [`crc32`] of `chunk`, computed once by the caller.
+fn encode_segment(header: &SegmentHeader, chunk: &[u8], chunk_crc: u32) -> Vec<u8> {
     let mut h = Enc::new();
     h.str(&header.id);
     h.u32(header.seg_index);
@@ -541,7 +542,11 @@ fn encode_segment(header: &SegmentHeader, chunk: &[u8]) -> Vec<u8> {
     h.u64(header.chunk_len);
     h.u64(header.image_len);
     h.u32(header.image_crc);
-    frame::encode(&MAGIC_SEGMENT, STORE_VERSION, &[&h.buf, chunk])
+    frame::encode(
+        &MAGIC_SEGMENT,
+        STORE_VERSION,
+        &[(&h.buf, crc32(&h.buf)), (chunk, chunk_crc)],
+    )
 }
 
 /// Decodes one segment file into its header, chunk payload, and the
@@ -691,11 +696,18 @@ impl TraceStore {
         }
         let image = encode_image(&buf.export());
         let image_len = image.len() as u64;
-        let image_crc = crc32(&image);
         let seg_bytes = self.config.segment_bytes.max(1);
         let seg_count = image.len().div_ceil(seg_bytes).max(1);
+        // One CRC pass over the image: per-chunk CRCs, folded into the
+        // whole-image CRC the way `get` verifies it.
+        let chunks: Vec<(&[u8], u32)> = chunks_of(&image, seg_bytes, seg_count)
+            .map(|chunk| (chunk, crc32(chunk)))
+            .collect();
+        let image_crc = chunks.iter().fold(0u32, |crc, &(chunk, chunk_crc)| {
+            crc32_combine(crc, chunk_crc, chunk.len() as u64)
+        });
         let mut segments = Vec::with_capacity(seg_count);
-        for (k, chunk) in chunks_of(&image, seg_bytes, seg_count).enumerate() {
+        for (k, &(chunk, chunk_crc)) in chunks.iter().enumerate() {
             let offset = (k * seg_bytes) as u64;
             let header = SegmentHeader {
                 id: id.to_string(),
@@ -706,12 +718,12 @@ impl TraceStore {
                 image_len,
                 image_crc,
             };
-            let segment = encode_segment(&header, chunk);
+            let segment = encode_segment(&header, chunk, chunk_crc);
             frame::publish(&self.dir, &segment_file_name(id, k), &segment)?;
             segments.push(SegmentInfo {
                 offset,
                 len: chunk.len() as u64,
-                crc: crc32(chunk),
+                crc: chunk_crc,
             });
         }
         self.entries.push(TraceEntry {

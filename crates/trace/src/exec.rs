@@ -3,7 +3,8 @@
 
 use crate::event::TraceSink;
 use reuselens_ir::{
-    ArrayId, ArrayKind, EvalCtx, Expr, Program, RefId, RoutineId, ScopeId, Stmt, VarId,
+    AddressPlan, ArrayId, ArrayKind, EvalCtx, Expr, Program, RefId, RoutineId, ScopeId, Stmt,
+    VarId,
 };
 use std::error::Error;
 use std::fmt;
@@ -109,6 +110,13 @@ impl ExecReport {
 /// contents of index arrays (for indirect addressing). Data arrays exist
 /// purely as address ranges.
 ///
+/// Construction lowers every reference with affine subscripts once to an
+/// [`AddressPlan`]; its accesses then cost one wrapping multiply-add per
+/// subscript term and one bounds check per dimension. Only references the
+/// lowering rejects (indirect loads, non-affine arithmetic) evaluate their
+/// subscript `Expr` trees per access. Both give the same addresses and the
+/// same errors.
+///
 /// # Examples
 ///
 /// ```
@@ -135,6 +143,9 @@ pub struct Executor<'p> {
     program: &'p Program,
     vars: Vec<i64>,
     index_data: Vec<Option<Vec<i64>>>,
+    /// One plan per reference, indexed by [`RefId`]; `None` where the
+    /// subscripts do not lower and are interpreted instead.
+    plans: Vec<Option<AddressPlan>>,
 }
 
 struct Ctx<'a> {
@@ -177,6 +188,11 @@ impl<'p> Executor<'p> {
             program,
             vars: vec![0; program.var_count()],
             index_data: vec![None; program.arrays().len()],
+            plans: program
+                .references()
+                .iter()
+                .map(|r| program.address_plan(r.array(), r.indices()))
+                .collect(),
         }
     }
 
@@ -315,29 +331,43 @@ impl<'p> Executor<'p> {
         report: &mut ExecReport,
     ) -> Result<(), ExecError> {
         let r = self.program.reference(rid);
-        let decl = self.program.array(r.array());
-        let mut indices = Vec::with_capacity(r.indices().len());
-        {
-            let ctx = self.ctx();
-            for e in r.indices() {
-                indices.push(e.eval(&ctx));
-            }
-            ctx.take_fault()?;
-        }
-        let Some(addr) = decl.address(&indices) else {
-            return Err(ExecError::OutOfBounds {
-                r: rid,
-                indices,
-                array: decl.name().to_string(),
-            });
+        let addr = match &self.plans[rid.index()] {
+            Some(plan) => match plan.address(&self.vars) {
+                Some(addr) => addr,
+                None => return Err(self.out_of_bounds(rid, plan.indices(&self.vars))),
+            },
+            None => self.interpret_address(rid)?,
         };
         report.accesses += 1;
         match r.kind() {
             reuselens_ir::AccessKind::Load => report.loads += 1,
             reuselens_ir::AccessKind::Store => report.stores += 1,
         }
-        sink.access(rid, addr, decl.elem_size(), r.kind());
+        sink.access(rid, addr, self.program.array(r.array()).elem_size(), r.kind());
         Ok(())
+    }
+
+    /// The address of a reference that did not lower: every subscript
+    /// `Expr` is evaluated, then mapped by the array declaration.
+    fn interpret_address(&self, rid: RefId) -> Result<u64, ExecError> {
+        let r = self.program.reference(rid);
+        let ctx = self.ctx();
+        let indices: Vec<i64> = r.indices().iter().map(|e| e.eval(&ctx)).collect();
+        ctx.take_fault()?;
+        match self.program.array(r.array()).address(&indices) {
+            Some(addr) => Ok(addr),
+            None => Err(self.out_of_bounds(rid, indices)),
+        }
+    }
+
+    #[cold]
+    fn out_of_bounds(&self, rid: RefId, indices: Vec<i64>) -> ExecError {
+        let array = self.program.array(self.program.reference(rid).array());
+        ExecError::OutOfBounds {
+            r: rid,
+            indices,
+            array: array.name().to_string(),
+        }
     }
 
     fn eval(&self, e: &Expr) -> Result<i64, ExecError> {

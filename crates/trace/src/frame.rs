@@ -426,15 +426,18 @@ impl<'a> Dec<'a> {
 // ---------------------------------------------------------------------------
 
 /// Assembles a file image: `magic`, `version`, then one length-prefixed,
-/// CRC-guarded frame per payload, in order.
-pub fn encode(magic: &[u8; 6], version: u16, payloads: &[&[u8]]) -> Vec<u8> {
-    let body: usize = payloads.iter().map(|p| 8 + p.len()).sum();
+/// CRC-guarded frame per `(payload, crc)`, in order. Each `crc` must be
+/// [`crc32`] of its payload; callers pass what they already hold, so no
+/// byte is hashed twice.
+pub fn encode(magic: &[u8; 6], version: u16, frames: &[(&[u8], u32)]) -> Vec<u8> {
+    let body: usize = frames.iter().map(|(p, _)| 8 + p.len()).sum();
     let mut out = Vec::with_capacity(PREAMBLE_LEN + body);
     out.extend_from_slice(magic);
     out.extend_from_slice(&version.to_le_bytes());
-    for payload in payloads {
+    for &(payload, crc) in frames {
+        debug_assert_eq!(crc, crc32(payload), "frame CRC does not match its payload");
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.extend_from_slice(&crc.to_le_bytes());
         out.extend_from_slice(payload);
     }
     out
@@ -636,8 +639,8 @@ mod tests {
     }
 
     fn image_of(magic: &[u8; 6], payloads: &[Vec<u8>]) -> Vec<u8> {
-        let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-        encode(magic, 1, &refs)
+        let frames: Vec<(&[u8], u32)> = payloads.iter().map(|p| (&p[..], crc32(p))).collect();
+        encode(magic, 1, &frames)
     }
 
     #[test]
@@ -679,7 +682,11 @@ mod tests {
             let image = image_of(magic, &payloads);
             assert_eq!(decode_as(&image, magic, &names).unwrap(), payloads);
         }
-        let image = encode(b"RLSEGM", 1, &[b"ab", b"cdef"]);
+        let image = encode(
+            b"RLSEGM",
+            1,
+            &[(b"ab", crc32(b"ab")), (b"cdef", crc32(b"cdef"))],
+        );
         let [h, c] = decode(&image, b"RLSEGM", 1, ["header", "chunk"]).unwrap();
         assert_eq!((h.offset(), h.crc()), (16, crc32(b"ab")));
         assert_eq!((c.offset(), c.crc()), (26, crc32(b"cdef")));
