@@ -1,8 +1,7 @@
 //! The workspace error taxonomy.
 //!
 //! Lower layers define their own precise errors — [`ExecError`] for
-//! execution, [`DecodeError`] for trace validation, [`BudgetExceeded`] for
-//! resource caps, [`AnalysisError`] for the replay engine — and this
+//! execution, [`BudgetExceeded`] for resource caps, [`AnalysisError`] for the replay engine — and this
 //! module adds the cache layer's [`ConfigError`] plus the umbrella
 //! [`ReuseLensError`] that every end-to-end pipeline
 //! ([`evaluate_sweep`](crate::evaluate_sweep),
@@ -11,7 +10,7 @@
 //! whole stack.
 
 use reuselens_core::{AnalysisError, BudgetExceeded, SnapshotError};
-use reuselens_trace::{DecodeError, ExecError};
+use reuselens_trace::ExecError;
 use std::error::Error;
 use std::fmt;
 
@@ -116,15 +115,13 @@ impl fmt::Display for ConfigError {
 impl Error for ConfigError {}
 
 /// Any failure an end-to-end ReuseLens pipeline can report: execution,
-/// trace decoding, configuration, resource budgets, or an isolated panic
+/// configuration, resource budgets, or an isolated panic
 /// in a worker thread. Re-exported at the workspace root as
 /// `reuselens::ReuseLensError`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReuseLensError {
     /// Program execution failed in the trace executor.
     Exec(ExecError),
-    /// The validating decoder rejected a trace buffer.
-    Decode(DecodeError),
     /// A cache, TLB, or hierarchy description is invalid.
     Config(ConfigError),
     /// An analysis crossed its resource budget.
@@ -160,7 +157,6 @@ impl fmt::Display for ReuseLensError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ReuseLensError::Exec(e) => e.fmt(f),
-            ReuseLensError::Decode(e) => write!(f, "trace decode failed: {e}"),
             ReuseLensError::Config(e) => e.fmt(f),
             ReuseLensError::Budget(e) => e.fmt(f),
             ReuseLensError::GrainFailed {
@@ -187,7 +183,6 @@ impl Error for ReuseLensError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             ReuseLensError::Exec(e) => Some(e),
-            ReuseLensError::Decode(e) => Some(e),
             ReuseLensError::Config(e) => Some(e),
             ReuseLensError::Budget(e) => Some(e),
             ReuseLensError::Snapshot(e) => Some(e),
@@ -208,12 +203,6 @@ impl From<ExecError> for ReuseLensError {
     }
 }
 
-impl From<DecodeError> for ReuseLensError {
-    fn from(e: DecodeError) -> ReuseLensError {
-        ReuseLensError::Decode(e)
-    }
-}
-
 impl From<ConfigError> for ReuseLensError {
     fn from(e: ConfigError) -> ReuseLensError {
         ReuseLensError::Config(e)
@@ -230,7 +219,6 @@ impl From<AnalysisError> for ReuseLensError {
     fn from(e: AnalysisError) -> ReuseLensError {
         match e {
             AnalysisError::Exec(e) => ReuseLensError::Exec(e),
-            AnalysisError::Decode(e) => ReuseLensError::Decode(e),
             AnalysisError::Budget(e) => ReuseLensError::Budget(e),
             AnalysisError::Checkpoint(e) => ReuseLensError::Snapshot(e),
             AnalysisError::GrainPanicked {

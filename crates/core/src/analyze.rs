@@ -17,13 +17,13 @@
 //! [`analyze_buffer_with`] is the one call for every replay configuration;
 //! each knob is a field of [`AnalyzeOptions`]: sampling (the
 //! constant-space [`SampledAnalyzer`]), intra-grain partitioned replay,
-//! validation, a resource budget, and crash-safe checkpointing. Exact mode
+//! a resource budget, and crash-safe checkpointing. Exact mode
 //! with default options stays the default, and its output is bit-identical
 //! to a build without the knobs.
 //!
 //! Under it sit two engines per grain: the time-partitioned engine
 //! (`replay_threads` > 1) and **one serial loop**, which advances the
-//! unchecked decoder ([`TraceBuffer::replay_advance`]) in steps of at most
+//! replay decoder ([`TraceBuffer::replay_advance`]) in steps of at most
 //! 4096 events, publishing progress and checking the budget after each
 //! step and writing a snapshot at every checkpoint boundary.
 //!
@@ -39,12 +39,12 @@
 //!   sequential single-grain retry pass (transient panics get one more
 //!   chance on an otherwise idle machine before the grain is declared
 //!   dead);
-//! * [`AnalyzeOptions`] can validate the buffer up front
-//!   ([`TraceBuffer::validate`]) and enforce an [`AnalysisBudget`], so
-//!   corrupted captures surface as [`DecodeError`]s and runaway traces
-//!   stop with [`BudgetExceeded`] — both carrying diagnostics, neither
+//! * [`AnalyzeOptions`] can enforce an [`AnalysisBudget`], so runaway
+//!   traces stop with [`BudgetExceeded`] — carrying diagnostics, not
 //!   panicking; a checkpoint I/O failure is that grain's
-//!   [`GrainError::Checkpoint`];
+//!   [`GrainError::Checkpoint`]. Corrupted traces never get this far: a
+//!   [`TraceBuffer`] is well-formed by construction, and an image from
+//!   outside the process is checked by [`TraceBuffer::import`];
 //! * [`analyze_buffer`] and [`PartialAnalysis::into_strict`] return
 //!   `Result` and map the first grain failure into an [`AnalysisError`].
 
@@ -60,8 +60,7 @@ use crate::snapshot::{
 use reuselens_ir::{AccessKind, ArrayId, Program, RefId, ScopeId};
 use reuselens_obs as obs;
 use reuselens_trace::{
-    AccessRecord, DecodeError, ExecError, ExecReport, Executor, SegmentState, SoaBatch,
-    TraceBuffer, TraceSink,
+    ExecError, ExecReport, Executor, SegmentState, SoaBatch, TraceBuffer, TraceSink,
 };
 use std::error::Error;
 use std::fmt;
@@ -75,7 +74,7 @@ use std::time::{Duration, Instant};
 /// budget checks. A checkpoint boundary also ends a step.
 const STEP: u64 = 4096;
 
-/// Why one grain's replay failed. Deterministic failures (decode, budget,
+/// Why one grain's replay failed. Deterministic failures (budget,
 /// checkpoint I/O) are not retried; panics get one sequential retry before
 /// the grain is declared dead.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,8 +82,6 @@ pub enum GrainError {
     /// The grain's replay thread panicked; the payload's message, or
     /// `"unknown panic payload"` when the payload was not a string.
     Panicked(String),
-    /// The validating decoder rejected the buffer.
-    Decode(DecodeError),
     /// The grain crossed its resource budget.
     Budget(BudgetExceeded),
     /// Checkpoint I/O failed: the checkpoint directory could not be
@@ -97,7 +94,6 @@ impl fmt::Display for GrainError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GrainError::Panicked(msg) => write!(f, "replay thread panicked: {msg}"),
-            GrainError::Decode(e) => write!(f, "trace decode failed: {e}"),
             GrainError::Budget(e) => e.fmt(f),
             GrainError::Checkpoint(e) => write!(f, "checkpoint failed: {e}"),
         }
@@ -111,8 +107,6 @@ impl Error for GrainError {}
 pub enum AnalysisError {
     /// The capture run failed in the executor.
     Exec(ExecError),
-    /// The validating decoder rejected the trace buffer.
-    Decode(DecodeError),
     /// A grain crossed its resource budget.
     Budget(BudgetExceeded),
     /// A grain's checkpoint I/O failed.
@@ -130,7 +124,6 @@ impl fmt::Display for AnalysisError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AnalysisError::Exec(e) => e.fmt(f),
-            AnalysisError::Decode(e) => write!(f, "trace decode failed: {e}"),
             AnalysisError::Budget(e) => e.fmt(f),
             AnalysisError::Checkpoint(e) => write!(f, "checkpoint failed: {e}"),
             AnalysisError::GrainPanicked {
@@ -145,7 +138,6 @@ impl Error for AnalysisError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             AnalysisError::Exec(e) => Some(e),
-            AnalysisError::Decode(e) => Some(e),
             AnalysisError::Budget(e) => Some(e),
             AnalysisError::Checkpoint(e) => Some(e),
             AnalysisError::GrainPanicked { .. } => None,
@@ -156,12 +148,6 @@ impl Error for AnalysisError {
 impl From<ExecError> for AnalysisError {
     fn from(e: ExecError) -> AnalysisError {
         AnalysisError::Exec(e)
-    }
-}
-
-impl From<DecodeError> for AnalysisError {
-    fn from(e: DecodeError) -> AnalysisError {
-        AnalysisError::Decode(e)
     }
 }
 
@@ -300,21 +286,14 @@ pub fn capture_program(
 }
 
 /// Every knob of the replay pipeline ([`analyze_buffer_with`]). The
-/// defaults run exact, unchecked, unbudgeted serial replay with no
-/// checkpoints — the configuration [`analyze_buffer`] uses.
+/// defaults run exact, unbudgeted serial replay with no checkpoints — the
+/// configuration [`analyze_buffer`] uses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalyzeOptions {
-    /// Resource caps per grain; unlimited by default. A budgeted grain is
-    /// validated up front like [`validate`](Self::validate) asks, so a
-    /// malformed buffer is reported as a decode error, not a budget trip.
+    /// Resource caps per grain; unlimited by default.
     pub budget: AnalysisBudget,
-    /// Run the validating decoder ([`TraceBuffer::validate`]) over the
-    /// whole buffer before replaying, so corruption surfaces as
-    /// [`GrainError::Decode`]. Off by default: buffers captured in-process
-    /// are trusted and replay on the unchecked fast path.
-    pub validate: bool,
     /// Retry a *panicked* grain once, sequentially, before declaring it
-    /// dead. Deterministic failures (decode, budget, checkpoint) are never
+    /// dead. Deterministic failures (budget, checkpoint) are never
     /// retried. On by default.
     pub retry: bool,
     /// How to sample the block stream. [`SamplingConfig::Exact`] (the
@@ -345,7 +324,6 @@ impl Default for AnalyzeOptions {
     fn default() -> AnalyzeOptions {
         AnalyzeOptions {
             budget: AnalysisBudget::unlimited(),
-            validate: false,
             retry: true,
             sampling: SamplingConfig::Exact,
             replay_threads: ReplayThreads::Serial,
@@ -405,8 +383,8 @@ pub struct FailureReport {
     /// failed — how far the replay got before dying. Serial grains publish
     /// progress once per replay step (at most 4096 events, or a
     /// checkpoint boundary), so this is the last step boundary reached; a
-    /// resumed grain starts from its snapshot's event. A failure found by
-    /// up-front validation, and any partitioned-replay failure, reports 0.
+    /// resumed grain starts from its snapshot's event. Any
+    /// partitioned-replay failure reports 0.
     pub events: u64,
     /// Daemon job the grain was replayed for ([`AnalyzeOptions::job`]);
     /// `None` outside the daemon. Carried through the degradation path so
@@ -474,7 +452,6 @@ impl PartialAnalysis {
         match self.failures.into_iter().next() {
             None => Ok((self.profiles, self.replays)),
             Some(f) => Err(match f.error {
-                GrainError::Decode(e) => AnalysisError::Decode(e),
                 GrainError::Budget(e) => AnalysisError::Budget(e),
                 GrainError::Checkpoint(e) => AnalysisError::Checkpoint(e),
                 GrainError::Panicked(message) => AnalysisError::GrainPanicked {
@@ -587,13 +564,6 @@ impl TraceSink for GrainAnalyzer {
         match self {
             GrainAnalyzer::Exact(a) => a.exit(scope),
             GrainAnalyzer::Sampled(a) => a.exit(scope),
-        }
-    }
-    fn access_batch(&mut self, batch: &[AccessRecord]) {
-        // One match per batch, not per event.
-        match self {
-            GrainAnalyzer::Exact(a) => a.access_batch(batch),
-            GrainAnalyzer::Sampled(a) => a.access_batch(batch),
         }
     }
     fn access_soa(&mut self, batch: &SoaBatch) {
@@ -710,7 +680,7 @@ fn resume_grain(
 }
 
 /// The one serial replay loop. Resumes from the newest valid snapshot when
-/// asked, then advances the unchecked decoder in steps of at most
+/// asked, then advances the replay decoder in steps of at most
 /// [`STEP`] events, ending a step at each checkpoint boundary too. After
 /// every step it publishes progress and checks the budget (if one is
 /// set); at every interior checkpoint boundary it writes a snapshot.
@@ -787,11 +757,9 @@ type GrainOutcome = Result<(ReuseProfile, ReplayTiming, u64), GrainFailure>;
 
 /// One grain's replay, panic-isolated — every replay mode runs through it.
 ///
-/// Validates the buffer first when [`AnalyzeOptions::validate`] or a
-/// budget is set. Then runs the partitioned engine when
-/// [`AnalyzeOptions::replay_threads`] resolves to more than one partition
-/// (adaptive sampling and checkpointing excepted), and [`replay_serial`]
-/// otherwise.
+/// Runs the partitioned engine when [`AnalyzeOptions::replay_threads`]
+/// resolves to more than one partition (adaptive sampling and
+/// checkpointing excepted), and [`replay_serial`] otherwise.
 fn replay_grain(
     program: &Program,
     buffer: &TraceBuffer,
@@ -808,9 +776,6 @@ fn replay_grain(
     // still leaves behind how many events it had processed.
     let progress = AtomicU64::new(0);
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-        if opts.validate || !opts.budget.is_unlimited() {
-            buffer.validate().map_err(GrainError::Decode)?;
-        }
         let parts = opts.replay_threads.resolve();
         if parts > 1
             && opts.checkpoint.is_none()
@@ -877,15 +842,15 @@ fn replay_grain(
 
 /// The replay pipeline: one fresh analyzer per block size, each replaying
 /// the shared buffer on its own thread **under panic isolation**, with
-/// every knob taken from `opts`. Grains that fail — by panic, decode
-/// rejection, budget exhaustion or checkpoint I/O — are reported in the
+/// every knob taken from `opts`. Grains that fail — by panic, budget
+/// exhaustion or checkpoint I/O — are reported in the
 /// returned [`PartialAnalysis`] without disturbing their siblings;
 /// panicked grains get one sequential retry first (when
 /// [`AnalyzeOptions::retry`] is set). Counters, telemetry events and
 /// [`obs::GrainProfile`]s are recorded per grain.
 ///
-/// With default options the replay takes the same unchecked fast path as
-/// [`TraceBuffer::replay`].
+/// With default options each grain replays through the same decode loop
+/// as [`TraceBuffer::replay`].
 pub fn analyze_buffer_with(
     program: &Program,
     buffer: &TraceBuffer,
@@ -1018,7 +983,7 @@ pub fn analyze_buffer(
 mod tests {
     use super::*;
     use reuselens_ir::{Expr, ProgramBuilder};
-    use reuselens_trace::Event;
+    use reuselens_trace::{Event, VecSink};
 
     #[test]
     fn grain_replay_matches_event_by_event_access_for_every_engine() {
@@ -1044,8 +1009,10 @@ mod tests {
         ] {
             let mut batched = GrainAnalyzer::new(&prog, 64, sampling);
             buffer.replay(&mut batched);
+            let mut events = VecSink::new();
+            buffer.replay(&mut events);
             let mut single = GrainAnalyzer::new(&prog, 64, sampling);
-            for event in buffer.iter() {
+            for event in events.events {
                 match event {
                     Event::Access { r, addr, size, kind } => single.access(r, addr, size, kind),
                     Event::Enter(s) => single.enter(s),
@@ -1206,32 +1173,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn guarded_replay_matches_fast_path_bit_for_bit() {
-        let mut p = ProgramBuilder::new("guarded");
-        let a = p.array("a", 8, &[512]);
-        p.routine("main", |r| {
-            r.for_("t", 0, 2, |r, _| {
-                r.for_("i", 0, 511, |r, i| {
-                    r.load(a, vec![i.into()]);
-                });
-            });
-        });
-        let prog = p.finish();
-        let (buffer, _) = capture_program(&prog, vec![]).unwrap();
-        let fast = analyze_buffer(&prog, &buffer, &[64, 4096]).unwrap().0;
-        let validated = analyze_buffer_with(
-            &prog,
-            &buffer,
-            &[64, 4096],
-            &AnalyzeOptions {
-                validate: true,
-                ..AnalyzeOptions::default()
-            },
-        );
-        assert!(validated.is_complete());
-        assert_eq!(validated.profiles, fast);
     }
 }

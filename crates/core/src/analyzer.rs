@@ -15,7 +15,7 @@ use crate::timebits::TimeBits;
 use crate::patterns::{PatternKey, ReusePattern, ReuseProfile};
 use crate::scopestack::ScopeStack;
 use reuselens_ir::{AccessKind, Program, RefId, ScopeId};
-use reuselens_trace::{AccessRecord, SoaBatch, TraceSink};
+use reuselens_trace::{SoaBatch, TraceSink};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -654,12 +654,6 @@ impl TraceSink for ReuseAnalyzer {
         self.access_block(r.0, addr >> self.block_shift);
     }
 
-    fn access_batch(&mut self, batch: &[AccessRecord]) {
-        for a in batch {
-            self.access_block(a.r.0, a.addr >> self.block_shift);
-        }
-    }
-
     fn access_soa(&mut self, batch: &SoaBatch) {
         // Stream the two lanes the analyzer actually needs; the size and
         // kind lanes are never touched, and no per-event struct exists.
@@ -719,14 +713,9 @@ impl TraceSink for MultiGrainAnalyzer {
             a.exit(scope);
         }
     }
-    fn access_batch(&mut self, batch: &[AccessRecord]) {
+    fn access_soa(&mut self, batch: &SoaBatch) {
         // Grain-major: each analyzer consumes the whole batch while its
         // tables stay hot, instead of interleaving per event.
-        for a in &mut self.analyzers {
-            a.access_batch(batch);
-        }
-    }
-    fn access_soa(&mut self, batch: &SoaBatch) {
         for a in &mut self.analyzers {
             a.access_soa(batch);
         }

@@ -13,8 +13,8 @@
 //! Budgets are enforced by [`analyze_buffer_with`](crate::analyze_buffer_with):
 //! the serial loop checks them once per replay step, so a trip lands
 //! within 4096 events of the cap; the partitioned engine checks once per
-//! decoded batch. A budgeted grain also validates the buffer up front,
-//! so budgets are safe to leave on for untrusted inputs.
+//! decoded batch. Untrusted traces are checked before any grain sees
+//! them, by [`TraceBuffer::import`](reuselens_trace::TraceBuffer::import).
 
 use std::error::Error;
 use std::fmt;

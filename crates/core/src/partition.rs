@@ -68,7 +68,7 @@ use crate::sampling::{spatial_hash, SamplingConfig, SamplingInfo};
 use crate::scopestack::ScopeStack;
 use reuselens_ir::{AccessKind, Program, RefId, ScopeId};
 use reuselens_obs as obs;
-use reuselens_trace::{AccessRecord, SoaBatch, TraceBuffer, TraceSink};
+use reuselens_trace::{SoaBatch, TraceBuffer, TraceSink};
 use std::collections::HashMap;
 use std::panic;
 
@@ -303,17 +303,6 @@ impl TraceSink for PartitionWorker<'_> {
         }
         self.events_seen += 1;
         self.access_block(r.0, addr >> self.block_shift);
-        self.check_budget();
-    }
-
-    fn access_batch(&mut self, batch: &[AccessRecord]) {
-        if self.error.is_some() {
-            return;
-        }
-        self.events_seen += batch.len() as u64;
-        for a in batch {
-            self.access_block(a.r.0, a.addr >> self.block_shift);
-        }
         self.check_budget();
     }
 

@@ -1,14 +1,14 @@
 //! Graceful-degradation suite for the fault-tolerant replay engine:
-//! a panicking, budget-tripping, or corrupted grain must never take its
-//! sibling grains down, and every failure must come back as a structured
-//! report rather than a process abort.
+//! a panicking, budget-tripping, or checkpoint-failing grain must never
+//! take its sibling grains down, and every failure must come back as a
+//! structured report rather than a process abort.
 
 use reuselens_core::{
     analyze_buffer, analyze_buffer_with, analyze_program, capture_program, AnalysisBudget,
     AnalysisError, AnalyzeOptions, BudgetLimit, CheckpointOptions, GrainError, SamplingConfig,
 };
-use reuselens_ir::{Program, ProgramBuilder};
-use reuselens_trace::fault::Corruptor;
+use reuselens_ir::{AccessKind, Program, ProgramBuilder, RefId, ScopeId};
+use reuselens_trace::{TraceBuffer, TraceSink};
 
 /// A two-sweep streaming workload: enough footprint to exercise the block
 /// table and tree, deterministic shape for bit-identical comparisons.
@@ -63,6 +63,21 @@ fn single_grain_panic_leaves_siblings_bit_identical() {
     }
     assert!(failure.to_string().contains("after retry"));
     assert!(partial.failure_at(64).is_none());
+
+    // Sampling composes with panic isolation: the sampled analyzer
+    // rejects the grain exactly like the exact one, and its siblings
+    // complete with their sampling books.
+    let sampled = AnalyzeOptions {
+        sampling: SamplingConfig::fixed(0.1),
+        ..AnalyzeOptions::default()
+    };
+    let mixed = analyze_buffer_with(&prog, &buffer, &grains, &sampled);
+    assert_eq!(mixed.profiles.len(), 2);
+    assert!(matches!(
+        mixed.failure_at(PANICKING_GRAIN).unwrap().error,
+        GrainError::Panicked(_)
+    ));
+    assert!(mixed.profiles.iter().all(|p| p.sampling.is_some()));
 }
 
 /// The strict entry point surfaces the same failure as a typed error —
@@ -180,8 +195,8 @@ fn serial_and_checkpointed_grains_trip_the_budget_within_one_step() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A budget generous enough never trips, and the budgeted (validated)
-/// replay path produces bit-identical profiles to the unchecked fast path.
+/// A budget generous enough never trips, and the budgeted replay path
+/// produces bit-identical profiles to the default path.
 #[test]
 fn generous_budget_matches_fast_path() {
     let prog = workload(2048);
@@ -199,82 +214,27 @@ fn generous_budget_matches_fast_path() {
     assert_eq!(partial.profiles, fast);
 }
 
-/// A corrupted buffer under `validate` fails with a decode report in
-/// every grain — never a panic — and deterministic failures skip the
-/// retry pass.
+/// A buffer is well-formed by construction except for a stream hand-fed
+/// to its sink with unbalanced scopes: replay delivers it as fed, the
+/// analyzer's scope stack panics on the unmatched exit, and the grain
+/// fails as a panic report under the usual isolation.
 #[test]
-fn corrupted_buffer_with_validation_reports_decode_errors() {
-    let prog = workload(1024);
-    let (buffer, _) = capture_program(&prog, vec![]).unwrap();
-    let mut corruptor = Corruptor::new(0xbad_cafe);
-    let corrupted = corruptor.truncate(&buffer);
-    let opts = AnalyzeOptions {
-        validate: true,
-        ..AnalyzeOptions::default()
-    };
-    let partial = analyze_buffer_with(&prog, &corrupted, &[64, 4096], &opts);
-    assert!(partial.profiles.is_empty());
-    assert_eq!(partial.failures.len(), 2);
-    for failure in &partial.failures {
-        assert!(
-            matches!(failure.error, GrainError::Decode(_)),
-            "expected decode failure, got {}",
-            failure.error
-        );
-        assert!(!failure.retried);
+fn hand_fed_unbalanced_scopes_fail_the_grain_as_a_panic() {
+    let prog = workload(64);
+    let mut buffer = TraceBuffer::new();
+    buffer.enter(ScopeId(1));
+    buffer.access(RefId(0), 0x1000, 8, AccessKind::Load);
+    buffer.exit(ScopeId(2));
+    let partial = analyze_buffer_with(&prog, &buffer, &[64], &AnalyzeOptions::default());
+    match &partial.failure_at(64).expect("the grain must fail").error {
+        GrainError::Panicked(msg) => assert!(msg.contains("unbalanced scope exit"), "{msg}"),
+        other => panic!("expected a panic report, got {other}"),
     }
 }
 
-/// Sampling composes with the fault path: a corrupted buffer under a
-/// sampled replay degrades through the same structured decode reports, a
-/// panicking sampled grain is isolated from its sampled siblings, and
-/// the same options over the intact buffer complete with every profile
-/// annotated — no panics escape in any case.
-#[test]
-fn corrupted_buffer_under_sampling_degrades_cleanly() {
-    let prog = workload(1024);
-    let (buffer, _) = capture_program(&prog, vec![]).unwrap();
-    let opts = AnalyzeOptions {
-        validate: true,
-        sampling: SamplingConfig::fixed(0.1),
-        ..AnalyzeOptions::default()
-    };
-
-    let mut corruptor = Corruptor::new(0xbad_cafe);
-    let corrupted = corruptor.truncate(&buffer);
-    let partial = analyze_buffer_with(&prog, &corrupted, &[64, 4096], &opts);
-    assert!(partial.profiles.is_empty());
-    assert_eq!(partial.failures.len(), 2);
-    for failure in &partial.failures {
-        assert!(
-            matches!(failure.error, GrainError::Decode(_)),
-            "expected decode failure, got {}",
-            failure.error
-        );
-        assert!(!failure.retried);
-    }
-
-    // The sampled analyzer rejects a non-power-of-two grain exactly like
-    // the exact one; the panic stays inside that grain.
-    let mixed = analyze_buffer_with(&prog, &buffer, &[64, PANICKING_GRAIN], &opts);
-    assert_eq!(mixed.profiles.len(), 1);
-    assert!(matches!(
-        mixed.failure_at(PANICKING_GRAIN).unwrap().error,
-        GrainError::Panicked(_)
-    ));
-
-    // And the same options over the intact buffer complete, annotated.
-    let healthy = analyze_buffer_with(&prog, &buffer, &[64, 4096], &opts);
-    assert!(healthy.is_complete());
-    assert!(
-        healthy.profiles.iter().all(|p| p.sampling.is_some()),
-        "every surviving grain carries its sampling books"
-    );
-}
-
-/// Without validation a grain panic caused by a hostile consumer is still
-/// isolated — here both failure modes mix in one request: a dead grain, a
-/// budget-limited grain, and a healthy one.
+/// A grain panic caused by a hostile consumer is isolated — here both
+/// failure modes mix in one request: a dead grain, a budget-limited
+/// grain, and a healthy one.
 #[test]
 fn mixed_failure_modes_in_one_request() {
     let prog = workload(2048);

@@ -358,8 +358,6 @@ fn same_measurements(got: &ReuseProfile, want: &ReuseProfile) -> Result<(), Stri
 enum Mode {
     /// Default options.
     Plain,
-    /// Validate the buffer up front.
-    Validated,
     /// A budget too roomy to trip on any axis.
     RoomyBudget,
     /// Snapshot every sixth of the trace.
@@ -386,10 +384,6 @@ fn row_options(
     };
     match mode {
         Mode::Plain => base,
-        Mode::Validated => AnalyzeOptions {
-            validate: true,
-            ..base
-        },
         Mode::RoomyBudget => AnalyzeOptions {
             budget: AnalysisBudget::unlimited()
                 .with_max_events(1 << 40)
@@ -431,7 +425,7 @@ fn row_options(
 
 /// Scope-rich programs through the online exact analyzer and through
 /// buffer replay — serial and partitioned, exact and rate-1 sampled, and
-/// serially with validation, a roomy budget, checkpoints, and a resume
+/// serially with a roomy budget, checkpoints, and a resume
 /// from a truncated snapshot directory — must all reproduce the
 /// brute-force attribution exactly: same (sink, source scope, carrier)
 /// keys, same histograms, same cold counts.
@@ -444,8 +438,6 @@ fn every_engine_matches_oracle_attribution_on_scope_rich_programs() {
         ("partitioned exact", exact, split, Mode::Plain),
         ("serial sampled 1/1", rate_one, serial, Mode::Plain),
         ("partitioned sampled 1/1", rate_one, split, Mode::Plain),
-        ("validated exact", exact, serial, Mode::Validated),
-        ("validated sampled 1/1", rate_one, serial, Mode::Validated),
         ("roomy budget exact", exact, serial, Mode::RoomyBudget),
         ("roomy budget sampled 1/1", rate_one, serial, Mode::RoomyBudget),
         ("checkpointed exact", exact, serial, Mode::Checkpointed),

@@ -88,7 +88,7 @@ pub fn run_locality_analysis(
 /// sampling (every granularity replays through the constant-space sampled
 /// analyzer, and the miss predictions and attribution metrics come from
 /// the scaled histograms), intra-grain partitioned replay
-/// (`replay_threads`), budgets, validation, and crash-safe checkpointing
+/// (`replay_threads`), budgets, and crash-safe checkpointing
 /// (`checkpoint`: a checkpointed or resumed run is bit-identical to an
 /// uninterrupted one). This is what the CLI's `--sample-rate`,
 /// `--replay-threads`, `--checkpoint-dir`, `--checkpoint-every` and
@@ -97,8 +97,8 @@ pub fn run_locality_analysis(
 ///
 /// # Errors
 ///
-/// Propagates executor errors and the first grain failure — decode,
-/// budget, checkpoint I/O ([`ReuseLensError::Snapshot`]) or panic — as a
+/// Propagates executor errors and the first grain failure — budget,
+/// checkpoint I/O ([`ReuseLensError::Snapshot`]) or panic — as a
 /// typed [`ReuseLensError`].
 pub fn run_locality_analysis_opts(
     program: &Program,
@@ -110,7 +110,6 @@ pub fn run_locality_analysis_opts(
     // CLI reports on, so each stage runs under its own span (capture and
     // replay spans are recorded inside `capture_program`/`analyze_buffer`).
     let (buffer, exec) = capture_program(program, index_arrays)?;
-    buffer.validate()?;
     let grains = hierarchy.required_granularities();
     let (profiles, _timings) =
         analyze_buffer_with(program, &buffer, &grains, opts).into_strict()?;

@@ -28,7 +28,7 @@
 //! figure.
 
 use crate::decode::{try_varint, Column, DecodeError};
-use crate::event::{AccessRecord, Event, NullSink, SoaBatch, TraceSink};
+use crate::event::{Event, NullSink, SoaBatch, TraceSink};
 use reuselens_ir::{AccessKind, RefId, ScopeId};
 use reuselens_obs as obs;
 
@@ -139,6 +139,14 @@ impl std::fmt::Display for BufferStats {
 /// [`replay`](Self::replay) feeds any other sink the identical stream, as
 /// many times as needed, without re-interpreting the program.
 ///
+/// A buffer comes from one of two places: capture through its
+/// [`TraceSink`] impl, or [`import`](Self::import), which checks every
+/// byte of an untrusted [`ExportedTrace`] image. Either way it is
+/// well-formed by construction, so replay decodes it without checks. The
+/// one exception is a stream hand-fed to the sink with unbalanced scopes:
+/// it replays as fed, and an analyzer's scope stack panics on the
+/// unmatched exit.
+///
 /// # Examples
 ///
 /// ```
@@ -169,36 +177,36 @@ impl std::fmt::Display for BufferStats {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TraceBuffer {
-    pub(crate) ops: Vec<u8>,
-    pub(crate) events: u64,
-    pub(crate) accesses: u64,
-    pub(crate) scope_events: u64,
-    pub(crate) addr_bytes: Vec<u8>,
-    pub(crate) ref_bytes: Vec<u8>,
-    pub(crate) size_bytes: Vec<u8>,
-    pub(crate) scope_bytes: Vec<u8>,
+    ops: Vec<u8>,
+    events: u64,
+    accesses: u64,
+    scope_events: u64,
+    addr_bytes: Vec<u8>,
+    ref_bytes: Vec<u8>,
+    size_bytes: Vec<u8>,
+    scope_bytes: Vec<u8>,
     // Encoder state (deltas are relative to the previous access).
-    pub(crate) last_addr: u64,
-    pub(crate) last_ref: u32,
+    last_addr: u64,
+    last_ref: u32,
     // Capture-side seek index: decoder state every CHECKPOINT_EVERY
     // events, plus the live open-scope stack the snapshots copy.
-    pub(crate) checkpoints: Vec<Checkpoint>,
-    pub(crate) open_scopes: Vec<(u32, u64)>,
+    checkpoints: Vec<Checkpoint>,
+    open_scopes: Vec<(u32, u64)>,
 }
 
 /// One capture-side snapshot of the decoder state at an event boundary
 /// (taken *before* the event at `event` was encoded).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct Checkpoint {
-    pub(crate) event: u64,
-    pub(crate) accesses: u64,
-    pub(crate) addr_pos: usize,
-    pub(crate) ref_pos: usize,
-    pub(crate) size_pos: usize,
-    pub(crate) scope_pos: usize,
-    pub(crate) last_addr: u64,
-    pub(crate) last_ref: u32,
-    pub(crate) open_scopes: Vec<(u32, u64)>,
+struct Checkpoint {
+    event: u64,
+    accesses: u64,
+    addr_pos: usize,
+    ref_pos: usize,
+    size_pos: usize,
+    scope_pos: usize,
+    last_addr: u64,
+    last_ref: u32,
+    open_scopes: Vec<(u32, u64)>,
 }
 
 /// The full decoder state at one event boundary of a [`TraceBuffer`]:
@@ -330,8 +338,7 @@ impl TraceBuffer {
 
     /// Replays the captured stream into `sink`, decoding straight into
     /// struct-of-arrays lanes and handing each run of consecutive accesses
-    /// to [`TraceSink::access_soa`] (whose default bridges to
-    /// [`TraceSink::access_batch`]). The buffer is unchanged and can be
+    /// to [`TraceSink::access_soa`]. The buffer is unchanged and can be
     /// replayed concurrently from many threads.
     pub fn replay<S: TraceSink + ?Sized>(&self, sink: &mut S) {
         self.replay_advance(&mut SegmentState::default(), self.events, sink);
@@ -340,9 +347,7 @@ impl TraceBuffer {
     /// Replays the half-open event range `[from.event, to_event)` into
     /// `sink`, starting from a [`SegmentState`] produced by
     /// [`segment_states`](Self::segment_states) on this same buffer.
-    /// `to_event` is clamped to the captured event count. Like
-    /// [`replay`](Self::replay), this is the unchecked fast path: it
-    /// trusts the buffer (and the state) to be well-formed.
+    /// `to_event` is clamped to the captured event count.
     pub fn replay_segment<S: TraceSink + ?Sized>(
         &self,
         from: &SegmentState,
@@ -357,10 +362,9 @@ impl TraceBuffer {
     /// start of each — segment `k` covers events
     /// `[states[k].event, states[k + 1].event)` (the last segment ends at
     /// [`events`](Self::events)). One forward scan computes every state,
-    /// fast-forwarding through the capture-side checkpoints where they are
-    /// self-consistent and falling back to pure decoding where they are
-    /// not (e.g. a buffer forged or corrupted after capture), so the
-    /// result is a function of the encoded columns alone.
+    /// fast-forwarding through the checkpoints capture (or
+    /// [`import`](Self::import)) recorded, so the result equals a pure
+    /// decoding scan's.
     pub fn segment_states(&self, parts: usize) -> Vec<SegmentState> {
         let parts = parts.max(1);
         let mut out = Vec::with_capacity(parts);
@@ -385,14 +389,16 @@ impl TraceBuffer {
     }
 
     /// Moves `cur` forward to event `target` (clamped to the captured
-    /// event count): jumps to the last sane capture-side checkpoint in
+    /// event count): jumps to the last capture-side checkpoint in
     /// `(cur.event, target]`, then decodes the rest into [`NullSink`].
     /// Counts nothing on the decode counters — a seek delivers no events.
     fn seek(&self, cur: &mut SegmentState, target: u64) {
         let target = target.min(self.events);
-        let usable = |c: &&Checkpoint| c.event > cur.event && self.checkpoint_sane(c);
         let after = self.checkpoints.partition_point(|c| c.event <= target);
-        if let Some(c) = self.checkpoints[..after].iter().rev().find(usable) {
+        if let Some(c) = self.checkpoints[..after]
+            .last()
+            .filter(|c| c.event > cur.event)
+        {
             *cur = SegmentState {
                 event: c.event,
                 accesses: c.accesses,
@@ -414,12 +420,11 @@ impl TraceBuffer {
 
     /// Replays the half-open event range `[state.event, to_event)` into
     /// `sink` while advancing `state` in place to `to_event`, decoding
-    /// each event exactly once. Every unchecked replay — whole-buffer,
-    /// per segment, and the step-wise grain loop that publishes progress,
-    /// checks budgets and writes snapshots between calls — runs through
-    /// here; `state` always describes the boundary the next call resumes
-    /// from. `to_event` is clamped to the captured event count. Like
-    /// [`replay`](Self::replay), this is the unchecked fast path.
+    /// each event exactly once. Every replay — whole-buffer, per segment,
+    /// and the step-wise grain loop that publishes progress, checks
+    /// budgets and writes snapshots between calls — runs through here;
+    /// `state` always describes the boundary the next call resumes from.
+    /// `to_event` is clamped to the captured event count.
     pub fn replay_advance<S: TraceSink + ?Sized>(
         &self,
         state: &mut SegmentState,
@@ -432,9 +437,10 @@ impl TraceBuffer {
         obs::add(obs::Counter::AccessesDecoded, state.accesses - from_accesses);
     }
 
-    /// The one unchecked decode loop, behind [`replay_advance`] and the
-    /// seek. The decoder state lives in locals for the loop and is written
-    /// back once at the end.
+    /// The one replay decode loop, behind [`replay_advance`] and the seek.
+    /// It does no checks: every buffer is well-formed by construction (see
+    /// [`TraceBuffer`]). The decoder state lives in locals for the loop and
+    /// is written back once at the end.
     ///
     /// [`replay_advance`]: Self::replay_advance
     fn advance<S: TraceSink + ?Sized>(
@@ -497,119 +503,13 @@ impl TraceBuffer {
         (state.last_addr, state.last_ref) = (addr, r);
     }
 
-    /// A checkpoint is trusted only when every recorded position is in
-    /// bounds for the columns this buffer actually holds; anything else
-    /// (a buffer reassembled from raw columns, a corrupted capture) falls
-    /// back to the pure decode scan.
-    fn checkpoint_sane(&self, c: &Checkpoint) -> bool {
-        c.event <= self.events
-            && c.accesses <= c.event
-            && c.addr_pos <= self.addr_bytes.len()
-            && c.ref_pos <= self.ref_bytes.len()
-            && c.size_pos <= self.size_bytes.len()
-            && c.scope_pos <= self.scope_bytes.len()
-    }
-
-    /// Replays the captured stream into `sink` through the **validating**
-    /// decoder: every event is checked (truncation, malformed varints,
-    /// field ranges, scope balance, trailing bytes) *before* it reaches the
-    /// sink, and any malformation is reported as a [`DecodeError`] with
-    /// byte-offset diagnostics instead of panicking or emitting garbage.
-    ///
-    /// Use this for buffers of untrusted provenance; [`replay`](Self::replay)
-    /// remains the unchecked fast path for buffers this process captured.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first malformation found. The sink will already have
-    /// observed the valid prefix of the stream — callers that need
-    /// all-or-nothing semantics should [`validate`](Self::validate) first
-    /// or discard the sink on error.
-    pub fn try_replay<S: TraceSink + ?Sized>(&self, sink: &mut S) -> Result<(), DecodeError> {
-        let mut span = obs::span(obs::Stage::Decode);
-        let mut decoded_events = 0u64;
-        let mut decoded_accesses = 0u64;
-        let result = (|| {
-            let mut batch: Vec<AccessRecord> = Vec::with_capacity(BATCH);
-            let mut dec = Decoder::new(self)?;
-            while let Some(event) = dec.next_event()? {
-                decoded_events += 1;
-                match event {
-                    Event::Access { r, addr, size, kind } => {
-                        decoded_accesses += 1;
-                        batch.push(AccessRecord { r, addr, size, kind });
-                        if batch.len() == BATCH {
-                            sink.access_batch(&batch);
-                            batch.clear();
-                        }
-                    }
-                    Event::Enter(scope) => {
-                        if !batch.is_empty() {
-                            sink.access_batch(&batch);
-                            batch.clear();
-                        }
-                        sink.enter(scope);
-                    }
-                    Event::Exit(scope) => {
-                        if !batch.is_empty() {
-                            sink.access_batch(&batch);
-                            batch.clear();
-                        }
-                        sink.exit(scope);
-                    }
-                }
-            }
-            if !batch.is_empty() {
-                sink.access_batch(&batch);
-            }
-            dec.finish()
-        })();
-        // The valid prefix was decoded and delivered even when the buffer
-        // turns out malformed, so it counts either way.
-        obs::add(obs::Counter::EventsDecoded, decoded_events);
-        obs::add(obs::Counter::AccessesDecoded, decoded_accesses);
-        span.record(|args| args.events = Some(decoded_events));
-        result
-    }
-
-    /// Checks the full encoding without producing events: decodes every
-    /// event through the validating decoder and verifies scope balance and
-    /// exact column consumption.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first malformation found; `Ok(())` guarantees that
-    /// [`replay`](Self::replay) and [`iter`](Self::iter) will decode this
-    /// buffer without panicking and will reproduce a well-formed stream.
-    pub fn validate(&self) -> Result<(), DecodeError> {
-        let mut span = obs::span(obs::Stage::Decode);
-        let mut dec = Decoder::new(self)?;
-        let mut events = 0u64;
-        while dec.next_event()?.is_some() {
-            events += 1;
-        }
-        span.record(|args| args.events = Some(events));
-        dec.finish()
-    }
-
-    /// Iterates over the captured stream through the validating decoder,
-    /// yielding `Err` (and then ending) at the first malformation. The
-    /// final item also covers end-of-stream checks (unclosed scopes,
-    /// trailing bytes).
-    pub fn try_iter(&self) -> CheckedIter<'_> {
-        CheckedIter {
-            dec: Decoder::new(self),
-            done: false,
-        }
-    }
-
     /// Exports the encoded columns as a self-contained [`ExportedTrace`] —
     /// the portable image a trace store persists and ships across process
     /// boundaries. The image carries the raw columns and declared counts
     /// only (no capture-side checkpoints); [`import`](Self::import)
     /// regenerates the checkpoints, so a round trip costs one forward scan
-    /// and yields a buffer whose replay — full, segmented, or validating —
-    /// is bit-identical to this one's.
+    /// and yields a buffer whose replay — full or segmented — is
+    /// bit-identical to this one's.
     pub fn export(&self) -> ExportedTrace {
         ExportedTrace {
             events: self.events,
@@ -624,7 +524,7 @@ impl TraceBuffer {
     }
 
     /// Rebuilds a buffer from an [`ExportedTrace`] image of untrusted
-    /// provenance. The whole stream is decoded through the validating
+    /// provenance. The whole stream is decoded through the checked
     /// decoder first (truncation, malformed varints, field ranges, scope
     /// balance, trailing bytes), the declared counts are cross-checked
     /// against what decoding observed, and the capture-side checkpoint
@@ -638,7 +538,43 @@ impl TraceBuffer {
     /// Returns the first malformation found; the image is rejected whole
     /// (no partially-imported buffer escapes).
     pub fn import(image: ExportedTrace) -> Result<TraceBuffer, DecodeError> {
-        let mut buf = TraceBuffer {
+        let declared = image.accesses.saturating_add(image.scope_events);
+        if declared != image.events {
+            return Err(DecodeError::CountMismatch {
+                what: "event",
+                declared: image.events,
+                actual: declared,
+            });
+        }
+        // One fused checked scan: every event goes through the decoder,
+        // and the checkpoint seek index is snapshotted at the same
+        // boundaries capture would have placed it — no second pass.
+        let mut span = obs::span(obs::Stage::Decode);
+        let mut dec = Decoder::new(&image)?;
+        let mut checkpoints = Vec::new();
+        loop {
+            if dec.next > 0 && dec.next < image.events && dec.next.is_multiple_of(CHECKPOINT_EVERY)
+            {
+                checkpoints.push(dec.checkpoint());
+            }
+            if !dec.next_event()? {
+                break;
+            }
+        }
+        dec.finish()?;
+        span.record(|args| args.events = Some(image.events));
+        if dec.accesses != image.accesses {
+            return Err(DecodeError::CountMismatch {
+                what: "access",
+                declared: image.accesses,
+                actual: dec.accesses,
+            });
+        }
+        // Restore the encoder state a live capture of this stream would
+        // have left, so further appends stay consistent. (Scope balance
+        // was already proven, so the open-scope stack is empty.)
+        let (last_addr, last_ref) = (dec.addr, dec.r);
+        Ok(TraceBuffer {
             ops: image.ops,
             events: image.events,
             accesses: image.accesses,
@@ -647,69 +583,11 @@ impl TraceBuffer {
             ref_bytes: image.ref_bytes,
             size_bytes: image.size_bytes,
             scope_bytes: image.scope_bytes,
-            last_addr: 0,
-            last_ref: 0,
-            checkpoints: Vec::new(),
+            last_addr,
+            last_ref,
+            checkpoints,
             open_scopes: Vec::new(),
-        };
-        if buf.accesses.saturating_add(buf.scope_events) != buf.events {
-            return Err(DecodeError::CountMismatch {
-                what: "event",
-                declared: buf.events,
-                actual: buf.accesses.saturating_add(buf.scope_events),
-            });
-        }
-        // One fused validating scan: every event goes through the checked
-        // decoder, and the checkpoint seek index is snapshotted at the
-        // same boundaries capture would have placed it — no second pass.
-        let mut span = obs::span(obs::Stage::Decode);
-        let (checkpoints, accesses, last_addr, last_ref) = {
-            let mut dec = Decoder::new(&buf)?;
-            let mut checkpoints = Vec::new();
-            loop {
-                if dec.next > 0
-                    && dec.next < buf.events
-                    && dec.next.is_multiple_of(CHECKPOINT_EVERY)
-                {
-                    checkpoints.push(dec.checkpoint());
-                }
-                if dec.next_event()?.is_none() {
-                    break;
-                }
-            }
-            dec.finish()?;
-            (checkpoints, dec.accesses, dec.addr, dec.r)
-        };
-        span.record(|args| args.events = Some(buf.events));
-        if accesses != buf.accesses {
-            return Err(DecodeError::CountMismatch {
-                what: "access",
-                declared: buf.accesses,
-                actual: accesses,
-            });
-        }
-        // Restore the encoder state a live capture of this stream would
-        // have left, so further appends stay consistent. (Scope balance
-        // was already proven, so the open-scope stack is empty.)
-        buf.checkpoints = checkpoints;
-        buf.last_addr = last_addr;
-        buf.last_ref = last_ref;
-        buf.open_scopes = Vec::new();
-        Ok(buf)
-    }
-
-    /// Iterates over the captured stream as decoded [`Event`]s.
-    pub fn iter(&self) -> TraceIter<'_> {
-        TraceIter {
-            buf: self,
-            next: 0,
-            addr: 0,
-            r: 0,
-            addr_pos: 0,
-            ref_pos: 0,
-            size_pos: 0,
-            scope_pos: 0,
-        }
+        })
     }
 }
 
@@ -744,11 +622,11 @@ impl TraceSink for TraceBuffer {
     }
 }
 
-/// The validating decoder behind [`TraceBuffer::try_replay`],
-/// [`TraceBuffer::validate`] and [`TraceBuffer::try_iter`].
+/// The checked decoder behind [`TraceBuffer::import`]: the one place an
+/// encoding is validated.
 #[derive(Debug, Clone)]
 struct Decoder<'b> {
-    buf: &'b TraceBuffer,
+    buf: &'b ExportedTrace,
     next: u64,
     addr: u64,
     r: u32,
@@ -759,14 +637,14 @@ struct Decoder<'b> {
     scope_pos: usize,
     /// Open scopes with the access count at entry — the same shape the
     /// capture-side checkpoint index records, so [`import`] can snapshot
-    /// checkpoints straight off the validating scan.
+    /// checkpoints straight off the checked scan.
     ///
     /// [`import`]: TraceBuffer::import
     open_scopes: Vec<(u32, u64)>,
 }
 
 impl<'b> Decoder<'b> {
-    fn new(buf: &'b TraceBuffer) -> Result<Decoder<'b>, DecodeError> {
+    fn new(buf: &'b ExportedTrace) -> Result<Decoder<'b>, DecodeError> {
         // The opcode column must hold exactly the declared number of 2-bit
         // lanes: ceil(events / 4) bytes.
         let needed = (buf.events as usize).div_ceil(4);
@@ -798,12 +676,12 @@ impl<'b> Decoder<'b> {
         })
     }
 
-    /// Decodes and validates the next event, or returns `None` at the end
-    /// of the declared stream. End-of-stream invariants (scope balance,
-    /// exact column consumption) are checked by [`finish`](Self::finish).
-    fn next_event(&mut self) -> Result<Option<Event>, DecodeError> {
+    /// Decodes and checks the next event; `false` at the end of the
+    /// declared stream. End-of-stream invariants (scope balance, exact
+    /// column consumption) are checked by [`finish`](Self::finish).
+    fn next_event(&mut self) -> Result<bool, DecodeError> {
         if self.next >= self.buf.events {
-            return Ok(None);
+            return Ok(false);
         }
         let i = self.next;
         self.next += 1;
@@ -826,16 +704,7 @@ impl<'b> Decoder<'b> {
                     return Err(DecodeError::SizeOutOfRange { event: i, value: size });
                 }
                 self.accesses += 1;
-                Ok(Some(Event::Access {
-                    r: RefId(self.r),
-                    addr: self.addr,
-                    size: size as u32,
-                    kind: if op == OP_LOAD {
-                        AccessKind::Load
-                    } else {
-                        AccessKind::Store
-                    },
-                }))
+                Ok(true)
             }
             _ => {
                 let scope =
@@ -846,18 +715,15 @@ impl<'b> Decoder<'b> {
                 let scope = scope as u32;
                 if op == OP_ENTER {
                     self.open_scopes.push((scope, self.accesses));
-                    Ok(Some(Event::Enter(ScopeId(scope))))
-                } else {
-                    match self.open_scopes.pop() {
-                        Some((top, _)) if top == scope => {
-                            Ok(Some(Event::Exit(ScopeId(scope))))
-                        }
-                        expected => Err(DecodeError::UnbalancedExit {
-                            event: i,
-                            scope,
-                            expected: expected.map(|(s, _)| s),
-                        }),
-                    }
+                    return Ok(true);
+                }
+                match self.open_scopes.pop() {
+                    Some((top, _)) if top == scope => Ok(true),
+                    expected => Err(DecodeError::UnbalancedExit {
+                        event: i,
+                        scope,
+                        expected: expected.map(|(s, _)| s),
+                    }),
                 }
             }
         }
@@ -902,114 +768,6 @@ impl<'b> Decoder<'b> {
     }
 }
 
-/// Validating iterator returned by [`TraceBuffer::try_iter`]: yields each
-/// decoded event, or the first [`DecodeError`] and then ends.
-#[derive(Debug, Clone)]
-pub struct CheckedIter<'b> {
-    dec: Result<Decoder<'b>, DecodeError>,
-    done: bool,
-}
-
-impl Iterator for CheckedIter<'_> {
-    type Item = Result<Event, DecodeError>;
-
-    fn next(&mut self) -> Option<Result<Event, DecodeError>> {
-        if self.done {
-            return None;
-        }
-        let dec = match &mut self.dec {
-            Ok(dec) => dec,
-            Err(e) => {
-                self.done = true;
-                return Some(Err(e.clone()));
-            }
-        };
-        match dec.next_event() {
-            Ok(Some(event)) => Some(Ok(event)),
-            Ok(None) => {
-                self.done = true;
-                match dec.finish() {
-                    Ok(()) => None,
-                    Err(e) => Some(Err(e)),
-                }
-            }
-            Err(e) => {
-                self.done = true;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-/// Decoding iterator returned by [`TraceBuffer::iter`].
-#[derive(Debug, Clone)]
-pub struct TraceIter<'b> {
-    buf: &'b TraceBuffer,
-    next: u64,
-    addr: u64,
-    r: u32,
-    addr_pos: usize,
-    ref_pos: usize,
-    size_pos: usize,
-    scope_pos: usize,
-}
-
-impl Iterator for TraceIter<'_> {
-    type Item = Event;
-
-    fn next(&mut self) -> Option<Event> {
-        if self.next >= self.buf.events {
-            return None;
-        }
-        let i = self.next;
-        self.next += 1;
-        let op = (self.buf.ops[(i / 4) as usize] >> ((i % 4) * 2)) & 0b11;
-        Some(match op {
-            OP_LOAD | OP_STORE => {
-                self.addr = self
-                    .addr
-                    .wrapping_add(unzigzag(get_varint(&self.buf.addr_bytes, &mut self.addr_pos))
-                        as u64);
-                self.r = (i64::from(self.r)
-                    + unzigzag(get_varint(&self.buf.ref_bytes, &mut self.ref_pos)))
-                    as u32;
-                let size = get_varint(&self.buf.size_bytes, &mut self.size_pos) as u32;
-                Event::Access {
-                    r: RefId(self.r),
-                    addr: self.addr,
-                    size,
-                    kind: if op == OP_LOAD {
-                        AccessKind::Load
-                    } else {
-                        AccessKind::Store
-                    },
-                }
-            }
-            _ => {
-                let scope = ScopeId(get_varint(&self.buf.scope_bytes, &mut self.scope_pos) as u32);
-                if op == OP_ENTER {
-                    Event::Enter(scope)
-                } else {
-                    Event::Exit(scope)
-                }
-            }
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = (self.buf.events - self.next) as usize;
-        (left, Some(left))
-    }
-}
-
-impl<'b> IntoIterator for &'b TraceBuffer {
-    type Item = Event;
-    type IntoIter = TraceIter<'b>;
-    fn into_iter(self) -> TraceIter<'b> {
-        self.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1042,14 +800,15 @@ mod tests {
     }
 
     #[test]
-    fn iter_matches_replay() {
+    fn replay_delivers_every_event_in_order() {
         let mut buf = TraceBuffer::new();
         feed(&mut buf);
         let mut replayed = VecSink::new();
         buf.replay(&mut replayed);
-        let from_iter: Vec<Event> = buf.iter().collect();
-        assert_eq!(from_iter, replayed.events);
-        assert_eq!(buf.iter().size_hint(), (8, Some(8)));
+        assert_eq!(replayed.events.len() as u64, buf.events());
+        assert_eq!(replayed.events[0], Event::Enter(ScopeId(1)));
+        assert_eq!(replayed.addresses(), vec![0x1000, 0x1008, 0x40_0000, 0x08]);
+        assert_eq!(replayed.events[7], Event::Exit(ScopeId(1)));
     }
 
     #[test]
@@ -1086,7 +845,6 @@ mod tests {
         assert!(sink.events.is_empty());
         assert!(buf.is_empty());
         assert_eq!(buf.stats().compression_ratio(), 1.0);
-        assert!(buf.iter().next().is_none());
     }
 
     #[test]
@@ -1099,9 +857,9 @@ mod tests {
         }
         impl TraceSink for Counting {
             fn access(&mut self, _: RefId, _: u64, _: u32, _: AccessKind) {
-                unreachable!("replay must go through access_batch");
+                unreachable!("replay must go through access_soa");
             }
-            fn access_batch(&mut self, batch: &[AccessRecord]) {
+            fn access_soa(&mut self, batch: &SoaBatch) {
                 self.batches.push(batch.len());
             }
             fn enter(&mut self, _: ScopeId) {
@@ -1264,20 +1022,17 @@ mod tests {
 
     #[test]
     fn forged_buffer_segment_states_fall_back_to_pure_scan() {
-        use crate::fault::RawColumns;
-        let buf = scoped_workload(3_000);
-        let forged = RawColumns::of(&buf).build();
-        assert!(forged.checkpoints.is_empty());
-        let states = forged.segment_states(3);
-        let mut honest = buf.clone();
-        honest.checkpoints.clear();
-        assert_eq!(states, honest.segment_states(3));
+        let buf = scoped_workload(CHECKPOINT_EVERY + 3_000);
+        assert!(!buf.checkpoints.is_empty());
+        let mut forged = buf.clone();
+        forged.checkpoints.clear();
+        assert_eq!(forged.segment_states(3), buf.segment_states(3));
     }
 
     /// Like [`scoped_workload`] but scope-balanced, so the stream survives
-    /// the validating decoder (`scoped_workload` can leave an inner scope
-    /// open when `n` lands mid-group — harmless for unchecked replay,
-    /// rightly rejected by [`TraceBuffer::import`]).
+    /// the checked decoder (`scoped_workload` can leave an inner scope
+    /// open when `n` lands mid-group — harmless for replay, rightly
+    /// rejected by [`TraceBuffer::import`]).
     fn balanced_workload(n: u64) -> TraceBuffer {
         let mut buf = TraceBuffer::new();
         buf.enter(ScopeId(1));
@@ -1350,7 +1105,7 @@ mod tests {
             DecodeError::CountMismatch { what, .. } => assert_eq!(what, "access"),
             other => panic!("unexpected error: {other}"),
         }
-        // A truncated column is caught by the validating decoder.
+        // A truncated column is caught by the checked decoder.
         let mut torn = buf.export();
         torn.addr_bytes.truncate(torn.addr_bytes.len() / 2);
         assert!(matches!(

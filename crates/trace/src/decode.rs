@@ -1,12 +1,10 @@
-//! Validated decoding of [`TraceBuffer`](crate::TraceBuffer) columns.
+//! Checked decoding of [`ExportedTrace`](crate::ExportedTrace) images.
 //!
-//! The fast [`replay`](crate::TraceBuffer::replay) path trusts the buffer:
-//! it was produced by this crate's encoder, so it indexes and shifts
-//! without checks. Buffers that cross a process or file boundary — or that
-//! an operator simply cannot vouch for — must instead go through
-//! [`try_replay`](crate::TraceBuffer::try_replay) /
-//! [`validate`](crate::TraceBuffer::validate), which decode through the
-//! checked reader defined here and turn every malformation into a
+//! A [`TraceBuffer`](crate::TraceBuffer) is well-formed by construction,
+//! so [`replay`](crate::TraceBuffer::replay) indexes and shifts without
+//! checks. The columns of an image that crossed a process or file boundary
+//! are checked exactly once, by [`import`](crate::TraceBuffer::import),
+//! through the reader defined here: every malformation becomes a
 //! [`DecodeError`] with byte-offset diagnostics instead of a panic or a
 //! silently wrong event stream.
 //!
@@ -54,7 +52,7 @@ impl fmt::Display for Column {
     }
 }
 
-/// A malformation found while decoding a [`TraceBuffer`](crate::TraceBuffer).
+/// A malformation found while importing an [`ExportedTrace`](crate::ExportedTrace).
 ///
 /// Every variant names the column and the byte offset (or event index)
 /// where decoding stopped, so a corrupted capture can be located in the

@@ -28,21 +28,8 @@ pub enum Event {
     Exit(ScopeId),
 }
 
-/// One decoded memory access, the unit of the batched sink API.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct AccessRecord {
-    /// The static reference performing the access.
-    pub r: RefId,
-    /// Virtual byte address accessed.
-    pub addr: u64,
-    /// Access width in bytes.
-    pub size: u32,
-    /// Load or store.
-    pub kind: AccessKind,
-}
-
 /// A run of consecutive decoded accesses in struct-of-arrays layout: one
-/// contiguous lane per field instead of an array of [`AccessRecord`]s.
+/// contiguous lane per field instead of an array of per-event structs.
 ///
 /// The [`TraceBuffer`](crate::TraceBuffer) encoder is columnar, so batch
 /// decoding fills these lanes directly — no per-event struct is ever
@@ -99,23 +86,7 @@ impl SoaBatch {
         self.sizes.push(size);
         self.kinds.push(kind);
     }
-
-    /// The access at index `i` as a record (convenience for tests and
-    /// non-hot-path consumers).
-    pub fn record(&self, i: usize) -> AccessRecord {
-        AccessRecord {
-            r: RefId(self.refs[i]),
-            addr: self.addrs[i],
-            size: self.sizes[i],
-            kind: self.kinds[i],
-        }
-    }
 }
-
-/// Chunk size the default [`TraceSink::access_soa`] bridge converts at a
-/// time; matches the replay batch size so bridged sinks observe the same
-/// `access_batch` call pattern as before the SoA decode path existed.
-const SOA_BRIDGE_CHUNK: usize = 256;
 
 /// Receives instrumentation events during execution.
 ///
@@ -131,37 +102,20 @@ pub trait TraceSink {
     /// Called when a routine or loop scope is exited.
     fn exit(&mut self, scope: ScopeId);
     /// Called with a run of consecutive accesses (no scope transitions in
-    /// between). Replay from a [`crate::TraceBuffer`] uses this to amortize
-    /// dynamic dispatch: one virtual call per batch instead of per event.
-    /// The default forwards to [`access`](Self::access) record by record.
-    fn access_batch(&mut self, batch: &[AccessRecord]) {
-        for a in batch {
-            self.access(a.r, a.addr, a.size, a.kind);
-        }
-    }
-    /// Called with a run of consecutive accesses in struct-of-arrays
-    /// layout. Replay decodes straight into [`SoaBatch`] lanes; analyzers
-    /// that can consume lanes override this and skip the per-record
-    /// conversion entirely. The default bridges into a fixed stack array
-    /// and forwards to [`access_batch`](Self::access_batch) — zero heap
-    /// allocation, and sinks that only override `access_batch` observe the
-    /// exact call pattern the array-of-structs replay produced.
+    /// between) in struct-of-arrays layout. Replay from a
+    /// [`crate::TraceBuffer`] decodes straight into [`SoaBatch`] lanes and
+    /// makes one virtual call per batch instead of per event; analyzers
+    /// that can consume lanes override this. The default walks the lanes
+    /// and forwards each access to [`access`](Self::access), in order.
     fn access_soa(&mut self, batch: &SoaBatch) {
-        let mut tmp = [AccessRecord {
-            r: RefId(0),
-            addr: 0,
-            size: 0,
-            kind: AccessKind::Load,
-        }; SOA_BRIDGE_CHUNK];
-        let n = batch.len();
-        let mut start = 0;
-        while start < n {
-            let m = (n - start).min(SOA_BRIDGE_CHUNK);
-            for (i, slot) in tmp[..m].iter_mut().enumerate() {
-                *slot = batch.record(start + i);
-            }
-            self.access_batch(&tmp[..m]);
-            start += m;
+        let lanes = batch
+            .refs
+            .iter()
+            .zip(&batch.addrs)
+            .zip(&batch.sizes)
+            .zip(&batch.kinds);
+        for (((&r, &addr), &size), &kind) in lanes {
+            self.access(RefId(r), addr, size, kind);
         }
     }
 }
@@ -247,10 +201,6 @@ impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
         self.a.exit(scope);
         self.b.exit(scope);
     }
-    fn access_batch(&mut self, batch: &[AccessRecord]) {
-        self.a.access_batch(batch);
-        self.b.access_batch(batch);
-    }
     fn access_soa(&mut self, batch: &SoaBatch) {
         self.a.access_soa(batch);
         self.b.access_soa(batch);
@@ -266,9 +216,6 @@ impl<S: TraceSink + ?Sized> TraceSink for &mut S {
     }
     fn exit(&mut self, scope: ScopeId) {
         (**self).exit(scope);
-    }
-    fn access_batch(&mut self, batch: &[AccessRecord]) {
-        (**self).access_batch(batch);
     }
     fn access_soa(&mut self, batch: &SoaBatch) {
         (**self).access_soa(batch);
@@ -310,37 +257,22 @@ mod tests {
     }
 
     #[test]
-    fn soa_default_bridges_in_replay_sized_chunks() {
-        /// Records the `access_batch` call sizes the default SoA bridge makes.
-        #[derive(Default)]
-        struct Counting {
-            batches: Vec<usize>,
-            records: Vec<AccessRecord>,
-        }
-        impl TraceSink for Counting {
-            fn access(&mut self, _: RefId, _: u64, _: u32, _: AccessKind) {
-                unreachable!("bridge must go through access_batch");
-            }
-            fn access_batch(&mut self, batch: &[AccessRecord]) {
-                self.batches.push(batch.len());
-                self.records.extend_from_slice(batch);
-            }
-            fn enter(&mut self, _: ScopeId) {}
-            fn exit(&mut self, _: ScopeId) {}
-        }
-
+    fn soa_default_forwards_every_lane_in_order() {
         let mut soa = SoaBatch::with_capacity(600);
+        let mut want = VecSink::new();
         for i in 0..600u64 {
-            let kind = if i % 3 == 0 { AccessKind::Store } else { AccessKind::Load };
+            let kind = if i % 3 == 0 {
+                AccessKind::Store
+            } else {
+                AccessKind::Load
+            };
             soa.push((i % 7) as u32, 0x1000 + i * 16, 8, kind);
+            want.access(RefId((i % 7) as u32), 0x1000 + i * 16, 8, kind);
         }
-        let mut sink = Counting::default();
+        // `VecSink` overrides only `access`, so it sees the default.
+        let mut sink = VecSink::new();
         sink.access_soa(&soa);
-        assert_eq!(sink.batches, vec![256, 256, 88]);
-        assert_eq!(sink.records.len(), 600);
-        for (i, rec) in sink.records.iter().enumerate() {
-            assert_eq!(*rec, soa.record(i), "record {i} must survive the bridge");
-        }
+        assert_eq!(sink, want);
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //!
 //! The failure-path test suites need two ingredients this module provides:
 //!
-//! * **corrupted buffers** — a seeded [`Corruptor`] that bit-flips or
-//!   truncates the encoded columns of a [`TraceBuffer`], plus
-//!   [`truncations`] for exhaustively cutting a small golden buffer at
-//!   every byte boundary, and [`RawColumns`] for forging specific
-//!   malformed encodings by hand;
+//! * **corrupted trace images** — a seeded [`Corruptor`] that bit-flips
+//!   or truncates the encoded columns of an [`ExportedTrace`], plus
+//!   [`truncations`] for exhaustively cutting a small golden image at
+//!   every byte boundary. Specific malformed encodings are forged by
+//!   editing the image's public fields. Every corrupted image goes
+//!   through [`TraceBuffer::import`](crate::TraceBuffer::import), the one
+//!   place an encoding is checked;
 //! * **hostile sinks** — [`PanickingSink`] (panics with a string message
 //!   after a configurable number of accesses) and [`FailingSink`] (panics
 //!   with a non-string payload), used to prove that a consumer blowing up
@@ -20,7 +22,7 @@
 //!   [`flip_header`](Corruptor::flip_header),
 //!   [`truncate_bytes`](Corruptor::truncate_bytes),
 //!   [`trailing_garbage`](Corruptor::trailing_garbage)) for mutating
-//!   on-disk snapshot images the same seeded way buffers are mutated;
+//!   on-disk snapshot images the same seeded way trace images are mutated;
 //! * **hostile requests** — [`splice_bytes`](Corruptor::splice_bytes) and
 //!   [`garbage_line`](Corruptor::garbage_line) mutate daemon request
 //!   bytes (overwriting rather than xoring, so non-UTF-8 garbage lands
@@ -33,90 +35,30 @@
 //! `reuselens-core`'s degradation tests, the workspace fault-tolerance
 //! suite — can drive the same injections.
 
-use crate::buffer::TraceBuffer;
+use crate::buffer::ExportedTrace;
 use crate::decode::Column;
-use crate::event::{AccessRecord, TraceSink};
+use crate::event::TraceSink;
 use reuselens_ir::{AccessKind, RefId, ScopeId};
 use reuselens_prng::SplitMix64;
 use std::io;
 
-/// The encoded columns of a [`TraceBuffer`], exposed for forging malformed
-/// buffers in tests.
-///
-/// Round-trips through [`RawColumns::of`] / [`RawColumns::build`]; mutate
-/// any field in between to craft a specific corruption (oversized varints,
-/// inflated event counts, trailing bytes, ...).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RawColumns {
-    /// Declared total event count.
-    pub events: u64,
-    /// Declared access count.
-    pub accesses: u64,
-    /// Declared scope-event count.
-    pub scope_events: u64,
-    /// Packed 2-bit opcodes.
-    pub ops: Vec<u8>,
-    /// Zigzag-varint address deltas.
-    pub addrs: Vec<u8>,
-    /// Zigzag-varint reference-id deltas.
-    pub refs: Vec<u8>,
-    /// Varint access sizes.
-    pub sizes: Vec<u8>,
-    /// Varint scope ids.
-    pub scopes: Vec<u8>,
+fn column(image: &ExportedTrace, c: Column) -> &[u8] {
+    match c {
+        Column::Ops => &image.ops,
+        Column::Addr => &image.addr_bytes,
+        Column::Ref => &image.ref_bytes,
+        Column::Size => &image.size_bytes,
+        Column::Scope => &image.scope_bytes,
+    }
 }
 
-impl RawColumns {
-    /// Decomposes a buffer into its raw columns.
-    pub fn of(buf: &TraceBuffer) -> RawColumns {
-        RawColumns {
-            events: buf.events,
-            accesses: buf.accesses,
-            scope_events: buf.scope_events,
-            ops: buf.ops.clone(),
-            addrs: buf.addr_bytes.clone(),
-            refs: buf.ref_bytes.clone(),
-            sizes: buf.size_bytes.clone(),
-            scopes: buf.scope_bytes.clone(),
-        }
-    }
-
-    /// Reassembles a buffer — possibly malformed — from raw columns.
-    pub fn build(self) -> TraceBuffer {
-        TraceBuffer {
-            ops: self.ops,
-            events: self.events,
-            accesses: self.accesses,
-            scope_events: self.scope_events,
-            addr_bytes: self.addrs,
-            ref_bytes: self.refs,
-            size_bytes: self.sizes,
-            scope_bytes: self.scopes,
-            last_addr: 0,
-            last_ref: 0,
-            checkpoints: Vec::new(),
-            open_scopes: Vec::new(),
-        }
-    }
-
-    fn column(&self, c: Column) -> &[u8] {
-        match c {
-            Column::Ops => &self.ops,
-            Column::Addr => &self.addrs,
-            Column::Ref => &self.refs,
-            Column::Size => &self.sizes,
-            Column::Scope => &self.scopes,
-        }
-    }
-
-    fn column_mut(&mut self, c: Column) -> &mut Vec<u8> {
-        match c {
-            Column::Ops => &mut self.ops,
-            Column::Addr => &mut self.addrs,
-            Column::Ref => &mut self.refs,
-            Column::Size => &mut self.sizes,
-            Column::Scope => &mut self.scopes,
-        }
+fn column_mut(image: &mut ExportedTrace, c: Column) -> &mut Vec<u8> {
+    match c {
+        Column::Ops => &mut image.ops,
+        Column::Addr => &mut image.addr_bytes,
+        Column::Ref => &mut image.ref_bytes,
+        Column::Size => &mut image.size_bytes,
+        Column::Scope => &mut image.scope_bytes,
     }
 }
 
@@ -128,7 +70,7 @@ const COLUMNS: [Column; 5] = [
     Column::Scope,
 ];
 
-/// A seeded buffer corruptor. Every method is deterministic in the seed
+/// A seeded trace-image corruptor. Every method is deterministic in the seed
 /// and the call sequence, so any failure it provokes can be replayed.
 #[derive(Debug, Clone)]
 pub struct Corruptor {
@@ -144,10 +86,10 @@ impl Corruptor {
     }
 
     /// Picks a non-empty column, or `None` when every column is empty.
-    fn pick_column(&mut self, raw: &RawColumns) -> Option<Column> {
+    fn pick_column(&mut self, image: &ExportedTrace) -> Option<Column> {
         let nonempty: Vec<Column> = COLUMNS
             .into_iter()
-            .filter(|&c| !raw.column(c).is_empty())
+            .filter(|&c| !column(image, c).is_empty())
             .collect();
         if nonempty.is_empty() {
             return None;
@@ -156,53 +98,54 @@ impl Corruptor {
         Some(nonempty[i])
     }
 
-    /// Returns a copy of `buf` with one random bit flipped in one random
-    /// non-empty encoded column. An empty buffer is returned unchanged.
+    /// Returns a copy of `image` with one random bit flipped in one random
+    /// non-empty encoded column. An empty image is returned unchanged.
     ///
     /// Note that a single bit flip does not always make the encoding
     /// invalid — flipping a size bit, say, yields a *different* valid
     /// stream. The guarantee under test is "never panics", not
     /// "always errors".
-    pub fn bit_flip(&mut self, buf: &TraceBuffer) -> TraceBuffer {
-        let mut raw = RawColumns::of(buf);
-        if let Some(c) = self.pick_column(&raw) {
-            let col = raw.column_mut(c);
+    pub fn bit_flip(&mut self, image: &ExportedTrace) -> ExportedTrace {
+        let mut out = image.clone();
+        if let Some(c) = self.pick_column(image) {
+            let col = column_mut(&mut out, c);
             let byte = self.rng.gen_range(0..col.len() as u64) as usize;
             let bit = self.rng.gen_range(0..8) as u8;
             col[byte] ^= 1 << bit;
         }
-        raw.build()
+        out
     }
 
-    /// Returns a copy of `buf` with `n` random bit flips (possibly landing
-    /// on the same bit, which un-flips it).
-    pub fn bit_flips(&mut self, buf: &TraceBuffer, n: usize) -> TraceBuffer {
-        let mut out = buf.clone();
+    /// Returns a copy of `image` with `n` random bit flips (possibly
+    /// landing on the same bit, which un-flips it).
+    pub fn bit_flips(&mut self, image: &ExportedTrace, n: usize) -> ExportedTrace {
+        let mut out = image.clone();
         for _ in 0..n {
             out = self.bit_flip(&out);
         }
         out
     }
 
-    /// Returns a copy of `buf` with one random non-empty column truncated
-    /// to a strictly shorter random length. An empty buffer is returned
-    /// unchanged. The result never validates (some event's bytes are gone).
-    pub fn truncate(&mut self, buf: &TraceBuffer) -> TraceBuffer {
-        let mut raw = RawColumns::of(buf);
-        if let Some(c) = self.pick_column(&raw) {
-            let col = raw.column_mut(c);
+    /// Returns a copy of `image` with one random non-empty column
+    /// truncated to a strictly shorter random length. An empty image is
+    /// returned unchanged. The result never imports (some event's bytes
+    /// are gone).
+    pub fn truncate(&mut self, image: &ExportedTrace) -> ExportedTrace {
+        let mut out = image.clone();
+        if let Some(c) = self.pick_column(image) {
+            let col = column_mut(&mut out, c);
             let keep = self.rng.gen_range(0..col.len() as u64) as usize;
             col.truncate(keep);
         }
-        raw.build()
+        out
     }
 
-    /// Returns a copy of `buf` claiming `extra` more events than are
-    /// encoded — a count/payload mismatch the validator must catch.
-    pub fn inflate_events(&mut self, buf: &TraceBuffer, extra: u64) -> TraceBuffer {
-        let mut raw = RawColumns::of(buf);
-        raw.events += extra;
-        raw.build()
+    /// Returns a copy of `image` claiming `extra` more events than are
+    /// encoded — a count/payload mismatch import must catch.
+    pub fn inflate_events(&mut self, image: &ExportedTrace, extra: u64) -> ExportedTrace {
+        let mut out = image.clone();
+        out.events += extra;
+        out
     }
 
     /// Returns a copy of `bytes` with `n` random bit flips (possibly
@@ -349,18 +292,17 @@ impl<W: io::Write> io::Write for CrashPoint<W> {
     }
 }
 
-/// Every proper truncation of every non-empty column of `buf`: for a
+/// Every proper truncation of every non-empty column of `image`: for a
 /// column of `n` bytes, the copies keeping `0..n` bytes. Exhaustive over a
-/// small golden buffer, this covers truncation at every byte boundary.
-/// Each returned copy fails validation by construction.
-pub fn truncations(buf: &TraceBuffer) -> Vec<TraceBuffer> {
-    let base = RawColumns::of(buf);
+/// small golden image, this covers truncation at every byte boundary.
+/// Each returned copy fails import by construction.
+pub fn truncations(image: &ExportedTrace) -> Vec<ExportedTrace> {
     let mut out = Vec::new();
     for c in COLUMNS {
-        for keep in 0..base.column(c).len() {
-            let mut raw = base.clone();
-            raw.column_mut(c).truncate(keep);
-            out.push(raw.build());
+        for keep in 0..column(image, c).len() {
+            let mut cut = image.clone();
+            column_mut(&mut cut, c).truncate(keep);
+            out.push(cut);
         }
     }
     out
@@ -399,11 +341,6 @@ impl TraceSink for PanickingSink {
     }
     fn enter(&mut self, _scope: ScopeId) {}
     fn exit(&mut self, _scope: ScopeId) {}
-    fn access_batch(&mut self, batch: &[AccessRecord]) {
-        for a in batch {
-            self.access(a.r, a.addr, a.size, a.kind);
-        }
-    }
 }
 
 /// A sink whose first access panics with a **non-string payload**,
@@ -423,55 +360,51 @@ impl TraceSink for FailingSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::VecSink;
+    use crate::buffer::TraceBuffer;
 
-    fn golden() -> TraceBuffer {
+    fn golden() -> ExportedTrace {
         let mut buf = TraceBuffer::new();
         buf.enter(ScopeId(1));
         for i in 0..40u64 {
             buf.access(RefId((i % 3) as u32), 0x1000 + i * 16, 8, AccessKind::Load);
         }
         buf.exit(ScopeId(1));
-        buf
+        buf.export()
     }
 
     #[test]
     fn raw_columns_round_trip() {
-        let buf = golden();
-        let again = RawColumns::of(&buf).build();
-        let mut a = VecSink::new();
-        let mut b = VecSink::new();
-        buf.replay(&mut a);
-        again.try_replay(&mut b).expect("round trip validates");
-        assert_eq!(a, b);
+        let image = golden();
+        let buf = TraceBuffer::import(image.clone()).expect("golden image imports");
+        assert_eq!(buf.export(), image);
     }
 
     #[test]
     fn corruptor_is_deterministic_in_the_seed() {
-        let buf = golden();
-        let a = Corruptor::new(7).bit_flips(&buf, 4);
-        let b = Corruptor::new(7).bit_flips(&buf, 4);
-        assert_eq!(RawColumns::of(&a), RawColumns::of(&b));
-        let c = Corruptor::new(8).bit_flips(&buf, 4);
-        assert_ne!(RawColumns::of(&a), RawColumns::of(&c));
+        let image = golden();
+        let a = Corruptor::new(7).bit_flips(&image, 4);
+        let b = Corruptor::new(7).bit_flips(&image, 4);
+        assert_eq!(a, b);
+        let c = Corruptor::new(8).bit_flips(&image, 4);
+        assert_ne!(a, c);
     }
 
     #[test]
     fn truncate_and_inflate_fail_validation() {
-        let buf = golden();
+        let image = golden();
         let mut c = Corruptor::new(1);
         for _ in 0..20 {
-            assert!(c.truncate(&buf).validate().is_err());
+            assert!(TraceBuffer::import(c.truncate(&image)).is_err());
         }
-        assert!(c.inflate_events(&buf, 3).validate().is_err());
+        assert!(TraceBuffer::import(c.inflate_events(&image, 3)).is_err());
     }
 
     #[test]
     fn empty_buffer_survives_corruption_attempts() {
-        let empty = TraceBuffer::new();
+        let empty = TraceBuffer::new().export();
         let mut c = Corruptor::new(5);
-        assert!(c.bit_flip(&empty).validate().is_ok());
-        assert!(c.truncate(&empty).validate().is_ok());
+        assert!(TraceBuffer::import(c.bit_flip(&empty)).is_ok());
+        assert!(TraceBuffer::import(c.truncate(&empty)).is_ok());
     }
 
     #[test]
@@ -559,7 +492,7 @@ mod tests {
 
     #[test]
     fn panicking_sink_counts_then_panics() {
-        let buf = golden();
+        let buf = TraceBuffer::import(golden()).expect("golden image imports");
         let mut ok = PanickingSink::new(1000);
         buf.replay(&mut ok);
         assert_eq!(ok.seen(), 40);

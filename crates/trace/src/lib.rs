@@ -43,7 +43,7 @@ mod exec;
 pub mod fault;
 pub mod frame;
 
-pub use buffer::{BufferStats, CheckedIter, ExportedTrace, SegmentState, TraceBuffer, TraceIter};
+pub use buffer::{BufferStats, ExportedTrace, SegmentState, TraceBuffer};
 pub use decode::{Column, DecodeError};
-pub use event::{AccessRecord, Event, NullSink, SoaBatch, TeeSink, TraceSink, VecSink};
+pub use event::{Event, NullSink, SoaBatch, TeeSink, TraceSink, VecSink};
 pub use exec::{ExecError, ExecReport, Executor, LoopStats};

@@ -1,16 +1,18 @@
-//! Decoder-hardening suite: no corrupted, truncated, or forged
-//! [`TraceBuffer`] may panic the validating decoder — every malformed
-//! input must surface as a structured [`DecodeError`], and every valid
-//! input must replay bit-identically to the unchecked fast path.
+//! Decoder-hardening suite: `TraceBuffer::import` is the one place a
+//! trace encoding is checked, so no corrupted, truncated or forged
+//! [`ExportedTrace`] image may panic it — every malformed image must
+//! surface as a structured [`DecodeError`], and every image it accepts
+//! must replay without panicking. A clean image of a captured buffer
+//! imports to a buffer that replays bit-identically to the original.
 //!
 //! All corruption is seeded through the deterministic fault-injection
 //! harness (`reuselens_trace::fault`), so any failure here reproduces
 //! from the constants in this file.
 
-use reuselens_trace::fault::{truncations, Corruptor, PanickingSink, RawColumns};
-use reuselens_trace::{Column, DecodeError, TraceBuffer, TraceSink, VecSink};
 use reuselens_ir::{AccessKind, RefId, ScopeId};
 use reuselens_prng::SplitMix64;
+use reuselens_trace::fault::{truncations, Corruptor, PanickingSink};
+use reuselens_trace::{Column, DecodeError, ExportedTrace, TraceBuffer, TraceSink, VecSink};
 
 /// A small golden buffer with every event kind: nested scopes, loads and
 /// stores from several references, forward and backward address deltas.
@@ -75,75 +77,68 @@ fn random_buffer(seed: u64, events: usize) -> TraceBuffer {
     buf
 }
 
-/// Replays `buf` through `try_replay` and asserts the event stream equals
-/// the unchecked fast path's.
-fn assert_checked_matches_unchecked(buf: &TraceBuffer) {
-    let mut fast = VecSink::new();
-    buf.replay(&mut fast);
-    let mut checked = VecSink::new();
-    buf.try_replay(&mut checked)
-        .expect("a buffer that replays must validate");
-    assert_eq!(fast, checked);
+/// Asserts `import(export(buf))` succeeds and replays equal to `buf`.
+fn assert_round_trip_replays_equal(buf: &TraceBuffer) {
+    let mut original = VecSink::new();
+    buf.replay(&mut original);
+    let imported = TraceBuffer::import(buf.export()).expect("a captured buffer's image imports");
+    let mut replayed = VecSink::new();
+    imported.replay(&mut replayed);
+    assert_eq!(original, replayed);
+}
+
+/// Imports `image`; when it is accepted, replays it to prove an accepted
+/// image is safe for the unchecked replay loop.
+fn import_and_replay(image: ExportedTrace) -> Result<(), DecodeError> {
+    let buf = TraceBuffer::import(image)?;
+    let mut sink = VecSink::new();
+    buf.replay(&mut sink);
+    assert_eq!(sink.events.len() as u64, buf.events());
+    Ok(())
 }
 
 #[test]
 fn round_trip_property_over_random_streams() {
     for seed in 0..32u64 {
         let buf = random_buffer(0xfau64 << 32 | seed, 400);
-        buf.validate().expect("captured stream validates");
-        assert_checked_matches_unchecked(&buf);
+        assert_round_trip_replays_equal(&buf);
     }
 }
 
 #[test]
 fn golden_buffer_round_trips() {
-    let buf = golden();
-    buf.validate().unwrap();
-    assert_checked_matches_unchecked(&buf);
+    assert_round_trip_replays_equal(&golden());
 }
 
 /// Truncation at *every* byte boundary of *every* column: always a
-/// structured error, never a panic, and the sink only ever observes a
-/// valid prefix of the original stream.
+/// structured error, never a panic.
 #[test]
 fn every_truncation_errors_and_never_panics() {
-    let buf = golden();
-    let mut full = VecSink::new();
-    buf.replay(&mut full);
-    let cases = truncations(&buf);
+    let cases = truncations(&golden().export());
     assert!(!cases.is_empty());
-    for (i, cut) in cases.iter().enumerate() {
-        assert!(cut.validate().is_err(), "truncation case {i} validated");
-        let mut sink = VecSink::new();
-        let err = cut.try_replay(&mut sink);
-        assert!(err.is_err(), "truncation case {i} replayed");
+    for (i, cut) in cases.into_iter().enumerate() {
         assert!(
-            sink.events.len() <= full.events.len()
-                && sink.events == full.events[..sink.events.len()],
-            "truncation case {i} fed the sink a non-prefix"
+            TraceBuffer::import(cut).is_err(),
+            "truncation case {i} imported"
         );
     }
 }
 
-/// Seeded single-bit flips: the decoder must never panic. A flip may
-/// still yield a *different valid* stream (e.g. in a size byte), so the
-/// assertion is "validates cleanly or errors cleanly", plus agreement
-/// between `validate` and `try_replay`.
+/// Seeded single-bit flips: import must never panic. A flip may still
+/// yield a *different valid* stream (e.g. in a size byte), so the
+/// assertion is "imports cleanly or errors cleanly", and an accepted
+/// image must replay cleanly.
 #[test]
 fn seeded_bit_flips_never_panic() {
-    let buf = golden();
+    let image = golden().export();
     let mut corr = Corruptor::new(0x0b17_f11b);
-    for case in 0..500 {
-        let flipped = corr.bit_flip(&buf);
-        let verdict = flipped.validate();
-        let mut sink = VecSink::new();
-        let replay_verdict = flipped.try_replay(&mut sink);
-        assert_eq!(
-            verdict.is_ok(),
-            replay_verdict.is_ok(),
-            "case {case}: validate and try_replay disagree"
-        );
+    let mut rejected = 0;
+    for _ in 0..500 {
+        if import_and_replay(corr.bit_flip(&image)).is_err() {
+            rejected += 1;
+        }
     }
+    assert!(rejected > 0, "no single-bit flip was rejected");
 }
 
 /// Multi-bit flips over random buffers — denser corruption, same
@@ -151,41 +146,39 @@ fn seeded_bit_flips_never_panic() {
 #[test]
 fn multi_bit_flips_on_random_buffers_never_panic() {
     for seed in 0..8u64 {
-        let buf = random_buffer(seed, 300);
+        let image = random_buffer(seed, 300).export();
         let mut corr = Corruptor::new(seed ^ 0xdead);
         for n in 1..6 {
-            let mangled = corr.bit_flips(&buf, n * 3);
-            let _ = mangled.validate();
-            let _ = mangled.try_replay(&mut VecSink::new());
+            let _ = import_and_replay(corr.bit_flips(&image, n * 3));
         }
     }
 }
 
 #[test]
 fn random_truncations_always_error() {
-    let buf = random_buffer(99, 500);
+    let image = random_buffer(99, 500).export();
     let mut corr = Corruptor::new(7);
     for _ in 0..50 {
-        let cut = corr.truncate(&buf);
-        assert!(cut.validate().is_err());
+        assert!(TraceBuffer::import(corr.truncate(&image)).is_err());
     }
 }
 
-/// Claiming more events than are encoded is a count/payload mismatch the
-/// validator reports as truncation of the opcode column.
+/// Claiming more events than are encoded is a count/payload mismatch:
+/// the declared total no longer equals accesses plus scope events.
 #[test]
 fn inflated_event_count_is_rejected() {
-    let buf = golden();
+    let image = golden().export();
     let mut corr = Corruptor::new(3);
     for extra in [1u64, 4, 1000] {
-        let inflated = corr.inflate_events(&buf, extra);
-        let err = inflated.validate().unwrap_err();
-        assert!(
-            matches!(
-                err,
-                DecodeError::Truncated { .. } | DecodeError::TrailingBytes { .. }
-            ),
-            "unexpected error for {extra} phantom events: {err}"
+        let err = TraceBuffer::import(corr.inflate_events(&image, extra)).unwrap_err();
+        assert_eq!(
+            err,
+            DecodeError::CountMismatch {
+                what: "event",
+                declared: image.events + extra,
+                actual: image.events,
+            },
+            "{extra} phantom events"
         );
     }
 }
@@ -193,9 +186,9 @@ fn inflated_event_count_is_rejected() {
 /// A forged overlong varint (11 continuation bytes) in the address column.
 #[test]
 fn malformed_varint_is_rejected_with_column_and_offset() {
-    let mut raw = RawColumns::of(&golden());
-    raw.addrs = vec![0xff; 11];
-    let err = raw.build().validate().unwrap_err();
+    let mut image = golden().export();
+    image.addr_bytes = vec![0xff; 11];
+    let err = TraceBuffer::import(image).unwrap_err();
     match err {
         DecodeError::VarintOverflow { column, offset, .. }
         | DecodeError::Truncated { column, offset, .. } => {
@@ -211,20 +204,26 @@ fn malformed_varint_is_rejected_with_column_and_offset() {
 /// A varint that would overflow u64 (10th byte with high payload bits).
 #[test]
 fn varint_overflowing_u64_is_rejected() {
-    let mut raw = RawColumns::of(&golden());
+    let mut image = golden().export();
     // 9 continuation bytes then a final byte with payload > 1: decodes to
     // more than 64 bits.
     let mut bytes = vec![0x80u8; 9];
     bytes.push(0x7f);
-    raw.sizes = bytes;
-    let err = raw.build().validate().unwrap_err();
+    image.size_bytes = bytes;
+    let err = TraceBuffer::import(image).unwrap_err();
     assert!(
-        matches!(err, DecodeError::VarintOverflow { column: Column::Size, .. }),
+        matches!(
+            err,
+            DecodeError::VarintOverflow {
+                column: Column::Size,
+                ..
+            }
+        ),
         "unexpected: {err}"
     );
 }
 
-/// Unbalanced scope events forged by hand: an exit for a scope that was
+/// Unbalanced scope events fed by hand: an exit for a scope that was
 /// never entered, and an enter that is never closed.
 #[test]
 fn unbalanced_scopes_are_rejected() {
@@ -233,7 +232,7 @@ fn unbalanced_scopes_are_rejected() {
     buf.access(RefId(0), 0x100, 8, AccessKind::Load);
     buf.exit(ScopeId(2)); // mismatched
     buf.exit(ScopeId(1));
-    let err = buf.validate().unwrap_err();
+    let err = TraceBuffer::import(buf.export()).unwrap_err();
     assert!(
         matches!(err, DecodeError::UnbalancedExit { scope: 2, .. }),
         "unexpected: {err}"
@@ -243,7 +242,7 @@ fn unbalanced_scopes_are_rejected() {
     buf.enter(ScopeId(1));
     buf.enter(ScopeId(2));
     buf.exit(ScopeId(2));
-    let err = buf.validate().unwrap_err();
+    let err = TraceBuffer::import(buf.export()).unwrap_err();
     assert!(
         matches!(err, DecodeError::UnclosedScopes { depth: 1 }),
         "unexpected: {err}"
@@ -254,15 +253,15 @@ fn unbalanced_scopes_are_rejected() {
 #[test]
 fn trailing_bytes_are_rejected() {
     for column in [Column::Addr, Column::Ref, Column::Size, Column::Scope] {
-        let mut raw = RawColumns::of(&golden());
+        let mut image = golden().export();
         match column {
-            Column::Addr => raw.addrs.push(0x01),
-            Column::Ref => raw.refs.push(0x01),
-            Column::Size => raw.sizes.push(0x01),
-            Column::Scope => raw.scopes.push(0x01),
+            Column::Addr => image.addr_bytes.push(0x01),
+            Column::Ref => image.ref_bytes.push(0x01),
+            Column::Size => image.size_bytes.push(0x01),
+            Column::Scope => image.scope_bytes.push(0x01),
             Column::Ops => unreachable!(),
         }
-        let err = raw.build().validate().unwrap_err();
+        let err = TraceBuffer::import(image).unwrap_err();
         assert!(
             matches!(err, DecodeError::TrailingBytes { column: c, .. } if c == column),
             "column {column:?}: unexpected error {err}"
@@ -270,13 +269,13 @@ fn trailing_bytes_are_rejected() {
     }
 }
 
-/// An empty buffer is trivially valid.
+/// An empty image is trivially valid.
 #[test]
 fn empty_buffer_validates() {
-    let buf = TraceBuffer::new();
-    buf.validate().unwrap();
+    let buf = TraceBuffer::import(ExportedTrace::default()).unwrap();
+    assert!(buf.is_empty());
     let mut sink = VecSink::new();
-    buf.try_replay(&mut sink).unwrap();
+    buf.replay(&mut sink);
     assert!(sink.events.is_empty());
 }
 
@@ -290,57 +289,41 @@ fn sink_panic_does_not_poison_the_buffer() {
         buf.replay(&mut hostile);
     }));
     assert!(hit.is_err(), "hostile sink must have panicked");
-    assert_checked_matches_unchecked(&buf);
-    buf.validate().unwrap();
+    assert_round_trip_replays_equal(&buf);
 }
 
-/// `try_iter` yields the same events as `replay` and reports errors at
-/// the failing event rather than panicking.
+/// Truncating the address column mid-stream is reported against the
+/// address column, at an event inside the declared stream.
 #[test]
-fn checked_iterator_matches_and_reports_position() {
-    let buf = golden();
-    let mut fast = VecSink::new();
-    buf.replay(&mut fast);
-    let collected: Vec<_> = buf.try_iter().map(|e| e.unwrap()).collect();
-    assert_eq!(collected, fast.events);
-
-    // Truncate the address column mid-stream: iteration must stop with an
-    // error naming the address column, after yielding a valid prefix.
-    let mut raw = RawColumns::of(&buf);
-    let keep = raw.addrs.len() / 2;
-    raw.addrs.truncate(keep);
-    let cut = raw.build();
-    let mut seen = 0usize;
-    let mut failed = None;
-    for e in cut.try_iter() {
-        match e {
-            Ok(ev) => {
-                assert_eq!(ev, fast.events[seen]);
-                seen += 1;
-            }
-            Err(err) => {
-                failed = Some(err);
-                break;
-            }
+fn mid_stream_truncation_reports_column_and_position() {
+    let mut image = golden().export();
+    let keep = image.addr_bytes.len() / 2;
+    image.addr_bytes.truncate(keep);
+    let err = TraceBuffer::import(image.clone()).unwrap_err();
+    match err {
+        DecodeError::Truncated {
+            column: Column::Addr,
+            offset,
+            event,
         }
+        | DecodeError::VarintOverflow {
+            column: Column::Addr,
+            offset,
+            event,
+        } => {
+            assert!(offset <= keep, "offset {offset} past the kept {keep} bytes");
+            assert!(event < image.events, "event {event} outside the stream");
+        }
+        other => panic!("unexpected: {other}"),
     }
-    let err = failed.expect("truncated stream must error");
-    assert!(
-        matches!(
-            err,
-            DecodeError::Truncated { column: Column::Addr, .. }
-                | DecodeError::VarintOverflow { column: Column::Addr, .. }
-        ),
-        "unexpected: {err}"
-    );
 }
 
 /// Error displays carry byte offsets and event indices for triage.
 #[test]
 fn error_display_carries_diagnostics() {
-    let mut raw = RawColumns::of(&golden());
-    raw.addrs.truncate(1);
-    let err = raw.build().validate().unwrap_err();
+    let mut image = golden().export();
+    image.addr_bytes.truncate(1);
+    let err = TraceBuffer::import(image).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("address"), "{msg}");
     assert!(msg.contains("byte") || msg.contains("offset"), "{msg}");

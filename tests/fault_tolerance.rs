@@ -1,5 +1,5 @@
-//! Workspace-level fault-tolerance suite: the error taxonomy, validated
-//! decode, resource budgets, and degraded sweeps, exercised through the
+//! Workspace-level fault-tolerance suite: the error taxonomy, the trace
+//! import boundary, resource budgets, and degraded sweeps, exercised through the
 //! `reuselens` facade on real workload models.
 
 use reuselens::cache::{
@@ -12,7 +12,7 @@ use reuselens::core::{
 };
 use reuselens::metrics::run_locality_analysis_opts;
 use reuselens::trace::fault::Corruptor;
-use reuselens::trace::VecSink;
+use reuselens::trace::{TraceBuffer, VecSink};
 use reuselens::workloads::kernels::random_gather;
 use reuselens::ReuseLensError;
 
@@ -128,28 +128,27 @@ fn budgeted_analysis_on_real_workload() {
     assert_eq!(partial.profiles[0].total_accesses, report.accesses);
 }
 
-/// A captured real workload validates and replays identically through the
-/// checked decoder; a corrupted copy of the same capture is rejected
-/// without panicking.
+/// A captured real workload's exported image imports through the checked
+/// decoder and replays identically; a corrupted copy of the same image is
+/// rejected without panicking.
 #[test]
 fn captured_workload_validates_and_corruption_is_rejected() {
     let w = random_gather(1 << 10, 1 << 12, 2, 7);
     let (buffer, report) = capture_program(&w.program, w.index_arrays.clone()).unwrap();
-    buffer.validate().unwrap();
+    let image = buffer.export();
+    let imported = TraceBuffer::import(image.clone()).unwrap();
     let mut fast = VecSink::new();
     buffer.replay(&mut fast);
     let mut checked = VecSink::new();
-    buffer.try_replay(&mut checked).unwrap();
+    imported.replay(&mut checked);
     assert_eq!(fast, checked);
     assert_eq!(report.accesses, buffer.accesses());
 
     let mut corruptor = Corruptor::new(0x5eed);
     for _ in 0..10 {
-        let cut = corruptor.truncate(&buffer);
-        assert!(cut.validate().is_err());
+        assert!(TraceBuffer::import(corruptor.truncate(&image)).is_err());
         // Bit flips may or may not decode; they must simply never panic.
-        let flipped = corruptor.bit_flip(&buffer);
-        let _ = flipped.try_replay(&mut VecSink::new());
+        let _ = TraceBuffer::import(corruptor.bit_flip(&image));
     }
 }
 

@@ -23,6 +23,7 @@ use reuselens::obs::{
     self, http_get, Counter, EventLog, Gauge, GrainStatus, MetricsRecorder, MetricsSnapshot,
     ServiceConfig, Stage, TelemetryService, Timeline,
 };
+use reuselens::store::{TraceMeta, TraceStore};
 use reuselens::trace::BufferStats;
 use reuselens::workloads::gtc::{build as build_gtc, GtcConfig};
 use reuselens::workloads::sweep3d::{build as build_sweep, SweepConfig};
@@ -66,7 +67,6 @@ struct PipelineRun {
 /// The capture-once / replay-many / sweep pipeline, as the CLI runs it.
 fn run_pipeline(w: &BuiltWorkload, hs: &[MemoryHierarchy]) -> PipelineRun {
     let (buffer, exec) = capture_program(&w.program, w.index_arrays.clone()).unwrap();
-    buffer.validate().unwrap();
     let g = grains(hs);
     let (profiles, _timings) = analyze_buffer(&w.program, &buffer, &g).unwrap();
     let analysis = AnalysisResult {
@@ -91,8 +91,7 @@ fn assert_reconciles(snap: &MetricsSnapshot, run: &PipelineRun, hs: usize, ngrai
     assert_eq!(snap.counter(Counter::AccessesCaptured), run.stats.accesses);
     assert_eq!(snap.counter(Counter::AccessesCaptured), run.exec_accesses);
     assert_eq!(snap.counter(Counter::BytesEncoded), run.stats.encoded_bytes);
-    // `validate` decodes for checking but does not count; the per-grain
-    // replays each decode the full stream once.
+    // The per-grain replays each decode the full stream once.
     assert_eq!(
         snap.counter(Counter::EventsDecoded),
         ngrains * run.stats.events
@@ -117,10 +116,11 @@ fn assert_reconciles(snap: &MetricsSnapshot, run: &PipelineRun, hs: usize, ngrai
         .map(|p| p.total_accesses - p.total_cold())
         .sum();
     assert_eq!(snap.counter(Counter::TreeReinserts), reinserts);
-    // Span structure: one capture, one validating decode, one replay span
-    // per grain, one sweep span per hierarchy.
+    // Span structure: one capture, one replay span per grain, one sweep
+    // span per hierarchy. An in-memory run decodes only inside its replay
+    // spans; a `decode` span means a store load.
     assert_eq!(snap.stage(Stage::Capture).count, 1);
-    assert_eq!(snap.stage(Stage::Decode).count, 1);
+    assert_eq!(snap.stage(Stage::Decode).count, 0);
     assert_eq!(snap.stage(Stage::Replay).count, ngrains);
     assert_eq!(snap.stage(Stage::Sweep).count, hs as u64);
 }
@@ -673,4 +673,40 @@ fn locality_analysis_counts_reports() {
     assert_eq!(snap.stage(Stage::Report).count, 1);
     assert_eq!(snap.stage(Stage::Capture).count, 1);
     assert_eq!(snap.counter(Counter::SweepConfigsScored), 1);
+}
+
+/// One `TraceStore::get` records exactly one `decode` span — the checked
+/// scan of `TraceBuffer::import` — carrying the loaded buffer's event
+/// count. perfbench's `store_decode_ns_per_event` divides that span's
+/// time by those events.
+#[test]
+fn store_get_records_one_decode_span_with_the_event_count() {
+    let w = build_sweep(&SweepConfig::new(4));
+    let (buffer, _) = capture_program(&w.program, w.index_arrays.clone()).unwrap();
+    let dir = std::env::temp_dir().join(format!("reuselens-obs-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = TraceStore::open(&dir).unwrap();
+    let meta = TraceMeta {
+        workload: "sweep3d".to_string(),
+        grains: vec![64],
+    };
+    store.put("t", &buffer, meta).unwrap();
+
+    let recorder = Arc::new(MetricsRecorder::new());
+    let timeline = Arc::new(Timeline::new());
+    let scope = obs::Obs {
+        timeline: Some(timeline.clone()),
+        ..recorder.clone().into()
+    }
+    .enter();
+    let loaded = store.get("t").unwrap();
+    drop(scope);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert_eq!(loaded.events(), buffer.events());
+    assert_eq!(recorder.snapshot().stage(Stage::Decode).count, 1);
+    let tsnap = timeline.snapshot();
+    let decodes: Vec<_> = tsnap.stage_events(Stage::Decode).collect();
+    assert_eq!(decodes.len(), 1);
+    assert_eq!(decodes[0].args.events, Some(buffer.events()));
 }
