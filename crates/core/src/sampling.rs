@@ -563,8 +563,8 @@ impl TraceSink for SampledAnalyzer {
     }
 
     fn access_soa(&mut self, batch: &reuselens_trace::SoaBatch) {
-        // Only the ref and address lanes matter; skip the bridge's
-        // record materialization entirely.
+        // Sampling keys on the ref and address lanes alone, so walk
+        // those two lanes and leave the size and kind lanes unread.
         for (&r, &addr) in batch.refs.iter().zip(&batch.addrs) {
             self.access(RefId(r), addr, 0, AccessKind::Load);
         }

@@ -253,11 +253,17 @@ pub enum Counter {
     JobsFailed,
     /// Analysis jobs rejected before queueing (full queue or shutdown).
     JobsRejected,
+    /// Daemon replay jobs served a resident, already verified trace
+    /// buffer.
+    TracesResidentHit,
+    /// Daemon replay jobs that loaded and verified their trace from the
+    /// store.
+    TracesResidentMiss,
 }
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 31] = [
         Counter::EventsCaptured,
         Counter::AccessesCaptured,
         Counter::BytesEncoded,
@@ -287,6 +293,8 @@ impl Counter {
         Counter::JobsCompleted,
         Counter::JobsFailed,
         Counter::JobsRejected,
+        Counter::TracesResidentHit,
+        Counter::TracesResidentMiss,
     ];
 
     /// Stable snake_case name (the Prometheus metric is
@@ -322,6 +330,8 @@ impl Counter {
             Counter::JobsCompleted => "jobs_completed",
             Counter::JobsFailed => "jobs_failed",
             Counter::JobsRejected => "jobs_rejected",
+            Counter::TracesResidentHit => "traces_resident_hit",
+            Counter::TracesResidentMiss => "traces_resident_miss",
         }
     }
 
@@ -375,6 +385,8 @@ impl Counter {
             Counter::JobsRejected => {
                 "Analysis jobs rejected before queueing (full queue or shutdown)."
             }
+            Counter::TracesResidentHit => "Replay jobs served a resident, verified trace.",
+            Counter::TracesResidentMiss => "Replay jobs that loaded their trace from the store.",
         }
     }
 

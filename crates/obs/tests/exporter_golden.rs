@@ -155,6 +155,12 @@ reuselens_jobs_failed_total 280
 # HELP reuselens_jobs_rejected_total Analysis jobs rejected before queueing (full queue or shutdown).
 # TYPE reuselens_jobs_rejected_total counter
 reuselens_jobs_rejected_total 290
+# HELP reuselens_traces_resident_hit_total Replay jobs served a resident, verified trace.
+# TYPE reuselens_traces_resident_hit_total counter
+reuselens_traces_resident_hit_total 300
+# HELP reuselens_traces_resident_miss_total Replay jobs that loaded their trace from the store.
+# TYPE reuselens_traces_resident_miss_total counter
+reuselens_traces_resident_miss_total 310
 # HELP reuselens_budget_events Events replayed at the latest budget checkpoint.
 # TYPE reuselens_budget_events gauge
 reuselens_budget_events 7
@@ -255,6 +261,8 @@ counters
   jobs_completed                          270
   jobs_failed                             280
   jobs_rejected                           290
+  traces_resident_hit                     300
+  traces_resident_miss                    310
 gauges
   budget_events                             7
   budget_distinct_blocks                   14

@@ -96,8 +96,11 @@ rm -rf "$SRV_TMP"
 # Daemon CLI smoke: start `reuselens serve` over stdin with one worker
 # (serial semantics, so the replays see the capture), run a capture and
 # two replays saving profiles to disk, and require the two saved profile
-# files byte-identical — the stored trace round-trips deterministically.
-# EOF on stdin is the clean-shutdown path.
+# files byte-identical. Those replays use the buffer the daemon kept
+# from the capture, so a second daemon process over the same store then
+# replays the trace cold (loaded and verified from disk), and its saved
+# profile must match too — the stored trace round-trips
+# deterministically. EOF on stdin is the clean-shutdown path.
 DMN_TMP="target/verify-daemon"
 rm -rf "$DMN_TMP" && mkdir -p "$DMN_TMP"
 printf '%s\n' \
@@ -111,6 +114,15 @@ printf '%s\n' \
          cat "$DMN_TMP/responses.ndjson" >&2; exit 1; }
 cmp "$DMN_TMP/a.rlp" "$DMN_TMP/b.rlp" \
     || { echo "verify: daemon replays disagree" >&2; exit 1; }
+printf '%s\n' \
+    '{"kind":"replay","id":"smoke","grains":[64],"save":"target/verify-daemon/c.rlp"}' \
+    | ./target/release/reuselens serve --store "$DMN_TMP/store" \
+        --stdin --workers 1 > "$DMN_TMP/cold.ndjson" 2>/dev/null
+grep -q '"ok":true' "$DMN_TMP/cold.ndjson" \
+    || { echo "verify: cold daemon replay failed" >&2; \
+         cat "$DMN_TMP/cold.ndjson" >&2; exit 1; }
+cmp "$DMN_TMP/a.rlp" "$DMN_TMP/c.rlp" \
+    || { echo "verify: resident and cold daemon replays disagree" >&2; exit 1; }
 rm -rf "$DMN_TMP"
 
 # Informational perf smoke: exercises the bench-runner end to end and

@@ -8,7 +8,7 @@
 //! | kind       | does                                                    |
 //! |------------|---------------------------------------------------------|
 //! | `capture`  | build a workload, capture its trace, store it under `id`|
-//! | `replay`   | load a stored trace, replay it at the requested grains  |
+//! | `replay`   | replay a stored trace at the requested grains           |
 //! | `estimate` | run the zero-trace symbolic estimator on a workload     |
 //! | `list`     | enumerate stored traces                                 |
 //! | `evict`    | remove a stored trace (index first, then segments)      |
@@ -45,8 +45,23 @@
 //! in one write ([`obs::net::send`]), which on a `TCP_NODELAY` socket
 //! means no reply waits on the client's delayed ACK.
 //!
-//! Telemetry rides the PR 9 plumbing: `jobs_accepted` /
-//! `jobs_completed` / `jobs_failed` / `jobs_rejected` counters, the
+//! # Resident traces
+//!
+//! The daemon keeps each verified trace in memory, keyed by trace id and
+//! the index entry's image CRC. `capture` keeps the buffer it stored; a
+//! `replay` of a resident trace clones it under the store lock and
+//! replays with no lock held; any other `replay` loads the trace with
+//! [`TraceStore::get`] (every CRC checked, the image re-imported) and
+//! keeps it; `evict` drops it. A trace is therefore verified when it is
+//! captured or loaded and stays as verified: damage to its files on disk
+//! after that is seen only by the next load, after a least-recently-used
+//! eviction, an `evict` or a restart. Resident memory is bounded by
+//! `RESIDENT_BYTES` of encoded columns; a trace larger than the whole
+//! bound is served but not kept.
+//!
+//! Telemetry rides the obs plumbing: `jobs_accepted` /
+//! `jobs_completed` / `jobs_failed` / `jobs_rejected` counters,
+//! `traces_resident_hit` / `traces_resident_miss` per replay, the
 //! `job_queue_depth` gauge, per-job JSONL events, and a `/jobs` HTTP
 //! endpoint fed by [`Daemon::jobs_callback`].
 
@@ -57,12 +72,13 @@ use reuselens_core::{
 use reuselens_metrics::run_locality_estimate;
 use reuselens_obs as obs;
 use reuselens_obs::json::{self, Json};
-use reuselens_store::{self as store, StoreError, TraceMeta, TraceStore};
+use reuselens_store::{self as store, StoreError, TraceEntry, TraceMeta, TraceStore};
+use reuselens_trace::TraceBuffer;
 use reuselens_workloads::gtc::{build as build_gtc, GtcConfig, GtcTransforms};
 use reuselens_workloads::kernels;
 use reuselens_workloads::sweep3d::{build as build_sweep, SweepConfig};
 use reuselens_workloads::BuiltWorkload;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
@@ -831,8 +847,128 @@ struct State {
     stop: bool,
 }
 
+/// Byte bound on the imported traces a daemon keeps resident, charged
+/// as each buffer's [`TraceBuffer::encoded_bytes`].
+const RESIDENT_BYTES: u64 = 256 << 20;
+
+/// Imported traces kept in memory so replay jobs skip the store load.
+/// A slot is keyed by trace id and the index entry's image CRC, so a
+/// buffer is only ever served for the image it was verified against.
+/// Slots are charged their encoded bytes against `bound`; the least
+/// recently used slot goes first, and a buffer larger than the whole
+/// bound is not kept at all.
+struct Resident {
+    bound: u64,
+    bytes: u64,
+    /// Use clock: each `get` hit and `insert` stamps its slot.
+    tick: u64,
+    slots: HashMap<String, Slot>,
+}
+
+struct Slot {
+    image_crc: u32,
+    buffer: Arc<TraceBuffer>,
+    last_used: u64,
+}
+
+impl Resident {
+    fn new(bound: u64) -> Resident {
+        Resident {
+            bound,
+            bytes: 0,
+            tick: 0,
+            slots: HashMap::new(),
+        }
+    }
+
+    /// The buffer resident for `id` at `image_crc`, now the most recently
+    /// used. A slot holding another image of `id` is dropped unserved.
+    fn get(&mut self, id: &str, image_crc: u32) -> Option<Arc<TraceBuffer>> {
+        self.tick += 1;
+        match self.slots.get_mut(id) {
+            Some(slot) if slot.image_crc == image_crc => {
+                slot.last_used = self.tick;
+                Some(slot.buffer.clone())
+            }
+            Some(_) => {
+                self.remove(id);
+                None
+            }
+            None => None,
+        }
+    }
+
+    /// Keeps `buffer` as `id`'s image `image_crc`, evicting least
+    /// recently used slots until it fits.
+    fn insert(&mut self, id: &str, image_crc: u32, buffer: Arc<TraceBuffer>) {
+        self.remove(id);
+        let charge = buffer.encoded_bytes();
+        if charge > self.bound {
+            return;
+        }
+        while self.bytes + charge > self.bound {
+            let Some(oldest) = self
+                .slots
+                .iter()
+                .min_by_key(|(_, slot)| slot.last_used)
+                .map(|(id, _)| id.clone())
+            else {
+                break;
+            };
+            self.remove(&oldest);
+        }
+        self.tick += 1;
+        self.bytes += charge;
+        self.slots.insert(
+            id.to_string(),
+            Slot {
+                image_crc,
+                buffer,
+                last_used: self.tick,
+            },
+        );
+    }
+
+    fn remove(&mut self, id: &str) {
+        if let Some(slot) = self.slots.remove(id) {
+            self.bytes -= slot.buffer.encoded_bytes();
+        }
+    }
+}
+
+/// The trace store and its resident buffers, behind one mutex.
+struct Traces {
+    store: TraceStore,
+    resident: Resident,
+}
+
+impl Traces {
+    /// The verified buffer of stored trace `id`, with its index entry:
+    /// the resident copy of the entry's image when there is one, else a
+    /// fresh load from the store, which is then kept resident.
+    fn load(&mut self, id: &str) -> Result<(Arc<TraceBuffer>, &TraceEntry), StoreError> {
+        let entry = self
+            .store
+            .entry(id)
+            .ok_or_else(|| StoreError::UnknownTrace { id: id.to_string() })?;
+        let buffer = match self.resident.get(id, entry.image_crc) {
+            Some(buffer) => {
+                obs::add(obs::Counter::TracesResidentHit, 1);
+                buffer
+            }
+            None => {
+                obs::add(obs::Counter::TracesResidentMiss, 1);
+                let buffer = Arc::new(self.store.get(id)?);
+                self.resident.insert(id, entry.image_crc, buffer.clone());
+                buffer
+            }
+        };
+        Ok((buffer, entry))
+    }
+}
+
 struct Shared {
-    store: Mutex<TraceStore>,
+    traces: Mutex<Traces>,
     state: Mutex<State>,
     work: Condvar,
     completion_seq: AtomicU64,
@@ -848,8 +984,8 @@ impl Shared {
         }
     }
 
-    fn lock_store(&self) -> MutexGuard<'_, TraceStore> {
-        match self.store.lock() {
+    fn lock_traces(&self) -> MutexGuard<'_, Traces> {
+        match self.traces.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         }
@@ -884,7 +1020,10 @@ impl Daemon {
     pub fn start(config: DaemonConfig) -> Result<Daemon, StoreError> {
         let store = TraceStore::open(&config.store_dir)?;
         let shared = Arc::new(Shared {
-            store: Mutex::new(store),
+            traces: Mutex::new(Traces {
+                store,
+                resident: Resident::new(RESIDENT_BYTES),
+            }),
             state: Mutex::new(State {
                 queue: VecDeque::new(),
                 records: Vec::new(),
@@ -1198,9 +1337,9 @@ fn execute(shared: &Arc<Shared>, job: &str, request: &Request) -> Result<String,
             Ok(format!("\"slept_ms\":{ms}"))
         }
         Request::List => {
-            let store = shared.lock_store();
+            let traces = shared.lock_traces();
             let mut payload = String::from("\"traces\":[");
-            for (i, t) in store.list().iter().enumerate() {
+            for (i, t) in traces.store.list().iter().enumerate() {
                 if i > 0 {
                     payload.push(',');
                 }
@@ -1220,8 +1359,9 @@ fn execute(shared: &Arc<Shared>, job: &str, request: &Request) -> Result<String,
             Ok(payload)
         }
         Request::Evict { id } => {
-            let mut store = shared.lock_store();
-            store.evict(id)?;
+            let mut traces = shared.lock_traces();
+            traces.store.evict(id)?;
+            traces.resident.remove(id);
             Ok(format!("\"evicted\":\"{}\"", json::escape(id)))
         }
         Request::Capture { id, spec, grains } => {
@@ -1232,8 +1372,12 @@ fn execute(shared: &Arc<Shared>, job: &str, request: &Request) -> Result<String,
                 workload: spec.to_spec_string(),
                 grains: grains.clone(),
             };
-            let mut store = shared.lock_store();
-            let entry = store.put(id, &buffer, meta)?;
+            let mut guard = shared.lock_traces();
+            let traces = &mut *guard;
+            let entry = traces.store.put(id, &buffer, meta)?;
+            traces
+                .resident
+                .insert(id, entry.image_crc, Arc::new(buffer));
             Ok(format!(
                 "\"id\":\"{}\",\"events\":{},\"accesses\":{},\"image_len\":{},\
                  \"image_crc\":{},\"segments\":{}",
@@ -1250,13 +1394,11 @@ fn execute(shared: &Arc<Shared>, job: &str, request: &Request) -> Result<String,
             let spec = match source {
                 EstimateSource::Spec(spec) => spec.clone(),
                 EstimateSource::Stored(id) => {
-                    let store = shared.lock_store();
-                    let entry =
-                        store
-                            .entry(id)
-                            .ok_or_else(|| StoreError::UnknownTrace {
-                                id: id.clone(),
-                            })?;
+                    let traces = shared.lock_traces();
+                    let entry = traces
+                        .store
+                        .entry(id)
+                        .ok_or_else(|| StoreError::UnknownTrace { id: id.clone() })?;
                     WorkloadSpec::from_spec_string(&entry.meta.workload)?
                 }
             };
@@ -1293,19 +1435,17 @@ fn execute_replay(
     job: &str,
     req: &ReplayRequest,
 ) -> Result<String, ServeError> {
-    // Read the entry + buffer under the store lock, then analyze without
-    // holding it so sibling jobs can use the store meanwhile.
+    // Look the trace up under the store lock, loading it only when it is
+    // not resident, then analyze without holding the lock so sibling jobs
+    // can use the store meanwhile.
     let (buffer, spec_string, stored_grains) = {
-        let store = shared.lock_store();
-        let entry = store
-            .entry(&req.id)
-            .ok_or_else(|| StoreError::UnknownTrace {
-                id: req.id.clone(),
-            })?;
-        let spec_string = entry.meta.workload.clone();
-        let stored_grains = entry.meta.grains.clone();
-        let buffer = store.get(&req.id)?;
-        (buffer, spec_string, stored_grains)
+        let mut traces = shared.lock_traces();
+        let (buffer, entry) = traces.load(&req.id)?;
+        (
+            buffer,
+            entry.meta.workload.clone(),
+            entry.meta.grains.clone(),
+        )
     };
     let grains = if req.grains.is_empty() {
         stored_grains
@@ -1722,6 +1862,116 @@ mod tests {
             .expect("queue_ms field");
         assert!(queue_ms >= 150.0, "{json}");
         daemon.shutdown();
+    }
+
+    /// A small captured buffer and its charge against a resident bound.
+    fn small_buffer() -> (Arc<TraceBuffer>, u64) {
+        let w = WorkloadSpec::from_spec_string("kernel:stencil")
+            .and_then(|spec| spec.build())
+            .expect("build kernel");
+        let (buffer, _) = capture_program(&w.program, w.index_arrays).expect("capture");
+        let bytes = buffer.encoded_bytes();
+        (Arc::new(buffer), bytes)
+    }
+
+    #[test]
+    fn resident_evicts_the_least_recently_used_slot_first() {
+        let (buffer, bytes) = small_buffer();
+        let mut resident = Resident::new(2 * bytes);
+        resident.insert("a", 1, buffer.clone());
+        resident.insert("b", 2, buffer.clone());
+        resident.insert("c", 3, buffer.clone());
+        assert!(resident.get("a", 1).is_none(), "oldest slot must go first");
+        assert!(resident.get("b", 2).is_some());
+        assert!(resident.get("c", 3).is_some());
+        assert_eq!(resident.bytes, 2 * bytes);
+    }
+
+    #[test]
+    fn resident_keeps_a_touched_slot() {
+        let (buffer, bytes) = small_buffer();
+        let mut resident = Resident::new(2 * bytes);
+        resident.insert("a", 1, buffer.clone());
+        resident.insert("b", 2, buffer.clone());
+        assert!(resident.get("a", 1).is_some());
+        resident.insert("c", 3, buffer.clone());
+        assert!(resident.get("a", 1).is_some(), "touched slot must survive");
+        assert!(resident.get("b", 2).is_none(), "untouched slot goes first");
+        assert!(resident.get("c", 3).is_some());
+    }
+
+    #[test]
+    fn resident_never_serves_another_image_of_the_id() {
+        let (buffer, _) = small_buffer();
+        let mut resident = Resident::new(RESIDENT_BYTES);
+        resident.insert("a", 1, buffer);
+        assert!(resident.get("a", 2).is_none());
+        assert!(resident.get("a", 1).is_none(), "a stale slot is dropped");
+        assert_eq!(resident.bytes, 0);
+    }
+
+    #[test]
+    fn over_bound_trace_is_served_but_not_kept() {
+        let (buffer, bytes) = small_buffer();
+        let mut store = TraceStore::open(tmpdir("over-bound")).expect("open store");
+        store
+            .put("big", &buffer, TraceMeta::default())
+            .expect("put trace");
+        let mut traces = Traces {
+            store,
+            resident: Resident::new(bytes - 1),
+        };
+        for _ in 0..2 {
+            let (served, entry) = traces.load("big").expect("load");
+            assert_eq!(served.export(), buffer.export());
+            assert_eq!(entry.events, buffer.events());
+            assert!(traces.resident.slots.is_empty(), "over-bound trace kept");
+            assert_eq!(traces.resident.bytes, 0);
+        }
+    }
+
+    #[test]
+    fn replays_after_a_capture_hit_the_resident_trace() {
+        let recorder = Arc::new(obs::MetricsRecorder::new());
+        let _scope = obs::Obs::from(recorder.clone()).enter();
+        let ok = |daemon: &Daemon, line: &[u8]| {
+            let r = recv(daemon.submit_line(line));
+            assert!(r.contains("\"ok\":true"), "{r}");
+        };
+        let capture = br#"{"kind":"capture","id":"t","workload":"kernel:stream","grains":[64]}"#;
+        let replay = br#"{"kind":"replay","id":"t"}"#;
+        const REPLAYS: u64 = 3;
+        let dir = tmpdir("resident-counters");
+        let daemon = Daemon::start(DaemonConfig::new(&dir)).expect("start daemon");
+        ok(&daemon, capture);
+        for _ in 0..REPLAYS {
+            ok(&daemon, replay);
+        }
+        ok(&daemon, br#"{"kind":"evict","id":"t"}"#);
+        let gone = recv(daemon.submit_line(replay));
+        assert!(gone.contains("\"type\":\"unknown-trace\""), "{gone}");
+        ok(&daemon, capture);
+        daemon.shutdown();
+        let hits = recorder.counter(obs::Counter::TracesResidentHit);
+        let misses = recorder.counter(obs::Counter::TracesResidentMiss);
+        assert_eq!(
+            hits + misses,
+            REPLAYS,
+            "one count per replay that found its trace"
+        );
+        assert_eq!(misses, 0, "a fresh capture is never reloaded");
+
+        // A second daemon over the same store loads the trace once.
+        let daemon = Daemon::start(DaemonConfig::new(&dir)).expect("restart daemon");
+        for _ in 0..REPLAYS {
+            ok(&daemon, replay);
+        }
+        daemon.shutdown();
+        assert_eq!(recorder.counter(obs::Counter::TracesResidentMiss), 1);
+        assert_eq!(
+            recorder.counter(obs::Counter::TracesResidentHit),
+            hits + REPLAYS - 1
+        );
     }
 
     #[test]

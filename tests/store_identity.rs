@@ -161,3 +161,115 @@ fn daemon_replay_crc_is_stable_across_reopen() {
     };
     assert_eq!(crc(&r2), crc(&r3), "replay CRC changed across daemon restart");
 }
+
+/// The value of a numeric response field, e.g. `"events":N`.
+fn response_u64(resp: &str, field: &str) -> u64 {
+    let key = format!("\"{field}\":");
+    let at = resp
+        .find(&key)
+        .unwrap_or_else(|| panic!("no {field} in {resp}"))
+        + key.len();
+    resp[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect::<String>()
+        .parse()
+        .unwrap_or_else(|_| panic!("bad {field} in {resp}"))
+}
+
+/// A replay the daemon serves from the buffer it keeps resident after a
+/// capture saves the same profile bytes as a fresh store load replayed
+/// in-process.
+#[test]
+fn daemon_resident_replay_saves_the_fresh_load_profile() {
+    use reuselens::serve::{Daemon, DaemonConfig, WorkloadSpec};
+
+    let dir = tmpdir("resident");
+    let saved = dir.with_extension("rlp");
+    let capture = br#"{"kind":"capture","id":"s1","workload":"sweep3d","mesh":6}"#;
+    let replay = format!(
+        r#"{{"kind":"replay","id":"s1","grains":[1,64,4096],"save":"{}"}}"#,
+        saved.display()
+    );
+    let daemon = Daemon::start(DaemonConfig::new(&dir)).expect("start daemon");
+    let r1 = daemon
+        .submit_line(capture)
+        .recv()
+        .expect("capture response");
+    assert!(r1.contains("\"ok\":true"), "{r1}");
+    for _ in 0..2 {
+        let r = daemon
+            .submit_line(replay.as_bytes())
+            .recv()
+            .expect("replay");
+        assert!(r.contains("\"ok\":true"), "{r}");
+    }
+    daemon.shutdown();
+    let resident = std::fs::read(&saved).expect("read saved profile");
+
+    let stored = TraceStore::open(&dir)
+        .expect("re-open store")
+        .get("s1")
+        .expect("fresh load");
+    let w = WorkloadSpec::from_spec_string("sweep3d mesh=6")
+        .and_then(|spec| spec.build())
+        .expect("build workload");
+    let fresh = analyze_buffer_with(&w.program, &stored, &GRAINS, &AnalyzeOptions::default());
+    assert!(fresh.failures.is_empty(), "fresh replay failed");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&saved);
+    assert_eq!(
+        resident,
+        profile_bytes(w.program.name(), &fresh.profiles),
+        "resident replay's saved profile differs from a fresh load's"
+    );
+}
+
+/// Evicting a trace and capturing another workload under the same id
+/// must never let a replay see the first workload's buffer.
+#[test]
+fn replay_after_evict_and_recapture_serves_the_new_trace() {
+    use reuselens::serve::{Daemon, DaemonConfig, WorkloadSpec};
+
+    let dir = tmpdir("recapture");
+    let daemon = Daemon::start(DaemonConfig::new(&dir)).expect("start daemon");
+    let call = |line: &str| {
+        let r = daemon
+            .submit_line(line.as_bytes())
+            .recv()
+            .expect("response");
+        assert!(r.contains("\"ok\":true"), "{line} answered {r}");
+        r
+    };
+    let a = call(r#"{"kind":"capture","id":"t","workload":"kernel:stream"}"#);
+    let a_replay = call(r#"{"kind":"replay","id":"t","grains":[64]}"#);
+    call(r#"{"kind":"evict","id":"t"}"#);
+    let b = call(r#"{"kind":"capture","id":"t","workload":"kernel:stencil"}"#);
+    let b_replay = call(r#"{"kind":"replay","id":"t","grains":[64]}"#);
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let w = WorkloadSpec::from_spec_string("kernel:stencil")
+        .and_then(|spec| spec.build())
+        .expect("build workload");
+    let (buffer, _) = capture_program(&w.program, w.index_arrays.clone()).expect("capture");
+    let profiles = analyze_buffer_with(&w.program, &buffer, &[64], &AnalyzeOptions::default());
+    assert!(profiles.failures.is_empty(), "in-process replay failed");
+    let b_crc = u64::from(reuselens::store::crc32(&profile_bytes(
+        w.program.name(),
+        &profiles.profiles,
+    )));
+
+    assert_ne!(response_u64(&a, "events"), response_u64(&b, "events"));
+    assert_eq!(
+        response_u64(&a_replay, "events"),
+        response_u64(&a, "events")
+    );
+    assert_eq!(response_u64(&b_replay, "events"), buffer.events());
+    assert_eq!(response_u64(&b_replay, "profiles_crc"), b_crc);
+    assert_ne!(
+        response_u64(&a_replay, "profiles_crc"),
+        b_crc,
+        "the two workloads must be told apart by their profiles"
+    );
+}
