@@ -30,12 +30,19 @@ fn scratch(name: &str) -> PathBuf {
 #[test]
 fn smoke_report_carries_every_layer_row() {
     let out = scratch("report.json");
-    let status = Command::new(env!("CARGO_BIN_EXE_bench-runner"))
+    // Capture the runner's output rather than inheriting it, so its rows
+    // cannot interleave with the test harness's own result lines.
+    let output = Command::new(env!("CARGO_BIN_EXE_bench-runner"))
         .args(["--smoke", "--out"])
         .arg(&out)
-        .status()
+        .output()
         .unwrap();
-    assert!(status.success(), "{status}");
+    assert!(
+        output.status.success(),
+        "{}\n{}",
+        output.status,
+        String::from_utf8_lossy(&output.stderr)
+    );
     let report = BenchReport::from_json(&std::fs::read_to_string(&out).unwrap()).unwrap();
     std::fs::remove_file(&out).ok();
 
