@@ -350,9 +350,7 @@ impl<'p> Advisor<'p> {
     }
 
     fn same_routine(&self, scopes: &[ScopeId]) -> bool {
-        let mut routines = scopes
-            .iter()
-            .map(|&s| self.program.routine_of(s));
+        let mut routines = scopes.iter().map(|&s| self.program.routine_of(s));
         let first = routines.next().flatten();
         first.is_some() && routines.all(|r| r == first)
     }
@@ -529,7 +527,9 @@ mod tests {
         let prog = p.finish();
         // Scattered particle->grid map: consecutive particles touch far
         // apart grid cells.
-        let idx: Vec<i64> = (0..particles).map(|k| ((k * 2654435761) % n) as i64).collect();
+        let idx: Vec<i64> = (0..particles)
+            .map(|k| ((k * 2654435761) % n) as i64)
+            .collect();
         let la = run_locality_analysis(
             &prog,
             &MemoryHierarchy::itanium2_scaled(16),
@@ -551,7 +551,9 @@ mod tests {
             dest: ScopeId(2),
         };
         assert!(t.to_string().contains("fuse"));
-        let t = Transformation::TimeSkewingOrAccept { carrier: ScopeId(3) };
+        let t = Transformation::TimeSkewingOrAccept {
+            carrier: ScopeId(3),
+        };
         assert!(t.to_string().contains("time-skew"));
     }
 

@@ -33,8 +33,7 @@ fn main() {
         let label = GtcTransforms::label(n);
         let mut rows: Vec<[f64; 4]> = Vec::new();
         for &micell in &micells {
-            let cfg = GtcConfig::new(mgrid, micell)
-                .with_transforms(GtcTransforms::cumulative(n));
+            let cfg = GtcConfig::new(mgrid, micell).with_transforms(GtcTransforms::cumulative(n));
             let w = build(&cfg);
             let (report, _) =
                 evaluate_program(&w.program, &h, w.index_arrays.clone()).expect("gtc runs");

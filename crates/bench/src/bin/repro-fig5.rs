@@ -17,8 +17,8 @@ fn main() {
     let w = build(&cfg);
     let h = hierarchy();
     eprintln!("running sweep3d mesh={mesh} on {h} ...");
-    let la = run_locality_analysis(&w.program, &h, w.index_arrays.clone())
-        .expect("sweep3d executes");
+    let la =
+        run_locality_analysis(&w.program, &h, w.index_arrays.clone()).expect("sweep3d executes");
 
     println!("== Paper Fig. 5: carried misses per scope (Sweep3D, mesh {mesh}^3) ==\n");
     print!(

@@ -27,12 +27,36 @@ fn main() {
         })
         .unwrap_or_else(|_| vec![8, 10, 12, 14, 16, 20]);
     let variants = [
-        Variant { label: "Original", block: 1, dim_ic: false },
-        Variant { label: "Block size 1", block: 1, dim_ic: false },
-        Variant { label: "Block size 2", block: 2, dim_ic: false },
-        Variant { label: "Block size 3", block: 3, dim_ic: false },
-        Variant { label: "Block size 6", block: 6, dim_ic: false },
-        Variant { label: "Blk6 + dimIC", block: 6, dim_ic: true },
+        Variant {
+            label: "Original",
+            block: 1,
+            dim_ic: false,
+        },
+        Variant {
+            label: "Block size 1",
+            block: 1,
+            dim_ic: false,
+        },
+        Variant {
+            label: "Block size 2",
+            block: 2,
+            dim_ic: false,
+        },
+        Variant {
+            label: "Block size 3",
+            block: 3,
+            dim_ic: false,
+        },
+        Variant {
+            label: "Block size 6",
+            block: 6,
+            dim_ic: false,
+        },
+        Variant {
+            label: "Blk6 + dimIC",
+            block: 6,
+            dim_ic: true,
+        },
     ];
     let h = hierarchy();
     eprintln!("hierarchy: {h}");
@@ -100,15 +124,16 @@ fn main() {
     let b1 = at_last("Block size 1", 0);
     let b6 = at_last("Block size 6", 0);
     let best = at_last("Blk6 + dimIC", 0);
-    println!("  original == block1 (L2/cell): {} == {}", num(orig), num(b1));
+    println!(
+        "  original == block1 (L2/cell): {} == {}",
+        num(orig),
+        num(b1)
+    );
     println!(
         "  L2 reduction block6 vs original: {:.2}x (paper: integer factors)",
         orig / b6
     );
-    println!(
-        "  L2 reduction blk6+dimIC vs original: {:.2}x",
-        orig / best
-    );
+    println!("  L2 reduction blk6+dimIC vs original: {:.2}x", orig / best);
     println!(
         "  TLB reduction blk6+dimIC vs original: {:.2}x",
         at_last("Original", 2) / at_last("Blk6 + dimIC", 2)

@@ -43,8 +43,10 @@ fn main() {
             l3.by_array[a.index()]
         })
         .sum();
-    println!("\nzion+zion0 share of all fragmentation misses: {:.1}% (paper ~95%)",
-        100.0 * zion_frag / total_frag);
+    println!(
+        "\nzion+zion0 share of all fragmentation misses: {:.1}% (paper ~95%)",
+        100.0 * zion_frag / total_frag
+    );
     println!(
         "fragmentation share of zion's own misses:      {:.1}% (paper ~48%)",
         100.0 * zion_frag / zion_total

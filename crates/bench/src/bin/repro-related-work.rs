@@ -66,7 +66,11 @@ fn main() {
     println!("  at largest mesh:  {:.2}", last_ratio);
     println!(
         "  => the iq-targeted tuning tails off relative to idiag-targeted tuning: {}",
-        if last_ratio < first_ratio { "yes" } else { "NO" }
+        if last_ratio < first_ratio {
+            "yes"
+        } else {
+            "NO"
+        }
     );
     println!("  (and the DZ restructuring sacrifices the sweep's wavefront parallelism,");
     println!("   which the paper identifies as its hidden cost)");

@@ -1,11 +1,11 @@
 //! Reproduces the paper's Table I: builds one program per scenario row and
 //! shows that the advisor recommends the table's transformation.
 
-use reuselens_prng::SplitMix64;
 use reuselens::advisor::{Advisor, Transformation};
 use reuselens::ir::{Expr, Program, ProgramBuilder};
 use reuselens::metrics::run_locality_analysis;
 use reuselens_bench::hierarchy;
+use reuselens_prng::SplitMix64;
 
 fn scenario_fragmentation() -> (Program, Vec<(reuselens::ir::ArrayId, Vec<i64>)>) {
     let n = 16384u64;
@@ -32,7 +32,9 @@ fn scenario_irregular() -> (Program, Vec<(reuselens::ir::ArrayId, Vec<i64>)>) {
         });
     });
     let mut rng = SplitMix64::seed_from_u64(7);
-    let idx = (0..particles).map(|_| rng.gen_range(0..grid) as i64).collect();
+    let idx = (0..particles)
+        .map(|_| rng.gen_range(0..grid) as i64)
+        .collect();
     (p.finish(), vec![(ix, idx)])
 }
 
@@ -123,17 +125,41 @@ fn main() {
     println!("== Paper Table I: recommended transformations per scenario ==\n");
     println!("{:<22} {:<30} paper says", "scenario", "top recommendation");
     let rows: Vec<(&str, Scenario, &str, bool)> = vec![
-        ("fragmentation", scenario_fragmentation, "split the array", false),
-        ("irregular, S==D", scenario_irregular, "data/computation reordering", false),
-        ("S==D, C outer loop", scenario_interchange, "loop interchange", false),
+        (
+            "fragmentation",
+            scenario_fragmentation,
+            "split the array",
+            false,
+        ),
+        (
+            "irregular, S==D",
+            scenario_irregular,
+            "data/computation reordering",
+            false,
+        ),
+        (
+            "S==D, C outer loop",
+            scenario_interchange,
+            "loop interchange",
+            false,
+        ),
         ("S!=D, same routine", scenario_fusion, "fuse S and D", false),
-        ("S/D across routines", scenario_strip_mine, "strip-mine + promote", false),
-        ("C is time loop", scenario_time_loop, "time skew / accept", true),
+        (
+            "S/D across routines",
+            scenario_strip_mine,
+            "strip-mine + promote",
+            false,
+        ),
+        (
+            "C is time loop",
+            scenario_time_loop,
+            "time skew / accept",
+            true,
+        ),
     ];
     for (name, builder, paper, mark_time_loops) in rows {
         let (prog, index) = builder();
-        let la = run_locality_analysis(&prog, &hierarchy(), index)
-            .expect("scenario executes");
+        let la = run_locality_analysis(&prog, &hierarchy(), index).expect("scenario executes");
         let mut advisor = Advisor::new(&prog);
         if mark_time_loops {
             advisor = advisor.with_time_loops(reuselens::advisor::detect_time_loops(&prog));

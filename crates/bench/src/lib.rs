@@ -64,7 +64,12 @@ pub fn ascii_chart(title: &str, xs: &[String], series: &[(String, Vec<f64>)]) ->
         .iter()
         .flat_map(|(_, ys)| ys.iter().copied())
         .fold(0.0f64, f64::max);
-    let label_w = series.iter().map(|(l, _)| l.len()).max().unwrap_or(0).max(8);
+    let label_w = series
+        .iter()
+        .map(|(l, _)| l.len())
+        .max()
+        .unwrap_or(0)
+        .max(8);
     let mut out = format!("{title} (bar height ∝ value, max {max:.3})\n");
     for (label, ys) in series {
         out.push_str(&format!("{label:<label_w$} "));

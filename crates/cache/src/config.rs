@@ -231,12 +231,7 @@ impl MemoryHierarchy {
                 level.assoc,
             );
         }
-        h.tlb = CacheConfig::tlb(
-            "TLB",
-            h.tlb.blocks() / factor,
-            h.tlb.line_size,
-            Assoc::Full,
-        );
+        h.tlb = CacheConfig::tlb("TLB", h.tlb.blocks() / factor, h.tlb.line_size, Assoc::Full);
         h
     }
 
@@ -384,13 +379,20 @@ mod tests {
 
         let mut h = MemoryHierarchy::itanium2();
         h.tlb.name = "L3".to_string();
-        assert!(matches!(h.validate(), Err(ConfigError::DuplicateLevel { .. })));
+        assert!(matches!(
+            h.validate(),
+            Err(ConfigError::DuplicateLevel { .. })
+        ));
 
         let mut h = MemoryHierarchy::itanium2();
         h.miss_penalty.pop();
         assert!(matches!(
             h.validate(),
-            Err(ConfigError::PenaltyMismatch { levels: 2, penalties: 1, .. })
+            Err(ConfigError::PenaltyMismatch {
+                levels: 2,
+                penalties: 1,
+                ..
+            })
         ));
 
         // A level mutated into invalidity after construction is caught too.

@@ -162,7 +162,10 @@ impl fmt::Display for ReuseLensError {
             ReuseLensError::GrainFailed {
                 block_size,
                 message,
-            } => write!(f, "replay thread for grain {block_size} panicked: {message}"),
+            } => write!(
+                f,
+                "replay thread for grain {block_size} panicked: {message}"
+            ),
             ReuseLensError::SweepPanicked { hierarchy, message } => write!(
                 f,
                 "scoring thread for hierarchy {hierarchy:?} panicked: {message}"

@@ -237,7 +237,7 @@ fn score_hierarchy(
                     hierarchy: h.name.clone(),
                     message: panic_message(payload.as_ref()),
                 },
-            })
+            });
         }
     };
     Ok((
@@ -417,8 +417,7 @@ mod tests {
         let prog = streaming_program(1 << 14, 3);
         let hierarchies: Vec<MemoryHierarchy> =
             [1u64, 2, 4, 8].map(MemoryHierarchy::itanium2_scaled).into();
-        let (reports, analysis) =
-            evaluate_program_sweep(&prog, &hierarchies, vec![]).unwrap();
+        let (reports, analysis) = evaluate_program_sweep(&prog, &hierarchies, vec![]).unwrap();
         assert_eq!(reports.len(), hierarchies.len());
         for (got, h) in reports.iter().zip(&hierarchies) {
             let want = report_from_analysis(&analysis, h);
@@ -428,8 +427,7 @@ mod tests {
         let (again, timings) = evaluate_sweep(&analysis, &hierarchies).unwrap();
         assert_eq!(again, reports);
         let names: Vec<&str> = timings.iter().map(|t| t.hierarchy.as_str()).collect();
-        let want_names: Vec<&str> =
-            hierarchies.iter().map(|h| h.name.as_str()).collect();
+        let want_names: Vec<&str> = hierarchies.iter().map(|h| h.name.as_str()).collect();
         assert_eq!(names, want_names);
     }
 }

@@ -181,9 +181,7 @@ pub fn predict_level(profile: &ReuseProfile, config: &CacheConfig) -> LevelPredi
     for p in &profile.patterns {
         let misses = match config.assoc {
             Assoc::Full => p.histogram.count_ge(config.blocks()),
-            _ => p
-                .histogram
-                .expected_misses(|d| miss_probability(config, d)),
+            _ => p.histogram.expected_misses(|d| miss_probability(config, d)),
         };
         total += misses;
         per_pattern.push((p.key, misses));
@@ -200,9 +198,9 @@ pub fn predict_level(profile: &ReuseProfile, config: &CacheConfig) -> LevelPredi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reuselens_prng::SplitMix64;
     use reuselens_core::{Histogram, ReusePattern};
     use reuselens_ir::{RefId, ScopeId};
+    use reuselens_prng::SplitMix64;
 
     #[test]
     fn binomial_tail_edge_cases() {
@@ -249,9 +247,7 @@ mod tests {
             assert!((curve.last().unwrap().1 - cold as f64).abs() < 1e-9);
             // A 1-block cache misses every non-zero-distance reuse.
             let zero_dist = ds.iter().filter(|&&d| d == 0).count() as f64;
-            assert!(
-                (curve[0].1 - (cold as f64 + ds.len() as f64 - zero_dist)).abs() < 1e-9
-            );
+            assert!((curve[0].1 - (cold as f64 + ds.len() as f64 - zero_dist)).abs() < 1e-9);
         }
     }
 }

@@ -185,8 +185,8 @@ impl TraceSink for HierarchySim {
 mod tests {
     use super::*;
     use crate::config::{Assoc, MemoryHierarchy};
-    use reuselens_prng::SplitMix64;
     use reuselens_core::oracle;
+    use reuselens_prng::SplitMix64;
 
     #[test]
     fn direct_mapped_conflicts() {
@@ -223,8 +223,7 @@ mod tests {
             for &a in &addrs {
                 sim.access(RefId(0), a, 8, AccessKind::Load);
             }
-            let expected =
-                oracle::fully_associative_misses(&addrs, 64, cap_blocks as usize);
+            let expected = oracle::fully_associative_misses(&addrs, 64, cap_blocks as usize);
             assert_eq!(sim.misses(), expected);
         }
     }

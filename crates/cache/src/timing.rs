@@ -23,9 +23,7 @@ pub struct TimingBreakdown {
 impl TimingBreakdown {
     /// Total predicted cycles.
     pub fn total(&self) -> f64 {
-        self.non_stall
-            + self.level_stall[..self.level_count].iter().sum::<f64>()
-            + self.tlb_stall
+        self.non_stall + self.level_stall[..self.level_count].iter().sum::<f64>() + self.tlb_stall
     }
 
     /// Fraction of cycles spent stalled.
@@ -59,11 +57,7 @@ pub fn predict_cycles(
     );
     assert!(hierarchy.levels.len() <= 4, "at most 4 levels supported");
     let mut level_stall = [0.0; 4];
-    for (i, (&m, &p)) in level_misses
-        .iter()
-        .zip(&hierarchy.miss_penalty)
-        .enumerate()
-    {
+    for (i, (&m, &p)) in level_misses.iter().zip(&hierarchy.miss_penalty).enumerate() {
         level_stall[i] = m * p;
     }
     TimingBreakdown {

@@ -64,7 +64,10 @@ fn workloads() -> Vec<(&'static str, BuiltWorkload)> {
             "sweep3d",
             sweep3d::build(&sweep3d::SweepConfig::new(8).with_timesteps(1)),
         ),
-        ("gtc", gtc::build(&gtc::GtcConfig::new(256, 8).with_timesteps(1))),
+        (
+            "gtc",
+            gtc::build(&gtc::GtcConfig::new(256, 8).with_timesteps(1)),
+        ),
     ]
 }
 
@@ -104,7 +107,12 @@ fn levels<'a>(
         .levels
         .iter()
         .chain(std::iter::once(&report.tlb))
-        .zip(hierarchy.levels.iter().chain(std::iter::once(&hierarchy.tlb)))
+        .zip(
+            hierarchy
+                .levels
+                .iter()
+                .chain(std::iter::once(&hierarchy.tlb)),
+        )
         .collect()
 }
 

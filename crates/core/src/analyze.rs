@@ -129,7 +129,10 @@ impl fmt::Display for AnalysisError {
             AnalysisError::GrainPanicked {
                 block_size,
                 message,
-            } => write!(f, "replay thread for grain {block_size} panicked: {message}"),
+            } => write!(
+                f,
+                "replay thread for grain {block_size} panicked: {message}"
+            ),
         }
     }
 }
@@ -1014,7 +1017,12 @@ mod tests {
             let mut single = GrainAnalyzer::new(&prog, 64, sampling);
             for event in events.events {
                 match event {
-                    Event::Access { r, addr, size, kind } => single.access(r, addr, size, kind),
+                    Event::Access {
+                        r,
+                        addr,
+                        size,
+                        kind,
+                    } => single.access(r, addr, size, kind),
                     Event::Enter(s) => single.enter(s),
                     Event::Exit(s) => single.exit(s),
                 }

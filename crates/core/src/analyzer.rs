@@ -10,10 +10,10 @@
 
 use crate::blocktable::{BlockTable, MAX_BLOCKS};
 use crate::histogram::Histogram;
-use crate::snapshot::{Dec, Enc, SnapshotError};
-use crate::timebits::TimeBits;
 use crate::patterns::{PatternKey, ReusePattern, ReuseProfile};
 use crate::scopestack::ScopeStack;
+use crate::snapshot::{Dec, Enc, SnapshotError};
+use crate::timebits::TimeBits;
 use reuselens_ir::{AccessKind, Program, RefId, ScopeId};
 use reuselens_trace::{SoaBatch, TraceSink};
 use std::collections::hash_map::Entry;
@@ -70,13 +70,19 @@ pub(crate) fn collect_patterns(per_sink: Vec<SinkPatterns>) -> Vec<ReusePattern>
         .into_iter()
         .enumerate()
         .flat_map(|(sink, sp)| {
-            sp.entries.into_iter().map(move |(source_scope, carrier, histogram)| {
-                let sink = RefId(sink as u32);
-                ReusePattern {
-                    key: PatternKey { sink, source_scope, carrier },
-                    histogram,
-                }
-            })
+            sp.entries
+                .into_iter()
+                .map(move |(source_scope, carrier, histogram)| {
+                    let sink = RefId(sink as u32);
+                    ReusePattern {
+                        key: PatternKey {
+                            sink,
+                            source_scope,
+                            carrier,
+                        },
+                        histogram,
+                    }
+                })
         })
         .collect();
     patterns.sort_by_key(|p| p.key);
@@ -93,7 +99,13 @@ impl SinkPatterns {
     /// recording path (`count` = inverse sampling rate). `record` is the
     /// `count == 1` case and compiles to the same code it always did.
     #[inline]
-    pub(crate) fn record_n(&mut self, source: ScopeId, carrier: ScopeId, distance: u64, count: u64) {
+    pub(crate) fn record_n(
+        &mut self,
+        source: ScopeId,
+        carrier: ScopeId,
+        distance: u64,
+        count: u64,
+    ) {
         if let Some((s, c, h)) = self.entries.get_mut(self.hot as usize) {
             if *s == source && *c == carrier {
                 h.add_n(distance, count);
@@ -490,7 +502,11 @@ impl ReuseAnalyzer {
                 });
             }
             prev_time = time;
-            window.push(WinEntry { block, time, ref_id });
+            window.push(WinEntry {
+                block,
+                time,
+                ref_id,
+            });
         }
         let stack = decode_scope_stack(d, clock)?;
         let per_sink = decode_sink_patterns(d, nrefs)?;
@@ -590,7 +606,11 @@ impl ReuseAnalyzer {
         // sweep) updates the tail entry in place, with no remove/push.
         if len > 0 && self.window[len - 1].block == block {
             let e = self.window[len - 1];
-            self.window[len - 1] = WinEntry { block, time: now, ref_id: r };
+            self.window[len - 1] = WinEntry {
+                block,
+                time: now,
+                ref_id: r,
+            };
             let carrier = self.stack.carrier(e.time);
             let source = self.ref_scopes[e.ref_id as usize];
             self.per_sink[r as usize].record(source, carrier, 0);
@@ -605,7 +625,11 @@ impl ReuseAnalyzer {
                 let source = self.ref_scopes[e.ref_id as usize];
                 self.per_sink[r as usize].record(source, carrier, distance);
                 self.last_distance = Some(distance);
-                self.window.push(WinEntry { block, time: now, ref_id: r });
+                self.window.push(WinEntry {
+                    block,
+                    time: now,
+                    ref_id: r,
+                });
                 return;
             }
         }
@@ -640,7 +664,11 @@ impl ReuseAnalyzer {
                 self.last_distance = None;
             }
         }
-        self.window.push(WinEntry { block, time: now, ref_id: r });
+        self.window.push(WinEntry {
+            block,
+            time: now,
+            ref_id: r,
+        });
         if self.window.len() > WINDOW {
             let e = self.window.remove(0);
             self.tree.insert(e.time);
@@ -693,7 +721,10 @@ impl MultiGrainAnalyzer {
     /// Finishes all analyzers, returning one profile per block size in the
     /// order given at construction.
     pub fn finish(self) -> Vec<ReuseProfile> {
-        self.analyzers.into_iter().map(ReuseAnalyzer::finish).collect()
+        self.analyzers
+            .into_iter()
+            .map(ReuseAnalyzer::finish)
+            .collect()
     }
 }
 
@@ -755,10 +786,7 @@ mod tests {
         let t = prog.scope_by_name("t").unwrap();
         let i = prog.scope_by_name("i").unwrap();
         // The long reuses (distance = lines-1) are carried by t.
-        let carried_by_t: u64 = profile
-            .patterns_carried_by(t)
-            .map(|p| p.count())
-            .sum();
+        let carried_by_t: u64 = profile.patterns_carried_by(t).map(|p| p.count()).sum();
         assert_eq!(carried_by_t, lines); // one reuse per line on sweep 2
         let long = profile
             .patterns_carried_by(t)
@@ -768,10 +796,7 @@ mod tests {
             .unwrap();
         assert_eq!(long.0, lines - 1);
         // Short spatial reuses (distance 0, same line) carried by i.
-        let carried_by_i: u64 = profile
-            .patterns_carried_by(i)
-            .map(|p| p.count())
-            .sum();
+        let carried_by_i: u64 = profile.patterns_carried_by(i).map(|p| p.count()).sum();
         assert_eq!(carried_by_i, 2 * n - lines - lines);
     }
 

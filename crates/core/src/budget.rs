@@ -149,7 +149,11 @@ impl AnalysisBudget {
                 progress.distinct_blocks,
                 BudgetLimit::DistinctBlocks,
             ),
-            (self.max_tree_nodes, progress.tree_nodes, BudgetLimit::TreeNodes),
+            (
+                self.max_tree_nodes,
+                progress.tree_nodes,
+                BudgetLimit::TreeNodes,
+            ),
         ];
         for (cap, used, limit) in caps {
             if let Some(allowed) = cap {
@@ -207,7 +211,10 @@ mod tests {
             .unwrap_err();
         assert_eq!(e.limit, BudgetLimit::TreeNodes);
         // Exactly at the cap is still within budget.
-        assert!(AnalysisBudget::unlimited().with_max_events(100).check(p).is_ok());
+        assert!(AnalysisBudget::unlimited()
+            .with_max_events(100)
+            .check(p)
+            .is_ok());
     }
 
     #[test]

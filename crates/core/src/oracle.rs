@@ -151,10 +151,7 @@ mod tests {
         // blocks: A B C B A
         let addrs = [0u64, 64, 128, 64, 0];
         let d = stack_distances(&addrs, 64);
-        assert_eq!(
-            d,
-            vec![None, None, None, Some(1), Some(2)]
-        );
+        assert_eq!(d, vec![None, None, None, Some(1), Some(2)]);
     }
 
     #[test]

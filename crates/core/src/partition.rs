@@ -62,10 +62,10 @@ use crate::analyze::GrainError;
 use crate::analyzer::{collect_patterns, SinkPatterns, WinEntry, WINDOW};
 use crate::blocktable::BlockTable;
 use crate::budget::{AnalysisBudget, BudgetProgress};
-use crate::timebits::TimeBits;
 use crate::patterns::ReuseProfile;
 use crate::sampling::{spatial_hash, SamplingConfig, SamplingInfo};
 use crate::scopestack::ScopeStack;
+use crate::timebits::TimeBits;
 use reuselens_ir::{AccessKind, Program, RefId, ScopeId};
 use reuselens_obs as obs;
 use reuselens_trace::{SoaBatch, TraceBuffer, TraceSink};
@@ -213,7 +213,11 @@ impl<'p> PartitionWorker<'p> {
         // of the most recent block updates the tail entry in place.
         if len > 0 && self.window[len - 1].block == block {
             let e = self.window[len - 1];
-            self.window[len - 1] = WinEntry { block, time: now, ref_id: r };
+            self.window[len - 1] = WinEntry {
+                block,
+                time: now,
+                ref_id: r,
+            };
             let carrier = self.stack.carrier(e.time);
             let source = self.ref_scopes[e.ref_id as usize];
             self.per_sink[r as usize].record_n(source, carrier, 0, inv);
@@ -231,7 +235,11 @@ impl<'p> PartitionWorker<'p> {
                     distance.saturating_mul(inv),
                     inv,
                 );
-                self.window.push(WinEntry { block, time: now, ref_id: r });
+                self.window.push(WinEntry {
+                    block,
+                    time: now,
+                    ref_id: r,
+                });
                 return;
             }
         }
@@ -261,7 +269,11 @@ impl<'p> PartitionWorker<'p> {
                 self.local_distinct += 1;
             }
         }
-        self.window.push(WinEntry { block, time: now, ref_id: r });
+        self.window.push(WinEntry {
+            block,
+            time: now,
+            ref_id: r,
+        });
         if self.window.len() > WINDOW {
             let e = self.window.remove(0);
             self.tree.insert(e.time);

@@ -675,7 +675,10 @@ mod tests {
         let info = an.sampling_info();
         assert!(info.rate_drops > 0);
         assert!(info.inv > 1);
-        assert_eq!(info.blocks_sampled, an.tracked_blocks() + info.blocks_evicted);
+        assert_eq!(
+            info.blocks_sampled,
+            an.tracked_blocks() + info.blocks_evicted
+        );
         let profile = an.finish();
         // The footprint estimate stays in the right ballpark even across
         // rate drops (each first touch is scaled by the inv of its time).
@@ -697,12 +700,24 @@ mod tests {
 
     #[test]
     fn config_constructors_clamp() {
-        assert_eq!(SamplingConfig::fixed(0.01), SamplingConfig::Fixed { inv: 100 });
+        assert_eq!(
+            SamplingConfig::fixed(0.01),
+            SamplingConfig::Fixed { inv: 100 }
+        );
         assert_eq!(SamplingConfig::fixed(1.0), SamplingConfig::Fixed { inv: 1 });
         assert_eq!(SamplingConfig::fixed(7.0), SamplingConfig::Fixed { inv: 1 });
-        assert_eq!(SamplingConfig::fixed(f64::NAN), SamplingConfig::Fixed { inv: 1 });
-        assert_eq!(SamplingConfig::fixed(-3.0), SamplingConfig::Fixed { inv: 1 });
-        assert_eq!(SamplingConfig::adaptive(0), SamplingConfig::Adaptive { budget: 1 });
+        assert_eq!(
+            SamplingConfig::fixed(f64::NAN),
+            SamplingConfig::Fixed { inv: 1 }
+        );
+        assert_eq!(
+            SamplingConfig::fixed(-3.0),
+            SamplingConfig::Fixed { inv: 1 }
+        );
+        assert_eq!(
+            SamplingConfig::adaptive(0),
+            SamplingConfig::Adaptive { budget: 1 }
+        );
         assert!(SamplingConfig::exact().is_exact());
         assert_eq!(SamplingConfig::default(), SamplingConfig::Exact);
         let info = SamplingInfo {

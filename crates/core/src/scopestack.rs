@@ -65,7 +65,10 @@ impl ScopeStack {
     /// Pushes a scope entered when `clock` accesses had executed.
     pub fn enter(&mut self, scope: ScopeId, clock: u64) {
         debug_assert!(
-            self.entries.last().map(|&(_, c)| c <= clock).unwrap_or(true),
+            self.entries
+                .last()
+                .map(|&(_, c)| c <= clock)
+                .unwrap_or(true),
             "entry clocks must be monotone"
         );
         self.entries.push((scope, clock));

@@ -254,8 +254,8 @@ fn parse_field<'a, T: std::str::FromStr>(
 mod tests {
     use super::*;
     use crate::analyze_program;
-    use reuselens_prng::SplitMix64;
     use reuselens_ir::{Expr, ProgramBuilder};
+    use reuselens_prng::SplitMix64;
 
     fn sample() -> SavedProfiles {
         let mut p = ProgramBuilder::new("roundtrip");

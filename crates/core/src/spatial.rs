@@ -57,7 +57,10 @@ impl SpatialSink {
     ///
     /// Panics if `line_size` is not a power of two.
     pub fn new(program: &Program, line_size: u64) -> SpatialSink {
-        assert!(line_size.is_power_of_two(), "line size must be power of two");
+        assert!(
+            line_size.is_power_of_two(),
+            "line size must be power of two"
+        );
         let mut ranges: Vec<(u64, u64, ArrayId)> = program
             .arrays()
             .iter()
@@ -126,10 +129,7 @@ impl TraceSink for SpatialSink {
             let offset = pos & mask;
             let in_line = remaining.min(self.line_size - offset);
             let words = (self.line_size / 64).max(1) as usize;
-            let bitmap = self
-                .lines
-                .entry(line)
-                .or_insert_with(|| vec![0u64; words]);
+            let bitmap = self.lines.entry(line).or_insert_with(|| vec![0u64; words]);
             for b in offset..offset + in_line {
                 bitmap[(b / 64) as usize] |= 1 << (b % 64);
             }
@@ -363,7 +363,7 @@ mod tests {
         let rows = profile.most_wasteful();
         assert_eq!(rows[0].0, sparse);
         assert!(rows[0].2 < 0.2); // sparse utilization
-        // dense wastes nothing; it may not even appear after sparse.
+                                  // dense wastes nothing; it may not even appear after sparse.
         if let Some(dense_row) = rows.iter().find(|r| r.0 == dense) {
             assert_eq!(dense_row.1, 0);
         }

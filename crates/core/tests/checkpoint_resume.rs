@@ -29,8 +29,8 @@
 //! installs a recorder must not absorb a concurrent test's counters.
 
 use reuselens_core::{
-    analyze_buffer_with, snapshot_file_name, snapshot_meta, AnalyzeOptions, CheckpointOptions, ReplayThreads, ReuseProfile, SamplingConfig, SnapshotError,
-    SNAPSHOT_VERSION,
+    analyze_buffer_with, snapshot_file_name, snapshot_meta, AnalyzeOptions, CheckpointOptions,
+    ReplayThreads, ReuseProfile, SamplingConfig, SnapshotError, SNAPSHOT_VERSION,
 };
 use reuselens_ir::{AccessKind, Program, ProgramBuilder, RefId, ScopeId};
 use reuselens_obs::{self as obs, Counter, MetricsRecorder};
@@ -217,8 +217,11 @@ fn checkpointed_run_matches_uninterrupted_bit_for_bit() {
                 // replay-threads setting of the uninterrupted side equals
                 // the checkpointed result (adaptive sampling replays
                 // serially either way).
-                for threads in [ReplayThreads::Fixed(2), ReplayThreads::Fixed(4), ReplayThreads::Auto]
-                {
+                for threads in [
+                    ReplayThreads::Fixed(2),
+                    ReplayThreads::Fixed(4),
+                    ReplayThreads::Auto,
+                ] {
                     let opts = AnalyzeOptions {
                         sampling,
                         replay_threads: threads,
@@ -456,8 +459,7 @@ fn resume_rejects_hostile_files_and_counters_reconcile() {
             .filter(|(name, _)| name.starts_with(&format!("ckpt-g{grain}-")))
             .collect();
         let (newest, bytes) = *grain_files.last().expect("grain snapshots");
-        std::fs::write(dir.join(newest), corruptor.flip_bytes(bytes, 3))
-            .expect("corrupt newest");
+        std::fs::write(dir.join(newest), corruptor.flip_bytes(bytes, 3)).expect("corrupt newest");
         planted_bad += 1;
         // A valid snapshot from grain 1 claiming to be this grain's most
         // advanced progress: internally consistent, but mismatched.
@@ -484,7 +486,10 @@ fn resume_rejects_hostile_files_and_counters_reconcile() {
     assert_eq!(snap.counter(Counter::CheckpointsRejected), planted_bad);
     // Every grain still had at least one older valid snapshot to resume
     // from (grain 1's newest was corrupted but its older files survive).
-    assert_eq!(snap.counter(Counter::CheckpointsResumed), GRAINS.len() as u64);
+    assert_eq!(
+        snap.counter(Counter::CheckpointsResumed),
+        GRAINS.len() as u64
+    );
     assert_eq!(snap.counter(Counter::CheckpointsWritten), 0);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -501,7 +506,10 @@ fn cold_start_and_oversized_interval_edge_cases() {
     let dir = temp_dir("cold");
     let got = checkpointed(&program, &buf, &opts, &ckpt(&dir, u64::MAX, true));
     assert_eq!(serial, got);
-    assert!(snapshot_files(&dir).is_empty(), "oversized interval wrote snapshots");
+    assert!(
+        snapshot_files(&dir).is_empty(),
+        "oversized interval wrote snapshots"
+    );
     // every = 1 (snapshot at every event) still matches.
     let got = checkpointed(&program, &buf, &opts, &ckpt(&dir, 1, false));
     assert_eq!(serial, got);

@@ -121,7 +121,10 @@ fn budgets_trip_with_progress_counters() {
     let (buffer, _) = capture_program(&prog, vec![]).unwrap();
 
     let cases = [
-        (AnalysisBudget::unlimited().with_max_events(100), BudgetLimit::Events),
+        (
+            AnalysisBudget::unlimited().with_max_events(100),
+            BudgetLimit::Events,
+        ),
         (
             AnalysisBudget::unlimited().with_max_distinct_blocks(10),
             BudgetLimit::DistinctBlocks,
@@ -138,7 +141,10 @@ fn budgets_trip_with_progress_counters() {
         };
         let partial = analyze_buffer_with(&prog, &buffer, &[64], &opts);
         let failure = partial.failure_at(64).expect("budget must trip");
-        assert!(!failure.retried, "budget failures are deterministic, not retried");
+        assert!(
+            !failure.retried,
+            "budget failures are deterministic, not retried"
+        );
         match &failure.error {
             GrainError::Budget(e) => {
                 assert_eq!(e.limit, want_limit);
@@ -266,7 +272,11 @@ fn analyze_program_degraded_end_to_end() {
     assert_eq!(report.accesses, 2 * 1024);
     assert_eq!(partial.profiles.len(), 2);
     assert_eq!(partial.failures.len(), 1);
-    assert_eq!(partial.replays.len(), 2, "timings cover surviving grains only");
+    assert_eq!(
+        partial.replays.len(),
+        2,
+        "timings cover surviving grains only"
+    );
     assert_eq!(buffer.stats().accesses, report.accesses);
 }
 

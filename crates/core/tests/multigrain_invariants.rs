@@ -131,8 +131,7 @@ fn analysis_is_deterministic() {
     });
     let prog = p.finish();
     let idx: Vec<i64> = (0..256).map(|k| (k * 37) % 4096).collect();
-    let r1 =
-        reuselens_core::analyze_program(&prog, &[64, 4096], vec![(ix, idx.clone())]).unwrap();
+    let r1 = reuselens_core::analyze_program(&prog, &[64, 4096], vec![(ix, idx.clone())]).unwrap();
     let r2 = reuselens_core::analyze_program(&prog, &[64, 4096], vec![(ix, idx)]).unwrap();
     assert_eq!(r1.profiles, r2.profiles);
     assert_eq!(r1.exec, r2.exec);

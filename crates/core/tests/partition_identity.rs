@@ -112,7 +112,12 @@ fn gen_buffer(shape: Shape, seed: u64) -> TraceBuffer {
             AccessKind::Load
         };
         let addr = next_addr(shape, &mut rng, i, &mut walker);
-        buf.access(RefId((rng.gen_range(0..NREFS as u64)) as u32), addr, 8, kind);
+        buf.access(
+            RefId((rng.gen_range(0..NREFS as u64)) as u32),
+            addr,
+            8,
+            kind,
+        );
     }
     while let Some(id) = open.pop() {
         buf.exit(ScopeId(id));
@@ -316,7 +321,10 @@ fn partitioned_replay_degrades_cleanly_under_faults() {
         other => panic!("expected a panic report, got {other}"),
     }
     let healthy = profiles(&program, &buf, &AnalyzeOptions::default());
-    assert_eq!(partial.profile_at(64), healthy.iter().find(|p| p.block_size == 64));
+    assert_eq!(
+        partial.profile_at(64),
+        healthy.iter().find(|p| p.block_size == 64)
+    );
     assert_eq!(
         partial.profile_at(4096),
         healthy.iter().find(|p| p.block_size == 4096)

@@ -304,8 +304,7 @@ fn sampled_histograms_stay_within_stated_bands() {
             let addrs = gen_trace(shape, seed);
             for (rate, aggregate_band, octave_band) in BANDS {
                 if check(&program, &addrs, rate, aggregate_band, octave_band).is_some() {
-                    let (plen, msg) =
-                        shrink(&program, &addrs, rate, aggregate_band, octave_band);
+                    let (plen, msg) = shrink(&program, &addrs, rate, aggregate_band, octave_band);
                     panic!(
                         "case {case} ({shape:?}, seed {seed:#x}, rate {rate}): \
                          smallest failing prefix {plen}/{}: {msg}\n\
@@ -369,7 +368,8 @@ fn calibrate_bands_print_errors() {
             let addrs = gen_trace(shape, seed);
             for (rate, _, _) in BANDS {
                 let exact = run_exact(&program, &addrs, STAT_GRAIN);
-                let sampled = run_sampled(&program, &addrs, STAT_GRAIN, SamplingConfig::fixed(rate));
+                let sampled =
+                    run_sampled(&program, &addrs, STAT_GRAIN, SamplingConfig::fixed(rate));
                 let he = merged(&exact);
                 let hs = merged(&sampled);
                 let em = octave_mass(&he);
@@ -383,8 +383,12 @@ fn calibrate_bands_print_errors() {
                 let inv = sampled.sampling.unwrap().inv;
                 let mut worst_oct = 0.0f64;
                 for (&o, &m) in &em {
-                    if (m as f64 / total.max(1.0)) < MIN_OCTAVE_SHARE { continue; }
-                    if (1u64 << o.saturating_sub(1)) < RESOLVABLE_INVS * inv { continue; }
+                    if (m as f64 / total.max(1.0)) < MIN_OCTAVE_SHARE {
+                        continue;
+                    }
+                    if (1u64 << o.saturating_sub(1)) < RESOLVABLE_INVS * inv {
+                        continue;
+                    }
                     worst_oct = worst_oct.max(rel_err(window(&sm, o), window(&em, o)));
                 }
                 println!(

@@ -356,8 +356,7 @@ fn classify(expr: &Expr, v: VarId) -> Class {
             let depends = ca.depends || cb.depends;
             let stride = if !depends {
                 Stride::Constant(0)
-            } else if matches!(ca.stride, Stride::Indirect)
-                || matches!(cb.stride, Stride::Indirect)
+            } else if matches!(ca.stride, Stride::Indirect) || matches!(cb.stride, Stride::Indirect)
             {
                 Stride::Indirect
             } else {
@@ -488,7 +487,11 @@ mod tests {
             let f = affine_form(e).unwrap();
             for vals in [[0, 0], [1, -1], [i64::MAX, 7], [-3, i64::MIN]] {
                 let ctx = Vars(vals);
-                assert_eq!(f.eval(|v| ctx.0[v.index()]), e.eval(&ctx), "{e} at {vals:?}");
+                assert_eq!(
+                    f.eval(|v| ctx.0[v.index()]),
+                    e.eval(&ctx),
+                    "{e} at {vals:?}"
+                );
             }
         }
         let f = affine_form(&exprs[3]).unwrap();

@@ -493,12 +493,8 @@ mod tests {
         assert!(Pred::Gt(i.clone(), Expr::c(4)).eval(&c));
         assert!(Pred::Eq(i.clone(), Expr::c(5)).eval(&c));
         assert!(Pred::Ne(i.clone(), Expr::c(4)).eval(&c));
-        assert!(Pred::Eq(i.clone(), Expr::c(5))
-            .and(Pred::True)
-            .eval(&c));
-        assert!(Pred::Eq(i.clone(), Expr::c(9))
-            .or(Pred::True)
-            .eval(&c));
+        assert!(Pred::Eq(i.clone(), Expr::c(5)).and(Pred::True).eval(&c));
+        assert!(Pred::Eq(i.clone(), Expr::c(9)).or(Pred::True).eval(&c));
         assert!(Pred::Not(Box::new(Pred::Eq(i, Expr::c(9)))).eval(&c));
     }
 

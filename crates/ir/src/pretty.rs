@@ -20,12 +20,7 @@ impl fmt::Display for Program {
     }
 }
 
-fn print_body(
-    p: &Program,
-    body: &[Stmt],
-    depth: usize,
-    f: &mut fmt::Formatter<'_>,
-) -> fmt::Result {
+fn print_body(p: &Program, body: &[Stmt], depth: usize, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     let pad = "  ".repeat(depth);
     for stmt in body {
         match stmt {

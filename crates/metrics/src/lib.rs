@@ -27,7 +27,7 @@ pub use report::{
     EstimateRun, LocalityAnalysis,
 };
 pub use text::{
-    format_array_breakdown, format_carried_misses, format_fragmentation, format_pattern_db,
-    format_pattern_csv, format_spatial, format_summary,
+    format_array_breakdown, format_carried_misses, format_fragmentation, format_pattern_csv,
+    format_pattern_db, format_spatial, format_summary,
 };
 pub use xml::to_xml;

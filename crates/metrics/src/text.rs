@@ -56,11 +56,7 @@ pub fn format_carried_misses(
 /// Renders a Table II-style breakdown for one array: misses split by
 /// (reuse source scope, carrying scope), as percentages of all misses at
 /// the level.
-pub fn format_array_breakdown(
-    program: &Program,
-    metrics: &LevelMetrics,
-    array: ArrayId,
-) -> String {
+pub fn format_array_breakdown(program: &Program, metrics: &LevelMetrics, array: ArrayId) -> String {
     let mut out = format!(
         "array {:<12} {:<24} {:<24} {:>10}\n",
         program.array(array).name(),
@@ -101,7 +97,11 @@ pub fn format_fragmentation(program: &Program, metrics: &LevelMetrics, top: usiz
             program.array(array).name(),
             frag,
             total,
-            if total > 0.0 { 100.0 * frag / total } else { 0.0 }
+            if total > 0.0 {
+                100.0 * frag / total
+            } else {
+                0.0
+            }
         ));
     }
     out

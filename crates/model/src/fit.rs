@@ -159,11 +159,7 @@ fn fit_subset(xs: &[f64], ys: &[f64], subset: &[Basis]) -> Option<Fit> {
     let coeffs = solve(ata, aty)?;
     let mut sse = 0.0;
     for (&x, &y) in xs.iter().zip(ys) {
-        let pred: f64 = subset
-            .iter()
-            .zip(&coeffs)
-            .map(|(b, c)| c * b.eval(x))
-            .sum();
+        let pred: f64 = subset.iter().zip(&coeffs).map(|(b, c)| c * b.eval(x)).sum();
         sse += (y - pred) * (y - pred);
     }
     Some(Fit {

@@ -266,8 +266,7 @@ mod tests {
         let h1 = mk(100);
         let h2 = mk(200);
         let h3 = mk(400);
-        let model =
-            HistogramModel::fit(&[100.0, 200.0, 400.0], &[&h1, &h2, &h3], 4).unwrap();
+        let model = HistogramModel::fit(&[100.0, 200.0, 400.0], &[&h1, &h2, &h3], 4).unwrap();
         let p = model.predict(800.0);
         assert!((p.total() as f64 - 1600.0).abs() < 20.0);
         let mean = p.mean().unwrap();

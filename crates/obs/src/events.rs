@@ -541,10 +541,7 @@ mod tests {
     #[test]
     fn lines_are_one_json_object_each_with_envelope_fields() {
         let log = EventLog::to_vec();
-        log.emit(
-            Severity::Info,
-            &EventKind::GrainStarted { grain: 4096 },
-        );
+        log.emit(Severity::Info, &EventKind::GrainStarted { grain: 4096 });
         log.emit(
             Severity::Error,
             &EventKind::GrainFailed {
@@ -611,7 +608,10 @@ mod tests {
             .severity(),
             Severity::Warn
         );
-        assert_eq!(EventKind::GrainRetried { grain: 1 }.severity(), Severity::Warn);
+        assert_eq!(
+            EventKind::GrainRetried { grain: 1 }.severity(),
+            Severity::Warn
+        );
         assert_eq!(
             EventKind::SampleRateDropped {
                 grain: 1,
@@ -621,7 +621,10 @@ mod tests {
             .severity(),
             Severity::Warn
         );
-        assert_eq!(EventKind::GrainStarted { grain: 1 }.severity(), Severity::Info);
+        assert_eq!(
+            EventKind::GrainStarted { grain: 1 }.severity(),
+            Severity::Info
+        );
         assert_eq!(
             EventKind::CheckpointRejected {
                 path: String::new(),
@@ -669,7 +672,12 @@ mod tests {
     #[test]
     fn every_kind_renders_its_documented_name() {
         let kinds: Vec<(EventKind, &str)> = vec![
-            (EventKind::RunStarted { command: "x".into() }, "run_started"),
+            (
+                EventKind::RunStarted {
+                    command: "x".into(),
+                },
+                "run_started",
+            ),
             (EventKind::RunFinished { ok: false }, "run_finished"),
             (EventKind::GrainStarted { grain: 1 }, "grain_started"),
             (

@@ -21,11 +21,7 @@ pub fn format_prometheus(snapshot: &MetricsSnapshot) -> String {
         let name = counter.name();
         let _ = writeln!(out, "# HELP reuselens_{name}_total {}", counter.help());
         let _ = writeln!(out, "# TYPE reuselens_{name}_total counter");
-        let _ = writeln!(
-            out,
-            "reuselens_{name}_total {}",
-            snapshot.counter(counter)
-        );
+        let _ = writeln!(out, "reuselens_{name}_total {}", snapshot.counter(counter));
     }
     for gauge in Gauge::ALL {
         let name = gauge.name();
@@ -74,7 +70,9 @@ fn format_prometheus_grains(snapshot: &MetricsSnapshot, out: &mut String) {
     let mut events: BTreeMap<u64, u64> = BTreeMap::new();
     let mut tree_nodes: BTreeMap<u64, u64> = BTreeMap::new();
     for grain in &snapshot.grains {
-        *replays.entry((grain.block_size, grain.status.name())).or_default() += 1;
+        *replays
+            .entry((grain.block_size, grain.status.name()))
+            .or_default() += 1;
         *seconds.entry(grain.block_size).or_default() += grain.wall.as_secs_f64();
         *events.entry(grain.block_size).or_default() += grain.events;
         let peak = tree_nodes.entry(grain.block_size).or_default();
@@ -260,7 +258,10 @@ mod tests {
         }
         // Exposition-format hygiene: HELP/TYPE pairs for every family
         // (two stage families plus four per-grain families).
-        assert_eq!(text.matches("# TYPE").count(), Counter::ALL.len() + Gauge::ALL.len() + 6);
+        assert_eq!(
+            text.matches("# TYPE").count(),
+            Counter::ALL.len() + Gauge::ALL.len() + 6
+        );
     }
 
     #[test]
@@ -280,7 +281,10 @@ mod tests {
         // Stage rows are left-padded names followed by column padding;
         // counter names like `events_captured` never match `capture `.
         assert!(text.contains("replay "));
-        assert!(!text.contains("capture "), "zero-invocation stages are skipped");
+        assert!(
+            !text.contains("capture "),
+            "zero-invocation stages are skipped"
+        );
         assert!(!text.contains("sweep "));
     }
 
@@ -329,12 +333,8 @@ mod tests {
         assert!(summary.contains("failed"));
         assert!(summary.contains("1/100"), "sampled grains show their rate");
         let prom = format_prometheus(&snap);
-        assert!(prom.contains(
-            "reuselens_grain_replays_total{grain=\"64\",status=\"completed\"} 1"
-        ));
-        assert!(prom.contains(
-            "reuselens_grain_replays_total{grain=\"128\",status=\"failed\"} 1"
-        ));
+        assert!(prom.contains("reuselens_grain_replays_total{grain=\"64\",status=\"completed\"} 1"));
+        assert!(prom.contains("reuselens_grain_replays_total{grain=\"128\",status=\"failed\"} 1"));
         assert!(prom.contains("reuselens_grain_seconds_total{grain=\"64\"} 2.000000000"));
         assert!(prom.contains("reuselens_grain_events_total{grain=\"64\"} 4000000"));
         assert!(prom.contains("reuselens_grain_tree_nodes_peak{grain=\"64\"} 1000"));

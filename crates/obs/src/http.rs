@@ -222,7 +222,10 @@ pub fn http_get(addr: SocketAddr, path: &str) -> io::Result<(u16, String)> {
     stream.read_to_end(&mut raw)?;
     let text = String::from_utf8_lossy(&raw).into_owned();
     let Some((head, body)) = text.split_once("\r\n\r\n") else {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "no header/body split"));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "no header/body split",
+        ));
     };
     let status = head
         .split_ascii_whitespace()

@@ -97,9 +97,7 @@ mod timeline;
 pub use events::{EventKind, EventLog, Severity};
 pub use export::{format_prometheus, format_summary};
 pub use http::{http_get, HttpServer, Response, MAX_ACTIVE_CONNECTIONS};
-pub use recorder::{
-    GrainProfile, GrainStatus, MetricsRecorder, MetricsSnapshot, SpanStats,
-};
+pub use recorder::{GrainProfile, GrainStatus, MetricsRecorder, MetricsSnapshot, SpanStats};
 pub use service::{ServiceConfig, TelemetryService};
 pub use timeline::{format_chrome_trace, Timeline, TimelineArgs, TimelineEvent, TimelineSnapshot};
 
@@ -451,12 +449,8 @@ impl Gauge {
             Gauge::SamplingInvRate => {
                 "Inverse sampling rate of the most recently finished sampled grain."
             }
-            Gauge::SnapshotBytes => {
-                "Bytes of the most recently written crash-safety snapshot."
-            }
-            Gauge::JobQueueDepth => {
-                "Jobs sitting on the daemon queue (accepted, not yet running)."
-            }
+            Gauge::SnapshotBytes => "Bytes of the most recently written crash-safety snapshot.",
+            Gauge::JobQueueDepth => "Jobs sitting on the daemon queue (accepted, not yet running).",
         }
     }
 
@@ -556,7 +550,9 @@ fn with_obs<R>(f: impl FnOnce(&Obs) -> R) -> Option<R> {
         }
         // A sink panicking mid-call could poison the lock; observability
         // must never take the pipeline down, so a poisoned slot is read.
-        let global = GLOBAL.read().unwrap_or_else(|poisoned| poisoned.into_inner());
+        let global = GLOBAL
+            .read()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
         global.as_ref().map(f)
     })
 }
@@ -573,7 +569,9 @@ pub fn enabled() -> bool {
 /// probes that ran before are simply lost, which is exactly the
 /// mid-run-install semantics the identity tests pin down.
 pub fn install(obs: impl Into<Obs>) -> Option<Obs> {
-    let mut global = GLOBAL.write().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let mut global = GLOBAL
+        .write()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let previous = global.replace(obs.into());
     ENABLED.store(true, Ordering::SeqCst);
     previous
@@ -583,7 +581,9 @@ pub fn install(obs: impl Into<Obs>) -> Option<Obs> {
 /// snapshot after the pipeline quiesces.
 pub fn uninstall() -> Option<Obs> {
     ENABLED.store(false, Ordering::SeqCst);
-    let mut global = GLOBAL.write().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let mut global = GLOBAL
+        .write()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     global.take()
 }
 
@@ -737,7 +737,9 @@ mod tests {
     static GLOBAL_SLOT: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn global_slot() -> std::sync::MutexGuard<'static, ()> {
-        GLOBAL_SLOT.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+        GLOBAL_SLOT
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     #[test]
@@ -822,7 +824,10 @@ mod tests {
         assert_eq!(Stage::PIPELINE_ORDER.len(), Stage::ALL.len());
         for stage in Stage::ALL {
             assert_eq!(
-                Stage::PIPELINE_ORDER.iter().filter(|&&s| s == stage).count(),
+                Stage::PIPELINE_ORDER
+                    .iter()
+                    .filter(|&&s| s == stage)
+                    .count(),
                 1,
                 "{} must appear exactly once in PIPELINE_ORDER",
                 stage.name()
@@ -831,12 +836,7 @@ mod tests {
         // Pin the positions the summary footer depends on: partition
         // nests inside replay, checkpoint snapshots during replay, and
         // estimation substitutes for the trace stages just before sweep.
-        let pos = |s: Stage| {
-            Stage::PIPELINE_ORDER
-                .iter()
-                .position(|&x| x == s)
-                .unwrap()
-        };
+        let pos = |s: Stage| Stage::PIPELINE_ORDER.iter().position(|&x| x == s).unwrap();
         assert!(pos(Stage::Capture) < pos(Stage::Decode));
         assert!(pos(Stage::Decode) < pos(Stage::Replay));
         assert!(pos(Stage::Replay) < pos(Stage::Partition));

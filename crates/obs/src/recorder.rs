@@ -169,12 +169,8 @@ impl MetricsRecorder {
             spans: Stage::ALL.map(|s| SpanStats {
                 stage: s,
                 count: self.span_counts[s.index()].load(Ordering::Relaxed),
-                total: Duration::from_nanos(
-                    self.span_nanos[s.index()].load(Ordering::Relaxed),
-                ),
-                max: Duration::from_nanos(
-                    self.span_max_nanos[s.index()].load(Ordering::Relaxed),
-                ),
+                total: Duration::from_nanos(self.span_nanos[s.index()].load(Ordering::Relaxed)),
+                max: Duration::from_nanos(self.span_max_nanos[s.index()].load(Ordering::Relaxed)),
                 max_depth: self.span_depths[s.index()].load(Ordering::Relaxed) as u32,
             }),
             grains,

@@ -461,7 +461,9 @@ impl TelemetryService {
         let thread_shared = shared.clone();
         let aggregator = std::thread::Builder::new()
             .name("obs-aggregator".into())
-            .spawn(Obs::inherit(move || aggregator_loop(&thread_shared, tick, heartbeat)))
+            .spawn(Obs::inherit(move || {
+                aggregator_loop(&thread_shared, tick, heartbeat)
+            }))
             .ok();
         TelemetryService {
             shared,
@@ -606,7 +608,10 @@ mod tests {
         }
         assert!(service.ticks() >= 2, "aggregator must have sampled");
         let series = service.counter_series(Counter::EventsDecoded);
-        assert!(series.windows(2).all(|w| w[0] <= w[1]), "monotone: {series:?}");
+        assert!(
+            series.windows(2).all(|w| w[0] <= w[1]),
+            "monotone: {series:?}"
+        );
         let health = service.health_json();
         assert!(health.contains("\"uptime_s\":"), "{health}");
         assert!(health.contains("\"events_per_s_1s\":"), "{health}");
@@ -628,10 +633,16 @@ mod tests {
         assert!(health.contains("\"grains_requested\":4"), "{health}");
         assert!(health.contains("\"grains_done\":1"), "{health}");
         assert!(health.contains("\"fraction\":0.2500"), "{health}");
-        assert!(!health.contains("\"eta_s\":null"), "one grain done: {health}");
+        assert!(
+            !health.contains("\"eta_s\":null"),
+            "one grain done: {health}"
+        );
         assert!(health.contains("\"events\":300"), "{health}");
         assert!(health.contains("\"events_headroom\":700"), "{health}");
-        assert!(health.contains("\"distinct_blocks_headroom\":null"), "{health}");
+        assert!(
+            health.contains("\"distinct_blocks_headroom\":null"),
+            "{health}"
+        );
         service.shutdown();
     }
 
@@ -647,12 +658,14 @@ mod tests {
             1,
             crate::TimelineArgs::default(),
         );
-        let mut service =
-            TelemetryService::start(recorder, Some(timeline), fast_config());
+        let mut service = TelemetryService::start(recorder, Some(timeline), fast_config());
         let addr = service.serve("127.0.0.1:0").expect("bind ephemeral");
         let (status, metrics) = crate::http_get(addr, "/metrics").expect("metrics");
         assert_eq!(status, 200);
-        assert!(metrics.contains("reuselens_events_decoded_total 7"), "{metrics}");
+        assert!(
+            metrics.contains("reuselens_events_decoded_total 7"),
+            "{metrics}"
+        );
         let (status, health) = crate::http_get(addr, "/healthz").expect("healthz");
         assert_eq!(status, 200);
         assert!(health.starts_with("{\"status\":\"ok\""), "{health}");

@@ -193,7 +193,14 @@ impl Timeline {
     /// Records one completed span; true when a full shard dropped its
     /// oldest event for it. Called from [`crate::SpanGuard`]'s drop on the
     /// closing thread; also usable directly by tests.
-    pub fn record(&self, stage: Stage, start: Instant, wall: Duration, depth: u32, args: TimelineArgs) -> bool {
+    pub fn record(
+        &self,
+        stage: Stage,
+        start: Instant,
+        wall: Duration,
+        depth: u32,
+        args: TimelineArgs,
+    ) -> bool {
         let begin_ns = duration_ns(start.saturating_duration_since(self.epoch));
         let end_ns = begin_ns.saturating_add(duration_ns(wall));
         let thread = thread_index();
@@ -403,7 +410,13 @@ mod tests {
     fn spans_opened_before_epoch_are_clamped() {
         let early = Instant::now();
         let tl = Timeline::new();
-        tl.record(Stage::Capture, early, Duration::from_nanos(7), 1, TimelineArgs::default());
+        tl.record(
+            Stage::Capture,
+            early,
+            Duration::from_nanos(7),
+            1,
+            TimelineArgs::default(),
+        );
         let snap = tl.snapshot();
         assert_eq!(snap.events[0].begin_ns, 0);
         assert_eq!(snap.events[0].end_ns, 7);

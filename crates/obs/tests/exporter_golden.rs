@@ -285,4 +285,3 @@ fn summary_export_matches_golden() {
     snap.zero_timings();
     assert_eq!(snap.to_summary(), GOLDEN_SUMMARY);
 }
-

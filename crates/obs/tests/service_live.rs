@@ -10,8 +10,8 @@
 //! its own `Obs` scope.
 
 use reuselens_obs::{
-    http_get, Counter, EventKind, EventLog, Gauge, GrainProfile, GrainStatus, MetricsRecorder,
-    Obs, ServiceConfig, Stage, TelemetryService, Timeline,
+    http_get, Counter, EventKind, EventLog, Gauge, GrainProfile, GrainStatus, MetricsRecorder, Obs,
+    ServiceConfig, Stage, TelemetryService, Timeline,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -197,7 +197,11 @@ fn aggregator_survives_concurrent_install_uninstall() {
     // The sampled series must be monotone: counters only grow, and a
     // torn read would show up as a dip.
     let series = service.counter_series(Counter::AccessesDecoded);
-    assert!(series.len() >= 2, "aggregator took {} samples", series.len());
+    assert!(
+        series.len() >= 2,
+        "aggregator took {} samples",
+        series.len()
+    );
     assert!(
         series.windows(2).all(|w| w[0] <= w[1]),
         "counter series regressed: {series:?}"
@@ -211,7 +215,11 @@ fn aggregator_survives_concurrent_install_uninstall() {
 #[test]
 fn emitted_events_carry_typed_jsonl_fields() {
     let log = Arc::new(EventLog::to_vec());
-    let scope = Obs { events: Some(log.clone()), ..Obs::default() }.enter();
+    let scope = Obs {
+        events: Some(log.clone()),
+        ..Obs::default()
+    }
+    .enter();
     reuselens_obs::emit(EventKind::GrainCompleted {
         grain: 4096,
         events: 151_100,
@@ -263,7 +271,11 @@ fn emitted_events_carry_typed_jsonl_fields() {
 #[test]
 fn heartbeat_emits_structured_events() {
     let log = Arc::new(EventLog::to_vec());
-    let scope = Obs { events: Some(log.clone()), ..Obs::default() }.enter();
+    let scope = Obs {
+        events: Some(log.clone()),
+        ..Obs::default()
+    }
+    .enter();
     let recorder = Arc::new(MetricsRecorder::new());
     recorder.add(Counter::GrainsRequested, 2);
     recorder.add(Counter::GrainsCompleted, 1);

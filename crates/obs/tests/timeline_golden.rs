@@ -24,7 +24,14 @@ fn snapshot() -> TimelineSnapshot {
         args,
     };
     let mut events = vec![
-        event(Stage::Capture, 1_000, 51_000, 42, 0, TimelineArgs::default()),
+        event(
+            Stage::Capture,
+            1_000,
+            51_000,
+            42,
+            0,
+            TimelineArgs::default(),
+        ),
         event(
             Stage::Decode,
             60_000,

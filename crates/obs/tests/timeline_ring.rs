@@ -16,7 +16,11 @@ use std::time::Duration;
 fn overflow_drops_oldest_and_ticks_the_counter() {
     let recorder = Arc::new(MetricsRecorder::new());
     let timeline = Arc::new(Timeline::with_capacity(1, 4));
-    let _scope = Obs { timeline: Some(timeline.clone()), ..recorder.clone().into() }.enter();
+    let _scope = Obs {
+        timeline: Some(timeline.clone()),
+        ..recorder.clone().into()
+    }
+    .enter();
 
     // 10 spans into a 4-slot ring: 6 oldest dropped, 4 newest kept.
     for i in 0..10u64 {
@@ -45,7 +49,10 @@ fn eight_concurrent_writers_merge_into_a_well_formed_timeline() {
     const THREADS: u64 = 8;
     const SPANS_PER_THREAD: u64 = 200;
     let timeline = Arc::new(Timeline::new());
-    let obs = &Obs { timeline: Some(timeline.clone()), ..Obs::default() };
+    let obs = &Obs {
+        timeline: Some(timeline.clone()),
+        ..Obs::default()
+    };
 
     std::thread::scope(|s| {
         for t in 0..THREADS {
@@ -68,7 +75,10 @@ fn eight_concurrent_writers_merge_into_a_well_formed_timeline() {
     // Well-formed merge: globally ordered by begin, every event closed,
     // every thread contributed exactly its share in its own order.
     for pair in snap.events.windows(2) {
-        assert!(pair[0].begin_ns <= pair[1].begin_ns, "snapshot is time-ordered");
+        assert!(
+            pair[0].begin_ns <= pair[1].begin_ns,
+            "snapshot is time-ordered"
+        );
     }
     for t in 0..THREADS {
         let mine: Vec<u64> = snap
@@ -103,7 +113,11 @@ fn install_and_uninstall_mid_run_leave_no_dangling_events() {
     let span_before = obs::span_with(Stage::Capture, TimelineArgs::default);
     std::thread::sleep(Duration::from_millis(2));
     let timeline = Arc::new(Timeline::new());
-    let attached = Obs { timeline: Some(timeline.clone()), ..recorder.clone().into() }.enter();
+    let attached = Obs {
+        timeline: Some(timeline.clone()),
+        ..recorder.clone().into()
+    }
+    .enter();
     drop(span_before);
 
     // Span opened while installed, closed after uninstall: not recorded —
@@ -124,9 +138,15 @@ fn install_and_uninstall_mid_run_leave_no_dangling_events() {
     let snap = timeline.snapshot();
     let stages: Vec<Stage> = snap.events.iter().map(|e| e.stage).collect();
     assert_eq!(stages, vec![Stage::Capture, Stage::Replay]);
-    assert_eq!(snap.events[0].begin_ns, 0, "pre-install open clamps to epoch");
+    assert_eq!(
+        snap.events[0].begin_ns, 0,
+        "pre-install open clamps to epoch"
+    );
     for event in &snap.events {
-        assert!(event.end_ns >= event.begin_ns, "every recorded event is closed");
+        assert!(
+            event.end_ns >= event.begin_ns,
+            "every recorded event is closed"
+        );
     }
     assert_eq!(snap.dropped, 0);
 }
@@ -135,9 +155,16 @@ fn install_and_uninstall_mid_run_leave_no_dangling_events() {
 fn reinstalling_returns_the_previous_timeline() {
     let first = Arc::new(Timeline::new());
     let second = Arc::new(Timeline::new());
-    assert!(obs::install(Obs { timeline: Some(first.clone()), ..Obs::default() }).is_none());
+    assert!(obs::install(Obs {
+        timeline: Some(first.clone()),
+        ..Obs::default()
+    })
+    .is_none());
     drop(obs::span_with(Stage::Capture, TimelineArgs::default));
-    let previous = obs::install(Obs { timeline: Some(second.clone()), ..Obs::default() });
+    let previous = obs::install(Obs {
+        timeline: Some(second.clone()),
+        ..Obs::default()
+    });
     let previous = previous.expect("first is returned");
     assert!(Arc::ptr_eq(&previous.timeline.expect("a timeline"), &first));
     drop(obs::span_with(Stage::Sweep, TimelineArgs::default));

@@ -23,8 +23,7 @@
 
 use reuselens_core::{Histogram, PatternKey, ReusePattern, ReuseProfile};
 use reuselens_ir::{
-    AccessKind, Affine, ArrayId, EvalCtx, Expr, Pred, Program, RefId, ScopeId, Stmt,
-    VarId,
+    AccessKind, Affine, ArrayId, EvalCtx, Expr, Pred, Program, RefId, ScopeId, Stmt, VarId,
 };
 use reuselens_obs::{self as obs, Counter, Stage};
 use reuselens_trace::{ExecReport, LoopStats};
@@ -706,14 +705,12 @@ fn synthesize(program: &Program, sites: &[Site], block_size: u64) -> ReuseProfil
         let residue = cascade(leader, leader.count, &mut emissions);
         let cov = blocks_under(leader, leader.frames.len(), bf, None);
         if residue > 0.0 {
-            let prior = seen_on_array
-                .get(&leader.array)
-                .and_then(|prev| {
-                    prev.iter()
-                        .rev()
-                        .find(|&&(_, c)| c >= 0.5 * cov)
-                        .map(|&(idx, c)| (idx, c))
-                });
+            let prior = seen_on_array.get(&leader.array).and_then(|prev| {
+                prev.iter()
+                    .rev()
+                    .find(|&&(_, c)| c >= 0.5 * cov)
+                    .map(|&(idx, c)| (idx, c))
+            });
             if let Some((src_idx, src_cov)) = prior {
                 let src = &sites[src_idx];
                 let share = (src_cov / cov).min(1.0);
@@ -899,7 +896,8 @@ fn group_hit_distance(program: &Program, snk: &Site, src: &Site, bf: f64) -> (Sc
             }
             match common {
                 Some((pa, pb, scope)) => {
-                    let d = 0.5 * (blocks_under(snk, pa, bf, None) + blocks_under(src, pb, bf, None));
+                    let d =
+                        0.5 * (blocks_under(snk, pa, bf, None) + blocks_under(src, pb, bf, None));
                     (scope, d.round() as u64)
                 }
                 None => {

@@ -10,9 +10,7 @@
 //!   per iteration — a constant, *irregular* (changes between iterations),
 //!   or *indirect* (depends on loaded data).
 
-use reuselens_ir::{
-    stride_wrt, Affine, ArrayId, Program, RefId, Reference, ScopeId, Stride,
-};
+use reuselens_ir::{stride_wrt, Affine, ArrayId, Program, RefId, Reference, ScopeId, Stride};
 
 /// Symbolic formulas for one reference.
 #[derive(Debug, Clone, PartialEq)]

@@ -191,7 +191,12 @@ impl fmt::Display for StoreError {
             StoreError::Io { op, path, message } => {
                 write!(f, "store {op} failed for {}: {message}", path.display())
             }
-            StoreError::Truncated { path, offset, needed, have } => write!(
+            StoreError::Truncated {
+                path,
+                offset,
+                needed,
+                have,
+            } => write!(
                 f,
                 "{} truncated at byte {offset}: needed {needed} more bytes, found {have}",
                 path.display()
@@ -199,22 +204,40 @@ impl fmt::Display for StoreError {
             StoreError::BadMagic { path } => {
                 write!(f, "{} is not a store file (bad magic)", path.display())
             }
-            StoreError::UnsupportedVersion { path, found, supported } => write!(
+            StoreError::UnsupportedVersion {
+                path,
+                found,
+                supported,
+            } => write!(
                 f,
                 "{} has unsupported store version {found} (this build reads version {supported})",
                 path.display()
             ),
-            StoreError::CrcMismatch { path, frame, offset, stored, computed } => write!(
+            StoreError::CrcMismatch {
+                path,
+                frame,
+                offset,
+                stored,
+                computed,
+            } => write!(
                 f,
                 "{} {frame} checksum mismatch at byte {offset}: \
                  stored {stored:#010x}, computed {computed:#010x}",
                 path.display()
             ),
             StoreError::Corrupt { path, offset, what } => {
-                write!(f, "corrupt store file {} at byte {offset}: {what}", path.display())
+                write!(
+                    f,
+                    "corrupt store file {} at byte {offset}: {what}",
+                    path.display()
+                )
             }
             StoreError::Mismatch { path, what } => {
-                write!(f, "{} does not match its index entry: {what}", path.display())
+                write!(
+                    f,
+                    "{} does not match its index entry: {what}",
+                    path.display()
+                )
             }
             StoreError::Decode { id, error } => {
                 write!(f, "stored trace '{id}' failed validation: {error}")
@@ -756,9 +779,9 @@ impl TraceStore {
     /// Unknown ids; any framing, checksum, cross-check, or decode
     /// malformation, with file + byte-offset diagnostics.
     pub fn get(&self, id: &str) -> Result<TraceBuffer, StoreError> {
-        let entry = self.entry(id).ok_or_else(|| StoreError::UnknownTrace {
-            id: id.to_string(),
-        })?;
+        let entry = self
+            .entry(id)
+            .ok_or_else(|| StoreError::UnknownTrace { id: id.to_string() })?;
         let mut image = Vec::with_capacity(entry.image_len as usize);
         let mut image_crc = 0u32; // CRC-32 of the empty prefix
         for (k, info) in entry.segments.iter().enumerate() {
@@ -776,8 +799,7 @@ impl TraceStore {
                     header.id, entry.id
                 )));
             }
-            if header.seg_index as usize != k || header.seg_count as usize != entry.segments.len()
-            {
+            if header.seg_index as usize != k || header.seg_count as usize != entry.segments.len() {
                 return Err(mismatch(format!(
                     "segment claims position {}/{}, index expects {}/{}",
                     header.seg_index,
@@ -932,10 +954,7 @@ mod tests {
     }
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "rlstore-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("rlstore-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -962,11 +981,7 @@ mod tests {
     fn multi_segment_traces_reassemble() {
         let dir = tmpdir("multiseg");
         let buf = captured(2_000);
-        let mut store = TraceStore::open_with(
-            &dir,
-            StoreConfig { segment_bytes: 512 },
-        )
-        .unwrap();
+        let mut store = TraceStore::open_with(&dir, StoreConfig { segment_bytes: 512 }).unwrap();
         let nsegs = store.put("big", &buf, meta()).unwrap().segments.len();
         assert!(nsegs > 3, "expected several segments, got {nsegs}");
         let loaded = store.get("big").unwrap();
@@ -1048,7 +1063,9 @@ mod tests {
     fn empty_trace_round_trips() {
         let dir = tmpdir("empty");
         let mut store = TraceStore::open(&dir).unwrap();
-        store.put("empty", &TraceBuffer::new(), TraceMeta::default()).unwrap();
+        store
+            .put("empty", &TraceBuffer::new(), TraceMeta::default())
+            .unwrap();
         let loaded = store.get("empty").unwrap();
         assert!(loaded.is_empty());
         fs::remove_dir_all(&dir).unwrap();

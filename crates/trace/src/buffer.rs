@@ -434,7 +434,10 @@ impl TraceBuffer {
         let (from_event, from_accesses) = (state.event, state.accesses);
         self.advance(state, to_event, sink);
         obs::add(obs::Counter::EventsDecoded, state.event - from_event);
-        obs::add(obs::Counter::AccessesDecoded, state.accesses - from_accesses);
+        obs::add(
+            obs::Counter::AccessesDecoded,
+            state.accesses - from_accesses,
+        );
     }
 
     /// The one replay decode loop, behind [`replay_advance`] and the seek.
@@ -456,14 +459,19 @@ impl TraceBuffer {
         let mut batch = SoaBatch::with_capacity(BATCH);
         let mut addr = state.last_addr;
         let mut r = state.last_ref;
-        let (mut ap, mut rp, mut sp, mut cp) =
-            (state.addr_pos, state.ref_pos, state.size_pos, state.scope_pos);
+        let (mut ap, mut rp, mut sp, mut cp) = (
+            state.addr_pos,
+            state.ref_pos,
+            state.size_pos,
+            state.scope_pos,
+        );
         let mut accesses = state.accesses;
         for i in state.event..to_event {
             let op = (self.ops[(i / 4) as usize] >> ((i % 4) * 2)) & 0b11;
             match op {
                 OP_LOAD | OP_STORE => {
-                    addr = addr.wrapping_add(unzigzag(get_varint(&self.addr_bytes, &mut ap)) as u64);
+                    addr =
+                        addr.wrapping_add(unzigzag(get_varint(&self.addr_bytes, &mut ap)) as u64);
                     r = (i64::from(r) + unzigzag(get_varint(&self.ref_bytes, &mut rp))) as u32;
                     let size = get_varint(&self.size_bytes, &mut sp) as u32;
                     let kind = if op == OP_LOAD {
@@ -499,7 +507,12 @@ impl TraceBuffer {
         }
         state.event = to_event;
         state.accesses = accesses;
-        (state.addr_pos, state.ref_pos, state.size_pos, state.scope_pos) = (ap, rp, sp, cp);
+        (
+            state.addr_pos,
+            state.ref_pos,
+            state.size_pos,
+            state.scope_pos,
+        ) = (ap, rp, sp, cp);
         (state.last_addr, state.last_ref) = (addr, r);
     }
 
@@ -688,20 +701,20 @@ impl<'b> Decoder<'b> {
         let op = (self.buf.ops[(i / 4) as usize] >> ((i % 4) * 2)) & 0b11;
         match op {
             OP_LOAD | OP_STORE => {
-                let delta =
-                    try_varint(&self.buf.addr_bytes, &mut self.addr_pos, Column::Addr, i)?;
+                let delta = try_varint(&self.buf.addr_bytes, &mut self.addr_pos, Column::Addr, i)?;
                 self.addr = self.addr.wrapping_add(unzigzag(delta) as u64);
-                let rdelta =
-                    try_varint(&self.buf.ref_bytes, &mut self.ref_pos, Column::Ref, i)?;
+                let rdelta = try_varint(&self.buf.ref_bytes, &mut self.ref_pos, Column::Ref, i)?;
                 let r = i64::from(self.r) + unzigzag(rdelta);
                 if r < 0 || r > i64::from(u32::MAX) {
                     return Err(DecodeError::RefOutOfRange { event: i, value: r });
                 }
                 self.r = r as u32;
-                let size =
-                    try_varint(&self.buf.size_bytes, &mut self.size_pos, Column::Size, i)?;
+                let size = try_varint(&self.buf.size_bytes, &mut self.size_pos, Column::Size, i)?;
                 if size > u64::from(u32::MAX) {
-                    return Err(DecodeError::SizeOutOfRange { event: i, value: size });
+                    return Err(DecodeError::SizeOutOfRange {
+                        event: i,
+                        value: size,
+                    });
                 }
                 self.accesses += 1;
                 Ok(true)
@@ -710,7 +723,10 @@ impl<'b> Decoder<'b> {
                 let scope =
                     try_varint(&self.buf.scope_bytes, &mut self.scope_pos, Column::Scope, i)?;
                 if scope > u64::from(u32::MAX) {
-                    return Err(DecodeError::ScopeOutOfRange { event: i, value: scope });
+                    return Err(DecodeError::ScopeOutOfRange {
+                        event: i,
+                        value: scope,
+                    });
                 }
                 let scope = scope as u32;
                 if op == OP_ENTER {
@@ -761,7 +777,11 @@ impl<'b> Decoder<'b> {
             (Column::Scope, self.scope_pos, self.buf.scope_bytes.len()),
         ] {
             if consumed != len {
-                return Err(DecodeError::TrailingBytes { column, consumed, len });
+                return Err(DecodeError::TrailingBytes {
+                    column,
+                    consumed,
+                    len,
+                });
             }
         }
         Ok(())
@@ -898,7 +918,11 @@ mod tests {
             if i % 97 == 0 {
                 buf.enter(ScopeId(2 + (i % 3) as u32));
             }
-            let kind = if i % 3 == 0 { AccessKind::Store } else { AccessKind::Load };
+            let kind = if i % 3 == 0 {
+                AccessKind::Store
+            } else {
+                AccessKind::Load
+            };
             buf.access(
                 RefId((i % 5) as u32),
                 0x1_0000 + (i * 24) % 4096 + (i / 11) * 64,
@@ -1043,7 +1067,11 @@ mod tests {
                 buf.enter(s);
                 open = Some(s);
             }
-            let kind = if i % 3 == 0 { AccessKind::Store } else { AccessKind::Load };
+            let kind = if i % 3 == 0 {
+                AccessKind::Store
+            } else {
+                AccessKind::Load
+            };
             buf.access(
                 RefId((i % 5) as u32),
                 0x1_0000 + (i * 24) % 4096 + (i / 11) * 64,
@@ -1090,7 +1118,11 @@ mod tests {
         let mut lying = buf.export();
         lying.accesses += 1;
         match TraceBuffer::import(lying).unwrap_err() {
-            DecodeError::CountMismatch { what, declared, actual } => {
+            DecodeError::CountMismatch {
+                what,
+                declared,
+                actual,
+            } => {
                 assert_eq!(what, "event");
                 assert_eq!(declared, buf.events());
                 assert_eq!(actual, buf.events() + 1);

@@ -137,11 +137,19 @@ pub enum DecodeError {
 impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DecodeError::Truncated { column, offset, event } => write!(
+            DecodeError::Truncated {
+                column,
+                offset,
+                event,
+            } => write!(
                 f,
                 "{column} column truncated at byte {offset} (event {event})"
             ),
-            DecodeError::VarintOverflow { column, offset, event } => write!(
+            DecodeError::VarintOverflow {
+                column,
+                offset,
+                event,
+            } => write!(
                 f,
                 "malformed varint in {column} column at byte {offset} (event {event})"
             ),
@@ -154,7 +162,11 @@ impl fmt::Display for DecodeError {
             DecodeError::ScopeOutOfRange { event, value } => {
                 write!(f, "scope id {value} out of u32 range at event {event}")
             }
-            DecodeError::UnbalancedExit { event, scope, expected } => match expected {
+            DecodeError::UnbalancedExit {
+                event,
+                scope,
+                expected,
+            } => match expected {
                 Some(top) => write!(
                     f,
                     "scope exit {scope} at event {event} does not match open scope {top}"
@@ -164,12 +176,20 @@ impl fmt::Display for DecodeError {
             DecodeError::UnclosedScopes { depth } => {
                 write!(f, "stream ended with {depth} scope(s) still open")
             }
-            DecodeError::TrailingBytes { column, consumed, len } => write!(
+            DecodeError::TrailingBytes {
+                column,
+                consumed,
+                len,
+            } => write!(
                 f,
                 "{column} column has {} trailing byte(s) ({consumed} consumed of {len})",
                 len - consumed
             ),
-            DecodeError::CountMismatch { what, declared, actual } => write!(
+            DecodeError::CountMismatch {
+                what,
+                declared,
+                actual,
+            } => write!(
                 f,
                 "declared {what} count {declared} does not match decoded {actual}"
             ),
@@ -258,7 +278,11 @@ mod tests {
         let mut pos = 0;
         assert!(matches!(
             try_varint(&bytes, &mut pos, Column::Addr, 3),
-            Err(DecodeError::VarintOverflow { column: Column::Addr, offset: 0, event: 3 })
+            Err(DecodeError::VarintOverflow {
+                column: Column::Addr,
+                offset: 0,
+                event: 3
+            })
         ));
         // Tenth byte carrying bits past bit 63.
         let bytes = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02];

@@ -148,7 +148,12 @@ impl VecSink {
     /// Just the access events, in order.
     pub fn accesses(&self) -> impl Iterator<Item = (RefId, u64, u32, AccessKind)> + '_ {
         self.events.iter().filter_map(|e| match e {
-            Event::Access { r, addr, size, kind } => Some((*r, *addr, *size, *kind)),
+            Event::Access {
+                r,
+                addr,
+                size,
+                kind,
+            } => Some((*r, *addr, *size, *kind)),
             _ => None,
         })
     }
@@ -161,7 +166,12 @@ impl VecSink {
 
 impl TraceSink for VecSink {
     fn access(&mut self, r: RefId, addr: u64, size: u32, kind: AccessKind) {
-        self.events.push(Event::Access { r, addr, size, kind });
+        self.events.push(Event::Access {
+            r,
+            addr,
+            size,
+            kind,
+        });
     }
     fn enter(&mut self, scope: ScopeId) {
         self.events.push(Event::Enter(scope));

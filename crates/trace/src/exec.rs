@@ -3,8 +3,7 @@
 
 use crate::event::TraceSink;
 use reuselens_ir::{
-    AddressPlan, ArrayId, ArrayKind, EvalCtx, Expr, Program, RefId, RoutineId, ScopeId, Stmt,
-    VarId,
+    AddressPlan, ArrayId, ArrayKind, EvalCtx, Expr, Program, RefId, RoutineId, ScopeId, Stmt, VarId,
 };
 use std::error::Error;
 use std::fmt;
@@ -221,11 +220,7 @@ impl<'p> Executor<'p> {
     }
 
     /// Fills an index array by evaluating `f(flat_offset)`.
-    pub fn fill_index_array(
-        &mut self,
-        array: ArrayId,
-        f: impl FnMut(u64) -> i64,
-    ) -> &mut Self {
+    pub fn fill_index_array(&mut self, array: ArrayId, f: impl FnMut(u64) -> i64) -> &mut Self {
         let len = self.program.array(array).len();
         let mut f = f;
         self.set_index_array(array, (0..len).map(&mut f).collect())
@@ -343,7 +338,12 @@ impl<'p> Executor<'p> {
             reuselens_ir::AccessKind::Load => report.loads += 1,
             reuselens_ir::AccessKind::Store => report.stores += 1,
         }
-        sink.access(rid, addr, self.program.array(r.array()).elem_size(), r.kind());
+        sink.access(
+            rid,
+            addr,
+            self.program.array(r.array()).elem_size(),
+            r.kind(),
+        );
         Ok(())
     }
 
@@ -442,10 +442,7 @@ mod tests {
         let mut sink = VecSink::new();
         Executor::new(&prog).run(&mut sink).unwrap();
         let base = prog.arrays()[0].base();
-        assert_eq!(
-            sink.addresses(),
-            vec![base + 24, base + 16, base + 8, base]
-        );
+        assert_eq!(sink.addresses(), vec![base + 24, base + 16, base + 8, base]);
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! `+poisson transforms`, `+smooth LI`, `+pushi tiling/fusion`.
 
 use crate::BuiltWorkload;
-use reuselens_prng::SplitMix64;
 use reuselens_ir::{ArrayId, BodyBuilder, Expr, ProgramBuilder};
+use reuselens_prng::SplitMix64;
 
 /// Maximum ring-stencil length in the Poisson solver.
 const MMAX: u64 = 8;

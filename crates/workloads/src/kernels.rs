@@ -1,8 +1,8 @@
 //! Pedagogical kernels from the paper and synthetic generators.
 
 use crate::BuiltWorkload;
-use reuselens_prng::SplitMix64;
 use reuselens_ir::{Expr, Program, ProgramBuilder};
+use reuselens_prng::SplitMix64;
 
 /// Which version of the Figure 1 loop nest to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,11 +122,7 @@ pub fn random_gather(table: u64, accesses: u64, passes: u64, seed: u64) -> Built
     p.routine("main", |r| {
         r.for_("pass", 0, (passes - 1) as i64, |r, _| {
             r.for_("i", 0, (accesses - 1) as i64, |r, i| {
-                r.load_labeled(
-                    a,
-                    vec![Expr::load(ix, vec![i.into()])],
-                    "table(ix(i))",
-                );
+                r.load_labeled(a, vec![Expr::load(ix, vec![i.into()])], "table(ix(i))");
             });
         });
     });
@@ -212,14 +208,9 @@ pub fn matmul(n: u64, tile: Option<u64>) -> BuiltWorkload {
                     r.for_step("kk", 0, last, t, |r, kk| {
                         r.for_("j", Expr::var(jj), Expr::var(jj) + (t - 1), |r, j| {
                             r.for_("i", 0, last, |r, i| {
-                                r.for_(
-                                    "k",
-                                    Expr::var(kk),
-                                    Expr::var(kk) + (t - 1),
-                                    |r, k| {
-                                        body(r, i, j, k);
-                                    },
-                                );
+                                r.for_("k", Expr::var(kk), Expr::var(kk) + (t - 1), |r, k| {
+                                    body(r, i, j, k);
+                                });
                             });
                         });
                     });
@@ -289,8 +280,14 @@ mod tests {
         // immediate. Compare mean reuse distances.
         let a = fig1_interchange(128, 64, Fig1Variant::RowOrder);
         let b = fig1_interchange(128, 64, Fig1Variant::Interchanged);
-        let pa = analyze_program(&a.program, &[64], vec![]).unwrap().profiles.remove(0);
-        let pb = analyze_program(&b.program, &[64], vec![]).unwrap().profiles.remove(0);
+        let pa = analyze_program(&a.program, &[64], vec![])
+            .unwrap()
+            .profiles
+            .remove(0);
+        let pb = analyze_program(&b.program, &[64], vec![])
+            .unwrap()
+            .profiles
+            .remove(0);
         let mean = |p: &reuselens_core::ReuseProfile| {
             let mut h = reuselens_core::Histogram::new();
             for pat in &p.patterns {

@@ -165,14 +165,13 @@ pub fn build(cfg: &SweepConfig) -> BuiltWorkload {
             vec![i, j, k, Expr::c(nn)]
         }
     };
-    let subs_var =
-        move |i: Expr, j: Expr, k: Expr, nn: Expr| -> Vec<Expr> {
-            if dim_ic {
-                vec![i, nn, j, k]
-            } else {
-                vec![i, j, k, nn]
-            }
-        };
+    let subs_var = move |i: Expr, j: Expr, k: Expr, nn: Expr| -> Vec<Expr> {
+        if dim_ic {
+            vec![i, nn, j, k]
+        } else {
+            vec![i, j, k, nn]
+        }
+    };
 
     let sweep = p.declare_routine("sweep");
     let main = p.routine("main", |r| {
@@ -193,18 +192,15 @@ pub fn build(cfg: &SweepConfig) -> BuiltWorkload {
             r.for_("idiag", 0, dmax as i64, |r, idiag| {
                 r.for_("jkm", 0, (mmib - 1) as i64, |r, mib| {
                     r.for_("jk", 0, (kt - 1) as i64, |r, k| {
-                        let j = r.let_(
-                            "j",
-                            Expr::var(idiag) - Expr::var(k) - Expr::var(mib),
-                        );
+                        let j = r.let_("j", Expr::var(idiag) - Expr::var(k) - Expr::var(mib));
                         let in_plane = Pred::Ge(Expr::var(j), Expr::c(0))
                             .and(Pred::Lt(Expr::var(j), Expr::c(jt as i64)));
                         r.if_(in_plane, |r| {
                             r.for_("iq", 0, (cfg.octants - 1) as i64, |r, iq| {
                                 let mi = r.let_("mi", Expr::var(mib));
                                 emit_cell(
-                                    r, it, nm, src, flux, face, sigt, phi, phikb,
-                                    phijb, pn, w_arr, j, k, mi, iq, &subs, &subs_var,
+                                    r, it, nm, src, flux, face, sigt, phi, phikb, phijb, pn, w_arr,
+                                    j, k, mi, iq, &subs, &subs_var,
                                 );
                             });
                         });
@@ -217,10 +213,7 @@ pub fn build(cfg: &SweepConfig) -> BuiltWorkload {
                 r.for_("idiag", 0, dmax as i64, |r, idiag| {
                     r.for_("jkm", 0, (mmib - 1) as i64, |r, mib| {
                         r.for_("jk", 0, (kt - 1) as i64, |r, k| {
-                            let j = r.let_(
-                                "j",
-                                Expr::var(idiag) - Expr::var(k) - Expr::var(mib),
-                            );
+                            let j = r.let_("j", Expr::var(idiag) - Expr::var(k) - Expr::var(mib));
                             let in_plane = Pred::Ge(Expr::var(j), Expr::c(0))
                                 .and(Pred::Lt(Expr::var(j), Expr::c(jt as i64)));
                             r.if_(in_plane, |r| {
@@ -229,15 +222,12 @@ pub fn build(cfg: &SweepConfig) -> BuiltWorkload {
                                         "mi",
                                         Expr::var(mib) * b_factor as i64 + Expr::var(bb),
                                     );
-                                    r.if_(
-                                        Pred::Lt(Expr::var(mi), Expr::c(mmi as i64)),
-                                        |r| {
-                                            emit_cell(
-                                                r, it, nm, src, flux, face, sigt, phi, phikb,
-                                                phijb, pn, w_arr, j, k, mi, iq, &subs, &subs_var,
-                                            );
-                                        },
-                                    );
+                                    r.if_(Pred::Lt(Expr::var(mi), Expr::c(mmi as i64)), |r| {
+                                        emit_cell(
+                                            r, it, nm, src, flux, face, sigt, phi, phikb, phijb,
+                                            pn, w_arr, j, k, mi, iq, &subs, &subs_var,
+                                        );
+                                    });
                                 });
                             });
                         });
@@ -416,12 +406,7 @@ mod tests {
                 .map(|p| p.histogram.count_ge(cache_lines))
                 .sum()
         };
-        let total_long: f64 = w
-            .program
-            .scopes()
-            .iter()
-            .map(|s| long_misses(s.id()))
-            .sum();
+        let total_long: f64 = w.program.scopes().iter().map(|s| long_misses(s.id())).sum();
         let idiag_share = long_misses(idiag) / total_long;
         assert!(
             idiag_share > 0.5,
@@ -434,8 +419,14 @@ mod tests {
     fn blocking_moves_idiag_reuse_into_the_cell_loops() {
         let w1 = build(&SweepConfig::new(8));
         let w6 = build(&SweepConfig::new(8).with_mi_block(6));
-        let p1 = analyze_program(&w1.program, &[64], vec![]).unwrap().profiles.remove(0);
-        let p6 = analyze_program(&w6.program, &[64], vec![]).unwrap().profiles.remove(0);
+        let p1 = analyze_program(&w1.program, &[64], vec![])
+            .unwrap()
+            .profiles
+            .remove(0);
+        let p6 = analyze_program(&w6.program, &[64], vec![])
+            .unwrap()
+            .profiles
+            .remove(0);
         let idiag1 = w1.program.scope_by_name("idiag").unwrap();
         let idiag6 = w6.program.scope_by_name("idiag").unwrap();
         let carried = |p: &reuselens_core::ReuseProfile, s| {

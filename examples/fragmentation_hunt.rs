@@ -12,7 +12,11 @@ use reuselens::metrics::{format_fragmentation, run_locality_analysis};
 
 /// Particles with 7 fields each; the kinetic-energy loop reads 2 of them.
 fn particles(n: u64, soa: bool) -> Program {
-    let mut p = ProgramBuilder::new(if soa { "particles-soa" } else { "particles-aos" });
+    let mut p = ProgramBuilder::new(if soa {
+        "particles-soa"
+    } else {
+        "particles-aos"
+    });
     let dims: &[u64] = if soa { &[n, 7] } else { &[7, n] };
     let part = p.array("particle", 8, dims);
     let sub = move |f: i64, i: Expr| -> Vec<Expr> {
@@ -55,7 +59,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .find(|r| matches!(r.transformation, Transformation::SplitArray { .. }))
         .expect("split-array recommendation");
-    println!("advisor: {}\n         ({})", split.transformation, split.rationale);
+    println!(
+        "advisor: {}\n         ({})",
+        split.transformation, split.rationale
+    );
 
     let soa = particles(n, true);
     let la2 = run_locality_analysis(&soa, &h, vec![])?;

@@ -30,8 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut first_cycles = None;
     for n in 0..=6 {
-        let cfg =
-            GtcConfig::new(mgrid, micell).with_transforms(GtcTransforms::cumulative(n));
+        let cfg = GtcConfig::new(mgrid, micell).with_transforms(GtcTransforms::cumulative(n));
         let w = build(&cfg);
         let (report, _) = evaluate_program(&w.program, &h, w.index_arrays.clone())?;
         let cycles = w.normalize(report.timing.total());

@@ -20,7 +20,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let w = stencil2d(n, 3);
         let analysis = analyze_program(&w.program, &[l2.line_size], vec![])?;
         profiles.push(analysis.profiles.into_iter().next().unwrap());
-        println!("measured n={n:<4} ({} accesses)", profiles.last().unwrap().total_accesses);
+        println!(
+            "measured n={n:<4} ({} accesses)",
+            profiles.last().unwrap().total_accesses
+        );
     }
     let refs: Vec<&_> = profiles.iter().collect();
     let xs: Vec<f64> = train_sizes.iter().map(|&n| n as f64).collect();

@@ -460,12 +460,12 @@ impl WorkloadSpec {
                 "dim-ic" => out.dim_ic = true,
                 "octant-inner" => out.octant_inner = true,
                 kv => {
-                    let (key, value) = kv.split_once('=').ok_or_else(|| {
-                        ServeError::Parse(format!("bad spec token '{kv}'"))
-                    })?;
-                    let value: u64 = value.parse().map_err(|_| {
-                        ServeError::Parse(format!("bad spec value in '{kv}'"))
-                    })?;
+                    let (key, value) = kv
+                        .split_once('=')
+                        .ok_or_else(|| ServeError::Parse(format!("bad spec token '{kv}'")))?;
+                    let value: u64 = value
+                        .parse()
+                        .map_err(|_| ServeError::Parse(format!("bad spec value in '{kv}'")))?;
                     match key {
                         "mesh" => out.mesh = Some(value),
                         "block" => out.block = Some(value),
@@ -474,9 +474,7 @@ impl WorkloadSpec {
                         "micell" => out.micell = Some(value),
                         "variant" => out.variant = Some(value),
                         other => {
-                            return Err(ServeError::Parse(format!(
-                                "unknown spec key '{other}'"
-                            )))
+                            return Err(ServeError::Parse(format!("unknown spec key '{other}'")))
                         }
                     }
                 }
@@ -504,9 +502,7 @@ impl WorkloadSpec {
             }
             "gtc" => Ok(build_gtc(
                 &GtcConfig::new(self.mgrid.unwrap_or(512), self.micell.unwrap_or(16))
-                    .with_transforms(GtcTransforms::cumulative(
-                        self.variant.unwrap_or(0) as usize
-                    ))
+                    .with_transforms(GtcTransforms::cumulative(self.variant.unwrap_or(0) as usize))
                     .with_timesteps(self.timesteps.unwrap_or(1)),
             )),
             other => {
@@ -1269,9 +1265,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         };
         let kind = job.request.kind_name();
         let started = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            execute(shared, &job.job, &job.request)
-        }));
+        let outcome = catch_unwind(AssertUnwindSafe(|| execute(shared, &job.job, &job.request)));
         let wall = started.elapsed();
         let outcome: Result<String, ServeError> = match outcome {
             Ok(inner) => inner,
@@ -1580,16 +1574,12 @@ fn serve_lines(
 /// # Errors
 ///
 /// Propagates read failures from `input` and write failures to `output`.
-pub fn run_stdin(
-    daemon: &Daemon,
-    input: impl BufRead,
-    mut output: impl Write,
-) -> io::Result<()> {
+pub fn run_stdin(daemon: &Daemon, input: impl BufRead, mut output: impl Write) -> io::Result<()> {
     let mut input = input;
     let mut pending: VecDeque<mpsc::Receiver<String>> = VecDeque::new();
     let window = daemon.shared.queue_cap + daemon.worker_count.max(1);
     let flush_front = |pending: &mut VecDeque<mpsc::Receiver<String>>,
-                           output: &mut dyn Write|
+                       output: &mut dyn Write|
      -> io::Result<()> {
         if let Some(rx) = pending.pop_front() {
             if let Ok(response) = rx.recv() {
@@ -1635,10 +1625,8 @@ mod tests {
     }
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "reuselens-serve-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("reuselens-serve-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create tmpdir");
         dir
@@ -1716,8 +1704,7 @@ mod tests {
 
     #[test]
     fn ping_list_evict_round_trip() {
-        let daemon =
-            Daemon::start(DaemonConfig::new(tmpdir("ping"))).expect("start daemon");
+        let daemon = Daemon::start(DaemonConfig::new(tmpdir("ping"))).expect("start daemon");
         let pong = recv(daemon.submit_line(br#"{"kind":"ping"}"#));
         assert!(pong.contains("\"ok\":true"), "{pong}");
         assert!(pong.contains("\"pong\":true"), "{pong}");
@@ -1734,8 +1721,7 @@ mod tests {
 
     #[test]
     fn capture_then_replay_is_deterministic() {
-        let daemon =
-            Daemon::start(DaemonConfig::new(tmpdir("capture"))).expect("start daemon");
+        let daemon = Daemon::start(DaemonConfig::new(tmpdir("capture"))).expect("start daemon");
         let cap = recv(daemon.submit_line(
             br#"{"kind":"capture","id":"s1","workload":"kernel:stream","grains":[64]}"#,
         ));
@@ -1750,9 +1736,8 @@ mod tests {
                 .collect::<String>()
         };
         assert_eq!(crc(&a), crc(&b), "replays must agree: {a} vs {b}");
-        let dup = recv(daemon.submit_line(
-            br#"{"kind":"capture","id":"s1","workload":"kernel:stream"}"#,
-        ));
+        let dup =
+            recv(daemon.submit_line(br#"{"kind":"capture","id":"s1","workload":"kernel:stream"}"#));
         assert!(dup.contains("\"type\":\"duplicate-trace\""), "{dup}");
         daemon.shutdown();
     }
@@ -1780,15 +1765,16 @@ mod tests {
 
     #[test]
     fn tcp_transport_serves_lines() {
-        let daemon = Arc::new(
-            Daemon::start(DaemonConfig::new(tmpdir("tcp"))).expect("start daemon"),
-        );
+        let daemon =
+            Arc::new(Daemon::start(DaemonConfig::new(tmpdir("tcp"))).expect("start daemon"));
         let addr = daemon.serve("127.0.0.1:0").expect("bind");
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream
             .write_all(b"{\"kind\":\"ping\"}\n{\"kind\":\"list\"}\nnot json\n")
             .expect("send");
-        stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
         let mut reader = io::BufReader::new(stream);
         let mut lines = Vec::new();
         let mut line = String::new();
@@ -1804,8 +1790,7 @@ mod tests {
 
     #[test]
     fn stdin_transport_answers_in_request_order() {
-        let daemon =
-            Daemon::start(DaemonConfig::new(tmpdir("stdin"))).expect("start daemon");
+        let daemon = Daemon::start(DaemonConfig::new(tmpdir("stdin"))).expect("start daemon");
         let input = b"{\"kind\":\"sleep\",\"ms\":50}\n{\"kind\":\"ping\"}\n".to_vec();
         let mut output = Vec::new();
         run_stdin(&daemon, io::Cursor::new(input), &mut output).expect("run");
@@ -1819,8 +1804,7 @@ mod tests {
 
     #[test]
     fn every_reply_line_is_one_write() {
-        let daemon =
-            Daemon::start(DaemonConfig::new(tmpdir("framing"))).expect("start daemon");
+        let daemon = Daemon::start(DaemonConfig::new(tmpdir("framing"))).expect("start daemon");
         let input = b"{\"kind\":\"ping\"}\n{\"kind\":\"list\"}\nnot json\n".to_vec();
         let mut out = CountingWriter::default();
         serve_lines(io::Cursor::new(input), &mut out, &daemon).expect("serve");
@@ -1976,8 +1960,7 @@ mod tests {
 
     #[test]
     fn jobs_json_tracks_the_table() {
-        let daemon =
-            Daemon::start(DaemonConfig::new(tmpdir("jobs"))).expect("start daemon");
+        let daemon = Daemon::start(DaemonConfig::new(tmpdir("jobs"))).expect("start daemon");
         let _ = recv(daemon.submit_line(br#"{"kind":"ping"}"#));
         let _ = recv(daemon.submit_line(b"garbage"));
         let json = daemon.jobs_json();

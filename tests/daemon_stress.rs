@@ -67,9 +67,7 @@ fn seq_of(response: &str) -> Option<u64> {
 
 #[test]
 fn eight_clients_mixed_jobs_lose_nothing() {
-    let daemon = Arc::new(
-        Daemon::start(DaemonConfig::new(tmpdir("mixed"))).expect("start daemon"),
-    );
+    let daemon = Arc::new(Daemon::start(DaemonConfig::new(tmpdir("mixed"))).expect("start daemon"));
     let addr = daemon.serve("127.0.0.1:0").expect("bind");
 
     const CLIENTS: usize = 8;
@@ -79,9 +77,7 @@ fn eight_clients_mixed_jobs_lose_nothing() {
                 let id = format!("client{c}");
                 let lines = vec![
                     r#"{"kind":"ping"}"#.to_string(),
-                    format!(
-                        r#"{{"kind":"capture","id":"{id}","workload":"kernel:stream"}}"#
-                    ),
+                    format!(r#"{{"kind":"capture","id":"{id}","workload":"kernel:stream"}}"#),
                     format!(r#"{{"kind":"replay","id":"{id}","grains":[64]}}"#),
                     format!(r#"{{"kind":"estimate","id":"{id}"}}"#),
                     r#"{"kind":"list"}"#.to_string(),
@@ -107,15 +103,15 @@ fn eight_clients_mixed_jobs_lose_nothing() {
 
     // Completion sequence numbers form a total order with no gaps and no
     // duplicates: a permutation of 1..=48.
-    let seqs: Vec<u64> = all_responses
-        .iter()
-        .filter_map(|r| seq_of(r))
-        .collect();
+    let seqs: Vec<u64> = all_responses.iter().filter_map(|r| seq_of(r)).collect();
     assert_eq!(seqs.len(), CLIENTS * 6, "a response lacked its seq field");
     let distinct: HashSet<u64> = seqs.iter().copied().collect();
     assert_eq!(distinct.len(), seqs.len(), "duplicate completion seq");
     assert_eq!(
-        (*distinct.iter().min().unwrap(), *distinct.iter().max().unwrap()),
+        (
+            *distinct.iter().min().unwrap(),
+            *distinct.iter().max().unwrap()
+        ),
         (1, (CLIENTS * 6) as u64),
         "completion seq has gaps"
     );
@@ -154,7 +150,10 @@ fn queue_full_rejects_typed_and_recovers() {
 
     // Once the pipeline drains, the same client path serves again.
     assert!(slow.recv().expect("slow response").contains("\"ok\":true"));
-    assert!(queued.recv().expect("queued response").contains("\"ok\":true"));
+    assert!(queued
+        .recv()
+        .expect("queued response")
+        .contains("\"ok\":true"));
     let after = client_exchange(addr, &[r#"{"kind":"ping"}"#.to_string()]);
     assert!(after[0].contains("\"pong\":true"), "{}", after[0]);
     daemon.shutdown();
@@ -164,7 +163,11 @@ fn queue_full_rejects_typed_and_recovers() {
 fn counters_and_jsonl_reconcile_with_the_completion_record() {
     let recorder = Arc::new(MetricsRecorder::new());
     let log = Arc::new(EventLog::to_vec());
-    let scope = obs::Obs { events: Some(log.clone()), ..recorder.clone().into() }.enter();
+    let scope = obs::Obs {
+        events: Some(log.clone()),
+        ..recorder.clone().into()
+    }
+    .enter();
 
     let mut config = DaemonConfig::new(tmpdir("reconcile"));
     config.workers = 2;
@@ -178,15 +181,11 @@ fn counters_and_jsonl_reconcile_with_the_completion_record() {
             std::thread::spawn(move || {
                 let id = format!("r{c}");
                 let lines = vec![
-                    format!(
-                        r#"{{"kind":"capture","id":"{id}","workload":"kernel:stream"}}"#
-                    ),
+                    format!(r#"{{"kind":"capture","id":"{id}","workload":"kernel:stream"}}"#),
                     format!(r#"{{"kind":"replay","id":"{id}","grains":[64]}}"#),
                     // Tiny event budget: the replay fails deterministically,
                     // exercising the degradation path under load.
-                    format!(
-                        r#"{{"kind":"replay","id":"{id}","grains":[64],"budget_events":10}}"#
-                    ),
+                    format!(r#"{{"kind":"replay","id":"{id}","grains":[64],"budget_events":10}}"#),
                     format!(r#"{{"kind":"replay","id":"absent{c}","grains":[64]}}"#),
                 ];
                 client_exchange(addr, &lines)
@@ -211,7 +210,12 @@ fn counters_and_jsonl_reconcile_with_the_completion_record() {
         // Remember which daemon job ran the budget-starved replay.
         let r = &responses[2];
         let at = r.find("\"job\":\"").expect("failed response names its job") + 7;
-        failed_job_ids.push(r[at..].chars().take_while(|c| *c != '"').collect::<String>());
+        failed_job_ids.push(
+            r[at..]
+                .chars()
+                .take_while(|c| *c != '"')
+                .collect::<String>(),
+        );
     }
     // Parse-level rejections (never reach the queue).
     for _ in 0..3 {
@@ -254,7 +258,10 @@ fn counters_and_jsonl_reconcile_with_the_completion_record() {
         );
     }
     // And no grain_failed event from a daemon replay goes unattributed.
-    for line in jsonl.lines().filter(|l| l.contains("\"event\":\"grain_failed\"")) {
+    for line in jsonl
+        .lines()
+        .filter(|l| l.contains("\"event\":\"grain_failed\""))
+    {
         assert!(
             line.contains("\"job\":\""),
             "unattributed grain_failed event: {line}"

@@ -195,7 +195,10 @@ fn checkpointed_pipeline_survives_snapshot_corruption() {
         std::fs::write(entry.path(), bad).unwrap();
         mutated += 1;
     }
-    assert!(mutated > 0, "checkpointed run wrote no snapshots to corrupt");
+    assert!(
+        mutated > 0,
+        "checkpointed run wrote no snapshots to corrupt"
+    );
     let ckpt = CheckpointOptions {
         dir: dir.clone(),
         every: 1500,

@@ -58,9 +58,8 @@ fn fig10_carriers() {
         100.0 * pushi_share
     );
 
-    let time_share = (l3.carried[scope("istep").index()]
-        + l3.carried[scope("irk").index()])
-        / l3.total_misses;
+    let time_share =
+        (l3.carried[scope("istep").index()] + l3.carried[scope("irk").index()]) / l3.total_misses;
     assert!(
         time_share > 0.25,
         "time loops carry {:.0}% of L3 (paper ~40%)",
@@ -104,7 +103,10 @@ fn smooth_interchange_eliminates_tlb_misses() {
     let before = report(GtcTransforms::cumulative(4));
     let after = report(GtcTransforms::cumulative(5));
     let ratio = before.misses_at("TLB").unwrap() / after.misses_at("TLB").unwrap();
-    assert!(ratio > 10.0, "TLB reduction from smooth interchange: {ratio:.1}x");
+    assert!(
+        ratio > 10.0,
+        "TLB reduction from smooth interchange: {ratio:.1}x"
+    );
 }
 
 /// "the tiling/fusion in the pushi routine significantly reduced the
@@ -140,10 +142,8 @@ fn full_transformation_stack_headline() {
 fn grid_phase_gains_shrink_with_more_particles() {
     let gain_at = |micell: u64| {
         let before = {
-            let w = build(
-                &GtcConfig::new(MGRID, micell)
-                    .with_transforms(GtcTransforms::cumulative(2)),
-            );
+            let w =
+                build(&GtcConfig::new(MGRID, micell).with_transforms(GtcTransforms::cumulative(2)));
             evaluate_program(&w.program, &h(), w.index_arrays.clone())
                 .unwrap()
                 .0
@@ -151,10 +151,8 @@ fn grid_phase_gains_shrink_with_more_particles() {
                 .total()
         };
         let after = {
-            let w = build(
-                &GtcConfig::new(MGRID, micell)
-                    .with_transforms(GtcTransforms::cumulative(5)),
-            );
+            let w =
+                build(&GtcConfig::new(MGRID, micell).with_transforms(GtcTransforms::cumulative(5)));
             evaluate_program(&w.program, &h(), w.index_arrays.clone())
                 .unwrap()
                 .0

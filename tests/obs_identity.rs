@@ -139,12 +139,14 @@ fn enabling_obs_changes_nothing() {
         drop(scope);
 
         assert_eq!(
-            baseline.profiles, observed.profiles,
+            baseline.profiles,
+            observed.profiles,
             "{}: profiles must be bit-identical with obs enabled",
             w.program.name()
         );
         assert_eq!(
-            baseline.reports, observed.reports,
+            baseline.reports,
+            observed.reports,
             "{}: hierarchy reports must be bit-identical with obs enabled",
             w.program.name()
         );
@@ -166,17 +168,23 @@ fn enabling_timeline_changes_nothing_and_reconciles_with_grain_profiles() {
         // `--metrics` + `--trace-timeline` shape.
         let recorder = Arc::new(MetricsRecorder::new());
         let timeline = Arc::new(Timeline::new());
-        let scope = obs::Obs { timeline: Some(timeline.clone()), ..recorder.clone().into() }.enter();
+        let scope = obs::Obs {
+            timeline: Some(timeline.clone()),
+            ..recorder.clone().into()
+        }
+        .enter();
         let observed = run_pipeline(&w, &hs);
         drop(scope);
 
         assert_eq!(
-            baseline.profiles, observed.profiles,
+            baseline.profiles,
+            observed.profiles,
             "{}: profiles must be bit-identical with the timeline enabled",
             w.program.name()
         );
         assert_eq!(
-            baseline.reports, observed.reports,
+            baseline.reports,
+            observed.reports,
             "{}: hierarchy reports must be bit-identical with the timeline enabled",
             w.program.name()
         );
@@ -193,8 +201,10 @@ fn enabling_timeline_changes_nothing_and_reconciles_with_grain_profiles() {
         assert_eq!(replays.len() as u64, snap.counter(Counter::GrainsCompleted));
         assert_eq!(snap.grains.len() as u64, ngrains);
 
-        let mut timeline_grains: Vec<u64> =
-            replays.iter().map(|e| e.args.grain.expect("replay spans carry their grain")).collect();
+        let mut timeline_grains: Vec<u64> = replays
+            .iter()
+            .map(|e| e.args.grain.expect("replay spans carry their grain"))
+            .collect();
         timeline_grains.sort_unstable();
         assert_eq!(timeline_grains, g, "one replay event per requested grain");
 
@@ -247,7 +257,8 @@ fn installing_obs_mid_run_changes_nothing() {
             .map(|h| report_from_analysis(&analysis, h))
             .collect();
         assert_eq!(
-            baseline.profiles, analysis.profiles,
+            baseline.profiles,
+            analysis.profiles,
             "{}: profiles must be bit-identical after a mid-run install",
             w.program.name()
         );
@@ -360,7 +371,8 @@ fn exact_sampling_config_is_bit_identical_to_default_path() {
             .map(|h| report_from_analysis(&analysis, h))
             .collect();
         assert_eq!(
-            baseline.profiles, analysis.profiles,
+            baseline.profiles,
+            analysis.profiles,
             "{}: exact sampling config must be bit-identical to the default path",
             w.program.name()
         );
@@ -394,7 +406,8 @@ fn partitioned_replay_is_bit_identical_and_reconciles() {
             .into_strict()
             .unwrap();
         assert_eq!(
-            baseline.profiles, dark,
+            baseline.profiles,
+            dark,
             "{}: partitioned replay must be bit-identical to serial with obs off",
             w.program.name()
         );
@@ -402,13 +415,18 @@ fn partitioned_replay_is_bit_identical_and_reconciles() {
         // Phase B: same partitioned replay, recorder + timeline lit.
         let recorder = Arc::new(MetricsRecorder::new());
         let timeline = Arc::new(Timeline::new());
-        let scope = obs::Obs { timeline: Some(timeline.clone()), ..recorder.clone().into() }.enter();
+        let scope = obs::Obs {
+            timeline: Some(timeline.clone()),
+            ..recorder.clone().into()
+        }
+        .enter();
         let (lit, _timings) = analyze_buffer_with(&w.program, &buffer, &g, &opts)
             .into_strict()
             .unwrap();
         drop(scope);
         assert_eq!(
-            baseline.profiles, lit,
+            baseline.profiles,
+            lit,
             "{}: partitioned replay must be bit-identical to serial with obs on",
             w.program.name()
         );
@@ -458,9 +476,7 @@ fn partitioned_replay_is_bit_identical_and_reconciles() {
 /// series is absent — scrapes early in a run may predate first use).
 fn prom_value(body: &str, series: &str) -> u64 {
     body.lines()
-        .find(|l| {
-            l.starts_with(series) && l.as_bytes().get(series.len()) == Some(&b' ')
-        })
+        .find(|l| l.starts_with(series) && l.as_bytes().get(series.len()) == Some(&b' '))
         .and_then(|l| l.split_whitespace().nth(1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(0)
@@ -514,12 +530,14 @@ fn service_enabled_run_is_bit_identical_and_scrapes_reconcile() {
         drop(scope);
 
         assert_eq!(
-            baseline.profiles, observed.profiles,
+            baseline.profiles,
+            observed.profiles,
             "{}: profiles must be bit-identical with the live service scraping",
             w.program.name()
         );
         assert_eq!(
-            baseline.reports, observed.reports,
+            baseline.reports,
+            observed.reports,
             "{}: reports must be bit-identical with the live service scraping",
             w.program.name()
         );
@@ -539,7 +557,10 @@ fn service_enabled_run_is_bit_identical_and_scrapes_reconcile() {
             for page in &scraped {
                 let seen = prom_value(page, series);
                 assert!(seen >= last, "{series} regressed mid-run: {seen} < {last}");
-                assert!(seen <= final_value, "{series} overshot: {seen} > {final_value}");
+                assert!(
+                    seen <= final_value,
+                    "{series} overshot: {seen} > {final_value}"
+                );
                 last = seen;
             }
         }
@@ -549,7 +570,8 @@ fn service_enabled_run_is_bit_identical_and_scrapes_reconcile() {
         let (status, page) = http_get(addr, "/metrics").expect("post-quiescence scrape");
         assert_eq!(status, 200);
         assert_eq!(
-            page, final_page,
+            page,
+            final_page,
             "{}: a post-run scrape must equal the exporter page byte for byte",
             w.program.name()
         );
@@ -571,12 +593,17 @@ fn jsonl_event_log_reconciles_with_counters() {
 
         let recorder = Arc::new(MetricsRecorder::new());
         let log = Arc::new(EventLog::to_vec());
-        let scope = obs::Obs { events: Some(log.clone()), ..recorder.clone().into() }.enter();
+        let scope = obs::Obs {
+            events: Some(log.clone()),
+            ..recorder.clone().into()
+        }
+        .enter();
         let observed = run_pipeline(&w, &hs);
         drop(scope);
 
         assert_eq!(
-            baseline.profiles, observed.profiles,
+            baseline.profiles,
+            observed.profiles,
             "{}: profiles must be bit-identical with the event log installed",
             w.program.name()
         );
@@ -589,7 +616,10 @@ fn jsonl_event_log_reconciles_with_counters() {
         };
         let snap = recorder.snapshot();
         assert_eq!(count("grain_started"), ngrains);
-        assert_eq!(count("grain_completed"), snap.counter(Counter::GrainsCompleted));
+        assert_eq!(
+            count("grain_completed"),
+            snap.counter(Counter::GrainsCompleted)
+        );
         assert_eq!(count("grain_failed"), 0);
         assert_eq!(log.emitted(), captured.lines().count() as u64);
         for line in captured.lines() {
@@ -602,14 +632,20 @@ fn jsonl_event_log_reconciles_with_counters() {
         let dir = std::env::temp_dir().join(format!(
             "reuselens-obs-identity-{}-{}",
             std::process::id(),
-            w.program.name().replace(|c: char| !c.is_alphanumeric(), "_")
+            w.program
+                .name()
+                .replace(|c: char| !c.is_alphanumeric(), "_")
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let (buffer, _exec) = capture_program(&w.program, w.index_arrays.clone()).unwrap();
         let every = (buffer.stats().events / 4).max(1);
         let recorder = Arc::new(MetricsRecorder::new());
         let log = Arc::new(EventLog::to_vec());
-        let scope = obs::Obs { events: Some(log.clone()), ..recorder.clone().into() }.enter();
+        let scope = obs::Obs {
+            events: Some(log.clone()),
+            ..recorder.clone().into()
+        }
+        .enter();
         let opts = AnalyzeOptions {
             checkpoint: Some(CheckpointOptions {
                 dir: dir.clone(),
@@ -625,7 +661,8 @@ fn jsonl_event_log_reconciles_with_counters() {
         let _ = std::fs::remove_dir_all(&dir);
 
         assert_eq!(
-            baseline.profiles, profiles,
+            baseline.profiles,
+            profiles,
             "{}: checkpointed profiles must stay bit-identical with events on",
             w.program.name()
         );

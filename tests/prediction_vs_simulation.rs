@@ -12,9 +12,7 @@
 //!   uniformly, so near capacity the model can over-predict; we assert a
 //!   2x band, plus exact agreement on the fully associative TLB.
 
-use reuselens::cache::{
-    evaluate_program, Assoc, CacheConfig, HierarchySim, MemoryHierarchy,
-};
+use reuselens::cache::{evaluate_program, Assoc, CacheConfig, HierarchySim, MemoryHierarchy};
 use reuselens::trace::Executor;
 use reuselens::workloads::gtc::{build as build_gtc, GtcConfig};
 use reuselens::workloads::kernels::{random_gather, stencil2d, streaming};
@@ -84,7 +82,11 @@ fn check(w: &BuiltWorkload, h: &MemoryHierarchy, name: &str) {
 #[test]
 fn streaming_prediction_matches_simulation() {
     // Footprint 4x the L2 so no level sits on a capacity knife edge.
-    check(&streaming(1 << 17, 4), &MemoryHierarchy::itanium2(), "streaming");
+    check(
+        &streaming(1 << 17, 4),
+        &MemoryHierarchy::itanium2(),
+        "streaming",
+    );
 }
 
 #[test]
@@ -124,12 +126,10 @@ fn gtc_prediction_matches_simulation() {
     // that no distance-based set-associative model (the paper's included)
     // can see. The smooth-interchanged variant removes the pathological
     // stride; the remaining phases exercise every other access pattern.
-    let cfg = GtcConfig::new(256, 8).with_transforms(
-        reuselens::workloads::gtc::GtcTransforms {
-            smooth_interchange: true,
-            ..Default::default()
-        },
-    );
+    let cfg = GtcConfig::new(256, 8).with_transforms(reuselens::workloads::gtc::GtcTransforms {
+        smooth_interchange: true,
+        ..Default::default()
+    });
     check(
         &build_gtc(&cfg),
         &MemoryHierarchy::itanium2_scaled(16),
@@ -144,8 +144,7 @@ fn gtc_prediction_matches_simulation() {
 fn gtc_smooth_conflicts_exceed_probabilistic_model() {
     let w = build_gtc(&GtcConfig::new(256, 8));
     let h = MemoryHierarchy::itanium2_scaled(16);
-    let (report, _) =
-        evaluate_program(&w.program, &h, w.index_arrays.clone()).expect("runs");
+    let (report, _) = evaluate_program(&w.program, &h, w.index_arrays.clone()).expect("runs");
     let sim = simulate(&w, &h);
     let predicted = report.misses_at("L2").unwrap();
     let simulated = sim.misses_at("L2").unwrap() as f64;

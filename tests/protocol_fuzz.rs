@@ -137,9 +137,18 @@ fn structurally_hostile_requests_get_the_right_error_type() {
         (br#"{"kind":"ping","kind":"list"}"#, "\"type\":\"parse\""),
         (br#"{}"#, "\"type\":\"missing-field\""),
         (br#"{"id":"t1"}"#, "\"type\":\"missing-field\""),
-        (br#"{"kind":"warp-core-breach"}"#, "\"type\":\"unknown-kind\""),
-        (br#"{"kind":"capture","id":"t1"}"#, "\"type\":\"missing-field\""),
-        (br#"{"kind":"capture","workload":"kernel:stream"}"#, "\"type\":\"missing-field\""),
+        (
+            br#"{"kind":"warp-core-breach"}"#,
+            "\"type\":\"unknown-kind\"",
+        ),
+        (
+            br#"{"kind":"capture","id":"t1"}"#,
+            "\"type\":\"missing-field\"",
+        ),
+        (
+            br#"{"kind":"capture","workload":"kernel:stream"}"#,
+            "\"type\":\"missing-field\"",
+        ),
         (
             br#"{"kind":"capture","id":"../escape","workload":"kernel:stream"}"#,
             "\"type\":\"invalid-field\"",

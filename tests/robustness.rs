@@ -34,7 +34,9 @@ fn program_with_no_accesses() {
     let xml = to_xml(&prog, &la);
     assert!(xml.contains("LoopScope"));
     // The advisor has nothing to say but does not panic.
-    assert!(Advisor::new(&prog).advise(la.level("L2").unwrap()).is_empty());
+    assert!(Advisor::new(&prog)
+        .advise(la.level("L2").unwrap())
+        .is_empty());
 }
 
 #[test]
@@ -160,12 +162,9 @@ fn guard_that_never_fires_contributes_nothing() {
     let a = p.array("a", 8, &[64]);
     p.routine("main", |r| {
         r.for_("i", 0, 63, |r, i| {
-            r.if_(
-                reuselens::ir::Pred::Gt(Expr::var(i), Expr::c(1000)),
-                |r| {
-                    r.load(a, vec![i.into()]);
-                },
-            );
+            r.if_(reuselens::ir::Pred::Gt(Expr::var(i), Expr::c(1000)), |r| {
+                r.load(a, vec![i.into()]);
+            });
         });
     });
     let prog = p.finish();

@@ -21,7 +21,10 @@ fn profile_of(w: &reuselens::workloads::BuiltWorkload) -> reuselens::core::Reuse
 #[test]
 fn stencil_misses_predicted_within_ten_percent() {
     let sizes = [64u64, 96, 128];
-    let profiles: Vec<_> = sizes.iter().map(|&n| profile_of(&stencil2d(n, 3))).collect();
+    let profiles: Vec<_> = sizes
+        .iter()
+        .map(|&n| profile_of(&stencil2d(n, 3)))
+        .collect();
     let refs: Vec<&_> = profiles.iter().collect();
     let xs: Vec<f64> = sizes.iter().map(|&n| n as f64).collect();
     let model = ProfileModel::fit(&xs, &refs, 16);
@@ -46,7 +49,10 @@ fn streaming_capacity_crossover_is_extrapolated() {
     // size where it does not (all resweeps miss). The model must carry the
     // distance growth across the capacity boundary.
     let sizes = [4096u64, 8192, 16384]; // 32..128 KB < 256 KB L2
-    let profiles: Vec<_> = sizes.iter().map(|&n| profile_of(&streaming(n, 4))).collect();
+    let profiles: Vec<_> = sizes
+        .iter()
+        .map(|&n| profile_of(&streaming(n, 4)))
+        .collect();
     let refs: Vec<&_> = profiles.iter().collect();
     let xs: Vec<f64> = sizes.iter().map(|&n| n as f64).collect();
     let model = ProfileModel::fit(&xs, &refs, 8);
@@ -69,7 +75,10 @@ fn streaming_capacity_crossover_is_extrapolated() {
 #[test]
 fn model_reports_its_fitted_shapes() {
     let sizes = [64u64, 96, 128, 192];
-    let profiles: Vec<_> = sizes.iter().map(|&n| profile_of(&stencil2d(n, 2))).collect();
+    let profiles: Vec<_> = sizes
+        .iter()
+        .map(|&n| profile_of(&stencil2d(n, 2)))
+        .collect();
     let refs: Vec<&_> = profiles.iter().collect();
     let xs: Vec<f64> = sizes.iter().map(|&n| n as f64).collect();
     let model = ProfileModel::fit(&xs, &refs, 8);

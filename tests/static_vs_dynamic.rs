@@ -131,8 +131,9 @@ fn static_miss_predictions_stay_within_bands() {
         for hierarchy in hierarchies() {
             let dy = dynamic_report(&w, &hierarchy);
             let st = static_report(&w, &hierarchy);
-            for ((ld, _config), (ls, _)) in
-                cache_levels(&dy, &hierarchy).iter().zip(cache_levels(&st, &hierarchy))
+            for ((ld, _config), (ls, _)) in cache_levels(&dy, &hierarchy)
+                .iter()
+                .zip(cache_levels(&st, &hierarchy))
             {
                 assert_eq!(ld.level, ls.level);
                 checked += 1;

@@ -73,8 +73,7 @@ fn seeded_store(tag: &str) -> (PathBuf, Program, Vec<u8>, usize) {
     let (prog, buf) = workload();
     let baseline = baseline_profiles(&prog, &buf);
     let dir = tmpdir(tag);
-    let mut store =
-        TraceStore::open_with(&dir, StoreConfig { segment_bytes: 512 }).expect("open");
+    let mut store = TraceStore::open_with(&dir, StoreConfig { segment_bytes: 512 }).expect("open");
     let entry = store
         .put(
             "t0",
@@ -114,7 +113,8 @@ fn assert_detected_or_identical(
         Ok(buf) => {
             let got = baseline_profiles(prog, &buf);
             assert_eq!(
-                got, baseline,
+                got,
+                baseline,
                 "{what} of {} slipped through with WRONG profiles",
                 path.display()
             );

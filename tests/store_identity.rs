@@ -51,8 +51,7 @@ fn profile_bytes(name: &str, profiles: &[reuselens::core::ReuseProfile]) -> Vec<
 /// Captures `w`, stores the trace, re-opens the store, and returns both
 /// the in-memory buffer and the from-disk restoration.
 fn capture_and_roundtrip(w: &BuiltWorkload, tag: &str) -> (TraceBuffer, TraceBuffer) {
-    let (buffer, _report) =
-        capture_program(&w.program, w.index_arrays.clone()).expect("capture");
+    let (buffer, _report) = capture_program(&w.program, w.index_arrays.clone()).expect("capture");
     let dir = tmpdir(tag);
     {
         let mut store = TraceStore::open(&dir).expect("open store");
@@ -141,7 +140,10 @@ fn daemon_replay_crc_is_stable_across_reopen() {
     let mut config = DaemonConfig::new(&dir);
     config.workers = 1;
     let daemon = Daemon::start(config).expect("start daemon");
-    let r1 = daemon.submit_line(capture).recv().expect("capture response");
+    let r1 = daemon
+        .submit_line(capture)
+        .recv()
+        .expect("capture response");
     assert!(r1.contains("\"ok\":true"), "{r1}");
     let r2 = daemon.submit_line(replay).recv().expect("replay response");
     daemon.shutdown();
@@ -159,7 +161,11 @@ fn daemon_replay_crc_is_stable_across_reopen() {
             .unwrap_or_else(|| panic!("no profiles_crc in {resp}"));
         resp[at..].chars().take_while(|c| *c != ',').collect()
     };
-    assert_eq!(crc(&r2), crc(&r3), "replay CRC changed across daemon restart");
+    assert_eq!(
+        crc(&r2),
+        crc(&r3),
+        "replay CRC changed across daemon restart"
+    );
 }
 
 /// The value of a numeric response field, e.g. `"events":N`.

@@ -35,10 +35,7 @@ fn blocking_monotonically_reduces_l2_misses() {
         .map(|&b| misses(&SweepConfig::new(MESH).with_mi_block(b), "L2"))
         .collect();
     for w in series.windows(2) {
-        assert!(
-            w[1] < w[0],
-            "blocking must reduce L2 misses: {series:?}"
-        );
+        assert!(w[1] < w[0], "blocking must reduce L2 misses: {series:?}");
     }
 }
 
@@ -48,7 +45,9 @@ fn blocking_monotonically_reduces_l2_misses() {
 fn tuned_code_quarters_the_misses() {
     let orig = misses(&SweepConfig::new(MESH), "L2");
     let tuned = misses(
-        &SweepConfig::new(MESH).with_mi_block(6).with_dim_interchange(),
+        &SweepConfig::new(MESH)
+            .with_mi_block(6)
+            .with_dim_interchange(),
         "L2",
     );
     assert!(
@@ -80,12 +79,15 @@ fn tuned_code_reduces_tlb_misses() {
 fn tuned_code_is_substantially_faster() {
     let time = |cfg: &SweepConfig| {
         let w = build(cfg);
-        let (report, _) =
-            evaluate_program(&w.program, &h(), w.index_arrays.clone()).unwrap();
+        let (report, _) = evaluate_program(&w.program, &h(), w.index_arrays.clone()).unwrap();
         report.timing.total()
     };
     let orig = time(&SweepConfig::new(MESH));
-    let tuned = time(&SweepConfig::new(MESH).with_mi_block(6).with_dim_interchange());
+    let tuned = time(
+        &SweepConfig::new(MESH)
+            .with_mi_block(6)
+            .with_dim_interchange(),
+    );
     let speedup = orig / tuned;
     assert!(speedup > 1.1, "speedup {speedup:.2}x");
 }
@@ -139,9 +141,6 @@ fn table2_array_breakdown() {
     for name in ["src", "flux", "face"] {
         let a = w.program.array_by_name(name).unwrap();
         let rows = l2.array_breakdown(a);
-        assert_eq!(
-            rows[0].1, idiag,
-            "{name}: top carrier should be idiag"
-        );
+        assert_eq!(rows[0].1, idiag, "{name}: top carrier should be idiag");
     }
 }
