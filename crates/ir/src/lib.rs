@@ -64,5 +64,5 @@ pub use array::{ArrayDecl, ArrayKind, Layout};
 pub use builder::{BodyBuilder, ProgramBuilder};
 pub use expr::{EvalCtx, Expr, Pred};
 pub use ids::{ArrayId, RefId, RoutineId, ScopeId, VarId};
-pub use program::{Ancestors, Program, Routine, ScopeInfo, ScopeKind, ValidateError};
+pub use program::{Ancestors, ContextSplit, Program, Routine, ScopeInfo, ScopeKind, ValidateError};
 pub use stmt::{walk_stmts, AccessKind, Loop, Reference, Stmt};

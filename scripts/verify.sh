@@ -1,11 +1,15 @@
 #!/usr/bin/env sh
-# Full verification gate: release build and offline test suite across
-# the whole workspace (the root manifest's `default-members` lists every
-# crate, so a bare `cargo test` runs every member's suites), warning-free
-# clippy and rustdoc, and end-to-end CLI, daemon and bench-runner smokes.
+# Full verification gate: rustfmt check, release build and offline test
+# suite across the whole workspace (the root manifest's `default-members`
+# lists every crate, so a bare `cargo test` runs every member's suites),
+# warning-free clippy and rustdoc, and end-to-end CLI, daemon and
+# bench-runner smokes.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# Formatting drift fails first, before any build.
+cargo fmt --all --check
 
 cargo build --release
 cargo test -q
