@@ -25,13 +25,14 @@
 //! Four calls cover whole-program analysis. [`analyze_program`] measures
 //! every grain online while the program runs. [`capture_program`]
 //! interprets the program once into a compact trace buffer, and
-//! [`analyze_buffer`] replays it concurrently — one thread per block
-//! granularity, with bit-identical profiles. [`analyze_buffer_with`] is
-//! the same replay with every knob in one [`AnalyzeOptions`]: sampling,
-//! partitioned replay threads, validation, a budget, and checkpointing.
-//! Each grain replays either on the time-partitioned engine or through
-//! one serial loop that steps the decoder, checks the budget, and writes
-//! snapshots between steps. Or drive a [`ReuseAnalyzer`] /
+//! [`analyze_buffer`] replays it on replay lanes — one per free core, each
+//! decoding the trace once for the grains dealt to it — with
+//! bit-identical profiles. [`analyze_buffer_with`] is the same replay
+//! with every knob in one [`AnalyzeOptions`]: sampling, partitioned
+//! replay threads, validation, a budget, and checkpointing. Each grain
+//! replays either on the time-partitioned engine or through one lane loop
+//! that steps the decoder and, after each of the grain's steps, checks
+//! its budget and writes its snapshots. Or drive a [`ReuseAnalyzer`] /
 //! [`MultiGrainAnalyzer`] through [`reuselens_trace::Executor`] yourself.
 
 #![forbid(unsafe_code)]

@@ -210,6 +210,10 @@ pub struct SampledAnalyzer {
     threshold: u64,
     /// Adaptive tracked-block budget (`u64::MAX` in fixed mode).
     budget: u64,
+    /// The last block found unsampled, so a repeat costs one compare.
+    /// The threshold only ever falls, so it stays unsampled across rate
+    /// drops. Derived state: snapshots do not carry it.
+    unsampled: Option<u64>,
     table: HashMap<u64, Tracked>,
     /// Last-access times of the tracked blocks.
     times: TimeBits,
@@ -252,6 +256,7 @@ impl SampledAnalyzer {
             inv,
             threshold: u64::MAX / inv,
             budget,
+            unsampled: None,
             table: HashMap::new(),
             times: TimeBits::new(),
             stack: ScopeStack::new(),
@@ -485,6 +490,7 @@ impl SampledAnalyzer {
             inv,
             threshold,
             budget,
+            unsampled: None,
             table,
             times,
             stack,
@@ -512,38 +518,47 @@ impl SampledAnalyzer {
     }
 }
 
-impl TraceSink for SampledAnalyzer {
-    fn access(&mut self, r: RefId, addr: u64, _size: u32, _kind: AccessKind) {
-        self.total_accesses += 1;
+impl SampledAnalyzer {
+    /// Samples one access (the total is counted by the caller). An
+    /// unsampled block costs one compare when it repeats the last one,
+    /// and one hash and compare otherwise; only sampled blocks touch the
+    /// analyzer's state.
+    #[inline]
+    fn sample(&mut self, r: u32, addr: u64) {
         let block = addr >> self.block_shift;
+        if self.unsampled == Some(block) {
+            return;
+        }
         let hash = spatial_hash(block);
         if hash > self.threshold {
-            return; // unsampled: one hash + compare, nothing else
+            self.unsampled = Some(block);
+            return;
         }
+        self.track(r, block, hash);
+    }
+
+    /// Records one sampled access to `block`.
+    fn track(&mut self, r: u32, block: u64, hash: u64) {
         // The clock ticks only on sampled accesses, so distances count
         // *sampled* distinct blocks and scale back up by `inv`.
         self.clock += 1;
         let now = self.clock;
         let inv = self.inv;
+        let sink = r as usize;
         match self.table.get_mut(&block) {
             Some(prev) => {
                 let (prev_time, prev_ref) = (prev.time, prev.ref_id);
                 prev.time = now;
-                prev.ref_id = r.0;
+                prev.ref_id = r;
                 // Count pre-state times above `prev_time` and re-key it
                 // to `now` (the new maximum).
                 let (_, distance) = self.times.count_reinsert(prev_time, now);
                 let carrier = self.stack.carrier(prev_time);
                 let source = self.ref_scopes[prev_ref as usize];
-                self.per_sink[r.index()].record_n(
-                    source,
-                    carrier,
-                    distance.saturating_mul(inv),
-                    inv,
-                );
+                self.per_sink[sink].record_n(source, carrier, distance.saturating_mul(inv), inv);
             }
             None => {
-                self.cold[r.index()] += inv;
+                self.cold[sink] += inv;
                 self.est_distinct += inv;
                 self.blocks_sampled += 1;
                 self.times.insert(now);
@@ -551,7 +566,7 @@ impl TraceSink for SampledAnalyzer {
                     block,
                     Tracked {
                         time: now,
-                        ref_id: r.0,
+                        ref_id: r,
                         hash,
                     },
                 );
@@ -561,12 +576,20 @@ impl TraceSink for SampledAnalyzer {
             }
         }
     }
+}
+
+impl TraceSink for SampledAnalyzer {
+    fn access(&mut self, r: RefId, addr: u64, _size: u32, _kind: AccessKind) {
+        self.total_accesses += 1;
+        self.sample(r.0, addr);
+    }
 
     fn access_soa(&mut self, batch: &reuselens_trace::SoaBatch) {
         // Sampling keys on the ref and address lanes alone, so walk
         // those two lanes and leave the size and kind lanes unread.
+        self.total_accesses += batch.len() as u64;
         for (&r, &addr) in batch.refs.iter().zip(&batch.addrs) {
-            self.access(RefId(r), addr, 0, AccessKind::Load);
+            self.sample(r, addr);
         }
     }
 
@@ -696,6 +719,62 @@ mod tests {
         assert_eq!(info.inv, 100);
         assert_eq!(info.blocks_evicted, 0);
         assert_eq!(info.rate_drops, 0);
+    }
+
+    /// The unsampled-block memo never changes a measurement, even when
+    /// it outlives an adaptive rate drop: a run that keeps it matches one
+    /// that clears it before every access, and the run does reuse a
+    /// memoized block after a drop.
+    #[test]
+    fn unsampled_memo_survives_adaptive_rate_drops() {
+        let mut p = ProgramBuilder::new("pair");
+        let a = p.array("a", 8, &[8192]);
+        let b = p.array("b", 8, &[8192]);
+        p.routine("main", |r| {
+            r.for_("t", 0, 1, |r, _| {
+                r.for_("i", 0, 8191, |r, i| {
+                    r.load(a, vec![i.into()]);
+                    r.load(b, vec![i.into()]);
+                });
+            });
+        });
+        let prog = p.finish();
+        let mut events = reuselens_trace::VecSink::new();
+        Executor::new(&prog).run(&mut events).unwrap();
+        let config = SamplingConfig::adaptive(32);
+        let mut kept = SampledAnalyzer::new(&prog, 64, config);
+        let mut cleared = SampledAnalyzer::new(&prog, 64, config);
+        let (mut drops_at_memo, mut crossed) = (0, false);
+        for event in events.events {
+            match event {
+                reuselens_trace::Event::Access {
+                    r,
+                    addr,
+                    size,
+                    kind,
+                } => {
+                    let memo = kept.unsampled;
+                    crossed |= memo == Some(addr >> 6) && kept.rate_drops > drops_at_memo;
+                    kept.access(r, addr, size, kind);
+                    if kept.unsampled != memo {
+                        drops_at_memo = kept.rate_drops;
+                    }
+                    cleared.unsampled = None;
+                    cleared.access(r, addr, size, kind);
+                }
+                reuselens_trace::Event::Enter(s) => {
+                    kept.enter(s);
+                    cleared.enter(s);
+                }
+                reuselens_trace::Event::Exit(s) => {
+                    kept.exit(s);
+                    cleared.exit(s);
+                }
+            }
+        }
+        assert!(crossed, "no memoized block was reused after a rate drop");
+        assert!(kept.sampling_info().rate_drops > 1);
+        assert_eq!(kept.finish(), cleared.finish());
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! The analyzer's per-access question is *how many tracked blocks were
 //! last accessed after time `t`*. The paper answers it with a balanced
 //! tree over last-access times. Every clock this crate counts with is
-//! dense and bounded by the trace length: the exact analyzer's and the
-//! context analyzer's access clock, the sampled analyzer's clock (which
-//! ticks once per sampled access), and the global clock the partition
-//! stitch resolves against. Exploiting that, a flat bitmap (bit `t` set ⇔
+//! dense and bounded by the trace length: the exact analyzer's access
+//! clock, the sampled analyzer's clock (which ticks once per sampled
+//! access), and the global clock the partition stitch resolves against. Exploiting that, a flat bitmap (bit `t` set ⇔
 //! some tracked block was last accessed at time `t`) plus a Fenwick tree
 //! over per-word popcounts answers the same query in a handful of
 //! cache-resident array reads, where a balanced tree chases `O(log M)`

@@ -107,16 +107,19 @@ pub fn format_fragmentation(program: &Program, metrics: &LevelMetrics, top: usiz
     out
 }
 
-/// Renders the flat pattern database: the `top` patterns by misses.
+/// Renders the flat pattern database: the `top` patterns by misses, each
+/// led by its sink's reference id.
 pub fn format_pattern_db(program: &Program, metrics: &LevelMetrics, top: usize) -> String {
+    // Distinct load sites can share a label, so the reference id leads.
     let mut out = format!(
-        "{:<26} {:<18} {:<18} {:>12} {:>9} {:>5}\n",
-        "sink", "source scope", "carrier", "misses", "count", "irr"
+        "{:<6} {:<26} {:<18} {:<18} {:>12} {:>9} {:>5}\n",
+        "ref", "sink", "source scope", "carrier", "misses", "count", "irr"
     );
     for row in metrics.patterns.iter().take(top) {
         let sink = program.reference(row.key.sink);
         out.push_str(&format!(
-            "{:<26} {:<18} {:<18} {:>12.0} {:>9} {:>5}\n",
+            "{:<6} {:<26} {:<18} {:<18} {:>12.0} {:>9} {:>5}\n",
+            row.key.sink.to_string(),
             truncate(sink.label(), 25),
             truncate(&program.scope_path(row.key.source_scope), 17),
             truncate(&program.scope_path(row.key.carrier), 17),

@@ -105,7 +105,7 @@ use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A pipeline stage a [`span`] can time. One execution of the full
 /// pipeline opens: one `Capture` span, one `Decode` span per validating
@@ -127,7 +127,8 @@ pub enum Stage {
     /// Building one attribution report from a scored analysis.
     Report,
     /// Serializing and writing one crash-safety snapshot of a grain's
-    /// analyzer state (nested inside that grain's [`Stage::Replay`] span).
+    /// analyzer state, during that grain's replay (whose [`Stage::Replay`]
+    /// span time includes it).
     Checkpoint,
     /// One symbolic reuse-profile estimation pass (the zero-trace
     /// replacement for capture + replay).
@@ -257,11 +258,14 @@ pub enum Counter {
     /// Daemon replay jobs that loaded and verified their trace from the
     /// store.
     TracesResidentMiss,
+    /// Replay lanes started. A lane is one thread's decode of a trace,
+    /// shared by every grain assigned to it.
+    ReplayLanes,
 }
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 31] = [
+    pub const ALL: [Counter; 32] = [
         Counter::EventsCaptured,
         Counter::AccessesCaptured,
         Counter::BytesEncoded,
@@ -293,6 +297,7 @@ impl Counter {
         Counter::JobsRejected,
         Counter::TracesResidentHit,
         Counter::TracesResidentMiss,
+        Counter::ReplayLanes,
     ];
 
     /// Stable snake_case name (the Prometheus metric is
@@ -330,6 +335,7 @@ impl Counter {
             Counter::JobsRejected => "jobs_rejected",
             Counter::TracesResidentHit => "traces_resident_hit",
             Counter::TracesResidentMiss => "traces_resident_miss",
+            Counter::ReplayLanes => "replay_lanes",
         }
     }
 
@@ -385,6 +391,7 @@ impl Counter {
             }
             Counter::TracesResidentHit => "Replay jobs served a resident, verified trace.",
             Counter::TracesResidentMiss => "Replay jobs that loaded their trace from the store.",
+            Counter::ReplayLanes => "Replay lanes started; each decodes its trace once.",
         }
     }
 
@@ -691,22 +698,54 @@ impl Drop for SpanGuard {
         };
         let wall = armed.start.elapsed();
         SPAN_DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        // The span reports to the handle it closes into: one removed
-        // while the span was open drops the measurement, never blocks on
-        // it — and a timeline never receives half-open events.
-        with_obs(|obs| {
-            if let Some(metrics) = &obs.metrics {
-                metrics.record_span(armed.stage, wall, armed.depth);
-            }
-            if let Some(timeline) = &obs.timeline {
-                let evicted =
-                    timeline.record(armed.stage, armed.start, wall, armed.depth, armed.args);
-                if let (true, Some(metrics)) = (evicted, &obs.metrics) {
-                    metrics.add(Counter::TimelineDropped, 1);
-                }
-            }
-        });
+        report_span(armed.stage, armed.start, wall, armed.depth, armed.args);
     }
+}
+
+/// Records a span whose time the caller measured: `wall` of `stage`,
+/// placed at `start` on the timeline and nested one level below the
+/// thread's open spans. It serves work that is not one contiguous stretch
+/// of the thread — the grains of one replay lane take turns, and each is
+/// charged its own time plus a share of the lane's decode. `args` is
+/// evaluated only when the thread's handle has a timeline. A no-op when
+/// disabled.
+#[inline]
+pub fn record_span(
+    stage: Stage,
+    start: Instant,
+    wall: Duration,
+    args: impl FnOnce() -> TimelineArgs,
+) {
+    let (metrics, timeline) =
+        with_obs(|obs| (obs.metrics.is_some(), obs.timeline.is_some())).unwrap_or_default();
+    if !metrics && !timeline {
+        return;
+    }
+    let depth = SPAN_DEPTH.with(Cell::get) + 1;
+    let args = if timeline {
+        args()
+    } else {
+        TimelineArgs::default()
+    };
+    report_span(stage, start, wall, depth, args);
+}
+
+/// Reports one closed span to the thread's handle. The span reports to
+/// the handle it closes into: one removed while the span was open drops
+/// the measurement, never blocks on it — and a timeline never receives
+/// half-open events.
+fn report_span(stage: Stage, start: Instant, wall: Duration, depth: u32, args: TimelineArgs) {
+    with_obs(|obs| {
+        if let Some(metrics) = &obs.metrics {
+            metrics.record_span(stage, wall, depth);
+        }
+        if let Some(timeline) = &obs.timeline {
+            let evicted = timeline.record(stage, start, wall, depth, args);
+            if let (true, Some(metrics)) = (evicted, &obs.metrics) {
+                metrics.add(Counter::TimelineDropped, 1);
+            }
+        }
+    });
 }
 
 /// Reports one grain's cost profile to the thread's recorder. A no-op

@@ -37,7 +37,8 @@ impl GrainStatus {
 pub struct GrainProfile {
     /// The grain (block size in bytes) this replay analyzed.
     pub block_size: u64,
-    /// Wall time the grain's replay thread spent (zero for failures).
+    /// Wall time charged to the grain's replay: its analyzer time plus an
+    /// equal share of its replay lane's decode (zero for failures).
     pub wall: Duration,
     /// Events replayed through the grain's analyzer.
     pub events: u64,

@@ -161,6 +161,9 @@ reuselens_traces_resident_hit_total 300
 # HELP reuselens_traces_resident_miss_total Replay jobs that loaded their trace from the store.
 # TYPE reuselens_traces_resident_miss_total counter
 reuselens_traces_resident_miss_total 310
+# HELP reuselens_replay_lanes_total Replay lanes started; each decodes its trace once.
+# TYPE reuselens_replay_lanes_total counter
+reuselens_replay_lanes_total 320
 # HELP reuselens_budget_events Events replayed at the latest budget checkpoint.
 # TYPE reuselens_budget_events gauge
 reuselens_budget_events 7
@@ -263,6 +266,7 @@ counters
   jobs_rejected                           290
   traces_resident_hit                     300
   traces_resident_miss                    310
+  replay_lanes                            320
 gauges
   budget_events                             7
   budget_distinct_blocks                   14

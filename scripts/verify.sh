@@ -104,29 +104,39 @@ rm -rf "$SRV_TMP"
 # from the capture, so a second daemon process over the same store then
 # replays the trace cold (loaded and verified from disk), and its saved
 # profile must match too — the stored trace round-trips
-# deterministically. EOF on stdin is the clean-shutdown path.
+# deterministically. Each process also replays two grains at once: the
+# second runs two workers, so its two-grain replays may share one replay
+# lane or spread over two, and every one of them must save the same
+# bytes. EOF on stdin is the clean-shutdown path.
 DMN_TMP="target/verify-daemon"
 rm -rf "$DMN_TMP" && mkdir -p "$DMN_TMP"
 printf '%s\n' \
     '{"kind":"capture","id":"smoke","workload":"sweep3d","mesh":6,"grains":[64]}' \
     '{"kind":"replay","id":"smoke","grains":[64],"save":"target/verify-daemon/a.rlp"}' \
     '{"kind":"replay","id":"smoke","grains":[64],"save":"target/verify-daemon/b.rlp"}' \
+    '{"kind":"replay","id":"smoke","grains":[64,4096],"save":"target/verify-daemon/a2.rlp"}' \
     | ./target/release/reuselens serve --store "$DMN_TMP/store" \
         --stdin --workers 1 > "$DMN_TMP/responses.ndjson" 2>/dev/null
-[ "$(grep -c '"ok":true' "$DMN_TMP/responses.ndjson")" = 3 ] \
+[ "$(grep -c '"ok":true' "$DMN_TMP/responses.ndjson")" = 4 ] \
     || { echo "verify: daemon smoke had a failing job" >&2; \
          cat "$DMN_TMP/responses.ndjson" >&2; exit 1; }
 cmp "$DMN_TMP/a.rlp" "$DMN_TMP/b.rlp" \
     || { echo "verify: daemon replays disagree" >&2; exit 1; }
 printf '%s\n' \
     '{"kind":"replay","id":"smoke","grains":[64],"save":"target/verify-daemon/c.rlp"}' \
+    '{"kind":"replay","id":"smoke","grains":[64,4096],"save":"target/verify-daemon/b2.rlp"}' \
+    '{"kind":"replay","id":"smoke","grains":[64,4096],"save":"target/verify-daemon/c2.rlp"}' \
     | ./target/release/reuselens serve --store "$DMN_TMP/store" \
-        --stdin --workers 1 > "$DMN_TMP/cold.ndjson" 2>/dev/null
-grep -q '"ok":true' "$DMN_TMP/cold.ndjson" \
+        --stdin --workers 2 > "$DMN_TMP/cold.ndjson" 2>/dev/null
+[ "$(grep -c '"ok":true' "$DMN_TMP/cold.ndjson")" = 3 ] \
     || { echo "verify: cold daemon replay failed" >&2; \
          cat "$DMN_TMP/cold.ndjson" >&2; exit 1; }
 cmp "$DMN_TMP/a.rlp" "$DMN_TMP/c.rlp" \
     || { echo "verify: resident and cold daemon replays disagree" >&2; exit 1; }
+for f in b2 c2; do
+    cmp "$DMN_TMP/a2.rlp" "$DMN_TMP/$f.rlp" \
+        || { echo "verify: two-grain daemon replays disagree ($f)" >&2; exit 1; }
+done
 rm -rf "$DMN_TMP"
 
 # Informational perf smoke: exercises the bench-runner end to end and

@@ -260,6 +260,23 @@ fn contexts_report_rejects_predict_static() {
     );
 }
 
+/// GTC has several load sites labelled `zion(f,i)`; the pattern rows
+/// lead with the reference id, so no two of those rows read alike.
+#[test]
+fn pattern_rows_tell_same_label_sites_apart() {
+    let (stdout, stderr, ok) = run(&[
+        "gtc", "--mgrid", "128", "--micell", "4", "--report", "patterns",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.starts_with("ref "), "{stdout}");
+    let rows: Vec<&str> = stdout.lines().filter(|l| l.contains("zion(f,i)")).collect();
+    assert!(rows.len() >= 3, "{stdout}");
+    for (i, row) in rows.iter().enumerate() {
+        assert!(row.starts_with("ref"), "{row}");
+        assert!(!rows[..i].contains(row), "duplicate row: {row}");
+    }
+}
+
 #[test]
 fn patterns_csv_report_is_csv() {
     let (stdout, _, ok) = run(&["kernel", "fig2", "--report", "patterns-csv"]);
