@@ -22,6 +22,7 @@
 //! it has lasted [`MIN_SAMPLE`], under a fresh `Obs` scope with its own
 //! recorder. A per-layer row is that sample's stage-span total divided
 //! by its work counter, the formula perfbench's per-layer metrics use;
+//! the store's `put` and whole-`get` rows are wall time per event, and
 //! ladder rows are wall time per iteration. The observability legs
 //! replay dark (an empty scope) and lit (the recorder that the live
 //! telemetry service aggregates, with `/metrics` scraped once per
@@ -288,31 +289,44 @@ fn layer_rows(
     let program = &w.program;
     let events = buffer.events();
 
-    // Capture and store `get`, interleaved: their quotient is the store
-    // ratio. The `put` is not measured: persistence happens once.
+    // Capture, store `get`, and store `put` (with the `evict` that lets
+    // the next iteration put again), interleaved: capture over the
+    // `get`'s import is the store ratio.
     let dir = std::env::temp_dir().join(format!("reuselens-bench-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut store = TraceStore::open(&dir).expect("open bench store");
+    let mut store = TraceStore::open(dir.join("get")).expect("open bench store");
+    let mut put_store = TraceStore::open(dir.join("put")).expect("open bench store");
     let meta = TraceMeta {
         workload: name.to_string(),
         grains: GRAIN_LADDER[..1].to_vec(),
     };
-    store.put("bench", buffer, meta).expect("seed bench store");
-    let [capture, load] = r.measure([
+    store
+        .put("bench", buffer, meta.clone())
+        .expect("seed bench store");
+    let [capture, load, put] = r.measure([
         Leg::new(|| {
             black_box(capture_program(program, w.index_arrays.clone()).expect("capture"));
         }),
         Leg::new(|| {
             black_box(store.get("bench").expect("store get"));
         }),
+        Leg::new(|| {
+            put_store
+                .put("bench", buffer, meta.clone())
+                .expect("store put");
+            put_store.evict("bench").expect("store evict");
+        }),
     ]);
     let _ = std::fs::remove_dir_all(&dir);
+    let wall_ns_per_event = |s: &Sample| s.wall.as_nanos() as f64 / (s.iters * events) as f64;
     r.row("capture_ns_per_event", "ns", &capture, |s| {
         s.ns_per(Stage::Capture, s.counter(Counter::EventsCaptured))
     });
     r.row("store_decode_ns_per_event", "ns", &load, |s| {
         s.ns_per(Stage::Decode, s.iters * events)
     });
+    r.row("store_get_ns_per_event", "ns", &load, wall_ns_per_event);
+    r.row("store_put_ns_per_event", "ns", &put, wall_ns_per_event);
 
     // The replay decode loop alone, into a sink that discards: the
     // denominator of the analyzer core's per-event cost.
@@ -364,6 +378,9 @@ fn layer_rows(
         &checkpointed,
         replay_ns,
     );
+    r.row("checkpoint_us_per_snapshot", "us", &checkpointed, |s| {
+        s.ns_per(Stage::Checkpoint, s.snap().stage(Stage::Checkpoint).count) / 1e3
+    });
 
     let [estimate] = r.measure([Leg::new(|| {
         black_box(estimate_profiles(program, &w.index_arrays, one_grain));

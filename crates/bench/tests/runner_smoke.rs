@@ -7,14 +7,17 @@ use std::path::PathBuf;
 use std::process::Command;
 
 /// The per-layer rows every report must carry.
-const LAYER_ROWS: [&str; 10] = [
+const LAYER_ROWS: [&str; 13] = [
     "capture_ns_per_event",
     "store_decode_ns_per_event",
+    "store_get_ns_per_event",
+    "store_put_ns_per_event",
     "decode_ns_per_event",
     "replay_ns_per_event",
     "replay_us_per_grain",
     "sampled_replay_ns_per_event",
     "checkpoint_replay_ns_per_event",
+    "checkpoint_us_per_snapshot",
     "estimate_us_per_call",
     "sweep_us_per_config",
     "report_us_per_report",
@@ -49,6 +52,9 @@ fn smoke_report_carries_every_layer_row() {
     for name in LAYER_ROWS {
         assert!(report.row(name).is_some(), "missing row {name}");
     }
+    // The checkpointed leg wrote snapshots, and the row timed them.
+    let snapshot = report.row("checkpoint_us_per_snapshot").unwrap();
+    assert!(snapshot.median > 0.0, "no snapshot was timed");
     // Every ratio's two rows were measured, the obs legs' included.
     assert_eq!(report.ratios().len(), RATIOS.len());
     for row in &report.rows {

@@ -64,8 +64,8 @@ use crate::partition::{replay_partitioned, ReplayThreads};
 use crate::patterns::ReuseProfile;
 use crate::sampling::{SampledAnalyzer, SamplingConfig};
 use crate::snapshot::{
-    decode_snapshot, encode_snapshot, list_snapshots, read_snapshot_bytes, write_snapshot_file,
-    Dec, Enc, SnapshotError, SnapshotHeader,
+    decode_snapshot, list_snapshots, read_snapshot_bytes, write_snapshot_file, Dec, Enc,
+    SnapshotError, SnapshotHeader,
 };
 use reuselens_ir::{AccessKind, ArrayId, Program, RefId, ScopeId};
 use reuselens_obs as obs;
@@ -980,15 +980,14 @@ impl LaneGrain {
                     accesses_replayed: state.accesses,
                     nrefs: program.references().len() as u32,
                 };
-                let image = encode_snapshot(&header, &enc.buf);
-                write_snapshot_file(&ckpt.dir, block_size, state.event, &image)
+                let bytes = write_snapshot_file(&ckpt.dir, &header, &enc.buf)
                     .map_err(GrainError::Checkpoint)?;
                 obs::add(obs::Counter::CheckpointsWritten, 1);
-                obs::set_gauge(obs::Gauge::SnapshotBytes, image.len() as u64);
+                obs::set_gauge(obs::Gauge::SnapshotBytes, bytes);
                 obs::emit(obs::EventKind::CheckpointWritten {
                     grain: block_size,
                     events_replayed: state.event,
-                    bytes: image.len() as u64,
+                    bytes,
                 });
             }
             Ok(())
@@ -1370,6 +1369,7 @@ pub fn analyze_buffer(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::encode_snapshot;
     use reuselens_ir::{Expr, ProgramBuilder};
     use reuselens_trace::{Event, VecSink};
 

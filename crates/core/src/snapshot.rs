@@ -42,10 +42,11 @@
 //!
 //! ## Atomic-rename protocol
 //!
-//! Writers never expose a torn file under a valid name: the snapshot is
-//! encoded fully in memory, then published with
-//! [`frame::publish`](reuselens_trace::frame::publish), a dot-prefixed
-//! temporary in the same directory renamed into place (atomic on POSIX).
+//! Writers never expose a torn file under a valid name: the analyzer
+//! state is encoded in memory, then its header and state frames are
+//! streamed by [`frame::publish`](reuselens_trace::frame::publish) into a
+//! dot-prefixed temporary in the same directory, which is renamed into
+//! place (atomic on POSIX).
 //! A crash mid-write leaves only a `.tmp` file the resume scan
 //! ignores; a crash between write and rename leaves the previous
 //! checkpoint as the newest valid one. The threat model is a dying
@@ -56,7 +57,7 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use reuselens_trace::frame::{self, FrameError, PublishError};
+use reuselens_trace::frame::{self, Frame, FrameError, PublishError};
 pub(crate) use reuselens_trace::frame::{Dec, Enc};
 
 /// Current snapshot format version; see the module docs for the policy.
@@ -299,18 +300,28 @@ pub struct SnapshotMeta {
     pub accesses_replayed: u64,
 }
 
-/// Assembles a complete snapshot file image from the two frame payloads.
-pub(crate) fn encode_snapshot(header: &SnapshotHeader, state: &[u8]) -> Vec<u8> {
+/// Hands `write` the two frames of a snapshot image, `header` and
+/// `state`, borrowed and checksummed.
+fn with_snapshot_frames<R>(
+    header: &SnapshotHeader,
+    state: &[u8],
+    write: impl FnOnce(&[Frame<'_>]) -> R,
+) -> R {
     let mut henc = Enc::new();
     header.encode(&mut henc);
-    frame::encode(
-        &MAGIC,
-        SNAPSHOT_VERSION,
-        &[
-            (&henc.buf, frame::crc32(&henc.buf)),
-            (state, frame::crc32(state)),
-        ],
-    )
+    let (h, s) = ([&henc.buf[..]], [state]);
+    write(&[Frame::new(&h), Frame::new(&s)])
+}
+
+/// A complete snapshot file image, in memory.
+#[cfg(test)]
+pub(crate) fn encode_snapshot(header: &SnapshotHeader, state: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    with_snapshot_frames(header, state, |frames| {
+        frame::write_image(&mut out, &MAGIC, SNAPSHOT_VERSION, frames)
+    })
+    .unwrap_or_else(|e| unreachable!("a Vec takes every write: {e}"));
+    out
 }
 
 /// Splits a snapshot file image into its verified header and state
@@ -372,18 +383,20 @@ fn io_err(op: &'static str, path: &Path, e: &std::io::Error) -> SnapshotError {
     }
 }
 
-/// Publishes a snapshot image under the grain's checkpoint name via the
-/// temp-file + atomic-rename protocol (see the module docs). Returns the
-/// published path.
+/// Publishes the snapshot of `header` and `state` under the grain's
+/// checkpoint name via the temp-file + atomic-rename protocol (see the
+/// module docs), streaming both frames straight to the file. Returns the
+/// file's length in bytes.
 pub(crate) fn write_snapshot_file(
     dir: &Path,
-    block_size: u64,
-    events: u64,
-    bytes: &[u8],
-) -> Result<PathBuf, SnapshotError> {
+    header: &SnapshotHeader,
+    state: &[u8],
+) -> Result<u64, SnapshotError> {
     fs::create_dir_all(dir).map_err(|e| io_err("create dir", dir, &e))?;
-    let name = snapshot_file_name(block_size, events);
-    Ok(frame::publish(dir, &name, bytes)?)
+    let name = snapshot_file_name(header.block_size, header.events_replayed);
+    Ok(with_snapshot_frames(header, state, |frames| {
+        frame::publish(dir, &name, &MAGIC, SNAPSHOT_VERSION, frames)
+    })?)
 }
 
 /// Every published checkpoint of the given grain in `dir`, newest (most

@@ -288,6 +288,26 @@ impl TraceBuffer {
         self.accesses
     }
 
+    /// Scope enter/exit events captured.
+    pub fn scope_events(&self) -> u64 {
+        self.scope_events
+    }
+
+    /// The five encoded columns by reference, in image order: opcodes,
+    /// address deltas, reference-id deltas, sizes, scope ids (the fields
+    /// of [`ExportedTrace`], which [`export`](Self::export) clones). With
+    /// the three counts this is the whole portable image, so a writer can
+    /// stream it without copying.
+    pub fn columns(&self) -> [&[u8]; 5] {
+        [
+            &self.ops,
+            &self.addr_bytes,
+            &self.ref_bytes,
+            &self.size_bytes,
+            &self.scope_bytes,
+        ]
+    }
+
     /// True when nothing has been captured.
     pub fn is_empty(&self) -> bool {
         self.events == 0
@@ -1106,6 +1126,17 @@ mod tests {
         for parts in [2usize, 3, 8] {
             assert_eq!(imported.segment_states(parts), buf.segment_states(parts));
         }
+        // The borrowed view is what export clones, in image order.
+        let e = buf.export();
+        let cloned: [&[u8]; 5] = [
+            &e.ops,
+            &e.addr_bytes,
+            &e.ref_bytes,
+            &e.size_bytes,
+            &e.scope_bytes,
+        ];
+        assert_eq!(buf.columns(), cloned);
+        assert_eq!(buf.scope_events(), e.scope_events);
         // Empty buffers round-trip too.
         let empty = TraceBuffer::import(TraceBuffer::new().export()).unwrap();
         assert!(empty.is_empty());

@@ -107,7 +107,8 @@ rm -rf "$SRV_TMP"
 # deterministically. Each process also replays two grains at once: the
 # second runs two workers, so its two-grain replays may share one replay
 # lane or spread over two, and every one of them must save the same
-# bytes. EOF on stdin is the clean-shutdown path.
+# bytes. A third process then evicts and re-captures the trace (see
+# below). EOF on stdin is the clean-shutdown path.
 DMN_TMP="target/verify-daemon"
 rm -rf "$DMN_TMP" && mkdir -p "$DMN_TMP"
 printf '%s\n' \
@@ -122,6 +123,7 @@ printf '%s\n' \
          cat "$DMN_TMP/responses.ndjson" >&2; exit 1; }
 cmp "$DMN_TMP/a.rlp" "$DMN_TMP/b.rlp" \
     || { echo "verify: daemon replays disagree" >&2; exit 1; }
+cp "$DMN_TMP/store/smoke.seg0000.rlseg" "$DMN_TMP/first.rlseg"
 printf '%s\n' \
     '{"kind":"replay","id":"smoke","grains":[64],"save":"target/verify-daemon/c.rlp"}' \
     '{"kind":"replay","id":"smoke","grains":[64,4096],"save":"target/verify-daemon/b2.rlp"}' \
@@ -137,6 +139,23 @@ for f in b2 c2; do
     cmp "$DMN_TMP/a2.rlp" "$DMN_TMP/$f.rlp" \
         || { echo "verify: two-grain daemon replays disagree ($f)" >&2; exit 1; }
 done
+# A third process evicts the trace, captures it again under the same id
+# and replays it: the streamed writer must publish the very same segment
+# bytes, and the replay must save the same profile. One worker, so the
+# three jobs run in order.
+printf '%s\n' \
+    '{"kind":"evict","id":"smoke"}' \
+    '{"kind":"capture","id":"smoke","workload":"sweep3d","mesh":6,"grains":[64]}' \
+    '{"kind":"replay","id":"smoke","grains":[64],"save":"target/verify-daemon/d.rlp"}' \
+    | ./target/release/reuselens serve --store "$DMN_TMP/store" \
+        --stdin --workers 1 > "$DMN_TMP/recapture.ndjson" 2>/dev/null
+[ "$(grep -c '"ok":true' "$DMN_TMP/recapture.ndjson")" = 3 ] \
+    || { echo "verify: daemon evict and re-capture failed" >&2; \
+         cat "$DMN_TMP/recapture.ndjson" >&2; exit 1; }
+cmp "$DMN_TMP/first.rlseg" "$DMN_TMP/store/smoke.seg0000.rlseg" \
+    || { echo "verify: a re-captured trace's segment differs" >&2; exit 1; }
+cmp "$DMN_TMP/a.rlp" "$DMN_TMP/d.rlp" \
+    || { echo "verify: replay after re-capture disagrees" >&2; exit 1; }
 rm -rf "$DMN_TMP"
 
 # Informational perf smoke: exercises the bench-runner end to end and
