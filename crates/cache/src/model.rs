@@ -143,24 +143,6 @@ impl LevelPrediction {
             self.total / self.accesses as f64
         }
     }
-
-    /// Expected misses of patterns carried by the given scope.
-    pub fn misses_carried_by(&self, scope: reuselens_ir::ScopeId) -> f64 {
-        self.per_pattern
-            .iter()
-            .filter(|(k, _)| k.carrier == scope)
-            .map(|(_, m)| m)
-            .sum()
-    }
-
-    /// Expected misses of patterns whose sink is the given reference.
-    pub fn misses_for_sink(&self, sink: reuselens_ir::RefId) -> f64 {
-        self.per_pattern
-            .iter()
-            .filter(|(k, _)| k.sink == sink)
-            .map(|(_, m)| m)
-            .sum()
-    }
 }
 
 /// Predicts misses at one cache level from a reuse profile measured at the

@@ -95,11 +95,6 @@ impl ThreeCSim {
             raw_conflict: raw,
         }
     }
-
-    /// The underlying set-associative simulator (for per-ref counts).
-    pub fn set_associative(&self) -> &CacheSim {
-        &self.sa
-    }
 }
 
 impl TraceSink for ThreeCSim {

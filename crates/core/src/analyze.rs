@@ -677,7 +677,6 @@ fn resume_grain(
         })();
         match resumed {
             Ok(ok) => {
-                obs::add(obs::Counter::CheckpointsResumed, 1);
                 obs::emit(obs::EventKind::CheckpointResumed {
                     grain: block_size,
                     events_replayed: ok.1.event,
@@ -685,7 +684,6 @@ fn resume_grain(
                 return Ok(Some(ok));
             }
             Err(e) => {
-                obs::add(obs::Counter::CheckpointsRejected, 1);
                 obs::emit(obs::EventKind::CheckpointRejected {
                     path: path.display().to_string(),
                     reason: e.to_string(),
@@ -982,8 +980,6 @@ impl LaneGrain {
                 };
                 let bytes = write_snapshot_file(&ckpt.dir, &header, &enc.buf)
                     .map_err(GrainError::Checkpoint)?;
-                obs::add(obs::Counter::CheckpointsWritten, 1);
-                obs::set_gauge(obs::Gauge::SnapshotBytes, bytes);
                 obs::emit(obs::EventKind::CheckpointWritten {
                     grain: block_size,
                     events_replayed: state.event,
@@ -1276,7 +1272,6 @@ fn analyze_on_lanes(
                 error: GrainError::Panicked(_),
                 ..
             }) if opts.retry => {
-                obs::add(obs::Counter::GrainsRetried, 1);
                 obs::emit(obs::EventKind::GrainRetried { grain: block_size });
                 let again = replay_lanes(program, buffer, &[block_size], opts, 1);
                 (again.into_iter().next().unwrap_or(outcome), true)
@@ -1285,48 +1280,32 @@ fn analyze_on_lanes(
         };
         match outcome {
             Ok((profile, timing, tree_nodes)) => {
-                obs::add(obs::Counter::GrainsCompleted, 1);
                 obs::emit(obs::EventKind::GrainCompleted {
-                    grain: block_size,
-                    events: buffer.events(),
-                    distinct_blocks: profile.distinct_blocks,
-                    wall_ns: timing.wall.as_nanos() as u64,
-                });
-                obs::record_grain(&obs::GrainProfile {
-                    block_size,
-                    wall: timing.wall,
-                    events: buffer.events(),
-                    distinct_blocks: profile.distinct_blocks,
-                    tree_nodes,
-                    status: if retried {
-                        obs::GrainStatus::Retried
-                    } else {
-                        obs::GrainStatus::Completed
+                    profile: obs::GrainProfile {
+                        block_size,
+                        wall: timing.wall,
+                        events: buffer.events(),
+                        distinct_blocks: profile.distinct_blocks,
+                        tree_nodes,
+                        status: if retried {
+                            obs::GrainStatus::Retried
+                        } else {
+                            obs::GrainStatus::Completed
+                        },
+                        blocks_sampled: profile.sampling.map_or(0, |s| s.blocks_sampled),
+                        blocks_evicted: profile.sampling.map_or(0, |s| s.blocks_evicted),
+                        sample_inv: profile.sampling.map_or(0, |s| s.inv),
                     },
-                    blocks_sampled: profile.sampling.map_or(0, |s| s.blocks_sampled),
-                    blocks_evicted: profile.sampling.map_or(0, |s| s.blocks_evicted),
-                    sample_inv: profile.sampling.map_or(0, |s| s.inv),
                 });
                 profiles.push(profile);
                 replays.push(timing);
             }
             Err(failure) => {
-                obs::add(obs::Counter::GrainsFailed, 1);
                 obs::emit(obs::EventKind::GrainFailed {
                     grain: block_size,
+                    events: failure.events,
                     reason: failure.error.to_string(),
                     job: opts.job.clone(),
-                });
-                obs::record_grain(&obs::GrainProfile {
-                    block_size,
-                    wall: Duration::ZERO,
-                    events: failure.events,
-                    distinct_blocks: 0,
-                    tree_nodes: 0,
-                    status: obs::GrainStatus::Failed,
-                    blocks_sampled: 0,
-                    blocks_evicted: 0,
-                    sample_inv: 0,
                 });
                 failures.push(FailureReport {
                     block_size,

@@ -496,7 +496,6 @@ pub(crate) fn replay_partitioned(
             }
         }
     }
-    obs::add(obs::Counter::PartitionStitch, stitched);
     obs::emit(obs::EventKind::PartitionStitched {
         grain: block_size,
         partitions: states.len() as u64,

@@ -291,11 +291,6 @@ impl SampledAnalyzer {
         self.times.len()
     }
 
-    /// Inverse sampling rate currently in force.
-    pub fn current_inv(&self) -> u64 {
-        self.inv
-    }
-
     /// Sampling statistics as they stand now (the run's final
     /// [`SamplingInfo`] once the stream ends).
     pub fn sampling_info(&self) -> SamplingInfo {

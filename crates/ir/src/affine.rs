@@ -258,11 +258,6 @@ pub enum Stride {
 }
 
 impl Stride {
-    /// True for [`Stride::Constant`] with a nonzero value.
-    pub fn is_nonzero_constant(self) -> bool {
-        matches!(self, Stride::Constant(c) if c != 0)
-    }
-
     /// Returns the constant stride value if this is a constant stride.
     pub fn constant(self) -> Option<i64> {
         match self {

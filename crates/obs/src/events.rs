@@ -1,22 +1,28 @@
-//! The structured JSONL event log: one JSON object per line for every
-//! discrete pipeline occurrence worth replaying later — grain lifecycle,
-//! checkpoint writes/resumes, partition stitches, sampling rate drops,
-//! failures, and the service's own heartbeats.
+//! The discrete pipeline occurrences — grain lifecycle, checkpoint
+//! writes/resumes/rejections, partition stitches, sampling rate drops,
+//! daemon jobs and the service's own heartbeats — and the structured
+//! JSONL event log that writes one JSON object per occurrence.
 //!
-//! Counters (§ [`crate::MetricsRecorder`]) answer *how much*; the timeline
-//! (§ [`crate::Timeline`]) answers *when and on which thread*; the event
-//! log answers *what happened, in order, with enough typed detail to act
-//! on*. Each line carries a severity, a monotonic timestamp (nanoseconds
-//! since the log was opened — immune to wall-clock steps), a wall-clock
-//! timestamp (nanoseconds since the Unix epoch — joinable with external
-//! logs), the event name, and the event's typed fields.
+//! One [`crate::emit`] records an occurrence once, and each sink on the
+//! emitting thread's [`crate::Obs`] handle takes its own view of the same
+//! [`EventKind`]: the recorder applies the kind's tally
+//! ([`crate::MetricsRecorder::record_event`]: a counter, the snapshot
+//! gauge, a grain cost row), and the [`EventLog`] writes its line. So the
+//! counters and the log cannot disagree, and which counter an occurrence
+//! ticks is decided in one place.
 //!
-//! Like the recorder and timeline, the log is an optional part of an
-//! [`crate::Obs`] handle: nothing is formatted or written unless the
-//! emitting thread's handle carries an [`EventLog`]. Lines are flushed
-//! per event so `tail -f` (and a crash) always sees complete records; a
-//! write error increments a counter and drops the line rather than
-//! failing the pipeline.
+//! Counters answer *how much*; the timeline (§ [`crate::Timeline`])
+//! answers *when and on which thread*; the event log answers *what
+//! happened, in order, with enough typed detail to act on*. Each line
+//! carries a severity, a monotonic timestamp (nanoseconds since the log
+//! was opened — immune to wall-clock steps), a wall-clock timestamp
+//! (nanoseconds since the Unix epoch — joinable with external logs), the
+//! event name, and the event's typed fields.
+//!
+//! Nothing is formatted or written unless the handle carries an
+//! [`EventLog`]. Lines are flushed per event so `tail -f` (and a crash)
+//! always sees complete records; a write error increments a counter and
+//! drops the line rather than failing the pipeline.
 //!
 //! # Examples
 //!
@@ -24,33 +30,37 @@
 //! use reuselens_obs as obs;
 //! use std::sync::Arc;
 //!
+//! let recorder = Arc::new(obs::MetricsRecorder::new());
 //! let log = Arc::new(obs::EventLog::to_vec());
 //! let handle = obs::Obs {
 //!     events: Some(log.clone()),
-//!     ..obs::Obs::default()
+//!     ..obs::Obs::from(recorder.clone())
 //! };
 //! let scope = handle.enter();
-//! obs::emit(obs::EventKind::GrainCompleted {
+//! obs::emit(obs::EventKind::CheckpointWritten {
 //!     grain: 64,
-//!     events: 1024,
-//!     distinct_blocks: 17,
-//!     wall_ns: 5_000,
+//!     events_replayed: 1024,
+//!     bytes: 4096,
 //! });
 //! drop(scope);
 //!
+//! // The recorder's view: one snapshot written, and its size.
+//! assert_eq!(recorder.counter(obs::Counter::CheckpointsWritten), 1);
+//! assert_eq!(recorder.gauge(obs::Gauge::SnapshotBytes), 4096);
+//! // The log's view: one line.
 //! let lines = log.captured();
 //! assert_eq!(lines.lines().count(), 1);
-//! assert!(lines.contains("\"event\":\"grain_completed\""));
-//! assert!(lines.contains("\"grain\":64"));
+//! assert!(lines.contains("\"event\":\"checkpoint_written\",\"grain\":64"));
 //! ```
 
 use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use crate::json::escape;
+use crate::GrainProfile;
 
 /// How urgent one event line is. Rendered lowercase in the `severity`
 /// field; the default mapping lives in [`EventKind::severity`].
@@ -98,14 +108,10 @@ pub enum EventKind {
     },
     /// One grain's replay produced a profile.
     GrainCompleted {
-        /// Block size in bytes.
-        grain: u64,
-        /// Events replayed through the grain's analyzer.
-        events: u64,
-        /// Distinct blocks the analyzer ended with.
-        distinct_blocks: u64,
-        /// Replay wall time in nanoseconds.
-        wall_ns: u64,
+        /// The grain's cost row (status `Completed` or `Retried`). The
+        /// log renders its block size as `grain`, `events`,
+        /// `distinct_blocks` and its wall time as `wall_ns`.
+        profile: GrainProfile,
     },
     /// A panicked grain is being retried sequentially.
     GrainRetried {
@@ -116,6 +122,9 @@ pub enum EventKind {
     GrainFailed {
         /// Block size in bytes.
         grain: u64,
+        /// Trace events the grain had processed when it died: its cost
+        /// row's `events`. Not rendered in the log.
+        events: u64,
         /// The failure's rendered message.
         reason: String,
         /// Daemon job the grain was replayed for; `None` outside the
@@ -251,132 +260,106 @@ impl EventKind {
     /// Renders the variant's typed fields as JSON object members,
     /// appended after the envelope fields (leading comma included when
     /// any field exists).
-    fn write_fields(&self, out: &mut String) {
+    fn write_fields(&self, out: &mut String) -> std::fmt::Result {
         match self {
             EventKind::RunStarted { command } => {
-                let _ = write!(out, ",\"command\":\"{}\"", escape(command));
+                write!(out, ",\"command\":\"{}\"", escape(command))
             }
-            EventKind::RunFinished { ok } => {
-                let _ = write!(out, ",\"ok\":{ok}");
+            EventKind::RunFinished { ok } => write!(out, ",\"ok\":{ok}"),
+            EventKind::GrainStarted { grain } | EventKind::GrainRetried { grain } => {
+                write!(out, ",\"grain\":{grain}")
             }
-            EventKind::GrainStarted { grain } => {
-                let _ = write!(out, ",\"grain\":{grain}");
-            }
-            EventKind::GrainCompleted {
-                grain,
-                events,
-                distinct_blocks,
-                wall_ns,
+            EventKind::GrainCompleted { profile } => write!(
+                out,
+                ",\"grain\":{},\"events\":{},\"distinct_blocks\":{},\"wall_ns\":{}",
+                profile.block_size,
+                profile.events,
+                profile.distinct_blocks,
+                profile.wall.as_nanos() as u64
+            ),
+            EventKind::GrainFailed {
+                grain, reason, job, ..
             } => {
-                let _ = write!(
-                    out,
-                    ",\"grain\":{grain},\"events\":{events},\
-                     \"distinct_blocks\":{distinct_blocks},\"wall_ns\":{wall_ns}"
-                );
-            }
-            EventKind::GrainRetried { grain } => {
-                let _ = write!(out, ",\"grain\":{grain}");
-            }
-            EventKind::GrainFailed { grain, reason, job } => {
-                let _ = write!(out, ",\"grain\":{grain},\"reason\":\"{}\"", escape(reason));
-                if let Some(job) = job {
-                    let _ = write!(out, ",\"job\":\"{}\"", escape(job));
+                write!(out, ",\"grain\":{grain},\"reason\":\"{}\"", escape(reason))?;
+                match job {
+                    Some(job) => write!(out, ",\"job\":\"{}\"", escape(job)),
+                    None => Ok(()),
                 }
             }
             EventKind::CheckpointWritten {
                 grain,
                 events_replayed,
                 bytes,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"grain\":{grain},\"events_replayed\":{events_replayed},\"bytes\":{bytes}"
-                );
-            }
+            } => write!(
+                out,
+                ",\"grain\":{grain},\"events_replayed\":{events_replayed},\"bytes\":{bytes}"
+            ),
             EventKind::CheckpointResumed {
                 grain,
                 events_replayed,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"grain\":{grain},\"events_replayed\":{events_replayed}"
-                );
-            }
-            EventKind::CheckpointRejected { path, reason } => {
-                let _ = write!(
-                    out,
-                    ",\"path\":\"{}\",\"reason\":\"{}\"",
-                    escape(path),
-                    escape(reason)
-                );
-            }
+            } => write!(
+                out,
+                ",\"grain\":{grain},\"events_replayed\":{events_replayed}"
+            ),
+            EventKind::CheckpointRejected { path, reason } => write!(
+                out,
+                ",\"path\":\"{}\",\"reason\":\"{}\"",
+                escape(path),
+                escape(reason)
+            ),
             EventKind::PartitionStitched {
                 grain,
                 partitions,
                 resolved,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"grain\":{grain},\"partitions\":{partitions},\"resolved\":{resolved}"
-                );
-            }
+            } => write!(
+                out,
+                ",\"grain\":{grain},\"partitions\":{partitions},\"resolved\":{resolved}"
+            ),
             EventKind::SampleRateDropped {
                 grain,
                 inv_rate,
                 evicted,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"grain\":{grain},\"inv_rate\":{inv_rate},\"evicted\":{evicted}"
-                );
-            }
-            EventKind::JobAccepted { job, kind } => {
-                let _ = write!(
-                    out,
-                    ",\"job\":\"{}\",\"kind\":\"{}\"",
-                    escape(job),
-                    escape(kind)
-                );
-            }
-            EventKind::JobCompleted { job, kind, wall_ns } => {
-                let _ = write!(
-                    out,
-                    ",\"job\":\"{}\",\"kind\":\"{}\",\"wall_ns\":{wall_ns}",
-                    escape(job),
-                    escape(kind)
-                );
-            }
-            EventKind::JobFailed { job, kind, reason } => {
-                let _ = write!(
-                    out,
-                    ",\"job\":\"{}\",\"kind\":\"{}\",\"reason\":\"{}\"",
-                    escape(job),
-                    escape(kind),
-                    escape(reason)
-                );
-            }
-            EventKind::JobRejected { job, reason } => {
-                let _ = write!(
-                    out,
-                    ",\"job\":\"{}\",\"reason\":\"{}\"",
-                    escape(job),
-                    escape(reason)
-                );
-            }
+            } => write!(
+                out,
+                ",\"grain\":{grain},\"inv_rate\":{inv_rate},\"evicted\":{evicted}"
+            ),
+            EventKind::JobAccepted { job, kind } => write!(
+                out,
+                ",\"job\":\"{}\",\"kind\":\"{}\"",
+                escape(job),
+                escape(kind)
+            ),
+            EventKind::JobCompleted { job, kind, wall_ns } => write!(
+                out,
+                ",\"job\":\"{}\",\"kind\":\"{}\",\"wall_ns\":{wall_ns}",
+                escape(job),
+                escape(kind)
+            ),
+            EventKind::JobFailed { job, kind, reason } => write!(
+                out,
+                ",\"job\":\"{}\",\"kind\":\"{}\",\"reason\":\"{}\"",
+                escape(job),
+                escape(kind),
+                escape(reason)
+            ),
+            EventKind::JobRejected { job, reason } => write!(
+                out,
+                ",\"job\":\"{}\",\"reason\":\"{}\"",
+                escape(job),
+                escape(reason)
+            ),
             EventKind::Heartbeat {
                 uptime_s,
                 stage,
                 grains_done,
                 grains_requested,
                 events_per_s,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"uptime_s\":{uptime_s:.3},\"stage\":\"{stage}\",\
-                     \"grains_done\":{grains_done},\"grains_requested\":{grains_requested},\
-                     \"events_per_s\":{events_per_s:.0}"
-                );
-            }
+            } => write!(
+                out,
+                ",\"uptime_s\":{uptime_s:.3},\"stage\":\"{stage}\",\
+                 \"grains_done\":{grains_done},\"grains_requested\":{grains_requested},\
+                 \"events_per_s\":{events_per_s:.0}"
+            ),
         }
     }
 }
@@ -462,10 +445,7 @@ impl EventLog {
     pub fn captured(&self) -> String {
         match &self.sink {
             Sink::Vec(buf) => {
-                let buf = match buf.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
+                let buf = buf.lock().unwrap_or_else(PoisonError::into_inner);
                 String::from_utf8_lossy(&buf).into_owned()
             }
             Sink::Writer(_) => String::new(),
@@ -495,7 +475,7 @@ impl EventLog {
             severity.name(),
             kind.name()
         );
-        kind.write_fields(&mut line);
+        let _ = kind.write_fields(&mut line);
         line.push('}');
         line
     }
@@ -507,10 +487,7 @@ impl EventLog {
         let line = self.render_line(severity, kind);
         match &self.sink {
             Sink::Writer(writer) => {
-                let mut writer = match writer.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
+                let mut writer = writer.lock().unwrap_or_else(PoisonError::into_inner);
                 let ok = writeln!(writer, "{line}").and_then(|()| writer.flush());
                 match ok {
                     Ok(()) => {
@@ -522,10 +499,7 @@ impl EventLog {
                 }
             }
             Sink::Vec(buf) => {
-                let mut buf = match buf.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
+                let mut buf = buf.lock().unwrap_or_else(PoisonError::into_inner);
                 buf.extend_from_slice(line.as_bytes());
                 buf.push(b'\n');
                 self.emitted.fetch_add(1, Ordering::Relaxed);
@@ -546,6 +520,7 @@ mod tests {
             Severity::Error,
             &EventKind::GrainFailed {
                 grain: 64,
+                events: 0,
                 reason: "panicked: \"index out of bounds\"".into(),
                 job: Some("job-7".into()),
             },
@@ -573,6 +548,7 @@ mod tests {
             Severity::Error,
             &EventKind::GrainFailed {
                 grain: 64,
+                events: 0,
                 reason: "r".into(),
                 job: None,
             },
@@ -585,6 +561,7 @@ mod tests {
         assert_eq!(
             EventKind::GrainFailed {
                 grain: 1,
+                events: 0,
                 reason: String::new(),
                 job: None
             }
@@ -682,10 +659,17 @@ mod tests {
             (EventKind::GrainStarted { grain: 1 }, "grain_started"),
             (
                 EventKind::GrainCompleted {
-                    grain: 1,
-                    events: 2,
-                    distinct_blocks: 3,
-                    wall_ns: 4,
+                    profile: GrainProfile {
+                        block_size: 1,
+                        wall: std::time::Duration::from_nanos(4),
+                        events: 2,
+                        distinct_blocks: 3,
+                        tree_nodes: 3,
+                        status: crate::GrainStatus::Completed,
+                        blocks_sampled: 0,
+                        blocks_evicted: 0,
+                        sample_inv: 0,
+                    },
                 },
                 "grain_completed",
             ),
@@ -693,6 +677,7 @@ mod tests {
             (
                 EventKind::GrainFailed {
                     grain: 1,
+                    events: 0,
                     reason: "r".into(),
                     job: Some("j".into()),
                 },

@@ -24,10 +24,11 @@
 //!
 //! The third generation adds the *live* layer on the same foundations:
 //!
-//! * **Events** ([`emit`]) — a structured JSONL log ([`EventLog`]) of
-//!   discrete occurrences (grain lifecycle, checkpoint writes/resumes,
-//!   partition stitches, sampling rate drops, failures) with severities
-//!   and monotonic + wall timestamps.
+//! * **Events** ([`emit`]) — one call per discrete occurrence (grain
+//!   lifecycle, checkpoint writes/resumes, partition stitches, sampling
+//!   rate drops, daemon jobs, failures). The recorder tallies it into its
+//!   counters and grain rows, and a structured JSONL log ([`EventLog`])
+//!   writes it with a severity and monotonic + wall timestamps.
 //! * **The telemetry service** ([`TelemetryService`]) — a background
 //!   aggregator computing rolling-window rates/progress/ETA from
 //!   recorder snapshots, stderr heartbeats, and a zero-dependency HTTP
@@ -104,7 +105,7 @@ pub use timeline::{format_chrome_trace, Timeline, TimelineArgs, TimelineEvent, T
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// A pipeline stage a [`span`] can time. One execution of the full
@@ -217,7 +218,7 @@ pub enum Counter {
     SweepConfigsFailed,
     /// Attribution reports generated.
     ReportsGenerated,
-    /// Timeline events dropped by full ring-buffer shards.
+    /// Timeline events dropped by the full ring.
     TimelineDropped,
     /// Distinct blocks admitted by the spatial-hash sampler (unscaled).
     BlocksSampled,
@@ -557,9 +558,7 @@ fn with_obs<R>(f: impl FnOnce(&Obs) -> R) -> Option<R> {
         }
         // A sink panicking mid-call could poison the lock; observability
         // must never take the pipeline down, so a poisoned slot is read.
-        let global = GLOBAL
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let global = GLOBAL.read().unwrap_or_else(PoisonError::into_inner);
         global.as_ref().map(f)
     })
 }
@@ -576,9 +575,7 @@ pub fn enabled() -> bool {
 /// probes that ran before are simply lost, which is exactly the
 /// mid-run-install semantics the identity tests pin down.
 pub fn install(obs: impl Into<Obs>) -> Option<Obs> {
-    let mut global = GLOBAL
-        .write()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let mut global = GLOBAL.write().unwrap_or_else(PoisonError::into_inner);
     let previous = global.replace(obs.into());
     ENABLED.store(true, Ordering::SeqCst);
     previous
@@ -588,25 +585,33 @@ pub fn install(obs: impl Into<Obs>) -> Option<Obs> {
 /// snapshot after the pipeline quiesces.
 pub fn uninstall() -> Option<Obs> {
     ENABLED.store(false, Ordering::SeqCst);
-    let mut global = GLOBAL
-        .write()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let mut global = GLOBAL.write().unwrap_or_else(PoisonError::into_inner);
     global.take()
 }
 
-/// Emits one typed event at its default severity ([`EventKind::severity`]).
-/// A no-op branch when the calling thread's handle has no event log;
-/// never per-access — emit sites are grain/checkpoint/stitch-grained like
-/// counter bulk adds.
+/// Records one discrete occurrence at its default severity
+/// ([`EventKind::severity`]): the thread's recorder applies its tally
+/// ([`MetricsRecorder::record_event`]) and its event log writes its line.
+/// This is the one call an occurrence takes. A no-op branch when
+/// disabled; never per-access — emit sites are grain-, checkpoint-,
+/// stitch- and job-grained.
 #[inline]
 pub fn emit(kind: EventKind) {
     emit_at(kind.severity(), kind);
 }
 
-/// Emits one typed event at an explicit severity. A no-op when disabled.
+/// [`emit`] at an explicit severity (the log's view; the tally does not
+/// depend on it). A no-op when disabled.
 #[inline]
 pub fn emit_at(severity: Severity, kind: EventKind) {
-    with_obs(|obs| obs.events.as_ref().map(|log| log.emit(severity, &kind)));
+    with_obs(|obs| {
+        if let Some(metrics) = &obs.metrics {
+            metrics.record_event(&kind);
+        }
+        if let Some(log) = &obs.events {
+            log.emit(severity, &kind);
+        }
+    });
 }
 
 /// Adds a bulk delta to a counter. A no-op branch when disabled.
@@ -746,13 +751,6 @@ fn report_span(stage: Stage, start: Instant, wall: Duration, depth: u32, args: T
             }
         }
     });
-}
-
-/// Reports one grain's cost profile to the thread's recorder. A no-op
-/// branch when disabled; called once per grain by the replay engine.
-#[inline]
-pub fn record_grain(profile: &GrainProfile) {
-    with_obs(|obs| obs.metrics.as_ref().map(|m| m.record_grain(profile)));
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
 //! The metrics recorder: counters, gauges, stage timings and grain
 //! profiles, all in relaxed atomics.
 
-use crate::{Counter, Gauge, Stage};
+use crate::{Counter, EventKind, Gauge, Stage};
 use std::array;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// How one grain's replay ended, as recorded in its [`GrainProfile`].
@@ -31,8 +31,10 @@ impl GrainStatus {
 
 /// Per-grain cost attribution: what one grain's replay cost the analyzer,
 /// mirroring the paper's scope-tree attribution but applied to the
-/// analyzer itself. Recorded once per requested grain by the replay
-/// engine; a failed grain reports zeroed measurements and its status.
+/// analyzer itself. Recorded once per requested grain, as the recorder's
+/// view of the grain's [`EventKind::GrainCompleted`] (which carries the
+/// row) or [`EventKind::GrainFailed`] (zeroed measurements and the
+/// failed status).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GrainProfile {
     /// The grain (block size in bytes) this replay analyzed.
@@ -136,13 +138,59 @@ impl MetricsRecorder {
         self.span_depths[i].fetch_max(u64::from(depth), Ordering::Relaxed);
     }
 
+    /// Applies one discrete occurrence's tally: the recorder's view of an
+    /// [`crate::emit`]. A finished grain ticks its counter and adds its
+    /// cost row; a written checkpoint also sets the snapshot-size gauge;
+    /// a stitch adds the reuses it resolved; every other grain,
+    /// checkpoint and job occurrence adds one to its counter. Run
+    /// bounds, grain starts, rate drops (counted in halvings where the
+    /// sampler reports them) and heartbeats tally nothing.
+    pub fn record_event(&self, kind: &EventKind) {
+        match kind {
+            EventKind::GrainCompleted { profile } => {
+                self.add(Counter::GrainsCompleted, 1);
+                self.record_grain(profile);
+            }
+            EventKind::GrainFailed { grain, events, .. } => {
+                self.add(Counter::GrainsFailed, 1);
+                self.record_grain(&GrainProfile {
+                    block_size: *grain,
+                    wall: Duration::ZERO,
+                    events: *events,
+                    distinct_blocks: 0,
+                    tree_nodes: 0,
+                    status: GrainStatus::Failed,
+                    blocks_sampled: 0,
+                    blocks_evicted: 0,
+                    sample_inv: 0,
+                });
+            }
+            EventKind::GrainRetried { .. } => self.add(Counter::GrainsRetried, 1),
+            EventKind::CheckpointWritten { bytes, .. } => {
+                self.add(Counter::CheckpointsWritten, 1);
+                self.set_gauge(Gauge::SnapshotBytes, *bytes);
+            }
+            EventKind::CheckpointResumed { .. } => self.add(Counter::CheckpointsResumed, 1),
+            EventKind::CheckpointRejected { .. } => self.add(Counter::CheckpointsRejected, 1),
+            EventKind::PartitionStitched { resolved, .. } => {
+                self.add(Counter::PartitionStitch, *resolved);
+            }
+            EventKind::JobAccepted { .. } => self.add(Counter::JobsAccepted, 1),
+            EventKind::JobCompleted { .. } => self.add(Counter::JobsCompleted, 1),
+            EventKind::JobFailed { .. } => self.add(Counter::JobsFailed, 1),
+            EventKind::JobRejected { .. } => self.add(Counter::JobsRejected, 1),
+            EventKind::RunStarted { .. }
+            | EventKind::RunFinished { .. }
+            | EventKind::GrainStarted { .. }
+            | EventKind::SampleRateDropped { .. }
+            | EventKind::Heartbeat { .. } => {}
+        }
+    }
+
     /// Records one grain's cost profile (bounded: past
     /// `MAX_GRAIN_PROFILES` rows new ones are dropped).
     pub fn record_grain(&self, profile: &GrainProfile) {
-        let mut grains = match self.grains.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut grains = self.grains.lock().unwrap_or_else(PoisonError::into_inner);
         if grains.len() < MAX_GRAIN_PROFILES {
             grains.push(profile.clone());
         }
@@ -160,10 +208,11 @@ impl MetricsRecorder {
 
     /// A point-in-time copy of every metric, ready for export.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let grains = match self.grains.lock() {
-            Ok(guard) => guard.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        };
+        let grains = self
+            .grains
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
         MetricsSnapshot {
             counters: Counter::ALL.map(|c| self.counter(c)),
             gauges: Gauge::ALL.map(|g| self.gauge(g)),

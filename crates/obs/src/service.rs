@@ -49,7 +49,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -144,10 +144,7 @@ struct Shared {
 
 impl Shared {
     fn poisoned_window(&self) -> std::sync::MutexGuard<'_, VecDeque<Sample>> {
-        match self.window.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.window.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn take_sample(&self) -> Sample {
@@ -199,10 +196,10 @@ impl Shared {
         self.ticks.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counter delta per second over (roughly) the trailing `window`,
-    /// using the oldest retained sample inside it. `None` before two
-    /// samples exist.
-    fn rate_over(&self, counter: Counter, span: Duration) -> Option<f64> {
+    /// How much `value` grew over (roughly) the trailing `span`, and in
+    /// how many seconds: from the newest sample back to the oldest
+    /// retained sample inside the span. `None` before two samples exist.
+    fn growth_over(&self, span: Duration, value: impl Fn(&Sample) -> u64) -> Option<(f64, f64)> {
         let window = self.poisoned_window();
         let newest = window.back()?;
         let base = window
@@ -214,27 +211,20 @@ impl Shared {
         if dt <= 0.0 {
             return None;
         }
-        let delta = newest.counters[counter.index()].saturating_sub(base.counters[counter.index()]);
-        Some(delta as f64 / dt)
+        Some((value(newest).saturating_sub(value(base)) as f64, dt))
+    }
+
+    /// Counter delta per second over (roughly) the trailing `span`.
+    fn rate_over(&self, counter: Counter, span: Duration) -> Option<f64> {
+        let (delta, dt) = self.growth_over(span, |s| s.counters[counter.index()])?;
+        Some(delta / dt)
     }
 
     /// Span-seconds accumulated per wall second for one stage over the
-    /// short window (a busy fraction; > 1 with concurrent workers).
+    /// trailing `span` (a busy fraction; > 1 with concurrent workers).
     fn stage_busy_over(&self, stage: Stage, span: Duration) -> Option<f64> {
-        let window = self.poisoned_window();
-        let newest = window.back()?;
-        let base = window
-            .iter()
-            .take_while(|s| newest.at.saturating_sub(s.at) >= span)
-            .last()
-            .or_else(|| window.front())?;
-        let dt = newest.at.checked_sub(base.at)?.as_secs_f64();
-        if dt <= 0.0 {
-            return None;
-        }
-        let i = stage.index();
-        let delta = newest.span_nanos[i].saturating_sub(base.span_nanos[i]);
-        Some(delta as f64 / 1e9 / dt)
+        let (delta, dt) = self.growth_over(span, |s| s.span_nanos[stage.index()])?;
+        Some(delta / 1e9 / dt)
     }
 
     /// The last-active stage's name, or `"idle"`.
@@ -502,11 +492,6 @@ impl TelemetryService {
         self.shared.scrapes.load(Ordering::Relaxed)
     }
 
-    /// The `/metrics` body, rendered in-process (no socket).
-    pub fn metrics_text(&self) -> String {
-        self.shared.recorder.snapshot().to_prometheus()
-    }
-
     /// The `/healthz` body, rendered in-process (no socket).
     pub fn health_json(&self) -> String {
         self.shared.health_json()
@@ -526,10 +511,11 @@ impl TelemetryService {
     /// both threads.
     pub fn shutdown(mut self) {
         {
-            let mut stop = match self.shared.stop.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let mut stop = self
+                .shared
+                .stop
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             *stop = true;
         }
         self.shared.stop_signal.notify_all();
@@ -548,14 +534,11 @@ fn aggregator_loop(shared: &Arc<Shared>, tick: Duration, heartbeat: Option<Durat
         // Sleep one tick, interruptible by shutdown. The predicate is
         // checked before waiting, so a stop raised before this thread
         // reaches the wait is not lost.
-        let stop = match shared.stop.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let (stop, _timeout) = match shared.stop_signal.wait_timeout_while(stop, tick, |s| !*s) {
-            Ok(pair) => pair,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let stop = shared.stop.lock().unwrap_or_else(PoisonError::into_inner);
+        let (stop, _timeout) = shared
+            .stop_signal
+            .wait_timeout_while(stop, tick, |s| !*s)
+            .unwrap_or_else(PoisonError::into_inner);
         let stopping = *stop;
         drop(stop);
         // Take a final sample on the way out so the window reflects the

@@ -1,5 +1,5 @@
-//! The timeline: a bounded, sharded per-thread buffer of completed span
-//! events, exported as Chrome trace-event JSON.
+//! The timeline: one bounded ring of completed span events, exported as
+//! Chrome trace-event JSON.
 //!
 //! Aggregate counters (§ [`crate::MetricsRecorder`]) say *how much* time
 //! the pipeline spends per stage; the timeline says *where across threads
@@ -10,18 +10,18 @@
 //! its typed [`TimelineArgs`] (grain, events replayed, distinct blocks,
 //! tree nodes, hierarchy name).
 //!
-//! ## Sharding and overflow policy
+//! ## One ring and its overflow policy
 //!
-//! Writers never share a cacheline on the happy path: each thread owns a
-//! shard chosen by its dense thread index, so concurrent grain replays
-//! append without contending (two threads only meet on a shard when more
-//! threads than shards exist — each shard is then a briefly-held mutex,
-//! never a rendezvous). Each shard is a ring holding at most
-//! `capacity_per_shard` events: when full, the **oldest** event in that
-//! shard is dropped, the [`Counter::TimelineDropped`](crate::Counter)
-//! counter of the same handle's recorder ticks, and the push proceeds. A
-//! full timeline therefore never blocks the pipeline and never grows past
-//! its configured bound.
+//! Every writer appends to one mutex-guarded ring. Spans close once per
+//! grain, partition, sweep or report, never per access, so the lock is
+//! taken a few times per grain and does not contend. The ring holds at
+//! most `capacity` events: when full, the **oldest** event overall is
+//! dropped, the [`Counter::TimelineDropped`](crate::Counter) counter of
+//! the same handle's recorder ticks, and the push proceeds. A full
+//! timeline therefore never blocks the pipeline and never grows past its
+//! configured bound. One sequence number per timeline numbers the events
+//! in push order, so sorting by `(begin_ns, thread, seq)` keeps each
+//! writer's own order.
 //!
 //! Events are recorded only when a span *closes*, into the timeline of
 //! the handle ([`crate::Obs`]) the closing thread reports to, so adding or
@@ -61,19 +61,15 @@ use crate::Stage;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Default number of shards; more simultaneous writer threads than this
-/// share shards (correct, briefly contended) rather than failing.
-const DEFAULT_SHARDS: usize = 64;
-
-/// Default bound on events retained per shard.
-const DEFAULT_CAPACITY_PER_SHARD: usize = 8192;
+/// Default bound on retained events.
+const DEFAULT_CAPACITY: usize = 524_288;
 
 /// Dense in-process thread indices: assigned once per thread, stable for
-/// the thread's lifetime, and small enough to shard and to render as
-/// `tid`s in the Chrome trace.
+/// the thread's lifetime, and small enough to render as `tid`s in the
+/// Chrome trace.
 static NEXT_THREAD_INDEX: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
@@ -138,44 +134,43 @@ pub struct TimelineEvent {
     pub thread: u64,
     /// Thread-local nesting depth the span ran at (1 = top level).
     pub depth: u32,
-    /// Per-shard sequence number; orders events that share a timestamp.
+    /// Push-order sequence number; orders events that share a timestamp.
     pub seq: u64,
     /// The span's typed arguments.
     pub args: TimelineArgs,
 }
 
-/// One thread-affine ring of events.
+/// The ring and the next sequence number.
 #[derive(Debug, Default)]
-struct Shard {
-    ring: VecDeque<TimelineEvent>,
+struct Ring {
+    events: VecDeque<TimelineEvent>,
     seq: u64,
 }
 
-/// The bounded, sharded timeline buffer. Spans reach it through an
+/// The bounded timeline buffer. Spans reach it through an
 /// [`crate::Obs`] handle; snapshot any time with
 /// [`snapshot`](Timeline::snapshot).
 #[derive(Debug)]
 pub struct Timeline {
     epoch: Instant,
-    shards: Box<[Mutex<Shard>]>,
-    capacity_per_shard: usize,
+    ring: Mutex<Ring>,
+    capacity: usize,
     dropped: AtomicU64,
 }
 
 impl Timeline {
-    /// A timeline with the default geometry (64 shards × 8192 events).
+    /// A timeline holding at most 524,288 events.
     pub fn new() -> Timeline {
-        Timeline::with_capacity(DEFAULT_SHARDS, DEFAULT_CAPACITY_PER_SHARD)
+        Timeline::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// A timeline with `shards` rings of at most `capacity_per_shard`
-    /// events each (both clamped to at least 1).
-    pub fn with_capacity(shards: usize, capacity_per_shard: usize) -> Timeline {
-        let shards = shards.max(1);
+    /// A timeline holding at most `capacity` events (clamped to at
+    /// least 1).
+    pub fn with_capacity(capacity: usize) -> Timeline {
         Timeline {
             epoch: Instant::now(),
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            capacity_per_shard: capacity_per_shard.max(1),
+            ring: Mutex::new(Ring::default()),
+            capacity: capacity.max(1),
             dropped: AtomicU64::new(0),
         }
     }
@@ -185,12 +180,12 @@ impl Timeline {
         self.epoch
     }
 
-    /// Events dropped so far by full shards.
+    /// Events dropped so far by the full ring.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Records one completed span; true when a full shard dropped its
+    /// Records one completed span; true when the full ring dropped its
     /// oldest event for it. Called from [`crate::SpanGuard`]'s drop on the
     /// closing thread; also usable directly by tests.
     pub fn record(
@@ -204,21 +199,15 @@ impl Timeline {
         let begin_ns = duration_ns(start.saturating_duration_since(self.epoch));
         let end_ns = begin_ns.saturating_add(duration_ns(wall));
         let thread = thread_index();
-        let shard = &self.shards[(thread % self.shards.len() as u64) as usize];
-        // Poison-tolerant like the recorder slot: a panic while a shard
-        // was held must not wedge every later span on that shard.
-        let mut shard = match shard.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let evicted = shard.ring.len() >= self.capacity_per_shard;
+        let mut ring = self.lock_ring();
+        let evicted = ring.events.len() >= self.capacity;
         if evicted {
-            shard.ring.pop_front();
+            ring.events.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        let seq = shard.seq;
-        shard.seq += 1;
-        shard.ring.push_back(TimelineEvent {
+        let seq = ring.seq;
+        ring.seq += 1;
+        ring.events.push_back(TimelineEvent {
             stage,
             begin_ns,
             end_ns,
@@ -230,17 +219,16 @@ impl Timeline {
         evicted
     }
 
-    /// A point-in-time merge of every shard, sorted by begin timestamp
-    /// (ties broken by thread then sequence), plus the drop count.
+    /// Poison-tolerant like the recorder slot: a panic while the ring was
+    /// held must not wedge every later span.
+    fn lock_ring(&self) -> std::sync::MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A point-in-time copy of the ring, sorted by begin timestamp (ties
+    /// broken by thread then sequence), plus the drop count.
     pub fn snapshot(&self) -> TimelineSnapshot {
-        let mut events = Vec::new();
-        for shard in self.shards.iter() {
-            let shard = match shard.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            events.extend(shard.ring.iter().cloned());
-        }
+        let mut events: Vec<TimelineEvent> = self.lock_ring().events.iter().cloned().collect();
         events.sort_by_key(|e| (e.begin_ns, e.thread, e.seq));
         TimelineSnapshot {
             events,
@@ -260,14 +248,14 @@ fn duration_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// A merged, ordered copy of a [`Timeline`]'s events. Plain data: tests
+/// An ordered copy of a [`Timeline`]'s events. Plain data: tests
 /// build it directly and [`normalize`](TimelineSnapshot::normalize) it
 /// for machine-independent golden comparison.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimelineSnapshot {
     /// Completed span events, ordered by `(begin_ns, thread, seq)`.
     pub events: Vec<TimelineEvent>,
-    /// Events dropped by full shards over the timeline's lifetime.
+    /// Events dropped by the full ring over the timeline's lifetime.
     pub dropped: u64,
 }
 
@@ -382,7 +370,7 @@ mod tests {
 
     #[test]
     fn record_keeps_order_and_bounds() {
-        let tl = Timeline::with_capacity(1, 3);
+        let tl = Timeline::with_capacity(3);
         let epoch = tl.epoch();
         for i in 0..5u64 {
             tl.record(

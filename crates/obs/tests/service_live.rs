@@ -221,10 +221,17 @@ fn emitted_events_carry_typed_jsonl_fields() {
     }
     .enter();
     reuselens_obs::emit(EventKind::GrainCompleted {
-        grain: 4096,
-        events: 151_100,
-        distinct_blocks: 42,
-        wall_ns: 7_000_123,
+        profile: GrainProfile {
+            block_size: 4096,
+            wall: Duration::from_nanos(7_000_123),
+            events: 151_100,
+            distinct_blocks: 42,
+            tree_nodes: 42,
+            status: GrainStatus::Completed,
+            blocks_sampled: 0,
+            blocks_evicted: 0,
+            sample_inv: 0,
+        },
     });
     reuselens_obs::emit(EventKind::CheckpointRejected {
         path: "ckpt/grain-64.bin".into(),
@@ -232,10 +239,17 @@ fn emitted_events_carry_typed_jsonl_fields() {
     });
     drop(scope);
     reuselens_obs::emit(EventKind::GrainCompleted {
-        grain: 1,
-        events: 1,
-        distinct_blocks: 1,
-        wall_ns: 1,
+        profile: GrainProfile {
+            block_size: 1,
+            wall: Duration::from_nanos(1),
+            events: 1,
+            distinct_blocks: 1,
+            tree_nodes: 1,
+            status: GrainStatus::Completed,
+            blocks_sampled: 0,
+            blocks_evicted: 0,
+            sample_inv: 0,
+        },
     });
 
     let captured = log.captured();

@@ -15,7 +15,7 @@ use std::time::Duration;
 #[test]
 fn overflow_drops_oldest_and_ticks_the_counter() {
     let recorder = Arc::new(MetricsRecorder::new());
-    let timeline = Arc::new(Timeline::with_capacity(1, 4));
+    let timeline = Arc::new(Timeline::with_capacity(4));
     let _scope = Obs {
         timeline: Some(timeline.clone()),
         ..recorder.clone().into()

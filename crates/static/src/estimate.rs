@@ -60,17 +60,6 @@ impl StaticEstimate {
     pub fn profile_at(&self, block_size: u64) -> Option<&ReuseProfile> {
         self.profiles.iter().find(|p| p.block_size == block_size)
     }
-
-    /// Fraction of reached references covered symbolically (1.0 when
-    /// nothing fell back, and also when nothing was reached at all).
-    pub fn coverage_fraction(&self) -> f64 {
-        let total = self.covered.len() + self.fallback.len();
-        if total == 0 {
-            1.0
-        } else {
-            self.covered.len() as f64 / total as f64
-        }
-    }
 }
 
 /// Symbolically estimates reuse profiles for `program` at each block

@@ -1,7 +1,7 @@
 //! Pedagogical kernels from the paper and synthetic generators.
 
 use crate::BuiltWorkload;
-use reuselens_ir::{Expr, Program, ProgramBuilder};
+use reuselens_ir::{Expr, ProgramBuilder};
 use reuselens_prng::SplitMix64;
 
 /// Which version of the Figure 1 loop nest to build.
@@ -248,11 +248,6 @@ pub fn transpose(n: u64) -> BuiltWorkload {
         normalizer: (n * n) as f64,
         timesteps: 1,
     }
-}
-
-/// Convenience for tests: just the program.
-pub fn program_of(w: &BuiltWorkload) -> &Program {
-    &w.program
 }
 
 #[cfg(test)]

@@ -87,12 +87,6 @@ impl SweepConfig {
         self
     }
 
-    /// Sets the number of octants.
-    pub fn with_octants(mut self, o: u64) -> SweepConfig {
-        self.octants = o;
-        self
-    }
-
     /// Enables the Ding & Zhong-style octant restructuring (§VI).
     ///
     /// # Panics

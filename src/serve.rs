@@ -78,7 +78,7 @@ use reuselens_workloads::gtc::{build as build_gtc, GtcConfig, GtcTransforms};
 use reuselens_workloads::kernels;
 use reuselens_workloads::sweep3d::{build as build_sweep, SweepConfig};
 use reuselens_workloads::BuiltWorkload;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
@@ -805,6 +805,12 @@ impl JobStatus {
     }
 }
 
+/// Bound on finished rows in the job table: a daemon left running takes
+/// millions of jobs, and `/jobs` renders the table under the state lock.
+/// Queued and running rows are always kept; past the bound the row that
+/// finished first leaves the table.
+pub const MAX_JOB_RECORDS: usize = 65_536;
+
 /// One job's row in the daemon's job table (the `/jobs` endpoint).
 #[derive(Debug, Clone)]
 pub struct JobRecord {
@@ -827,8 +833,8 @@ pub struct JobRecord {
 
 struct QueuedJob {
     job: String,
-    /// Index of this job's row in `State::records`.
-    record: usize,
+    /// This job's number, its row's key in `State::records`.
+    record: u64,
     /// When `submit_line` queued the job; the worker that picks it up
     /// records the wait as `JobRecord::queued`.
     submitted: Instant,
@@ -838,9 +844,26 @@ struct QueuedJob {
 
 struct State {
     queue: VecDeque<QueuedJob>,
-    records: Vec<JobRecord>,
+    /// The job table, keyed by job number (submission order).
+    records: BTreeMap<u64, JobRecord>,
+    /// Numbers of the finished rows still in the table, oldest-finished
+    /// first; at most [`MAX_JOB_RECORDS`].
+    finished: VecDeque<u64>,
     next_job: u64,
     stop: bool,
+}
+
+impl State {
+    /// Notes that job `n`'s row finished, dropping the oldest-finished row
+    /// once more than [`MAX_JOB_RECORDS`] have.
+    fn finish(&mut self, n: u64) {
+        self.finished.push_back(n);
+        if self.finished.len() > MAX_JOB_RECORDS {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.records.remove(&oldest);
+            }
+        }
+    }
 }
 
 /// Byte bound on the imported traces a daemon keeps resident, charged
@@ -1022,7 +1045,8 @@ impl Daemon {
             }),
             state: Mutex::new(State {
                 queue: VecDeque::new(),
-                records: Vec::new(),
+                records: BTreeMap::new(),
+                finished: VecDeque::new(),
                 next_job: 1,
                 stop: false,
             }),
@@ -1060,17 +1084,20 @@ impl Daemon {
         st.next_job += 1;
         let job = format!("job-{n}");
         let reject = |mut st: MutexGuard<'_, State>, kind: &'static str, e: &ServeError| {
-            st.records.push(JobRecord {
-                job: job.clone(),
-                kind,
-                status: JobStatus::Rejected,
-                completed_seq: None,
-                queued: Duration::ZERO,
-                wall: Duration::ZERO,
-                error: Some(e.to_string()),
-            });
+            st.records.insert(
+                n,
+                JobRecord {
+                    job: job.clone(),
+                    kind,
+                    status: JobStatus::Rejected,
+                    completed_seq: None,
+                    queued: Duration::ZERO,
+                    wall: Duration::ZERO,
+                    error: Some(e.to_string()),
+                },
+            );
+            st.finish(n);
             drop(st);
-            obs::add(obs::Counter::JobsRejected, 1);
             obs::emit(obs::EventKind::JobRejected {
                 job: job.clone(),
                 reason: e.to_string(),
@@ -1089,19 +1116,21 @@ impl Daemon {
                     };
                     reject(st, kind, &e);
                 } else {
-                    let record = st.records.len();
-                    st.records.push(JobRecord {
-                        job: job.clone(),
-                        kind,
-                        status: JobStatus::Queued,
-                        completed_seq: None,
-                        queued: Duration::ZERO,
-                        wall: Duration::ZERO,
-                        error: None,
-                    });
+                    st.records.insert(
+                        n,
+                        JobRecord {
+                            job: job.clone(),
+                            kind,
+                            status: JobStatus::Queued,
+                            completed_seq: None,
+                            queued: Duration::ZERO,
+                            wall: Duration::ZERO,
+                            error: None,
+                        },
+                    );
                     st.queue.push_back(QueuedJob {
                         job: job.clone(),
-                        record,
+                        record: n,
                         submitted: Instant::now(),
                         request,
                         reply: tx,
@@ -1110,7 +1139,6 @@ impl Daemon {
                     // overwritten by this stale depth.
                     obs::set_gauge(obs::Gauge::JobQueueDepth, st.queue.len() as u64);
                     drop(st);
-                    obs::add(obs::Counter::JobsAccepted, 1);
                     obs::emit(obs::EventKind::JobAccepted {
                         job,
                         kind: kind.to_string(),
@@ -1122,9 +1150,10 @@ impl Daemon {
         rx
     }
 
-    /// A snapshot of the job table, submission order.
+    /// A snapshot of the job table, submission order: every queued or
+    /// running job and the last [`MAX_JOB_RECORDS`] to finish.
     pub fn job_records(&self) -> Vec<JobRecord> {
-        self.shared.lock_state().records.clone()
+        self.shared.lock_state().records.values().cloned().collect()
     }
 
     /// Jobs accepted but not yet picked up by a worker.
@@ -1211,7 +1240,7 @@ impl Daemon {
 fn jobs_json(shared: &Arc<Shared>) -> String {
     let st = shared.lock_state();
     let mut out = format!("{{\"queue_depth\":{},\"jobs\":[", st.queue.len());
-    for (i, r) in st.records.iter().enumerate() {
+    for (i, r) in st.records.values().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -1249,9 +1278,10 @@ fn worker_loop(shared: &Arc<Shared>) {
             loop {
                 if let Some(job) = st.queue.pop_front() {
                     obs::set_gauge(obs::Gauge::JobQueueDepth, st.queue.len() as u64);
-                    let record = &mut st.records[job.record];
-                    record.status = JobStatus::Running;
-                    record.queued = job.submitted.elapsed();
+                    if let Some(record) = st.records.get_mut(&job.record) {
+                        record.status = JobStatus::Running;
+                        record.queued = job.submitted.elapsed();
+                    }
                     break job;
                 }
                 if st.stop {
@@ -1278,20 +1308,21 @@ fn worker_loop(shared: &Arc<Shared>) {
         };
         {
             let mut st = shared.lock_state();
-            let record = &mut st.records[job.record];
-            record.wall = wall;
-            record.completed_seq = Some(seq);
-            match &outcome {
-                Ok(_) => record.status = JobStatus::Completed,
-                Err(e) => {
-                    record.status = JobStatus::Failed;
-                    record.error = Some(e.to_string());
+            if let Some(record) = st.records.get_mut(&job.record) {
+                record.wall = wall;
+                record.completed_seq = Some(seq);
+                match &outcome {
+                    Ok(_) => record.status = JobStatus::Completed,
+                    Err(e) => {
+                        record.status = JobStatus::Failed;
+                        record.error = Some(e.to_string());
+                    }
                 }
             }
+            st.finish(job.record);
         }
         match &outcome {
             Ok(_) => {
-                obs::add(obs::Counter::JobsCompleted, 1);
                 obs::emit(obs::EventKind::JobCompleted {
                     job: job.job.clone(),
                     kind: kind.to_string(),
@@ -1299,7 +1330,6 @@ fn worker_loop(shared: &Arc<Shared>) {
                 });
             }
             Err(e) => {
-                obs::add(obs::Counter::JobsFailed, 1);
                 obs::emit(obs::EventKind::JobFailed {
                     job: job.job.clone(),
                     kind: kind.to_string(),
@@ -1971,6 +2001,35 @@ mod tests {
         assert!(json.contains("\"queue_ms\":"), "{json}");
         let cb = daemon.jobs_callback();
         assert_eq!(cb(), daemon.jobs_json());
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn the_job_table_keeps_a_bounded_tail_of_finished_jobs() {
+        let daemon = Daemon::start(DaemonConfig::new(tmpdir("bounded"))).expect("start daemon");
+        // Malformed lines are rejected at once, without a worker.
+        let extra = 10;
+        for _ in 0..MAX_JOB_RECORDS + extra {
+            let _ = daemon.submit_line(b"garbage");
+        }
+        let records = daemon.job_records();
+        assert_eq!(records.len(), MAX_JOB_RECORDS);
+        assert_eq!(records[0].job, format!("job-{}", extra + 1));
+        assert!(records.iter().all(|r| r.status == JobStatus::Rejected));
+        let doc = json::parse(&daemon.jobs_json()).expect("/jobs parses");
+        let jobs = doc
+            .get("jobs")
+            .and_then(Json::as_arr)
+            .expect("a jobs array");
+        assert_eq!(jobs.len(), MAX_JOB_RECORDS);
+        // A job accepted afterwards still runs, and its row joins the tail.
+        let pong = recv(daemon.submit_line(br#"{"kind":"ping"}"#));
+        assert!(pong.contains("\"pong\":true"), "{pong}");
+        let records = daemon.job_records();
+        assert_eq!(records.len(), MAX_JOB_RECORDS);
+        let last = records.last().expect("a row");
+        assert_eq!(last.job, format!("job-{}", MAX_JOB_RECORDS + extra + 1));
+        assert_eq!(last.status, JobStatus::Completed);
         daemon.shutdown();
     }
 }
