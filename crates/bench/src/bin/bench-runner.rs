@@ -1,6 +1,6 @@
 //! The per-layer bench runner: measures every pipeline layer on one
-//! captured Sweep3D trace, plus grain, thread and observability ladders
-//! over Sweep3D and GTC, and writes the machine-readable
+//! captured Sweep3D trace, plus grain and observability ladders over
+//! Sweep3D and GTC, and writes the machine-readable
 //! `BENCH_reuselens.json` (schema documented in `reuselens_bench::report`).
 //!
 //! ```text
@@ -36,7 +36,7 @@
 use reuselens::cache::MemoryHierarchy;
 use reuselens::core::{
     analyze_buffer, analyze_buffer_with, capture_program, AnalysisResult, AnalyzeOptions,
-    CheckpointOptions, ReplayThreads, SamplingConfig,
+    CheckpointOptions, SamplingConfig,
 };
 use reuselens::ir::Program;
 use reuselens::metrics::attribute_analysis;
@@ -408,28 +408,6 @@ fn layer_rows(
     });
 }
 
-/// One grain of `w` at 1, 2, 4, … replay threads, up to `parallelism`.
-fn thread_rows(
-    r: &mut Runner,
-    name: &str,
-    w: &BuiltWorkload,
-    buffer: &TraceBuffer,
-    parallelism: usize,
-) {
-    let rungs = std::iter::successors(Some(1), |n| Some(n * 2)).take_while(|&n| n <= parallelism);
-    for threads in rungs {
-        let opts = AnalyzeOptions {
-            replay_threads: match threads {
-                1 => ReplayThreads::Serial,
-                n => ReplayThreads::Fixed(n),
-            },
-            ..AnalyzeOptions::default()
-        };
-        let leg = replay(&w.program, buffer, &GRAIN_LADDER[..1], opts);
-        r.wall_row(&format!("{name}_threads{threads}_ms"), leg);
-    }
-}
-
 /// The first `count` grains of the ladder replayed in parallel, one rung
 /// per count.
 fn grain_rows(
@@ -521,7 +499,6 @@ fn main() -> ExitCode {
         eprintln!("{name}: {} events captured", buffer.events());
         if index == 0 {
             layer_rows(&mut runner, name, w, &buffer, exec);
-            thread_rows(&mut runner, name, w, &buffer, parallelism);
             obs_rows(&mut runner, w, &buffer);
         }
         grain_rows(&mut runner, name, w, &buffer, grain_counts);

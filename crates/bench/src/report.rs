@@ -23,8 +23,8 @@
 //! ```
 //!
 //! * `host.available_parallelism` is what
-//!   `std::thread::available_parallelism()` returned; the thread ladder
-//!   climbs in powers of two up to it.
+//!   `std::thread::available_parallelism()` returned: the replay lanes'
+//!   core budget.
 //! * `rows[]` each hold one measured point: the `median` and the median
 //!   absolute deviation (`mad`) of its `samples`, in `unit`, and whether
 //!   a `lower` or `higher` value is `better`. Per-layer rows divide a

@@ -69,11 +69,6 @@ fn smoke_report_carries_every_layer_row() {
     assert!(report.available_parallelism >= 1);
     let parallelism = std::thread::available_parallelism().unwrap().get();
     assert_eq!(report.available_parallelism, parallelism as u64);
-    // The thread ladder stops at the host's parallelism.
-    let threads = |n: usize| report.row(&format!("sweep3d_threads{n}_ms")).is_some();
-    assert!(threads(1));
-    assert_eq!(threads(2), parallelism >= 2);
-    assert!(!threads(parallelism * 2));
 }
 
 #[test]

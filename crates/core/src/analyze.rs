@@ -16,13 +16,12 @@
 //!
 //! [`analyze_buffer_with`] is the one call for every replay configuration;
 //! each knob is a field of [`AnalyzeOptions`]: sampling (the
-//! constant-space [`SampledAnalyzer`]), intra-grain partitioned replay,
-//! a resource budget, and crash-safe checkpointing. Exact mode
+//! constant-space [`SampledAnalyzer`]), a resource budget, and crash-safe
+//! checkpointing. Exact mode
 //! with default options stays the default, and its output is bit-identical
 //! to a build without the knobs.
 //!
-//! Under it sit two engines per grain: the time-partitioned engine
-//! (`replay_threads` > 1) and **one lane loop**. A lane is one thread
+//! Under it sits **one lane loop**. A lane is one thread
 //! that advances the replay decoder ([`TraceBuffer::replay_advance`])
 //! once per step, at most 4096 events or up to a checkpoint boundary, and
 //! feeds that step to every grain dealt to it, grain by grain. After each
@@ -60,7 +59,6 @@
 
 use crate::analyzer::{MultiGrainAnalyzer, ReuseAnalyzer};
 use crate::budget::{AnalysisBudget, BudgetExceeded, BudgetProgress};
-use crate::partition::{replay_partitioned, ReplayThreads};
 use crate::patterns::ReuseProfile;
 use crate::sampling::{SampledAnalyzer, SamplingConfig};
 use crate::snapshot::{
@@ -318,13 +316,6 @@ pub struct AnalyzeOptions {
     /// the constant-space [`SampledAnalyzer`] and marks each profile with
     /// its [`SamplingInfo`](crate::SamplingInfo).
     pub sampling: SamplingConfig,
-    /// How many threads one grain's replay may split across
-    /// ([`ReplayThreads::Serial`] by default). When this resolves to more
-    /// than one partition, exact and fixed-rate-sampled replays run the
-    /// time-partitioned engine (see [`crate::ReplayThreads`]) with
-    /// bit-identical output; adaptive sampling is inherently sequential
-    /// and checkpointed runs stream, so both fall back to serial replay.
-    pub replay_threads: ReplayThreads,
     /// Crash-safe checkpointing (`None` by default): snapshot each grain's
     /// full analyzer state at regular event intervals and optionally
     /// resume from the newest valid snapshot. See [`CheckpointOptions`].
@@ -342,7 +333,6 @@ impl Default for AnalyzeOptions {
             budget: AnalysisBudget::unlimited(),
             retry: true,
             sampling: SamplingConfig::Exact,
-            replay_threads: ReplayThreads::Serial,
             checkpoint: None,
             job: None,
         }
@@ -397,11 +387,10 @@ pub struct FailureReport {
     /// grain dead.
     pub retried: bool,
     /// Trace events the grain had processed when the final attempt
-    /// failed — how far the replay got before dying. Serial grains publish
+    /// failed — how far the replay got before dying. Grains publish
     /// progress once per replay step (at most 4096 events, or a
     /// checkpoint boundary), so this is the last step boundary reached; a
-    /// resumed grain starts from its snapshot's event. Any
-    /// partitioned-replay failure reports 0.
+    /// resumed grain starts from its snapshot's event.
     pub events: u64,
     /// Daemon job the grain was replayed for ([`AnalyzeOptions::job`]);
     /// `None` outside the daemon. Carried through the degradation path so
@@ -741,18 +730,6 @@ impl Drop for LaneLease {
     }
 }
 
-/// The partition count each grain's replay splits into, when it splits:
-/// [`AnalyzeOptions::replay_threads`] resolves to more than one, and the
-/// run is neither adaptive (inherently sequential) nor checkpointed
-/// (checkpointed runs stream).
-fn partitions(opts: &AnalyzeOptions) -> Option<usize> {
-    let parts = opts.replay_threads.resolve();
-    let splits = parts > 1
-        && opts.checkpoint.is_none()
-        && !matches!(opts.sampling, SamplingConfig::Adaptive { .. });
-    splits.then_some(parts)
-}
-
 /// One decoded replay step, recorded once and played into every grain of
 /// a lane, so the lane decodes the trace once for all of them. The batch
 /// lanes keep their allocations from step to step.
@@ -854,9 +831,7 @@ struct LaneGrain {
 
 impl LaneGrain {
     /// Builds the grain's engine, from its newest valid snapshot when the
-    /// run resumes, and returns it with the decoder state it starts at. A
-    /// partitioned grain ([`partitions`]) instead replays whole, here,
-    /// through the partitioned engine.
+    /// run resumes, and returns it with the decoder state it starts at.
     fn start(
         program: &Program,
         buffer: &TraceBuffer,
@@ -864,43 +839,30 @@ impl LaneGrain {
         opts: &AnalyzeOptions,
     ) -> (LaneGrain, SegmentState) {
         obs::emit(obs::EventKind::GrainStarted { grain: block_size });
-        let started = match partitions(opts) {
-            Some(parts) => isolate(|| {
-                replay_partitioned(
-                    program,
-                    buffer,
-                    block_size,
-                    parts,
-                    opts.sampling,
-                    &opts.budget,
-                )
-            })
-            .map(|done| (Ride::Done(Ok(done)), SegmentState::default())),
-            None => isolate(|| {
-                let mut resumed = None;
-                if let Some(ckpt) = &opts.checkpoint {
-                    fs::create_dir_all(&ckpt.dir).map_err(|e| {
-                        GrainError::Checkpoint(SnapshotError::Io {
-                            op: "create checkpoint directory",
-                            path: ckpt.dir.clone(),
-                            message: e.to_string(),
-                        })
-                    })?;
-                    if ckpt.resume {
-                        let sampled = !opts.sampling.is_exact();
-                        resumed = resume_grain(program, buffer, block_size, sampled, &ckpt.dir)
-                            .map_err(GrainError::Checkpoint)?;
-                    }
+        let started = isolate(|| {
+            let mut resumed = None;
+            if let Some(ckpt) = &opts.checkpoint {
+                fs::create_dir_all(&ckpt.dir).map_err(|e| {
+                    GrainError::Checkpoint(SnapshotError::Io {
+                        op: "create checkpoint directory",
+                        path: ckpt.dir.clone(),
+                        message: e.to_string(),
+                    })
+                })?;
+                if ckpt.resume {
+                    let sampled = !opts.sampling.is_exact();
+                    resumed = resume_grain(program, buffer, block_size, sampled, &ckpt.dir)
+                        .map_err(GrainError::Checkpoint)?;
                 }
-                Ok(resumed.unwrap_or_else(|| {
-                    (
-                        GrainAnalyzer::new(program, block_size, opts.sampling),
-                        SegmentState::default(),
-                    )
-                }))
-            })
-            .map(|(analyzer, state)| (Ride::Running(analyzer), state)),
-        };
+            }
+            Ok(resumed.unwrap_or_else(|| {
+                (
+                    GrainAnalyzer::new(program, block_size, opts.sampling),
+                    SegmentState::default(),
+                )
+            }))
+        })
+        .map(|(analyzer, state)| (Ride::Running(analyzer), state));
         let (ride, state) =
             started.unwrap_or_else(|e| (Ride::Done(Err(e)), SegmentState::default()));
         let every = opts
@@ -1076,8 +1038,7 @@ impl LaneGrain {
 /// [`StepTape`] and played into each riding grain in turn. Every grain
 /// then runs its own per-step body ([`LaneGrain::end_step`]), so its
 /// profile, progress, budget trips and snapshots are those of a grain
-/// replayed alone, whatever its lane-mates do. Partitioned grains
-/// replay whole as they board ([`LaneGrain::start`]).
+/// replayed alone, whatever its lane-mates do.
 fn replay_lane(
     program: &Program,
     buffer: &TraceBuffer,
@@ -1233,8 +1194,7 @@ fn replay_lanes(
 /// spare (one lane per core, counted across every replay in the process),
 /// so a lone replay runs one grain per core and a replay that finds the
 /// cores busy replays all its grains on its own thread with one decode.
-/// Lanes change where work runs, never a profile byte. Partitioned grains
-/// ([`AnalyzeOptions::replay_threads`]) each keep a thread of their own.
+/// Lanes change where work runs, never a profile byte.
 ///
 /// With default options each grain replays through the same decode loop
 /// as [`TraceBuffer::replay`].
@@ -1244,10 +1204,8 @@ pub fn analyze_buffer_with(
     block_sizes: &[u64],
     opts: &AnalyzeOptions,
 ) -> PartialAnalysis {
-    let grains = block_sizes.len();
-    let lease = partitions(opts).is_none().then(|| LaneLease::take(grains));
-    let lanes = lease.as_ref().map_or(grains, |lease| lease.0);
-    analyze_on_lanes(program, buffer, block_sizes, opts, lanes)
+    let lease = LaneLease::take(block_sizes.len());
+    analyze_on_lanes(program, buffer, block_sizes, opts, lease.0)
 }
 
 /// [`analyze_buffer_with`] on a given number of lanes.

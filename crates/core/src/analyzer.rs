@@ -34,17 +34,17 @@ const SMALL_MAP_LIMIT: usize = 8;
 /// miss once the window is full) pay for set and table maintenance, and the
 /// reuse path that does reach the set folds lookup and reinsert into a
 /// single fused operation ([`TimeBits::count_reinsert`]).
-pub(crate) const WINDOW: usize = 32;
+const WINDOW: usize = 32;
 
 /// One entry of the recent-access window (see [`WINDOW`]): a distinct block
 /// plus the clock and static reference of its last access. Entries are kept
 /// in ascending time order, and every entry's time is greater than every time
 /// in the set — that invariant is what makes window distances exact.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct WinEntry {
-    pub(crate) block: u64,
-    pub(crate) time: u64,
-    pub(crate) ref_id: u32,
+struct WinEntry {
+    block: u64,
+    time: u64,
+    ref_id: u32,
 }
 
 /// Per-sink pattern storage. The paper observes that each reference sees a
@@ -55,8 +55,8 @@ pub(crate) struct WinEntry {
 /// hash index over the same vector takes over.
 #[derive(Debug, Default)]
 pub(crate) struct SinkPatterns {
-    pub(crate) entries: Vec<(ScopeId, ScopeId, Histogram)>,
-    pub(crate) index: Option<HashMap<(ScopeId, ScopeId), usize>>,
+    entries: Vec<(ScopeId, ScopeId, Histogram)>,
+    index: Option<HashMap<(ScopeId, ScopeId), usize>>,
     /// Last entry hit — a hint only (re-checked before use). Reuse streams
     /// record long runs of the same (source, carrier) pair, so this turns
     /// the common record into one comparison.
@@ -139,30 +139,6 @@ impl SinkPatterns {
         let mut h = Histogram::new();
         h.add_n(distance, count);
         self.entries.push((source, carrier, h));
-        self.maybe_index();
-    }
-
-    /// Merges a whole histogram into the `(source, carrier)` pattern —
-    /// the stitch path of partitioned replay folding one worker's
-    /// measurements into the master set.
-    pub(crate) fn merge(&mut self, source: ScopeId, carrier: ScopeId, h: &Histogram) {
-        if let Some(index) = &mut self.index {
-            match index.entry((source, carrier)) {
-                Entry::Occupied(e) => self.entries[*e.get()].2.merge(h),
-                Entry::Vacant(e) => {
-                    e.insert(self.entries.len());
-                    self.entries.push((source, carrier, h.clone()));
-                }
-            }
-            return;
-        }
-        for (s, c, existing) in &mut self.entries {
-            if *s == source && *c == carrier {
-                existing.merge(h);
-                return;
-            }
-        }
-        self.entries.push((source, carrier, h.clone()));
         self.maybe_index();
     }
 

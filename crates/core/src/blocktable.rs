@@ -118,8 +118,7 @@ impl BlockTable {
     }
 
     /// Visits every recorded block in ascending block-number order —
-    /// how partitioned replay enumerates a worker's final last-access
-    /// set when handing it to the stitch pass.
+    /// how a snapshot serializes the table.
     pub fn for_each(&self, mut f: impl FnMut(u64, BlockEntry)) {
         for (i1, mid) in self.l1.iter().enumerate() {
             let Some(mid) = mid else { continue };

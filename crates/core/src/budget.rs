@@ -12,8 +12,7 @@
 //!
 //! Budgets are enforced by [`analyze_buffer_with`](crate::analyze_buffer_with):
 //! the lane loop checks them once per replay step, so a trip lands
-//! within 4096 events of the cap; the partitioned engine checks once per
-//! decoded batch. Untrusted traces are checked before any grain sees
+//! within 4096 events of the cap. Untrusted traces are checked before any grain sees
 //! them, by [`TraceBuffer::import`](reuselens_trace::TraceBuffer::import).
 
 use std::error::Error;

@@ -17,8 +17,8 @@
 //!   block to its last access time and last accessor;
 //! * an [order-statistic set](TimeBits) over last-access times that counts
 //!   the distinct blocks accessed since any past time — a popcount bitmap
-//!   over the logical clock, the one such structure every engine (exact,
-//!   sampled, partitioned) shares;
+//!   over the logical clock, the one such structure both engines (exact
+//!   and sampled) share;
 //! * a [dynamic scope stack](ScopeStack) searched for the carrying scope;
 //! * per-pattern [histograms](Histogram) with logarithmic bins.
 //!
@@ -28,11 +28,10 @@
 //! [`analyze_buffer`] replays it on replay lanes — one per free core, each
 //! decoding the trace once for the grains dealt to it — with
 //! bit-identical profiles. [`analyze_buffer_with`] is the same replay
-//! with every knob in one [`AnalyzeOptions`]: sampling, partitioned
-//! replay threads, validation, a budget, and checkpointing. Each grain
-//! replays either on the time-partitioned engine or through one lane loop
-//! that steps the decoder and, after each of the grain's steps, checks
-//! its budget and writes its snapshots. Or drive a [`ReuseAnalyzer`] /
+//! with every knob in one [`AnalyzeOptions`]: sampling, a budget, and
+//! checkpointing. Each grain replays through one lane loop that steps the
+//! decoder and, after each of the grain's steps, checks its budget and
+//! writes its snapshots. Or drive a [`ReuseAnalyzer`] /
 //! [`MultiGrainAnalyzer`] through [`reuselens_trace::Executor`] yourself.
 
 #![forbid(unsafe_code)]
@@ -46,7 +45,6 @@ mod budget;
 mod context;
 mod histogram;
 pub mod oracle;
-mod partition;
 mod patterns;
 mod sampling;
 mod scopestack;
@@ -65,9 +63,8 @@ pub use blocktable::{BlockEntry, BlockTable, MAX_BLOCKS};
 pub use budget::{AnalysisBudget, BudgetExceeded, BudgetLimit, BudgetProgress};
 pub use context::{ContextId, ContextProfile, CtxPattern, CtxPatternKey};
 pub use histogram::Histogram;
-pub use partition::ReplayThreads;
 pub use patterns::{PatternKey, ReusePattern, ReuseProfile};
-pub use sampling::{SampledAnalyzer, SamplingConfig, SamplingInfo};
+pub use sampling::{SampledAnalyzer, SamplingConfig, SamplingError, SamplingInfo};
 pub use scopestack::ScopeStack;
 pub use serialize::{read_profiles, write_profiles, ReadError, SavedProfiles};
 pub use snapshot::{

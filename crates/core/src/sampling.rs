@@ -58,6 +58,8 @@ use crate::timebits::TimeBits;
 use reuselens_ir::{AccessKind, Program, RefId, ScopeId};
 use reuselens_trace::TraceSink;
 use std::collections::HashMap;
+use std::error::Error;
+use std::fmt;
 
 /// How (and whether) to sample the block stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -111,7 +113,48 @@ impl SamplingConfig {
     pub fn is_exact(&self) -> bool {
         matches!(self, SamplingConfig::Exact)
     }
+
+    /// The one check on a caller's sampling request, shared by the CLI
+    /// and the daemon: a fixed `rate`, an adaptive `budget`, or neither
+    /// (exact). The rate must be finite and in `(0, 1]`, the budget at
+    /// least 1, and the two exclude each other.
+    pub fn checked(
+        rate: Option<f64>,
+        budget: Option<u64>,
+    ) -> Result<SamplingConfig, SamplingError> {
+        match (rate, budget) {
+            (None, None) => Ok(SamplingConfig::Exact),
+            (Some(_), Some(_)) => Err(SamplingError::RateWithBudget),
+            (Some(rate), None) if rate > 0.0 && rate <= 1.0 => Ok(SamplingConfig::fixed(rate)),
+            (Some(_), None) => Err(SamplingError::RateOutOfRange),
+            (None, Some(0)) => Err(SamplingError::ZeroBudget),
+            (None, Some(budget)) => Ok(SamplingConfig::adaptive(budget)),
+        }
+    }
 }
+
+/// Why [`SamplingConfig::checked`] refused a sampling request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SamplingError {
+    /// The rate is not a finite number in `(0, 1]`.
+    RateOutOfRange,
+    /// The adaptive budget is 0.
+    ZeroBudget,
+    /// A rate and a budget were both given.
+    RateWithBudget,
+}
+
+impl fmt::Display for SamplingError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            SamplingError::RateOutOfRange => "the sampling rate must be a number in (0, 1]",
+            SamplingError::ZeroBudget => "the sampling budget must be positive",
+            SamplingError::RateWithBudget => "a sampling rate and a budget exclude each other",
+        })
+    }
+}
+
+impl Error for SamplingError {}
 
 /// What the sampled analyzer actually did, attached to every sampled
 /// [`ReuseProfile`] and reconciled against the observability counters.
@@ -603,6 +646,38 @@ mod tests {
     use crate::analyzer::ReuseAnalyzer;
     use reuselens_ir::ProgramBuilder;
     use reuselens_trace::Executor;
+
+    #[test]
+    fn checked_enforces_each_rule() {
+        let cases = [
+            (None, None, Ok(SamplingConfig::Exact)),
+            (Some(f64::NAN), None, Err(SamplingError::RateOutOfRange)),
+            (
+                Some(f64::INFINITY),
+                None,
+                Err(SamplingError::RateOutOfRange),
+            ),
+            (Some(0.0), None, Err(SamplingError::RateOutOfRange)),
+            (Some(1.0), None, Ok(SamplingConfig::Fixed { inv: 1 })),
+            (Some(0.01), None, Ok(SamplingConfig::Fixed { inv: 100 })),
+            (Some(1.5), None, Err(SamplingError::RateOutOfRange)),
+            (None, Some(0), Err(SamplingError::ZeroBudget)),
+            (
+                None,
+                Some(4096),
+                Ok(SamplingConfig::Adaptive { budget: 4096 }),
+            ),
+            (Some(0.5), Some(4096), Err(SamplingError::RateWithBudget)),
+            (Some(f64::NAN), Some(0), Err(SamplingError::RateWithBudget)),
+        ];
+        for (rate, budget, want) in cases {
+            assert_eq!(
+                SamplingConfig::checked(rate, budget),
+                want,
+                "{rate:?}/{budget:?}"
+            );
+        }
+    }
 
     fn sweep_program(elems: u64, sweeps: i64) -> reuselens_ir::Program {
         let mut p = ProgramBuilder::new("sweep");

@@ -46,8 +46,8 @@ impl ScopeStack {
     }
 
     /// Builds a stack with the program root plus the given already-open
-    /// scopes and their entry clocks — how partitioned replay seeds each
-    /// worker with the scope context at its segment boundary.
+    /// scopes and their entry clocks — how a snapshot's stack is
+    /// restored.
     pub(crate) fn with_open_scopes(scopes: &[(ScopeId, u64)]) -> ScopeStack {
         let mut entries = Vec::with_capacity(scopes.len() + 1);
         entries.push((ScopeId::ROOT, 0));

@@ -5,16 +5,16 @@
 //! last accessed after time `t`*. The paper answers it with a balanced
 //! tree over last-access times. Every clock this crate counts with is
 //! dense and bounded by the trace length: the exact analyzer's access
-//! clock, the sampled analyzer's clock (which ticks once per sampled
-//! access), and the global clock the partition stitch resolves against. Exploiting that, a flat bitmap (bit `t` set ⇔
+//! clock and the sampled analyzer's clock (which ticks once per sampled
+//! access). Exploiting that, a flat bitmap (bit `t` set ⇔
 //! some tracked block was last accessed at time `t`) plus a Fenwick tree
 //! over per-word popcounts answers the same query in a handful of
 //! cache-resident array reads, where a balanced tree chases `O(log M)`
 //! pointer-dependent nodes and rebalances on the way back up.
 //!
 //! Memory is one bit per logical clock tick plus a `u32` per 64 ticks —
-//! ~12.5 bytes per 100 accesses — offset by `base` so a partition worker
-//! replaying a late time segment pays only for its own span.
+//! ~12.5 bytes per 100 accesses — offset by `base`, so a set whose
+//! first time is late pays only for its own span.
 
 /// A set of `u64` logical times supporting insert, remove, and
 /// count-greater in a few cache-resident array operations each.
@@ -172,8 +172,8 @@ impl TimeBits {
     /// below the established base.
     fn word_index_grow(&mut self, t: u64) -> Option<usize> {
         if self.words.is_empty() {
-            // First insertion fixes the base: a partition worker replaying
-            // a late time segment starts its bitmap at its own span.
+            // First insertion fixes the base: a set whose first time is
+            // late starts its bitmap at its own span.
             self.base = t >> 6;
         }
         let first = self.base * 64;

@@ -4,14 +4,13 @@
 //! silently corrupt a profile, or fail with anything but a typed
 //! [`SnapshotError`].
 //!
-//! Every case builds a seeded [`SplitMix64`] trace buffer directly (the
-//! same three shapes as `partition_identity`: strided, pointer-chasing,
-//! clustered — with randomly nested scopes so carrier attribution
-//! crosses checkpoint boundaries) and proves:
+//! Every case builds a seeded [`SplitMix64`] trace buffer directly (three
+//! shapes: strided, pointer-chasing, clustered — with randomly nested
+//! scopes so carrier attribution crosses checkpoint boundaries) and
+//! proves:
 //!
 //! * **identity** — a checkpointed run equals `analyze_buffer_with` for
-//!   exact, fixed-rate, and adaptive sampling, and matches every
-//!   `--replay-threads` setting of the uninterrupted engine;
+//!   exact, fixed-rate, and adaptive sampling;
 //! * **kill-and-resume** — rerunning with `resume` against the snapshot
 //!   directory of an interrupted run (any surviving snapshot prefix)
 //!   reproduces the uninterrupted profiles bit for bit;
@@ -30,7 +29,7 @@
 
 use reuselens_core::{
     analyze_buffer_with, snapshot_file_name, snapshot_meta, AnalyzeOptions, CheckpointOptions,
-    ReplayThreads, ReuseProfile, SamplingConfig, SnapshotError, SNAPSHOT_VERSION,
+    ReuseProfile, SamplingConfig, SnapshotError, SNAPSHOT_VERSION,
 };
 use reuselens_ir::{AccessKind, Program, ProgramBuilder, RefId, ScopeId};
 use reuselens_obs::{self as obs, Counter, MetricsRecorder};
@@ -190,8 +189,7 @@ fn sampling_modes() -> Vec<SamplingConfig> {
 
 /// Tentpole identity: a checkpointed run (snapshotting every 97 events)
 /// equals the uninterrupted engine bit for bit — for exact, fixed-rate,
-/// and adaptive sampling, at every replay-threads setting of the
-/// uninterrupted side — and leaves no temp files behind.
+/// and adaptive sampling — and leaves no temp files behind.
 #[test]
 fn checkpointed_run_matches_uninterrupted_bit_for_bit() {
     let program = program();
@@ -213,27 +211,6 @@ fn checkpointed_run_matches_uninterrupted_bit_for_bit() {
                     "case {case} ({shape:?}, seed {seed:#x}, {sampling:?}): \
                      checkpointed profiles diverge from uninterrupted"
                 );
-                // The identity spans the partitioned engine too: every
-                // replay-threads setting of the uninterrupted side equals
-                // the checkpointed result (adaptive sampling replays
-                // serially either way).
-                for threads in [
-                    ReplayThreads::Fixed(2),
-                    ReplayThreads::Fixed(4),
-                    ReplayThreads::Auto,
-                ] {
-                    let opts = AnalyzeOptions {
-                        sampling,
-                        replay_threads: threads,
-                        ..AnalyzeOptions::default()
-                    };
-                    assert_eq!(
-                        baseline(&program, &buf, &opts),
-                        got,
-                        "case {case} ({shape:?}, seed {seed:#x}, {sampling:?}, \
-                         {threads:?}): partitioned baseline diverges from checkpointed"
-                    );
-                }
                 // Atomic-rename protocol: no torn temp files survive, and
                 // every snapshot left behind is fully CRC-valid.
                 for entry in std::fs::read_dir(&dir).expect("checkpoint dir").flatten() {

@@ -31,8 +31,8 @@
 use reuselens_core::oracle;
 use reuselens_core::{
     analyze_buffer_with, capture_program, AnalysisBudget, AnalyzeOptions, CheckpointOptions,
-    ContextProfile, Histogram, MultiGrainAnalyzer, PatternKey, ReplayThreads, ReuseAnalyzer,
-    ReusePattern, ReuseProfile, SamplingConfig,
+    ContextProfile, Histogram, MultiGrainAnalyzer, PatternKey, ReuseAnalyzer, ReusePattern,
+    ReuseProfile, SamplingConfig,
 };
 use reuselens_ir::{
     AccessKind, ArrayId, ContextSplit, Expr, Program, ProgramBuilder, RefId, RoutineId, ScopeId,
@@ -473,36 +473,23 @@ fn row_options(
 
 /// The engine matrix: every replay configuration that must reproduce the
 /// oracle exactly.
-fn engines() -> [(&'static str, SamplingConfig, ReplayThreads, Mode); 10] {
+fn engines() -> [(&'static str, SamplingConfig, Mode); 8] {
     let (exact, rate_one) = (SamplingConfig::Exact, SamplingConfig::fixed(1.0));
-    let (serial, split) = (ReplayThreads::Serial, ReplayThreads::Fixed(3));
     [
-        ("serial exact", exact, serial, Mode::Plain),
-        ("partitioned exact", exact, split, Mode::Plain),
-        ("serial sampled 1/1", rate_one, serial, Mode::Plain),
-        ("partitioned sampled 1/1", rate_one, split, Mode::Plain),
-        ("roomy budget exact", exact, serial, Mode::RoomyBudget),
-        (
-            "roomy budget sampled 1/1",
-            rate_one,
-            serial,
-            Mode::RoomyBudget,
-        ),
-        ("checkpointed exact", exact, serial, Mode::Checkpointed),
-        (
-            "checkpointed sampled 1/1",
-            rate_one,
-            serial,
-            Mode::Checkpointed,
-        ),
-        ("resumed exact", exact, serial, Mode::Resumed),
-        ("resumed sampled 1/1", rate_one, serial, Mode::Resumed),
+        ("serial exact", exact, Mode::Plain),
+        ("serial sampled 1/1", rate_one, Mode::Plain),
+        ("roomy budget exact", exact, Mode::RoomyBudget),
+        ("roomy budget sampled 1/1", rate_one, Mode::RoomyBudget),
+        ("checkpointed exact", exact, Mode::Checkpointed),
+        ("checkpointed sampled 1/1", rate_one, Mode::Checkpointed),
+        ("resumed exact", exact, Mode::Resumed),
+        ("resumed sampled 1/1", rate_one, Mode::Resumed),
     ]
 }
 
 /// Scope-rich programs through the online exact analyzer and through
-/// buffer replay — serial and partitioned, exact and rate-1 sampled, and
-/// serially with a roomy budget, checkpoints, and a resume
+/// buffer replay — exact and rate-1 sampled, plain, with a roomy budget,
+/// with checkpoints, and with a resume
 /// from a truncated snapshot directory — must all reproduce the
 /// brute-force attribution exactly: same (sink, source scope, carrier)
 /// keys, same histograms, same cold counts.
@@ -528,11 +515,10 @@ fn every_engine_matches_oracle_attribution_on_scope_rich_programs() {
             if let Err(msg) = same_measurements(&online.finish(), &want) {
                 panic!("case {case} (seed {seed:#x}, grain {grain}), online exact: {msg}");
             }
-            for (name, sampling, replay_threads, mode) in engines {
+            for (name, sampling, mode) in engines {
                 std::fs::remove_dir_all(&dir).ok();
                 let base = AnalyzeOptions {
                     sampling,
-                    replay_threads,
                     ..AnalyzeOptions::default()
                 };
                 let opts = row_options(&program, &buffer, grain, base, mode, &dir);
@@ -677,11 +663,10 @@ fn context_split_matches_oracle_in_every_engine() {
                 .iter()
                 .filter(|r| want.contexts_of_sink(r.id()).len() > 1)
                 .count();
-            for (name, sampling, replay_threads, mode) in engines() {
+            for (name, sampling, mode) in engines() {
                 std::fs::remove_dir_all(&dir).ok();
                 let base = AnalyzeOptions {
                     sampling,
-                    replay_threads,
                     ..AnalyzeOptions::default()
                 };
                 let opts = row_options(&split.program, &buffer, grain, base, mode, &dir);

@@ -87,12 +87,11 @@ pub fn run_locality_analysis(
 /// [`run_locality_analysis`] with full [`AnalyzeOptions`] control —
 /// sampling (every granularity replays through the constant-space sampled
 /// analyzer, and the miss predictions and attribution metrics come from
-/// the scaled histograms), intra-grain partitioned replay
-/// (`replay_threads`), budgets, and crash-safe checkpointing
+/// the scaled histograms), budgets, and crash-safe checkpointing
 /// (`checkpoint`: a checkpointed or resumed run is bit-identical to an
 /// uninterrupted one). This is what the CLI's `--sample-rate`,
-/// `--replay-threads`, `--checkpoint-dir`, `--checkpoint-every` and
-/// `--resume` flags plumb into. Default options reproduce
+/// `--checkpoint-dir`, `--checkpoint-every` and `--resume` flags plumb
+/// into. Default options reproduce
 /// [`run_locality_analysis`] bit for bit.
 ///
 /// # Errors

@@ -1,5 +1,5 @@
 //! The discrete pipeline occurrences — grain lifecycle, checkpoint
-//! writes/resumes/rejections, partition stitches, sampling rate drops,
+//! writes/resumes/rejections, sampling rate drops,
 //! daemon jobs and the service's own heartbeats — and the structured
 //! JSONL event log that writes one JSON object per occurrence.
 //!
@@ -156,15 +156,6 @@ pub enum EventKind {
         /// Why it was rejected (torn, corrupted, mismatched, ...).
         reason: String,
     },
-    /// Partitioned single-grain replay stitched its workers' results.
-    PartitionStitched {
-        /// Block size in bytes.
-        grain: u64,
-        /// Time-partition workers stitched.
-        partitions: u64,
-        /// Cross-partition reuses resolved during the stitch.
-        resolved: u64,
-    },
     /// The adaptive sampler halved its rate to stay inside its budget.
     SampleRateDropped {
         /// Block size in bytes.
@@ -235,7 +226,6 @@ impl EventKind {
             EventKind::CheckpointWritten { .. } => "checkpoint_written",
             EventKind::CheckpointResumed { .. } => "checkpoint_resumed",
             EventKind::CheckpointRejected { .. } => "checkpoint_rejected",
-            EventKind::PartitionStitched { .. } => "partition_stitched",
             EventKind::SampleRateDropped { .. } => "sample_rate_dropped",
             EventKind::JobAccepted { .. } => "job_accepted",
             EventKind::JobCompleted { .. } => "job_completed",
@@ -306,14 +296,6 @@ impl EventKind {
                 ",\"path\":\"{}\",\"reason\":\"{}\"",
                 escape(path),
                 escape(reason)
-            ),
-            EventKind::PartitionStitched {
-                grain,
-                partitions,
-                resolved,
-            } => write!(
-                out,
-                ",\"grain\":{grain},\"partitions\":{partitions},\"resolved\":{resolved}"
             ),
             EventKind::SampleRateDropped {
                 grain,
@@ -704,14 +686,6 @@ mod tests {
                     reason: "r".into(),
                 },
                 "checkpoint_rejected",
-            ),
-            (
-                EventKind::PartitionStitched {
-                    grain: 1,
-                    partitions: 2,
-                    resolved: 3,
-                },
-                "partition_stitched",
             ),
             (
                 EventKind::SampleRateDropped {

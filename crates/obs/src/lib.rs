@@ -25,8 +25,7 @@
 //! The third generation adds the *live* layer on the same foundations:
 //!
 //! * **Events** ([`emit`]) — one call per discrete occurrence (grain
-//!   lifecycle, checkpoint writes/resumes, partition stitches, sampling
-//!   rate drops, daemon jobs, failures). The recorder tallies it into its
+//!   lifecycle, checkpoint writes/resumes, sampling rate drops, daemon jobs, failures). The recorder tallies it into its
 //!   counters and grain rows, and a structured JSONL log ([`EventLog`])
 //!   writes it with a severity and monotonic + wall timestamps.
 //! * **The telemetry service** ([`TelemetryService`]) — a background
@@ -42,8 +41,7 @@
 //!
 //! A run reports into one [`Obs`] handle: an optional recorder, timeline
 //! and event log. The run's thread enters it with [`Obs::enter`], and
-//! every thread the library spawns (grain replays, partitions, hierarchy
-//! scoring, daemon workers and connections, the telemetry aggregator)
+//! every thread the library spawns (replay lanes, hierarchy scoring, daemon workers and connections, the telemetry aggregator)
 //! enters its spawner's scope, so two runs in one process each count
 //! into their own handle. A thread with no scope falls back to the one
 //! global slot ([`install`] / [`uninstall`]), which records everything
@@ -120,9 +118,6 @@ pub enum Stage {
     Decode,
     /// One grain's replay through its analyzer.
     Replay,
-    /// One time-partition of a single grain's parallel replay (nested
-    /// inside that grain's [`Stage::Replay`] span).
-    Partition,
     /// Scoring one candidate hierarchy from measured profiles.
     Sweep,
     /// Building one attribution report from a scored analysis.
@@ -138,11 +133,10 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in dense-index order (used for metric storage).
-    pub const ALL: [Stage; 8] = [
+    pub const ALL: [Stage; 7] = [
         Stage::Capture,
         Stage::Decode,
         Stage::Replay,
-        Stage::Partition,
         Stage::Sweep,
         Stage::Report,
         Stage::Checkpoint,
@@ -150,15 +144,14 @@ impl Stage {
     ];
 
     /// Every stage in the order the pipeline executes them:
-    /// capture → decode → replay → partition → checkpoint → estimate →
-    /// sweep → report (estimation replaces the first five stages on the
+    /// capture → decode → replay → checkpoint → estimate → sweep →
+    /// report (estimation replaces the first four stages on the
     /// static path, so it sorts just before sweep). Exporters print
     /// stages in this order, independent of the enum's index layout.
-    pub const PIPELINE_ORDER: [Stage; 8] = [
+    pub const PIPELINE_ORDER: [Stage; 7] = [
         Stage::Capture,
         Stage::Decode,
         Stage::Replay,
-        Stage::Partition,
         Stage::Checkpoint,
         Stage::Estimate,
         Stage::Sweep,
@@ -171,7 +164,6 @@ impl Stage {
             Stage::Capture => "capture",
             Stage::Decode => "decode",
             Stage::Replay => "replay",
-            Stage::Partition => "partition",
             Stage::Sweep => "sweep",
             Stage::Report => "report",
             Stage::Checkpoint => "checkpoint",
@@ -226,11 +218,6 @@ pub enum Counter {
     BlocksEvicted,
     /// Adaptive sampling rate halvings (tracked set hit its budget).
     SampleRateDrops,
-    /// Time-partition workers spawned by single-grain parallel replay.
-    PartitionsSpawned,
-    /// Cross-partition reuses resolved during the stitch pass of
-    /// single-grain parallel replay.
-    PartitionStitch,
     /// Crash-safety snapshots written by checkpointed replay.
     CheckpointsWritten,
     /// Grains that resumed from a validated snapshot instead of replaying
@@ -266,7 +253,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 32] = [
+    pub const ALL: [Counter; 30] = [
         Counter::EventsCaptured,
         Counter::AccessesCaptured,
         Counter::BytesEncoded,
@@ -285,8 +272,6 @@ impl Counter {
         Counter::BlocksSampled,
         Counter::BlocksEvicted,
         Counter::SampleRateDrops,
-        Counter::PartitionsSpawned,
-        Counter::PartitionStitch,
         Counter::CheckpointsWritten,
         Counter::CheckpointsResumed,
         Counter::CheckpointsRejected,
@@ -323,8 +308,6 @@ impl Counter {
             Counter::BlocksSampled => "blocks_sampled",
             Counter::BlocksEvicted => "blocks_evicted",
             Counter::SampleRateDrops => "sample_rate_drops",
-            Counter::PartitionsSpawned => "partitions_spawned",
-            Counter::PartitionStitch => "partition_stitch",
             Counter::CheckpointsWritten => "checkpoints_written",
             Counter::CheckpointsResumed => "checkpoints_resumed",
             Counter::CheckpointsRejected => "checkpoints_rejected",
@@ -361,18 +344,12 @@ impl Counter {
             Counter::SweepConfigsScored => "Candidate hierarchies scored successfully.",
             Counter::SweepConfigsFailed => "Candidate hierarchies that failed scoring.",
             Counter::ReportsGenerated => "Attribution reports generated.",
-            Counter::TimelineDropped => "Timeline events dropped by full ring-buffer shards.",
+            Counter::TimelineDropped => "Timeline events dropped by the full ring.",
             Counter::BlocksSampled => {
                 "Distinct blocks admitted by the spatial-hash sampler (unscaled)."
             }
             Counter::BlocksEvicted => "Tracked blocks evicted by adaptive sampling rate drops.",
             Counter::SampleRateDrops => "Adaptive sampling rate halvings.",
-            Counter::PartitionsSpawned => {
-                "Time-partition workers spawned by single-grain parallel replay."
-            }
-            Counter::PartitionStitch => {
-                "Cross-partition reuses resolved during partitioned-replay stitching."
-            }
             Counter::CheckpointsWritten => "Crash-safety snapshots written by checkpointed replay.",
             Counter::CheckpointsResumed => "Grains resumed from a validated snapshot.",
             Counter::CheckpointsRejected => {
@@ -594,7 +571,7 @@ pub fn uninstall() -> Option<Obs> {
 /// ([`MetricsRecorder::record_event`]) and its event log writes its line.
 /// This is the one call an occurrence takes. A no-op branch when
 /// disabled; never per-access — emit sites are grain-, checkpoint-,
-/// stitch- and job-grained.
+/// and job-grained.
 #[inline]
 pub fn emit(kind: EventKind) {
     emit_at(kind.severity(), kind);
@@ -870,14 +847,13 @@ mod tests {
                 stage.name()
             );
         }
-        // Pin the positions the summary footer depends on: partition
-        // nests inside replay, checkpoint snapshots during replay, and
+        // Pin the positions the summary footer depends on: checkpoint
+        // snapshots during replay, and
         // estimation substitutes for the trace stages just before sweep.
         let pos = |s: Stage| Stage::PIPELINE_ORDER.iter().position(|&x| x == s).unwrap();
         assert!(pos(Stage::Capture) < pos(Stage::Decode));
         assert!(pos(Stage::Decode) < pos(Stage::Replay));
-        assert!(pos(Stage::Replay) < pos(Stage::Partition));
-        assert!(pos(Stage::Partition) < pos(Stage::Checkpoint));
+        assert!(pos(Stage::Replay) < pos(Stage::Checkpoint));
         assert!(pos(Stage::Checkpoint) < pos(Stage::Estimate));
         assert!(pos(Stage::Estimate) < pos(Stage::Sweep));
         assert!(pos(Stage::Sweep) < pos(Stage::Report));

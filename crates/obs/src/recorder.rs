@@ -141,8 +141,8 @@ impl MetricsRecorder {
     /// Applies one discrete occurrence's tally: the recorder's view of an
     /// [`crate::emit`]. A finished grain ticks its counter and adds its
     /// cost row; a written checkpoint also sets the snapshot-size gauge;
-    /// a stitch adds the reuses it resolved; every other grain,
-    /// checkpoint and job occurrence adds one to its counter. Run
+    /// every other grain, checkpoint and job occurrence adds one to its
+    /// counter. Run
     /// bounds, grain starts, rate drops (counted in halvings where the
     /// sampler reports them) and heartbeats tally nothing.
     pub fn record_event(&self, kind: &EventKind) {
@@ -172,9 +172,6 @@ impl MetricsRecorder {
             }
             EventKind::CheckpointResumed { .. } => self.add(Counter::CheckpointsResumed, 1),
             EventKind::CheckpointRejected { .. } => self.add(Counter::CheckpointsRejected, 1),
-            EventKind::PartitionStitched { resolved, .. } => {
-                self.add(Counter::PartitionStitch, *resolved);
-            }
             EventKind::JobAccepted { .. } => self.add(Counter::JobsAccepted, 1),
             EventKind::JobCompleted { .. } => self.add(Counter::JobsCompleted, 1),
             EventKind::JobFailed { .. } => self.add(Counter::JobsFailed, 1),
@@ -243,8 +240,8 @@ pub struct SpanStats {
     pub count: u64,
     /// Total wall time across all of them.
     pub total: Duration,
-    /// Longest single span — with concurrent spans (partitioned replay
-    /// workers) `total` overstates wall time; `max` approximates the
+    /// Longest single span — with concurrent spans (grains on parallel
+    /// replay lanes) `total` overstates wall time; `max` approximates the
     /// critical path.
     pub max: Duration,
     /// Deepest nesting level observed (1 = top level, 0 = never opened).

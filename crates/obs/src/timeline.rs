@@ -13,7 +13,7 @@
 //! ## One ring and its overflow policy
 //!
 //! Every writer appends to one mutex-guarded ring. Spans close once per
-//! grain, partition, sweep or report, never per access, so the lock is
+//! grain, sweep or report, never per access, so the lock is
 //! taken a few times per grain and does not contend. The ring holds at
 //! most `capacity` events: when full, the **oldest** event overall is
 //! dropped, the [`Counter::TimelineDropped`](crate::Counter) counter of

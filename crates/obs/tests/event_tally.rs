@@ -96,15 +96,6 @@ fn every_kind() -> Vec<(EventKind, &'static str, Tally)> {
             Some((Counter::CheckpointsRejected, 1)),
         ),
         (
-            EventKind::PartitionStitched {
-                grain: 64,
-                partitions: 2,
-                resolved: 11,
-            },
-            r#""severity":"info","event":"partition_stitched","grain":64,"partitions":2,"resolved":11}"#,
-            Some((Counter::PartitionStitch, 11)),
-        ),
-        (
             EventKind::SampleRateDropped {
                 grain: 64,
                 inv_rate: 2,

@@ -11,9 +11,8 @@ use reuselens_obs::{Counter, Gauge, GrainProfile, GrainStatus, MetricsRecorder, 
 use std::time::Duration;
 
 /// Every counter at `(index + 1) * 10`, every gauge at `(index + 1) * 7`,
-/// a span pattern covering nesting (decode under capture, partition
-/// workers under replay), repetition (two replays, two partitions), and
-/// absence (no report span), and a grain-profile set covering every
+/// a span pattern covering nesting (decode under capture), repetition
+/// (two replays), and absence (no report span), and a grain-profile set covering every
 /// status plus same-grain aggregation (grain 64 twice).
 fn populated() -> MetricsRecorder {
     let r = MetricsRecorder::new();
@@ -27,8 +26,6 @@ fn populated() -> MetricsRecorder {
     r.record_span(Stage::Decode, Duration::from_millis(3), 2);
     r.record_span(Stage::Replay, Duration::from_millis(40), 1);
     r.record_span(Stage::Replay, Duration::from_millis(44), 1);
-    r.record_span(Stage::Partition, Duration::from_millis(20), 2);
-    r.record_span(Stage::Partition, Duration::from_millis(24), 2);
     r.record_span(Stage::Sweep, Duration::from_micros(80), 1);
     r.record_grain(&GrainProfile {
         block_size: 64,
@@ -110,7 +107,7 @@ reuselens_sweep_configs_failed_total 130
 # HELP reuselens_reports_generated_total Attribution reports generated.
 # TYPE reuselens_reports_generated_total counter
 reuselens_reports_generated_total 140
-# HELP reuselens_timeline_dropped_total Timeline events dropped by full ring-buffer shards.
+# HELP reuselens_timeline_dropped_total Timeline events dropped by the full ring.
 # TYPE reuselens_timeline_dropped_total counter
 reuselens_timeline_dropped_total 150
 # HELP reuselens_blocks_sampled_total Distinct blocks admitted by the spatial-hash sampler (unscaled).
@@ -122,48 +119,42 @@ reuselens_blocks_evicted_total 170
 # HELP reuselens_sample_rate_drops_total Adaptive sampling rate halvings.
 # TYPE reuselens_sample_rate_drops_total counter
 reuselens_sample_rate_drops_total 180
-# HELP reuselens_partitions_spawned_total Time-partition workers spawned by single-grain parallel replay.
-# TYPE reuselens_partitions_spawned_total counter
-reuselens_partitions_spawned_total 190
-# HELP reuselens_partition_stitch_total Cross-partition reuses resolved during partitioned-replay stitching.
-# TYPE reuselens_partition_stitch_total counter
-reuselens_partition_stitch_total 200
 # HELP reuselens_checkpoints_written_total Crash-safety snapshots written by checkpointed replay.
 # TYPE reuselens_checkpoints_written_total counter
-reuselens_checkpoints_written_total 210
+reuselens_checkpoints_written_total 190
 # HELP reuselens_checkpoints_resumed_total Grains resumed from a validated snapshot.
 # TYPE reuselens_checkpoints_resumed_total counter
-reuselens_checkpoints_resumed_total 220
+reuselens_checkpoints_resumed_total 200
 # HELP reuselens_checkpoints_rejected_total Snapshot files rejected during resume (torn, corrupted, or mismatched).
 # TYPE reuselens_checkpoints_rejected_total counter
-reuselens_checkpoints_rejected_total 230
+reuselens_checkpoints_rejected_total 210
 # HELP reuselens_static_refs_covered_total References covered symbolically by the static estimator.
 # TYPE reuselens_static_refs_covered_total counter
-reuselens_static_refs_covered_total 240
+reuselens_static_refs_covered_total 220
 # HELP reuselens_static_refs_fallback_total References the static estimator modeled with the irregular fallback.
 # TYPE reuselens_static_refs_fallback_total counter
-reuselens_static_refs_fallback_total 250
+reuselens_static_refs_fallback_total 230
 # HELP reuselens_jobs_accepted_total Analysis jobs accepted onto the daemon queue.
 # TYPE reuselens_jobs_accepted_total counter
-reuselens_jobs_accepted_total 260
+reuselens_jobs_accepted_total 240
 # HELP reuselens_jobs_completed_total Analysis jobs that produced a success response.
 # TYPE reuselens_jobs_completed_total counter
-reuselens_jobs_completed_total 270
+reuselens_jobs_completed_total 250
 # HELP reuselens_jobs_failed_total Analysis jobs that ended in a typed error response.
 # TYPE reuselens_jobs_failed_total counter
-reuselens_jobs_failed_total 280
+reuselens_jobs_failed_total 260
 # HELP reuselens_jobs_rejected_total Analysis jobs rejected before queueing (full queue or shutdown).
 # TYPE reuselens_jobs_rejected_total counter
-reuselens_jobs_rejected_total 290
+reuselens_jobs_rejected_total 270
 # HELP reuselens_traces_resident_hit_total Replay jobs served a resident, verified trace.
 # TYPE reuselens_traces_resident_hit_total counter
-reuselens_traces_resident_hit_total 300
+reuselens_traces_resident_hit_total 280
 # HELP reuselens_traces_resident_miss_total Replay jobs that loaded their trace from the store.
 # TYPE reuselens_traces_resident_miss_total counter
-reuselens_traces_resident_miss_total 310
+reuselens_traces_resident_miss_total 290
 # HELP reuselens_replay_lanes_total Replay lanes started; each decodes its trace once.
 # TYPE reuselens_replay_lanes_total counter
-reuselens_replay_lanes_total 320
+reuselens_replay_lanes_total 300
 # HELP reuselens_budget_events Events replayed at the latest budget checkpoint.
 # TYPE reuselens_budget_events gauge
 reuselens_budget_events 7
@@ -187,7 +178,6 @@ reuselens_job_queue_depth 42
 reuselens_stage_spans_total{stage="capture"} 1
 reuselens_stage_spans_total{stage="decode"} 1
 reuselens_stage_spans_total{stage="replay"} 2
-reuselens_stage_spans_total{stage="partition"} 2
 reuselens_stage_spans_total{stage="sweep"} 1
 reuselens_stage_spans_total{stage="report"} 0
 reuselens_stage_spans_total{stage="checkpoint"} 0
@@ -197,7 +187,6 @@ reuselens_stage_spans_total{stage="estimate"} 0
 reuselens_stage_seconds_total{stage="capture"} 0.000000000
 reuselens_stage_seconds_total{stage="decode"} 0.000000000
 reuselens_stage_seconds_total{stage="replay"} 0.000000000
-reuselens_stage_seconds_total{stage="partition"} 0.000000000
 reuselens_stage_seconds_total{stage="sweep"} 0.000000000
 reuselens_stage_seconds_total{stage="report"} 0.000000000
 reuselens_stage_seconds_total{stage="checkpoint"} 0.000000000
@@ -227,7 +216,6 @@ stage                     spans        total         mean
   capture                     1         0 ns         0 ns
     decode                    1         0 ns         0 ns
   replay                      2         0 ns         0 ns
-    partition                 2         0 ns         0 ns
   sweep                       1         0 ns         0 ns
 grain profiles
      grain     status         wall       events     events/s     blocks       tree   sample
@@ -253,20 +241,18 @@ counters
   blocks_sampled                          160
   blocks_evicted                          170
   sample_rate_drops                       180
-  partitions_spawned                      190
-  partition_stitch                        200
-  checkpoints_written                     210
-  checkpoints_resumed                     220
-  checkpoints_rejected                    230
-  static_refs_covered                     240
-  static_refs_fallback                    250
-  jobs_accepted                           260
-  jobs_completed                          270
-  jobs_failed                             280
-  jobs_rejected                           290
-  traces_resident_hit                     300
-  traces_resident_miss                    310
-  replay_lanes                            320
+  checkpoints_written                     190
+  checkpoints_resumed                     200
+  checkpoints_rejected                    210
+  static_refs_covered                     220
+  static_refs_fallback                    230
+  jobs_accepted                           240
+  jobs_completed                          250
+  jobs_failed                             260
+  jobs_rejected                           270
+  traces_resident_hit                     280
+  traces_resident_miss                    290
+  replay_lanes                            300
 gauges
   budget_events                             7
   budget_distinct_blocks                   14

@@ -38,7 +38,7 @@ const BATCH: usize = 256;
 
 /// Capture-side checkpoint spacing in events. Each checkpoint snapshots
 /// the decoder state at an event boundary so
-/// [`TraceBuffer::segment_states`] can seek near an arbitrary event
+/// [`TraceBuffer::state_at`] can seek near an arbitrary event
 /// without decoding the whole prefix; 64 Ki events keeps the snapshot
 /// overhead (one small struct plus the open-scope stack) far below 0.1%
 /// of the encoded stream.
@@ -212,10 +212,9 @@ struct Checkpoint {
 /// The full decoder state at one event boundary of a [`TraceBuffer`]:
 /// everything needed to start decoding mid-stream, plus the dynamic
 /// context (access clock and open scopes) a mid-stream consumer needs to
-/// interpret what it sees. Produced by
-/// [`TraceBuffer::segment_states`], consumed by
-/// [`TraceBuffer::replay_segment`] — the seek API behind time-partitioned
-/// parallel replay.
+/// interpret what it sees. Produced by [`TraceBuffer::state_at`] and
+/// advanced by [`TraceBuffer::replay_advance`] — the seek API behind
+/// replay lanes and checkpoint resume.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SegmentState {
     /// Index of the first event of the segment.
@@ -364,62 +363,19 @@ impl TraceBuffer {
         self.replay_advance(&mut SegmentState::default(), self.events, sink);
     }
 
-    /// Replays the half-open event range `[from.event, to_event)` into
-    /// `sink`, starting from a [`SegmentState`] produced by
-    /// [`segment_states`](Self::segment_states) on this same buffer.
-    /// `to_event` is clamped to the captured event count.
-    pub fn replay_segment<S: TraceSink + ?Sized>(
-        &self,
-        from: &SegmentState,
-        to_event: u64,
-        sink: &mut S,
-    ) {
-        self.replay_advance(&mut from.clone(), to_event, sink);
-    }
-
-    /// Splits the captured stream into `parts` contiguous time segments of
-    /// (nearly) equal event count and returns the decoder state at the
-    /// start of each — segment `k` covers events
-    /// `[states[k].event, states[k + 1].event)` (the last segment ends at
-    /// [`events`](Self::events)). One forward scan computes every state,
-    /// fast-forwarding through the checkpoints capture (or
-    /// [`import`](Self::import)) recorded, so the result equals a pure
-    /// decoding scan's.
-    pub fn segment_states(&self, parts: usize) -> Vec<SegmentState> {
-        let parts = parts.max(1);
-        let mut out = Vec::with_capacity(parts);
-        let mut cur = SegmentState::default();
-        for k in 0..parts as u64 {
-            let target = self.events * k / parts as u64;
-            self.seek(&mut cur, target);
-            out.push(cur.clone());
-        }
-        out
-    }
-
     /// The decoder state at one event boundary (clamped to the captured
-    /// event count) — [`segment_states`](Self::segment_states) for a
-    /// single arbitrary target. Checkpoint/resume uses this to seek a
-    /// resumed analysis to the event its snapshot was taken at without
-    /// decoding the whole prefix.
+    /// event count). It jumps to the last checkpoint that capture (or
+    /// [`import`](Self::import)) recorded at or before `event`, then
+    /// decodes the rest into [`NullSink`], so the result equals a pure
+    /// decoding scan's. It counts nothing on the decode counters: a seek
+    /// delivers no events. Checkpoint resume and lane boarding use it to
+    /// start a grain mid-trace without decoding the whole prefix.
     pub fn state_at(&self, event: u64) -> SegmentState {
-        let mut cur = SegmentState::default();
-        self.seek(&mut cur, event);
-        cur
-    }
-
-    /// Moves `cur` forward to event `target` (clamped to the captured
-    /// event count): jumps to the last capture-side checkpoint in
-    /// `(cur.event, target]`, then decodes the rest into [`NullSink`].
-    /// Counts nothing on the decode counters — a seek delivers no events.
-    fn seek(&self, cur: &mut SegmentState, target: u64) {
-        let target = target.min(self.events);
+        let target = event.min(self.events);
         let after = self.checkpoints.partition_point(|c| c.event <= target);
-        if let Some(c) = self.checkpoints[..after]
-            .last()
-            .filter(|c| c.event > cur.event)
-        {
-            *cur = SegmentState {
+        let mut cur = SegmentState::default();
+        if let Some(c) = self.checkpoints[..after].last() {
+            cur = SegmentState {
                 event: c.event,
                 accesses: c.accesses,
                 scopes: c
@@ -435,13 +391,14 @@ impl TraceBuffer {
                 last_ref: c.last_ref,
             };
         }
-        self.advance(cur, target, &mut NullSink);
+        self.advance(&mut cur, target, &mut NullSink);
+        cur
     }
 
     /// Replays the half-open event range `[state.event, to_event)` into
     /// `sink` while advancing `state` in place to `to_event`, decoding
-    /// each event exactly once. Every replay — whole-buffer, per segment,
-    /// and the step-wise grain loop that publishes progress, checks
+    /// each event exactly once. Every replay — whole-buffer and the
+    /// step-wise lane loop that publishes progress, checks
     /// budgets and writes snapshots between calls — runs through here;
     /// `state` always describes the boundary the next call resumes from.
     /// `to_event` is clamped to the captured event count.
@@ -460,7 +417,8 @@ impl TraceBuffer {
         );
     }
 
-    /// The one replay decode loop, behind [`replay_advance`] and the seek.
+    /// The one replay decode loop, behind [`replay_advance`] and
+    /// [`state_at`](Self::state_at).
     /// It does no checks: every buffer is well-formed by construction (see
     /// [`TraceBuffer`]). The decoder state lives in locals for the loop and
     /// is written back once at the end.
@@ -561,7 +519,7 @@ impl TraceBuffer {
     /// decoder first (truncation, malformed varints, field ranges, scope
     /// balance, trailing bytes), the declared counts are cross-checked
     /// against what decoding observed, and the capture-side checkpoint
-    /// index is regenerated by one forward scan so partitioned replay
+    /// index is regenerated by one forward scan so a resumed replay
     /// seeks as fast as on the original capture. `Ok` guarantees the
     /// result replays bit-identically to the buffer that produced the
     /// image.
@@ -957,28 +915,46 @@ mod tests {
         buf
     }
 
+    /// The `parts` segment starts `events·k/parts` of `buf`, for `k` in
+    /// `0..parts`: the boundaries the seek tests probe.
+    fn boundaries(buf: &TraceBuffer, parts: u64) -> Vec<u64> {
+        (0..parts).map(|k| buf.events() * k / parts).collect()
+    }
+
+    /// Replays `buf` segment by segment: each segment starts from a fresh
+    /// [`TraceBuffer::state_at`] seek to its boundary and advances to the
+    /// next one.
+    fn replay_from_seeks(buf: &TraceBuffer, parts: u64) -> VecSink {
+        let starts = boundaries(buf, parts);
+        let mut stitched = VecSink::new();
+        for (k, &from) in starts.iter().enumerate() {
+            let to = starts.get(k + 1).copied().unwrap_or(buf.events());
+            let mut state = buf.state_at(from);
+            buf.replay_advance(&mut state, to, &mut stitched);
+            assert_eq!(state.event, to);
+        }
+        stitched
+    }
+
     #[test]
     fn segment_replay_concatenation_equals_full_replay() {
         let buf = scoped_workload(5_000);
         let mut full = VecSink::new();
         buf.replay(&mut full);
-        for parts in [1usize, 2, 3, 8] {
-            let states = buf.segment_states(parts);
-            assert_eq!(states.len(), parts);
-            assert_eq!(states[0], SegmentState::default());
-            let mut stitched = VecSink::new();
-            for (k, from) in states.iter().enumerate() {
-                let to = states.get(k + 1).map_or(buf.events(), |s| s.event);
-                buf.replay_segment(from, to, &mut stitched);
-            }
+        for parts in [1u64, 2, 3, 8] {
+            assert_eq!(buf.state_at(0), SegmentState::default());
+            let stitched = replay_from_seeks(&buf, parts);
             assert_eq!(stitched.events, full.events, "parts = {parts}");
         }
     }
 
     #[test]
-    fn segment_states_report_scope_context_and_clocks() {
+    fn state_at_reports_scope_context_and_clocks() {
         let buf = scoped_workload(1_000);
-        let states = buf.segment_states(4);
+        let states: Vec<_> = boundaries(&buf, 4)
+            .into_iter()
+            .map(|b| buf.state_at(b))
+            .collect();
         // Every boundary sits inside ScopeId(1), entered at access clock 0.
         for s in &states[1..] {
             assert!(!s.scopes.is_empty());
@@ -1001,33 +977,31 @@ mod tests {
         );
         let mut unassisted = buf.clone();
         unassisted.checkpoints.clear();
-        for parts in [2usize, 3, 8] {
-            assert_eq!(
-                buf.segment_states(parts),
-                unassisted.segment_states(parts),
-                "checkpoint fast-forward must be invisible (parts = {parts})"
-            );
+        for parts in [2u64, 3, 8] {
+            for b in boundaries(&buf, parts) {
+                assert_eq!(
+                    buf.state_at(b),
+                    unassisted.state_at(b),
+                    "checkpoint fast-forward must be invisible (parts = {parts}, event {b})"
+                );
+            }
         }
         // And the stitched replay still equals the full replay.
         let mut full = VecSink::new();
         buf.replay(&mut full);
-        let states = buf.segment_states(8);
-        let mut stitched = VecSink::new();
-        for (k, from) in states.iter().enumerate() {
-            let to = states.get(k + 1).map_or(buf.events(), |s| s.event);
-            buf.replay_segment(from, to, &mut stitched);
-        }
+        let stitched = replay_from_seeks(&buf, 8);
         assert_eq!(stitched.events.len(), full.events.len());
         assert_eq!(stitched.events, full.events);
     }
 
     #[test]
-    fn state_at_matches_segment_states_boundaries() {
+    fn state_at_matches_replay_advance_boundaries() {
         let buf = scoped_workload(2 * CHECKPOINT_EVERY + 1_234);
-        for parts in [1usize, 2, 3, 8] {
-            let states = buf.segment_states(parts);
-            for s in &states {
-                assert_eq!(buf.state_at(s.event), *s, "boundary at event {}", s.event);
+        for parts in [1u64, 2, 3, 8] {
+            let mut scanned = SegmentState::default();
+            for b in boundaries(&buf, parts) {
+                buf.replay_advance(&mut scanned, b, &mut NullSink);
+                assert_eq!(buf.state_at(b), scanned, "boundary at event {b}");
             }
         }
         // The final state covers the whole stream, and targets past the
@@ -1065,12 +1039,14 @@ mod tests {
     }
 
     #[test]
-    fn forged_buffer_segment_states_fall_back_to_pure_scan() {
+    fn forged_buffer_state_at_falls_back_to_pure_scan() {
         let buf = scoped_workload(CHECKPOINT_EVERY + 3_000);
         assert!(!buf.checkpoints.is_empty());
         let mut forged = buf.clone();
         forged.checkpoints.clear();
-        assert_eq!(forged.segment_states(3), buf.segment_states(3));
+        for b in boundaries(&buf, 3) {
+            assert_eq!(forged.state_at(b), buf.state_at(b), "event {b}");
+        }
     }
 
     /// Like [`scoped_workload`] but scope-balanced, so the stream survives
@@ -1123,8 +1099,10 @@ mod tests {
         let mut replayed = VecSink::new();
         imported.replay(&mut replayed);
         assert_eq!(original, replayed);
-        for parts in [2usize, 3, 8] {
-            assert_eq!(imported.segment_states(parts), buf.segment_states(parts));
+        for parts in [2u64, 3, 8] {
+            for b in boundaries(&buf, parts) {
+                assert_eq!(imported.state_at(b), buf.state_at(b), "event {b}");
+            }
         }
         // The borrowed view is what export clones, in image order.
         let e = buf.export();

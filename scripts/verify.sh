@@ -46,10 +46,9 @@ head -c 13 "$newest" > "$newest.torn" && mv "$newest.torn" "$newest"
     --save-profile "$CKPT_TMP/resumed.rlp" >/dev/null
 cmp "$CKPT_TMP/plain.rlp" "$CKPT_TMP/ckpt.rlp"
 cmp "$CKPT_TMP/plain.rlp" "$CKPT_TMP/resumed.rlp"
-# The same kill-and-resume leg sampled and asking for two replay threads:
-# the plain run partitions each grain, the checkpointed runs stream it
-# serially, and all three must save the same bytes.
-SAMPLED="--sample-rate 0.5 --replay-threads 2"
+# The same kill-and-resume leg sampled: all three runs must save the same
+# bytes.
+SAMPLED="--sample-rate 0.5"
 # shellcheck disable=SC2086 # $SAMPLED is a flag list
 ./target/release/reuselens kernel stream $SAMPLED \
     --save-profile "$CKPT_TMP/sampled-plain.rlp" >/dev/null

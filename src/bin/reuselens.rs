@@ -29,8 +29,7 @@ use reuselens::cache::MemoryHierarchy;
 use reuselens::cache::{miss_curve, predict_level};
 use reuselens::core::{
     analyze_buffer_with, capture_program, measure_spatial, read_profiles, write_profiles,
-    AnalyzeOptions, CheckpointOptions, ContextProfile, ReplayThreads, SamplingConfig,
-    SavedProfiles,
+    AnalyzeOptions, CheckpointOptions, ContextProfile, SamplingConfig, SavedProfiles,
 };
 use reuselens::ir::Program;
 use reuselens::metrics::{
@@ -104,11 +103,6 @@ COMMON OPTIONS:
                     (0, 1] (e.g. 0.01), or 'auto:<budget>' to adapt the
                     rate so at most <budget> blocks are tracked. Reported
                     counts become scaled estimates; omit for exact output
-    --replay-threads <N|auto>  split each grain's replay across N
-                    time-partition workers ('auto' = one per core) and
-                    stitch the results — bit-identical to serial replay,
-                    faster on large traces. Ignored for adaptive
-                    sampling, which is inherently sequential
     --checkpoint-dir <DIR>  crash-safe analysis: snapshot each grain's
                     analyzer state into DIR so an interrupted run can be
                     resumed. Results are bit-identical to a plain run
@@ -131,7 +125,7 @@ COMMON OPTIONS:
                     every SECS seconds (fractions allowed) while the
                     run is in flight
     --log-jsonl <PATH>  append structured JSONL events (grain lifecycle,
-                    checkpoints, partition stitches, sampling drops,
+                    checkpoints, sampling drops,
                     heartbeats) to PATH ('-' for stderr)
     --save-profile <PATH>   save the measured reuse profiles for `predict`
     --size <N>      problem-size tag stored with --save-profile
@@ -469,7 +463,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let report = flags.value("--report").unwrap_or("summary");
     let level = flags.value("--level").unwrap_or("L2");
     let sampling = parse_sampling(&flags)?;
-    let replay_threads = parse_replay_threads(&flags)?;
 
     let w = workload_spec(workload, &flags)?
         .build()
@@ -502,7 +495,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     .into(),
             );
         }
-        for incompatible in ["--sample-rate", "--replay-threads", "--checkpoint-dir"] {
+        for incompatible in ["--sample-rate", "--checkpoint-dir"] {
             if flags.value(incompatible).is_some() {
                 return Err(format!(
                     "--predict-static derives profiles without a trace; {incompatible} \
@@ -541,7 +534,6 @@ fn run(args: &[String]) -> Result<(), String> {
     };
     let opts = AnalyzeOptions {
         sampling,
-        replay_threads,
         checkpoint,
         ..AnalyzeOptions::default()
     };
@@ -618,40 +610,12 @@ fn parse_sampling(flags: &Flags<'_>) -> Result<SamplingConfig, String> {
     let Some(v) = flags.value("--sample-rate") else {
         return Ok(SamplingConfig::Exact);
     };
-    if let Some(budget) = v.strip_prefix("auto:") {
-        let budget: u64 = budget
-            .parse()
-            .map_err(|_| format!("invalid --sample-rate budget in '{v}'"))?;
-        if budget == 0 {
-            return Err("--sample-rate auto budget must be positive".into());
-        }
-        return Ok(SamplingConfig::adaptive(budget));
-    }
-    let rate: f64 = v
-        .parse()
-        .map_err(|_| format!("invalid --sample-rate '{v}'"))?;
-    if !(rate > 0.0 && rate <= 1.0) {
-        return Err(format!("--sample-rate must be in (0, 1], got {v}"));
-    }
-    Ok(SamplingConfig::fixed(rate))
-}
-
-/// Parses `--replay-threads 4` / `--replay-threads auto`; no flag means
-/// the classic serial replay.
-fn parse_replay_threads(flags: &Flags<'_>) -> Result<ReplayThreads, String> {
-    match flags.value("--replay-threads") {
-        None => Ok(ReplayThreads::Serial),
-        Some("auto") => Ok(ReplayThreads::Auto),
-        Some(v) => {
-            let n: usize = v
-                .parse()
-                .map_err(|_| format!("invalid --replay-threads '{v}'"))?;
-            if n == 0 {
-                return Err("--replay-threads must be at least 1".into());
-            }
-            Ok(ReplayThreads::Fixed(n))
-        }
-    }
+    let parsed = match v.strip_prefix("auto:") {
+        Some(budget) => budget.parse().map(|b| (None, Some(b))).ok(),
+        None => v.parse().map(|r| (Some(r), None)).ok(),
+    };
+    let (rate, budget) = parsed.ok_or_else(|| format!("invalid --sample-rate '{v}'"))?;
+    SamplingConfig::checked(rate, budget).map_err(|e| format!("--sample-rate: {e}"))
 }
 
 /// The natural problem-size tag per workload (overridable with `--size`).
@@ -698,7 +662,6 @@ fn run_predict(flags: &Flags<'_>) -> Result<(), String> {
                     | "--metrics"
                     | "--trace-timeline"
                     | "--sample-rate"
-                    | "--replay-threads"
                     | "--checkpoint-dir"
                     | "--checkpoint-every"
                     | "--serve-metrics"

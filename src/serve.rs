@@ -67,7 +67,7 @@
 
 use reuselens_core::{
     analyze_buffer_with, capture_program, write_profiles, AnalysisBudget, AnalyzeOptions,
-    ReplayThreads, SamplingConfig, SavedProfiles,
+    SamplingConfig, SamplingError, SavedProfiles,
 };
 use reuselens_metrics::run_locality_estimate;
 use reuselens_obs as obs;
@@ -574,7 +574,6 @@ struct ReplayRequest {
     id: String,
     grains: Vec<u64>,
     sampling: SamplingConfig,
-    replay_threads: ReplayThreads,
     budget_events: Option<u64>,
     save: Option<String>,
 }
@@ -633,54 +632,22 @@ fn parse_request(line: &[u8]) -> Result<Request, ServeError> {
         }
         "replay" => {
             let id = req_str(&fields, "id")?;
-            let sampling = match (
-                field(&fields, "sample_rate"),
-                opt_u64(&fields, "sample_budget")?,
-            ) {
-                (None, None) => SamplingConfig::Exact,
-                (None, Some(budget)) if budget > 0 => SamplingConfig::adaptive(budget),
-                (None, Some(_)) => {
-                    return Err(ServeError::InvalidField {
-                        field: "sample_budget",
-                        why: "must be positive".into(),
-                    })
-                }
-                (Some(Json::Num(rate)), None) if *rate > 0.0 && *rate <= 1.0 => {
-                    SamplingConfig::fixed(*rate)
-                }
-                (Some(_), None) => {
-                    return Err(ServeError::InvalidField {
-                        field: "sample_rate",
-                        why: "must be a number in (0, 1]".into(),
-                    })
-                }
-                (Some(_), Some(_)) => {
-                    return Err(ServeError::InvalidField {
-                        field: "sample_rate",
-                        why: "cannot combine sample_rate with sample_budget".into(),
-                    })
-                }
-            };
-            let replay_threads = match field(&fields, "replay_threads") {
-                None | Some(Json::Null) => ReplayThreads::Serial,
-                Some(Json::Str(s)) if s == "auto" => ReplayThreads::Auto,
-                Some(Json::Num(n)) => {
-                    let n = as_u64("replay_threads", *n)?;
-                    if n == 0 {
-                        return Err(ServeError::InvalidField {
-                            field: "replay_threads",
-                            why: "must be at least 1".into(),
-                        });
-                    }
-                    ReplayThreads::Fixed(n as usize)
-                }
-                Some(_) => {
-                    return Err(ServeError::InvalidField {
-                        field: "replay_threads",
-                        why: "expected an integer or \"auto\"".into(),
-                    })
-                }
-            };
+            // A rate that is not a number is checked as NaN, which the
+            // range rule refuses.
+            let rate = field(&fields, "sample_rate").map(|v| match v {
+                Json::Num(rate) => *rate,
+                _ => f64::NAN,
+            });
+            let sampling = SamplingConfig::checked(rate, opt_u64(&fields, "sample_budget")?)
+                .map_err(|e| ServeError::InvalidField {
+                    field: match e {
+                        SamplingError::ZeroBudget => "sample_budget",
+                        SamplingError::RateOutOfRange | SamplingError::RateWithBudget => {
+                            "sample_rate"
+                        }
+                    },
+                    why: e.to_string(),
+                })?;
             let grains = opt_u64_array(&fields, "grains")?;
             if grains.contains(&0) {
                 return Err(ServeError::InvalidField {
@@ -692,7 +659,6 @@ fn parse_request(line: &[u8]) -> Result<Request, ServeError> {
                 id,
                 grains,
                 sampling,
-                replay_threads,
                 budget_events: opt_u64(&fields, "budget_events")?,
                 save: opt_str(&fields, "save")?,
             }))
@@ -1494,7 +1460,6 @@ fn execute_replay(
     let opts = AnalyzeOptions {
         budget,
         sampling: req.sampling,
-        replay_threads: req.replay_threads,
         job: Some(job.to_string()),
         ..AnalyzeOptions::default()
     };
@@ -1688,10 +1653,7 @@ mod tests {
         assert_eq!(parse_request(br#"{"kind":"ping"}"#), Ok(Request::Ping));
         assert!(matches!(
             parse_request(br#"{"kind":"replay","id":"t1","replay_threads":"auto"}"#),
-            Ok(Request::Replay(ReplayRequest {
-                replay_threads: ReplayThreads::Auto,
-                ..
-            }))
+            Ok(Request::Replay(_))
         ));
     }
 

@@ -225,8 +225,8 @@ fn contexts_report_names_call_paths() {
 }
 
 /// The contexts report replays the context-split program through the
-/// same engine options as every other report: partitioned replay and
-/// rate-1 sampling both reproduce the serial exact rows.
+/// same engine options as every other report: rate-1 sampling
+/// reproduces the exact rows.
 #[test]
 fn contexts_report_composes_with_engine_flags() {
     let base = [
@@ -236,11 +236,10 @@ fn contexts_report_composes_with_engine_flags() {
     assert!(ok);
     assert!(serial.lines().next().unwrap().contains("carrier"));
     assert_eq!(serial.lines().count(), 21);
-    for extra in [["--replay-threads", "2"], ["--sample-rate", "1.0"]] {
-        let (stdout, stderr, ok) = run(&[&base[..], &extra[..]].concat());
-        assert!(ok, "{extra:?}: {stderr}");
-        assert_eq!(stdout, serial, "{extra:?} changed the contexts report");
-    }
+    let extra = ["--sample-rate", "1.0"];
+    let (stdout, stderr, ok) = run(&[&base[..], &extra[..]].concat());
+    assert!(ok, "{extra:?}: {stderr}");
+    assert_eq!(stdout, serial, "{extra:?} changed the contexts report");
 }
 
 #[test]

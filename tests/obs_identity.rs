@@ -16,7 +16,7 @@
 use reuselens::cache::{report_from_analysis, HierarchyReport, MemoryHierarchy};
 use reuselens::core::{
     analyze_buffer, analyze_buffer_with, capture_program, AnalysisResult, AnalyzeOptions,
-    CheckpointOptions, ReplayThreads, ReuseProfile, SamplingConfig,
+    CheckpointOptions, ReuseProfile, SamplingConfig,
 };
 use reuselens::metrics::run_locality_analysis;
 use reuselens::obs::{
@@ -377,98 +377,6 @@ fn exact_sampling_config_is_bit_identical_to_default_path() {
             w.program.name()
         );
         assert_eq!(baseline.reports, reports);
-    }
-}
-
-/// Time-partitioned single-grain replay is the same analysis three ways:
-/// bit-identical to the serial pipeline with obs dark, still
-/// bit-identical with the recorder and timeline lit, and the new
-/// partition spans and counters reconcile against ground truth — one
-/// worker span per (grain, partition), per-partition decode totals
-/// summing to exactly the serial decode totals.
-#[test]
-fn partitioned_replay_is_bit_identical_and_reconciles() {
-    let hs = hierarchies();
-    let g = grains(&hs);
-    let ngrains = g.len() as u64;
-    let parts = 3u64;
-    for w in workloads() {
-        let baseline = run_pipeline(&w, &hs);
-
-        let (buffer, _exec) = capture_program(&w.program, w.index_arrays.clone()).unwrap();
-        let opts = AnalyzeOptions {
-            replay_threads: ReplayThreads::Fixed(parts as usize),
-            ..AnalyzeOptions::default()
-        };
-
-        // Phase A: partitioned replay with observability dark.
-        let (dark, _timings) = analyze_buffer_with(&w.program, &buffer, &g, &opts)
-            .into_strict()
-            .unwrap();
-        assert_eq!(
-            baseline.profiles,
-            dark,
-            "{}: partitioned replay must be bit-identical to serial with obs off",
-            w.program.name()
-        );
-
-        // Phase B: same partitioned replay, recorder + timeline lit.
-        let recorder = Arc::new(MetricsRecorder::new());
-        let timeline = Arc::new(Timeline::new());
-        let scope = obs::Obs {
-            timeline: Some(timeline.clone()),
-            ..recorder.clone().into()
-        }
-        .enter();
-        let (lit, _timings) = analyze_buffer_with(&w.program, &buffer, &g, &opts)
-            .into_strict()
-            .unwrap();
-        drop(scope);
-        assert_eq!(
-            baseline.profiles,
-            lit,
-            "{}: partitioned replay must be bit-identical to serial with obs on",
-            w.program.name()
-        );
-
-        let snap = recorder.snapshot();
-        // Still one replay span per grain; each nests `parts` worker
-        // spans, and the spawn counter agrees with the span count.
-        assert_eq!(snap.stage(Stage::Replay).count, ngrains);
-        assert_eq!(snap.stage(Stage::Partition).count, ngrains * parts);
-        assert_eq!(snap.counter(Counter::PartitionsSpawned), ngrains * parts);
-        // Partitions decode disjoint segments whose event counts sum to
-        // exactly what a serial replay of each grain decodes.
-        let stats = buffer.stats();
-        assert_eq!(snap.counter(Counter::EventsDecoded), ngrains * stats.events);
-        assert_eq!(
-            snap.counter(Counter::AccessesDecoded),
-            ngrains * stats.accesses
-        );
-        assert_eq!(snap.counter(Counter::GrainsCompleted), ngrains);
-        assert_eq!(snap.counter(Counter::GrainsFailed), 0);
-        // These workloads revisit blocks across partition boundaries, so
-        // the stitch pass must have resolved cross-partition reuses.
-        assert!(
-            snap.counter(Counter::PartitionStitch) > 0,
-            "{}: expected cross-partition reuses to stitch",
-            w.program.name()
-        );
-
-        // The timeline tells the same story: one event per worker span,
-        // each carrying its segment's event count, summing per grain to
-        // the full captured stream.
-        let tsnap = timeline.snapshot();
-        let workers: Vec<_> = tsnap.stage_events(Stage::Partition).collect();
-        assert_eq!(workers.len() as u64, ngrains * parts);
-        let decoded: u64 = workers.iter().filter_map(|e| e.args.events).sum();
-        assert_eq!(decoded, ngrains * stats.events);
-        for event in &workers {
-            assert!(
-                event.args.grain.is_some(),
-                "partition spans must carry their grain"
-            );
-        }
     }
 }
 

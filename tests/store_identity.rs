@@ -4,15 +4,15 @@
 //! For Sweep3D and GTC the suite captures once, round-trips the buffer
 //! through an on-disk [`TraceStore`] (including a fresh re-open so the
 //! bytes really come from disk), and replays both copies across the
-//! grain set {1, 64, 4096}, every sampling mode, and serial /
-//! fixed / auto replay-thread settings. Identity is checked at two
+//! grain set {1, 64, 4096} and every sampling mode. Identity is checked
+//! at two
 //! levels: the exported trace image byte-for-byte, and the canonical
 //! serialized profile bytes (the same bytes `reuselens serve` CRCs into
 //! every replay response).
 
 use reuselens::core::{
-    analyze_buffer_with, capture_program, write_profiles, AnalyzeOptions, ReplayThreads,
-    SamplingConfig, SavedProfiles,
+    analyze_buffer_with, capture_program, write_profiles, AnalyzeOptions, SamplingConfig,
+    SavedProfiles,
 };
 use reuselens::store::TraceStore;
 use reuselens::trace::TraceBuffer;
@@ -85,32 +85,22 @@ fn assert_identical_everywhere(w: &BuiltWorkload, tag: &str) {
         SamplingConfig::fixed(0.25),
         SamplingConfig::adaptive(4096),
     ];
-    let threads = [
-        ReplayThreads::Serial,
-        ReplayThreads::Fixed(2),
-        ReplayThreads::Fixed(3),
-        ReplayThreads::Auto,
-    ];
     for sampling in modes {
-        for replay_threads in threads {
-            let opts = AnalyzeOptions {
-                sampling,
-                replay_threads,
-                ..AnalyzeOptions::default()
-            };
-            let a = analyze_buffer_with(&w.program, &direct, &GRAINS, &opts);
-            let b = analyze_buffer_with(&w.program, &stored, &GRAINS, &opts);
-            assert!(
-                a.failures.is_empty() && b.failures.is_empty(),
-                "{tag}: unexpected grain failures under {sampling:?}/{replay_threads:?}"
-            );
-            assert_eq!(
-                profile_bytes(tag, &a.profiles),
-                profile_bytes(tag, &b.profiles),
-                "{tag}: stored-trace profiles diverge from in-memory replay \
-                 under {sampling:?}/{replay_threads:?}"
-            );
-        }
+        let opts = AnalyzeOptions {
+            sampling,
+            ..AnalyzeOptions::default()
+        };
+        let a = analyze_buffer_with(&w.program, &direct, &GRAINS, &opts);
+        let b = analyze_buffer_with(&w.program, &stored, &GRAINS, &opts);
+        assert!(
+            a.failures.is_empty() && b.failures.is_empty(),
+            "{tag}: unexpected grain failures under {sampling:?}"
+        );
+        assert_eq!(
+            profile_bytes(tag, &a.profiles),
+            profile_bytes(tag, &b.profiles),
+            "{tag}: stored-trace profiles diverge from in-memory replay under {sampling:?}"
+        );
     }
 }
 
