@@ -126,7 +126,7 @@ pub enum ReuseLensError {
     Config(ConfigError),
     /// An analysis crossed its resource budget.
     Budget(BudgetExceeded),
-    /// A grain's replay thread panicked (after the retry pass).
+    /// A grain's replay thread panicked.
     GrainFailed {
         /// Block size of the failed grain.
         block_size: u64,

@@ -60,7 +60,7 @@ pub use analyze::{
 };
 pub use analyzer::{MultiGrainAnalyzer, ReuseAnalyzer};
 pub use blocktable::{BlockEntry, BlockTable, MAX_BLOCKS};
-pub use budget::{AnalysisBudget, BudgetExceeded, BudgetLimit, BudgetProgress};
+pub use budget::{AnalysisBudget, BudgetExceeded, BudgetProgress};
 pub use context::{ContextId, ContextProfile, CtxPattern, CtxPatternKey};
 pub use histogram::Histogram;
 pub use patterns::{PatternKey, ReusePattern, ReuseProfile};

@@ -5,10 +5,12 @@
 
 use reuselens_core::{
     analyze_buffer, analyze_buffer_with, analyze_program, capture_program, AnalysisBudget,
-    AnalysisError, AnalyzeOptions, BudgetLimit, CheckpointOptions, GrainError, SamplingConfig,
+    AnalysisError, AnalyzeOptions, CheckpointOptions, GrainError, SamplingConfig,
 };
 use reuselens_ir::{AccessKind, Program, ProgramBuilder, RefId, ScopeId};
+use reuselens_obs::{EventLog, Obs};
 use reuselens_trace::{TraceBuffer, TraceSink};
+use std::sync::Arc;
 
 /// A two-sweep streaming workload: enough footprint to exercise the block
 /// table and tree, deterministic shape for bit-identical comparisons.
@@ -32,7 +34,7 @@ const PANICKING_GRAIN: u64 = 0;
 
 /// One panicking grain among healthy ones: the survivors' profiles are
 /// bit-identical to a fully healthy run, and the failure report names the
-/// dead grain with its panic message and the retry flag set.
+/// dead grain with its panic message.
 #[test]
 fn single_grain_panic_leaves_siblings_bit_identical() {
     let prog = workload(2048);
@@ -54,14 +56,16 @@ fn single_grain_panic_leaves_siblings_bit_identical() {
 
     // The failure report is fully populated.
     let failure = partial.failure_at(PANICKING_GRAIN).unwrap();
-    assert!(failure.retried, "panicked grains get one sequential retry");
     match &failure.error {
         GrainError::Panicked(msg) => {
             assert!(msg.contains("power of two"), "unexpected message: {msg}")
         }
         other => panic!("expected a panic report, got {other}"),
     }
-    assert!(failure.to_string().contains("after retry"));
+    assert_eq!(
+        failure.to_string(),
+        "grain 0: replay thread panicked: block size must be a power of two"
+    );
     assert!(partial.failure_at(64).is_none());
 
     // Sampling composes with panic isolation: the sampled analyzer
@@ -99,61 +103,53 @@ fn strict_analyze_buffer_returns_grain_panicked() {
     }
 }
 
-/// Retries can be disabled; the report then records that none happened.
+/// Replay is deterministic, so a failed grain is not re-run: a panicking
+/// grain starts once and fails once.
 #[test]
-fn retry_can_be_disabled() {
+fn a_panicking_grain_starts_once() {
     let prog = workload(256);
     let (buffer, _) = capture_program(&prog, vec![]).unwrap();
-    let opts = AnalyzeOptions {
-        retry: false,
-        ..AnalyzeOptions::default()
+    let log = Arc::new(EventLog::to_vec());
+    let handle = Obs {
+        events: Some(log.clone()),
+        ..Obs::default()
     };
-    let partial = analyze_buffer_with(&prog, &buffer, &[PANICKING_GRAIN], &opts);
-    let failure = partial.failure_at(PANICKING_GRAIN).unwrap();
-    assert!(!failure.retried);
+    let partial = {
+        let _scope = handle.enter();
+        analyze_buffer_with(
+            &prog,
+            &buffer,
+            &[PANICKING_GRAIN],
+            &AnalyzeOptions::default(),
+        )
+    };
+    assert!(partial.failure_at(PANICKING_GRAIN).is_some());
+    let lines = log.captured();
+    let count = |event: &str| lines.matches(&format!("\"event\":\"{event}\"")).count();
+    assert_eq!(count("grain_started"), 1, "{lines}");
+    assert_eq!(count("grain_failed"), 1, "{lines}");
 }
 
-/// Each budget axis trips with progress counters populated; the decode,
+/// The events cap trips with progress counters populated; the decode,
 /// block-table, and tree footprints at abandonment are all reported.
 #[test]
 fn budgets_trip_with_progress_counters() {
     let prog = workload(4096); // 8192 accesses, 512 lines at 64 B
     let (buffer, _) = capture_program(&prog, vec![]).unwrap();
-
-    let cases = [
-        (
-            AnalysisBudget::unlimited().with_max_events(100),
-            BudgetLimit::Events,
-        ),
-        (
-            AnalysisBudget::unlimited().with_max_distinct_blocks(10),
-            BudgetLimit::DistinctBlocks,
-        ),
-        (
-            AnalysisBudget::unlimited().with_max_tree_nodes(10),
-            BudgetLimit::TreeNodes,
-        ),
-    ];
-    for (budget, want_limit) in cases {
-        let opts = AnalyzeOptions {
-            budget,
-            ..AnalyzeOptions::default()
-        };
-        let partial = analyze_buffer_with(&prog, &buffer, &[64], &opts);
-        let failure = partial.failure_at(64).expect("budget must trip");
-        assert!(
-            !failure.retried,
-            "budget failures are deterministic, not retried"
-        );
-        match &failure.error {
-            GrainError::Budget(e) => {
-                assert_eq!(e.limit, want_limit);
-                assert!(e.progress.events > 0);
-                assert!(e.progress.distinct_blocks > 0);
-                assert!(e.progress.tree_nodes > 0);
-            }
-            other => panic!("expected a budget report, got {other}"),
+    let opts = AnalyzeOptions {
+        budget: AnalysisBudget::unlimited().with_max_events(100),
+        ..AnalyzeOptions::default()
+    };
+    let partial = analyze_buffer_with(&prog, &buffer, &[64], &opts);
+    let failure = partial.failure_at(64).expect("budget must trip");
+    match &failure.error {
+        GrainError::Budget(e) => {
+            assert_eq!(e.allowed, 100);
+            assert!(e.progress.events > 0);
+            assert!(e.progress.distinct_blocks > 0);
+            assert!(e.progress.tree_nodes > 0);
         }
+        other => panic!("expected a budget report, got {other}"),
     }
 }
 
@@ -188,7 +184,7 @@ fn serial_and_checkpointed_grains_trip_the_budget_within_one_step() {
         let failure = partial.failure_at(64).expect("budget must trip");
         match &failure.error {
             GrainError::Budget(e) => {
-                assert_eq!(e.limit, BudgetLimit::Events);
+                assert_eq!(e.allowed, 100);
                 assert!(
                     e.progress.events <= 100 + STEP,
                     "{name}: budget tripped only at event {}",
@@ -209,10 +205,7 @@ fn generous_budget_matches_fast_path() {
     let (buffer, _) = capture_program(&prog, vec![]).unwrap();
     let fast = analyze_buffer(&prog, &buffer, &[64, 4096]).unwrap().0;
     let opts = AnalyzeOptions {
-        budget: AnalysisBudget::unlimited()
-            .with_max_events(1 << 40)
-            .with_max_distinct_blocks(1 << 40)
-            .with_max_tree_nodes(1 << 40),
+        budget: AnalysisBudget::unlimited().with_max_events(1 << 40),
         ..AnalyzeOptions::default()
     };
     let partial = analyze_buffer_with(&prog, &buffer, &[64, 4096], &opts);

@@ -433,10 +433,7 @@ fn row_options(
     match mode {
         Mode::Plain => base,
         Mode::RoomyBudget => AnalyzeOptions {
-            budget: AnalysisBudget::unlimited()
-                .with_max_events(1 << 40)
-                .with_max_distinct_blocks(1 << 40)
-                .with_max_tree_nodes(1 << 40),
+            budget: AnalysisBudget::unlimited().with_max_events(1 << 40),
             ..base
         },
         Mode::Checkpointed => AnalyzeOptions {

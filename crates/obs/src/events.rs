@@ -68,9 +68,10 @@ use crate::GrainProfile;
 pub enum Severity {
     /// Normal forward progress (grain completed, checkpoint written).
     Info,
-    /// Degradation the run survived (retry, rejected snapshot, rate drop).
+    /// Degradation the run survived (rejected snapshot, rate drop, job
+    /// rejected).
     Warn,
-    /// A component failed for good (grain dead after final attempt).
+    /// A component failed for good (grain or job failed).
     Error,
 }
 
@@ -108,17 +109,12 @@ pub enum EventKind {
     },
     /// One grain's replay produced a profile.
     GrainCompleted {
-        /// The grain's cost row (status `Completed` or `Retried`). The
+        /// The grain's cost row (status `Completed`). The
         /// log renders its block size as `grain`, `events`,
         /// `distinct_blocks` and its wall time as `wall_ns`.
         profile: GrainProfile,
     },
-    /// A panicked grain is being retried sequentially.
-    GrainRetried {
-        /// Block size in bytes.
-        grain: u64,
-    },
-    /// A grain was declared dead after its final attempt.
+    /// A grain failed: no profile for it.
     GrainFailed {
         /// Block size in bytes.
         grain: u64,
@@ -221,7 +217,6 @@ impl EventKind {
             EventKind::RunFinished { .. } => "run_finished",
             EventKind::GrainStarted { .. } => "grain_started",
             EventKind::GrainCompleted { .. } => "grain_completed",
-            EventKind::GrainRetried { .. } => "grain_retried",
             EventKind::GrainFailed { .. } => "grain_failed",
             EventKind::CheckpointWritten { .. } => "checkpoint_written",
             EventKind::CheckpointResumed { .. } => "checkpoint_resumed",
@@ -239,8 +234,7 @@ impl EventKind {
     pub fn severity(&self) -> Severity {
         match self {
             EventKind::GrainFailed { .. } | EventKind::JobFailed { .. } => Severity::Error,
-            EventKind::GrainRetried { .. }
-            | EventKind::CheckpointRejected { .. }
+            EventKind::CheckpointRejected { .. }
             | EventKind::SampleRateDropped { .. }
             | EventKind::JobRejected { .. } => Severity::Warn,
             _ => Severity::Info,
@@ -256,9 +250,7 @@ impl EventKind {
                 write!(out, ",\"command\":\"{}\"", escape(command))
             }
             EventKind::RunFinished { ok } => write!(out, ",\"ok\":{ok}"),
-            EventKind::GrainStarted { grain } | EventKind::GrainRetried { grain } => {
-                write!(out, ",\"grain\":{grain}")
-            }
+            EventKind::GrainStarted { grain } => write!(out, ",\"grain\":{grain}"),
             EventKind::GrainCompleted { profile } => write!(
                 out,
                 ",\"grain\":{},\"events\":{},\"distinct_blocks\":{},\"wall_ns\":{}",
@@ -568,10 +560,6 @@ mod tests {
             Severity::Warn
         );
         assert_eq!(
-            EventKind::GrainRetried { grain: 1 }.severity(),
-            Severity::Warn
-        );
-        assert_eq!(
             EventKind::SampleRateDropped {
                 grain: 1,
                 inv_rate: 2,
@@ -655,7 +643,6 @@ mod tests {
                 },
                 "grain_completed",
             ),
-            (EventKind::GrainRetried { grain: 1 }, "grain_retried"),
             (
                 EventKind::GrainFailed {
                     grain: 1,

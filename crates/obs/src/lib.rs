@@ -15,7 +15,7 @@
 //!   can reconstruct the hierarchy. Opening a span allocates nothing.
 //! * **Counters and gauges** ([`add`], [`set_gauge`]) — typed, fixed-set
 //!   pipeline totals (events decoded, blocks tracked, tree reinserts,
-//!   grains completed/failed/retried, sweep configs scored, ...) and
+//!   grains completed/failed, sweep configs scored, ...) and
 //!   budget-progress gauges. Instrumented code always reports *bulk*
 //!   deltas (per batch, per grain, per buffer), never per event.
 //! * **Exporters** — [`format_summary`] (human-readable) and
@@ -200,10 +200,8 @@ pub enum Counter {
     GrainsRequested,
     /// Grains whose replay completed and produced a profile.
     GrainsCompleted,
-    /// Grains declared dead after their final attempt.
+    /// Grains whose replay failed.
     GrainsFailed,
-    /// Sequential retries of panicked grains.
-    GrainsRetried,
     /// Candidate hierarchies scored successfully in sweeps.
     SweepConfigsScored,
     /// Candidate hierarchies that failed validation or scoring.
@@ -253,7 +251,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 30] = [
+    pub const ALL: [Counter; 29] = [
         Counter::EventsCaptured,
         Counter::AccessesCaptured,
         Counter::BytesEncoded,
@@ -264,7 +262,6 @@ impl Counter {
         Counter::GrainsRequested,
         Counter::GrainsCompleted,
         Counter::GrainsFailed,
-        Counter::GrainsRetried,
         Counter::SweepConfigsScored,
         Counter::SweepConfigsFailed,
         Counter::ReportsGenerated,
@@ -300,7 +297,6 @@ impl Counter {
             Counter::GrainsRequested => "grains_requested",
             Counter::GrainsCompleted => "grains_completed",
             Counter::GrainsFailed => "grains_failed",
-            Counter::GrainsRetried => "grains_retried",
             Counter::SweepConfigsScored => "sweep_configs_scored",
             Counter::SweepConfigsFailed => "sweep_configs_failed",
             Counter::ReportsGenerated => "reports_generated",
@@ -340,7 +336,6 @@ impl Counter {
             Counter::GrainsRequested => "Grains submitted to the replay engine.",
             Counter::GrainsCompleted => "Grains whose replay produced a profile.",
             Counter::GrainsFailed => "Grains declared dead after their final attempt.",
-            Counter::GrainsRetried => "Sequential retries of panicked grains.",
             Counter::SweepConfigsScored => "Candidate hierarchies scored successfully.",
             Counter::SweepConfigsFailed => "Candidate hierarchies that failed scoring.",
             Counter::ReportsGenerated => "Attribution reports generated.",

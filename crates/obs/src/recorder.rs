@@ -10,11 +10,9 @@ use std::time::Duration;
 /// How one grain's replay ended, as recorded in its [`GrainProfile`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GrainStatus {
-    /// The replay completed on its first attempt.
+    /// The replay completed and produced a profile.
     Completed,
-    /// The replay panicked once and completed on its sequential retry.
-    Retried,
-    /// The grain was declared dead after its final attempt.
+    /// The replay failed (panic, budget or checkpoint I/O).
     Failed,
 }
 
@@ -23,7 +21,6 @@ impl GrainStatus {
     pub fn name(self) -> &'static str {
         match self {
             GrainStatus::Completed => "completed",
-            GrainStatus::Retried => "retried",
             GrainStatus::Failed => "failed",
         }
     }
@@ -165,7 +162,6 @@ impl MetricsRecorder {
                     sample_inv: 0,
                 });
             }
-            EventKind::GrainRetried { .. } => self.add(Counter::GrainsRetried, 1),
             EventKind::CheckpointWritten { bytes, .. } => {
                 self.add(Counter::CheckpointsWritten, 1);
                 self.set_gauge(Gauge::SnapshotBytes, *bytes);

@@ -72,13 +72,6 @@ pub struct ServiceConfig {
     pub window_short: Duration,
     /// The long rolling-rate window (`events_per_s_10s`).
     pub window_long: Duration,
-    /// Per-grain event budget, when the run configured one — lets
-    /// `/healthz` report headroom next to the budget-progress gauges.
-    pub budget_events: Option<u64>,
-    /// Per-grain distinct-block budget, when configured.
-    pub budget_distinct_blocks: Option<u64>,
-    /// Per-grain tree-node budget, when configured.
-    pub budget_tree_nodes: Option<u64>,
     /// Renders the `/jobs` response body (the daemon's job table as
     /// JSON); `None` — every non-daemon run — answers 404 on that path.
     pub jobs: Option<Arc<dyn Fn() -> String + Send + Sync>>,
@@ -91,9 +84,6 @@ impl fmt::Debug for ServiceConfig {
             .field("heartbeat", &self.heartbeat)
             .field("window_short", &self.window_short)
             .field("window_long", &self.window_long)
-            .field("budget_events", &self.budget_events)
-            .field("budget_distinct_blocks", &self.budget_distinct_blocks)
-            .field("budget_tree_nodes", &self.budget_tree_nodes)
             .field("jobs", &self.jobs.as_ref().map(|_| "<callback>"))
             .finish()
     }
@@ -106,9 +96,6 @@ impl Default for ServiceConfig {
             heartbeat: None,
             window_short: Duration::from_secs(1),
             window_long: Duration::from_secs(10),
-            budget_events: None,
-            budget_distinct_blocks: None,
-            budget_tree_nodes: None,
             jobs: None,
         }
     }
@@ -304,21 +291,12 @@ impl Shared {
             }
         }
         out.push_str("}}");
-        let budget = |cap: Option<u64>, value: u64| match cap {
-            Some(cap) => format!("{}", cap.saturating_sub(value)),
-            None => "null".to_string(),
-        };
-        let events = self.recorder.gauge(crate::Gauge::BudgetEvents);
-        let blocks = self.recorder.gauge(crate::Gauge::BudgetDistinctBlocks);
-        let nodes = self.recorder.gauge(crate::Gauge::BudgetTreeNodes);
         let _ = write!(
             out,
-            ",\"budget\":{{\"events\":{events},\"events_headroom\":{},\
-             \"distinct_blocks\":{blocks},\"distinct_blocks_headroom\":{},\
-             \"tree_nodes\":{nodes},\"tree_nodes_headroom\":{}}}",
-            budget(self.config.budget_events, events),
-            budget(self.config.budget_distinct_blocks, blocks),
-            budget(self.config.budget_tree_nodes, nodes),
+            ",\"budget\":{{\"events\":{},\"distinct_blocks\":{},\"tree_nodes\":{}}}",
+            self.recorder.gauge(crate::Gauge::BudgetEvents),
+            self.recorder.gauge(crate::Gauge::BudgetDistinctBlocks),
+            self.recorder.gauge(crate::Gauge::BudgetTreeNodes),
         );
         let _ = write!(
             out,
@@ -602,16 +580,13 @@ mod tests {
     }
 
     #[test]
-    fn health_reports_progress_eta_and_budget_headroom() {
+    fn health_reports_progress_eta_and_budget_progress() {
         let recorder = Arc::new(MetricsRecorder::new());
         recorder.add(Counter::GrainsRequested, 4);
         recorder.add(Counter::GrainsCompleted, 1);
         recorder.set_gauge(Gauge::BudgetEvents, 300);
-        let config = ServiceConfig {
-            budget_events: Some(1000),
-            ..fast_config()
-        };
-        let service = TelemetryService::start(recorder, None, config);
+        recorder.set_gauge(Gauge::BudgetDistinctBlocks, 20);
+        let service = TelemetryService::start(recorder, None, fast_config());
         let health = service.health_json();
         assert!(health.contains("\"grains_requested\":4"), "{health}");
         assert!(health.contains("\"grains_done\":1"), "{health}");
@@ -620,10 +595,8 @@ mod tests {
             !health.contains("\"eta_s\":null"),
             "one grain done: {health}"
         );
-        assert!(health.contains("\"events\":300"), "{health}");
-        assert!(health.contains("\"events_headroom\":700"), "{health}");
         assert!(
-            health.contains("\"distinct_blocks_headroom\":null"),
+            health.contains("\"budget\":{\"events\":300,\"distinct_blocks\":20,\"tree_nodes\":0}"),
             "{health}"
         );
         service.shutdown();

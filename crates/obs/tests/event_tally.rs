@@ -17,7 +17,7 @@ fn completed_row() -> GrainProfile {
         events: 2,
         distinct_blocks: 3,
         tree_nodes: 3,
-        status: GrainStatus::Retried,
+        status: GrainStatus::Completed,
         blocks_sampled: 5,
         blocks_evicted: 6,
         sample_inv: 7,
@@ -54,11 +54,6 @@ fn every_kind() -> Vec<(EventKind, &'static str, Tally)> {
             },
             r#""severity":"info","event":"grain_completed","grain":64,"events":2,"distinct_blocks":3,"wall_ns":4}"#,
             Some((Counter::GrainsCompleted, 1)),
-        ),
-        (
-            EventKind::GrainRetried { grain: 64 },
-            r#""severity":"warn","event":"grain_retried","grain":64}"#,
-            Some((Counter::GrainsRetried, 1)),
         ),
         (
             EventKind::GrainFailed {

@@ -105,7 +105,7 @@ fn degraded_sweep_keeps_healthy_candidates() {
 fn budgeted_analysis_on_real_workload() {
     let w = random_gather(1 << 10, 1 << 12, 2, 7);
     let tight = AnalyzeOptions {
-        budget: AnalysisBudget::unlimited().with_max_distinct_blocks(8),
+        budget: AnalysisBudget::unlimited().with_max_events(8),
         ..AnalyzeOptions::default()
     };
     let (buffer, report) = capture_program(&w.program, w.index_arrays.clone()).unwrap();
@@ -113,8 +113,9 @@ fn budgeted_analysis_on_real_workload() {
     let failure = partial.failure_at(128).expect("tight budget must trip");
     match &failure.error {
         GrainError::Budget(e) => {
-            assert!(e.progress.distinct_blocks > 8);
-            assert!(e.progress.events > 0);
+            assert_eq!(e.allowed, 8);
+            assert!(e.progress.events > 8);
+            assert!(e.progress.distinct_blocks > 0);
         }
         other => panic!("expected budget failure, got {other}"),
     }
