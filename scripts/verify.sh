@@ -107,7 +107,10 @@ rm -rf "$SRV_TMP"
 # second runs two workers, so its two-grain replays may share one replay
 # lane or spread over two, and every one of them must save the same
 # bytes. A third process then evicts and re-captures the trace (see
-# below). EOF on stdin is the clean-shutdown path.
+# below). The first process also replays under a 10-event budget, the one
+# replay budget a request can set: that job must fail typed with the
+# events-cap message while its siblings succeed. EOF on stdin is the
+# clean-shutdown path.
 DMN_TMP="target/verify-daemon"
 rm -rf "$DMN_TMP" && mkdir -p "$DMN_TMP"
 printf '%s\n' \
@@ -115,10 +118,15 @@ printf '%s\n' \
     '{"kind":"replay","id":"smoke","grains":[64],"save":"target/verify-daemon/a.rlp"}' \
     '{"kind":"replay","id":"smoke","grains":[64],"save":"target/verify-daemon/b.rlp"}' \
     '{"kind":"replay","id":"smoke","grains":[64,4096],"save":"target/verify-daemon/a2.rlp"}' \
+    '{"kind":"replay","id":"smoke","grains":[64],"budget_events":10}' \
     | ./target/release/reuselens serve --store "$DMN_TMP/store" \
         --stdin --workers 1 > "$DMN_TMP/responses.ndjson" 2>/dev/null
 [ "$(grep -c '"ok":true' "$DMN_TMP/responses.ndjson")" = 4 ] \
     || { echo "verify: daemon smoke had a failing job" >&2; \
+         cat "$DMN_TMP/responses.ndjson" >&2; exit 1; }
+grep '"ok":false' "$DMN_TMP/responses.ndjson" \
+    | grep -q 'analysis budget exceeded: events cap 10 crossed after' \
+    || { echo "verify: the budget_events replay did not trip the events cap" >&2; \
          cat "$DMN_TMP/responses.ndjson" >&2; exit 1; }
 cmp "$DMN_TMP/a.rlp" "$DMN_TMP/b.rlp" \
     || { echo "verify: daemon replays disagree" >&2; exit 1; }
