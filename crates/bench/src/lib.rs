@@ -15,16 +15,17 @@ use reuselens::cache::MemoryHierarchy;
 
 /// The hierarchy every repro binary predicts for: Itanium2 divided by
 /// `REPRO_SCALE` (default 16).
+///
+/// # Panics
+///
+/// Panics when `REPRO_SCALE` leaves a level without whole sets
+/// ([`MemoryHierarchy::try_itanium2_scaled`]).
 pub fn hierarchy() -> MemoryHierarchy {
     let scale = std::env::var("REPRO_SCALE")
         .ok()
         .and_then(|s| s.parse::<u64>().ok())
         .unwrap_or(16);
-    if scale <= 1 {
-        MemoryHierarchy::itanium2()
-    } else {
-        MemoryHierarchy::itanium2_scaled(scale)
-    }
+    MemoryHierarchy::itanium2_scaled(scale)
 }
 
 /// Renders one aligned table row.

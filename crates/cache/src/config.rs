@@ -211,28 +211,62 @@ impl MemoryHierarchy {
     }
 
     /// The Itanium2 hierarchy with every capacity divided by `factor`
-    /// (line and page sizes kept). The reproduction runs meshes scaled down
+    /// (line and page sizes kept), or [`MemoryHierarchy::itanium2`] itself
+    /// when `factor` is 0 or 1. The reproduction runs meshes scaled down
     /// from the paper's 50³–200³ to CI-friendly sizes; shrinking the caches
     /// by the same factor preserves the *ratio* of working-set to cache
     /// size, which is what determines every crossover in the figures.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `factor` does not divide the capacities down to whole
-    /// sets.
-    pub fn itanium2_scaled(factor: u64) -> MemoryHierarchy {
+    /// Returns [`ConfigError::ScaledLevel`] naming the first level (the
+    /// TLB last) that `factor` does not divide down to whole sets.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use reuselens_cache::{ConfigError, MemoryHierarchy};
+    ///
+    /// assert_eq!(MemoryHierarchy::try_itanium2_scaled(16).unwrap().name, "Itanium2/16");
+    /// assert!(matches!(
+    ///     MemoryHierarchy::try_itanium2_scaled(3),
+    ///     Err(ConfigError::ScaledLevel { ref level, .. }) if level == "L2"
+    /// ));
+    /// ```
+    pub fn try_itanium2_scaled(factor: u64) -> Result<MemoryHierarchy, ConfigError> {
         let mut h = MemoryHierarchy::itanium2();
+        if factor <= 1 {
+            return Ok(h);
+        }
         h.name = format!("Itanium2/{factor}");
+        let in_level = |level: &CacheConfig, error| ConfigError::ScaledLevel {
+            factor,
+            level: level.name.clone(),
+            error: Box::new(error),
+        };
         for level in &mut h.levels {
-            *level = CacheConfig::new(
+            *level = CacheConfig::try_new(
                 &level.name,
                 level.capacity / factor,
                 level.line_size,
                 level.assoc,
-            );
+            )
+            .map_err(|e| in_level(level, e))?;
         }
-        h.tlb = CacheConfig::tlb("TLB", h.tlb.blocks() / factor, h.tlb.line_size, Assoc::Full);
-        h
+        h.tlb = CacheConfig::try_tlb("TLB", h.tlb.blocks() / factor, h.tlb.line_size, Assoc::Full)
+            .map_err(|e| in_level(&h.tlb, e))?;
+        Ok(h)
+    }
+
+    /// The Itanium2 hierarchy scaled by `factor`, as
+    /// [`MemoryHierarchy::try_itanium2_scaled`] builds it.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`MemoryHierarchy::try_itanium2_scaled`] would return
+    /// an error.
+    pub fn itanium2_scaled(factor: u64) -> MemoryHierarchy {
+        MemoryHierarchy::try_itanium2_scaled(factor).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Block sizes an analysis pass must measure at to feed every level of
@@ -253,9 +287,9 @@ impl MemoryHierarchy {
     /// Validates the hierarchy as a whole: at least one cache level, every
     /// level and the TLB geometrically valid, all names (TLB included)
     /// distinct, and one miss penalty per level. Called by
-    /// [`evaluate_sweep`](crate::evaluate_sweep) before scoring, so a
-    /// hand-built candidate cannot poison a sweep with a panic deep in the
-    /// model.
+    /// [`try_report_from_analysis`](crate::try_report_from_analysis) before
+    /// scoring, so a hand-built candidate fails with an error instead of a
+    /// panic deep in the model.
     ///
     /// # Errors
     ///
@@ -329,6 +363,29 @@ mod tests {
         assert_eq!(h.level("L2").unwrap().capacity, 32 * 1024);
         assert_eq!(h.level("L2").unwrap().line_size, 128);
         assert_eq!(h.tlb.blocks(), 16);
+    }
+
+    #[test]
+    fn a_scale_that_breaks_a_level_names_it() {
+        assert_eq!(
+            MemoryHierarchy::try_itanium2_scaled(1),
+            Ok(MemoryHierarchy::itanium2())
+        );
+        assert_eq!(
+            MemoryHierarchy::try_itanium2_scaled(0),
+            Ok(MemoryHierarchy::itanium2())
+        );
+        let e = MemoryHierarchy::try_itanium2_scaled(3).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "cannot divide level \"L2\" by 3: capacity must be a positive multiple \
+             of the line size (capacity 87381, line size 128)"
+        );
+        // 256 keeps whole cache sets but leaves the TLB no entries.
+        assert!(matches!(
+            MemoryHierarchy::try_itanium2_scaled(256),
+            Err(ConfigError::ScaledLevel { ref level, factor: 256, .. }) if level == "TLB"
+        ));
     }
 
     #[test]

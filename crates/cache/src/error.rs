@@ -3,9 +3,9 @@
 //! Lower layers define their own precise errors — [`ExecError`] for
 //! execution, [`BudgetExceeded`] for resource caps, [`AnalysisError`] for the replay engine — and this
 //! module adds the cache layer's [`ConfigError`] plus the umbrella
-//! [`ReuseLensError`] that every end-to-end pipeline
-//! ([`evaluate_sweep`](crate::evaluate_sweep),
-//! [`evaluate_program_sweep`](crate::evaluate_program_sweep)) returns.
+//! [`ReuseLensError`] that every end-to-end pipeline (scoring through
+//! [`try_report_from_analysis`](crate::try_report_from_analysis), the
+//! metrics layer's analyses) returns.
 //! `From` impls convert each lower error losslessly, so `?` composes the
 //! whole stack.
 
@@ -17,8 +17,9 @@ use std::fmt;
 /// An invalid cache, TLB, or hierarchy description.
 ///
 /// Returned by [`CacheConfig::try_new`](crate::CacheConfig::try_new),
-/// [`CacheConfig::try_tlb`](crate::CacheConfig::try_tlb), and
-/// [`MemoryHierarchy::validate`](crate::MemoryHierarchy::validate). The
+/// [`CacheConfig::try_tlb`](crate::CacheConfig::try_tlb),
+/// [`MemoryHierarchy::try_itanium2_scaled`](crate::MemoryHierarchy::try_itanium2_scaled),
+/// and [`MemoryHierarchy::validate`](crate::MemoryHierarchy::validate). The
 /// panicking constructors delegate to the fallible ones and panic with the
 /// same message this error displays.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,6 +63,16 @@ pub enum ConfigError {
         /// The repeated level name.
         name: String,
     },
+    /// A scale factor leaves one level of a scaled preset invalid
+    /// ([`MemoryHierarchy::try_itanium2_scaled`](crate::MemoryHierarchy::try_itanium2_scaled)).
+    ScaledLevel {
+        /// The capacity divisor.
+        factor: u64,
+        /// Name of the level it breaks.
+        level: String,
+        /// What is wrong with the scaled level.
+        error: Box<ConfigError>,
+    },
     /// The miss-penalty vector length does not match the level count.
     PenaltyMismatch {
         /// Name of the offending hierarchy.
@@ -100,6 +111,11 @@ impl fmt::Display for ConfigError {
             ConfigError::DuplicateLevel { hierarchy, name } => {
                 write!(f, "hierarchy {hierarchy:?} has two levels named {name:?}")
             }
+            ConfigError::ScaledLevel {
+                factor,
+                level,
+                error,
+            } => write!(f, "cannot divide level {level:?} by {factor}: {error}"),
             ConfigError::PenaltyMismatch {
                 hierarchy,
                 levels,
@@ -133,13 +149,6 @@ pub enum ReuseLensError {
         /// Panic message, or `"unknown panic payload"`.
         message: String,
     },
-    /// A sweep's scoring thread panicked.
-    SweepPanicked {
-        /// Name of the hierarchy whose thread died.
-        hierarchy: String,
-        /// Panic message, or `"unknown panic payload"`.
-        message: String,
-    },
     /// A hierarchy requires a granularity the analysis did not measure.
     MissingProfile {
         /// Name of the hierarchy that needs the profile.
@@ -165,10 +174,6 @@ impl fmt::Display for ReuseLensError {
             } => write!(
                 f,
                 "replay thread for grain {block_size} panicked: {message}"
-            ),
-            ReuseLensError::SweepPanicked { hierarchy, message } => write!(
-                f,
-                "scoring thread for hierarchy {hierarchy:?} panicked: {message}"
             ),
             ReuseLensError::MissingProfile {
                 hierarchy,

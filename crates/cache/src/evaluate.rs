@@ -1,22 +1,19 @@
-//! One-call evaluation: run a program, predict misses at every hierarchy
-//! level, and model run time.
+//! Scoring: predict misses at every level of one hierarchy from a measured
+//! analysis, and model run time.
 //!
-//! Because predictions are pure functions of immutable reuse profiles, a
-//! whole design-space sweep ([`evaluate_sweep`]) can score every candidate
-//! hierarchy concurrently from one measured analysis — the payoff of the
-//! capture-once / replay-many pipeline.
+//! [`try_report_from_analysis`] is the one scoring call. Predictions are
+//! pure functions of immutable reuse profiles, so one measured analysis
+//! scores any number of candidate hierarchies, one call each — the payoff
+//! of the capture-once / replay-many pipeline.
 
 use crate::config::MemoryHierarchy;
 use crate::error::ReuseLensError;
 use crate::model::{predict_level, LevelPrediction};
 use crate::timing::{predict_cycles, TimingBreakdown};
-use reuselens_core::{analyze_buffer, analyze_program, capture_program, AnalysisResult};
+use reuselens_core::{analyze_program, AnalysisResult};
 use reuselens_ir::{ArrayId, Program};
 use reuselens_obs as obs;
 use reuselens_trace::ExecError;
-use std::fmt;
-use std::panic::{self, AssertUnwindSafe};
-use std::time::{Duration, Instant};
 
 /// Predicted behaviour of one program run on one memory hierarchy.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,213 +153,6 @@ pub fn report_from_analysis(
     try_report_from_analysis(analysis, hierarchy).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Wall time one hierarchy's prediction thread took in a sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepTiming {
-    /// Name of the hierarchy this thread scored.
-    pub hierarchy: String,
-    /// Time spent computing its per-level predictions.
-    pub wall: Duration,
-}
-
-/// One hierarchy's failure inside a degraded sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepFailure {
-    /// Name of the hierarchy that could not be scored.
-    pub hierarchy: String,
-    /// Why scoring it failed.
-    pub error: ReuseLensError,
-}
-
-impl fmt::Display for SweepFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.hierarchy, self.error)
-    }
-}
-
-/// The degraded result of [`evaluate_sweep_degraded`]: reports for every
-/// hierarchy that scored cleanly, and a [`SweepFailure`] for every one
-/// that did not. Each requested hierarchy appears exactly once, in either
-/// `reports` or `failures`, keeping request order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepOutcome {
-    /// Reports of the hierarchies that scored, in request order.
-    pub reports: Vec<HierarchyReport>,
-    /// Per-thread timings, index-aligned with `reports`.
-    pub timings: Vec<SweepTiming>,
-    /// One entry per failed hierarchy, in request order.
-    pub failures: Vec<SweepFailure>,
-}
-
-impl SweepOutcome {
-    /// True when every requested hierarchy was scored.
-    pub fn is_complete(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// Extracts a human-readable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic payload".to_string()
-    }
-}
-
-/// One hierarchy's scoring, panic-isolated and validated.
-fn score_hierarchy(
-    analysis: &AnalysisResult,
-    h: &MemoryHierarchy,
-) -> Result<(HierarchyReport, SweepTiming), SweepFailure> {
-    let start = Instant::now();
-    let outcome = panic::catch_unwind(AssertUnwindSafe(|| try_report_from_analysis(analysis, h)));
-    let report = match outcome {
-        Ok(Ok(report)) => report,
-        Ok(Err(error)) => {
-            return Err(SweepFailure {
-                hierarchy: h.name.clone(),
-                error,
-            })
-        }
-        Err(payload) => {
-            // A panic unwound past the instrumented scoring path, so the
-            // per-config failure counter never ticked; count it here.
-            obs::add(obs::Counter::SweepConfigsFailed, 1);
-            return Err(SweepFailure {
-                hierarchy: h.name.clone(),
-                error: ReuseLensError::SweepPanicked {
-                    hierarchy: h.name.clone(),
-                    message: panic_message(payload.as_ref()),
-                },
-            });
-        }
-    };
-    Ok((
-        report,
-        SweepTiming {
-            hierarchy: h.name.clone(),
-            wall: start.elapsed(),
-        },
-    ))
-}
-
-/// Fans one analysis out over candidate hierarchies, one scoring thread
-/// per candidate, under panic isolation. Returns each candidate's outcome
-/// in request order.
-fn sweep_outcomes(
-    analysis: &AnalysisResult,
-    hierarchies: &[MemoryHierarchy],
-) -> Vec<Result<(HierarchyReport, SweepTiming), SweepFailure>> {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = hierarchies
-            .iter()
-            .map(|h| s.spawn(obs::Obs::inherit(move || score_hierarchy(analysis, h))))
-            .collect();
-        handles
-            .into_iter()
-            .zip(hierarchies)
-            .map(|(handle, h)| match handle.join() {
-                Ok(outcome) => outcome,
-                // `score_hierarchy` catches panics itself; backstop only.
-                Err(payload) => Err(SweepFailure {
-                    hierarchy: h.name.clone(),
-                    error: ReuseLensError::SweepPanicked {
-                        hierarchy: h.name.clone(),
-                        message: panic_message(payload.as_ref()),
-                    },
-                }),
-            })
-            .collect()
-    })
-}
-
-/// Scores one measured analysis against many candidate hierarchies, one
-/// thread per hierarchy. The profiles are shared immutably, so the
-/// predictions are independent and the reports come back in request order
-/// together with per-thread timings.
-///
-/// Every candidate is validated ([`MemoryHierarchy::validate`]) and every
-/// scoring thread runs under panic isolation, so an invalid or
-/// pathological candidate surfaces as an error rather than aborting the
-/// sweep. Use [`evaluate_sweep_degraded`] to keep the healthy candidates'
-/// reports when some fail.
-///
-/// # Errors
-///
-/// Returns the first failure — an invalid hierarchy description, a
-/// missing granularity (measure the union of
-/// [`required_granularities`](MemoryHierarchy::required_granularities)
-/// up front), or an isolated scoring panic — as a [`ReuseLensError`].
-pub fn evaluate_sweep(
-    analysis: &AnalysisResult,
-    hierarchies: &[MemoryHierarchy],
-) -> Result<(Vec<HierarchyReport>, Vec<SweepTiming>), ReuseLensError> {
-    let mut reports = Vec::with_capacity(hierarchies.len());
-    let mut timings = Vec::with_capacity(hierarchies.len());
-    for outcome in sweep_outcomes(analysis, hierarchies) {
-        let (report, timing) = outcome.map_err(|f| f.error)?;
-        reports.push(report);
-        timings.push(timing);
-    }
-    Ok((reports, timings))
-}
-
-/// The degrading form of [`evaluate_sweep`]: scores every candidate under
-/// panic isolation and reports per-candidate failures in the returned
-/// [`SweepOutcome`] instead of failing the whole sweep. A design-space
-/// search over hundreds of generated candidates keeps every healthy data
-/// point even when a few candidates are malformed.
-pub fn evaluate_sweep_degraded(
-    analysis: &AnalysisResult,
-    hierarchies: &[MemoryHierarchy],
-) -> SweepOutcome {
-    let mut out = SweepOutcome {
-        reports: Vec::new(),
-        timings: Vec::new(),
-        failures: Vec::new(),
-    };
-    for outcome in sweep_outcomes(analysis, hierarchies) {
-        match outcome {
-            Ok((report, timing)) => {
-                out.reports.push(report);
-                out.timings.push(timing);
-            }
-            Err(failure) => out.failures.push(failure),
-        }
-    }
-    out
-}
-
-/// The full capture-once pipeline: interprets `program` a single time,
-/// replays the captured trace concurrently at the union of granularities
-/// the candidate hierarchies need, then scores every hierarchy on its own
-/// thread. Reports come back in hierarchy order.
-///
-/// # Errors
-///
-/// Returns any failure along the pipeline — capture, replay, or sweep —
-/// as a [`ReuseLensError`].
-pub fn evaluate_program_sweep(
-    program: &Program,
-    hierarchies: &[MemoryHierarchy],
-    index_arrays: Vec<(ArrayId, Vec<i64>)>,
-) -> Result<(Vec<HierarchyReport>, AnalysisResult), ReuseLensError> {
-    let mut grains: Vec<u64> = hierarchies
-        .iter()
-        .flat_map(MemoryHierarchy::required_granularities)
-        .collect();
-    grains.sort_unstable();
-    grains.dedup();
-    let (buffer, exec) = capture_program(program, index_arrays)?;
-    let (profiles, _timings) = analyze_buffer(program, &buffer, &grains)?;
-    let analysis = AnalysisResult { profiles, exec };
-    let (reports, _timings) = evaluate_sweep(&analysis, hierarchies)?;
-    Ok((reports, analysis))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,26 +198,5 @@ mod tests {
         // Timing reflects the stalls.
         assert!(report.timing.total() > report.timing.non_stall);
         assert!(analysis.profile_at(128).is_some());
-    }
-
-    /// A parallel sweep over scaled hierarchies matches evaluating each
-    /// hierarchy sequentially, report for report.
-    #[test]
-    fn sweep_matches_sequential_evaluation() {
-        let prog = streaming_program(1 << 14, 3);
-        let hierarchies: Vec<MemoryHierarchy> =
-            [1u64, 2, 4, 8].map(MemoryHierarchy::itanium2_scaled).into();
-        let (reports, analysis) = evaluate_program_sweep(&prog, &hierarchies, vec![]).unwrap();
-        assert_eq!(reports.len(), hierarchies.len());
-        for (got, h) in reports.iter().zip(&hierarchies) {
-            let want = report_from_analysis(&analysis, h);
-            assert_eq!(got, &want);
-        }
-        // Timings are observable and labeled in request order.
-        let (again, timings) = evaluate_sweep(&analysis, &hierarchies).unwrap();
-        assert_eq!(again, reports);
-        let names: Vec<&str> = timings.iter().map(|t| t.hierarchy.as_str()).collect();
-        let want_names: Vec<&str> = hierarchies.iter().map(|h| h.name.as_str()).collect();
-        assert_eq!(names, want_names);
     }
 }

@@ -13,7 +13,9 @@
 //!   reproduction's stand-in for hardware counters;
 //! * [`predict_cycles`] converts miss counts into the paper's
 //!   time/non-stall breakdown;
-//! * [`evaluate_program`] does all of the above in one call.
+//! * [`try_report_from_analysis`] scores one measured analysis against one
+//!   hierarchy, and [`evaluate_program`] runs a program and scores it in
+//!   one call.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,17 +26,13 @@ mod error;
 mod evaluate;
 mod model;
 mod simulator;
-mod threec;
 mod timing;
 
 pub use config::{Assoc, CacheConfig, MemoryHierarchy};
 pub use error::{ConfigError, ReuseLensError};
 pub use evaluate::{
-    evaluate_program, evaluate_program_sweep, evaluate_sweep, evaluate_sweep_degraded,
-    report_from_analysis, try_report_from_analysis, HierarchyReport, SweepFailure, SweepOutcome,
-    SweepTiming,
+    evaluate_program, report_from_analysis, try_report_from_analysis, HierarchyReport,
 };
 pub use model::{miss_curve, miss_probability, predict_level, LevelPrediction};
-pub use simulator::{CacheSim, HierarchySim, Replacement};
-pub use threec::{MissBreakdown, ThreeCSim};
+pub use simulator::{CacheSim, HierarchySim};
 pub use timing::{predict_cycles, TimingBreakdown};

@@ -8,19 +8,6 @@ use crate::config::CacheConfig;
 use reuselens_ir::{AccessKind, RefId, ScopeId};
 use reuselens_trace::TraceSink;
 
-/// Replacement policy for [`CacheSim`].
-///
-/// The paper's analysis assumes LRU; FIFO is provided as an ablation to
-/// quantify how much the policy itself matters on a given trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Replacement {
-    /// Evict the least recently used block (the paper's assumption).
-    #[default]
-    Lru,
-    /// Evict the oldest-inserted block regardless of use.
-    Fifo,
-}
-
 /// Simulates one cache level with true LRU replacement and counts misses
 /// per static reference.
 ///
@@ -44,28 +31,18 @@ pub enum Replacement {
 pub struct CacheSim {
     name: String,
     line_shift: u32,
-    sets: Vec<Vec<u64>>, // per-set stacks, most recent/newest first
+    sets: Vec<Vec<u64>>, // per-set LRU stacks, most recent first
     set_count: u64,
     ways: usize,
     accesses: u64,
     misses: u64,
     misses_per_ref: Vec<u64>,
-    replacement: Replacement,
 }
 
 impl CacheSim {
     /// Creates an LRU simulator for the given configuration; `nrefs` sizes
     /// the per-reference miss table.
     pub fn new(config: &CacheConfig, nrefs: usize) -> CacheSim {
-        CacheSim::with_replacement(config, nrefs, Replacement::Lru)
-    }
-
-    /// Creates a simulator with an explicit replacement policy.
-    pub fn with_replacement(
-        config: &CacheConfig,
-        nrefs: usize,
-        replacement: Replacement,
-    ) -> CacheSim {
         CacheSim {
             name: config.name.clone(),
             line_shift: config.line_size.trailing_zeros(),
@@ -75,7 +52,6 @@ impl CacheSim {
             accesses: 0,
             misses: 0,
             misses_per_ref: vec![0; nrefs],
-            replacement,
         }
     }
 
@@ -116,10 +92,8 @@ impl TraceSink for CacheSim {
         let set = &mut self.sets[(block % self.set_count) as usize];
         match set.iter().position(|&b| b == block) {
             Some(pos) => {
-                if self.replacement == Replacement::Lru {
-                    set.remove(pos);
-                    set.insert(0, block);
-                }
+                set.remove(pos);
+                set.insert(0, block);
             }
             None => {
                 self.misses += 1;
@@ -226,23 +200,6 @@ mod tests {
             let expected = oracle::fully_associative_misses(&addrs, 64, cap_blocks as usize);
             assert_eq!(sim.misses(), expected);
         }
-    }
-
-    #[test]
-    fn fifo_keeps_insertion_order() {
-        // 2-entry fully associative cache. Trace: A B A C A.
-        // LRU: after "A B A", A is most-recent, C evicts B -> final A hits.
-        // FIFO: after "A B A", A is *oldest*, C evicts A -> final A misses.
-        let cfg = CacheConfig::new("c", 2 * 64, 64, Assoc::Full);
-        let trace = [0u64, 64, 0, 128, 0];
-        let mut lru = CacheSim::new(&cfg, 1);
-        let mut fifo = CacheSim::with_replacement(&cfg, 1, Replacement::Fifo);
-        for &a in &trace {
-            lru.access(RefId(0), a, 8, AccessKind::Load);
-            fifo.access(RefId(0), a, 8, AccessKind::Load);
-        }
-        assert_eq!(lru.misses(), 3);
-        assert_eq!(fifo.misses(), 4);
     }
 
     #[test]

@@ -335,7 +335,7 @@ impl Counter {
             }
             Counter::GrainsRequested => "Grains submitted to the replay engine.",
             Counter::GrainsCompleted => "Grains whose replay produced a profile.",
-            Counter::GrainsFailed => "Grains declared dead after their final attempt.",
+            Counter::GrainsFailed => "Grains whose replay failed.",
             Counter::SweepConfigsScored => "Candidate hierarchies scored successfully.",
             Counter::SweepConfigsFailed => "Candidate hierarchies that failed scoring.",
             Counter::ReportsGenerated => "Attribution reports generated.",

@@ -141,7 +141,7 @@ reuselens_grains_requested_total 80
 # HELP reuselens_grains_completed_total Grains whose replay produced a profile.
 # TYPE reuselens_grains_completed_total counter
 reuselens_grains_completed_total 90
-# HELP reuselens_grains_failed_total Grains declared dead after their final attempt.
+# HELP reuselens_grains_failed_total Grains whose replay failed.
 # TYPE reuselens_grains_failed_total counter
 reuselens_grains_failed_total 100
 # HELP reuselens_sweep_configs_scored_total Candidate hierarchies scored successfully.

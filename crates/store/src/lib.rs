@@ -1,9 +1,9 @@
 //! # reuselens-store — the on-disk columnar trace store
 //!
 //! The capture engine pays the expensive part of the paper's toolchain
-//! once: interpreting a program into a [`TraceBuffer`]. Everything
-//! downstream — per-grain replay, per-hierarchy scoring, sampled reruns —
-//! only *reads* that buffer. This crate makes the capture outlive the
+//! once: interpreting a program into a [`TraceBuffer`]. Per-grain replay
+//! and sampled reruns only *read* that buffer, and hierarchy scoring
+//! reads the profiles they produce. This crate makes the capture outlive the
 //! process: a [`TraceStore`] persists each buffer's encoded columns in
 //! CRC-framed segment files plus one index file, so one capture serves
 //! unlimited later analysis sessions (the `reuselens serve` daemon's

@@ -12,8 +12,9 @@
 //!
 //! `--scale S` divides the Itanium2 hierarchy capacities by `S`
 //! (default 16, matching the CI-sized default workloads; use `--scale 1`
-//! with larger sizes for full-scale runs). `--report xml` dumps the
-//! hpcviewer-style database to stdout.
+//! with larger sizes for full-scale runs). A factor that leaves a level
+//! without whole sets (any but a power of two up to 128) is a usage error.
+//! `--report xml` dumps the hpcviewer-style database to stdout.
 //!
 //! The paper's train-then-predict workflow:
 //!
@@ -248,6 +249,9 @@ fn run_serve(args: &[String]) -> ExitCode {
         Ok(_) => return fail("--scale must be at least 1".into()),
         Err(e) => return fail(e),
     };
+    if let Err(e) = itanium2_at(scale) {
+        return fail(e);
+    }
     // Counters/gauges and the JSONL event stream reconcile against the
     // daemon's completion records, so the recorder is always on.
     let recorder = Arc::new(MetricsRecorder::new());
@@ -454,12 +458,7 @@ fn run(args: &[String]) -> Result<(), String> {
     if workload == "predict" {
         return run_predict(&flags);
     }
-    let scale: u64 = flags.parsed("--scale", 16)?;
-    let hierarchy = if scale <= 1 {
-        MemoryHierarchy::itanium2()
-    } else {
-        MemoryHierarchy::itanium2_scaled(scale)
-    };
+    let hierarchy = itanium2_at(flags.parsed("--scale", 16)?)?;
     let report = flags.value("--report").unwrap_or("summary");
     let level = flags.value("--level").unwrap_or("L2");
     let sampling = parse_sampling(&flags)?;
@@ -618,6 +617,12 @@ fn parse_sampling(flags: &Flags<'_>) -> Result<SamplingConfig, String> {
     SamplingConfig::checked(rate, budget).map_err(|e| format!("--sample-rate: {e}"))
 }
 
+/// The Itanium2 hierarchy divided by `--scale`; a factor that leaves a
+/// level without whole sets is a usage error.
+fn itanium2_at(scale: u64) -> Result<MemoryHierarchy, String> {
+    MemoryHierarchy::try_itanium2_scaled(scale).map_err(|e| format!("--scale: {e}"))
+}
+
 /// The natural problem-size tag per workload (overridable with `--size`).
 fn default_size(workload: &str, flags: &Flags<'_>) -> Result<f64, String> {
     Ok(match workload {
@@ -635,12 +640,7 @@ fn run_predict(flags: &Flags<'_>) -> Result<(), String> {
         .parse()
         .map_err(|_| "bad --at value".to_string())?;
     let level = flags.value("--level").unwrap_or("L2");
-    let scale: u64 = flags.parsed("--scale", 16)?;
-    let hierarchy = if scale <= 1 {
-        MemoryHierarchy::itanium2()
-    } else {
-        MemoryHierarchy::itanium2_scaled(scale)
-    };
+    let hierarchy = itanium2_at(flags.parsed("--scale", 16)?)?;
     let cfg = hierarchy
         .level(level)
         .ok_or_else(|| format!("no cache level '{level}'"))?;

@@ -63,6 +63,11 @@
 
 pub use reuselens_cache::ReuseLensError;
 
+/// Compiles and runs the Rust examples in `README.md` as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 /// Loop-nest program IR (the analyzable stand-in for an optimized binary).
 pub mod ir {
     pub use reuselens_ir::*;

@@ -726,7 +726,10 @@ pub struct DaemonConfig {
     /// with `overloaded` (min 1).
     pub queue: usize,
     /// Hierarchy capacity divisor for `estimate` jobs (the CLI's
-    /// `--scale`).
+    /// `--scale`). `estimate` jobs build the hierarchy with
+    /// `MemoryHierarchy::itanium2_scaled`, so a factor that
+    /// `try_itanium2_scaled` refuses fails each of them; `reuselens serve`
+    /// refuses such a factor before it starts the daemon.
     pub scale: u64,
 }
 
@@ -1393,11 +1396,7 @@ fn execute(shared: &Arc<Shared>, job: &str, request: &Request) -> Result<String,
                 }
             };
             let w = spec.build()?;
-            let hierarchy = if shared.scale <= 1 {
-                reuselens_cache::MemoryHierarchy::itanium2()
-            } else {
-                reuselens_cache::MemoryHierarchy::itanium2_scaled(shared.scale)
-            };
+            let hierarchy = reuselens_cache::MemoryHierarchy::itanium2_scaled(shared.scale);
             let run = run_locality_estimate(&w.program, &hierarchy, &w.index_arrays);
             let mut payload = format!(
                 "\"covered\":{},\"fallback\":{},\"grains\":[",

@@ -183,6 +183,54 @@ fn checkpoint_failure_is_reported_not_panicked() {
     assert!(stderr.contains("checkpoint failed"), "stderr: {stderr}");
 }
 
+/// A `--scale` that leaves the L2 without whole sets is a usage error
+/// naming that level: exit code 1 and an `error:` line, not a panic.
+#[test]
+fn a_scale_that_breaks_a_level_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_reuselens"))
+        .args(["sweep3d", "--mesh", "6", "--scale", "3"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("error: --scale: cannot divide level \"L2\" by 3"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+/// `serve` refuses a breaking `--scale` before it answers any request.
+#[test]
+fn serve_refuses_a_scale_that_breaks_a_level() {
+    let store = temp_path("serve-bad-scale");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_reuselens"))
+        .args(["serve", "--store", &store, "--stdin", "--scale", "3"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("daemon starts");
+    let mut stdin = child.stdin.take().expect("stdin pipe");
+    // The daemon may already have exited and closed its end.
+    let _ = stdin.write_all(b"{\"kind\":\"estimate\",\"workload\":\"sweep3d\",\"mesh\":6}\n");
+    drop(stdin);
+    let out = child.wait_with_output().expect("daemon exits");
+    let _ = std::fs::remove_dir_all(&store);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("error: --scale: cannot divide level \"L2\" by 3"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "answered a request: {:?}",
+        out.stdout
+    );
+}
+
 #[test]
 fn predict_rejects_too_few_profiles() {
     let (_, stderr, ok) = run(&["predict", "--at", "16"]);

@@ -1,10 +1,9 @@
 //! Workspace-level fault-tolerance suite: the error taxonomy, the trace
-//! import boundary, resource budgets, and degraded sweeps, exercised through the
-//! `reuselens` facade on real workload models.
+//! import boundary, resource budgets, and checkpoint failures, exercised
+//! through the `reuselens` facade on real workload models.
 
 use reuselens::cache::{
-    evaluate_sweep, evaluate_sweep_degraded, try_report_from_analysis, Assoc, CacheConfig,
-    ConfigError, MemoryHierarchy,
+    try_report_from_analysis, Assoc, CacheConfig, ConfigError, MemoryHierarchy,
 };
 use reuselens::core::{
     analyze_buffer, analyze_buffer_with, capture_program, AnalysisBudget, AnalysisResult,
@@ -31,14 +30,14 @@ fn with_ckpt(opts: &AnalyzeOptions, ckpt: &CheckpointOptions) -> AnalyzeOptions 
     }
 }
 
-/// An invalid candidate hierarchy fails a sweep with a `Config` error
+/// An invalid candidate hierarchy fails scoring with a `Config` error
 /// instead of panicking somewhere inside the model.
 #[test]
 fn invalid_hierarchy_is_a_config_error() {
     let (analysis, _) = measured_analysis();
     let mut bad = MemoryHierarchy::itanium2();
     bad.miss_penalty.pop();
-    let err = evaluate_sweep(&analysis, &[bad]).unwrap_err();
+    let err = try_report_from_analysis(&analysis, &bad).unwrap_err();
     assert!(
         matches!(
             err,
@@ -55,7 +54,7 @@ fn missing_granularity_is_reported() {
     let (analysis, _) = measured_analysis(); // measured at 128 and 16 K only
     let mut odd = MemoryHierarchy::itanium2();
     odd.levels[0] = CacheConfig::new("L2", 256 * 1024, 64, Assoc::Ways(8));
-    let err = evaluate_sweep(&analysis, &[odd]).unwrap_err();
+    let err = try_report_from_analysis(&analysis, &odd).unwrap_err();
     match &err {
         ReuseLensError::MissingProfile {
             hierarchy,
@@ -69,34 +68,21 @@ fn missing_granularity_is_reported() {
     assert!(err.to_string().contains("no profile at granularity"));
 }
 
-/// A degraded sweep keeps every healthy candidate's report when some
-/// candidates are malformed.
+/// A hierarchy with no cache levels is a `Config` error that names it.
 #[test]
-fn degraded_sweep_keeps_healthy_candidates() {
+fn an_empty_hierarchy_is_a_config_error() {
     let (analysis, _) = measured_analysis();
-    let good_a = MemoryHierarchy::itanium2();
     let mut bad = MemoryHierarchy::itanium2();
     bad.name = "broken".to_string();
     bad.levels.clear();
-    let good_b = MemoryHierarchy::itanium2_scaled(4);
-
-    let strict = evaluate_sweep(&analysis, &[good_a.clone(), bad.clone(), good_b.clone()]);
-    assert!(strict.is_err());
-
-    let outcome = evaluate_sweep_degraded(&analysis, &[good_a.clone(), bad, good_b.clone()]);
-    assert!(!outcome.is_complete());
-    assert_eq!(outcome.reports.len(), 2);
-    assert_eq!(outcome.failures.len(), 1);
-    assert_eq!(outcome.failures[0].hierarchy, "broken");
-    assert!(matches!(
-        outcome.failures[0].error,
-        ReuseLensError::Config(ConfigError::NoLevels { .. })
-    ));
-    // Reports keep request order and match direct scoring.
-    assert_eq!(outcome.reports[0].hierarchy, good_a.name);
-    assert_eq!(outcome.reports[1].hierarchy, good_b.name);
-    let direct = try_report_from_analysis(&analysis, &good_b).unwrap();
-    assert_eq!(outcome.reports[1], direct);
+    let err = try_report_from_analysis(&analysis, &bad).unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            ReuseLensError::Config(ConfigError::NoLevels { hierarchy }) if hierarchy == "broken"
+        ),
+        "unexpected: {err}"
+    );
 }
 
 /// A budgeted degraded analysis of a real irregular workload: the tiny
@@ -258,8 +244,8 @@ fn error_taxonomy_composes_with_question_mark() {
         let (buffer, exec) = capture_program(&w.program, w.index_arrays.clone())?;
         let (profiles, _) = analyze_buffer(&w.program, &buffer, &[128, 16 * 1024])?;
         let analysis = AnalysisResult { profiles, exec };
-        let (reports, _) = evaluate_sweep(&analysis, &[MemoryHierarchy::itanium2()])?;
-        Ok(reports.len())
+        let report = try_report_from_analysis(&analysis, &MemoryHierarchy::itanium2())?;
+        Ok(report.levels.len())
     }
-    assert_eq!(pipeline().unwrap(), 1);
+    assert_eq!(pipeline().unwrap(), 2);
 }
