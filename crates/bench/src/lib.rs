@@ -14,18 +14,31 @@ pub mod report;
 use reuselens::cache::MemoryHierarchy;
 
 /// The hierarchy every repro binary predicts for: Itanium2 divided by
-/// `REPRO_SCALE` (default 16).
-///
-/// # Panics
-///
-/// Panics when `REPRO_SCALE` leaves a level without whole sets
-/// ([`MemoryHierarchy::try_itanium2_scaled`]).
+/// `REPRO_SCALE` (default 16), read by [`hierarchy_for`]. A value it
+/// refuses ends the process with status 1 and its message on stderr.
 pub fn hierarchy() -> MemoryHierarchy {
-    let scale = std::env::var("REPRO_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(16);
-    MemoryHierarchy::itanium2_scaled(scale)
+    let value = std::env::var_os("REPRO_SCALE").map(|v| v.to_string_lossy().into_owned());
+    hierarchy_for(value.as_deref()).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    })
+}
+
+/// Itanium2 divided by the factor a `REPRO_SCALE` value names; `None`
+/// (unset) means 16, and 0 or 1 the full-size hierarchy.
+///
+/// # Errors
+///
+/// A value that is not a whole number, or a factor that leaves a level
+/// without whole sets ([`MemoryHierarchy::try_itanium2_scaled`]).
+pub fn hierarchy_for(value: Option<&str>) -> Result<MemoryHierarchy, String> {
+    let scale = match value {
+        None => 16,
+        Some(v) => v
+            .parse::<u64>()
+            .map_err(|e| format!("REPRO_SCALE={v:?}: {e}"))?,
+    };
+    MemoryHierarchy::try_itanium2_scaled(scale).map_err(|e| format!("REPRO_SCALE: {e}"))
 }
 
 /// Renders one aligned table row.
@@ -96,6 +109,25 @@ pub fn ascii_chart(title: &str, xs: &[String], series: &[(String, Vec<f64>)]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hierarchy_for_reads_the_scale_or_refuses_it() {
+        let name = |v| hierarchy_for(v).map(|h| h.name);
+        assert_eq!(name(None).as_deref(), Ok("Itanium2/16"));
+        assert_eq!(name(Some("4")).as_deref(), Ok("Itanium2/4"));
+        assert_eq!(name(Some("1")).as_deref(), Ok("Itanium2"));
+        assert_eq!(name(Some("0")).as_deref(), Ok("Itanium2"));
+        let unparsable = hierarchy_for(Some("abc")).unwrap_err();
+        assert!(
+            unparsable.starts_with("REPRO_SCALE=\"abc\": "),
+            "{unparsable}"
+        );
+        let breaking = hierarchy_for(Some("3")).unwrap_err();
+        assert!(
+            breaking.starts_with("REPRO_SCALE: cannot divide level \"L2\" by 3"),
+            "{breaking}"
+        );
+    }
 
     #[test]
     fn hierarchy_defaults_to_scaled_itanium2() {

@@ -27,6 +27,9 @@
 //! feeds that step to every grain dealt to it, grain by grain. After each
 //! of its steps a grain publishes progress, checks its budget and writes
 //! a snapshot at a checkpoint boundary, exactly as if it rode alone.
+//! [`analyze_decoded_with`] runs the same loop over a [`DecodedTrace`],
+//! built once from the buffer: its steps copy decoded lanes instead of
+//! decoding varints, and every grain plays each step straight from it.
 //!
 //! The calling thread always runs one lane itself and borrows up to one
 //! more per extra grain while the process has cores to spare: one lane
@@ -67,7 +70,7 @@ use crate::snapshot::{
 use reuselens_ir::{AccessKind, ArrayId, Program, RefId, ScopeId};
 use reuselens_obs as obs;
 use reuselens_trace::{
-    ExecError, ExecReport, Executor, SegmentState, SoaBatch, TraceBuffer, TraceSink,
+    DecodedTrace, ExecError, ExecReport, Executor, SegmentState, SoaBatch, TraceBuffer, TraceSink,
 };
 use std::error::Error;
 use std::fmt;
@@ -594,7 +597,7 @@ fn check_budget(
 /// per-file failure is counted and skipped.
 fn resume_grain(
     program: &Program,
-    buffer: &TraceBuffer,
+    source: Source<'_>,
     block_size: u64,
     sampled: bool,
     dir: &std::path::Path,
@@ -630,13 +633,13 @@ fn resume_grain(
                     "file name claims event {events}, header records {at}"
                 ));
             }
-            if at > buffer.events() {
-                let have = buffer.events();
+            if at > source.events() {
+                let have = source.events();
                 return mismatch(format!(
                     "snapshot is at event {at} but the trace has only {have}"
                 ));
             }
-            let state = buffer.state_at(at);
+            let state = source.state_at(at);
             if state.accesses != header.accesses_replayed {
                 return mismatch(format!(
                     "snapshot records {} accesses at event {at}, the trace has {}",
@@ -710,6 +713,44 @@ impl LaneLease {
 impl Drop for LaneLease {
     fn drop(&mut self) {
         LANES_BUSY.fetch_sub(self.0, Ordering::Relaxed);
+    }
+}
+
+/// The trace a replay lane plays: an encoded buffer, decoded step by step
+/// as the lane goes, or its [`DecodedTrace`], played without decoding.
+/// Both deliver the same events in the same batches and leave the same
+/// [`SegmentState`]s.
+#[derive(Clone, Copy)]
+enum Source<'t> {
+    Encoded(&'t TraceBuffer),
+    Decoded(&'t DecodedTrace),
+}
+
+impl Source<'_> {
+    fn events(self) -> u64 {
+        match self {
+            Source::Encoded(buffer) => buffer.events(),
+            Source::Decoded(decoded) => decoded.events(),
+        }
+    }
+
+    fn state_at(self, event: u64) -> SegmentState {
+        match self {
+            Source::Encoded(buffer) => buffer.state_at(event),
+            Source::Decoded(decoded) => decoded.state_at(event),
+        }
+    }
+
+    fn replay_advance<S: TraceSink + ?Sized>(
+        self,
+        state: &mut SegmentState,
+        to: u64,
+        sink: &mut S,
+    ) {
+        match self {
+            Source::Encoded(buffer) => buffer.replay_advance(state, to, sink),
+            Source::Decoded(decoded) => decoded.replay_advance(state, to, sink),
+        }
     }
 }
 
@@ -817,7 +858,7 @@ impl LaneGrain {
     /// run resumes, and returns it with the decoder state it starts at.
     fn start(
         program: &Program,
-        buffer: &TraceBuffer,
+        source: Source<'_>,
         block_size: u64,
         opts: &AnalyzeOptions,
     ) -> (LaneGrain, SegmentState) {
@@ -834,7 +875,7 @@ impl LaneGrain {
                 })?;
                 if ckpt.resume {
                     let sampled = !opts.sampling.is_exact();
-                    resumed = resume_grain(program, buffer, block_size, sampled, &ckpt.dir)
+                    resumed = resume_grain(program, source, block_size, sampled, &ckpt.dir)
                         .map_err(GrainError::Checkpoint)?;
                 }
             }
@@ -861,7 +902,7 @@ impl LaneGrain {
                 .event
                 .saturating_add(STEP)
                 .min(boundary)
-                .min(buffer.events()),
+                .min(source.events()),
             boundary,
             busy: Duration::ZERO,
         };
@@ -953,7 +994,7 @@ impl LaneGrain {
     /// Stops the grain's ride: finishes its engine if it is still running
     /// and reports it, with its replay span placed at `at` on the lane's
     /// timeline; `at` moves on past the span.
-    fn close(mut self, buffer: &TraceBuffer, at: &mut Instant, laps: &mut Laps) -> GrainOutcome {
+    fn close(mut self, events: u64, at: &mut Instant, laps: &mut Laps) -> GrainOutcome {
         let result = match self.ride {
             Ride::Running(analyzer) => isolate(|| {
                 // The exact set only grows during a replay, so its final
@@ -974,7 +1015,7 @@ impl LaneGrain {
                 ..obs::TimelineArgs::default()
             };
             if let Ok((profile, tree_nodes)) = &result {
-                args.events = Some(buffer.events());
+                args.events = Some(events);
                 args.distinct_blocks = Some(profile.distinct_blocks);
                 args.tree_nodes = Some(*tree_nodes);
                 args.sample_inv = profile.sampling.map(|s| s.inv);
@@ -1020,17 +1061,18 @@ impl LaneGrain {
 /// One replay lane: a thread that replays `block_sizes`, in order, and
 /// decodes the trace once for all of them.
 ///
-/// Each step advances the lane's decoder ([`TraceBuffer::replay_advance`])
+/// Each step advances the lane's state ([`TraceBuffer::replay_advance`])
 /// to the nearest step end of a grain riding it, or to where a grain that
-/// resumed further on gets on. A lone grain takes the decoded events
-/// straight from the decoder; otherwise the step is recorded on a
-/// [`StepTape`] and played into each riding grain in turn. Every grain
-/// then runs its own per-step body ([`LaneGrain::end_step`]), so its
+/// resumed further on gets on. A lone grain takes the events straight
+/// from the source. Otherwise an encoded step is recorded on a
+/// [`StepTape`] and played into each riding grain in turn, while a
+/// decoded source plays the step into each riding grain itself. Every
+/// grain then runs its own per-step body ([`LaneGrain::end_step`]), so its
 /// profile, progress, budget trips and snapshots are those of a grain
 /// replayed alone, whatever its lane-mates do.
 fn replay_lane(
     program: &Program,
-    buffer: &TraceBuffer,
+    source: Source<'_>,
     block_sizes: &[u64],
     opts: &AnalyzeOptions,
 ) -> Vec<GrainOutcome> {
@@ -1038,11 +1080,11 @@ fn replay_lane(
     let lane_start = Instant::now();
     let mut laps = Laps(lane_start);
     let mut grains = Vec::with_capacity(block_sizes.len());
-    let end = buffer.events();
+    let end = source.events();
     // The lane starts where its earliest grain does.
     let mut state: Option<SegmentState> = None;
     for &block_size in block_sizes {
-        let (mut grain, start) = LaneGrain::start(program, buffer, block_size, opts);
+        let (mut grain, start) = LaneGrain::start(program, source, block_size, opts);
         grain.busy += laps.lap();
         if grain.running(end) && state.as_ref().is_none_or(|s| start.event < s.event) {
             state = Some(start);
@@ -1063,40 +1105,50 @@ fn replay_lane(
         let riders = grains.iter().filter(|g| g.running(end) && on(g)).count();
         if riders == 0 {
             // Every running grain resumed further on; nothing to feed.
-            state = buffer.state_at(target);
+            state = source.state_at(target);
         } else if running == 1 {
-            // A lone grain: decode straight into its engine.
+            // A lone grain: replay straight into its engine.
             let Some(grain) = grains.iter_mut().find(|g| g.running(end)) else {
                 break;
             };
             let from = (state.event, state.accesses);
-            if grain.feed(|analyzer| buffer.replay_advance(&mut state, target, analyzer)) {
+            if grain.feed(|analyzer| source.replay_advance(&mut state, target, analyzer)) {
                 count_decoded(from, &state, 1);
             }
             grain.end_step(program, &state, end, opts);
             grain.busy += laps.lap();
         } else {
-            let from = (state.event, state.accesses);
-            tape.clear();
-            buffer.replay_advance(&mut state, target, &mut tape);
+            let from = state.clone();
+            match source {
+                Source::Encoded(buffer) => {
+                    tape.clear();
+                    buffer.replay_advance(&mut state, target, &mut tape);
+                }
+                Source::Decoded(decoded) => decoded.seek(&mut state, target),
+            }
             let share = laps.lap() / riders as u32;
             let mut fed = 0;
             for grain in grains
                 .iter_mut()
-                .filter(|g| g.running(end) && g.progress <= from.0)
+                .filter(|g| g.running(end) && g.progress <= from.event)
             {
-                fed += u64::from(grain.feed(|analyzer| tape.play(analyzer)));
+                fed += u64::from(grain.feed(|analyzer| match source {
+                    Source::Encoded(_) => tape.play(analyzer),
+                    Source::Decoded(decoded) => {
+                        decoded.replay_advance(&mut from.clone(), target, analyzer)
+                    }
+                }));
                 grain.end_step(program, &state, end, opts);
                 grain.busy += share + laps.lap();
             }
-            count_decoded(from, &state, fed);
+            count_decoded((from.event, from.accesses), &state, fed);
         }
     }
     // The grains' spans tile the lane's wall time, one after the other.
     let mut at = lane_start;
     grains
         .into_iter()
-        .map(|grain| grain.close(buffer, &mut at, &mut laps))
+        .map(|grain| grain.close(end, &mut at, &mut laps))
         .collect()
 }
 
@@ -1132,7 +1184,7 @@ fn lane_panicked(grains: usize, payload: &(dyn std::any::Any + Send)) -> Vec<Gra
 /// outcome per grain, in request order.
 fn replay_lanes(
     program: &Program,
-    buffer: &TraceBuffer,
+    source: Source<'_>,
     block_sizes: &[u64],
     opts: &AnalyzeOptions,
     lanes: usize,
@@ -1152,7 +1204,7 @@ fn replay_lanes(
     // in the lane itself (e.g. in its timing code).
     let run = |grains: &[u64]| {
         panic::catch_unwind(AssertUnwindSafe(|| {
-            replay_lane(program, buffer, grains, opts)
+            replay_lane(program, source, grains, opts)
         }))
         .unwrap_or_else(|payload| lane_panicked(grains.len(), payload.as_ref()))
     };
@@ -1202,19 +1254,39 @@ pub fn analyze_buffer_with(
     opts: &AnalyzeOptions,
 ) -> PartialAnalysis {
     let lease = LaneLease::take(block_sizes.len());
-    analyze_on_lanes(program, buffer, block_sizes, opts, lease.0)
+    analyze_on_lanes(program, Source::Encoded(buffer), block_sizes, opts, lease.0)
 }
 
-/// [`analyze_buffer_with`] on a given number of lanes.
+/// [`analyze_buffer_with`] over the trace's [`DecodedTrace`]: the same
+/// lanes, schedule, budgets, snapshots, counters and results, byte for
+/// byte, without decoding the trace again. A process that replays one
+/// trace many times builds its decoded form once and replays it here.
+pub fn analyze_decoded_with(
+    program: &Program,
+    decoded: &DecodedTrace,
+    block_sizes: &[u64],
+    opts: &AnalyzeOptions,
+) -> PartialAnalysis {
+    let lease = LaneLease::take(block_sizes.len());
+    analyze_on_lanes(
+        program,
+        Source::Decoded(decoded),
+        block_sizes,
+        opts,
+        lease.0,
+    )
+}
+
+/// [`analyze_buffer_with`] on a given source and number of lanes.
 fn analyze_on_lanes(
     program: &Program,
-    buffer: &TraceBuffer,
+    source: Source<'_>,
     block_sizes: &[u64],
     opts: &AnalyzeOptions,
     lanes: usize,
 ) -> PartialAnalysis {
     obs::add(obs::Counter::GrainsRequested, block_sizes.len() as u64);
-    let outcomes = replay_lanes(program, buffer, block_sizes, opts, lanes);
+    let outcomes = replay_lanes(program, source, block_sizes, opts, lanes);
     let mut profiles = Vec::new();
     let mut replays = Vec::new();
     let mut failures = Vec::new();
@@ -1225,7 +1297,7 @@ fn analyze_on_lanes(
                     profile: obs::GrainProfile {
                         block_size,
                         wall: timing.wall,
-                        events: buffer.events(),
+                        events: source.events(),
                         distinct_blocks: profile.distinct_blocks,
                         tree_nodes,
                         status: obs::GrainStatus::Completed,
@@ -1456,7 +1528,7 @@ mod tests {
     /// lane count (wall times, last-writer gauges, the lane counter).
     fn on_lanes(
         prog: &Program,
-        buffer: &TraceBuffer,
+        source: Source<'_>,
         grains: &[u64],
         opts: &AnalyzeOptions,
         lanes: usize,
@@ -1464,7 +1536,7 @@ mod tests {
         let recorder = std::sync::Arc::new(obs::MetricsRecorder::new());
         let partial = {
             let _scope = obs::Obs::from(recorder.clone()).enter();
-            analyze_on_lanes(prog, buffer, grains, opts, lanes)
+            analyze_on_lanes(prog, source, grains, opts, lanes)
         };
         let mut snap = recorder.snapshot();
         assert_eq!(
@@ -1477,25 +1549,39 @@ mod tests {
         (partial, snap)
     }
 
-    /// Runs `grains` on one lane and on one lane per grain and asserts
-    /// the two runs agree on every profile, failure report (with its
-    /// events), per-grain obs counter and span. Returns the one-lane run.
+    /// Runs `grains` on one lane and on one lane per grain, each from the
+    /// buffer and from its decoded form, and asserts every run agrees
+    /// with the one-lane buffer run on every profile, failure report
+    /// (with its events), per-grain obs counter and span. Returns the
+    /// one-lane buffer run.
     fn same_on_every_lane_count(
         prog: &Program,
         buffer: &TraceBuffer,
         grains: &[u64],
         opts: impl Fn(usize) -> AnalyzeOptions,
     ) -> PartialAnalysis {
-        let (one, one_obs) = on_lanes(prog, buffer, grains, &opts(1), 1);
-        for lanes in 2..=grains.len() {
-            let (many, many_obs) = on_lanes(prog, buffer, grains, &opts(lanes), lanes);
-            assert_eq!(one.profiles, many.profiles, "{lanes} lanes");
-            assert_eq!(one.failures, many.failures, "{lanes} lanes");
-            let grains_of = |p: &PartialAnalysis| -> Vec<u64> {
-                p.replays.iter().map(|t| t.block_size).collect()
-            };
-            assert_eq!(grains_of(&one), grains_of(&many), "{lanes} lanes");
-            assert_eq!(one_obs, many_obs, "{lanes} lanes");
+        let decoded = DecodedTrace::new(buffer);
+        let encoded = Source::Encoded(buffer);
+        let (one, one_obs) = on_lanes(prog, encoded, grains, &opts(1), 1);
+        for lanes in 1..=grains.len() {
+            let sources = [
+                (lanes > 1).then_some(encoded),
+                Some(Source::Decoded(&decoded)),
+            ];
+            for source in sources.into_iter().flatten() {
+                let (many, many_obs) = on_lanes(prog, source, grains, &opts(lanes), lanes);
+                let run = match source {
+                    Source::Encoded(_) => format!("{lanes} lanes"),
+                    Source::Decoded(_) => format!("{lanes} lanes, decoded"),
+                };
+                assert_eq!(one.profiles, many.profiles, "{run}");
+                assert_eq!(one.failures, many.failures, "{run}");
+                let grains_of = |p: &PartialAnalysis| -> Vec<u64> {
+                    p.replays.iter().map(|t| t.block_size).collect()
+                };
+                assert_eq!(grains_of(&one), grains_of(&many), "{run}");
+                assert_eq!(one_obs, many_obs, "{run}");
+            }
         }
         one
     }

@@ -29,9 +29,11 @@
 //! decoding the trace once for the grains dealt to it — with
 //! bit-identical profiles. [`analyze_buffer_with`] is the same replay
 //! with every knob in one [`AnalyzeOptions`]: sampling, a budget, and
-//! checkpointing. Each grain replays through one lane loop that steps the
-//! decoder and, after each of the grain's steps, checks its budget and
-//! writes its snapshots. Or drive a [`ReuseAnalyzer`] /
+//! checkpointing, and [`analyze_decoded_with`] replays a trace decoded
+//! once ([`DecodedTrace`](reuselens_trace::DecodedTrace)) the same way.
+//! Each grain replays through one lane loop that steps the decoder and,
+//! after each of the grain's steps, checks its budget and writes its
+//! snapshots. Or drive a [`ReuseAnalyzer`] /
 //! [`MultiGrainAnalyzer`] through [`reuselens_trace::Executor`] yourself.
 
 #![forbid(unsafe_code)]
@@ -54,9 +56,9 @@ mod spatial;
 mod timebits;
 
 pub use analyze::{
-    analyze_buffer, analyze_buffer_with, analyze_program, capture_program, AnalysisError,
-    AnalysisResult, AnalyzeOptions, CheckpointOptions, FailureReport, GrainError, PartialAnalysis,
-    ReplayTiming,
+    analyze_buffer, analyze_buffer_with, analyze_decoded_with, analyze_program, capture_program,
+    AnalysisError, AnalysisResult, AnalyzeOptions, CheckpointOptions, FailureReport, GrainError,
+    PartialAnalysis, ReplayTiming,
 };
 pub use analyzer::{MultiGrainAnalyzer, ReuseAnalyzer};
 pub use blocktable::{BlockEntry, BlockTable, MAX_BLOCKS};

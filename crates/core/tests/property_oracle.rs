@@ -30,16 +30,16 @@
 
 use reuselens_core::oracle;
 use reuselens_core::{
-    analyze_buffer_with, capture_program, AnalysisBudget, AnalyzeOptions, CheckpointOptions,
-    ContextProfile, Histogram, MultiGrainAnalyzer, PatternKey, ReuseAnalyzer, ReusePattern,
-    ReuseProfile, SamplingConfig,
+    analyze_buffer_with, analyze_decoded_with, capture_program, AnalysisBudget, AnalyzeOptions,
+    CheckpointOptions, ContextProfile, Histogram, MultiGrainAnalyzer, PatternKey, ReuseAnalyzer,
+    ReusePattern, ReuseProfile, SamplingConfig,
 };
 use reuselens_ir::{
     AccessKind, ArrayId, ContextSplit, Expr, Program, ProgramBuilder, RefId, RoutineId, ScopeId,
     ScopeKind, VarId,
 };
 use reuselens_prng::SplitMix64;
-use reuselens_trace::{Event, Executor, TraceBuffer, TraceSink, VecSink};
+use reuselens_trace::{DecodedTrace, Event, Executor, TraceBuffer, TraceSink, VecSink};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
@@ -468,26 +468,81 @@ fn row_options(
     }
 }
 
+/// Which form of the captured trace a row replays.
+#[derive(Clone, Copy, PartialEq)]
+enum Source {
+    /// The encoded buffer, through [`analyze_buffer_with`].
+    Buffer,
+    /// Its [`DecodedTrace`], through [`analyze_decoded_with`].
+    Decoded,
+}
+
+/// Replays `grain` of `buffer` (or of `decoded`) as the row says.
+fn replay(
+    program: &Program,
+    buffer: &TraceBuffer,
+    decoded: &DecodedTrace,
+    source: Source,
+    grain: u64,
+    opts: &AnalyzeOptions,
+) -> reuselens_core::PartialAnalysis {
+    match source {
+        Source::Buffer => analyze_buffer_with(program, buffer, &[grain], opts),
+        Source::Decoded => analyze_decoded_with(program, decoded, &[grain], opts),
+    }
+}
+
 /// The engine matrix: every replay configuration that must reproduce the
 /// oracle exactly.
-fn engines() -> [(&'static str, SamplingConfig, Mode); 8] {
+fn engines() -> [(&'static str, SamplingConfig, Mode, Source); 12] {
     let (exact, rate_one) = (SamplingConfig::Exact, SamplingConfig::fixed(1.0));
+    let buffer = Source::Buffer;
     [
-        ("serial exact", exact, Mode::Plain),
-        ("serial sampled 1/1", rate_one, Mode::Plain),
-        ("roomy budget exact", exact, Mode::RoomyBudget),
-        ("roomy budget sampled 1/1", rate_one, Mode::RoomyBudget),
-        ("checkpointed exact", exact, Mode::Checkpointed),
-        ("checkpointed sampled 1/1", rate_one, Mode::Checkpointed),
-        ("resumed exact", exact, Mode::Resumed),
-        ("resumed sampled 1/1", rate_one, Mode::Resumed),
+        ("serial exact", exact, Mode::Plain, buffer),
+        ("serial sampled 1/1", rate_one, Mode::Plain, buffer),
+        ("roomy budget exact", exact, Mode::RoomyBudget, buffer),
+        (
+            "roomy budget sampled 1/1",
+            rate_one,
+            Mode::RoomyBudget,
+            buffer,
+        ),
+        ("checkpointed exact", exact, Mode::Checkpointed, buffer),
+        (
+            "checkpointed sampled 1/1",
+            rate_one,
+            Mode::Checkpointed,
+            buffer,
+        ),
+        ("resumed exact", exact, Mode::Resumed, buffer),
+        ("resumed sampled 1/1", rate_one, Mode::Resumed, buffer),
+        ("decoded exact", exact, Mode::Plain, Source::Decoded),
+        (
+            "decoded sampled 1/1",
+            rate_one,
+            Mode::Plain,
+            Source::Decoded,
+        ),
+        (
+            "decoded resumed exact",
+            exact,
+            Mode::Resumed,
+            Source::Decoded,
+        ),
+        (
+            "decoded resumed sampled 1/1",
+            rate_one,
+            Mode::Resumed,
+            Source::Decoded,
+        ),
     ]
 }
 
 /// Scope-rich programs through the online exact analyzer and through
 /// buffer replay — exact and rate-1 sampled, plain, with a roomy budget,
 /// with checkpoints, and with a resume
-/// from a truncated snapshot directory — must all reproduce the
+/// from a truncated snapshot directory, plain and resumed also from the
+/// buffer's decoded form — must all reproduce the
 /// brute-force attribution exactly: same (sink, source scope, carrier)
 /// keys, same histograms, same cold counts.
 #[test]
@@ -504,6 +559,7 @@ fn every_engine_matches_oracle_attribution_on_scope_rich_programs() {
         let mut events = VecSink::new();
         Executor::new(&program).run(&mut events).unwrap();
         let (buffer, _) = capture_program(&program, vec![]).unwrap();
+        let decoded = DecodedTrace::new(&buffer);
         for grain in GRAINS {
             let want = oracle::reuse_profile(&program, &events.events, grain);
             scoped_patterns += want.patterns.len();
@@ -512,14 +568,14 @@ fn every_engine_matches_oracle_attribution_on_scope_rich_programs() {
             if let Err(msg) = same_measurements(&online.finish(), &want) {
                 panic!("case {case} (seed {seed:#x}, grain {grain}), online exact: {msg}");
             }
-            for (name, sampling, mode) in engines {
+            for (name, sampling, mode, source) in engines {
                 std::fs::remove_dir_all(&dir).ok();
                 let base = AnalyzeOptions {
                     sampling,
                     ..AnalyzeOptions::default()
                 };
                 let opts = row_options(&program, &buffer, grain, base, mode, &dir);
-                let partial = analyze_buffer_with(&program, &buffer, &[grain], &opts);
+                let partial = replay(&program, &buffer, &decoded, source, grain, &opts);
                 assert!(partial.is_complete(), "case {case}: {name} replay failed");
                 if let Err(msg) = same_measurements(&partial.profiles[0], &want) {
                     panic!("case {case} (seed {seed:#x}, grain {grain}), {name}: {msg}");
@@ -647,6 +703,7 @@ fn context_split_matches_oracle_in_every_engine() {
             "case {case}: repeated context"
         );
         let (buffer, _) = capture_program(&split.program, vec![]).unwrap();
+        let decoded = DecodedTrace::new(&buffer);
         for grain in GRAINS {
             let split_want = oracle::reuse_profile(&split.program, &split_events.events, grain);
             let want = ContextProfile::from_split(&split, &split_want);
@@ -660,14 +717,14 @@ fn context_split_matches_oracle_in_every_engine() {
                 .iter()
                 .filter(|r| want.contexts_of_sink(r.id()).len() > 1)
                 .count();
-            for (name, sampling, mode) in engines() {
+            for (name, sampling, mode, source) in engines() {
                 std::fs::remove_dir_all(&dir).ok();
                 let base = AnalyzeOptions {
                     sampling,
                     ..AnalyzeOptions::default()
                 };
                 let opts = row_options(&split.program, &buffer, grain, base, mode, &dir);
-                let partial = analyze_buffer_with(&split.program, &buffer, &[grain], &opts);
+                let partial = replay(&split.program, &buffer, &decoded, source, grain, &opts);
                 assert!(partial.is_complete(), "case {case}: {name} replay failed");
                 let got = ContextProfile::from_split(&split, &partial.profiles[0]);
                 assert!(

@@ -392,17 +392,21 @@ pub enum Gauge {
     SnapshotBytes,
     /// Jobs sitting on the daemon queue (accepted, not yet running).
     JobQueueDepth,
+    /// Bytes of the traces the daemon keeps resident: encoded columns
+    /// plus decoded forms.
+    ResidentBytes,
 }
 
 impl Gauge {
     /// Every gauge, in export order.
-    pub const ALL: [Gauge; 6] = [
+    pub const ALL: [Gauge; 7] = [
         Gauge::BudgetEvents,
         Gauge::BudgetDistinctBlocks,
         Gauge::BudgetTreeNodes,
         Gauge::SamplingInvRate,
         Gauge::SnapshotBytes,
         Gauge::JobQueueDepth,
+        Gauge::ResidentBytes,
     ];
 
     /// Stable snake_case name (the Prometheus metric is
@@ -415,6 +419,7 @@ impl Gauge {
             Gauge::SamplingInvRate => "sampling_inv_rate",
             Gauge::SnapshotBytes => "snapshot_bytes",
             Gauge::JobQueueDepth => "job_queue_depth",
+            Gauge::ResidentBytes => "resident_bytes",
         }
     }
 
@@ -431,6 +436,9 @@ impl Gauge {
             }
             Gauge::SnapshotBytes => "Bytes of the most recently written crash-safety snapshot.",
             Gauge::JobQueueDepth => "Jobs sitting on the daemon queue (accepted, not yet running).",
+            Gauge::ResidentBytes => {
+                "Bytes of the traces the daemon keeps resident, encoded plus decoded."
+            }
         }
     }
 

@@ -56,6 +56,7 @@ fn gauge_value(g: Gauge) -> u64 {
         Gauge::SamplingInvRate => 28,
         Gauge::SnapshotBytes => 35,
         Gauge::JobQueueDepth => 42,
+        Gauge::ResidentBytes => 49,
     }
 }
 
@@ -219,6 +220,9 @@ reuselens_snapshot_bytes 35
 # HELP reuselens_job_queue_depth Jobs sitting on the daemon queue (accepted, not yet running).
 # TYPE reuselens_job_queue_depth gauge
 reuselens_job_queue_depth 42
+# HELP reuselens_resident_bytes Bytes of the traces the daemon keeps resident, encoded plus decoded.
+# TYPE reuselens_resident_bytes gauge
+reuselens_resident_bytes 49
 # HELP reuselens_stage_spans_total Completed spans per pipeline stage.
 # TYPE reuselens_stage_spans_total counter
 reuselens_stage_spans_total{stage="capture"} 1
@@ -304,6 +308,7 @@ gauges
   sampling_inv_rate                        28
   snapshot_bytes                           35
   job_queue_depth                          42
+  resident_bytes                           49
 ";
 
 #[test]

@@ -34,7 +34,7 @@ use reuselens_obs as obs;
 
 /// Events handed to [`TraceSink::access_soa`] per virtual call during
 /// replay. Large enough to amortize dispatch, small enough to stay in L1.
-const BATCH: usize = 256;
+pub(crate) const BATCH: usize = 256;
 
 const OP_LOAD: u8 = 0;
 const OP_STORE: u8 = 1;
@@ -42,7 +42,7 @@ const OP_ENTER: u8 = 2;
 const OP_EXIT: u8 = 3;
 
 #[inline]
-fn zigzag(v: i64) -> u64 {
+pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
@@ -58,6 +58,12 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
         v >>= 7;
     }
     out.push(v as u8);
+}
+
+/// Bytes [`put_varint`] writes for `v`.
+#[inline]
+pub(crate) fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
 #[inline]
@@ -1022,7 +1028,9 @@ mod tests {
         let mut bytes = Vec::new();
         let values = [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX];
         for &v in &values {
+            let before = bytes.len();
             put_varint(&mut bytes, v);
+            assert_eq!(bytes.len() - before, varint_len(v), "{v}");
         }
         let mut pos = 0;
         for &v in &values {

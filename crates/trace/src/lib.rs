@@ -8,7 +8,9 @@
 //! Analyzers implement [`TraceSink`] and observe events online, or capture
 //! the stream once into a compact [`TraceBuffer`] and replay it many times
 //! (per block granularity, per cache configuration) without re-interpreting
-//! the program.
+//! the program. A process that replays one trace over and over can decode
+//! it once into a [`DecodedTrace`], which replays the same events without
+//! decoding.
 //!
 //! # Examples
 //!
@@ -38,6 +40,7 @@
 
 mod buffer;
 mod decode;
+mod decoded;
 mod event;
 mod exec;
 pub mod fault;
@@ -45,5 +48,6 @@ pub mod frame;
 
 pub use buffer::{BufferStats, ExportedTrace, SegmentState, TraceBuffer};
 pub use decode::{Column, DecodeError};
+pub use decoded::DecodedTrace;
 pub use event::{Event, NullSink, SoaBatch, TeeSink, TraceSink, VecSink};
 pub use exec::{ExecError, ExecReport, Executor, LoopStats};

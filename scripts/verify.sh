@@ -111,17 +111,24 @@ rm -rf "$SRV_TMP"
 # replay budget a request can set: that job must fail typed with the
 # events-cap message while its siblings succeed. EOF on stdin is the
 # clean-shutdown path.
+#
+# The first replay of a resident trace builds its decoded form, and later
+# ones replay from it. So the first process replays exact (job-2, which
+# builds it), then sampled, then exact again (job-4), and both exact
+# replies must carry the `profiles_crc` of the cold second process's
+# replay (its job-1), which loaded the trace from disk.
 DMN_TMP="target/verify-daemon"
 rm -rf "$DMN_TMP" && mkdir -p "$DMN_TMP"
 printf '%s\n' \
     '{"kind":"capture","id":"smoke","workload":"sweep3d","mesh":6,"grains":[64]}' \
     '{"kind":"replay","id":"smoke","grains":[64],"save":"target/verify-daemon/a.rlp"}' \
+    '{"kind":"replay","id":"smoke","grains":[64],"sample_rate":0.1}' \
     '{"kind":"replay","id":"smoke","grains":[64],"save":"target/verify-daemon/b.rlp"}' \
     '{"kind":"replay","id":"smoke","grains":[64,4096],"save":"target/verify-daemon/a2.rlp"}' \
     '{"kind":"replay","id":"smoke","grains":[64],"budget_events":10}' \
     | ./target/release/reuselens serve --store "$DMN_TMP/store" \
         --stdin --workers 1 > "$DMN_TMP/responses.ndjson" 2>/dev/null
-[ "$(grep -c '"ok":true' "$DMN_TMP/responses.ndjson")" = 4 ] \
+[ "$(grep -c '"ok":true' "$DMN_TMP/responses.ndjson")" = 5 ] \
     || { echo "verify: daemon smoke had a failing job" >&2; \
          cat "$DMN_TMP/responses.ndjson" >&2; exit 1; }
 grep '"ok":false' "$DMN_TMP/responses.ndjson" \
@@ -142,6 +149,15 @@ printf '%s\n' \
          cat "$DMN_TMP/cold.ndjson" >&2; exit 1; }
 cmp "$DMN_TMP/a.rlp" "$DMN_TMP/c.rlp" \
     || { echo "verify: resident and cold daemon replays disagree" >&2; exit 1; }
+crc_of() { # <responses> <job>: the profiles_crc of that job's reply
+    grep "\"job\":\"$2\"" "$1" | sed -n 's/.*"profiles_crc":\([0-9]*\).*/\1/p'
+}
+cold_crc=$(crc_of "$DMN_TMP/cold.ndjson" job-1)
+for job in job-2 job-4; do
+    [ -n "$cold_crc" ] && [ "$(crc_of "$DMN_TMP/responses.ndjson" "$job")" = "$cold_crc" ] \
+        || { echo "verify: exact replay $job around a sampled one disagrees with the cold replay" >&2; \
+             cat "$DMN_TMP/responses.ndjson" "$DMN_TMP/cold.ndjson" >&2; exit 1; }
+done
 for f in b2 c2; do
     cmp "$DMN_TMP/a2.rlp" "$DMN_TMP/$f.rlp" \
         || { echo "verify: two-grain daemon replays disagree ($f)" >&2; exit 1; }

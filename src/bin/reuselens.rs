@@ -245,8 +245,7 @@ fn run_serve(args: &[String]) -> ExitCode {
         Err(e) => return fail(e),
     };
     let scale = match flags.parsed("--scale", 16u64) {
-        Ok(s) if s >= 1 => s,
-        Ok(_) => return fail("--scale must be at least 1".into()),
+        Ok(s) => s,
         Err(e) => return fail(e),
     };
     if let Err(e) = itanium2_at(scale) {

@@ -55,25 +55,29 @@
 //! keeps it; `evict` drops it. A trace is therefore verified when it is
 //! captured or loaded and stays as verified: damage to its files on disk
 //! after that is seen only by the next load, after a least-recently-used
-//! eviction, an `evict` or a restart. Resident memory is bounded by
-//! `RESIDENT_BYTES` of encoded columns; a trace larger than the whole
-//! bound is served but not kept.
+//! eviction, an `evict` or a restart. The first replay of a resident
+//! trace also decodes it once into a [`DecodedTrace`] kept beside the
+//! buffer, and later replays play that form without decoding again.
+//! Resident memory is bounded by `RESIDENT_BYTES` of encoded columns plus
+//! decoded forms; a decoded form that would not fit beside its buffer is
+//! not built, and a trace larger than the whole bound is served but not
+//! kept.
 //!
 //! Telemetry rides the obs plumbing: `jobs_accepted` /
 //! `jobs_completed` / `jobs_failed` / `jobs_rejected` counters,
 //! `traces_resident_hit` / `traces_resident_miss` per replay, the
-//! `job_queue_depth` gauge, per-job JSONL events, and a `/jobs` HTTP
-//! endpoint fed by [`Daemon::jobs_callback`].
+//! `job_queue_depth` and `resident_bytes` gauges, per-job JSONL events,
+//! and a `/jobs` HTTP endpoint fed by [`Daemon::jobs_callback`].
 
 use reuselens_core::{
-    analyze_buffer_with, capture_program, write_profiles, AnalysisBudget, AnalyzeOptions,
-    SamplingConfig, SamplingError, SavedProfiles,
+    analyze_buffer_with, analyze_decoded_with, capture_program, write_profiles, AnalysisBudget,
+    AnalyzeOptions, SamplingConfig, SamplingError, SavedProfiles,
 };
 use reuselens_metrics::run_locality_estimate;
 use reuselens_obs as obs;
 use reuselens_obs::json::{self, Json};
 use reuselens_store::{self as store, StoreError, TraceEntry, TraceMeta, TraceStore};
-use reuselens_trace::TraceBuffer;
+use reuselens_trace::{DecodedTrace, TraceBuffer};
 use reuselens_workloads::gtc::{build as build_gtc, GtcConfig, GtcTransforms};
 use reuselens_workloads::kernels;
 use reuselens_workloads::sweep3d::{build as build_sweep, SweepConfig};
@@ -729,7 +733,8 @@ pub struct DaemonConfig {
     /// `--scale`). `estimate` jobs build the hierarchy with
     /// `MemoryHierarchy::itanium2_scaled`, so a factor that
     /// `try_itanium2_scaled` refuses fails each of them; `reuselens serve`
-    /// refuses such a factor before it starts the daemon.
+    /// refuses such a factor before it starts the daemon. 0 and 1 both
+    /// mean the full-size hierarchy.
     pub scale: u64,
 }
 
@@ -835,16 +840,19 @@ impl State {
     }
 }
 
-/// Byte bound on the imported traces a daemon keeps resident, charged
-/// as each buffer's [`TraceBuffer::encoded_bytes`].
+/// Byte bound on the verified traces a daemon keeps resident, charged
+/// as each buffer's [`TraceBuffer::encoded_bytes`] plus, once a replay
+/// has built it, its [`DecodedTrace::bytes`].
 const RESIDENT_BYTES: u64 = 256 << 20;
 
-/// Imported traces kept in memory so replay jobs skip the store load.
+/// Verified traces kept in memory so replay jobs skip the store load,
+/// each with its decoded form once a replay has built it.
 /// A slot is keyed by trace id and the index entry's image CRC, so a
 /// buffer is only ever served for the image it was verified against.
-/// Slots are charged their encoded bytes against `bound`; the least
-/// recently used slot goes first, and a buffer larger than the whole
-/// bound is not kept at all.
+/// Slots are charged their encoded and decoded bytes against `bound`;
+/// the least recently used slot goes first, a buffer larger than the
+/// whole bound is not kept at all, and a decoded form that would not fit
+/// beside its buffer is not built.
 struct Resident {
     bound: u64,
     bytes: u64,
@@ -853,9 +861,23 @@ struct Resident {
     slots: HashMap<String, Slot>,
 }
 
+/// One resident trace: the verified buffer and, once built, its decoded
+/// form.
+#[derive(Clone)]
+struct ResidentTrace {
+    buffer: Arc<TraceBuffer>,
+    decoded: Option<Arc<DecodedTrace>>,
+}
+
+impl ResidentTrace {
+    fn bytes(&self) -> u64 {
+        self.buffer.encoded_bytes() + self.decoded.as_ref().map_or(0, |d| d.bytes())
+    }
+}
+
 struct Slot {
     image_crc: u32,
-    buffer: Arc<TraceBuffer>,
+    trace: ResidentTrace,
     last_used: u64,
 }
 
@@ -869,14 +891,14 @@ impl Resident {
         }
     }
 
-    /// The buffer resident for `id` at `image_crc`, now the most recently
+    /// The trace resident for `id` at `image_crc`, now the most recently
     /// used. A slot holding another image of `id` is dropped unserved.
-    fn get(&mut self, id: &str, image_crc: u32) -> Option<Arc<TraceBuffer>> {
+    fn get(&mut self, id: &str, image_crc: u32) -> Option<ResidentTrace> {
         self.tick += 1;
         match self.slots.get_mut(id) {
             Some(slot) if slot.image_crc == image_crc => {
                 slot.last_used = self.tick;
-                Some(slot.buffer.clone())
+                Some(slot.trace.clone())
             }
             Some(_) => {
                 self.remove(id);
@@ -890,14 +912,61 @@ impl Resident {
     /// recently used slots until it fits.
     fn insert(&mut self, id: &str, image_crc: u32, buffer: Arc<TraceBuffer>) {
         self.remove(id);
-        let charge = buffer.encoded_bytes();
-        if charge > self.bound {
+        let trace = ResidentTrace {
+            buffer,
+            decoded: None,
+        };
+        if trace.bytes() > self.bound {
             return;
         }
-        while self.bytes + charge > self.bound {
+        self.tick += 1;
+        self.bytes += trace.bytes();
+        self.slots.insert(
+            id.to_string(),
+            Slot {
+                image_crc,
+                trace,
+                last_used: self.tick,
+            },
+        );
+        self.make_room(id);
+    }
+
+    /// True when `id`'s image `image_crc` is resident without a decoded
+    /// form, and one would fit beside its buffer: the replay that finds
+    /// it so builds it.
+    fn wants_decoded(&self, id: &str, image_crc: u32) -> bool {
+        self.slots.get(id).is_some_and(|slot| {
+            let t = &slot.trace;
+            slot.image_crc == image_crc
+                && t.decoded.is_none()
+                && t.bytes() + DecodedTrace::size_for(&t.buffer) <= self.bound
+        })
+    }
+
+    /// Keeps `decoded` beside `id`'s image `image_crc`, if that is still
+    /// resident without one, evicting other least recently used slots
+    /// until both fit.
+    fn attach(&mut self, id: &str, image_crc: u32, decoded: Arc<DecodedTrace>) {
+        if !self.wants_decoded(id, image_crc) {
+            return;
+        }
+        let Some(slot) = self.slots.get_mut(id) else {
+            return;
+        };
+        self.bytes += decoded.bytes();
+        slot.trace.decoded = Some(decoded);
+        self.make_room(id);
+    }
+
+    /// Evicts the least recently used slots other than `keep` until the
+    /// resident bytes fit the bound.
+    fn make_room(&mut self, keep: &str) {
+        while self.bytes > self.bound {
             let Some(oldest) = self
                 .slots
                 .iter()
+                .filter(|(id, _)| id.as_str() != keep)
                 .min_by_key(|(_, slot)| slot.last_used)
                 .map(|(id, _)| id.clone())
             else {
@@ -905,21 +974,13 @@ impl Resident {
             };
             self.remove(&oldest);
         }
-        self.tick += 1;
-        self.bytes += charge;
-        self.slots.insert(
-            id.to_string(),
-            Slot {
-                image_crc,
-                buffer,
-                last_used: self.tick,
-            },
-        );
+        obs::set_gauge(obs::Gauge::ResidentBytes, self.bytes);
     }
 
     fn remove(&mut self, id: &str) {
         if let Some(slot) = self.slots.remove(id) {
-            self.bytes -= slot.buffer.encoded_bytes();
+            self.bytes -= slot.trace.bytes();
+            obs::set_gauge(obs::Gauge::ResidentBytes, self.bytes);
         }
     }
 }
@@ -931,27 +992,30 @@ struct Traces {
 }
 
 impl Traces {
-    /// The verified buffer of stored trace `id`, with its index entry:
-    /// the resident copy of the entry's image when there is one, else a
-    /// fresh load from the store, which is then kept resident.
-    fn load(&mut self, id: &str) -> Result<(Arc<TraceBuffer>, &TraceEntry), StoreError> {
+    /// The verified trace `id`, with its index entry: the resident copy
+    /// of the entry's image when there is one, else a fresh load from the
+    /// store, which is then kept resident.
+    fn load(&mut self, id: &str) -> Result<(ResidentTrace, &TraceEntry), StoreError> {
         let entry = self
             .store
             .entry(id)
             .ok_or_else(|| StoreError::UnknownTrace { id: id.to_string() })?;
-        let buffer = match self.resident.get(id, entry.image_crc) {
-            Some(buffer) => {
+        let trace = match self.resident.get(id, entry.image_crc) {
+            Some(trace) => {
                 obs::add(obs::Counter::TracesResidentHit, 1);
-                buffer
+                trace
             }
             None => {
                 obs::add(obs::Counter::TracesResidentMiss, 1);
                 let buffer = Arc::new(self.store.get(id)?);
                 self.resident.insert(id, entry.image_crc, buffer.clone());
-                buffer
+                ResidentTrace {
+                    buffer,
+                    decoded: None,
+                }
             }
         };
-        Ok((buffer, entry))
+        Ok((trace, entry))
     }
 }
 
@@ -1427,14 +1491,16 @@ fn execute_replay(
     // Look the trace up under the store lock, loading it only when it is
     // not resident, then analyze without holding the lock so sibling jobs
     // can use the store meanwhile.
-    let (buffer, spec_string, stored_grains) = {
+    let (trace, image_crc, spec_string, stored_grains, build) = {
         let mut traces = shared.lock_traces();
-        let (buffer, entry) = traces.load(&req.id)?;
-        (
-            buffer,
+        let (trace, entry) = traces.load(&req.id)?;
+        let (image_crc, workload, grains) = (
+            entry.image_crc,
             entry.meta.workload.clone(),
             entry.meta.grains.clone(),
-        )
+        );
+        let build = traces.resident.wants_decoded(&req.id, image_crc);
+        (trace, image_crc, workload, grains, build)
     };
     let grains = if req.grains.is_empty() {
         stored_grains
@@ -1462,7 +1528,23 @@ fn execute_replay(
         job: Some(job.to_string()),
         ..AnalyzeOptions::default()
     };
-    let partial = analyze_buffer_with(&w.program, &buffer, &grains, &opts);
+    // The first replay of a resident trace decodes it once, with no lock
+    // held, and keeps the decoded form beside the buffer for later ones.
+    // Two first replays racing may both build it; the first kept wins.
+    let decoded = trace.decoded.clone().or_else(|| {
+        build.then(|| {
+            let decoded = Arc::new(DecodedTrace::new(&trace.buffer));
+            shared
+                .lock_traces()
+                .resident
+                .attach(&req.id, image_crc, decoded.clone());
+            decoded
+        })
+    });
+    let partial = match &decoded {
+        Some(decoded) => analyze_decoded_with(&w.program, decoded, &grains, &opts),
+        None => analyze_buffer_with(&w.program, &trace.buffer, &grains, &opts),
+    };
     if !partial.failures.is_empty() {
         let msg = partial
             .failures
@@ -1487,7 +1569,7 @@ fn execute_replay(
     let mut payload = format!(
         "\"id\":\"{}\",\"events\":{},\"profiles_crc\":{profiles_crc},\"grains\":[",
         json::escape(&req.id),
-        buffer.events(),
+        trace.buffer.events(),
     );
     for (i, p) in partial.profiles.iter().enumerate() {
         if i > 0 {
@@ -1885,6 +1967,56 @@ mod tests {
         assert_eq!(resident.bytes, 0);
     }
 
+    /// A decoded form is charged beside its buffer: it is built only when
+    /// both fit the bound, it evicts other slots least recently used
+    /// first, and the resident-bytes gauge follows every charge.
+    #[test]
+    fn resident_charges_the_decoded_form_beside_its_buffer() {
+        let recorder = Arc::new(obs::MetricsRecorder::new());
+        let _scope = obs::Obs::from(recorder.clone()).enter();
+        let (buffer, bytes) = small_buffer();
+        let decoded = Arc::new(DecodedTrace::new(&buffer));
+        let dbytes = decoded.bytes();
+        assert_eq!(dbytes, DecodedTrace::size_for(&buffer));
+        assert!(
+            dbytes > 2 * bytes,
+            "{dbytes} decoded vs {bytes} encoded bytes"
+        );
+        let gauge = || recorder.gauge(obs::Gauge::ResidentBytes);
+
+        // No room for the decoded form beside the buffer: not built.
+        let mut tight = Resident::new(bytes + dbytes - 1);
+        tight.insert("a", 1, buffer.clone());
+        assert!(!tight.wants_decoded("a", 1));
+        tight.attach("a", 1, decoded.clone());
+        assert!(tight.get("a", 1).is_some_and(|t| t.decoded.is_none()));
+        assert_eq!((tight.bytes, gauge()), (bytes, bytes));
+
+        let mut resident = Resident::new(2 * bytes + dbytes);
+        resident.insert("a", 1, buffer.clone());
+        resident.insert("b", 2, buffer.clone());
+        assert!(resident.get("a", 1).is_some());
+        assert!(resident.wants_decoded("a", 1));
+        assert!(!resident.wants_decoded("a", 2), "another image of the id");
+        resident.attach("a", 1, decoded.clone());
+        assert!(!resident.wants_decoded("a", 1), "built once");
+        assert_eq!(resident.bytes, 2 * bytes + dbytes);
+        assert_eq!(gauge(), resident.bytes);
+        let hit = resident.get("a", 1).expect("a stays resident");
+        assert!(hit.decoded.is_some_and(|d| Arc::ptr_eq(&d, &decoded)));
+
+        // A third buffer evicts the least recently used slot, b; decoding
+        // it then evicts a, decoded form and all.
+        resident.insert("c", 3, buffer.clone());
+        assert!(resident.get("b", 2).is_none());
+        resident.attach("c", 3, decoded.clone());
+        assert!(resident.get("a", 1).is_none());
+        assert!(resident.get("c", 3).is_some_and(|t| t.decoded.is_some()));
+        assert_eq!((resident.bytes, gauge()), (bytes + dbytes, bytes + dbytes));
+        resident.remove("c");
+        assert_eq!((resident.bytes, gauge()), (0, 0));
+    }
+
     #[test]
     fn over_bound_trace_is_served_but_not_kept() {
         let (buffer, bytes) = small_buffer();
@@ -1898,7 +2030,7 @@ mod tests {
         };
         for _ in 0..2 {
             let (served, entry) = traces.load("big").expect("load");
-            assert_eq!(served.export(), buffer.export());
+            assert_eq!(served.buffer.export(), buffer.export());
             assert_eq!(entry.events, buffer.events());
             assert!(traces.resident.slots.is_empty(), "over-bound trace kept");
             assert_eq!(traces.resident.bytes, 0);

@@ -231,6 +231,32 @@ fn serve_refuses_a_scale_that_breaks_a_level() {
     );
 }
 
+/// `serve --scale 0` is the full-size hierarchy, as `--scale 0` is for
+/// the analysis and `predict` paths: an estimate against it answers.
+#[test]
+fn serve_takes_scale_zero_as_the_full_hierarchy() {
+    let store = temp_path("serve-scale-zero");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_reuselens"))
+        .args(["serve", "--store", &store, "--stdin", "--scale", "0"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("daemon starts");
+    let mut stdin = child.stdin.take().expect("stdin pipe");
+    stdin
+        .write_all(b"{\"kind\":\"estimate\",\"workload\":\"sweep3d\",\"mesh\":6}\n")
+        .expect("send request");
+    drop(stdin);
+    let out = child.wait_with_output().expect("daemon exits");
+    let _ = std::fs::remove_dir_all(&store);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(stdout.contains("\"ok\":true"), "stdout: {stdout}");
+    assert!(stdout.contains("\"kind\":\"estimate\""), "stdout: {stdout}");
+}
+
 #[test]
 fn predict_rejects_too_few_profiles() {
     let (_, stderr, ok) = run(&["predict", "--at", "16"]);
