@@ -35,8 +35,8 @@
 
 use reuselens::cache::MemoryHierarchy;
 use reuselens::core::{
-    analyze_buffer, analyze_buffer_with, capture_program, AnalysisResult, AnalyzeOptions,
-    CheckpointOptions, SamplingConfig,
+    analyze_buffer, analyze_buffer_with, analyze_decoded_with, capture_program, AnalysisResult,
+    AnalyzeOptions, CheckpointOptions, SamplingConfig,
 };
 use reuselens::ir::Program;
 use reuselens::metrics::attribute_analysis;
@@ -45,7 +45,7 @@ use reuselens::obs::{
 };
 use reuselens::statics::estimate_profiles;
 use reuselens::store::{TraceMeta, TraceStore};
-use reuselens::trace::{ExecReport, NullSink, TraceBuffer};
+use reuselens::trace::{DecodedTrace, ExecReport, NullSink, TraceBuffer};
 use reuselens::workloads::{gtc, sweep3d, BuiltWorkload};
 use reuselens_bench::report::{diff, BenchReport, Better, Row};
 use std::collections::BTreeMap;
@@ -338,8 +338,9 @@ fn layer_rows(
         s.ns_per(Stage::Decode, s.counter(Counter::EventsDecoded))
     });
 
-    // One serial grain exact, sampled at 1/100, and checkpointed four
-    // times over the stream, interleaved: the replay ratios' legs.
+    // One serial grain exact, sampled at 1/100, checkpointed four times
+    // over the stream, and exact again from the trace's decoded form (the
+    // daemon's resident replays), interleaved: the replay ratios' legs.
     let one_grain = &GRAIN_LADDER[..1];
     let ckpt_dir =
         std::env::temp_dir().join(format!("reuselens-bench-ckpt-{}", std::process::id()));
@@ -355,7 +356,8 @@ fn layer_rows(
         }),
         ..AnalyzeOptions::default()
     };
-    let [exact, sampled, checkpointed] = r.measure([
+    let decoded = DecodedTrace::new(buffer);
+    let [exact, sampled, checkpointed, from_decoded] = r.measure([
         Leg::new(replay(
             program,
             buffer,
@@ -364,6 +366,12 @@ fn layer_rows(
         )),
         Leg::new(replay(program, buffer, one_grain, sampled)),
         Leg::new(replay(program, buffer, one_grain, checkpointed)),
+        Leg::new(|| {
+            let partial =
+                analyze_decoded_with(program, &decoded, one_grain, &AnalyzeOptions::default());
+            assert!(partial.is_complete(), "replay failed");
+            black_box(partial);
+        }),
     ]);
     let _ = std::fs::remove_dir_all(&ckpt_dir);
     let replay_ns = |s: &Sample| s.ns_per(Stage::Replay, s.counter(Counter::EventsDecoded));
@@ -372,6 +380,12 @@ fn layer_rows(
         s.ns_per(Stage::Replay, s.counter(Counter::GrainsCompleted)) / 1e3
     });
     r.row("sampled_replay_ns_per_event", "ns", &sampled, replay_ns);
+    r.row(
+        "decoded_replay_ns_per_event",
+        "ns",
+        &from_decoded,
+        replay_ns,
+    );
     r.row(
         "checkpoint_replay_ns_per_event",
         "ns",

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 /// The per-layer rows every report must carry.
-const LAYER_ROWS: [&str; 13] = [
+const LAYER_ROWS: [&str; 14] = [
     "capture_ns_per_event",
     "store_decode_ns_per_event",
     "store_get_ns_per_event",
@@ -16,6 +16,7 @@ const LAYER_ROWS: [&str; 13] = [
     "replay_ns_per_event",
     "replay_us_per_grain",
     "sampled_replay_ns_per_event",
+    "decoded_replay_ns_per_event",
     "checkpoint_replay_ns_per_event",
     "checkpoint_us_per_snapshot",
     "estimate_us_per_call",

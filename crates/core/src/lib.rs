@@ -31,9 +31,9 @@
 //! with every knob in one [`AnalyzeOptions`]: sampling, a budget, and
 //! checkpointing, and [`analyze_decoded_with`] replays a trace decoded
 //! once ([`DecodedTrace`](reuselens_trace::DecodedTrace)) the same way.
-//! Each grain replays through one lane loop that steps the decoder and,
-//! after each of the grain's steps, checks its budget and writes its
-//! snapshots. Or drive a [`ReuseAnalyzer`] /
+//! Each grain replays through one lane loop that fills a stretch of
+//! decoded lanes per step, plays it into the grain and, after each of
+//! the grain's steps, checks its budget and writes its snapshots. Or drive a [`ReuseAnalyzer`] /
 //! [`MultiGrainAnalyzer`] through [`reuselens_trace::Executor`] yourself.
 
 #![forbid(unsafe_code)]

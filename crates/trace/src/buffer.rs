@@ -28,9 +28,11 @@
 //! figure.
 
 use crate::decode::{try_varint, Column, DecodeError};
-use crate::event::{Event, NullSink, SoaBatch, TraceSink};
+use crate::event::{Event, SoaBatch, TraceSink};
+use crate::lanes::{Lanes, ScopeMark, StepSource};
 use reuselens_ir::{AccessKind, RefId, ScopeId};
 use reuselens_obs as obs;
+use std::ops::Range;
 
 /// Events handed to [`TraceSink::access_soa`] per virtual call during
 /// replay. Large enough to amortize dispatch, small enough to stay in L1.
@@ -58,12 +60,6 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
         v >>= 7;
     }
     out.push(v as u8);
-}
-
-/// Bytes [`put_varint`] writes for `v`.
-#[inline]
-pub(crate) fn varint_len(v: u64) -> usize {
-    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
 #[inline]
@@ -188,12 +184,13 @@ pub struct TraceBuffer {
     last_ref: u32,
 }
 
-/// The full decoder state at one event boundary of a [`TraceBuffer`]:
-/// everything needed to start decoding mid-stream, plus the dynamic
-/// context (access clock and open scopes) a mid-stream consumer needs to
-/// interpret what it sees. Produced by [`TraceBuffer::state_at`] and
-/// advanced by [`TraceBuffer::replay_advance`] — the seek API behind
-/// replay lanes and checkpoint resume.
+/// The replay state at one event boundary of a trace: the dynamic
+/// context (access clock and open scopes) a consumer that starts
+/// mid-stream needs to interpret what it sees. Produced by
+/// [`TraceBuffer::state_at`] and advanced by
+/// [`TraceBuffer::replay_advance`] and [`StepSource::step`] — the seek API
+/// behind replay lanes and checkpoint resume. It says nothing about the
+/// trace's form: a state one form produced resumes a replay of the other.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SegmentState {
     /// Index of the first event of the segment.
@@ -205,12 +202,20 @@ pub struct SegmentState {
     /// root is implied, not listed), each with the global access clock at
     /// its entry.
     pub scopes: Vec<(ScopeId, u64)>,
-    pub(crate) addr_pos: usize,
-    pub(crate) ref_pos: usize,
-    pub(crate) size_pos: usize,
-    pub(crate) scope_pos: usize,
-    pub(crate) last_addr: u64,
-    pub(crate) last_ref: u32,
+}
+
+/// Where the varint decoder stands in the encoded columns between two
+/// stretches: its byte position in each column and the last access's
+/// address and reference, which the next deltas apply to. Private to the
+/// encoded [`StepSource`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Cursor {
+    addr_pos: usize,
+    ref_pos: usize,
+    size_pos: usize,
+    scope_pos: usize,
+    last_addr: u64,
+    last_ref: u32,
 }
 
 /// The portable on-disk / wire image of a [`TraceBuffer`]: the raw encoded
@@ -321,40 +326,35 @@ impl TraceBuffer {
         self.events += 1;
     }
 
-    /// Replays the captured stream into `sink`, decoding straight into
-    /// struct-of-arrays lanes and handing each run of consecutive accesses
-    /// to [`TraceSink::access_soa`]. The buffer is unchanged and can be
-    /// replayed concurrently from many threads.
+    /// Replays the captured stream into `sink`: each [`STEP`](crate::STEP)
+    /// of events decoded into lanes, then played, each run of consecutive
+    /// accesses handed to [`TraceSink::access_soa`] in batches. The buffer
+    /// is unchanged and can be replayed concurrently from many threads.
     pub fn replay<S: TraceSink + ?Sized>(&self, sink: &mut S) {
         self.replay_advance(&mut SegmentState::default(), self.events, sink);
         obs::add(obs::Counter::EventsDecoded, self.events);
         obs::add(obs::Counter::AccessesDecoded, self.accesses);
     }
 
-    /// The decoder state at one event boundary (clamped to the captured
-    /// event count): the prefix decoded from event 0 into [`NullSink`].
-    /// It counts nothing on the decode counters: a seek delivers no
-    /// events. Checkpoint resume and lane boarding use it to start a
-    /// grain mid-trace.
+    /// The replay state at one event boundary (clamped to the captured
+    /// event count), decoded from event 0 and delivered nowhere. It
+    /// counts nothing on the decode counters: a seek delivers no events.
     pub fn state_at(&self, event: u64) -> SegmentState {
-        let mut state = SegmentState::default();
-        self.replay_advance(&mut state, event, &mut NullSink);
-        state
+        StepSource::from(self).state_at(event)
     }
 
     /// Replays the half-open event range `[state.event, to_event)` into
-    /// `sink` while advancing `state` in place to `to_event`, decoding
-    /// each event exactly once. Every replay — whole-buffer and the
-    /// step-wise lane loop that publishes progress, checks
-    /// budgets and writes snapshots between calls — runs through here;
-    /// `state` always describes the boundary the next call resumes from.
-    /// `to_event` is clamped to the captured event count.
+    /// `sink` while advancing `state` in place to `to_event` (clamped to
+    /// the captured event count): the stretches of a [`StepSource`]
+    /// played one after the other, so a run of accesses is batched as in
+    /// one pass. A `state` past event 0 is first reached by decoding from
+    /// the start; a replay that goes step by step holds a [`StepSource`],
+    /// which keeps its place.
     ///
     /// It counts nothing on the decode counters: [`replay`](Self::replay)
     /// counts a whole replay, and the lane loop counts each grain's
     /// finished steps. It does no checks: every buffer is well-formed by
-    /// construction (see [`TraceBuffer`]). The decoder state lives in
-    /// locals for the loop and is written back once at the end.
+    /// construction (see [`TraceBuffer`]).
     pub fn replay_advance<S: TraceSink + ?Sized>(
         &self,
         state: &mut SegmentState,
@@ -362,67 +362,48 @@ impl TraceBuffer {
         sink: &mut S,
     ) {
         let to_event = to_event.min(self.events);
-        if to_event <= state.event {
-            return;
-        }
+        let mut source = StepSource::from(self);
         let mut batch = SoaBatch::with_capacity(BATCH);
-        let mut addr = state.last_addr;
-        let mut r = state.last_ref;
-        let (mut ap, mut rp, mut sp, mut cp) = (
-            state.addr_pos,
-            state.ref_pos,
-            state.size_pos,
-            state.scope_pos,
-        );
-        let mut accesses = state.accesses;
-        for i in state.event..to_event {
-            let op = (self.ops[(i / 4) as usize] >> ((i % 4) * 2)) & 0b11;
-            match op {
-                OP_LOAD | OP_STORE => {
-                    addr =
-                        addr.wrapping_add(unzigzag(get_varint(&self.addr_bytes, &mut ap)) as u64);
-                    r = (i64::from(r) + unzigzag(get_varint(&self.ref_bytes, &mut rp))) as u32;
-                    let size = get_varint(&self.size_bytes, &mut sp) as u32;
-                    let kind = if op == OP_LOAD {
-                        AccessKind::Load
-                    } else {
-                        AccessKind::Store
-                    };
-                    batch.push(r, addr, size, kind);
-                    accesses += 1;
-                    if batch.len() == BATCH {
-                        sink.access_soa(&batch);
-                        batch.clear();
-                    }
-                }
-                _ => {
-                    if !batch.is_empty() {
-                        sink.access_soa(&batch);
-                        batch.clear();
-                    }
-                    let scope = ScopeId(get_varint(&self.scope_bytes, &mut cp) as u32);
-                    if op == OP_ENTER {
-                        sink.enter(scope);
-                        state.scopes.push((scope, accesses));
-                    } else {
-                        sink.exit(scope);
-                        state.scopes.pop();
-                    }
-                }
-            }
+        while state.event < to_event {
+            source.step(state, to_event).play_into(&mut batch, sink);
         }
         if !batch.is_empty() {
             sink.access_soa(&batch);
         }
-        state.event = to_event;
-        state.accesses = accesses;
-        (
-            state.addr_pos,
-            state.ref_pos,
-            state.size_pos,
-            state.scope_pos,
-        ) = (ap, rp, sp, cp);
-        (state.last_addr, state.last_ref) = (addr, r);
+    }
+
+    /// Decodes `events` into `lanes`, appending, from `cursor`, which
+    /// stands at `events.start`, and moves `cursor` to `events.end`. The
+    /// one varint loop: every replay, seek and decoded form runs through
+    /// it.
+    pub(crate) fn fill(&self, cursor: &mut Cursor, events: Range<u64>, lanes: &mut Lanes) {
+        let mut c = *cursor;
+        for i in events {
+            let op = (self.ops[(i / 4) as usize] >> ((i % 4) * 2)) & 0b11;
+            match op {
+                OP_LOAD | OP_STORE => {
+                    let delta = unzigzag(get_varint(&self.addr_bytes, &mut c.addr_pos));
+                    c.last_addr = c.last_addr.wrapping_add(delta as u64);
+                    let delta = unzigzag(get_varint(&self.ref_bytes, &mut c.ref_pos));
+                    c.last_ref = (i64::from(c.last_ref) + delta) as u32;
+                    lanes.refs.push(c.last_ref);
+                    lanes.addrs.push(c.last_addr);
+                    let size = get_varint(&self.size_bytes, &mut c.size_pos);
+                    lanes.sizes.push(size as u32);
+                    lanes.kinds.push(if op == OP_LOAD {
+                        AccessKind::Load
+                    } else {
+                        AccessKind::Store
+                    });
+                }
+                _ => lanes.scopes.push(ScopeMark {
+                    event: i,
+                    scope: ScopeId(get_varint(&self.scope_bytes, &mut c.scope_pos) as u32),
+                    enter: op == OP_ENTER,
+                }),
+            }
+        }
+        *cursor = c;
     }
 
     /// Exports the encoded columns as a self-contained [`ExportedTrace`] —
@@ -659,7 +640,7 @@ impl<'b> Decoder<'b> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::VecSink;
+    use crate::event::{NullSink, VecSink};
 
     fn feed(sink: &mut impl TraceSink) {
         sink.enter(ScopeId(1));
@@ -1021,6 +1002,11 @@ mod tests {
             TraceBuffer::import(torn).unwrap_err(),
             DecodeError::Truncated { .. } | DecodeError::VarintOverflow { .. }
         ));
+    }
+
+    /// Bytes [`put_varint`] writes for `v`.
+    fn varint_len(v: u64) -> usize {
+        (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! it once into a [`DecodedTrace`], which replays the same events without
 //! decoding.
 //!
+//! Every replay runs one loop over a [`StepSource`], whatever the trace's
+//! form: fill a [`Stretch`] of decoded lanes (up to [`STEP`] events of an
+//! encoded buffer; a decoded trace is one stretch), then play it into each
+//! sink. Both forms leave the same [`SegmentState`]s.
+//!
 //! # Examples
 //!
 //! ```
@@ -45,9 +50,11 @@ mod event;
 mod exec;
 pub mod fault;
 pub mod frame;
+mod lanes;
 
 pub use buffer::{BufferStats, ExportedTrace, SegmentState, TraceBuffer};
 pub use decode::{Column, DecodeError};
 pub use decoded::DecodedTrace;
 pub use event::{Event, NullSink, SoaBatch, TeeSink, TraceSink, VecSink};
 pub use exec::{ExecError, ExecReport, Executor, LoopStats};
+pub use lanes::{StepSource, Stretch, STEP};

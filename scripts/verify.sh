@@ -66,6 +66,37 @@ cmp "$CKPT_TMP/sampled-plain.rlp" "$CKPT_TMP/sampled-ckpt.rlp"
 cmp "$CKPT_TMP/sampled-plain.rlp" "$CKPT_TMP/sampled-resumed.rlp"
 rm -rf "$CKPT_TMP"
 
+# One-lane smoke: each workload runs once as is and once pinned to one
+# core. With one core its two grains ride one replay lane, each stretch
+# played into both; with two they get a lane each. The saved profiles
+# must be byte-identical, and the lane counter must read 2 and 1 (on a
+# one-core host the unpinned run has one lane too).
+LANE_TMP="target/verify-lanes"
+rm -rf "$LANE_TMP" && mkdir -p "$LANE_TMP"
+lanes_of() { # <metrics file>: the replay_lanes counter it recorded
+    sed -n 's/^reuselens_replay_lanes_total \([0-9]*\)$/\1/p' "$1"
+}
+cores=$(nproc)
+for run in "sweep3d --mesh 6" "gtc --mgrid 64 --micell 4"; do
+    for pin in all one; do
+        set --
+        [ "$pin" = one ] && set -- taskset -c 0
+        # shellcheck disable=SC2086 # $run is a word list
+        "$@" ./target/release/reuselens $run \
+            --save-profile "$LANE_TMP/$pin.rlp" \
+            --metrics "$LANE_TMP/$pin.prom" >/dev/null 2>&1
+    done
+    cmp "$LANE_TMP/all.rlp" "$LANE_TMP/one.rlp" \
+        || { echo "verify: one-lane and two-lane runs of $run disagree" >&2; exit 1; }
+    want=2
+    [ "$cores" -ge 2 ] || want=1
+    [ "$(lanes_of "$LANE_TMP/all.prom")" = "$want" ] \
+        && [ "$(lanes_of "$LANE_TMP/one.prom")" = 1 ] \
+        || { echo "verify: $run ran on $(lanes_of "$LANE_TMP/all.prom") and" \
+                  "$(lanes_of "$LANE_TMP/one.prom") lanes, not $want and 1" >&2; exit 1; }
+done
+rm -rf "$LANE_TMP"
+
 # Live-telemetry CLI smoke: a run with --serve-metrics must answer
 # /metrics, /healthz, and /timeline over plain HTTP while (or just after)
 # analyzing, then exit cleanly. The port is OS-assigned; the bound
