@@ -1,6 +1,7 @@
 //! The per-layer bench runner: measures every pipeline layer on one
-//! captured Sweep3D trace, plus grain and observability ladders over
-//! Sweep3D and GTC, and writes the machine-readable
+//! captured Sweep3D trace, the analyzer core (exact and sampled replay)
+//! on GTC too, plus grain and observability ladders over Sweep3D and
+//! GTC, and writes the machine-readable
 //! `BENCH_reuselens.json` (schema documented in `reuselens_bench::report`).
 //!
 //! ```text
@@ -277,6 +278,34 @@ fn replay<'a>(
     }
 }
 
+/// A replay leg body like [`replay`], from the trace's decoded form (the
+/// daemon's resident replays).
+fn replay_decoded<'a>(
+    program: &'a Program,
+    decoded: &'a DecodedTrace,
+    grains: &'a [u64],
+    opts: AnalyzeOptions,
+) -> impl FnMut() + 'a {
+    move || {
+        let partial = analyze_decoded_with(program, decoded, grains, &opts);
+        assert!(partial.is_complete(), "replay failed");
+        black_box(partial);
+    }
+}
+
+/// Replay span time per decoded event.
+fn replay_ns(s: &Sample) -> f64 {
+    s.ns_per(Stage::Replay, s.counter(Counter::EventsDecoded))
+}
+
+/// Fixed-rate sampling at 1/100, the sampled replay rows' setting.
+fn sampled_one_percent() -> AnalyzeOptions {
+    AnalyzeOptions {
+        sampling: SamplingConfig::fixed(0.01),
+        ..AnalyzeOptions::default()
+    }
+}
+
 /// The per-layer rows, on one captured trace of `w` and the execution
 /// report of its capture.
 fn layer_rows(
@@ -344,10 +373,6 @@ fn layer_rows(
     let one_grain = &GRAIN_LADDER[..1];
     let ckpt_dir =
         std::env::temp_dir().join(format!("reuselens-bench-ckpt-{}", std::process::id()));
-    let sampled = AnalyzeOptions {
-        sampling: SamplingConfig::fixed(0.01),
-        ..AnalyzeOptions::default()
-    };
     let checkpointed = AnalyzeOptions {
         checkpoint: Some(CheckpointOptions {
             dir: ckpt_dir.clone(),
@@ -364,17 +389,16 @@ fn layer_rows(
             one_grain,
             AnalyzeOptions::default(),
         )),
-        Leg::new(replay(program, buffer, one_grain, sampled)),
+        Leg::new(replay(program, buffer, one_grain, sampled_one_percent())),
         Leg::new(replay(program, buffer, one_grain, checkpointed)),
-        Leg::new(|| {
-            let partial =
-                analyze_decoded_with(program, &decoded, one_grain, &AnalyzeOptions::default());
-            assert!(partial.is_complete(), "replay failed");
-            black_box(partial);
-        }),
+        Leg::new(replay_decoded(
+            program,
+            &decoded,
+            one_grain,
+            AnalyzeOptions::default(),
+        )),
     ]);
     let _ = std::fs::remove_dir_all(&ckpt_dir);
-    let replay_ns = |s: &Sample| s.ns_per(Stage::Replay, s.counter(Counter::EventsDecoded));
     r.row("replay_ns_per_event", "ns", &exact, replay_ns);
     r.row("replay_us_per_grain", "us", &exact, |s| {
         s.ns_per(Stage::Replay, s.counter(Counter::GrainsCompleted)) / 1e3
@@ -420,6 +444,25 @@ fn layer_rows(
     r.row("report_us_per_report", "us", &scoring, |s| {
         s.ns_per(Stage::Report, s.counter(Counter::ReportsGenerated)) / 1e3
     });
+}
+
+/// The analyzer core on GTC's irregular stream: one 64 B grain exact
+/// from the trace's decoded form and sampled at 1/100 from the buffer,
+/// interleaved as one point.
+fn gtc_rows(r: &mut Runner, w: &BuiltWorkload, buffer: &TraceBuffer) {
+    let one_grain = &GRAIN_LADDER[..1];
+    let decoded = DecodedTrace::new(buffer);
+    let [exact, sampled] = r.measure([
+        Leg::new(replay_decoded(
+            &w.program,
+            &decoded,
+            one_grain,
+            AnalyzeOptions::default(),
+        )),
+        Leg::new(replay(&w.program, buffer, one_grain, sampled_one_percent())),
+    ]);
+    r.row("gtc_decoded_replay_ns_per_event", "ns", &exact, replay_ns);
+    r.row("gtc_sampled_replay_ns_per_event", "ns", &sampled, replay_ns);
 }
 
 /// The first `count` grains of the ladder replayed in parallel, one rung
@@ -514,6 +557,9 @@ fn main() -> ExitCode {
         if index == 0 {
             layer_rows(&mut runner, name, w, &buffer, exec);
             obs_rows(&mut runner, w, &buffer);
+        }
+        if *name == "gtc" {
+            gtc_rows(&mut runner, w, &buffer);
         }
         grain_rows(&mut runner, name, w, &buffer, grain_counts);
     }

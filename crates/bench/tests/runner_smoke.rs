@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 /// The per-layer rows every report must carry.
-const LAYER_ROWS: [&str; 14] = [
+const LAYER_ROWS: [&str; 16] = [
     "capture_ns_per_event",
     "store_decode_ns_per_event",
     "store_get_ns_per_event",
@@ -18,6 +18,8 @@ const LAYER_ROWS: [&str; 14] = [
     "sampled_replay_ns_per_event",
     "decoded_replay_ns_per_event",
     "checkpoint_replay_ns_per_event",
+    "gtc_decoded_replay_ns_per_event",
+    "gtc_sampled_replay_ns_per_event",
     "checkpoint_us_per_snapshot",
     "estimate_us_per_call",
     "sweep_us_per_config",

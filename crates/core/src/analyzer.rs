@@ -28,23 +28,93 @@ const SMALL_MAP_LIMIT: usize = 8;
 ///
 /// Real access streams are dominated by short reuses — the paper's sweeps
 /// spend 7 of every 8 accesses on within-line spatial reuse at distance 0 —
-/// so the hot path resolves any reuse with distance `< WINDOW` by scanning a
-/// tiny array from its most-recent end and never touches the radix table or
-/// the order-statistic set. Only evictions from the window (one per *cold*
-/// miss once the window is full) pay for set and table maintenance, and the
-/// reuse path that does reach the set folds lookup and reinsert into a
-/// single fused operation ([`TimeBits::count_reinsert`]).
+/// so the hot path resolves any reuse with distance `< WINDOW` from a
+/// fixed array kept most recent first, where a block's slot is its
+/// distance, and never touches the radix table or the order-statistic set.
+/// Only evictions from the window (one per miss once the window is full)
+/// pay for set and table maintenance, and the reuse path that does reach
+/// the set folds lookup and reinsert into a single fused operation
+/// ([`TimeBits::count_reinsert`]). Pattern histograms count distances
+/// below `WINDOW` densely beside their bins (see [`SinkPatterns`]).
 const WINDOW: usize = 32;
 
-/// One entry of the recent-access window (see [`WINDOW`]): a distinct block
-/// plus the clock and static reference of its last access. Entries are kept
-/// in ascending time order, and every entry's time is greater than every time
-/// in the set — that invariant is what makes window distances exact.
-#[derive(Debug, Clone, Copy)]
-struct WinEntry {
-    block: u64,
-    time: u64,
-    ref_id: u32,
+/// Buckets of the window's miss filter, keyed on a block number's low
+/// byte.
+const FILTER: usize = 256;
+
+/// The recent-access window (see [`WINDOW`]): the distinct blocks most
+/// recently touched, with the clock and static reference of each one's
+/// last access, most recent first. Slot `i` holds the block touched `i`
+/// distinct blocks ago, every slot's time is greater than every time in
+/// the order-statistic set, and `filter` counts the held blocks per low
+/// byte of the block number, so a miss whose bucket is empty skips the
+/// scan.
+#[derive(Debug)]
+struct Window {
+    blocks: [u64; WINDOW],
+    times: [u64; WINDOW],
+    refs: [u32; WINDOW],
+    len: usize,
+    filter: [u8; FILTER],
+}
+
+impl Window {
+    fn new() -> Window {
+        Window {
+            blocks: [0; WINDOW],
+            times: [0; WINDOW],
+            refs: [0; WINDOW],
+            len: 0,
+            filter: [0; FILTER],
+        }
+    }
+
+    /// The slot holding `block`, if the window holds it.
+    #[inline]
+    fn find(&self, block: u64) -> Option<usize> {
+        if self.filter[block as u8 as usize] == 0 {
+            return None;
+        }
+        self.blocks[..self.len].iter().position(|&b| b == block)
+    }
+
+    /// Moves slots `0..i` back by one and puts `(block, time, ref_id)` in
+    /// slot 0; slot `i` is overwritten.
+    #[inline]
+    fn shift_in(&mut self, i: usize, block: u64, time: u64, ref_id: u32) {
+        // A plain loop: three `copy_within` memmove calls per hit cost
+        // more than the shift. `i < WINDOW` already; the `min` lets the
+        // compiler drop the bounds checks.
+        for j in (0..i.min(WINDOW - 1)).rev() {
+            self.blocks[j + 1] = self.blocks[j];
+            self.times[j + 1] = self.times[j];
+            self.refs[j + 1] = self.refs[j];
+        }
+        self.blocks[0] = block;
+        self.times[0] = time;
+        self.refs[0] = ref_id;
+    }
+
+    /// Adds a block the window does not hold at slot 0. When the window
+    /// is full its oldest entry drops out and is returned as
+    /// `(block, time, ref_id)`.
+    fn push(&mut self, block: u64, time: u64, ref_id: u32) -> Option<(u64, u64, u32)> {
+        self.filter[block as u8 as usize] += 1;
+        if self.len < WINDOW {
+            self.shift_in(self.len, block, time, ref_id);
+            self.len += 1;
+            return None;
+        }
+        let last = WINDOW - 1;
+        let evicted = (self.blocks[last], self.times[last], self.refs[last]);
+        self.filter[evicted.0 as u8 as usize] -= 1;
+        // A shift of constant length compiles to a few vector moves.
+        self.blocks.copy_within(0..last, 1);
+        self.times.copy_within(0..last, 1);
+        self.refs.copy_within(0..last, 1);
+        self.shift_in(0, block, time, ref_id);
+        Some(evicted)
+    }
 }
 
 /// Per-sink pattern storage. The paper observes that each reference sees a
@@ -53,14 +123,62 @@ struct WinEntry {
 /// carriers, e.g. deep non-perfect nests or indirection) would degrade the
 /// scan to O(patterns) per access, so past [`SMALL_MAP_LIMIT`] entries a
 /// hash index over the same vector takes over.
+///
+/// Each entry counts the distances below [`WINDOW`] — the window hits,
+/// most reuses on real streams — in a dense array beside its
+/// [`Histogram`], so recording one is an indexed add with no bin search.
+/// The dense counts fold into the histogram when it is read
+/// ([`collect_patterns`], snapshot encode); since a histogram's bins are
+/// sums, the folded histogram equals the one unit records would build.
 #[derive(Debug, Default)]
 pub(crate) struct SinkPatterns {
-    entries: Vec<(ScopeId, ScopeId, Histogram)>,
+    entries: Vec<PatternEntry>,
     index: Option<HashMap<(ScopeId, ScopeId), usize>>,
     /// Last entry hit — a hint only (re-checked before use). Reuse streams
     /// record long runs of the same (source, carrier) pair, so this turns
     /// the common record into one comparison.
     hot: u32,
+}
+
+/// One (source scope, carrier) pattern of a sink: the histogram of its
+/// distances from [`WINDOW`] up, and `near[d]` reuses at each distance
+/// `d` below it.
+#[derive(Debug, Clone)]
+struct PatternEntry {
+    source: ScopeId,
+    carrier: ScopeId,
+    near: [u64; WINDOW],
+    far: Histogram,
+}
+
+impl PatternEntry {
+    fn new(source: ScopeId, carrier: ScopeId) -> PatternEntry {
+        PatternEntry {
+            source,
+            carrier,
+            near: [0; WINDOW],
+            far: Histogram::new(),
+        }
+    }
+
+    #[inline]
+    fn add_n(&mut self, distance: u64, count: u64) {
+        if distance < WINDOW as u64 {
+            self.near[distance as usize] += count;
+        } else {
+            self.far.add_n(distance, count);
+        }
+    }
+
+    /// The pattern's whole histogram: the dense counts folded into the
+    /// far bins.
+    fn into_histogram(self) -> Histogram {
+        let mut h = self.far;
+        for (d, &n) in self.near.iter().enumerate() {
+            h.add_n(d as u64, n);
+        }
+        h
+    }
 }
 
 /// Flattens per-sink pattern tables (indexed by sink reference) into a
@@ -70,19 +188,14 @@ pub(crate) fn collect_patterns(per_sink: Vec<SinkPatterns>) -> Vec<ReusePattern>
         .into_iter()
         .enumerate()
         .flat_map(|(sink, sp)| {
-            sp.entries
-                .into_iter()
-                .map(move |(source_scope, carrier, histogram)| {
-                    let sink = RefId(sink as u32);
-                    ReusePattern {
-                        key: PatternKey {
-                            sink,
-                            source_scope,
-                            carrier,
-                        },
-                        histogram,
-                    }
-                })
+            sp.entries.into_iter().map(move |e| ReusePattern {
+                key: PatternKey {
+                    sink: RefId(sink as u32),
+                    source_scope: e.source,
+                    carrier: e.carrier,
+                },
+                histogram: e.into_histogram(),
+            })
         })
         .collect();
     patterns.sort_by_key(|p| p.key);
@@ -106,39 +219,39 @@ impl SinkPatterns {
         distance: u64,
         count: u64,
     ) {
-        if let Some((s, c, h)) = self.entries.get_mut(self.hot as usize) {
-            if *s == source && *c == carrier {
-                h.add_n(distance, count);
+        if let Some(e) = self.entries.get_mut(self.hot as usize) {
+            if e.source == source && e.carrier == carrier {
+                e.add_n(distance, count);
                 return;
             }
         }
         if let Some(index) = &mut self.index {
             match index.entry((source, carrier)) {
-                Entry::Occupied(e) => {
-                    self.hot = *e.get() as u32;
-                    self.entries[*e.get()].2.add_n(distance, count);
+                Entry::Occupied(o) => {
+                    self.hot = *o.get() as u32;
+                    self.entries[*o.get()].add_n(distance, count);
                 }
-                Entry::Vacant(e) => {
+                Entry::Vacant(v) => {
                     self.hot = self.entries.len() as u32;
-                    e.insert(self.entries.len());
-                    let mut h = Histogram::new();
-                    h.add_n(distance, count);
-                    self.entries.push((source, carrier, h));
+                    v.insert(self.entries.len());
+                    let mut e = PatternEntry::new(source, carrier);
+                    e.add_n(distance, count);
+                    self.entries.push(e);
                 }
             }
             return;
         }
-        for (i, (s, c, h)) in self.entries.iter_mut().enumerate() {
-            if *s == source && *c == carrier {
+        for (i, e) in self.entries.iter_mut().enumerate() {
+            if e.source == source && e.carrier == carrier {
                 self.hot = i as u32;
-                h.add_n(distance, count);
+                e.add_n(distance, count);
                 return;
             }
         }
         self.hot = self.entries.len() as u32;
-        let mut h = Histogram::new();
-        h.add_n(distance, count);
-        self.entries.push((source, carrier, h));
+        let mut e = PatternEntry::new(source, carrier);
+        e.add_n(distance, count);
+        self.entries.push(e);
         self.maybe_index();
     }
 
@@ -148,7 +261,7 @@ impl SinkPatterns {
                 self.entries
                     .iter()
                     .enumerate()
-                    .map(|(i, (s, c, _))| ((*s, *c), i))
+                    .map(|(i, e)| ((e.source, e.carrier), i))
                     .collect(),
             );
         }
@@ -195,17 +308,18 @@ pub(crate) fn decode_scope_stack(
 }
 
 /// Serializes every sink's pattern set for a snapshot. Histograms are
-/// written as `(low, count)` pairs in bin order — the same canonical form
-/// the profile serializer proved round-trips through `iter`/`add_n` —
-/// and the hash index and hot-entry hints, being derived state, are
-/// skipped and rebuilt on decode.
+/// written whole (dense near counts folded in) as `(low, count)` pairs in
+/// bin order — the same canonical form the profile serializer proved
+/// round-trips through `iter`/`add_n` — and the hash index and hot-entry
+/// hints, being derived state, are skipped and rebuilt on decode.
 pub(crate) fn encode_sink_patterns(e: &mut Enc, per_sink: &[SinkPatterns]) {
     e.u64(per_sink.len() as u64);
     for sp in per_sink {
         e.u64(sp.entries.len() as u64);
-        for (source, carrier, h) in &sp.entries {
-            e.u32(source.0);
-            e.u32(carrier.0);
+        for entry in &sp.entries {
+            e.u32(entry.source.0);
+            e.u32(entry.carrier.0);
+            let h = entry.clone().into_histogram();
             e.u64(h.bin_count() as u64);
             for (lo, _, count) in h.iter() {
                 e.u64(lo);
@@ -233,10 +347,8 @@ pub(crate) fn decode_sink_patterns(
         let nentries = d.len(24)?;
         let mut entries = Vec::with_capacity(nentries);
         for _ in 0..nentries {
-            let source = ScopeId(d.u32()?);
-            let carrier = ScopeId(d.u32()?);
+            let mut entry = PatternEntry::new(ScopeId(d.u32()?), ScopeId(d.u32()?));
             let nbins = d.len(16)?;
-            let mut h = Histogram::new();
             let mut prev_lo = None;
             for _ in 0..nbins {
                 let at = d.offset();
@@ -249,9 +361,9 @@ pub(crate) fn decode_sink_patterns(
                     });
                 }
                 prev_lo = Some(lo);
-                h.add_n(lo, count);
+                entry.add_n(lo, count);
             }
-            entries.push((source, carrier, h));
+            entries.push(entry);
         }
         let mut sp = SinkPatterns {
             entries,
@@ -307,7 +419,9 @@ pub struct ReuseAnalyzer {
     clock: u64,
     table: BlockTable,
     tree: TimeBits,
-    window: Vec<WinEntry>,
+    /// Boxed: the window's arrays take about 1 KiB, which would dwarf
+    /// every other engine a replay holds by value.
+    window: Box<Window>,
     distinct: u64,
     stack: ScopeStack,
     per_sink: Vec<SinkPatterns>,
@@ -334,7 +448,7 @@ impl ReuseAnalyzer {
             clock: 0,
             table: BlockTable::new(),
             tree: TimeBits::new(),
-            window: Vec::with_capacity(WINDOW + 1),
+            window: Box::new(Window::new()),
             distinct: 0,
             stack: ScopeStack::new(),
             per_sink: (0..nrefs).map(|_| SinkPatterns::default()).collect(),
@@ -363,7 +477,7 @@ impl ReuseAnalyzer {
     /// Live blocks tracked for distance counting: order-statistic set
     /// entries plus recent-access window entries (one per distinct block).
     pub fn tree_nodes(&self) -> usize {
-        self.tree.len() + self.window.len()
+        self.tree.len() + self.window.len
     }
 
     /// Distance the most recent access was measured at: `Some(d)` for a
@@ -401,11 +515,12 @@ impl ReuseAnalyzer {
                 e.u64(dist);
             }
         }
-        e.u64(self.window.len() as u64);
-        for w in &self.window {
-            e.u64(w.block);
-            e.u64(w.time);
-            e.u32(w.ref_id);
+        let w = &self.window;
+        e.u64(w.len as u64);
+        for i in (0..w.len).rev() {
+            e.u64(w.blocks[i]);
+            e.u64(w.times[i]);
+            e.u32(w.refs[i]);
         }
         encode_scope_stack(e, &self.stack);
         encode_sink_patterns(e, &self.per_sink);
@@ -433,8 +548,9 @@ impl ReuseAnalyzer {
     /// Rebuilds a mid-stream analyzer from [`snapshot_encode`] output,
     /// validating every structural invariant the bytes could violate:
     /// window and table times bounded by the clock, blocks inside the
-    /// modeled address space, references inside the program, the time
-    /// bitmap's population matching its length. Never panics on hostile
+    /// modeled address space, references inside the program, block-table
+    /// entries only beside a full window, the time bitmap's population
+    /// matching its length. Never panics on hostile
     /// input — a violated invariant is a typed [`SnapshotError`].
     pub(crate) fn snapshot_decode(
         program: &Program,
@@ -460,7 +576,7 @@ impl ReuseAnalyzer {
                 .corrupt(format!("window holds {wlen} entries, limit {WINDOW}"))
                 .into());
         }
-        let mut window = Vec::with_capacity(WINDOW + 1);
+        let mut window = Box::new(Window::new());
         let mut prev_time = 0u64;
         for _ in 0..wlen {
             let at = d.offset();
@@ -478,11 +594,7 @@ impl ReuseAnalyzer {
                 });
             }
             prev_time = time;
-            window.push(WinEntry {
-                block,
-                time,
-                ref_id,
-            });
+            window.push(block, time, ref_id);
         }
         let stack = decode_scope_stack(d, clock)?;
         let per_sink = decode_sink_patterns(d, nrefs)?;
@@ -521,6 +633,14 @@ impl ReuseAnalyzer {
             prev_block = Some(block);
             table.set(block, time, ref_id);
         }
+        if tcount > 0 && wlen < WINDOW {
+            return Err(d
+                .corrupt(format!(
+                    "{tcount} blocks left a window of {wlen} entries, which only \
+                     a full window ({WINDOW}) evicts"
+                ))
+                .into());
+        }
         let nwords = d.len(8)?;
         let mut words = Vec::with_capacity(nwords);
         for _ in 0..nwords {
@@ -552,22 +672,23 @@ impl ReuseAnalyzer {
 
     /// The per-access hot path, shared by every [`TraceSink`] entry point.
     ///
-    /// The recent-access window holds the [`WINDOW`] most recently used
-    /// distinct blocks in ascending time order; every window time is
-    /// greater than every tree key, and the table/tree only ever learn
-    /// about a block when it is evicted from the window. That invariant
-    /// makes the three cases exact:
+    /// The recent-access [`Window`] holds the [`WINDOW`] most recently used
+    /// distinct blocks, most recent first; every window time is greater
+    /// than every tree key, and the table/tree only ever learn about a
+    /// block when it is evicted from the window. That invariant makes the
+    /// three cases exact:
     ///
-    /// * **window hit** at index `i`: the blocks touched since the
-    ///   previous access are exactly the entries behind `i`, so
-    ///   `distance = len - 1 - i` with no tree or table work at all;
-    /// * **table hit**: all `len` window blocks are more recent than the
-    ///   previous access, so `distance = len + |tree keys > prev.time|`,
-    ///   where the count and the set update (drop `prev.time`, add the
-    ///   newly evicted window head) fuse into one call
+    /// * **window hit** at slot `i`: the blocks touched since the previous
+    ///   access are exactly the `i` slots before it, so `distance = i` with
+    ///   no tree or table work at all. Slot 0 (distance 0) is checked
+    ///   first; a miss whose filter bucket is empty skips the scan;
+    /// * **table hit**: all `WINDOW` window blocks are more recent than
+    ///   the previous access, so `distance = WINDOW + |tree keys >
+    ///   prev.time|`, where the count and the set update (drop
+    ///   `prev.time`, add the newly evicted oldest slot) fuse into one call
     ///   ([`TimeBits::count_reinsert`]);
     /// * **cold**: first touch; the block enters the window and the oldest
-    ///   entry (if any) spills into the tree + table.
+    ///   entry (if the window is full) spills into the tree + table.
     ///
     /// A block sitting in the window may leave a stale table entry behind
     /// from an earlier eviction; that is harmless because the window is
@@ -576,40 +697,25 @@ impl ReuseAnalyzer {
     fn access_block(&mut self, r: u32, block: u64) {
         self.clock += 1;
         let now = self.clock;
-        let len = self.window.len();
-        // Distance-0 fast path: a repeat of the most recent block (the
-        // dominant case — within-line spatial reuse on a unit-stride
-        // sweep) updates the tail entry in place, with no remove/push.
-        if len > 0 && self.window[len - 1].block == block {
-            let e = self.window[len - 1];
-            self.window[len - 1] = WinEntry {
-                block,
-                time: now,
-                ref_id: r,
-            };
-            let carrier = self.stack.carrier(e.time);
-            let source = self.ref_scopes[e.ref_id as usize];
-            self.per_sink[r as usize].record(source, carrier, 0);
-            self.last_distance = Some(0);
-            return;
-        }
-        for i in (0..len.saturating_sub(1)).rev() {
-            if self.window[i].block == block {
-                let e = self.window.remove(i);
-                let distance = (len - 1 - i) as u64;
-                let carrier = self.stack.carrier(e.time);
-                let source = self.ref_scopes[e.ref_id as usize];
-                self.per_sink[r as usize].record(source, carrier, distance);
-                self.last_distance = Some(distance);
-                self.window.push(WinEntry {
-                    block,
-                    time: now,
-                    ref_id: r,
-                });
-                return;
-            }
-        }
-        self.access_past_window(r, block, now, len);
+        let w = &mut self.window;
+        // Distance 0 — within-line spatial reuse on a unit-stride sweep,
+        // the dominant case — updates slot 0 in place.
+        let (i, time, ref_id) = if w.len > 0 && w.blocks[0] == block {
+            let hit = (0, w.times[0], w.refs[0]);
+            w.times[0] = now;
+            w.refs[0] = r;
+            hit
+        } else if let Some(i) = w.find(block) {
+            let hit = (i, w.times[i], w.refs[i]);
+            w.shift_in(i, block, now, r);
+            hit
+        } else {
+            return self.access_past_window(r, block, now);
+        };
+        let carrier = self.stack.carrier(time);
+        let source = self.ref_scopes[ref_id as usize];
+        self.per_sink[r as usize].record(source, carrier, i as u64);
+        self.last_distance = Some(i as u64);
     }
 
     /// The table/tree path for an access that missed the recent window —
@@ -618,17 +724,19 @@ impl ReuseAnalyzer {
     /// costs the dominant short-reuse path real registers and icache.
     #[cold]
     #[inline(never)]
-    fn access_past_window(&mut self, r: u32, block: u64, now: u64, len: usize) {
+    fn access_past_window(&mut self, r: u32, block: u64, now: u64) {
+        let evicted = self.window.push(block, now, r);
         match self.table.get(block) {
             Some(prev) => {
                 let (prev_time, prev_ref) = (prev.time, prev.ref_id);
-                // The table only holds evicted blocks, so the window is
-                // necessarily full here; spill its oldest entry to make
-                // room for this block at the recent end.
-                let e = self.window.remove(0);
-                let (_, count) = self.tree.count_reinsert(prev_time, e.time);
-                self.table.set(e.block, e.time, e.ref_id);
-                let distance = len as u64 + count;
+                // The table only holds evicted blocks, so the window was
+                // full and spilled its oldest entry to make room.
+                let Some((old, old_time, old_ref)) = evicted else {
+                    unreachable!("a block-table hit implies a full window")
+                };
+                let (_, count) = self.tree.count_reinsert(prev_time, old_time);
+                self.table.set(old, old_time, old_ref);
+                let distance = WINDOW as u64 + count;
                 let carrier = self.stack.carrier(prev_time);
                 let source = self.ref_scopes[prev_ref as usize];
                 self.per_sink[r as usize].record(source, carrier, distance);
@@ -638,17 +746,11 @@ impl ReuseAnalyzer {
                 self.cold[r as usize] += 1;
                 self.distinct += 1;
                 self.last_distance = None;
+                if let Some((old, old_time, old_ref)) = evicted {
+                    self.tree.insert(old_time);
+                    self.table.set(old, old_time, old_ref);
+                }
             }
-        }
-        self.window.push(WinEntry {
-            block,
-            time: now,
-            ref_id: r,
-        });
-        if self.window.len() > WINDOW {
-            let e = self.window.remove(0);
-            self.tree.insert(e.time);
-            self.table.set(e.block, e.time, e.ref_id);
         }
     }
 }
@@ -909,9 +1011,14 @@ mod tests {
         sp.record(ScopeId(1), ScopeId(11), 5);
         sp.record(ScopeId(2), ScopeId(10), 1);
         assert_eq!(sp.entries.len(), SMALL_MAP_LIMIT + 2);
-        assert_eq!(sp.entries[0].2.total(), 2);
-        assert_eq!(sp.entries[1].2.total(), 2);
-        let total: u64 = sp.entries.iter().map(|(_, _, h)| h.total()).sum();
+        let totals: Vec<u64> = sp
+            .entries
+            .iter()
+            .map(|e| e.clone().into_histogram().total())
+            .collect();
+        assert_eq!(totals[0], 2);
+        assert_eq!(totals[1], 2);
+        let total: u64 = totals.iter().sum();
         assert_eq!(total, SMALL_MAP_LIMIT as u64 + 4);
     }
 
@@ -947,13 +1054,107 @@ mod tests {
                 let mut v: Vec<_> = sp
                     .entries
                     .iter()
+                    .map(|e| {
+                        (
+                            e.source.index(),
+                            e.carrier.index(),
+                            e.clone().into_histogram(),
+                        )
+                    })
                     .filter(|(_, _, h)| !h.is_empty())
-                    .map(|(s, c, h)| (s.index(), c.index(), h.clone()))
                     .collect();
                 v.sort_by_key(|&(s, c, _)| (s, c));
                 v
             };
             assert_eq!(live(&batched), live(&unit));
+        }
+    }
+
+    /// Encode → decode → encode of `an` gives the same bytes, and the
+    /// decoded analyzer holds the same window.
+    fn assert_snapshot_fixpoint(an: &ReuseAnalyzer, prog: &Program) {
+        let mut enc = Enc::new();
+        an.snapshot_encode(&mut enc);
+        let mut dec = Dec::new(&enc.buf, 0);
+        let back = ReuseAnalyzer::snapshot_decode(prog, an.block_size(), &mut dec)
+            .expect("decode a snapshot just encoded");
+        dec.finish().expect("the snapshot is read whole");
+        let mut again = Enc::new();
+        back.snapshot_encode(&mut again);
+        assert_eq!(again.buf, enc.buf, "encode/decode is not a fixpoint");
+        assert_eq!(back.window.len, an.window.len);
+        assert_eq!(back.window.filter, an.window.filter);
+    }
+
+    /// A loop cycling over `lines` distinct 64 B lines reuses each at
+    /// distance `lines - 1`: below the window's last slot, at it, and
+    /// one past it (the table path) for `WINDOW - 1`, `WINDOW` and
+    /// `WINDOW + 1` lines. Every access's distance matches the LRU-stack
+    /// oracle, and snapshots of the empty, partly filled and full window
+    /// are byte fixpoints.
+    #[test]
+    fn cyclic_reuse_at_the_window_edge_matches_the_oracle() {
+        for lines in [WINDOW - 1, WINDOW, WINDOW + 1] {
+            let mut p = ProgramBuilder::new("cyclic");
+            let a = p.array("a", 64, &[lines as u64]);
+            p.routine("main", |r| {
+                r.for_("t", 0, 3, |r, _| {
+                    r.for_("i", 0, lines as i64 - 1, |r, i| {
+                        r.load(a, vec![i.into()]);
+                    });
+                });
+            });
+            let prog = p.finish();
+            let mut events = reuselens_trace::VecSink::new();
+            Executor::new(&prog).run(&mut events).unwrap();
+            let addrs: Vec<u64> = events
+                .events
+                .iter()
+                .filter_map(|e| match *e {
+                    reuselens_trace::Event::Access { addr, .. } => Some(addr),
+                    _ => None,
+                })
+                .collect();
+            let want = crate::oracle::stack_distances(&addrs, 64);
+            let mut an = ReuseAnalyzer::new(&prog, 64);
+            assert_snapshot_fixpoint(&an, &prog);
+            let mut k = 0;
+            for event in events.events {
+                match event {
+                    reuselens_trace::Event::Access {
+                        r,
+                        addr,
+                        size,
+                        kind,
+                    } => {
+                        an.access(r, addr, size, kind);
+                        assert_eq!(an.last_distance(), want[k], "{lines} lines, access {k}");
+                        k += 1;
+                        if k == WINDOW / 2 {
+                            assert_snapshot_fixpoint(&an, &prog);
+                        }
+                    }
+                    reuselens_trace::Event::Enter(s) => an.enter(s),
+                    reuselens_trace::Event::Exit(s) => an.exit(s),
+                }
+            }
+            assert_eq!(k, addrs.len());
+            assert_eq!(an.window.len, lines.min(WINDOW));
+            assert_snapshot_fixpoint(&an, &prog);
+            if lines > WINDOW {
+                // Evicted blocks beside a window short of full: no run
+                // leaves that, so decode refuses it.
+                let mut short = Enc::new();
+                an.window.len -= 1;
+                an.snapshot_encode(&mut short);
+                an.window.len += 1;
+                let err = ReuseAnalyzer::snapshot_decode(&prog, 64, &mut Dec::new(&short.buf, 0))
+                    .expect_err("a short window with a block table");
+                assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
+            }
+            let profile = an.finish();
+            assert_eq!(profile.distinct_blocks, lines as u64);
+            assert!(profile.accesses_balance());
         }
     }
 

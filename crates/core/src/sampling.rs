@@ -60,6 +60,7 @@ use reuselens_trace::TraceSink;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// How (and whether) to sample the block stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -189,6 +190,36 @@ pub(crate) fn spatial_hash(block: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Hashes the tracked-block table's keys with [`spatial_hash`] in place
+/// of SipHash: one mix per lookup, and the mixer is a bijection, so
+/// distinct tracked blocks never share a hash. The keys come from traces
+/// this program captured; a trace crafted so that many sampled blocks
+/// collide in the table's bucket bits could slow a replay, which is no
+/// more than such a trace's length already can.
+#[derive(Debug, Default, Clone, Copy)]
+struct SpatialHasher(u64);
+
+impl Hasher for SpatialHasher {
+    /// A tracked block's hash is at most `u64::MAX / inv`, so its top
+    /// bits, where the table keeps its probe tags, are nearly all zero;
+    /// the rotation puts uniform middle bits there instead.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = spatial_hash(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, block: u64) {
+        self.0 = spatial_hash(self.0 ^ block);
+    }
+}
+
+type TrackedTable = HashMap<u64, Tracked, BuildHasherDefault<SpatialHasher>>;
+
 /// A tracked (sampled) block's last access.
 #[derive(Debug, Clone, Copy)]
 struct Tracked {
@@ -257,7 +288,7 @@ pub struct SampledAnalyzer {
     /// The threshold only ever falls, so it stays unsampled across rate
     /// drops. Derived state: snapshots do not carry it.
     unsampled: Option<u64>,
-    table: HashMap<u64, Tracked>,
+    table: TrackedTable,
     /// Last-access times of the tracked blocks.
     times: TimeBits,
     stack: ScopeStack,
@@ -300,7 +331,7 @@ impl SampledAnalyzer {
             threshold: u64::MAX / inv,
             budget,
             unsampled: None,
-            table: HashMap::new(),
+            table: TrackedTable::default(),
             times: TimeBits::new(),
             stack: ScopeStack::new(),
             per_sink: (0..nrefs).map(|_| SinkPatterns::default()).collect(),
@@ -471,7 +502,7 @@ impl SampledAnalyzer {
                 ),
             });
         }
-        let mut table = HashMap::with_capacity(n);
+        let mut table = TrackedTable::with_capacity_and_hasher(n, Default::default());
         let mut tracked_times = Vec::with_capacity(n);
         let mut prev_block = None;
         for _ in 0..n {

@@ -119,7 +119,27 @@ impl TimeBits {
     /// analyzer's per-access triple. Returns `(old_was_present, count)`
     /// where `count` is the number of stored times strictly greater than
     /// `old` before the operation.
+    ///
+    /// When `old` is present, `new` is absent, and both lie in the last
+    /// bitmap word — a short reuse, since the analyzers' clocks put `new`
+    /// at or near the top — the word's popcount and the set's length do
+    /// not change, so the call flips the two bits and counts the times
+    /// above `old` within that word, with no Fenwick walk.
     pub fn count_reinsert(&mut self, old: u64, new: u64) -> (bool, u64) {
+        if let Some(w) = self.word_index(old) {
+            let word = self.words[w];
+            let (old_bit, new_bit) = (1u64 << (old & 63), 1u64 << (new & 63));
+            if w + 1 == self.words.len()
+                && self.word_index(new) == Some(w)
+                && word & old_bit != 0
+                && word & new_bit == 0
+            {
+                // Bits strictly above `old`'s; no word lies past `w`.
+                let above = word & !(u64::MAX >> (63 - (old & 63)));
+                self.words[w] = (word & !old_bit) | new_bit;
+                return (true, u64::from(above.count_ones()));
+            }
+        }
         let removed = self.remove(old);
         let count = self.count_greater(old);
         self.insert(new);
@@ -308,6 +328,58 @@ mod tests {
         plain.insert(50);
         assert_eq!((removed, count), (expect_removed, expect));
         assert_eq!(fused.count_greater(0), plain.count_greater(0));
+    }
+
+    /// `count_reinsert` against the `BTreeSet` model where its in-word
+    /// fast path and the general path meet: `old` and `new` in the last
+    /// word, `new` one word past it, `old` absent, and `new` already
+    /// present. Every probe afterwards reads the Fenwick tree, so a fast
+    /// path that left it stale would diverge.
+    #[test]
+    fn count_reinsert_matches_btreeset_model_at_the_last_word() {
+        let mut rng = SplitMix64::seed_from_u64(0x71b1_7500_f00d);
+        for case in 0..64 {
+            let mut bits = TimeBits::new();
+            let mut model: BTreeSet<u64> = BTreeSet::new();
+            let mut top = rng.gen_range(1..1_000);
+            for _ in 0..rng.gen_range(1..200) {
+                top += rng.gen_range(1..4);
+                bits.insert(top);
+                model.insert(top);
+            }
+            for step in 0..200 {
+                let top = *model.iter().next_back().unwrap();
+                let last_word = top & !63;
+                let (old, new) = match rng.gen_range(0..5) {
+                    // Both in the last word, `old` present.
+                    0 | 1 => {
+                        let old = *model.range(last_word..).next().unwrap();
+                        (old, (top + 1).min(last_word + 63))
+                    }
+                    // `new` opens the next word.
+                    2 => (*model.iter().next_back().unwrap(), last_word + 64),
+                    // `old` absent: a time below the set or a gap in it.
+                    3 => (rng.gen_range(0..top + 1), top + rng.gen_range(1..80)),
+                    // `new` already present.
+                    _ => (*model.iter().next().unwrap(), top),
+                };
+                let want = (model.remove(&old), model.range(old + 1..).count() as u64);
+                model.insert(new);
+                assert_eq!(
+                    bits.count_reinsert(old, new),
+                    want,
+                    "count_reinsert({old}, {new}) diverged (case {case}, step {step})"
+                );
+                assert_eq!(bits.len(), model.len());
+                for probe in [0, old.saturating_sub(1), old, new, top / 2, top + 64] {
+                    assert_eq!(
+                        bits.count_greater(probe),
+                        model.range(probe + 1..).count() as u64,
+                        "count_greater({probe}) diverged (case {case}, step {step})"
+                    );
+                }
+            }
+        }
     }
 
     /// Randomized differential test against a `BTreeSet` model: the two

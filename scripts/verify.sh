@@ -14,6 +14,13 @@ cargo fmt --all --check
 cargo build --release
 cargo test -q
 
+# The analyzers against the brute-force oracle once more in release mode,
+# which drops overflow checks and debug assertions: a wrapped count (the
+# window's miss filter, a histogram bin) must still show as a wrong
+# distance.
+cargo test --release -q -p reuselens-core --test property_oracle \
+    --test analyzer_vs_oracle --test checkpoint_resume
+
 # The suites that used to serialize on process-global obs slots record
 # through `Obs` scopes now; three more runs at default test parallelism
 # catch cross-test interference that a single run can miss.
