@@ -1,6 +1,6 @@
 //! The per-layer bench runner: measures every pipeline layer on one
-//! captured Sweep3D trace, the analyzer core (exact and sampled replay)
-//! on GTC too, plus grain and observability ladders over Sweep3D and
+//! captured Sweep3D trace, capture, decode, store load and the analyzer
+//! core (exact and sampled replay) on GTC too, plus grain and observability ladders over Sweep3D and
 //! GTC, and writes the machine-readable
 //! `BENCH_reuselens.json` (schema documented in `reuselens_bench::report`).
 //!
@@ -293,9 +293,60 @@ fn replay_decoded<'a>(
     }
 }
 
+/// A capture leg body: `w` interpreted once into a fresh buffer.
+fn capture(w: &BuiltWorkload) -> impl FnMut() + '_ {
+    move || {
+        black_box(capture_program(&w.program, w.index_arrays.clone()).expect("capture"));
+    }
+}
+
+/// A decode leg body: the replay decode loop alone, into a sink that
+/// discards (the denominator of the analyzer core's per-event cost).
+fn decode(buffer: &TraceBuffer) -> impl FnMut() + '_ {
+    move || {
+        let _span = obs::span(Stage::Decode);
+        buffer.replay(&mut NullSink);
+    }
+}
+
+/// A store in a fresh directory `dir` holding `buffer` as `"bench"`,
+/// and the metadata it was put with.
+fn seeded_store(dir: PathBuf, name: &str, buffer: &TraceBuffer) -> (TraceStore, TraceMeta) {
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = TraceStore::open(dir).expect("open bench store");
+    let meta = TraceMeta {
+        workload: name.to_string(),
+        grains: GRAIN_LADDER[..1].to_vec(),
+    };
+    store
+        .put("bench", buffer, meta.clone())
+        .expect("seed bench store");
+    (store, meta)
+}
+
+/// A scratch directory of this process under the temp dir.
+fn scratch_dir(what: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("reuselens-bench-{what}-{}", std::process::id()))
+}
+
+/// Capture span time per captured event.
+fn capture_ns(s: &Sample) -> f64 {
+    s.ns_per(Stage::Capture, s.counter(Counter::EventsCaptured))
+}
+
+/// Decode span time per decoded event.
+fn decode_ns(s: &Sample) -> f64 {
+    s.ns_per(Stage::Decode, s.counter(Counter::EventsDecoded))
+}
+
 /// Replay span time per decoded event.
 fn replay_ns(s: &Sample) -> f64 {
     s.ns_per(Stage::Replay, s.counter(Counter::EventsDecoded))
+}
+
+/// Wall time per event of a trace of `events` events.
+fn wall_ns_per_event(events: u64) -> impl Fn(&Sample) -> f64 {
+    move |s| s.wall.as_nanos() as f64 / (s.iters * events) as f64
 }
 
 /// Fixed-rate sampling at 1/100, the sampled replay rows' setting.
@@ -321,21 +372,11 @@ fn layer_rows(
     // Capture, store `get`, and store `put` (with the `evict` that lets
     // the next iteration put again), interleaved: capture over the
     // `get`'s import is the store ratio.
-    let dir = std::env::temp_dir().join(format!("reuselens-bench-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut store = TraceStore::open(dir.join("get")).expect("open bench store");
+    let dir = scratch_dir("store");
+    let (store, meta) = seeded_store(dir.join("get"), name, buffer);
     let mut put_store = TraceStore::open(dir.join("put")).expect("open bench store");
-    let meta = TraceMeta {
-        workload: name.to_string(),
-        grains: GRAIN_LADDER[..1].to_vec(),
-    };
-    store
-        .put("bench", buffer, meta.clone())
-        .expect("seed bench store");
-    let [capture, load, put] = r.measure([
-        Leg::new(|| {
-            black_box(capture_program(program, w.index_arrays.clone()).expect("capture"));
-        }),
+    let [captured, load, put] = r.measure([
+        Leg::new(capture(w)),
         Leg::new(|| {
             black_box(store.get("bench").expect("store get"));
         }),
@@ -347,25 +388,25 @@ fn layer_rows(
         }),
     ]);
     let _ = std::fs::remove_dir_all(&dir);
-    let wall_ns_per_event = |s: &Sample| s.wall.as_nanos() as f64 / (s.iters * events) as f64;
-    r.row("capture_ns_per_event", "ns", &capture, |s| {
-        s.ns_per(Stage::Capture, s.counter(Counter::EventsCaptured))
-    });
+    r.row("capture_ns_per_event", "ns", &captured, capture_ns);
     r.row("store_decode_ns_per_event", "ns", &load, |s| {
         s.ns_per(Stage::Decode, s.iters * events)
     });
-    r.row("store_get_ns_per_event", "ns", &load, wall_ns_per_event);
-    r.row("store_put_ns_per_event", "ns", &put, wall_ns_per_event);
+    r.row(
+        "store_get_ns_per_event",
+        "ns",
+        &load,
+        wall_ns_per_event(events),
+    );
+    r.row(
+        "store_put_ns_per_event",
+        "ns",
+        &put,
+        wall_ns_per_event(events),
+    );
 
-    // The replay decode loop alone, into a sink that discards: the
-    // denominator of the analyzer core's per-event cost.
-    let [decode] = r.measure([Leg::new(|| {
-        let _span = obs::span(Stage::Decode);
-        buffer.replay(&mut NullSink);
-    })]);
-    r.row("decode_ns_per_event", "ns", &decode, |s| {
-        s.ns_per(Stage::Decode, s.counter(Counter::EventsDecoded))
-    });
+    let [decoded] = r.measure([Leg::new(decode(buffer))]);
+    r.row("decode_ns_per_event", "ns", &decoded, decode_ns);
 
     // One serial grain exact, sampled at 1/100, checkpointed four times
     // over the stream, and exact again from the trace's decoded form (the
@@ -446,13 +487,16 @@ fn layer_rows(
     });
 }
 
-/// The analyzer core on GTC's irregular stream: one 64 B grain exact
-/// from the trace's decoded form and sampled at 1/100 from the buffer,
-/// interleaved as one point.
-fn gtc_rows(r: &mut Runner, w: &BuiltWorkload, buffer: &TraceBuffer) {
+/// GTC's irregular stream through each layer, interleaved as one point:
+/// the analyzer core (one 64 B grain exact from the trace's decoded form
+/// and sampled at 1/100 from the buffer), capture, the replay decode
+/// loop, and a store `get`.
+fn gtc_rows(r: &mut Runner, name: &str, w: &BuiltWorkload, buffer: &TraceBuffer) {
     let one_grain = &GRAIN_LADDER[..1];
     let decoded = DecodedTrace::new(buffer);
-    let [exact, sampled] = r.measure([
+    let dir = scratch_dir("gtc-store");
+    let (store, _) = seeded_store(dir.clone(), name, buffer);
+    let [exact, sampled, captured, decoding, load] = r.measure([
         Leg::new(replay_decoded(
             &w.program,
             &decoded,
@@ -460,9 +504,23 @@ fn gtc_rows(r: &mut Runner, w: &BuiltWorkload, buffer: &TraceBuffer) {
             AnalyzeOptions::default(),
         )),
         Leg::new(replay(&w.program, buffer, one_grain, sampled_one_percent())),
+        Leg::new(capture(w)),
+        Leg::new(decode(buffer)),
+        Leg::new(|| {
+            black_box(store.get("bench").expect("store get"));
+        }),
     ]);
+    let _ = std::fs::remove_dir_all(&dir);
     r.row("gtc_decoded_replay_ns_per_event", "ns", &exact, replay_ns);
     r.row("gtc_sampled_replay_ns_per_event", "ns", &sampled, replay_ns);
+    r.row("gtc_capture_ns_per_event", "ns", &captured, capture_ns);
+    r.row("gtc_decode_ns_per_event", "ns", &decoding, decode_ns);
+    r.row(
+        "gtc_store_get_ns_per_event",
+        "ns",
+        &load,
+        wall_ns_per_event(buffer.events()),
+    );
 }
 
 /// The first `count` grains of the ladder replayed in parallel, one rung
@@ -559,7 +617,7 @@ fn main() -> ExitCode {
             obs_rows(&mut runner, w, &buffer);
         }
         if *name == "gtc" {
-            gtc_rows(&mut runner, w, &buffer);
+            gtc_rows(&mut runner, name, w, &buffer);
         }
         grain_rows(&mut runner, name, w, &buffer, grain_counts);
     }

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 /// The per-layer rows every report must carry.
-const LAYER_ROWS: [&str; 16] = [
+const LAYER_ROWS: [&str; 19] = [
     "capture_ns_per_event",
     "store_decode_ns_per_event",
     "store_get_ns_per_event",
@@ -20,6 +20,9 @@ const LAYER_ROWS: [&str; 16] = [
     "checkpoint_replay_ns_per_event",
     "gtc_decoded_replay_ns_per_event",
     "gtc_sampled_replay_ns_per_event",
+    "gtc_capture_ns_per_event",
+    "gtc_decode_ns_per_event",
+    "gtc_store_get_ns_per_event",
     "checkpoint_us_per_snapshot",
     "estimate_us_per_call",
     "sweep_us_per_config",
@@ -58,6 +61,15 @@ fn smoke_report_carries_every_layer_row() {
     // The checkpointed leg wrote snapshots, and the row timed them.
     let snapshot = report.row("checkpoint_us_per_snapshot").unwrap();
     assert!(snapshot.median > 0.0, "no snapshot was timed");
+    // GTC's capture, decode and `get` legs each timed their layer.
+    for name in [
+        "gtc_capture_ns_per_event",
+        "gtc_decode_ns_per_event",
+        "gtc_store_get_ns_per_event",
+    ] {
+        let row = report.row(name).unwrap();
+        assert!(row.median > 0.0, "{name}: nothing was timed");
+    }
     // Every ratio's two rows were measured, the obs legs' included.
     assert_eq!(report.ratios().len(), RATIOS.len());
     for row in &report.rows {
