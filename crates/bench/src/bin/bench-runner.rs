@@ -36,8 +36,8 @@
 
 use reuselens::cache::MemoryHierarchy;
 use reuselens::core::{
-    analyze_buffer, analyze_buffer_with, analyze_decoded_with, capture_program, AnalysisResult,
-    AnalyzeOptions, CheckpointOptions, SamplingConfig,
+    analyze_buffer, analyze_buffer_with, capture_program, AnalysisResult, AnalyzeOptions,
+    CheckpointOptions, SamplingConfig,
 };
 use reuselens::ir::Program;
 use reuselens::metrics::attribute_analysis;
@@ -46,7 +46,7 @@ use reuselens::obs::{
 };
 use reuselens::statics::estimate_profiles;
 use reuselens::store::{TraceMeta, TraceStore};
-use reuselens::trace::{DecodedTrace, ExecReport, NullSink, TraceBuffer};
+use reuselens::trace::{DecodedTrace, ExecReport, NullSink, StepSource, TraceBuffer};
 use reuselens::workloads::{gtc, sweep3d, BuiltWorkload};
 use reuselens_bench::report::{diff, BenchReport, Better, Row};
 use std::collections::BTreeMap;
@@ -263,31 +263,17 @@ impl Runner {
     }
 }
 
-/// A replay leg body: `grains` of `buffer` under `opts`, which must
+/// A replay leg body: `grains` of `trace` (a buffer, or its decoded form
+/// as the daemon's resident replays use) under `opts`, which must
 /// complete.
-fn replay<'a>(
+fn replay<'a, T: Into<StepSource<'a>> + Copy + 'a>(
     program: &'a Program,
-    buffer: &'a TraceBuffer,
+    trace: T,
     grains: &'a [u64],
     opts: AnalyzeOptions,
 ) -> impl FnMut() + 'a {
     move || {
-        let partial = analyze_buffer_with(program, buffer, grains, &opts);
-        assert!(partial.is_complete(), "replay failed");
-        black_box(partial);
-    }
-}
-
-/// A replay leg body like [`replay`], from the trace's decoded form (the
-/// daemon's resident replays).
-fn replay_decoded<'a>(
-    program: &'a Program,
-    decoded: &'a DecodedTrace,
-    grains: &'a [u64],
-    opts: AnalyzeOptions,
-) -> impl FnMut() + 'a {
-    move || {
-        let partial = analyze_decoded_with(program, decoded, grains, &opts);
+        let partial = analyze_buffer_with(program, trace, grains, &opts);
         assert!(partial.is_complete(), "replay failed");
         black_box(partial);
     }
@@ -432,7 +418,7 @@ fn layer_rows(
         )),
         Leg::new(replay(program, buffer, one_grain, sampled_one_percent())),
         Leg::new(replay(program, buffer, one_grain, checkpointed)),
-        Leg::new(replay_decoded(
+        Leg::new(replay(
             program,
             &decoded,
             one_grain,
@@ -497,7 +483,7 @@ fn gtc_rows(r: &mut Runner, name: &str, w: &BuiltWorkload, buffer: &TraceBuffer)
     let dir = scratch_dir("gtc-store");
     let (store, _) = seeded_store(dir.clone(), name, buffer);
     let [exact, sampled, captured, decoding, load] = r.measure([
-        Leg::new(replay_decoded(
+        Leg::new(replay(
             &w.program,
             &decoded,
             one_grain,

@@ -5,7 +5,7 @@
 //! reuse-distance predictions can be validated end to end.
 
 use crate::config::CacheConfig;
-use reuselens_ir::{AccessKind, RefId, ScopeId};
+use reuselens_ir::{RefId, ScopeId};
 use reuselens_trace::TraceSink;
 
 /// Simulates one cache level with true LRU replacement and counts misses
@@ -15,13 +15,13 @@ use reuselens_trace::TraceSink;
 ///
 /// ```
 /// use reuselens_cache::{Assoc, CacheConfig, CacheSim};
-/// use reuselens_ir::{AccessKind, RefId};
+/// use reuselens_ir::RefId;
 /// use reuselens_trace::TraceSink;
 ///
 /// let cfg = CacheConfig::new("tiny", 2 * 64, 64, Assoc::Full);
 /// let mut sim = CacheSim::new(&cfg, 4);
 /// for addr in [0u64, 64, 128, 0] {
-///     sim.access(RefId(0), addr, 8, AccessKind::Load);
+///     sim.access(RefId(0), addr);
 /// }
 /// // 3 cold misses + 1 capacity miss (0 was evicted by 64,128 in a
 /// // 2-line cache).
@@ -86,7 +86,7 @@ impl CacheSim {
 }
 
 impl TraceSink for CacheSim {
-    fn access(&mut self, r: RefId, addr: u64, _size: u32, _kind: AccessKind) {
+    fn access(&mut self, r: RefId, addr: u64) {
         self.accesses += 1;
         let block = addr >> self.line_shift;
         let set = &mut self.sets[(block % self.set_count) as usize];
@@ -145,11 +145,11 @@ impl HierarchySim {
 }
 
 impl TraceSink for HierarchySim {
-    fn access(&mut self, r: RefId, addr: u64, size: u32, kind: AccessKind) {
+    fn access(&mut self, r: RefId, addr: u64) {
         for l in &mut self.levels {
-            l.access(r, addr, size, kind);
+            l.access(r, addr);
         }
-        self.tlb.access(r, addr, size, kind);
+        self.tlb.access(r, addr);
     }
     fn enter(&mut self, _scope: ScopeId) {}
     fn exit(&mut self, _scope: ScopeId) {}
@@ -168,7 +168,7 @@ mod tests {
         let cfg = CacheConfig::new("dm", 2 * 64, 64, Assoc::Ways(1));
         let mut sim = CacheSim::new(&cfg, 1);
         for addr in [0u64, 128, 0, 128] {
-            sim.access(RefId(0), addr, 8, AccessKind::Load);
+            sim.access(RefId(0), addr);
         }
         assert_eq!(sim.misses(), 4); // every access conflicts
         assert_eq!(sim.misses_of(RefId(0)), 4);
@@ -180,7 +180,7 @@ mod tests {
         let cfg = CacheConfig::new("2w", 2 * 64, 64, Assoc::Ways(2));
         let mut sim = CacheSim::new(&cfg, 1);
         for addr in [0u64, 128, 0, 128] {
-            sim.access(RefId(0), addr, 8, AccessKind::Load);
+            sim.access(RefId(0), addr);
         }
         assert_eq!(sim.misses(), 2); // only cold
     }
@@ -195,7 +195,7 @@ mod tests {
             let cfg = CacheConfig::new("fa", cap_blocks * 64, 64, Assoc::Full);
             let mut sim = CacheSim::new(&cfg, 1);
             for &a in &addrs {
-                sim.access(RefId(0), a, 8, AccessKind::Load);
+                sim.access(RefId(0), a);
             }
             let expected = oracle::fully_associative_misses(&addrs, 64, cap_blocks as usize);
             assert_eq!(sim.misses(), expected);
@@ -207,7 +207,7 @@ mod tests {
         let h = MemoryHierarchy::itanium2_scaled(64);
         let mut sim = HierarchySim::new(&h, 2);
         for i in 0..10_000u64 {
-            sim.access(RefId((i % 2) as u32), i * 64 % 65536, 8, AccessKind::Load);
+            sim.access(RefId((i % 2) as u32), i * 64 % 65536);
         }
         assert!(sim.misses_at("L2").unwrap() >= sim.misses_at("L3").unwrap());
         assert!(sim.misses_at("TLB").is_some());

@@ -15,7 +15,7 @@
 
 use reuselens_cache::{predict_level, Assoc, CacheConfig, CacheSim};
 use reuselens_core::{oracle, ReuseAnalyzer, ReuseProfile};
-use reuselens_ir::{AccessKind, Program, ProgramBuilder, RefId};
+use reuselens_ir::{Program, ProgramBuilder, RefId};
 use reuselens_prng::SplitMix64;
 use reuselens_trace::TraceSink;
 
@@ -57,7 +57,7 @@ fn gen_trace(seed: u64) -> Vec<u64> {
 fn measure(program: &Program, addrs: &[u64]) -> ReuseProfile {
     let mut analyzer = ReuseAnalyzer::new(program, LINE);
     for &addr in addrs {
-        analyzer.access(RefId(0), addr, 8, AccessKind::Load);
+        analyzer.access(RefId(0), addr);
     }
     analyzer.finish()
 }
@@ -66,7 +66,7 @@ fn measure(program: &Program, addrs: &[u64]) -> ReuseProfile {
 fn simulate(config: &CacheConfig, addrs: &[u64]) -> u64 {
     let mut sim = CacheSim::new(config, 1);
     for &addr in addrs {
-        sim.access(RefId(0), addr, 8, AccessKind::Load);
+        sim.access(RefId(0), addr);
     }
     sim.misses()
 }

@@ -27,9 +27,10 @@
 //! plays that stretch into every grain dealt to it, grain by grain. After
 //! each of its steps a grain publishes progress, checks its budget and
 //! writes a snapshot at a checkpoint boundary, exactly as if it rode
-//! alone. [`analyze_decoded_with`] runs the same loop over a
-//! [`DecodedTrace`], built once from the buffer, whose stretches need no
-//! decoding.
+//! alone. Given a [`DecodedTrace`](reuselens_trace::DecodedTrace), built
+//! once from the buffer, instead
+//! of the buffer, [`analyze_buffer_with`] runs the same loop over
+//! stretches that need no decoding.
 //!
 //! The calling thread always runs one lane itself and borrows up to one
 //! more per extra grain while the process has cores to spare: one lane
@@ -67,11 +68,11 @@ use crate::snapshot::{
     decode_snapshot, list_snapshots, read_snapshot_bytes, write_snapshot_file, Dec, Enc,
     SnapshotError, SnapshotHeader,
 };
-use reuselens_ir::{AccessKind, ArrayId, Program, RefId, ScopeId};
+use reuselens_ir::{ArrayId, Program, RefId, ScopeId};
 use reuselens_obs as obs;
 use reuselens_trace::{
-    DecodedTrace, ExecError, ExecReport, Executor, SegmentState, SoaBatch, StepSource, Stretch,
-    TraceBuffer, TraceSink, STEP,
+    ExecError, ExecReport, Executor, SegmentState, SoaBatch, StepSource, Stretch, TraceBuffer,
+    TraceSink, STEP,
 };
 use std::error::Error;
 use std::fmt;
@@ -537,10 +538,10 @@ struct GrainFailure {
 }
 
 impl TraceSink for GrainAnalyzer {
-    fn access(&mut self, r: RefId, addr: u64, size: u32, kind: AccessKind) {
+    fn access(&mut self, r: RefId, addr: u64) {
         match self {
-            GrainAnalyzer::Exact(a) => a.access(r, addr, size, kind),
-            GrainAnalyzer::Sampled(a) => a.access(r, addr, size, kind),
+            GrainAnalyzer::Exact(a) => a.access(r, addr),
+            GrainAnalyzer::Sampled(a) => a.access(r, addr),
         }
     }
     fn enter(&mut self, scope: ScopeId) {
@@ -1114,32 +1115,21 @@ fn replay_lanes(
 /// cores busy replays all its grains on its own thread with one decode.
 /// Lanes change where work runs, never a profile byte.
 ///
-/// With default options each grain replays through the same decode loop
-/// as [`TraceBuffer::replay`].
-pub fn analyze_buffer_with(
+/// `trace` is a [`TraceBuffer`] or its
+/// [`DecodedTrace`](reuselens_trace::DecodedTrace) (anything a
+/// [`StepSource`] is built from): the same lanes, schedule, budgets,
+/// snapshots, counters and results, byte for byte, either way. With
+/// default options each grain of a buffer replays through the same decode
+/// loop as [`TraceBuffer::replay`]; a process that replays one trace many
+/// times builds its decoded form once and replays that without decoding.
+pub fn analyze_buffer_with<'t>(
     program: &Program,
-    buffer: &TraceBuffer,
+    trace: impl Into<StepSource<'t>>,
     block_sizes: &[u64],
     opts: &AnalyzeOptions,
 ) -> PartialAnalysis {
     let lease = LaneLease::take(block_sizes.len());
-    let source = StepSource::from(buffer);
-    analyze_on_lanes(program, &source, block_sizes, opts, lease.0)
-}
-
-/// [`analyze_buffer_with`] over the trace's [`DecodedTrace`]: the same
-/// lanes, schedule, budgets, snapshots, counters and results, byte for
-/// byte, without decoding the trace again. A process that replays one
-/// trace many times builds its decoded form once and replays it here.
-pub fn analyze_decoded_with(
-    program: &Program,
-    decoded: &DecodedTrace,
-    block_sizes: &[u64],
-    opts: &AnalyzeOptions,
-) -> PartialAnalysis {
-    let lease = LaneLease::take(block_sizes.len());
-    let source = StepSource::from(decoded);
-    analyze_on_lanes(program, &source, block_sizes, opts, lease.0)
+    analyze_on_lanes(program, &trace.into(), block_sizes, opts, lease.0)
 }
 
 /// [`analyze_buffer_with`] on a given source and number of lanes.
@@ -1224,7 +1214,7 @@ mod tests {
     use crate::blocktable::MAX_BLOCKS;
     use crate::snapshot::encode_snapshot;
     use reuselens_ir::{Expr, ProgramBuilder};
-    use reuselens_trace::{Event, VecSink};
+    use reuselens_trace::{DecodedTrace, Event, VecSink};
 
     #[test]
     fn grain_replay_matches_event_by_event_access_for_every_engine() {
@@ -1255,12 +1245,7 @@ mod tests {
             let mut single = GrainAnalyzer::new(&prog, 64, sampling);
             for event in events.events {
                 match event {
-                    Event::Access {
-                        r,
-                        addr,
-                        size,
-                        kind,
-                    } => single.access(r, addr, size, kind),
+                    Event::Access { r, addr } => single.access(r, addr),
                     Event::Enter(s) => single.enter(s),
                     Event::Exit(s) => single.exit(s),
                 }
@@ -1484,15 +1469,10 @@ mod tests {
         let mut fed = TraceBuffer::new();
         for (i, event) in events.events.into_iter().enumerate() {
             if i == last {
-                fed.access(RefId(0), MAX_BLOCKS * 64, 8, AccessKind::Load);
+                fed.access(RefId(0), MAX_BLOCKS * 64);
             }
             match event {
-                Event::Access {
-                    r,
-                    addr,
-                    size,
-                    kind,
-                } => fed.access(r, addr, size, kind),
+                Event::Access { r, addr } => fed.access(r, addr),
                 Event::Enter(s) => fed.enter(s),
                 Event::Exit(s) => fed.exit(s),
             }
@@ -1641,7 +1621,7 @@ mod tests {
         let prog = p.finish();
         let mut sampled = SampledAnalyzer::new(&prog, 64, SamplingConfig::fixed(1.0));
         for addr in [0u64, 64, 0] {
-            sampled.access(RefId(0), addr, 8, AccessKind::Load);
+            sampled.access(RefId(0), addr);
         }
         let mut enc = Enc::new();
         sampled.snapshot_encode(&mut enc);

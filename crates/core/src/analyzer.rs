@@ -14,7 +14,7 @@ use crate::patterns::{PatternKey, ReusePattern, ReuseProfile};
 use crate::scopestack::ScopeStack;
 use crate::snapshot::{Dec, Enc, SnapshotError};
 use crate::timebits::TimeBits;
-use reuselens_ir::{AccessKind, Program, RefId, ScopeId};
+use reuselens_ir::{Program, RefId, ScopeId};
 use reuselens_trace::{SoaBatch, TraceSink};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -756,13 +756,12 @@ impl ReuseAnalyzer {
 }
 
 impl TraceSink for ReuseAnalyzer {
-    fn access(&mut self, r: RefId, addr: u64, _size: u32, _kind: AccessKind) {
+    fn access(&mut self, r: RefId, addr: u64) {
         self.access_block(r.0, addr >> self.block_shift);
     }
 
     fn access_soa(&mut self, batch: &SoaBatch) {
-        // Stream the two lanes the analyzer actually needs; the size and
-        // kind lanes are never touched, and no per-event struct exists.
+        // Stream both lanes in step; no per-event struct exists.
         for (&r, &addr) in batch.refs.iter().zip(&batch.addrs) {
             self.access_block(r, addr >> self.block_shift);
         }
@@ -807,9 +806,9 @@ impl MultiGrainAnalyzer {
 }
 
 impl TraceSink for MultiGrainAnalyzer {
-    fn access(&mut self, r: RefId, addr: u64, size: u32, kind: AccessKind) {
+    fn access(&mut self, r: RefId, addr: u64) {
         for a in &mut self.analyzers {
-            a.access(r, addr, size, kind);
+            a.access(r, addr);
         }
     }
     fn enter(&mut self, scope: ScopeId) {
@@ -1121,13 +1120,8 @@ mod tests {
             let mut k = 0;
             for event in events.events {
                 match event {
-                    reuselens_trace::Event::Access {
-                        r,
-                        addr,
-                        size,
-                        kind,
-                    } => {
-                        an.access(r, addr, size, kind);
+                    reuselens_trace::Event::Access { r, addr } => {
+                        an.access(r, addr);
                         assert_eq!(an.last_distance(), want[k], "{lines} lines, access {k}");
                         k += 1;
                         if k == WINDOW / 2 {

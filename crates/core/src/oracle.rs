@@ -97,7 +97,7 @@ pub fn reuse_profile(program: &Program, events: &[Event], block_size: u64) -> Re
             Event::Exit(_) => {
                 open.pop();
             }
-            Event::Access { r, addr, .. } => {
+            Event::Access { r, addr } => {
                 total_accesses += 1;
                 let block = addr >> shift;
                 match stack.iter().position(|&b| b == block) {

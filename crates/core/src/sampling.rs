@@ -55,7 +55,7 @@ use crate::patterns::ReuseProfile;
 use crate::scopestack::ScopeStack;
 use crate::snapshot::{Dec, Enc, SnapshotError};
 use crate::timebits::TimeBits;
-use reuselens_ir::{AccessKind, Program, RefId, ScopeId};
+use reuselens_ir::{Program, RefId, ScopeId};
 use reuselens_trace::TraceSink;
 use std::collections::HashMap;
 use std::error::Error;
@@ -648,14 +648,13 @@ impl SampledAnalyzer {
 }
 
 impl TraceSink for SampledAnalyzer {
-    fn access(&mut self, r: RefId, addr: u64, _size: u32, _kind: AccessKind) {
+    fn access(&mut self, r: RefId, addr: u64) {
         self.total_accesses += 1;
         self.sample(r.0, addr);
     }
 
     fn access_soa(&mut self, batch: &reuselens_trace::SoaBatch) {
-        // Sampling keys on the ref and address lanes alone, so walk
-        // those two lanes and leave the size and kind lanes unread.
+        // Sampling keys on the ref and address lanes: walk them in step.
         self.total_accesses += batch.len() as u64;
         for (&r, &addr) in batch.refs.iter().zip(&batch.addrs) {
             self.sample(r, addr);
@@ -848,20 +847,15 @@ mod tests {
         let (mut drops_at_memo, mut crossed) = (0, false);
         for event in events.events {
             match event {
-                reuselens_trace::Event::Access {
-                    r,
-                    addr,
-                    size,
-                    kind,
-                } => {
+                reuselens_trace::Event::Access { r, addr } => {
                     let memo = kept.unsampled;
                     crossed |= memo == Some(addr >> 6) && kept.rate_drops > drops_at_memo;
-                    kept.access(r, addr, size, kind);
+                    kept.access(r, addr);
                     if kept.unsampled != memo {
                         drops_at_memo = kept.rate_drops;
                     }
                     cleared.unsampled = None;
-                    cleared.access(r, addr, size, kind);
+                    cleared.access(r, addr);
                 }
                 reuselens_trace::Event::Enter(s) => {
                     kept.enter(s);

@@ -435,7 +435,7 @@ mod tests {
     use crate::histogram::Histogram;
     use crate::sampling::{SampledAnalyzer, SamplingConfig};
     use crate::timebits::TimeBits;
-    use reuselens_ir::{AccessKind, ProgramBuilder, RefId};
+    use reuselens_ir::{ProgramBuilder, RefId};
     use reuselens_prng::SplitMix64;
     use reuselens_trace::TraceSink;
 
@@ -652,8 +652,6 @@ mod tests {
                 a.access(
                     RefId((rng.gen_range(0..2)) as u32),
                     rng.gen_range(0..1 << 18),
-                    8,
-                    AccessKind::Load,
                 );
             }
             let mut enc = Enc::new();
@@ -682,8 +680,6 @@ mod tests {
                 a.access(
                     RefId((rng.gen_range(0..2)) as u32),
                     rng.gen_range(0..1 << 16),
-                    8,
-                    AccessKind::Load,
                 );
             }
             let mut enc = Enc::new();

@@ -10,7 +10,7 @@
 //! says *why* lines are wasted; this says *that* they are — together they
 //! cover both of the paper's fragmentation scenarios.
 
-use reuselens_ir::{AccessKind, ArrayId, Program, RefId, ScopeId};
+use reuselens_ir::{ArrayId, Program, RefId, ScopeId};
 use reuselens_trace::TraceSink;
 use std::collections::HashMap;
 
@@ -48,6 +48,9 @@ pub struct SpatialSink {
     lines: HashMap<u64, Vec<u64>>,
     /// Sorted (base, end, array) ranges for address→array attribution.
     ranges: Vec<(u64, u64, ArrayId)>,
+    /// Bytes each reference touches per access (its array's element
+    /// size), indexed by `RefId`.
+    elem_sizes: Vec<u64>,
 }
 
 impl SpatialSink {
@@ -68,11 +71,17 @@ impl SpatialSink {
             .map(|(i, a)| (a.base(), a.base() + a.size_bytes(), ArrayId(i as u32)))
             .collect();
         ranges.sort_unstable();
+        let elem_sizes = program
+            .references()
+            .iter()
+            .map(|r| u64::from(program.array(r.array()).elem_size()))
+            .collect();
         SpatialSink {
             line_shift: line_size.trailing_zeros(),
             line_size,
             lines: HashMap::new(),
             ranges,
+            elem_sizes,
         }
     }
 
@@ -120,10 +129,10 @@ impl SpatialSink {
 }
 
 impl TraceSink for SpatialSink {
-    fn access(&mut self, _r: RefId, addr: u64, size: u32, _kind: AccessKind) {
+    fn access(&mut self, r: RefId, addr: u64) {
         let mask = self.line_size - 1;
         let mut pos = addr;
-        let mut remaining = size as u64;
+        let mut remaining = self.elem_sizes[r.index()];
         while remaining > 0 {
             let line = pos >> self.line_shift;
             let offset = pos & mask;

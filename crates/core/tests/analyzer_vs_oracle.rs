@@ -26,7 +26,7 @@ fn analyzer_distances_match_oracle() {
         let prog = dummy_program();
         let mut an = ReuseAnalyzer::new(&prog, block);
         for &a in &addrs {
-            an.access(RefId(0), a, 8, reuselens_ir::AccessKind::Load);
+            an.access(RefId(0), a);
         }
         let profile = an.finish();
 
@@ -56,7 +56,7 @@ fn fully_associative_misses_match_simulation() {
         let prog = dummy_program();
         let mut an = ReuseAnalyzer::new(&prog, block);
         for &a in &addrs {
-            an.access(RefId(0), a, 8, reuselens_ir::AccessKind::Load);
+            an.access(RefId(0), a);
         }
         let profile = an.finish();
         // Reuse-distance prediction for a fully associative LRU cache:

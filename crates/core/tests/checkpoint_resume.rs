@@ -31,7 +31,7 @@ use reuselens_core::{
     analyze_buffer_with, snapshot_file_name, snapshot_meta, AnalyzeOptions, CheckpointOptions,
     ReuseProfile, SamplingConfig, SnapshotError, SNAPSHOT_VERSION,
 };
-use reuselens_ir::{AccessKind, Program, ProgramBuilder, RefId, ScopeId};
+use reuselens_ir::{Program, ProgramBuilder, RefId, ScopeId};
 use reuselens_obs::{self as obs, Counter, MetricsRecorder};
 use reuselens_prng::SplitMix64;
 use reuselens_trace::fault::{Corruptor, CrashPoint};
@@ -99,12 +99,7 @@ fn gen_buffer(shape: Shape, seed: u64, len: u64) -> TraceBuffer {
                 cluster + rng.gen_range(0..256)
             }
         };
-        let kind = if i % 3 == 0 {
-            AccessKind::Store
-        } else {
-            AccessKind::Load
-        };
-        buf.access(RefId(rng.gen_range(0..NREFS as u64) as u32), addr, 8, kind);
+        buf.access(RefId(rng.gen_range(0..NREFS as u64) as u32), addr);
     }
     while let Some(id) = open.pop() {
         buf.exit(ScopeId(id));

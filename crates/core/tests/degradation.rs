@@ -7,7 +7,7 @@ use reuselens_core::{
     analyze_buffer, analyze_buffer_with, analyze_program, capture_program, AnalysisBudget,
     AnalysisError, AnalyzeOptions, CheckpointOptions, GrainError, SamplingConfig,
 };
-use reuselens_ir::{AccessKind, Program, ProgramBuilder, RefId, ScopeId};
+use reuselens_ir::{Program, ProgramBuilder, RefId, ScopeId};
 use reuselens_obs::{EventLog, Obs};
 use reuselens_trace::{TraceBuffer, TraceSink};
 use std::sync::Arc;
@@ -222,7 +222,7 @@ fn hand_fed_unbalanced_scopes_fail_the_grain_as_a_panic() {
     let prog = workload(64);
     let mut buffer = TraceBuffer::new();
     buffer.enter(ScopeId(1));
-    buffer.access(RefId(0), 0x1000, 8, AccessKind::Load);
+    buffer.access(RefId(0), 0x1000);
     buffer.exit(ScopeId(2));
     let partial = analyze_buffer_with(&prog, &buffer, &[64], &AnalyzeOptions::default());
     match &partial.failure_at(64).expect("the grain must fail").error {

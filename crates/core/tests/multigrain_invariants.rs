@@ -3,7 +3,7 @@
 //! (line) and TLB (page) behaviour in a single pass.
 
 use reuselens_core::{MultiGrainAnalyzer, ReuseAnalyzer};
-use reuselens_ir::{AccessKind, Expr, ProgramBuilder, RefId};
+use reuselens_ir::{Expr, ProgramBuilder, RefId};
 use reuselens_prng::SplitMix64;
 use reuselens_trace::TraceSink;
 
@@ -26,7 +26,7 @@ fn coarser_granularity_merges_blocks() {
         let prog = dummy_program();
         let mut mg = MultiGrainAnalyzer::new(&prog, &[64, 4096]);
         for &a in &addrs {
-            mg.access(RefId(0), a, 8, AccessKind::Load);
+            mg.access(RefId(0), a);
         }
         let profiles = mg.finish();
         let (fine, coarse) = (&profiles[0], &profiles[1]);
@@ -50,9 +50,9 @@ fn multigrain_equals_independent_runs() {
         let mut fine = ReuseAnalyzer::new(&prog, 64);
         let mut coarse = ReuseAnalyzer::new(&prog, 1024);
         for &a in &addrs {
-            mg.access(RefId(0), a, 8, AccessKind::Load);
-            fine.access(RefId(0), a, 8, AccessKind::Load);
-            coarse.access(RefId(0), a, 8, AccessKind::Load);
+            mg.access(RefId(0), a);
+            fine.access(RefId(0), a);
+            coarse.access(RefId(0), a);
         }
         let profiles = mg.finish();
         assert_eq!(&profiles[0], &fine.finish());
@@ -70,7 +70,7 @@ fn distances_bounded_by_footprint() {
         let prog = dummy_program();
         let mut an = ReuseAnalyzer::new(&prog, 64);
         for &a in &addrs {
-            an.access(RefId(0), a, 8, AccessKind::Load);
+            an.access(RefId(0), a);
         }
         let profile = an.finish();
         let bound = profile.distinct_blocks; // self excluded => strict

@@ -30,13 +30,13 @@
 
 use reuselens_core::oracle;
 use reuselens_core::{
-    analyze_buffer_with, analyze_decoded_with, capture_program, AnalysisBudget, AnalyzeOptions,
-    CheckpointOptions, ContextProfile, Histogram, MultiGrainAnalyzer, PatternKey, ReuseAnalyzer,
-    ReusePattern, ReuseProfile, SamplingConfig,
+    analyze_buffer_with, capture_program, AnalysisBudget, AnalyzeOptions, CheckpointOptions,
+    ContextProfile, Histogram, MultiGrainAnalyzer, PatternKey, ReuseAnalyzer, ReusePattern,
+    ReuseProfile, SamplingConfig,
 };
 use reuselens_ir::{
-    AccessKind, ArrayId, ContextSplit, Expr, Program, ProgramBuilder, RefId, RoutineId, ScopeId,
-    ScopeKind, VarId,
+    ArrayId, ContextSplit, Expr, Program, ProgramBuilder, RefId, RoutineId, ScopeId, ScopeKind,
+    VarId,
 };
 use reuselens_prng::SplitMix64;
 use reuselens_trace::{DecodedTrace, Event, Executor, TraceBuffer, TraceSink, VecSink};
@@ -115,7 +115,7 @@ fn check(program: &Program, addrs: &[u64], grain: u64) -> Option<String> {
     let mut want_hist = Histogram::new();
     let mut want_cold = 0u64;
     for (i, (&addr, want)) in addrs.iter().zip(&expected).enumerate() {
-        analyzer.access(RefId(0), addr, 8, AccessKind::Load);
+        analyzer.access(RefId(0), addr);
         let got = analyzer.last_distance();
         if got != *want {
             return Some(format!(
@@ -207,9 +207,9 @@ fn multi_grain_matches_independent_analyzers() {
             .map(|&g| ReuseAnalyzer::new(&program, g))
             .collect();
         for &addr in &addrs {
-            multi.access(RefId(0), addr, 8, AccessKind::Load);
+            multi.access(RefId(0), addr);
             for s in &mut singles {
-                s.access(RefId(0), addr, 8, AccessKind::Load);
+                s.access(RefId(0), addr);
             }
         }
         let multi_profiles = multi.finish();
@@ -473,7 +473,7 @@ fn row_options(
 enum Source {
     /// The encoded buffer, through [`analyze_buffer_with`].
     Buffer,
-    /// Its [`DecodedTrace`], through [`analyze_decoded_with`].
+    /// Its [`DecodedTrace`], through [`analyze_buffer_with`] too.
     Decoded,
 }
 
@@ -488,7 +488,7 @@ fn replay(
 ) -> reuselens_core::PartialAnalysis {
     match source {
         Source::Buffer => analyze_buffer_with(program, buffer, &[grain], opts),
-        Source::Decoded => analyze_decoded_with(program, decoded, &[grain], opts),
+        Source::Decoded => analyze_buffer_with(program, decoded, &[grain], opts),
     }
 }
 
@@ -598,16 +598,9 @@ fn original_events(split: &ContextSplit, events: &[Event]) -> Vec<Event> {
     events
         .iter()
         .map(|&e| match e {
-            Event::Access {
-                r,
-                addr,
-                size,
-                kind,
-            } => Event::Access {
+            Event::Access { r, addr } => Event::Access {
                 r: split.ref_origin[r.index()].0,
                 addr,
-                size,
-                kind,
             },
             Event::Enter(s) => Event::Enter(scope(s)),
             Event::Exit(s) => Event::Exit(scope(s)),

@@ -26,7 +26,7 @@
 //! fixed-seed coarse shrink loop), so any failure reproduces exactly.
 
 use reuselens_core::{Histogram, ReuseAnalyzer, ReuseProfile, SampledAnalyzer, SamplingConfig};
-use reuselens_ir::{AccessKind, Program, ProgramBuilder, RefId};
+use reuselens_ir::{Program, ProgramBuilder, RefId};
 use reuselens_prng::SplitMix64;
 use reuselens_trace::TraceSink;
 
@@ -110,7 +110,7 @@ fn gen_trace(shape: Shape, seed: u64) -> Vec<u64> {
 fn run_exact(program: &Program, addrs: &[u64], grain: u64) -> ReuseProfile {
     let mut a = ReuseAnalyzer::new(program, grain);
     for &addr in addrs {
-        a.access(RefId(0), addr, 8, AccessKind::Load);
+        a.access(RefId(0), addr);
     }
     a.finish()
 }
@@ -123,7 +123,7 @@ fn run_sampled(
 ) -> ReuseProfile {
     let mut a = SampledAnalyzer::new(program, grain, config);
     for &addr in addrs {
-        a.access(RefId(0), addr, 8, AccessKind::Load);
+        a.access(RefId(0), addr);
     }
     a.finish()
 }
@@ -330,7 +330,7 @@ fn adaptive_mode_holds_budget_on_every_shape() {
         let budget = 128u64;
         let mut a = SampledAnalyzer::new(&program, STAT_GRAIN, SamplingConfig::adaptive(budget));
         for &addr in &addrs {
-            a.access(RefId(0), addr, 8, AccessKind::Load);
+            a.access(RefId(0), addr);
             assert!(
                 a.tracked_blocks() <= budget,
                 "case {case} ({shape:?}, seed {seed:#x}): \

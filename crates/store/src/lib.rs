@@ -74,11 +74,17 @@ use reuselens_trace::frame::{self, Enc, Frame, FrameError, PublishError};
 pub use reuselens_trace::frame::{crc32, crc32_combine};
 use reuselens_trace::{DecodeError, ExportedTrace, TraceBuffer};
 
-/// Current store format version, shared by segment and index files; any
-/// layout change bumps it, and readers reject other versions rather than
-/// guessing (the fallback for version skew is a re-capture, exactly as
-/// for corruption).
-pub const STORE_VERSION: u16 = 1;
+/// Current segment file format version. Any change to the segment layout
+/// or to the trace image it carries bumps it, and readers reject other
+/// versions rather than guessing (the fallback for version skew is a
+/// re-capture, exactly as for corruption). Version 2 dropped the image's
+/// access-size column.
+pub const SEGMENT_VERSION: u16 = 2;
+
+/// Current index file format version, bumped independently of
+/// [`SEGMENT_VERSION`]: a store whose segments are of an older version
+/// still opens and lists, and only `get` of such a trace fails.
+pub const INDEX_VERSION: u16 = 1;
 
 /// File magic of segment files.
 const MAGIC_SEGMENT: [u8; 6] = *b"RLSEGM";
@@ -352,7 +358,7 @@ pub fn validate_trace_id(id: &str) -> Result<(), StoreError> {
 // Canonical trace image
 // ---------------------------------------------------------------------------
 //
-// The image of a trace is its three counts, then its five columns, each
+// The image of a trace is its three counts, then its four columns, each
 // behind a `u64` length prefix, all little-endian and fixed-width: the
 // same bytes for the same trace, so the image checksum is reproducible.
 // Neither side ever holds it in one buffer. `put` streams the pieces
@@ -362,7 +368,7 @@ pub fn validate_trace_id(id: &str) -> Result<(), StoreError> {
 /// The image of `buf` as consecutive pieces: the three counts, then each
 /// column behind its length prefix. `fields` holds the encoded counts
 /// and prefixes the pieces borrow.
-fn image_pieces<'a>(buf: &'a TraceBuffer, fields: &'a mut [[u8; 8]; 8]) -> Vec<&'a [u8]> {
+fn image_pieces<'a>(buf: &'a TraceBuffer, fields: &'a mut [[u8; 8]; 7]) -> Vec<&'a [u8]> {
     let columns = buf.columns();
     let counts = [buf.events(), buf.accesses(), buf.scope_events()];
     let lens = columns.map(|c| c.len() as u64);
@@ -484,7 +490,6 @@ impl<'a> ImageReader<'a> {
             &mut t.ops,
             &mut t.addr_bytes,
             &mut t.ref_bytes,
-            &mut t.size_bytes,
             &mut t.scope_bytes,
         ] {
             *column = self.column()?;
@@ -588,7 +593,7 @@ fn encode_index(entries: &[TraceEntry]) -> Vec<u8> {
 }
 
 fn decode_index(bytes: &[u8]) -> Result<Vec<TraceEntry>, FrameError> {
-    let [mut d] = frame::decode(bytes, &MAGIC_INDEX, STORE_VERSION, ["index"])?;
+    let [mut d] = frame::decode(bytes, &MAGIC_INDEX, INDEX_VERSION, ["index"])?;
     let count = d.len(8)?;
     let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
@@ -692,7 +697,7 @@ impl SegmentHeader {
 /// against the chunk frame's stored checksum — callers cross-check it
 /// against the index copy without re-hashing the payload).
 fn decode_segment(bytes: &[u8]) -> Result<(SegmentHeader, Range<usize>, u32), FrameError> {
-    let [mut h, c] = frame::decode(bytes, &MAGIC_SEGMENT, STORE_VERSION, ["header", "chunk"])?;
+    let [mut h, c] = frame::decode(bytes, &MAGIC_SEGMENT, SEGMENT_VERSION, ["header", "chunk"])?;
     let id = h.str()?;
     let seg_index = h.u32()?;
     let seg_count = h.u32()?;
@@ -814,7 +819,7 @@ impl TraceStore {
             &self.dir,
             INDEX_FILE,
             &MAGIC_INDEX,
-            STORE_VERSION,
+            INDEX_VERSION,
             &[Frame::new(&payload)],
         )?;
         Ok(())
@@ -841,7 +846,7 @@ impl TraceStore {
         if self.entry(id).is_some() {
             return Err(StoreError::DuplicateTrace { id: id.to_string() });
         }
-        let mut fields = [[0; 8]; 8];
+        let mut fields = [[0; 8]; 7];
         let pieces = image_pieces(buf, &mut fields);
         let image_len: usize = pieces.iter().map(|p| p.len()).sum();
         let seg_bytes = self.config.segment_bytes.max(1);
@@ -888,7 +893,7 @@ impl TraceStore {
                 &self.dir,
                 &segment_file_name(id, k),
                 &MAGIC_SEGMENT,
-                STORE_VERSION,
+                SEGMENT_VERSION,
                 &frames,
             )?;
         }
@@ -1065,7 +1070,7 @@ impl TraceStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reuselens_ir::{AccessKind, ProgramBuilder, RefId, ScopeId};
+    use reuselens_ir::{ProgramBuilder, RefId, ScopeId};
     use reuselens_prng::SplitMix64;
     use reuselens_trace::{Executor, TraceSink, VecSink};
 
@@ -1222,19 +1227,9 @@ mod tests {
         let dir = tmpdir("scopes");
         let mut buf = TraceBuffer::new();
         buf.enter(ScopeId(1));
-        buf.access(
-            reuselens_ir::RefId(0),
-            0x1000,
-            8,
-            reuselens_ir::AccessKind::Load,
-        );
+        buf.access(reuselens_ir::RefId(0), 0x1000);
         buf.enter(ScopeId(2));
-        buf.access(
-            reuselens_ir::RefId(1),
-            0x2000,
-            4,
-            reuselens_ir::AccessKind::Store,
-        );
+        buf.access(reuselens_ir::RefId(1), 0x2000);
         buf.exit(ScopeId(2));
         buf.exit(ScopeId(1));
         let mut store = TraceStore::open(&dir).unwrap();
@@ -1263,8 +1258,8 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A random well-formed buffer: accesses with random deltas, sizes
-    /// and references inside randomly nested scopes, all closed at the
+    /// A random well-formed buffer: accesses with random deltas and
+    /// references inside randomly nested scopes, all closed at the
     /// end. Up to `max_events` events; possibly none.
     fn random_buffer(rng: &mut SplitMix64, max_events: u64) -> TraceBuffer {
         let mut buf = TraceBuffer::new();
@@ -1280,12 +1275,6 @@ mod tests {
                 k => buf.access(
                     RefId(rng.gen_range(0..300) as u32),
                     rng.gen_range(0..1 << (8 * k)),
-                    1 << rng.gen_range(0..4),
-                    if k % 2 == 0 {
-                        AccessKind::Load
-                    } else {
-                        AccessKind::Store
-                    },
                 ),
             }
         }
@@ -1305,7 +1294,6 @@ mod tests {
         e.bytes(&t.ops);
         e.bytes(&t.addr_bytes);
         e.bytes(&t.ref_bytes);
-        e.bytes(&t.size_bytes);
         e.bytes(&t.scope_bytes);
         e.buf
     }
@@ -1394,7 +1382,7 @@ mod tests {
             let (header, chunk) = ([&header[..]], [chunk]);
             let frames = [Frame::new(&header), Frame::new(&chunk)];
             let name = segment_file_name(&entry.id, k);
-            frame::publish(&store.dir, &name, &MAGIC_SEGMENT, STORE_VERSION, &frames).unwrap();
+            frame::publish(&store.dir, &name, &MAGIC_SEGMENT, SEGMENT_VERSION, &frames).unwrap();
         }
         store.publish_index().unwrap();
     }
@@ -1409,7 +1397,7 @@ mod tests {
                 "{accesses} accesses + {scope_events} scope events != {events} events"
             )));
         }
-        for _ in 0..5 {
+        for _ in 0..4 {
             d.bytes()?;
         }
         d.finish()
@@ -1425,14 +1413,13 @@ mod tests {
         let buf = captured(30);
         let exported = buf.export();
         let pristine = reference_image(&exported);
-        // Byte offsets of the three counts and the five length prefixes.
+        // Byte offsets of the three counts and the four length prefixes.
         let mut fields = vec![0, 8, 16];
         let mut at = 24;
         for column in [
             &exported.ops,
             &exported.addr_bytes,
             &exported.ref_bytes,
-            &exported.size_bytes,
             &exported.scope_bytes,
         ] {
             fields.push(at);
@@ -1464,6 +1451,93 @@ mod tests {
             }
             assert!(checked > 15, "only {checked} forgeries failed to decode");
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The version-1 image of `buf`, as a store from before the image
+    /// lost its size column wrote it: opcodes load / store / enter /
+    /// exit (every access a load here), and an 8-byte size per access
+    /// between the reference and scope columns.
+    fn version_1_image(buf: &TraceBuffer) -> Vec<u8> {
+        let t = buf.export();
+        // Today's access / enter / exit codes 0 / 1 / 2 were load / enter
+        // / exit 0 / 2 / 3; padding lanes stay 0.
+        let ops: Vec<u8> = t
+            .ops
+            .iter()
+            .map(|&b| {
+                (0..4).fold(0, |acc, lane| {
+                    let op = (b >> (lane * 2)) & 0b11;
+                    acc | ([0, 2, 3, 3][op as usize] << (lane * 2))
+                })
+            })
+            .collect();
+        let mut e = Enc::new();
+        e.u64(t.events);
+        e.u64(t.accesses);
+        e.u64(t.scope_events);
+        e.bytes(&ops);
+        e.bytes(&t.addr_bytes);
+        e.bytes(&t.ref_bytes);
+        e.bytes(&vec![8; t.accesses as usize]);
+        e.bytes(&t.scope_bytes);
+        e.buf
+    }
+
+    /// A store whose trace was written at segment version 1 still opens
+    /// and lists, refuses `get` of that trace with a typed
+    /// `UnsupportedVersion`, and serves it again after an evict and a
+    /// fresh `put` under the same id.
+    #[test]
+    fn a_version_1_segment_opens_lists_and_refuses_get() {
+        let dir = tmpdir("version1");
+        let buf = captured(40);
+        let mut store = TraceStore::open(&dir).unwrap();
+        store.put("old", &buf, meta()).unwrap();
+        let image = version_1_image(&buf);
+        let entry = &mut store.entries[0];
+        entry.image_len = image.len() as u64;
+        entry.image_crc = crc32(&image);
+        entry.segments = vec![SegmentInfo {
+            offset: 0,
+            len: image.len() as u64,
+            crc: crc32(&image),
+        }];
+        let header = SegmentHeader {
+            id: "old".to_string(),
+            seg_index: 0,
+            seg_count: 1,
+            chunk_offset: 0,
+            chunk_len: image.len() as u64,
+            image_len: image.len() as u64,
+            image_crc: crc32(&image),
+        }
+        .encode();
+        let (header, chunk) = ([&header[..]], [&image[..]]);
+        let frames = [Frame::new(&header), Frame::new(&chunk)];
+        let name = segment_file_name("old", 0);
+        frame::publish(&dir, &name, &MAGIC_SEGMENT, 1, &frames).unwrap();
+        store.publish_index().unwrap();
+
+        let mut reopened = TraceStore::open(&dir).expect("an old store opens");
+        assert_eq!(reopened.list().len(), 1);
+        assert_eq!(reopened.list()[0].id, "old");
+        assert_eq!(reopened.list()[0].events, buf.events());
+        assert_eq!(
+            reopened.get("old").unwrap_err(),
+            StoreError::UnsupportedVersion {
+                path: dir.join(&name),
+                found: 1,
+                supported: SEGMENT_VERSION,
+            }
+        );
+        reopened.evict("old").unwrap();
+        reopened.put("old", &buf, meta()).unwrap();
+        let mut want = VecSink::new();
+        buf.replay(&mut want);
+        let mut got = VecSink::new();
+        reopened.get("old").unwrap().replay(&mut got);
+        assert_eq!(got, want);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -14,23 +14,25 @@
 //! Columnar, with one stream per field so each column compresses on its
 //! own regularity:
 //!
-//! * **opcodes** — 2 bits per event (load / store / enter / exit), packed
-//!   four to a byte;
+//! * **opcodes** — 2 bits per event (access / enter / exit), packed four
+//!   to a byte; the fourth code is unused, and import rejects it;
 //! * **addresses** — zigzag varint of the delta from the previous access
 //!   (strided sweeps become 1-byte deltas);
 //! * **references** — zigzag varint of the [`RefId`] delta (loop bodies
 //!   cycle through a few ids, so deltas are tiny);
-//! * **sizes** — varint (element sizes are small constants);
 //! * **scopes** — varint [`ScopeId`] per enter/exit.
 //!
-//! Typical traces encode at 2–3 bytes per event versus 24 bytes for a
-//! `Vec<Event>`; [`BufferStats::compression_ratio`] reports the measured
-//! figure.
+//! An access carries only its reference and address: the program already
+//! says each reference's element size and whether it loads or stores.
+//!
+//! Sweep3D (mesh 10) encodes at 3.4 bytes per event and GTC (256×8) at
+//! 3.2, against 16 bytes per event for a `Vec<Event>`;
+//! [`BufferStats::compression_ratio`] reports the figure for any trace.
 
 use crate::decode::{try_varint, Column, DecodeError};
 use crate::event::{Event, SoaBatch, TraceSink};
 use crate::lanes::{Lanes, ScopeMark, StepSource};
-use reuselens_ir::{AccessKind, RefId, ScopeId};
+use reuselens_ir::{RefId, ScopeId};
 use reuselens_obs as obs;
 use std::ops::Range;
 
@@ -38,10 +40,9 @@ use std::ops::Range;
 /// replay. Large enough to amortize dispatch, small enough to stay in L1.
 pub(crate) const BATCH: usize = 256;
 
-const OP_LOAD: u8 = 0;
-const OP_STORE: u8 = 1;
-const OP_ENTER: u8 = 2;
-const OP_EXIT: u8 = 3;
+const OP_ACCESS: u8 = 0;
+const OP_ENTER: u8 = 1;
+const OP_EXIT: u8 = 2;
 
 #[inline]
 pub(crate) fn zigzag(v: i64) -> u64 {
@@ -65,7 +66,7 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 #[inline]
 fn get_varint(bytes: &[u8], pos: &mut usize) -> u64 {
     // One-byte fast path: almost every delta on a real trace (unit-stride
-    // addresses, adjacent reference ids, small sizes) fits in 7 bits.
+    // addresses, adjacent reference ids) fits in 7 bits.
     let b = bytes[*pos];
     *pos += 1;
     if b < 0x80 {
@@ -177,7 +178,6 @@ pub struct TraceBuffer {
     scope_events: u64,
     addr_bytes: Vec<u8>,
     ref_bytes: Vec<u8>,
-    size_bytes: Vec<u8>,
     scope_bytes: Vec<u8>,
     // Encoder state (deltas are relative to the previous access).
     last_addr: u64,
@@ -212,7 +212,6 @@ pub struct SegmentState {
 pub(crate) struct Cursor {
     addr_pos: usize,
     ref_pos: usize,
-    size_pos: usize,
     scope_pos: usize,
     last_addr: u64,
     last_ref: u32,
@@ -238,20 +237,15 @@ pub struct ExportedTrace {
     pub addr_bytes: Vec<u8>,
     /// Zigzag-varint reference-id-delta column.
     pub ref_bytes: Vec<u8>,
-    /// Varint access-size column.
-    pub size_bytes: Vec<u8>,
     /// Varint scope-id column.
     pub scope_bytes: Vec<u8>,
 }
 
 impl ExportedTrace {
-    /// Bytes the five encoded columns occupy.
+    /// Bytes the four encoded columns occupy.
     pub fn encoded_bytes(&self) -> u64 {
-        (self.ops.len()
-            + self.addr_bytes.len()
-            + self.ref_bytes.len()
-            + self.size_bytes.len()
-            + self.scope_bytes.len()) as u64
+        (self.ops.len() + self.addr_bytes.len() + self.ref_bytes.len() + self.scope_bytes.len())
+            as u64
     }
 }
 
@@ -276,17 +270,16 @@ impl TraceBuffer {
         self.scope_events
     }
 
-    /// The five encoded columns by reference, in image order: opcodes,
-    /// address deltas, reference-id deltas, sizes, scope ids (the fields
-    /// of [`ExportedTrace`], which [`export`](Self::export) clones). With
-    /// the three counts this is the whole portable image, so a writer can
+    /// The four encoded columns by reference, in image order: opcodes,
+    /// address deltas, reference-id deltas, scope ids (the fields of
+    /// [`ExportedTrace`], which [`export`](Self::export) clones). With the
+    /// three counts this is the whole portable image, so a writer can
     /// stream it without copying.
-    pub fn columns(&self) -> [&[u8]; 5] {
+    pub fn columns(&self) -> [&[u8]; 4] {
         [
             &self.ops,
             &self.addr_bytes,
             &self.ref_bytes,
-            &self.size_bytes,
             &self.scope_bytes,
         ]
     }
@@ -298,11 +291,7 @@ impl TraceBuffer {
 
     /// Bytes occupied by the encoded columns.
     pub fn encoded_bytes(&self) -> u64 {
-        (self.ops.len()
-            + self.addr_bytes.len()
-            + self.ref_bytes.len()
-            + self.size_bytes.len()
-            + self.scope_bytes.len()) as u64
+        self.columns().iter().map(|c| c.len() as u64).sum()
     }
 
     /// Capture statistics: event counts, encoded size, compression ratio.
@@ -381,20 +370,13 @@ impl TraceBuffer {
         for i in events {
             let op = (self.ops[(i / 4) as usize] >> ((i % 4) * 2)) & 0b11;
             match op {
-                OP_LOAD | OP_STORE => {
+                OP_ACCESS => {
                     let delta = unzigzag(get_varint(&self.addr_bytes, &mut c.addr_pos));
                     c.last_addr = c.last_addr.wrapping_add(delta as u64);
                     let delta = unzigzag(get_varint(&self.ref_bytes, &mut c.ref_pos));
                     c.last_ref = (i64::from(c.last_ref) + delta) as u32;
                     lanes.refs.push(c.last_ref);
                     lanes.addrs.push(c.last_addr);
-                    let size = get_varint(&self.size_bytes, &mut c.size_pos);
-                    lanes.sizes.push(size as u32);
-                    lanes.kinds.push(if op == OP_LOAD {
-                        AccessKind::Load
-                    } else {
-                        AccessKind::Store
-                    });
                 }
                 _ => lanes.scopes.push(ScopeMark {
                     event: i,
@@ -420,15 +402,14 @@ impl TraceBuffer {
             ops: self.ops.clone(),
             addr_bytes: self.addr_bytes.clone(),
             ref_bytes: self.ref_bytes.clone(),
-            size_bytes: self.size_bytes.clone(),
             scope_bytes: self.scope_bytes.clone(),
         }
     }
 
     /// Rebuilds a buffer from an [`ExportedTrace`] image of untrusted
     /// provenance. The whole stream is decoded through the checked
-    /// decoder first (truncation, malformed varints, field ranges, scope
-    /// balance, trailing bytes), the declared counts are cross-checked
+    /// decoder first (truncation, malformed varints, opcodes, field
+    /// ranges, scope balance, trailing bytes), the declared counts are cross-checked
     /// against what decoding observed. `Ok` guarantees the result replays
     /// bit-identically to the buffer that produced the image.
     ///
@@ -468,7 +449,6 @@ impl TraceBuffer {
             scope_events: image.scope_events,
             addr_bytes: image.addr_bytes,
             ref_bytes: image.ref_bytes,
-            size_bytes: image.size_bytes,
             scope_bytes: image.scope_bytes,
             last_addr,
             last_ref,
@@ -477,11 +457,8 @@ impl TraceBuffer {
 }
 
 impl TraceSink for TraceBuffer {
-    fn access(&mut self, r: RefId, addr: u64, size: u32, kind: AccessKind) {
-        self.push_op(match kind {
-            AccessKind::Load => OP_LOAD,
-            AccessKind::Store => OP_STORE,
-        });
+    fn access(&mut self, r: RefId, addr: u64) {
+        self.push_op(OP_ACCESS);
         self.accesses += 1;
         let delta = addr.wrapping_sub(self.last_addr) as i64;
         put_varint(&mut self.addr_bytes, zigzag(delta));
@@ -489,7 +466,6 @@ impl TraceSink for TraceBuffer {
         let rdelta = i64::from(r.0) - i64::from(self.last_ref);
         put_varint(&mut self.ref_bytes, zigzag(rdelta));
         self.last_ref = r.0;
-        put_varint(&mut self.size_bytes, u64::from(size));
     }
 
     fn enter(&mut self, scope: ScopeId) {
@@ -516,7 +492,6 @@ struct Decoder<'b> {
     accesses: u64,
     addr_pos: usize,
     ref_pos: usize,
-    size_pos: usize,
     scope_pos: usize,
     /// Open scopes, outermost first: every exit must close the top one.
     open_scopes: Vec<u32>,
@@ -549,7 +524,6 @@ impl<'b> Decoder<'b> {
             accesses: 0,
             addr_pos: 0,
             ref_pos: 0,
-            size_pos: 0,
             scope_pos: 0,
             open_scopes: Vec::new(),
         })
@@ -566,7 +540,7 @@ impl<'b> Decoder<'b> {
         self.next += 1;
         let op = (self.buf.ops[(i / 4) as usize] >> ((i % 4) * 2)) & 0b11;
         match op {
-            OP_LOAD | OP_STORE => {
+            OP_ACCESS => {
                 let delta = try_varint(&self.buf.addr_bytes, &mut self.addr_pos, Column::Addr, i)?;
                 self.addr = self.addr.wrapping_add(unzigzag(delta) as u64);
                 let rdelta = try_varint(&self.buf.ref_bytes, &mut self.ref_pos, Column::Ref, i)?;
@@ -575,17 +549,10 @@ impl<'b> Decoder<'b> {
                     return Err(DecodeError::RefOutOfRange { event: i, value: r });
                 }
                 self.r = r as u32;
-                let size = try_varint(&self.buf.size_bytes, &mut self.size_pos, Column::Size, i)?;
-                if size > u64::from(u32::MAX) {
-                    return Err(DecodeError::SizeOutOfRange {
-                        event: i,
-                        value: size,
-                    });
-                }
                 self.accesses += 1;
                 Ok(true)
             }
-            _ => {
+            OP_ENTER | OP_EXIT => {
                 let scope =
                     try_varint(&self.buf.scope_bytes, &mut self.scope_pos, Column::Scope, i)?;
                 if scope > u64::from(u32::MAX) {
@@ -608,6 +575,7 @@ impl<'b> Decoder<'b> {
                     }),
                 }
             }
+            _ => Err(DecodeError::UnknownOpcode { event: i, op }),
         }
     }
 
@@ -622,7 +590,6 @@ impl<'b> Decoder<'b> {
         for (column, consumed, len) in [
             (Column::Addr, self.addr_pos, self.buf.addr_bytes.len()),
             (Column::Ref, self.ref_pos, self.buf.ref_bytes.len()),
-            (Column::Size, self.size_pos, self.buf.size_bytes.len()),
             (Column::Scope, self.scope_pos, self.buf.scope_bytes.len()),
         ] {
             if consumed != len {
@@ -644,11 +611,11 @@ mod tests {
 
     fn feed(sink: &mut impl TraceSink) {
         sink.enter(ScopeId(1));
-        sink.access(RefId(0), 0x1000, 8, AccessKind::Load);
-        sink.access(RefId(1), 0x1008, 8, AccessKind::Store);
+        sink.access(RefId(0), 0x1000);
+        sink.access(RefId(1), 0x1008);
         sink.enter(ScopeId(2));
-        sink.access(RefId(0), 0x40_0000, 4, AccessKind::Load);
-        sink.access(RefId(0), 0x08, 4, AccessKind::Load); // backwards delta
+        sink.access(RefId(0), 0x40_0000);
+        sink.access(RefId(0), 0x08); // backwards delta
         sink.exit(ScopeId(2));
         sink.exit(ScopeId(1));
     }
@@ -686,7 +653,7 @@ mod tests {
         // A strided sweep: the representative best case for delta coding.
         buf.enter(ScopeId(1));
         for i in 0..10_000u64 {
-            buf.access(RefId(0), 0x10_0000 + i * 8, 8, AccessKind::Load);
+            buf.access(RefId(0), 0x10_0000 + i * 8);
         }
         buf.exit(ScopeId(1));
         let s = buf.stats();
@@ -694,8 +661,8 @@ mod tests {
         assert_eq!(s.accesses, 10_000);
         assert_eq!(s.scope_events, 2);
         assert_eq!(s.raw_bytes, 10_002 * std::mem::size_of::<Event>() as u64);
-        // 2-bit opcode + 1-byte addr delta + 1-byte ref delta + 1-byte size
-        // ≈ 3.25 B/event versus 24 B raw.
+        // 2-bit opcode + 1-byte addr delta + 1-byte ref delta
+        // ≈ 2.25 B/event versus 16 B raw.
         assert!(
             s.compression_ratio() > 6.0,
             "ratio {:.2} ({} B encoded)",
@@ -725,7 +692,7 @@ mod tests {
             scopes: usize,
         }
         impl TraceSink for Counting {
-            fn access(&mut self, _: RefId, _: u64, _: u32, _: AccessKind) {
+            fn access(&mut self, _: RefId, _: u64) {
                 unreachable!("replay must go through access_soa");
             }
             fn access_soa(&mut self, batch: &SoaBatch) {
@@ -742,11 +709,11 @@ mod tests {
         let mut buf = TraceBuffer::new();
         buf.enter(ScopeId(1));
         for i in 0..300u64 {
-            buf.access(RefId(0), i * 8, 8, AccessKind::Load);
+            buf.access(RefId(0), i * 8);
         }
         buf.enter(ScopeId(2));
         for i in 0..10u64 {
-            buf.access(RefId(0), i * 8, 8, AccessKind::Store);
+            buf.access(RefId(0), i * 8);
         }
         buf.exit(ScopeId(2));
         buf.exit(ScopeId(1));
@@ -766,16 +733,9 @@ mod tests {
             if i % 97 == 0 {
                 buf.enter(ScopeId(2 + (i % 3) as u32));
             }
-            let kind = if i % 3 == 0 {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
             buf.access(
                 RefId((i % 5) as u32),
                 0x1_0000 + (i * 24) % 4096 + (i / 11) * 64,
-                8,
-                kind,
             );
             if i % 97 == 96 {
                 buf.exit(ScopeId(2 + ((i - 96) % 3) as u32));
@@ -915,16 +875,9 @@ mod tests {
                 buf.enter(s);
                 open = Some(s);
             }
-            let kind = if i % 3 == 0 {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
             buf.access(
                 RefId((i % 5) as u32),
                 0x1_0000 + (i * 24) % 4096 + (i / 11) * 64,
-                8,
-                kind,
             );
             if i % 97 == 96 {
                 buf.exit(open.take().expect("group opened at i % 97 == 0"));
@@ -955,13 +908,7 @@ mod tests {
         }
         // The borrowed view is what export clones, in image order.
         let e = buf.export();
-        let cloned: [&[u8]; 5] = [
-            &e.ops,
-            &e.addr_bytes,
-            &e.ref_bytes,
-            &e.size_bytes,
-            &e.scope_bytes,
-        ];
+        let cloned: [&[u8]; 4] = [&e.ops, &e.addr_bytes, &e.ref_bytes, &e.scope_bytes];
         assert_eq!(buf.columns(), cloned);
         assert_eq!(buf.scope_events(), e.scope_events);
         // Empty buffers round-trip too.

@@ -14,8 +14,9 @@
 //! * **malformed varints** — a continuation chain longer than ten bytes or
 //!   carrying payload bits past bit 63 (this is also how a corrupted
 //!   address delta that cannot fit the 64-bit delta encoding surfaces);
-//! * **field ranges** — reference ids and scope ids must fit `u32`, access
-//!   sizes must fit `u32`;
+//! * **opcodes** — each event's 2-bit code must be an access, an enter or
+//!   an exit; the fourth code is an error that names the event;
+//! * **field ranges** — reference ids and scope ids must fit `u32`;
 //! * **scope balance** — every exit must match the innermost open enter,
 //!   and every enter must be closed by end of stream;
 //! * **count mismatches** — after the declared number of events, every
@@ -34,8 +35,6 @@ pub enum Column {
     Addr,
     /// Zigzag-varint reference-id deltas.
     Ref,
-    /// Varint access sizes.
-    Size,
     /// Varint scope ids.
     Scope,
 }
@@ -46,7 +45,6 @@ impl fmt::Display for Column {
             Column::Ops => "opcode",
             Column::Addr => "address",
             Column::Ref => "reference",
-            Column::Size => "size",
             Column::Scope => "scope",
         })
     }
@@ -85,12 +83,12 @@ pub enum DecodeError {
         /// The out-of-range accumulated reference id.
         value: i64,
     },
-    /// An access size did not fit `u32`.
-    SizeOutOfRange {
-        /// Index of the offending access event.
+    /// An event's 2-bit opcode was the one code no event uses.
+    UnknownOpcode {
+        /// Index of the offending event.
         event: u64,
-        /// The decoded size.
-        value: u64,
+        /// The opcode found.
+        op: u8,
     },
     /// A scope id did not fit `u32`.
     ScopeOutOfRange {
@@ -156,8 +154,8 @@ impl fmt::Display for DecodeError {
             DecodeError::RefOutOfRange { event, value } => {
                 write!(f, "reference id {value} out of u32 range at event {event}")
             }
-            DecodeError::SizeOutOfRange { event, value } => {
-                write!(f, "access size {value} out of u32 range at event {event}")
+            DecodeError::UnknownOpcode { event, op } => {
+                write!(f, "unknown opcode {op} at event {event}")
             }
             DecodeError::ScopeOutOfRange { event, value } => {
                 write!(f, "scope id {value} out of u32 range at event {event}")
@@ -254,7 +252,7 @@ mod tests {
         // 9 continuation bytes + final byte 0x01: the canonical u64::MAX.
         let bytes = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
         let mut pos = 0;
-        assert_eq!(try_varint(&bytes, &mut pos, Column::Size, 0), Ok(u64::MAX));
+        assert_eq!(try_varint(&bytes, &mut pos, Column::Scope, 0), Ok(u64::MAX));
     }
 
     #[test]
@@ -305,7 +303,7 @@ mod tests {
         assert!(s.contains("12"), "{s}");
         assert!(s.contains("9"), "{s}");
         let t = DecodeError::TrailingBytes {
-            column: Column::Size,
+            column: Column::Ref,
             consumed: 3,
             len: 5,
         }

@@ -3,7 +3,6 @@
 use crate::buffer::{Cursor, SegmentState, TraceBuffer};
 use crate::event::TraceSink;
 use crate::lanes::{Lanes, ScopeMark, StepSource, Stretch};
-use reuselens_ir::AccessKind;
 
 /// The decoded form of a [`TraceBuffer`]: immutable, built by one decode
 /// of the whole buffer ([`DecodedTrace::new`]), and replayed without
@@ -12,8 +11,8 @@ use reuselens_ir::AccessKind;
 /// Replaying a [`TraceBuffer`] varint-decodes every event again, on every
 /// lane of every replay. A process that replays the same trace over and
 /// over (the analysis daemon) can instead decode it once into this form:
-/// the reference, address, size and kind lanes of every access, plus each
-/// scope event with its event index, the very lanes an encoded replay
+/// the reference and address lanes of every access, plus each scope event
+/// with its event index, the very lanes an encoded replay
 /// decodes one step at a time. A [`StepSource`] built from it hands out
 /// stretches of these lanes, so its replay does no varint work and
 /// delivers the very same events in the very same batches as the
@@ -22,8 +21,8 @@ use reuselens_ir::AccessKind;
 /// [`state_at`](Self::state_at)), and the [`SegmentState`]s it produces
 /// equal the buffer's.
 ///
-/// The price is memory: 17 bytes per access and 16 per scope event,
-/// roughly four times the encoded columns ([`bytes`](Self::bytes)).
+/// The price is memory: 12 bytes per access and 16 per scope event
+/// ([`bytes`](Self::bytes)).
 #[derive(Debug)]
 pub struct DecodedTrace {
     events: u64,
@@ -51,9 +50,7 @@ impl DecodedTrace {
     }
 
     fn size(accesses: u64, scope_events: u64) -> u64 {
-        let per_access = std::mem::size_of::<u32>() * 2
-            + std::mem::size_of::<u64>()
-            + std::mem::size_of::<AccessKind>();
+        let per_access = std::mem::size_of::<u32>() + std::mem::size_of::<u64>();
         accesses * per_access as u64 + scope_events * std::mem::size_of::<ScopeMark>() as u64
     }
 

@@ -5,22 +5,19 @@
 //! executor produces the identical stream; analyzers implement
 //! [`TraceSink`] to play the role of the event handlers.
 
-use reuselens_ir::{AccessKind, RefId, ScopeId};
+use reuselens_ir::{RefId, ScopeId};
 
 /// One instrumentation event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Event {
-    /// A memory access by static reference `r` touching `size` bytes at
-    /// virtual address `addr`.
+    /// A memory access by static reference `r` at virtual address
+    /// `addr`. The program says the rest: the reference's array (and so
+    /// its element size) and whether it loads or stores.
     Access {
         /// The static reference performing the access.
         r: RefId,
         /// Virtual byte address accessed.
         addr: u64,
-        /// Access width in bytes (the array's element size).
-        size: u32,
-        /// Load or store.
-        kind: AccessKind,
     },
     /// A routine or loop scope was entered.
     Enter(ScopeId),
@@ -36,17 +33,13 @@ pub enum Event {
 /// materialized — and analyzers that override
 /// [`TraceSink::access_soa`] can stream each lane independently (e.g.
 /// shifting the whole address lane down to block numbers in one
-/// vectorizable loop). All four lanes always have equal length.
+/// vectorizable loop). Both lanes always have equal length.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SoaBatch {
     /// Static reference ids, one per access.
     pub refs: Vec<u32>,
     /// Virtual byte addresses, one per access.
     pub addrs: Vec<u64>,
-    /// Access widths in bytes, one per access.
-    pub sizes: Vec<u32>,
-    /// Load/store kinds, one per access.
-    pub kinds: Vec<AccessKind>,
 }
 
 impl SoaBatch {
@@ -55,8 +48,6 @@ impl SoaBatch {
         SoaBatch {
             refs: Vec::with_capacity(n),
             addrs: Vec::with_capacity(n),
-            sizes: Vec::with_capacity(n),
-            kinds: Vec::with_capacity(n),
         }
     }
 
@@ -74,17 +65,13 @@ impl SoaBatch {
     pub fn clear(&mut self) {
         self.refs.clear();
         self.addrs.clear();
-        self.sizes.clear();
-        self.kinds.clear();
     }
 
-    /// Appends one access to every lane.
+    /// Appends one access to both lanes.
     #[inline]
-    pub fn push(&mut self, r: u32, addr: u64, size: u32, kind: AccessKind) {
+    pub fn push(&mut self, r: u32, addr: u64) {
         self.refs.push(r);
         self.addrs.push(addr);
-        self.sizes.push(size);
-        self.kinds.push(kind);
     }
 }
 
@@ -96,7 +83,7 @@ impl SoaBatch {
 /// execution cannot fail on the consumer side.
 pub trait TraceSink {
     /// Called for every memory access, in program order.
-    fn access(&mut self, r: RefId, addr: u64, size: u32, kind: AccessKind);
+    fn access(&mut self, r: RefId, addr: u64);
     /// Called when a routine or loop scope is entered.
     fn enter(&mut self, scope: ScopeId);
     /// Called when a routine or loop scope is exited.
@@ -108,14 +95,8 @@ pub trait TraceSink {
     /// that can consume lanes override this. The default walks the lanes
     /// and forwards each access to [`access`](Self::access), in order.
     fn access_soa(&mut self, batch: &SoaBatch) {
-        let lanes = batch
-            .refs
-            .iter()
-            .zip(&batch.addrs)
-            .zip(&batch.sizes)
-            .zip(&batch.kinds);
-        for (((&r, &addr), &size), &kind) in lanes {
-            self.access(RefId(r), addr, size, kind);
+        for (&r, &addr) in batch.refs.iter().zip(&batch.addrs) {
+            self.access(RefId(r), addr);
         }
     }
 }
@@ -125,7 +106,7 @@ pub trait TraceSink {
 pub struct NullSink;
 
 impl TraceSink for NullSink {
-    fn access(&mut self, _r: RefId, _addr: u64, _size: u32, _kind: AccessKind) {}
+    fn access(&mut self, _r: RefId, _addr: u64) {}
     fn enter(&mut self, _scope: ScopeId) {}
     fn exit(&mut self, _scope: ScopeId) {}
     fn access_soa(&mut self, _batch: &SoaBatch) {}
@@ -146,32 +127,22 @@ impl VecSink {
     }
 
     /// Just the access events, in order.
-    pub fn accesses(&self) -> impl Iterator<Item = (RefId, u64, u32, AccessKind)> + '_ {
+    pub fn accesses(&self) -> impl Iterator<Item = (RefId, u64)> + '_ {
         self.events.iter().filter_map(|e| match e {
-            Event::Access {
-                r,
-                addr,
-                size,
-                kind,
-            } => Some((*r, *addr, *size, *kind)),
+            Event::Access { r, addr } => Some((*r, *addr)),
             _ => None,
         })
     }
 
     /// Just the accessed addresses, in order.
     pub fn addresses(&self) -> Vec<u64> {
-        self.accesses().map(|(_, a, _, _)| a).collect()
+        self.accesses().map(|(_, a)| a).collect()
     }
 }
 
 impl TraceSink for VecSink {
-    fn access(&mut self, r: RefId, addr: u64, size: u32, kind: AccessKind) {
-        self.events.push(Event::Access {
-            r,
-            addr,
-            size,
-            kind,
-        });
+    fn access(&mut self, r: RefId, addr: u64) {
+        self.events.push(Event::Access { r, addr });
     }
     fn enter(&mut self, scope: ScopeId) {
         self.events.push(Event::Enter(scope));
@@ -199,9 +170,9 @@ impl<A, B> TeeSink<A, B> {
 }
 
 impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
-    fn access(&mut self, r: RefId, addr: u64, size: u32, kind: AccessKind) {
-        self.a.access(r, addr, size, kind);
-        self.b.access(r, addr, size, kind);
+    fn access(&mut self, r: RefId, addr: u64) {
+        self.a.access(r, addr);
+        self.b.access(r, addr);
     }
     fn enter(&mut self, scope: ScopeId) {
         self.a.enter(scope);
@@ -218,8 +189,8 @@ impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
 }
 
 impl<S: TraceSink + ?Sized> TraceSink for &mut S {
-    fn access(&mut self, r: RefId, addr: u64, size: u32, kind: AccessKind) {
-        (**self).access(r, addr, size, kind);
+    fn access(&mut self, r: RefId, addr: u64) {
+        (**self).access(r, addr);
     }
     fn enter(&mut self, scope: ScopeId) {
         (**self).enter(scope);
@@ -240,7 +211,7 @@ mod tests {
     fn vec_sink_records_in_order() {
         let mut s = VecSink::new();
         s.enter(ScopeId(1));
-        s.access(RefId(0), 0x100, 8, AccessKind::Load);
+        s.access(RefId(0), 0x100);
         s.exit(ScopeId(1));
         assert_eq!(
             s.events,
@@ -248,9 +219,7 @@ mod tests {
                 Event::Enter(ScopeId(1)),
                 Event::Access {
                     r: RefId(0),
-                    addr: 0x100,
-                    size: 8,
-                    kind: AccessKind::Load
+                    addr: 0x100
                 },
                 Event::Exit(ScopeId(1)),
             ]
@@ -261,7 +230,7 @@ mod tests {
     #[test]
     fn tee_duplicates_events() {
         let mut tee = TeeSink::new(VecSink::new(), VecSink::new());
-        tee.access(RefId(1), 0x40, 4, AccessKind::Store);
+        tee.access(RefId(1), 0x40);
         assert_eq!(tee.a.events, tee.b.events);
         assert_eq!(tee.a.events.len(), 1);
     }
@@ -271,13 +240,8 @@ mod tests {
         let mut soa = SoaBatch::with_capacity(600);
         let mut want = VecSink::new();
         for i in 0..600u64 {
-            let kind = if i % 3 == 0 {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
-            soa.push((i % 7) as u32, 0x1000 + i * 16, 8, kind);
-            want.access(RefId((i % 7) as u32), 0x1000 + i * 16, 8, kind);
+            soa.push((i % 7) as u32, 0x1000 + i * 16);
+            want.access(RefId((i % 7) as u32), 0x1000 + i * 16);
         }
         // `VecSink` overrides only `access`, so it sees the default.
         let mut sink = VecSink::new();

@@ -325,7 +325,6 @@ impl<'p> Executor<'p> {
         sink: &mut S,
         report: &mut ExecReport,
     ) -> Result<(), ExecError> {
-        let r = self.program.reference(rid);
         let addr = match &self.plans[rid.index()] {
             Some(plan) => match plan.address(&self.vars) {
                 Some(addr) => addr,
@@ -334,16 +333,11 @@ impl<'p> Executor<'p> {
             None => self.interpret_address(rid)?,
         };
         report.accesses += 1;
-        match r.kind() {
+        match self.program.reference(rid).kind() {
             reuselens_ir::AccessKind::Load => report.loads += 1,
             reuselens_ir::AccessKind::Store => report.stores += 1,
         }
-        sink.access(
-            rid,
-            addr,
-            self.program.array(r.array()).elem_size(),
-            r.kind(),
-        );
+        sink.access(rid, addr);
         Ok(())
     }
 

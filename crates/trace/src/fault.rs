@@ -38,7 +38,7 @@
 use crate::buffer::ExportedTrace;
 use crate::decode::Column;
 use crate::event::TraceSink;
-use reuselens_ir::{AccessKind, RefId, ScopeId};
+use reuselens_ir::{RefId, ScopeId};
 use reuselens_prng::SplitMix64;
 use std::io;
 
@@ -47,7 +47,6 @@ fn column(image: &ExportedTrace, c: Column) -> &[u8] {
         Column::Ops => &image.ops,
         Column::Addr => &image.addr_bytes,
         Column::Ref => &image.ref_bytes,
-        Column::Size => &image.size_bytes,
         Column::Scope => &image.scope_bytes,
     }
 }
@@ -57,18 +56,11 @@ fn column_mut(image: &mut ExportedTrace, c: Column) -> &mut Vec<u8> {
         Column::Ops => &mut image.ops,
         Column::Addr => &mut image.addr_bytes,
         Column::Ref => &mut image.ref_bytes,
-        Column::Size => &mut image.size_bytes,
         Column::Scope => &mut image.scope_bytes,
     }
 }
 
-const COLUMNS: [Column; 5] = [
-    Column::Ops,
-    Column::Addr,
-    Column::Ref,
-    Column::Size,
-    Column::Scope,
-];
+const COLUMNS: [Column; 4] = [Column::Ops, Column::Addr, Column::Ref, Column::Scope];
 
 /// A seeded trace-image corruptor. Every method is deterministic in the seed
 /// and the call sequence, so any failure it provokes can be replayed.
@@ -102,7 +94,7 @@ impl Corruptor {
     /// non-empty encoded column. An empty image is returned unchanged.
     ///
     /// Note that a single bit flip does not always make the encoding
-    /// invalid — flipping a size bit, say, yields a *different* valid
+    /// invalid — flipping an address bit, say, yields a *different* valid
     /// stream. The guarantee under test is "never panics", not
     /// "always errors".
     pub fn bit_flip(&mut self, image: &ExportedTrace) -> ExportedTrace {
@@ -333,7 +325,7 @@ impl PanickingSink {
 }
 
 impl TraceSink for PanickingSink {
-    fn access(&mut self, _r: RefId, _addr: u64, _size: u32, _kind: AccessKind) {
+    fn access(&mut self, _r: RefId, _addr: u64) {
         if self.seen >= self.fail_after {
             panic!("injected sink panic after {} accesses", self.seen);
         }
@@ -350,7 +342,7 @@ impl TraceSink for PanickingSink {
 pub struct FailingSink;
 
 impl TraceSink for FailingSink {
-    fn access(&mut self, _r: RefId, _addr: u64, _size: u32, _kind: AccessKind) {
+    fn access(&mut self, _r: RefId, _addr: u64) {
         std::panic::panic_any(0xdead_beef_u64);
     }
     fn enter(&mut self, _scope: ScopeId) {}
@@ -366,7 +358,7 @@ mod tests {
         let mut buf = TraceBuffer::new();
         buf.enter(ScopeId(1));
         for i in 0..40u64 {
-            buf.access(RefId((i % 3) as u32), 0x1000 + i * 16, 8, AccessKind::Load);
+            buf.access(RefId((i % 3) as u32), 0x1000 + i * 16);
         }
         buf.exit(ScopeId(1));
         buf.export()

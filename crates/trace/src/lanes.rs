@@ -4,7 +4,7 @@
 use crate::buffer::{Cursor, SegmentState, TraceBuffer, BATCH};
 use crate::decoded::DecodedTrace;
 use crate::event::{SoaBatch, TraceSink};
-use reuselens_ir::{AccessKind, ScopeId};
+use reuselens_ir::ScopeId;
 
 /// Events an encoded [`StepSource`] decodes into its lanes per stretch:
 /// one replay step, after which a replay lane publishes progress and
@@ -20,15 +20,13 @@ pub(crate) struct ScopeMark {
     pub(crate) enter: bool,
 }
 
-/// A stretch of the event stream in decoded form: the reference, address,
-/// size and kind lanes of its accesses, plus each scope event with its
-/// event index.
+/// A stretch of the event stream in decoded form: the reference and
+/// address lanes of its accesses, plus each scope event with its event
+/// index.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Lanes {
     pub(crate) refs: Vec<u32>,
     pub(crate) addrs: Vec<u64>,
-    pub(crate) sizes: Vec<u32>,
-    pub(crate) kinds: Vec<AccessKind>,
     pub(crate) scopes: Vec<ScopeMark>,
 }
 
@@ -37,8 +35,6 @@ impl Lanes {
         Lanes {
             refs: Vec::with_capacity(accesses),
             addrs: Vec::with_capacity(accesses),
-            sizes: Vec::with_capacity(accesses),
-            kinds: Vec::with_capacity(accesses),
             scopes: Vec::with_capacity(scope_events),
         }
     }
@@ -46,8 +42,6 @@ impl Lanes {
     fn clear(&mut self) {
         self.refs.clear();
         self.addrs.clear();
-        self.sizes.clear();
-        self.kinds.clear();
         self.scopes.clear();
     }
 }
@@ -107,8 +101,6 @@ impl<'a> Stretch<'a> {
                 let (a, b) = (access, access + take);
                 batch.refs.extend_from_slice(&lanes.refs[a..b]);
                 batch.addrs.extend_from_slice(&lanes.addrs[a..b]);
-                batch.sizes.extend_from_slice(&lanes.sizes[a..b]);
-                batch.kinds.extend_from_slice(&lanes.kinds[a..b]);
                 access += take;
                 if batch.len() == BATCH {
                     sink.access_soa(batch);

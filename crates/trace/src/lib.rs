@@ -2,8 +2,8 @@
 //!
 //! Interprets a [`reuselens_ir::Program`] and emits the instrumentation
 //! event stream the paper's binary rewriter would produce: one event per
-//! memory access (reference id, virtual address, width, load/store) and one
-//! per routine/loop entry and exit.
+//! memory access (reference id and virtual address) and one per
+//! routine/loop entry and exit.
 //!
 //! Analyzers implement [`TraceSink`] and observe events online, or capture
 //! the stream once into a compact [`TraceBuffer`] and replay it many times

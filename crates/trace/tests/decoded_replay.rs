@@ -11,7 +11,7 @@
 //! both forms replay its events. A state made by either form must resume
 //! a replay of the other.
 
-use reuselens_ir::{AccessKind, RefId, ScopeId};
+use reuselens_ir::{RefId, ScopeId};
 use reuselens_prng::SplitMix64;
 use reuselens_trace::{
     DecodedTrace, SegmentState, SoaBatch, StepSource, TraceBuffer, TraceSink, STEP,
@@ -32,7 +32,7 @@ enum Call {
 struct Calls(Vec<Call>);
 
 impl TraceSink for Calls {
-    fn access(&mut self, _: RefId, _: u64, _: u32, _: AccessKind) {
+    fn access(&mut self, _: RefId, _: u64) {
         unreachable!("replay delivers accesses in batches");
     }
     fn access_soa(&mut self, batch: &SoaBatch) {
@@ -48,7 +48,7 @@ impl TraceSink for Calls {
 
 fn access(buf: &mut TraceBuffer, rng: &mut SplitMix64, addr: &mut u64) {
     // Mostly unit strides, with jumps either way, huge deltas, far
-    // reference ids and odd sizes so every varint length shows up.
+    // and far reference ids so every varint length shows up.
     *addr = match rng.gen_range(0..10) {
         0 => rng.next_u64(),
         1 => addr.wrapping_sub(rng.gen_range(1..1 << 20)),
@@ -59,16 +59,7 @@ fn access(buf: &mut TraceBuffer, rng: &mut SplitMix64, addr: &mut u64) {
         0 => rng.gen_range(0..u64::from(u32::MAX) + 1) as u32,
         _ => rng.gen_range(0..6) as u32,
     };
-    let size = match rng.gen_range(0..8) {
-        0 => rng.gen_range(0..u64::from(u32::MAX) + 1) as u32,
-        _ => 8,
-    };
-    let kind = if rng.gen_range(0..3) == 0 {
-        AccessKind::Store
-    } else {
-        AccessKind::Load
-    };
-    buf.access(RefId(r), *addr, size, kind);
+    buf.access(RefId(r), *addr);
 }
 
 /// A random stream whose scope events need not balance.

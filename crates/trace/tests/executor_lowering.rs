@@ -159,7 +159,7 @@ impl<'p> Interpreter<'p> {
                         AccessKind::Load => report.loads += 1,
                         AccessKind::Store => report.stores += 1,
                     }
-                    sink.access(*rid, addr, decl.elem_size(), r.kind());
+                    sink.access(*rid, addr);
                 }
                 Stmt::Assign { var, value } => {
                     let v = self.eval(value)?;

@@ -9,34 +9,29 @@
 //! harness (`reuselens_trace::fault`), so any failure here reproduces
 //! from the constants in this file.
 
-use reuselens_ir::{AccessKind, RefId, ScopeId};
+use reuselens_ir::{RefId, ScopeId};
 use reuselens_prng::SplitMix64;
 use reuselens_trace::fault::{truncations, Corruptor, PanickingSink};
 use reuselens_trace::{Column, DecodeError, ExportedTrace, TraceBuffer, TraceSink, VecSink};
 
-/// A small golden buffer with every event kind: nested scopes, loads and
-/// stores from several references, forward and backward address deltas.
+/// A small golden buffer with every event kind: nested scopes, accesses
+/// from several references, forward and backward address deltas.
 fn golden() -> TraceBuffer {
     let mut buf = TraceBuffer::new();
     buf.enter(ScopeId(1));
     buf.enter(ScopeId(2));
     for i in 0..24u64 {
-        let kind = if i % 3 == 0 {
-            AccessKind::Store
-        } else {
-            AccessKind::Load
-        };
         // Alternate between two regions so address deltas change sign.
         let addr = if i % 2 == 0 {
             0x1_0000 + i * 8
         } else {
             0x9_0000 - i * 128
         };
-        buf.access(RefId((i % 4) as u32), addr, 8, kind);
+        buf.access(RefId((i % 4) as u32), addr);
     }
     buf.exit(ScopeId(2));
     buf.enter(ScopeId(3));
-    buf.access(RefId(0), 0x42, 4, AccessKind::Load);
+    buf.access(RefId(0), 0x42);
     buf.exit(ScopeId(3));
     buf.exit(ScopeId(1));
     buf
@@ -61,13 +56,7 @@ fn random_buffer(seed: u64, events: usize) -> TraceBuffer {
             _ => {
                 let r = RefId(rng.gen_range(0..16) as u32);
                 let addr = rng.gen_range(0..1 << 40);
-                let size = 1 << rng.gen_range(0..4);
-                let kind = if rng.gen_range(0..2) == 0 {
-                    AccessKind::Load
-                } else {
-                    AccessKind::Store
-                };
-                buf.access(r, addr, size as u32, kind);
+                buf.access(r, addr);
             }
         }
     }
@@ -124,8 +113,64 @@ fn every_truncation_errors_and_never_panics() {
     }
 }
 
+/// Every single-bit flip of every byte of the four columns: import
+/// errors or accepts, never panics, and an accepted image replays. A
+/// flip that turns an enter's code into the unused fourth one is the
+/// typed opcode error.
+#[test]
+fn every_bit_flip_imports_or_errors_cleanly() {
+    let image = golden().export();
+    let (mut flips, mut rejected, mut opcodes) = (0, 0, 0);
+    for column in 0..4 {
+        for byte in 0..columns_mut(&mut image.clone())[column].len() {
+            for bit in 0..8 {
+                let mut flipped = image.clone();
+                columns_mut(&mut flipped)[column][byte] ^= 1 << bit;
+                flips += 1;
+                match import_and_replay(flipped) {
+                    Ok(()) => {}
+                    Err(DecodeError::UnknownOpcode { .. }) => {
+                        rejected += 1;
+                        opcodes += 1;
+                    }
+                    Err(_) => rejected += 1,
+                }
+            }
+        }
+    }
+    assert_eq!(flips, image.encoded_bytes() * 8);
+    assert!(
+        rejected > 0 && opcodes > 0,
+        "{rejected} rejected, {opcodes} opcodes"
+    );
+}
+
+/// The fourth 2-bit code, forged at each event of the golden image in
+/// turn, is the typed opcode error naming that event.
+#[test]
+fn forged_fourth_opcode_names_its_event() {
+    let image = golden().export();
+    for event in 0..image.events {
+        let mut forged = image.clone();
+        forged.ops[(event / 4) as usize] |= 0b11 << ((event % 4) * 2);
+        let err = TraceBuffer::import(forged).unwrap_err();
+        assert_eq!(err, DecodeError::UnknownOpcode { event, op: 3 });
+        assert!(err.to_string().contains(&format!("event {event}")), "{err}");
+    }
+}
+
+/// The image's four columns, mutably, in image order.
+fn columns_mut(image: &mut ExportedTrace) -> [&mut Vec<u8>; 4] {
+    [
+        &mut image.ops,
+        &mut image.addr_bytes,
+        &mut image.ref_bytes,
+        &mut image.scope_bytes,
+    ]
+}
+
 /// Seeded single-bit flips: import must never panic. A flip may still
-/// yield a *different valid* stream (e.g. in a size byte), so the
+/// yield a *different valid* stream (e.g. in an address byte), so the
 /// assertion is "imports cleanly or errors cleanly", and an accepted
 /// image must replay cleanly.
 #[test]
@@ -209,13 +254,13 @@ fn varint_overflowing_u64_is_rejected() {
     // more than 64 bits.
     let mut bytes = vec![0x80u8; 9];
     bytes.push(0x7f);
-    image.size_bytes = bytes;
+    image.ref_bytes = bytes;
     let err = TraceBuffer::import(image).unwrap_err();
     assert!(
         matches!(
             err,
             DecodeError::VarintOverflow {
-                column: Column::Size,
+                column: Column::Ref,
                 ..
             }
         ),
@@ -229,7 +274,7 @@ fn varint_overflowing_u64_is_rejected() {
 fn unbalanced_scopes_are_rejected() {
     let mut buf = TraceBuffer::new();
     buf.enter(ScopeId(1));
-    buf.access(RefId(0), 0x100, 8, AccessKind::Load);
+    buf.access(RefId(0), 0x100);
     buf.exit(ScopeId(2)); // mismatched
     buf.exit(ScopeId(1));
     let err = TraceBuffer::import(buf.export()).unwrap_err();
@@ -252,12 +297,11 @@ fn unbalanced_scopes_are_rejected() {
 /// Bytes left over in a payload column after all declared events decoded.
 #[test]
 fn trailing_bytes_are_rejected() {
-    for column in [Column::Addr, Column::Ref, Column::Size, Column::Scope] {
+    for column in [Column::Addr, Column::Ref, Column::Scope] {
         let mut image = golden().export();
         match column {
             Column::Addr => image.addr_bytes.push(0x01),
             Column::Ref => image.ref_bytes.push(0x01),
-            Column::Size => image.size_bytes.push(0x01),
             Column::Scope => image.scope_bytes.push(0x01),
             Column::Ops => unreachable!(),
         }

@@ -70,14 +70,14 @@
 //! and a `/jobs` HTTP endpoint fed by [`Daemon::jobs_callback`].
 
 use reuselens_core::{
-    analyze_buffer_with, analyze_decoded_with, capture_program, write_profiles, AnalysisBudget,
-    AnalyzeOptions, SamplingConfig, SamplingError, SavedProfiles,
+    analyze_buffer_with, capture_program, write_profiles, AnalysisBudget, AnalyzeOptions,
+    SamplingConfig, SamplingError, SavedProfiles,
 };
 use reuselens_metrics::run_locality_estimate;
 use reuselens_obs as obs;
 use reuselens_obs::json::{self, Json};
 use reuselens_store::{self as store, StoreError, TraceEntry, TraceMeta, TraceStore};
-use reuselens_trace::{DecodedTrace, TraceBuffer};
+use reuselens_trace::{DecodedTrace, StepSource, TraceBuffer};
 use reuselens_workloads::gtc::{build as build_gtc, GtcConfig, GtcTransforms};
 use reuselens_workloads::kernels;
 use reuselens_workloads::sweep3d::{build as build_sweep, SweepConfig};
@@ -1541,10 +1541,11 @@ fn execute_replay(
             decoded
         })
     });
-    let partial = match &decoded {
-        Some(decoded) => analyze_decoded_with(&w.program, decoded, &grains, &opts),
-        None => analyze_buffer_with(&w.program, &trace.buffer, &grains, &opts),
+    let source = match &decoded {
+        Some(decoded) => StepSource::from(&**decoded),
+        None => StepSource::from(&*trace.buffer),
     };
+    let partial = analyze_buffer_with(&w.program, source, &grains, &opts);
     if !partial.failures.is_empty() {
         let msg = partial
             .failures
@@ -2079,6 +2080,54 @@ mod tests {
             recorder.counter(obs::Counter::TracesResidentHit),
             hits + REPLAYS - 1
         );
+    }
+
+    /// A trace whose segments an older build wrote (segment version 1,
+    /// from before the image dropped its size column) replays as a
+    /// typed `store` error from a fresh daemon over that store, the
+    /// daemon keeps serving, and an evict plus a capture under the same
+    /// id replays again with the profiles it had.
+    #[test]
+    fn a_version_1_segment_replays_as_a_typed_store_error() {
+        let ok = |daemon: &Daemon, line: &[u8]| {
+            let r = recv(daemon.submit_line(line));
+            assert!(r.contains("\"ok\":true"), "{r}");
+            r
+        };
+        let profiles_crc = |reply: &str| {
+            let doc = json::parse(reply).expect("reply parses");
+            doc.get("profiles_crc").and_then(Json::as_f64)
+        };
+        let capture = br#"{"kind":"capture","id":"t","workload":"kernel:stream","grains":[64]}"#;
+        let replay = br#"{"kind":"replay","id":"t"}"#;
+        let dir = tmpdir("version1");
+        let daemon = Daemon::start(DaemonConfig::new(&dir)).expect("start daemon");
+        ok(&daemon, capture);
+        let want = profiles_crc(&ok(&daemon, replay));
+        assert!(want.is_some());
+        daemon.shutdown();
+
+        let store = TraceStore::open(&dir).expect("open store");
+        let entry = store.entry("t").expect("stored trace");
+        for k in 0..entry.segments.len() {
+            let path = dir.join(entry.segment_file(k));
+            let mut bytes = std::fs::read(&path).expect("read segment");
+            bytes[6..8].copy_from_slice(&1u16.to_le_bytes());
+            std::fs::write(&path, bytes).expect("write segment");
+        }
+
+        let daemon = Daemon::start(DaemonConfig::new(&dir)).expect("restart daemon");
+        let list = ok(&daemon, br#"{"kind":"list"}"#);
+        assert!(list.contains("\"id\":\"t\""), "{list}");
+        let refused = recv(daemon.submit_line(replay));
+        assert!(refused.contains("\"type\":\"store\""), "{refused}");
+        assert!(refused.contains("unsupported store version 1"), "{refused}");
+        assert!(ok(&daemon, br#"{"kind":"ping"}"#).contains("\"pong\":true"));
+        ok(&daemon, br#"{"kind":"evict","id":"t"}"#);
+        ok(&daemon, capture);
+        assert_eq!(profiles_crc(&ok(&daemon, replay)), want);
+        daemon.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -83,12 +83,10 @@ fn store_files_are_byte_stable() {
     assert_eq!(
         got,
         owned(&[
-            ("golden.seg0000.rlseg", 170, 0x470CB598),
-            ("golden.seg0001.rlseg", 170, 0x8C12458C),
-            ("golden.seg0002.rlseg", 170, 0x7F3FA6E1),
-            ("golden.seg0003.rlseg", 170, 0x172579E9),
-            ("golden.seg0004.rlseg", 80, 0x63294F75),
-            ("index.rlidx", 227, 0x10DE08B6),
+            ("golden.seg0000.rlseg", 170, 0x62E97FDA),
+            ("golden.seg0001.rlseg", 170, 0x39D989C8),
+            ("golden.seg0002.rlseg", 168, 0xFAE8A0CD),
+            ("index.rlidx", 187, 0x863A0D14),
         ])
     );
 }

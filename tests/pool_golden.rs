@@ -10,8 +10,8 @@
 //! answers against an in-process replay.
 
 use reuselens::core::{
-    analyze_buffer_with, analyze_decoded_with, capture_program, write_profiles, AnalyzeOptions,
-    PartialAnalysis, SamplingConfig, SavedProfiles,
+    analyze_buffer_with, capture_program, write_profiles, AnalyzeOptions, PartialAnalysis,
+    SamplingConfig, SavedProfiles,
 };
 use reuselens::serve::WorkloadSpec;
 use reuselens::store::crc32;
@@ -58,7 +58,7 @@ fn pool_profiles_crc_is_pinned() {
                 ..AnalyzeOptions::default()
             };
             let encoded = analyze_buffer_with(&w.program, &buffer, &GRAINS, &opts);
-            let from_decoded = analyze_decoded_with(&w.program, &decoded, &GRAINS, &opts);
+            let from_decoded = analyze_buffer_with(&w.program, &decoded, &GRAINS, &opts);
             let got = profiles_crc(name, encoded);
             assert_eq!(got, want, "{spec} {sampling:?}: encoded replay");
             assert_eq!(
