@@ -1,7 +1,8 @@
 //! The per-layer bench runner: measures every pipeline layer on one
 //! captured Sweep3D trace, capture, decode, store load and the analyzer
-//! core (exact and sampled replay) on GTC too, plus grain and observability ladders over Sweep3D and
-//! GTC, and writes the machine-readable
+//! core (exact and sampled replay) on GTC too, plus grain and
+//! observability ladders over Sweep3D and GTC, and writes the
+//! machine-readable
 //! `BENCH_reuselens.json` (schema documented in `reuselens_bench::report`).
 //!
 //! ```text

@@ -27,10 +27,10 @@
 //! plays that stretch into every grain dealt to it, grain by grain. After
 //! each of its steps a grain publishes progress, checks its budget and
 //! writes a snapshot at a checkpoint boundary, exactly as if it rode
-//! alone. Given a [`DecodedTrace`](reuselens_trace::DecodedTrace), built
-//! once from the buffer, instead
-//! of the buffer, [`analyze_buffer_with`] runs the same loop over
-//! stretches that need no decoding.
+//! alone. Given the trace's
+//! [`DecodedTrace`](reuselens_trace::DecodedTrace), built once from the
+//! buffer, [`analyze_buffer_with`] runs the same loop over stretches that
+//! need no decoding.
 //!
 //! The calling thread always runs one lane itself and borrows up to one
 //! more per extra grain while the process has cores to spare: one lane

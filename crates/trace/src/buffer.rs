@@ -409,9 +409,10 @@ impl TraceBuffer {
     /// Rebuilds a buffer from an [`ExportedTrace`] image of untrusted
     /// provenance. The whole stream is decoded through the checked
     /// decoder first (truncation, malformed varints, opcodes, field
-    /// ranges, scope balance, trailing bytes), the declared counts are cross-checked
-    /// against what decoding observed. `Ok` guarantees the result replays
-    /// bit-identically to the buffer that produced the image.
+    /// ranges, scope balance, trailing bytes), the declared counts are
+    /// cross-checked against what decoding observed. `Ok` guarantees the
+    /// result replays bit-identically to the buffer that produced the
+    /// image.
     ///
     /// # Errors
     ///
