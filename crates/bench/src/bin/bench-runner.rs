@@ -398,7 +398,10 @@ fn layer_rows(
     // One serial grain exact, sampled at 1/100, checkpointed four times
     // over the stream, and exact again from the trace's decoded form (the
     // daemon's resident replays), interleaved: the replay ratios' legs.
+    // Two more legs replay the decoded form the way the daemon's jobs do:
+    // exact at the 16 KB page grain, and sampled at 1/10.
     let one_grain = &GRAIN_LADDER[..1];
+    let page_grain = &GRAIN_LADDER[3..];
     let ckpt_dir =
         std::env::temp_dir().join(format!("reuselens-bench-ckpt-{}", std::process::id()));
     let checkpointed = AnalyzeOptions {
@@ -410,7 +413,11 @@ fn layer_rows(
         ..AnalyzeOptions::default()
     };
     let decoded = DecodedTrace::new(buffer);
-    let [exact, sampled, checkpointed, from_decoded] = r.measure([
+    let sampled_tenth = AnalyzeOptions {
+        sampling: SamplingConfig::fixed(0.1),
+        ..AnalyzeOptions::default()
+    };
+    let [exact, sampled, checkpointed, from_decoded, decoded_page, decoded_sampled] = r.measure([
         Leg::new(replay(
             program,
             buffer,
@@ -425,6 +432,13 @@ fn layer_rows(
             one_grain,
             AnalyzeOptions::default(),
         )),
+        Leg::new(replay(
+            program,
+            &decoded,
+            page_grain,
+            AnalyzeOptions::default(),
+        )),
+        Leg::new(replay(program, &decoded, one_grain, sampled_tenth)),
     ]);
     let _ = std::fs::remove_dir_all(&ckpt_dir);
     r.row("replay_ns_per_event", "ns", &exact, replay_ns);
@@ -436,6 +450,18 @@ fn layer_rows(
         "decoded_replay_ns_per_event",
         "ns",
         &from_decoded,
+        replay_ns,
+    );
+    r.row(
+        "decoded_page_replay_ns_per_event",
+        "ns",
+        &decoded_page,
+        replay_ns,
+    );
+    r.row(
+        "decoded_sampled_replay_ns_per_event",
+        "ns",
+        &decoded_sampled,
         replay_ns,
     );
     r.row(

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 /// The per-layer rows every report must carry.
-const LAYER_ROWS: [&str; 19] = [
+const LAYER_ROWS: [&str; 21] = [
     "capture_ns_per_event",
     "store_decode_ns_per_event",
     "store_get_ns_per_event",
@@ -17,6 +17,8 @@ const LAYER_ROWS: [&str; 19] = [
     "replay_us_per_grain",
     "sampled_replay_ns_per_event",
     "decoded_replay_ns_per_event",
+    "decoded_page_replay_ns_per_event",
+    "decoded_sampled_replay_ns_per_event",
     "checkpoint_replay_ns_per_event",
     "gtc_decoded_replay_ns_per_event",
     "gtc_sampled_replay_ns_per_event",
@@ -61,8 +63,11 @@ fn smoke_report_carries_every_layer_row() {
     // The checkpointed leg wrote snapshots, and the row timed them.
     let snapshot = report.row("checkpoint_us_per_snapshot").unwrap();
     assert!(snapshot.median > 0.0, "no snapshot was timed");
-    // GTC's capture, decode and `get` legs each timed their layer.
+    // GTC's capture, decode and `get` legs each timed their layer, and
+    // so did the daemon-shaped replays of the decoded Sweep3D trace.
     for name in [
+        "decoded_page_replay_ns_per_event",
+        "decoded_sampled_replay_ns_per_event",
         "gtc_capture_ns_per_event",
         "gtc_decode_ns_per_event",
         "gtc_store_get_ns_per_event",

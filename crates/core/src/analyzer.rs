@@ -14,108 +14,13 @@ use crate::patterns::{PatternKey, ReusePattern, ReuseProfile};
 use crate::scopestack::ScopeStack;
 use crate::snapshot::{Dec, Enc, SnapshotError};
 use crate::timebits::TimeBits;
+use crate::window::{Window, WINDOW};
 use reuselens_ir::{Program, RefId, ScopeId};
 use reuselens_trace::{SoaBatch, TraceSink};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Pattern count above which a sink switches from linear scan to a hash map.
 const SMALL_MAP_LIMIT: usize = 8;
-
-/// Capacity of the recent-access window: the number of most-recently-used
-/// distinct blocks kept out of the order-statistic set and the block table
-/// entirely.
-///
-/// Real access streams are dominated by short reuses — the paper's sweeps
-/// spend 7 of every 8 accesses on within-line spatial reuse at distance 0 —
-/// so the hot path resolves any reuse with distance `< WINDOW` from a
-/// fixed array kept most recent first, where a block's slot is its
-/// distance, and never touches the radix table or the order-statistic set.
-/// Only evictions from the window (one per miss once the window is full)
-/// pay for set and table maintenance, and the reuse path that does reach
-/// the set folds lookup and reinsert into a single fused operation
-/// ([`TimeBits::count_reinsert`]). Pattern histograms count distances
-/// below `WINDOW` densely beside their bins (see [`SinkPatterns`]).
-const WINDOW: usize = 32;
-
-/// Buckets of the window's miss filter, keyed on a block number's low
-/// byte.
-const FILTER: usize = 256;
-
-/// The recent-access window (see [`WINDOW`]): the distinct blocks most
-/// recently touched, with the clock and static reference of each one's
-/// last access, most recent first. Slot `i` holds the block touched `i`
-/// distinct blocks ago, every slot's time is greater than every time in
-/// the order-statistic set, and `filter` counts the held blocks per low
-/// byte of the block number, so a miss whose bucket is empty skips the
-/// scan.
-#[derive(Debug)]
-struct Window {
-    blocks: [u64; WINDOW],
-    times: [u64; WINDOW],
-    refs: [u32; WINDOW],
-    len: usize,
-    filter: [u8; FILTER],
-}
-
-impl Window {
-    fn new() -> Window {
-        Window {
-            blocks: [0; WINDOW],
-            times: [0; WINDOW],
-            refs: [0; WINDOW],
-            len: 0,
-            filter: [0; FILTER],
-        }
-    }
-
-    /// The slot holding `block`, if the window holds it.
-    #[inline]
-    fn find(&self, block: u64) -> Option<usize> {
-        if self.filter[block as u8 as usize] == 0 {
-            return None;
-        }
-        self.blocks[..self.len].iter().position(|&b| b == block)
-    }
-
-    /// Moves slots `0..i` back by one and puts `(block, time, ref_id)` in
-    /// slot 0; slot `i` is overwritten.
-    #[inline]
-    fn shift_in(&mut self, i: usize, block: u64, time: u64, ref_id: u32) {
-        // A plain loop: three `copy_within` memmove calls per hit cost
-        // more than the shift. `i < WINDOW` already; the `min` lets the
-        // compiler drop the bounds checks.
-        for j in (0..i.min(WINDOW - 1)).rev() {
-            self.blocks[j + 1] = self.blocks[j];
-            self.times[j + 1] = self.times[j];
-            self.refs[j + 1] = self.refs[j];
-        }
-        self.blocks[0] = block;
-        self.times[0] = time;
-        self.refs[0] = ref_id;
-    }
-
-    /// Adds a block the window does not hold at slot 0. When the window
-    /// is full its oldest entry drops out and is returned as
-    /// `(block, time, ref_id)`.
-    fn push(&mut self, block: u64, time: u64, ref_id: u32) -> Option<(u64, u64, u32)> {
-        self.filter[block as u8 as usize] += 1;
-        if self.len < WINDOW {
-            self.shift_in(self.len, block, time, ref_id);
-            self.len += 1;
-            return None;
-        }
-        let last = WINDOW - 1;
-        let evicted = (self.blocks[last], self.times[last], self.refs[last]);
-        self.filter[evicted.0 as u8 as usize] -= 1;
-        // A shift of constant length compiles to a few vector moves.
-        self.blocks.copy_within(0..last, 1);
-        self.times.copy_within(0..last, 1);
-        self.refs.copy_within(0..last, 1);
-        self.shift_in(0, block, time, ref_id);
-        Some(evicted)
-    }
-}
 
 /// Per-sink pattern storage. The paper observes that each reference sees a
 /// small, fixed set of (source, carrier) combinations, so a short linear
@@ -127,10 +32,14 @@ impl Window {
 /// Each entry counts the distances below [`WINDOW`] — the window hits,
 /// most reuses on real streams — in a dense array beside its
 /// [`Histogram`], so recording one is an indexed add with no bin search.
-/// The dense counts fold into the histogram when it is read
-/// ([`collect_patterns`], snapshot encode); since a histogram's bins are
-/// sums, the folded histogram equals the one unit records would build.
-#[derive(Debug, Default)]
+/// Distances are in the engine's own clock: each recorded reuse at
+/// distance `d` stands for `scale` reuses at `d * scale` (1 for the exact
+/// engine, the inverse sampling rate for the sampled one). The dense
+/// counts fold into the histogram at that scale when it is read
+/// ([`collect_patterns`], snapshot encode) or the scale changes
+/// ([`rescale`](Self::rescale)); since a histogram's bins are sums, the
+/// folded histogram equals the one unit records would build.
+#[derive(Debug)]
 pub(crate) struct SinkPatterns {
     entries: Vec<PatternEntry>,
     index: Option<HashMap<(ScopeId, ScopeId), usize>>,
@@ -138,11 +47,19 @@ pub(crate) struct SinkPatterns {
     /// record long runs of the same (source, carrier) pair, so this turns
     /// the common record into one comparison.
     hot: u32,
+    /// Reuses each record stands for.
+    scale: u64,
+}
+
+impl Default for SinkPatterns {
+    fn default() -> SinkPatterns {
+        SinkPatterns::new(1)
+    }
 }
 
 /// One (source scope, carrier) pattern of a sink: the histogram of its
-/// distances from [`WINDOW`] up, and `near[d]` reuses at each distance
-/// `d` below it.
+/// distances from [`WINDOW`] up, already scaled, and `near[d]` records at
+/// each distance `d` below it, not yet scaled.
 #[derive(Debug, Clone)]
 struct PatternEntry {
     source: ScopeId,
@@ -162,22 +79,28 @@ impl PatternEntry {
     }
 
     #[inline]
-    fn add_n(&mut self, distance: u64, count: u64) {
+    fn add_n(&mut self, distance: u64, count: u64, scale: u64) {
         if distance < WINDOW as u64 {
             self.near[distance as usize] += count;
         } else {
-            self.far.add_n(distance, count);
+            self.far
+                .add_n(distance.saturating_mul(scale), count * scale);
+        }
+    }
+
+    /// Moves the dense counts into the far bins at `scale`.
+    fn fold_near(&mut self, scale: u64) {
+        for (d, n) in self.near.iter_mut().enumerate() {
+            self.far.add_n((d as u64).saturating_mul(scale), *n * scale);
+            *n = 0;
         }
     }
 
     /// The pattern's whole histogram: the dense counts folded into the
-    /// far bins.
-    fn into_histogram(self) -> Histogram {
-        let mut h = self.far;
-        for (d, &n) in self.near.iter().enumerate() {
-            h.add_n(d as u64, n);
-        }
-        h
+    /// far bins at `scale`.
+    fn into_histogram(mut self, scale: u64) -> Histogram {
+        self.fold_near(scale);
+        self.far
     }
 }
 
@@ -188,13 +111,14 @@ pub(crate) fn collect_patterns(per_sink: Vec<SinkPatterns>) -> Vec<ReusePattern>
         .into_iter()
         .enumerate()
         .flat_map(|(sink, sp)| {
+            let scale = sp.scale;
             sp.entries.into_iter().map(move |e| ReusePattern {
                 key: PatternKey {
                     sink: RefId(sink as u32),
                     source_scope: e.source,
                     carrier: e.carrier,
                 },
-                histogram: e.into_histogram(),
+                histogram: e.into_histogram(scale),
             })
         })
         .collect();
@@ -203,14 +127,24 @@ pub(crate) fn collect_patterns(per_sink: Vec<SinkPatterns>) -> Vec<ReusePattern>
 }
 
 impl SinkPatterns {
+    /// An empty pattern set whose records each stand for `scale` reuses.
+    pub(crate) fn new(scale: u64) -> SinkPatterns {
+        SinkPatterns {
+            entries: Vec::new(),
+            index: None,
+            hot: 0,
+            scale,
+        }
+    }
+
     #[inline]
     pub(crate) fn record(&mut self, source: ScopeId, carrier: ScopeId, distance: u64) {
         self.record_n(source, carrier, distance, 1);
     }
 
-    /// Records `count` reuses at once — the sampled analyzer's scaled
-    /// recording path (`count` = inverse sampling rate). `record` is the
-    /// `count == 1` case and compiles to the same code it always did.
+    /// Records `count` reuses at once; `record` is the `count == 1` case.
+    /// Only the hot-entry hit stays inline (a compare and an add): finding
+    /// or creating another entry is [`record_n_cold`](Self::record_n_cold).
     #[inline]
     pub(crate) fn record_n(
         &mut self,
@@ -219,40 +153,51 @@ impl SinkPatterns {
         distance: u64,
         count: u64,
     ) {
+        let scale = self.scale;
         if let Some(e) = self.entries.get_mut(self.hot as usize) {
             if e.source == source && e.carrier == carrier {
-                e.add_n(distance, count);
+                e.add_n(distance, count, scale);
                 return;
             }
         }
-        if let Some(index) = &mut self.index {
-            match index.entry((source, carrier)) {
-                Entry::Occupied(o) => {
-                    self.hot = *o.get() as u32;
-                    self.entries[*o.get()].add_n(distance, count);
+        self.record_n_cold(source, carrier, distance, count);
+    }
+
+    /// `record_n` past a missed hot hint: the index lookup or the scan,
+    /// and a new entry when the pattern is new. Out of line, so the
+    /// inlined hit path does not reserve stack for a [`PatternEntry`].
+    #[cold]
+    #[inline(never)]
+    fn record_n_cold(&mut self, source: ScopeId, carrier: ScopeId, distance: u64, count: u64) {
+        let found = match &self.index {
+            Some(index) => index.get(&(source, carrier)).copied(),
+            None => self
+                .entries
+                .iter()
+                .position(|e| e.source == source && e.carrier == carrier),
+        };
+        let i = found.unwrap_or_else(|| {
+            self.entries.push(PatternEntry::new(source, carrier));
+            let i = self.entries.len() - 1;
+            match &mut self.index {
+                Some(index) => {
+                    index.insert((source, carrier), i);
                 }
-                Entry::Vacant(v) => {
-                    self.hot = self.entries.len() as u32;
-                    v.insert(self.entries.len());
-                    let mut e = PatternEntry::new(source, carrier);
-                    e.add_n(distance, count);
-                    self.entries.push(e);
-                }
+                None => self.maybe_index(),
             }
-            return;
+            i
+        });
+        self.hot = i as u32;
+        self.entries[i].add_n(distance, count, self.scale);
+    }
+
+    /// Folds every entry's dense counts at the current scale, so records
+    /// from now on stand for `scale` reuses each.
+    pub(crate) fn rescale(&mut self, scale: u64) {
+        for e in &mut self.entries {
+            e.fold_near(self.scale);
         }
-        for (i, e) in self.entries.iter_mut().enumerate() {
-            if e.source == source && e.carrier == carrier {
-                self.hot = i as u32;
-                e.add_n(distance, count);
-                return;
-            }
-        }
-        self.hot = self.entries.len() as u32;
-        let mut e = PatternEntry::new(source, carrier);
-        e.add_n(distance, count);
-        self.entries.push(e);
-        self.maybe_index();
+        self.scale = scale;
     }
 
     fn maybe_index(&mut self) {
@@ -319,7 +264,7 @@ pub(crate) fn encode_sink_patterns(e: &mut Enc, per_sink: &[SinkPatterns]) {
         for entry in &sp.entries {
             e.u32(entry.source.0);
             e.u32(entry.carrier.0);
-            let h = entry.clone().into_histogram();
+            let h = entry.clone().into_histogram(sp.scale);
             e.u64(h.bin_count() as u64);
             for (lo, _, count) in h.iter() {
                 e.u64(lo);
@@ -331,10 +276,12 @@ pub(crate) fn encode_sink_patterns(e: &mut Enc, per_sink: &[SinkPatterns]) {
 
 /// Decodes every sink's pattern set, validating the sink count against
 /// the program and each histogram's canonical form (ascending bins,
-/// nonzero counts).
+/// nonzero counts). The bins, already scaled, go straight into the far
+/// histograms; later records are at `scale`.
 pub(crate) fn decode_sink_patterns(
     d: &mut Dec<'_>,
     nrefs: usize,
+    scale: u64,
 ) -> Result<Vec<SinkPatterns>, SnapshotError> {
     let n = d.len(8)?;
     if n != nrefs {
@@ -361,14 +308,13 @@ pub(crate) fn decode_sink_patterns(
                     });
                 }
                 prev_lo = Some(lo);
-                entry.add_n(lo, count);
+                entry.far.add_n(lo, count);
             }
             entries.push(entry);
         }
         let mut sp = SinkPatterns {
             entries,
-            index: None,
-            hot: 0,
+            ..SinkPatterns::new(scale)
         };
         sp.maybe_index();
         per_sink.push(sp);
@@ -515,12 +461,11 @@ impl ReuseAnalyzer {
                 e.u64(dist);
             }
         }
-        let w = &self.window;
-        e.u64(w.len as u64);
-        for i in (0..w.len).rev() {
-            e.u64(w.blocks[i]);
-            e.u64(w.times[i]);
-            e.u32(w.refs[i]);
+        e.u64(self.window.len as u64);
+        for (block, time, ref_id) in self.window.rows().rev() {
+            e.u64(block);
+            e.u64(time);
+            e.u32(ref_id);
         }
         encode_scope_stack(e, &self.stack);
         encode_sink_patterns(e, &self.per_sink);
@@ -597,7 +542,7 @@ impl ReuseAnalyzer {
             window.push(block, time, ref_id);
         }
         let stack = decode_scope_stack(d, clock)?;
-        let per_sink = decode_sink_patterns(d, nrefs)?;
+        let per_sink = decode_sink_patterns(d, nrefs, 1)?;
         let clen = d.len(8)?;
         if clen != nrefs {
             return Err(SnapshotError::Mismatch {
@@ -680,8 +625,7 @@ impl ReuseAnalyzer {
     ///
     /// * **window hit** at slot `i`: the blocks touched since the previous
     ///   access are exactly the `i` slots before it, so `distance = i` with
-    ///   no tree or table work at all. Slot 0 (distance 0) is checked
-    ///   first; a miss whose filter bucket is empty skips the scan;
+    ///   no tree or table work at all ([`Window::touch`]);
     /// * **table hit**: all `WINDOW` window blocks are more recent than
     ///   the previous access, so `distance = WINDOW + |tree keys >
     ///   prev.time|`, where the count and the set update (drop
@@ -693,29 +637,20 @@ impl ReuseAnalyzer {
     /// A block sitting in the window may leave a stale table entry behind
     /// from an earlier eviction; that is harmless because the window is
     /// consulted first and the entry is overwritten on the next eviction.
-    #[inline]
+    ///
+    /// Always inlined: with a plain `#[inline]` the batch loop still paid
+    /// a call per access.
+    #[inline(always)]
     fn access_block(&mut self, r: u32, block: u64) {
         self.clock += 1;
         let now = self.clock;
-        let w = &mut self.window;
-        // Distance 0 — within-line spatial reuse on a unit-stride sweep,
-        // the dominant case — updates slot 0 in place.
-        let (i, time, ref_id) = if w.len > 0 && w.blocks[0] == block {
-            let hit = (0, w.times[0], w.refs[0]);
-            w.times[0] = now;
-            w.refs[0] = r;
-            hit
-        } else if let Some(i) = w.find(block) {
-            let hit = (i, w.times[i], w.refs[i]);
-            w.shift_in(i, block, now, r);
-            hit
-        } else {
+        let Some((distance, time, ref_id)) = self.window.touch(block, now, r) else {
             return self.access_past_window(r, block, now);
         };
         let carrier = self.stack.carrier(time);
         let source = self.ref_scopes[ref_id as usize];
-        self.per_sink[r as usize].record(source, carrier, i as u64);
-        self.last_distance = Some(i as u64);
+        self.per_sink[r as usize].record(source, carrier, distance);
+        self.last_distance = Some(distance);
     }
 
     /// The table/tree path for an access that missed the recent window —
@@ -1013,7 +948,7 @@ mod tests {
         let totals: Vec<u64> = sp
             .entries
             .iter()
-            .map(|e| e.clone().into_histogram().total())
+            .map(|e| e.clone().into_histogram(sp.scale).total())
             .collect();
         assert_eq!(totals[0], 2);
         assert_eq!(totals[1], 2);
@@ -1057,7 +992,7 @@ mod tests {
                         (
                             e.source.index(),
                             e.carrier.index(),
-                            e.clone().into_histogram(),
+                            e.clone().into_histogram(sp.scale),
                         )
                     })
                     .filter(|(_, _, h)| !h.is_empty())
@@ -1066,6 +1001,40 @@ mod tests {
                 v
             };
             assert_eq!(live(&batched), live(&unit));
+        }
+    }
+
+    /// A scaled pattern set, rescaled at random points as adaptive rate
+    /// drops do, holds the histograms that unit-scale records of each
+    /// reuse at `d * scale` with count `scale` build.
+    #[test]
+    fn scaled_records_fold_at_the_scale_they_were_made_at() {
+        let mut rng = reuselens_prng::SplitMix64::seed_from_u64(0x4157);
+        for _case in 0..64 {
+            let mut scale = rng.gen_range(1..4);
+            let mut scaled = SinkPatterns::new(scale);
+            let mut unit = SinkPatterns::default();
+            for _ in 0..rng.gen_range(1..80) {
+                if rng.gen_range(0..8) == 0 {
+                    scale *= 2;
+                    scaled.rescale(scale);
+                }
+                let (s, c) = (ScopeId(rng.gen_range(0..2) as u32), ScopeId(0));
+                let d = rng.gen_range(0..2 * WINDOW as u64);
+                scaled.record(s, c, d);
+                unit.record_n(s, c, d * scale, scale);
+            }
+            let histograms = |sp: SinkPatterns| {
+                let scale = sp.scale;
+                let mut v: Vec<_> = sp
+                    .entries
+                    .into_iter()
+                    .map(|e| (e.source, e.into_histogram(scale)))
+                    .collect();
+                v.sort_by_key(|&(s, _)| s);
+                v
+            };
+            assert_eq!(histograms(scaled), histograms(unit));
         }
     }
 

@@ -54,6 +54,7 @@ mod serialize;
 mod snapshot;
 mod spatial;
 mod timebits;
+mod window;
 
 pub use analyze::{
     analyze_buffer, analyze_buffer_with, analyze_program, capture_program, AnalysisError,

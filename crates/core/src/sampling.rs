@@ -12,23 +12,38 @@
 //! Every block number is hashed once with a fixed 64-bit mixer. A block is
 //! **sampled** iff `hash(block) <= u64::MAX / inv`, where `inv` is the
 //! integer inverse sampling rate (`inv = 100` samples ~1% of blocks).
-//! Only sampled blocks enter the block table and the order-statistic
-//! set, so:
+//! Only sampled blocks reach the reuse machinery, so:
 //!
-//! * an unsampled access costs one hash + compare — no set, no table;
+//! * an unsampled access costs one compare when its reference found the
+//!   same block unsampled last time (a per-reference memo: a reference
+//!   sweeping a line repeats its block), and one hash + compare
+//!   otherwise — no window, no set, no table;
 //! * the logical clock ticks only on sampled accesses, so a measured
 //!   distance `d` counts *sampled* distinct blocks in the reuse interval;
 //!   the estimate of the true distance is `d * inv`, and each observed
-//!   reuse stands for `inv` reuses, recorded as `add_n(d * inv, inv)`;
+//!   reuse stands for `inv` reuses, as if recorded as `add_n(d * inv,
+//!   inv)`;
 //! * cold (first-touch) counts and the distinct-block footprint are
 //!   scaled the same way.
+//!
+//! A sampled access then runs the exact engine's per-access core on the
+//! sampled clock: the same recent-access [`Window`] of the last
+//! [`WINDOW`](crate::window::WINDOW) tracked blocks answers short reuses
+//! by slot, and only blocks that left it live in a hash table and the
+//! [`TimeBits`] set, so a reuse past the window is the window's length
+//! plus the set's count. The pattern tables count window-hit distances
+//! densely by the *sampled* distance and fold them in at `d * inv` when
+//! read, so a sampled reuse inside the window never searches a histogram
+//! bin.
 //!
 //! ## Adaptive mode
 //!
 //! [`SamplingConfig::adaptive`] holds the tracked-block set at a fixed
 //! budget: when it would grow past the budget, `inv` doubles (the hash
 //! threshold halves) and every tracked block whose hash exceeds the new
-//! threshold is evicted — the drop-highest-threshold policy. Because the
+//! threshold is evicted, from the window (the survivors keep their order)
+//! and from the table — the drop-highest-threshold policy. The dense
+//! counts fold at the old `inv` before it doubles. Because the
 //! hash is fixed per block, the surviving set is exactly the set that a
 //! fixed run at the new rate would have tracked, so the stream remains a
 //! consistent spatial sample. Reuses are scaled by the `inv` in force
@@ -55,6 +70,7 @@ use crate::patterns::ReuseProfile;
 use crate::scopestack::ScopeStack;
 use crate::snapshot::{Dec, Enc, SnapshotError};
 use crate::timebits::TimeBits;
+use crate::window::Window;
 use reuselens_ir::{Program, RefId, ScopeId};
 use reuselens_trace::TraceSink;
 use std::collections::HashMap;
@@ -225,7 +241,6 @@ type TrackedTable = HashMap<u64, Tracked, BuildHasherDefault<SpatialHasher>>;
 struct Tracked {
     time: u64,
     ref_id: u32,
-    hash: u64,
 }
 
 /// Constant-space sampled counterpart of
@@ -284,12 +299,17 @@ pub struct SampledAnalyzer {
     threshold: u64,
     /// Adaptive tracked-block budget (`u64::MAX` in fixed mode).
     budget: u64,
-    /// The last block found unsampled, so a repeat costs one compare.
-    /// The threshold only ever falls, so it stays unsampled across rate
-    /// drops. Derived state: snapshots do not carry it.
-    unsampled: Option<u64>,
+    /// Per reference, the last block it found unsampled, so a repeat
+    /// costs one compare. The threshold only ever falls, so the block
+    /// stays unsampled across rate drops. Derived state: snapshots do not
+    /// carry it.
+    unsampled: Vec<Option<u64>>,
+    /// The most recently used tracked blocks, as in the exact engine;
+    /// boxed, since its arrays take about 1 KiB.
+    window: Box<Window>,
+    /// The tracked blocks that left the window.
     table: TrackedTable,
-    /// Last-access times of the tracked blocks.
+    /// Last-access times of the tracked blocks in `table`.
     times: TimeBits,
     stack: ScopeStack,
     per_sink: Vec<SinkPatterns>,
@@ -330,11 +350,12 @@ impl SampledAnalyzer {
             inv,
             threshold: u64::MAX / inv,
             budget,
-            unsampled: None,
+            unsampled: vec![None; nrefs],
+            window: Box::new(Window::new()),
             table: TrackedTable::default(),
             times: TimeBits::new(),
             stack: ScopeStack::new(),
-            per_sink: (0..nrefs).map(|_| SinkPatterns::default()).collect(),
+            per_sink: (0..nrefs).map(|_| SinkPatterns::new(inv)).collect(),
             cold: vec![0; nrefs],
             ref_scopes: program.references().iter().map(|r| r.scope()).collect(),
             est_distinct: 0,
@@ -354,15 +375,16 @@ impl SampledAnalyzer {
         self.total_accesses
     }
 
-    /// Blocks currently tracked (bounded by the budget in adaptive mode).
+    /// Blocks currently tracked (bounded by the budget in adaptive mode),
+    /// in the window or the table.
     pub fn tracked_blocks(&self) -> u64 {
-        self.table.len() as u64
+        (self.window.len + self.table.len()) as u64
     }
 
-    /// Current size of the order-statistic set (one time per tracked
-    /// block).
+    /// Live blocks tracked for distance counting: order-statistic set
+    /// entries plus window entries (one per tracked block).
     pub fn tree_nodes(&self) -> usize {
-        self.times.len()
+        self.times.len() + self.window.len
     }
 
     /// Sampling statistics as they stand now (the run's final
@@ -378,39 +400,43 @@ impl SampledAnalyzer {
 
     /// Halves the sampling rate until the tracked set fits the budget,
     /// evicting every tracked block whose hash falls above the new
-    /// threshold (drop-highest-threshold).
+    /// threshold (drop-highest-threshold), from the window (the survivors
+    /// keep their order) and from the table. The dense pattern counts fold
+    /// at the old rate first.
     fn drop_rate(&mut self) {
-        while self.table.len() as u64 > self.budget {
+        while self.tracked_blocks() > self.budget {
             // `inv` doubling cannot overflow in practice: the budget is at
             // least 1, so inv doubles at most 64 times before the
             // threshold reaches 0 and no new block can enter.
             self.inv = self.inv.saturating_mul(2);
             self.threshold = u64::MAX / self.inv;
             self.rate_drops += 1;
-            let threshold = self.threshold;
-            let mut evicted_times: Vec<u64> = Vec::new();
-            self.table.retain(|_, t| {
-                if t.hash > threshold {
-                    evicted_times.push(t.time);
-                    false
-                } else {
-                    true
-                }
-            });
-            for time in evicted_times {
-                let removed = self.times.remove(time);
-                debug_assert!(removed, "every tracked block has a last-access time");
-                self.blocks_evicted += 1;
+            for sp in &mut self.per_sink {
+                sp.rescale(self.inv);
             }
+            let threshold = self.threshold;
+            let sampled = |block: u64| spatial_hash(block) <= threshold;
+            let mut evicted = self.window.retain(sampled);
+            let times = &mut self.times;
+            self.table.retain(|&block, t| {
+                let keep = sampled(block);
+                if !keep {
+                    let removed = times.remove(t.time);
+                    debug_assert!(removed, "every tracked block has a last-access time");
+                    evicted += 1;
+                }
+                keep
+            });
+            self.blocks_evicted += evicted as u64;
         }
     }
 
     /// Serializes the full mid-stream sampling state — clock, rate, the
     /// books, every tracked block, scopes, patterns, cold counts. The
-    /// tracked set is written sorted by block number so the encoding is
-    /// independent of `HashMap` iteration order; per-block hashes, the
-    /// hash threshold, and the order-statistic set are derived state and
-    /// rebuilt on decode.
+    /// tracked set, window and table alike, is written sorted by block
+    /// number, so the encoding is independent of `HashMap` iteration order
+    /// and of where the window's edge falls; the hash threshold and the
+    /// order-statistic set are derived state and rebuilt on decode.
     pub(crate) fn snapshot_encode(&self, e: &mut Enc) {
         e.u64(self.clock);
         e.u64(self.total_accesses);
@@ -424,6 +450,7 @@ impl SampledAnalyzer {
             .table
             .iter()
             .map(|(&block, t)| (block, t.time, t.ref_id))
+            .chain(self.window.rows())
             .collect();
         rows.sort_unstable_by_key(|r| r.0);
         e.u64(rows.len() as u64);
@@ -446,7 +473,9 @@ impl SampledAnalyzer {
     /// the rate, the books balance (`sampled == tracked + evicted`), and —
     /// via the recomputed spatial hash — that every tracked block really
     /// belongs to the sample at the recorded rate; a typed
-    /// [`SnapshotError`] on any violation, never a panic.
+    /// [`SnapshotError`] on any violation, never a panic. Every tracked
+    /// block goes into the table, behind an empty window, which the next
+    /// accesses fill.
     ///
     /// The order-statistic bitmap spans the tracked times, so the clock
     /// that bounds them is checked against `accesses_replayed` (which the
@@ -510,12 +539,11 @@ impl SampledAnalyzer {
             let block = d.u64()?;
             let time = d.u64()?;
             let ref_id = d.u32()?;
-            let hash = spatial_hash(block);
             if prev_block.is_some_and(|p| block <= p)
                 || time == 0
                 || time > clock
                 || ref_id as usize >= nrefs
-                || hash > threshold
+                || spatial_hash(block) > threshold
             {
                 return Err(SnapshotError::Corrupt {
                     offset: at,
@@ -527,7 +555,7 @@ impl SampledAnalyzer {
             }
             prev_block = Some(block);
             tracked_times.push((time, at));
-            table.insert(block, Tracked { time, ref_id, hash });
+            table.insert(block, Tracked { time, ref_id });
         }
         // Ascending insertion grows the bitmap at its top end only.
         tracked_times.sort_unstable();
@@ -541,7 +569,7 @@ impl SampledAnalyzer {
             }
         }
         let stack = decode_scope_stack(d, clock)?;
-        let per_sink = decode_sink_patterns(d, nrefs)?;
+        let per_sink = decode_sink_patterns(d, nrefs, inv)?;
         let clen = d.len(8)?;
         if clen != nrefs {
             return Err(SnapshotError::Mismatch {
@@ -559,7 +587,8 @@ impl SampledAnalyzer {
             inv,
             threshold,
             budget,
-            unsampled: None,
+            unsampled: vec![None; nrefs],
+            window: Box::new(Window::new()),
             table,
             times,
             stack,
@@ -589,61 +618,81 @@ impl SampledAnalyzer {
 
 impl SampledAnalyzer {
     /// Samples one access (the total is counted by the caller). An
-    /// unsampled block costs one compare when it repeats the last one,
-    /// and one hash and compare otherwise; only sampled blocks touch the
-    /// analyzer's state.
-    #[inline]
+    /// unsampled block costs one compare when it repeats its reference's
+    /// last one, and one hash and compare otherwise; only sampled blocks
+    /// touch the analyzer's state. Always inlined, like `track`: with a
+    /// plain `#[inline]` the batch loop paid a call per access.
+    #[inline(always)]
     fn sample(&mut self, r: u32, addr: u64) {
         let block = addr >> self.block_shift;
-        if self.unsampled == Some(block) {
+        let memo = &mut self.unsampled[r as usize];
+        if *memo == Some(block) {
             return;
         }
-        let hash = spatial_hash(block);
-        if hash > self.threshold {
-            self.unsampled = Some(block);
+        if spatial_hash(block) > self.threshold {
+            *memo = Some(block);
             return;
         }
-        self.track(r, block, hash);
+        self.track(r, block);
     }
 
-    /// Records one sampled access to `block`.
-    fn track(&mut self, r: u32, block: u64, hash: u64) {
-        // The clock ticks only on sampled accesses, so distances count
-        // *sampled* distinct blocks and scale back up by `inv`.
+    /// Records one sampled access to `block`: the exact engine's window
+    /// hit path on the sampled clock, whose distances count *sampled*
+    /// distinct blocks; the patterns scale each record by `inv`.
+    #[inline(always)]
+    fn track(&mut self, r: u32, block: u64) {
         self.clock += 1;
         let now = self.clock;
+        let Some((distance, time, ref_id)) = self.window.touch(block, now, r) else {
+            return self.track_past_window(r, block, now);
+        };
+        let carrier = self.stack.carrier(time);
+        let source = self.ref_scopes[ref_id as usize];
+        self.per_sink[r as usize].record(source, carrier, distance);
+    }
+
+    /// The table path for a sampled access that missed the window. Every
+    /// window time is greater than every table time, so a table hit's
+    /// distance is the window's length plus the table times above the
+    /// previous access. The block moves into the window; when that
+    /// spills the window's oldest entry, the entry takes the block's place
+    /// in the table and in the time set, and otherwise (a window short of
+    /// full, after a rate drop or a snapshot decode) the block's old time
+    /// just leaves the set.
+    #[cold]
+    #[inline(never)]
+    fn track_past_window(&mut self, r: u32, block: u64, now: u64) {
         let inv = self.inv;
         let sink = r as usize;
-        match self.table.get_mut(&block) {
-            Some(prev) => {
-                let (prev_time, prev_ref) = (prev.time, prev.ref_id);
-                prev.time = now;
-                prev.ref_id = r;
-                // Count pre-state times above `prev_time` and re-key it
-                // to `now` (the new maximum).
-                let (_, distance) = self.times.count_reinsert(prev_time, now);
-                let carrier = self.stack.carrier(prev_time);
-                let source = self.ref_scopes[prev_ref as usize];
-                self.per_sink[sink].record_n(source, carrier, distance.saturating_mul(inv), inv);
+        let prev = self.table.remove(&block);
+        let held = self.window.len as u64;
+        let spilled_time = self.window.push(block, now, r).map(|(old, time, ref_id)| {
+            self.table.insert(old, Tracked { time, ref_id });
+            time
+        });
+        let Some(prev) = prev else {
+            self.cold[sink] += inv;
+            self.est_distinct += inv;
+            self.blocks_sampled += 1;
+            if let Some(time) = spilled_time {
+                self.times.insert(time);
             }
+            if self.tracked_blocks() > self.budget {
+                self.drop_rate();
+            }
+            return;
+        };
+        let count = match spilled_time {
+            Some(time) => self.times.count_reinsert(prev.time, time).1,
             None => {
-                self.cold[sink] += inv;
-                self.est_distinct += inv;
-                self.blocks_sampled += 1;
-                self.times.insert(now);
-                self.table.insert(
-                    block,
-                    Tracked {
-                        time: now,
-                        ref_id: r,
-                        hash,
-                    },
-                );
-                if self.table.len() as u64 > self.budget {
-                    self.drop_rate();
-                }
+                let count = self.times.count_greater(prev.time);
+                self.times.remove(prev.time);
+                count
             }
-        }
+        };
+        let carrier = self.stack.carrier(prev.time);
+        let source = self.ref_scopes[prev.ref_id as usize];
+        self.per_sink[sink].record(source, carrier, held + count);
     }
 }
 
@@ -674,8 +723,12 @@ impl TraceSink for SampledAnalyzer {
 mod tests {
     use super::*;
     use crate::analyzer::ReuseAnalyzer;
+    use crate::histogram::Histogram;
+    use crate::patterns::ReusePattern;
+    use crate::window::WINDOW;
     use reuselens_ir::ProgramBuilder;
-    use reuselens_trace::Executor;
+    use reuselens_trace::{Event, Executor};
+    use std::collections::BTreeMap;
 
     #[test]
     fn checked_enforces_each_rule() {
@@ -844,17 +897,18 @@ mod tests {
         let config = SamplingConfig::adaptive(32);
         let mut kept = SampledAnalyzer::new(&prog, 64, config);
         let mut cleared = SampledAnalyzer::new(&prog, 64, config);
-        let (mut drops_at_memo, mut crossed) = (0, false);
+        let (mut drops_at_memo, mut crossed) = (vec![0; prog.references().len()], false);
         for event in events.events {
             match event {
                 reuselens_trace::Event::Access { r, addr } => {
-                    let memo = kept.unsampled;
-                    crossed |= memo == Some(addr >> 6) && kept.rate_drops > drops_at_memo;
+                    let memo = kept.unsampled[r.index()];
+                    crossed |=
+                        memo == Some(addr >> 6) && kept.rate_drops > drops_at_memo[r.index()];
                     kept.access(r, addr);
-                    if kept.unsampled != memo {
-                        drops_at_memo = kept.rate_drops;
+                    if kept.unsampled[r.index()] != memo {
+                        drops_at_memo[r.index()] = kept.rate_drops;
                     }
-                    cleared.unsampled = None;
+                    cleared.unsampled.fill(None);
                     cleared.access(r, addr);
                 }
                 reuselens_trace::Event::Enter(s) => {
@@ -870,6 +924,262 @@ mod tests {
         assert!(crossed, "no memoized block was reused after a rate drop");
         assert!(kept.sampling_info().rate_drops > 1);
         assert_eq!(kept.finish(), cleared.finish());
+    }
+
+    /// A random event stream over `prog`'s references and scopes: accesses
+    /// in strided, uniform and clustered bursts over `blocks` 64 B blocks,
+    /// with scopes entered and exited (well nested) between them.
+    fn random_events(prog: &Program, seed: u64, blocks: u64) -> Vec<Event> {
+        let mut rng = reuselens_prng::SplitMix64::seed_from_u64(seed);
+        let (nrefs, nscopes) = (prog.references().len() as u64, prog.scopes().len() as u64);
+        let span = blocks * 64;
+        let (mut events, mut open) = (Vec::new(), Vec::new());
+        let mut addr = 0;
+        for _ in 0..rng.gen_range(500..3000) {
+            match rng.gen_range(0..40) {
+                0 if open.len() < 4 => {
+                    let scope = ScopeId(rng.gen_range(0..nscopes) as u32);
+                    open.push(scope);
+                    events.push(Event::Enter(scope));
+                }
+                1 if !open.is_empty() => events.push(Event::Exit(open.pop().unwrap())),
+                k => {
+                    addr = match k % 3 {
+                        0 => (addr + 8) % span,
+                        1 => rng.gen_range(0..span),
+                        _ => (addr + rng.gen_range(0..256)) % span,
+                    };
+                    let r = RefId(rng.gen_range(0..nrefs) as u32);
+                    events.push(Event::Access { r, addr });
+                }
+            }
+        }
+        events.extend(open.into_iter().rev().map(Event::Exit));
+        events
+    }
+
+    /// A seeded scope-rich program: a time loop around two loop nests
+    /// (up to three deep) of affine accesses over two to four arrays, and
+    /// a helper routine the nests may call.
+    fn scope_rich_program(seed: u64) -> Program {
+        use reuselens_ir::{ArrayId, BodyBuilder, Expr, RoutineId, VarId};
+        fn nest(
+            r: &mut BodyBuilder<'_>,
+            rng: &mut reuselens_prng::SplitMix64,
+            vars: &mut Vec<VarId>,
+            arrays: &[(ArrayId, i64)],
+            helper: RoutineId,
+        ) {
+            for _ in 0..rng.gen_range(1..4) {
+                match rng.gen_range(0..8) {
+                    0..=2 if vars.len() < 4 => {
+                        let trips = rng.gen_range_i64(2..7);
+                        r.for_(&format!("l{}", vars.len()), 0, trips - 1, |r, v| {
+                            vars.push(v);
+                            nest(r, rng, vars, arrays, helper);
+                            vars.pop();
+                        });
+                    }
+                    3 => r.call(helper),
+                    _ => {
+                        let (array, len) = arrays[rng.gen_range(0..arrays.len() as u64) as usize];
+                        let mut index = Expr::c(rng.gen_range_i64(0..64));
+                        for &v in vars.iter() {
+                            index = index + Expr::var(v) * rng.gen_range_i64(0..9);
+                        }
+                        let index = vec![index.rem(len)];
+                        if rng.gen_f64() < 0.3 {
+                            r.store(array, index);
+                        } else {
+                            r.load(array, index);
+                        }
+                    }
+                }
+            }
+        }
+        let mut rng = reuselens_prng::SplitMix64::seed_from_u64(seed);
+        let mut p = ProgramBuilder::new("scope_rich");
+        let arrays: Vec<(ArrayId, i64)> = (0..rng.gen_range(2..5))
+            .map(|k| {
+                let len = rng.gen_range(8..400);
+                (p.array(format!("a{k}"), 8, &[len]), len as i64)
+            })
+            .collect();
+        let helper = p.declare_routine("helper");
+        p.routine("main", |r| {
+            r.for_("t", 0, 1, |r, t| {
+                for _ in 0..2 {
+                    nest(r, &mut rng, &mut vec![t], &arrays, helper);
+                }
+            });
+        });
+        let (first, len) = arrays[0];
+        p.define_routine(helper, |r| {
+            r.for_("h", 0, 3, |r, h| {
+                r.load(first, vec![(Expr::var(h) * 3).rem(len)]);
+            });
+        });
+        p.finish()
+    }
+
+    /// Runs `events` through a sampled analyzer at `1/inv` and an exact
+    /// one fed only the accesses whose block passes the sampling hash,
+    /// then checks that the sampled profile is the exact one scaled by
+    /// `inv`: each distance and count, the cold counts and the distinct
+    /// blocks. Returns whether some reuse reached past the window.
+    fn assert_scaled_sub_stream(prog: &Program, events: &[Event], grain: u64, inv: u64) -> bool {
+        let threshold = u64::MAX / inv;
+        let mut sampled = SampledAnalyzer::new(prog, grain, SamplingConfig::Fixed { inv });
+        let mut sub = ReuseAnalyzer::new(prog, grain);
+        for &event in events {
+            match event {
+                Event::Access { r, addr } => {
+                    sampled.access(r, addr);
+                    if spatial_hash(addr / grain) <= threshold {
+                        sub.access(r, addr);
+                    }
+                }
+                Event::Enter(s) => {
+                    sampled.enter(s);
+                    sub.enter(s);
+                }
+                Event::Exit(s) => {
+                    sampled.exit(s);
+                    sub.exit(s);
+                }
+            }
+        }
+        let (got, sub) = (sampled.finish(), sub.finish());
+        let scaled: Vec<ReusePattern> = sub
+            .patterns
+            .iter()
+            .map(|p| {
+                let mut histogram = Histogram::new();
+                for (lo, hi, count) in p.histogram.iter() {
+                    assert_eq!(hi, lo + 1, "distance {lo} shares a bin: shrink the case");
+                    histogram.add_n(lo * inv, count * inv);
+                }
+                ReusePattern {
+                    key: p.key,
+                    histogram,
+                }
+            })
+            .collect();
+        assert_eq!(got.patterns, scaled, "inv {inv}: patterns");
+        let cold: Vec<u64> = sub.cold.iter().map(|c| c * inv).collect();
+        assert_eq!(got.cold, cold, "inv {inv}: cold counts");
+        assert_eq!(got.distinct_blocks, sub.distinct_blocks * inv);
+        assert_eq!(got.sampling.unwrap().blocks_sampled, sub.distinct_blocks);
+        let past_window = Some(WINDOW as u64 * inv);
+        got.patterns
+            .iter()
+            .any(|p| p.histogram.max_distance() >= past_window)
+    }
+
+    /// The sampled engine is the exact engine on the sampled sub-stream,
+    /// scaled: at fixed rates 1/2 and 1/10, on random event streams and
+    /// on scope-rich programs, whose distances stay in unit bins.
+    #[test]
+    fn sampled_profile_is_the_scaled_exact_profile_of_the_sub_stream() {
+        let prog = sweep_program(64, 2);
+        let mut rich_past_window = 0;
+        for inv in [2, 10] {
+            let mut past_window = 0;
+            for seed in 0..12 {
+                let events = random_events(&prog, 0x5a3d_0000 + seed, 100 * inv);
+                past_window += usize::from(assert_scaled_sub_stream(&prog, &events, 64, inv));
+            }
+            assert!(
+                past_window >= 6,
+                "inv {inv}: {past_window} random cases spill"
+            );
+            // Element-sized blocks, so that some programs spill the window.
+            for seed in 0..12 {
+                let prog = scope_rich_program(0x5c09_0000 + seed);
+                let mut events = reuselens_trace::VecSink::new();
+                Executor::new(&prog).run(&mut events).unwrap();
+                rich_past_window +=
+                    usize::from(assert_scaled_sub_stream(&prog, &events.events, 8, inv));
+            }
+        }
+        assert!(
+            rich_past_window >= 3,
+            "{rich_past_window} scope-rich cases spill"
+        );
+    }
+
+    /// An adaptive run whose rate drops evict window entries while the
+    /// table holds blocks: after every access the tracked count equals
+    /// the order-statistic count and a model of the tracked set, and a
+    /// snapshot taken with the window short of full is a byte fixpoint
+    /// whose resumed run ends with the uninterrupted profile.
+    #[test]
+    fn rate_drops_leave_a_short_window_that_snapshots_and_resumes() {
+        let prog = sweep_program(64, 2);
+        // Every lap sweeps 200 hot lines, each followed by a line never
+        // seen before: the tracked set keeps growing, so the rate keeps
+        // dropping while hot lines are reused from the table.
+        let (hot, laps) = (200, 16);
+        let mut events = Vec::new();
+        for lap in 0..laps {
+            for line in 0..hot {
+                for block in [line, hot * (lap + 1) + line] {
+                    events.push(Event::Access {
+                        r: RefId(0),
+                        addr: block * 64,
+                    });
+                }
+            }
+        }
+        let budget = 96;
+        let mut an = SampledAnalyzer::new(&prog, 64, SamplingConfig::adaptive(budget));
+        let (mut model, mut inv) = (BTreeMap::new(), 1u64);
+        let mut snapshot = None;
+        for (k, &event) in events.iter().enumerate() {
+            let Event::Access { r, addr } = event else {
+                unreachable!()
+            };
+            let drops = an.rate_drops;
+            an.access(r, addr);
+            let block = addr >> 6;
+            if spatial_hash(block) <= u64::MAX / inv {
+                model.insert(block, ());
+                while model.len() as u64 > budget {
+                    inv *= 2;
+                    model.retain(|&b, _| spatial_hash(b) <= u64::MAX / inv);
+                }
+            }
+            assert_eq!(an.inv, inv, "access {k}");
+            assert_eq!(an.tracked_blocks(), model.len() as u64, "access {k}");
+            assert_eq!(an.tree_nodes() as u64, an.tracked_blocks(), "access {k}");
+            // After the first lap, so that hot lines are being reused.
+            let short = an.window.len < WINDOW && !an.table.is_empty();
+            if snapshot.is_none() && k >= 2 * hot as usize && an.rate_drops > drops && short {
+                let mut enc = Enc::new();
+                an.snapshot_encode(&mut enc);
+                snapshot = Some((k + 1, enc.buf));
+            }
+        }
+        let (at, bytes) = snapshot.expect("no rate drop left a short window beside the table");
+        let decode = |bytes: &[u8]| {
+            let mut d = Dec::new(bytes, 0);
+            let back = SampledAnalyzer::snapshot_decode(&prog, 64, at as u64, &mut d)
+                .expect("decode a snapshot just encoded");
+            d.finish().expect("the snapshot is read whole");
+            back
+        };
+        let mut resumed = decode(&bytes);
+        let mut again = Enc::new();
+        resumed.snapshot_encode(&mut again);
+        assert_eq!(again.buf, bytes, "encode/decode is not a fixpoint");
+        for &event in &events[at..] {
+            let Event::Access { r, addr } = event else {
+                unreachable!()
+            };
+            resumed.access(r, addr);
+            assert_eq!(resumed.tree_nodes() as u64, resumed.tracked_blocks());
+        }
+        assert_eq!(resumed.finish(), an.finish());
     }
 
     #[test]

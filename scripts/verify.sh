@@ -17,9 +17,11 @@ cargo test -q
 # The analyzers against the brute-force oracle once more in release mode,
 # which drops overflow checks and debug assertions: a wrapped count (the
 # window's miss filter, a histogram bin) must still show as a wrong
-# distance.
+# distance. The sampled engine's accuracy suites run there too, so a bad
+# filter count or dense-count fold on the sampled path shows as well.
 cargo test --release -q -p reuselens-core --test property_oracle \
-    --test analyzer_vs_oracle --test checkpoint_resume
+    --test analyzer_vs_oracle --test checkpoint_resume --test sampling_accuracy
+cargo test --release -q -p reuselens-cache --test sampled_miss_bounds
 
 # The suites that used to serialize on process-global obs slots record
 # through `Obs` scopes now; three more runs at default test parallelism
