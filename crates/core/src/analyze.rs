@@ -15,8 +15,8 @@
 //!   nothing, so grains can replay in parallel or share one decode.
 //!
 //! [`analyze_buffer_with`] is the one call for every replay configuration;
-//! each knob is a field of [`AnalyzeOptions`]: sampling (the
-//! constant-space [`SampledAnalyzer`]), a resource budget, and crash-safe
+//! each knob is a field of [`AnalyzeOptions`]: sampling (a constant-space
+//! front on the [`ReuseAnalyzer`]), a resource budget, and crash-safe
 //! checkpointing. Exact mode
 //! with default options stays the default, and its output is bit-identical
 //! to a build without the knobs.
@@ -63,16 +63,15 @@
 use crate::analyzer::{MultiGrainAnalyzer, ReuseAnalyzer};
 use crate::budget::{AnalysisBudget, BudgetExceeded, BudgetProgress};
 use crate::patterns::ReuseProfile;
-use crate::sampling::{SampledAnalyzer, SamplingConfig};
+use crate::sampling::SamplingConfig;
 use crate::snapshot::{
-    decode_snapshot, list_snapshots, read_snapshot_bytes, write_snapshot_file, Dec, Enc,
-    SnapshotError, SnapshotHeader,
+    decode_snapshot, list_snapshots, read_snapshot_bytes, write_snapshot_file, Enc, SnapshotError,
+    SnapshotHeader,
 };
-use reuselens_ir::{ArrayId, Program, RefId, ScopeId};
+use reuselens_ir::{ArrayId, Program};
 use reuselens_obs as obs;
 use reuselens_trace::{
-    ExecError, ExecReport, Executor, SegmentState, SoaBatch, StepSource, Stretch, TraceBuffer,
-    TraceSink, STEP,
+    ExecError, ExecReport, Executor, SegmentState, StepSource, Stretch, TraceBuffer, STEP,
 };
 use std::error::Error;
 use std::fmt;
@@ -306,9 +305,10 @@ pub struct AnalyzeOptions {
     pub budget: AnalysisBudget,
     /// How to sample the block stream. [`SamplingConfig::Exact`] (the
     /// default) runs the exact analyzer and produces output bit-identical
-    /// to a pipeline without this knob; any other setting replays through
-    /// the constant-space [`SampledAnalyzer`] and marks each profile with
-    /// its [`SamplingInfo`](crate::SamplingInfo).
+    /// to a pipeline without this knob; any other setting puts the
+    /// constant-space sampling front on it
+    /// ([`ReuseAnalyzer::with_sampling`]) and marks each profile with its
+    /// [`SamplingInfo`](crate::SamplingInfo).
     pub sampling: SamplingConfig,
     /// Crash-safe checkpointing (`None` by default): snapshot each grain's
     /// full analyzer state at regular event intervals and optionally
@@ -464,72 +464,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One grain's measurement engine: the exact analyzer or its
-/// constant-space sampled counterpart, behind one [`TraceSink`] surface so
-/// the serial replay loop serves both modes.
-enum GrainAnalyzer {
-    Exact(ReuseAnalyzer),
-    Sampled(SampledAnalyzer),
-}
-
-impl GrainAnalyzer {
-    fn new(program: &Program, block_size: u64, sampling: SamplingConfig) -> GrainAnalyzer {
-        if sampling.is_exact() {
-            GrainAnalyzer::Exact(ReuseAnalyzer::new(program, block_size))
-        } else {
-            GrainAnalyzer::Sampled(SampledAnalyzer::new(program, block_size, sampling))
-        }
-    }
-
-    /// Live tracked-block count — the quantity a memory budget bounds.
-    /// For the sampled engine this is the *tracked* set, not the scaled
-    /// footprint estimate: sampling exists to keep this number small.
-    fn tracked_blocks(&self) -> u64 {
-        match self {
-            GrainAnalyzer::Exact(a) => a.distinct_blocks(),
-            GrainAnalyzer::Sampled(a) => a.tracked_blocks(),
-        }
-    }
-
-    fn tree_nodes(&self) -> usize {
-        match self {
-            GrainAnalyzer::Exact(a) => a.tree_nodes(),
-            GrainAnalyzer::Sampled(a) => a.tree_nodes(),
-        }
-    }
-
-    fn finish(self) -> ReuseProfile {
-        match self {
-            GrainAnalyzer::Exact(a) => a.finish(),
-            GrainAnalyzer::Sampled(a) => a.finish(),
-        }
-    }
-
-    /// Serializes the engine's full mid-stream state into `e`.
-    fn snapshot_encode(&self, e: &mut Enc) {
-        match self {
-            GrainAnalyzer::Exact(a) => a.snapshot_encode(e),
-            GrainAnalyzer::Sampled(a) => a.snapshot_encode(e),
-        }
-    }
-
-    /// Rebuilds an engine from a snapshot's state frame. The validated
-    /// snapshot header selects the engine and bounds the state it holds.
-    fn snapshot_decode(
-        program: &Program,
-        header: &SnapshotHeader,
-        d: &mut Dec<'_>,
-    ) -> Result<GrainAnalyzer, SnapshotError> {
-        let (block_size, accesses) = (header.block_size, header.accesses_replayed);
-        if header.sampled {
-            SampledAnalyzer::snapshot_decode(program, block_size, accesses, d)
-                .map(GrainAnalyzer::Sampled)
-        } else {
-            ReuseAnalyzer::snapshot_decode(program, block_size, d).map(GrainAnalyzer::Exact)
-        }
-    }
-}
-
 /// One grain's failure before it is folded into a [`FailureReport`]: the
 /// error plus how many trace events the grain had processed when it died.
 struct GrainFailure {
@@ -537,39 +471,11 @@ struct GrainFailure {
     events: u64,
 }
 
-impl TraceSink for GrainAnalyzer {
-    fn access(&mut self, r: RefId, addr: u64) {
-        match self {
-            GrainAnalyzer::Exact(a) => a.access(r, addr),
-            GrainAnalyzer::Sampled(a) => a.access(r, addr),
-        }
-    }
-    fn enter(&mut self, scope: ScopeId) {
-        match self {
-            GrainAnalyzer::Exact(a) => a.enter(scope),
-            GrainAnalyzer::Sampled(a) => a.enter(scope),
-        }
-    }
-    fn exit(&mut self, scope: ScopeId) {
-        match self {
-            GrainAnalyzer::Exact(a) => a.exit(scope),
-            GrainAnalyzer::Sampled(a) => a.exit(scope),
-        }
-    }
-    fn access_soa(&mut self, batch: &SoaBatch) {
-        // Both engines read the lanes directly; one match per batch.
-        match self {
-            GrainAnalyzer::Exact(a) => a.access_soa(batch),
-            GrainAnalyzer::Sampled(a) => a.access_soa(batch),
-        }
-    }
-}
-
 /// Checks one grain's progress against its budget, publishing the budget
 /// gauges on the way.
 fn check_budget(
     budget: &AnalysisBudget,
-    analyzer: &GrainAnalyzer,
+    analyzer: &ReuseAnalyzer,
     events: u64,
 ) -> Result<(), GrainError> {
     let progress = BudgetProgress {
@@ -599,10 +505,10 @@ fn resume_grain(
     block_size: u64,
     sampled: bool,
     dir: &std::path::Path,
-) -> Result<Option<(GrainAnalyzer, SegmentState)>, SnapshotError> {
+) -> Result<Option<(ReuseAnalyzer, SegmentState)>, SnapshotError> {
     let nrefs = program.references().len() as u32;
     for (events, path) in list_snapshots(dir, block_size)? {
-        let resumed = (|| -> Result<(GrainAnalyzer, SegmentState), SnapshotError> {
+        let resumed = (|| -> Result<(ReuseAnalyzer, SegmentState), SnapshotError> {
             let bytes = read_snapshot_bytes(&path)?;
             let (header, mut dec) = decode_snapshot(&bytes)?;
             let mismatch = |what: String| Err(SnapshotError::Mismatch { what });
@@ -644,7 +550,7 @@ fn resume_grain(
                     header.accesses_replayed, state.accesses
                 ));
             }
-            let analyzer = GrainAnalyzer::snapshot_decode(program, &header, &mut dec)?;
+            let analyzer = ReuseAnalyzer::snapshot_decode(program, &header, &mut dec)?;
             dec.finish()?;
             Ok((analyzer, state))
         })();
@@ -730,7 +636,7 @@ impl Laps {
 /// Where a grain stands in its lane.
 enum Ride {
     /// Replaying through its engine.
-    Running(GrainAnalyzer),
+    Running(ReuseAnalyzer),
     /// Stopped: its profile and final set size, or its failure.
     Done(Result<(ReuseProfile, u64), GrainError>),
 }
@@ -781,7 +687,7 @@ impl LaneGrain {
             }
             Ok(resumed.unwrap_or_else(|| {
                 (
-                    GrainAnalyzer::new(program, block_size, opts.sampling),
+                    ReuseAnalyzer::with_sampling(program, block_size, opts.sampling),
                     SegmentState::default(),
                 )
             }))
@@ -1213,8 +1119,8 @@ mod tests {
     use super::*;
     use crate::blocktable::MAX_BLOCKS;
     use crate::snapshot::encode_snapshot;
-    use reuselens_ir::{Expr, ProgramBuilder};
-    use reuselens_trace::{DecodedTrace, Event, VecSink};
+    use reuselens_ir::{Expr, ProgramBuilder, RefId};
+    use reuselens_trace::{DecodedTrace, Event, TraceSink, VecSink};
 
     #[test]
     fn grain_replay_matches_event_by_event_access_for_every_engine() {
@@ -1238,11 +1144,11 @@ mod tests {
             SamplingConfig::fixed(0.1),
             SamplingConfig::adaptive(16),
         ] {
-            let mut batched = GrainAnalyzer::new(&prog, 64, sampling);
+            let mut batched = ReuseAnalyzer::with_sampling(&prog, 64, sampling);
             buffer.replay(&mut batched);
             let mut events = VecSink::new();
             buffer.replay(&mut events);
-            let mut single = GrainAnalyzer::new(&prog, 64, sampling);
+            let mut single = ReuseAnalyzer::with_sampling(&prog, 64, sampling);
             for event in events.events {
                 match event {
                     Event::Access { r, addr } => single.access(r, addr),
@@ -1619,7 +1525,7 @@ mod tests {
             r.load(a, vec![Expr::c(0)]);
         });
         let prog = p.finish();
-        let mut sampled = SampledAnalyzer::new(&prog, 64, SamplingConfig::fixed(1.0));
+        let mut sampled = ReuseAnalyzer::with_sampling(&prog, 64, SamplingConfig::fixed(1.0));
         for addr in [0u64, 64, 0] {
             sampled.access(RefId(0), addr);
         }
@@ -1632,14 +1538,16 @@ mod tests {
             accesses_replayed: 3,
             nrefs: 1,
         };
-        // State layout: clock, total accesses, then six more u64 books,
-        // the row count, and 20-byte (block, time, ref) rows sorted by
-        // block — block 1's time sits at byte 100.
+        // State layout: clock, accesses, first touches and footprint; the
+        // last distance (a tag and the distance 1); four u64 sampler
+        // books; the row count; then 20-byte (block, time, ref) rows
+        // sorted by block, so block 1's time sits at byte 109.
+        let time_at = 4 * 8 + 9 + 4 * 8 + 8 + 20 + 8;
         let forge = |clock: u64, total: u64, time: u64| {
             let mut state = enc.buf.clone();
             state[0..8].copy_from_slice(&clock.to_le_bytes());
             state[8..16].copy_from_slice(&total.to_le_bytes());
-            state[100..108].copy_from_slice(&time.to_le_bytes());
+            state[time_at..time_at + 8].copy_from_slice(&time.to_le_bytes());
             encode_snapshot(&header, &state)
         };
         let far = 1u64 << 62;
@@ -1648,7 +1556,7 @@ mod tests {
             let time = if valid { 2 } else { far };
             let image = forge(clock, total, time);
             let (h, mut dec) = decode_snapshot(&image).unwrap();
-            match GrainAnalyzer::snapshot_decode(&prog, &h, &mut dec) {
+            match ReuseAnalyzer::snapshot_decode(&prog, &h, &mut dec) {
                 Ok(_) => assert!(valid, "forged clock {clock}, total {total} was accepted"),
                 Err(e) => {
                     assert!(!valid, "intact snapshot rejected: {e}");

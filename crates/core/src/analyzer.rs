@@ -8,11 +8,12 @@
 //! in the histogram of the *(sink reference, source scope, carrying scope)*
 //! pattern.
 
-use crate::blocktable::{BlockTable, MAX_BLOCKS};
+use crate::blocktable::{BlockEntry, BlockTable, MAX_BLOCKS};
 use crate::histogram::Histogram;
 use crate::patterns::{PatternKey, ReusePattern, ReuseProfile};
+use crate::sampling::{Sampler, SamplingConfig, SamplingInfo, SparseTable};
 use crate::scopestack::ScopeStack;
-use crate::snapshot::{Dec, Enc, SnapshotError};
+use crate::snapshot::{Dec, Enc, SnapshotError, SnapshotHeader};
 use crate::timebits::TimeBits;
 use crate::window::{Window, WINDOW};
 use reuselens_ir::{Program, RefId, ScopeId};
@@ -214,7 +215,7 @@ impl SinkPatterns {
 }
 
 /// Serializes a scope stack's open scopes (the root is implicit) for a
-/// snapshot. Shared by the exact and sampled analyzers.
+/// snapshot.
 pub(crate) fn encode_scope_stack(e: &mut Enc, stack: &ScopeStack) {
     let open = stack.open_scopes();
     e.u64(open.len() as u64);
@@ -323,7 +324,7 @@ pub(crate) fn decode_sink_patterns(
 }
 
 /// Measures reuse distances at one block granularity while a program
-/// executes.
+/// executes — the one reuse engine, exact or behind a sampling front.
 ///
 /// Implements [`TraceSink`], so it can be plugged directly into
 /// [`Executor::run`](reuselens_trace::Executor::run) — alone, teed with
@@ -362,44 +363,175 @@ pub(crate) fn decode_sink_patterns(
 #[derive(Debug)]
 pub struct ReuseAnalyzer {
     block_shift: u32,
+    /// Logical clock over the accesses the engine tracks: every access
+    /// when exact, the sampled ones when sampled.
     clock: u64,
-    table: BlockTable,
-    tree: TimeBits,
+    /// Every access observed, tracked or not.
+    accesses: u64,
     /// Boxed: the window's arrays take about 1 KiB, which would dwarf
     /// every other engine a replay holds by value.
     window: Box<Window>,
-    distinct: u64,
+    /// The blocks that left the window, and the sampler when there is one.
+    past: Past,
+    /// Last-access times of the blocks in the table.
+    times: TimeBits,
     stack: ScopeStack,
     per_sink: Vec<SinkPatterns>,
     cold: Vec<u64>,
     ref_scopes: Vec<ScopeId>,
+    /// Blocks first touched (sampled ones only, when sampled).
+    first_touches: u64,
+    /// Distinct-block footprint: the scale summed at each first touch
+    /// (SHARDS-style when sampled).
+    footprint: u64,
     last_distance: Option<u64>,
 }
 
+/// The blocks that have left the window: every block in the paper's dense
+/// three-level [`BlockTable`] for the exact engine, or the sampled blocks
+/// in a hashed [`SparseTable`] beside the [`Sampler`] that admits them
+/// (the sampling module's Memory section says why). The engine picks the
+/// kind, and a sampler beside a dense table cannot be built.
+#[derive(Debug)]
+enum Past {
+    Exact(BlockTable),
+    Sampled(SparseTable, Sampler),
+}
+
+impl Past {
+    /// Removes and returns `block`'s entry.
+    #[inline]
+    fn take(&mut self, block: u64) -> Option<BlockEntry> {
+        match self {
+            Past::Exact(table) => table.take(block),
+            Past::Sampled(table, _) => table.take(block),
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, block: u64, time: u64, ref_id: u32) {
+        match self {
+            Past::Exact(table) => table.set(block, time, ref_id),
+            Past::Sampled(table, _) => table.set(block, time, ref_id),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Past::Exact(table) => table.len(),
+            Past::Sampled(table, _) => table.len(),
+        }
+    }
+
+    /// Visits every entry in ascending block order.
+    fn for_each(&self, f: impl FnMut(u64, BlockEntry)) {
+        match self {
+            Past::Exact(table) => table.for_each(f),
+            Past::Sampled(table, _) => table.for_each(f),
+        }
+    }
+
+    /// Reuses each record stands for: 1 exact, `inv` sampled.
+    fn scale(&self) -> u64 {
+        match self {
+            Past::Exact(_) => 1,
+            Past::Sampled(_, sampler) => sampler.inv,
+        }
+    }
+}
+
+/// Writes one tracked block's snapshot row.
+fn put_row(e: &mut Enc, (block, time, ref_id): (u64, u64, u32)) {
+    e.u64(block);
+    e.u64(time);
+    e.u32(ref_id);
+}
+
 impl ReuseAnalyzer {
-    /// Creates an analyzer at the given block size (must be a power of
-    /// two): cache-line size for cache studies, page size for TLB studies.
+    /// Creates an exact analyzer at the given block size (must be a power
+    /// of two): cache-line size for cache studies, page size for TLB
+    /// studies.
     ///
     /// # Panics
     ///
     /// Panics if `block_size` is not a power of two.
     pub fn new(program: &Program, block_size: u64) -> ReuseAnalyzer {
+        ReuseAnalyzer::with_sampling(program, block_size, SamplingConfig::Exact)
+    }
+
+    /// Creates an analyzer behind the sampling front `config` asks for;
+    /// [`SamplingConfig::Exact`] gives the engine [`new`](Self::new)
+    /// gives. A sampled engine's [`finish`](Self::finish) produces a
+    /// profile whose histograms, cold counts and footprint are scaled
+    /// estimates and whose `sampling` field records the run's
+    /// [`SamplingInfo`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block_size` is not a power of two.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use reuselens_core::{ReuseAnalyzer, SamplingConfig};
+    /// use reuselens_ir::ProgramBuilder;
+    /// use reuselens_trace::Executor;
+    ///
+    /// let mut p = ProgramBuilder::new("demo");
+    /// let a = p.array("a", 8, &[4096]);
+    /// p.routine("main", |r| {
+    ///     r.for_("t", 0, 1, |r, _| {
+    ///         r.for_("i", 0, 4095, |r, i| {
+    ///             r.load(a, vec![i.into()]);
+    ///         });
+    ///     });
+    /// });
+    /// let prog = p.finish();
+    ///
+    /// // Rate 1.0 tracks every block: same measurements as the exact engine.
+    /// let mut full = ReuseAnalyzer::with_sampling(&prog, 64, SamplingConfig::fixed(1.0));
+    /// Executor::new(&prog).run(&mut full)?;
+    /// let mut exact = ReuseAnalyzer::new(&prog, 64);
+    /// Executor::new(&prog).run(&mut exact)?;
+    /// let (full, exact) = (full.finish(), exact.finish());
+    /// assert_eq!(full.patterns, exact.patterns);
+    /// assert_eq!(full.sampling.unwrap().inv, 1);
+    ///
+    /// // Rate 0.1 tracks ~10% of the blocks but estimates the same totals.
+    /// let mut tenth = ReuseAnalyzer::with_sampling(&prog, 64, SamplingConfig::fixed(0.1));
+    /// Executor::new(&prog).run(&mut tenth)?;
+    /// let tenth = tenth.finish();
+    /// assert!(tenth.sampling.unwrap().blocks_sampled < exact.distinct_blocks);
+    /// # Ok::<(), reuselens_trace::ExecError>(())
+    /// ```
+    pub fn with_sampling(
+        program: &Program,
+        block_size: u64,
+        config: SamplingConfig,
+    ) -> ReuseAnalyzer {
         assert!(
             block_size.is_power_of_two(),
             "block size must be a power of two"
         );
         let nrefs = program.references().len();
+        let past = match Sampler::new(config, nrefs) {
+            None => Past::Exact(BlockTable::new()),
+            Some(sampler) => Past::Sampled(SparseTable::default(), sampler),
+        };
+        let scale = past.scale();
         ReuseAnalyzer {
             block_shift: block_size.trailing_zeros(),
             clock: 0,
-            table: BlockTable::new(),
-            tree: TimeBits::new(),
+            accesses: 0,
             window: Box::new(Window::new()),
-            distinct: 0,
+            past,
+            times: TimeBits::new(),
             stack: ScopeStack::new(),
-            per_sink: (0..nrefs).map(|_| SinkPatterns::default()).collect(),
+            per_sink: (0..nrefs).map(|_| SinkPatterns::new(scale)).collect(),
             cold: vec![0; nrefs],
             ref_scopes: program.references().iter().map(|r| r.scope()).collect(),
+            first_touches: 0,
+            footprint: 0,
             last_distance: None,
         }
     }
@@ -409,51 +541,84 @@ impl ReuseAnalyzer {
         1 << self.block_shift
     }
 
-    /// Accesses observed so far.
+    /// Accesses observed so far (sampled or not).
     pub fn accesses(&self) -> u64 {
-        self.clock
+        self.accesses
     }
 
-    /// Distinct blocks observed so far (whether currently held in the
-    /// recent-access window or already evicted into the block table).
+    /// Distinct blocks observed so far: the exact count, or its scaled
+    /// estimate when sampled.
     pub fn distinct_blocks(&self) -> u64 {
-        self.distinct
+        self.footprint
+    }
+
+    /// Blocks tracked now, in the recent-access window or the table: the
+    /// quantity a memory budget bounds. Every block ever touched when
+    /// exact; held at the budget in adaptive mode.
+    pub fn tracked_blocks(&self) -> u64 {
+        (self.window.len + self.past.len()) as u64
     }
 
     /// Live blocks tracked for distance counting: order-statistic set
-    /// entries plus recent-access window entries (one per distinct block).
+    /// entries plus recent-access window entries (one per tracked block).
     pub fn tree_nodes(&self) -> usize {
-        self.tree.len() + self.window.len
+        self.times.len() + self.window.len
     }
 
-    /// Distance the most recent access was measured at: `Some(d)` for a
-    /// reuse, `None` for a cold first touch (or before any access). This
-    /// per-access view is what the randomized property suite compares
-    /// against the brute-force [`oracle`](crate::oracle), access by access.
+    /// Distance the most recent tracked access was measured at, in the
+    /// engine's clock: `Some(d)` for a reuse, `None` for a cold first
+    /// touch (or before any access). This per-access view is what the
+    /// randomized property suite compares against the brute-force
+    /// [`oracle`](crate::oracle), access by access.
     pub fn last_distance(&self) -> Option<u64> {
         self.last_distance
     }
 
+    /// Sampling statistics as they stand now (the run's final
+    /// [`SamplingInfo`] once the stream ends). The exact engine reads as
+    /// rate 1 with every block sampled and none evicted.
+    pub fn sampling_info(&self) -> SamplingInfo {
+        match &self.past {
+            Past::Exact(_) => SamplingInfo {
+                inv: 1,
+                blocks_sampled: self.first_touches,
+                blocks_evicted: 0,
+                rate_drops: 0,
+            },
+            Past::Sampled(_, sampler) => sampler.info(self.first_touches),
+        }
+    }
+
     /// Consumes the analyzer and produces the measured profile.
     pub fn finish(self) -> ReuseProfile {
+        let sampling = match &self.past {
+            Past::Exact(_) => None,
+            Past::Sampled(..) => Some(self.sampling_info()),
+        };
         ReuseProfile {
             block_size: 1 << self.block_shift,
             patterns: collect_patterns(self.per_sink),
             cold: self.cold,
-            total_accesses: self.clock,
-            distinct_blocks: self.distinct,
-            sampling: None,
+            total_accesses: self.accesses,
+            distinct_blocks: self.footprint,
+            sampling,
         }
     }
 
     /// Serializes the full mid-stream analyzer state into a snapshot
-    /// frame. Everything live is written verbatim (window order, stale
-    /// block-table entries included); everything derivable — the Fenwick
-    /// tree, pattern hash indexes, hot hints, `ref_scopes` — is skipped
-    /// and rebuilt on decode, so the encoding of a given state is unique.
+    /// frame: the counters, the sampler's books when sampled, every
+    /// tracked block — window and table together, ascending by block, so
+    /// where the window's edge falls does not show — then scopes,
+    /// patterns and cold counts. Everything derivable (the time set, the
+    /// window's order, pattern hash indexes, hot hints, `ref_scopes`, the
+    /// unsampled memo) is skipped and rebuilt on decode, so the encoding
+    /// of a given state is unique. The dense table is walked in block
+    /// order already, so the few window rows merge into its walk.
     pub(crate) fn snapshot_encode(&self, e: &mut Enc) {
         e.u64(self.clock);
-        e.u64(self.distinct);
+        e.u64(self.accesses);
+        e.u64(self.first_touches);
+        e.u64(self.footprint);
         match self.last_distance {
             None => e.u8(0),
             Some(dist) => {
@@ -461,51 +626,68 @@ impl ReuseAnalyzer {
                 e.u64(dist);
             }
         }
-        e.u64(self.window.len as u64);
-        for (block, time, ref_id) in self.window.rows().rev() {
-            e.u64(block);
-            e.u64(time);
-            e.u32(ref_id);
+        if let Past::Sampled(_, sampler) = &self.past {
+            sampler.encode(e);
         }
+        e.u64(self.tracked_blocks());
+        let mut window: Vec<(u64, u64, u32)> = self.window.rows().collect();
+        window.sort_unstable_by_key(|row| row.0);
+        let mut window = window.into_iter().peekable();
+        self.past.for_each(|block, entry| {
+            while let Some(row) = window.next_if(|row| row.0 < block) {
+                put_row(e, row);
+            }
+            put_row(e, (block, entry.time, entry.ref_id));
+        });
+        window.for_each(|row| put_row(e, row));
         encode_scope_stack(e, &self.stack);
         encode_sink_patterns(e, &self.per_sink);
         e.u64(self.cold.len() as u64);
         for &c in &self.cold {
             e.u64(c);
         }
-        let mut count = 0u64;
-        self.table.for_each(|_, _| count += 1);
-        e.u64(count);
-        self.table.for_each(|block, entry| {
-            e.u64(block);
-            e.u64(entry.time);
-            e.u32(entry.ref_id);
-        });
-        let (words, base, len) = self.tree.snapshot_parts();
-        e.u64(words.len() as u64);
-        for &w in words {
-            e.u64(w);
-        }
-        e.u64(base);
-        e.u64(len);
     }
 
     /// Rebuilds a mid-stream analyzer from [`snapshot_encode`] output,
-    /// validating every structural invariant the bytes could violate:
-    /// window and table times bounded by the clock, blocks inside the
-    /// modeled address space, references inside the program, block-table
-    /// entries only beside a full window, the time bitmap's population
-    /// matching its length. Never panics on hostile
-    /// input — a violated invariant is a typed [`SnapshotError`].
+    /// exact or sampled as the verified `header` says. Every tracked
+    /// block goes into the table behind an empty window, which the next
+    /// accesses fill, and the time set is rebuilt from the rows' times.
+    ///
+    /// The time bitmap spans the tracked times, so everything that
+    /// bounds them is checked before it is built: the access count
+    /// equals the header's `accesses_replayed` (which the caller has
+    /// verified against the trace), the clock equals it (exact) or is at
+    /// most it (sampled), rows ascend strictly by block with distinct
+    /// times in `1..=clock` and references inside the program, exact
+    /// blocks lie inside the modeled address space and sampled ones pass
+    /// the hash at the recorded rate, and first touches equal the rows
+    /// plus the evicted blocks. Never panics on hostile input — a
+    /// violated invariant is a typed [`SnapshotError`].
     pub(crate) fn snapshot_decode(
         program: &Program,
-        block_size: u64,
+        header: &SnapshotHeader,
         d: &mut Dec<'_>,
     ) -> Result<ReuseAnalyzer, SnapshotError> {
-        debug_assert!(block_size.is_power_of_two());
+        debug_assert!(header.block_size.is_power_of_two());
         let nrefs = program.references().len();
         let clock = d.u64()?;
-        let distinct = d.u64()?;
+        let at = d.offset();
+        let accesses = d.u64()?;
+        let replayed = header.accesses_replayed;
+        if accesses != replayed {
+            return Err(SnapshotError::Corrupt {
+                offset: at,
+                what: format!("analyzer counts {accesses} accesses, the header records {replayed}"),
+            });
+        }
+        if clock > accesses || (!header.sampled && clock != accesses) {
+            return Err(SnapshotError::Corrupt {
+                offset: at,
+                what: format!("clock {clock} does not fit {accesses} accesses"),
+            });
+        }
+        let first_touches = d.u64()?;
+        let footprint = d.u64()?;
         let last_distance = match d.u8()? {
             0 => None,
             1 => Some(d.u64()?),
@@ -515,34 +697,67 @@ impl ReuseAnalyzer {
                     .into())
             }
         };
-        let wlen = d.len(20)?;
-        if wlen > WINDOW {
-            return Err(d
-                .corrupt(format!("window holds {wlen} entries, limit {WINDOW}"))
-                .into());
+        let mut past = if header.sampled {
+            Past::Sampled(SparseTable::default(), Sampler::decode(d, nrefs)?)
+        } else {
+            Past::Exact(BlockTable::new())
+        };
+        let at = d.offset();
+        let n = d.len(20)?;
+        let evicted = match &past {
+            Past::Exact(_) => 0,
+            Past::Sampled(_, sampler) => sampler.evicted,
+        };
+        if first_touches != n as u64 + evicted {
+            return Err(SnapshotError::Corrupt {
+                offset: at,
+                what: format!(
+                    "{first_touches} first touches != {n} tracked + {evicted} evicted blocks"
+                ),
+            });
         }
-        let mut window = Box::new(Window::new());
-        let mut prev_time = 0u64;
-        for _ in 0..wlen {
+        let mut times = Vec::with_capacity(n);
+        let mut prev_block = None;
+        for _ in 0..n {
             let at = d.offset();
             let block = d.u64()?;
             let time = d.u64()?;
             let ref_id = d.u32()?;
-            if block >= MAX_BLOCKS || time <= prev_time || time > clock || ref_id as usize >= nrefs
+            let admitted = match &past {
+                Past::Exact(_) => block < MAX_BLOCKS,
+                Past::Sampled(_, sampler) => sampler.admits(block),
+            };
+            if !admitted
+                || prev_block.is_some_and(|p| block <= p)
+                || time == 0
+                || time > clock
+                || ref_id as usize >= nrefs
             {
                 return Err(SnapshotError::Corrupt {
                     offset: at,
                     what: format!(
-                        "window entry (block {block}, time {time}, ref {ref_id}) \
-                         violates window invariants at clock {clock}"
+                        "tracked block (block {block}, time {time}, ref {ref_id}) \
+                         violates table invariants at clock {clock}"
                     ),
                 });
             }
-            prev_time = time;
-            window.push(block, time, ref_id);
+            prev_block = Some(block);
+            times.push((time, at));
+            past.set(block, time, ref_id);
+        }
+        // Ascending insertion grows the bitmap at its top end only.
+        times.sort_unstable();
+        let mut bits = TimeBits::new();
+        for (time, at) in times {
+            if !bits.insert(time) {
+                return Err(SnapshotError::Corrupt {
+                    offset: at,
+                    what: format!("duplicate last-access time {time} among tracked blocks"),
+                });
+            }
         }
         let stack = decode_scope_stack(d, clock)?;
-        let per_sink = decode_sink_patterns(d, nrefs, 1)?;
+        let per_sink = decode_sink_patterns(d, nrefs, past.scale())?;
         let clen = d.len(8)?;
         if clen != nrefs {
             return Err(SnapshotError::Mismatch {
@@ -553,90 +768,50 @@ impl ReuseAnalyzer {
         for _ in 0..clen {
             cold.push(d.u64()?);
         }
-        let tcount = d.len(20)?;
-        let mut table = BlockTable::new();
-        let mut prev_block = None;
-        for _ in 0..tcount {
-            let at = d.offset();
-            let block = d.u64()?;
-            let time = d.u64()?;
-            let ref_id = d.u32()?;
-            if block >= MAX_BLOCKS
-                || prev_block.is_some_and(|p| block <= p)
-                || time == 0
-                || time > clock
-                || ref_id as usize >= nrefs
-            {
-                return Err(SnapshotError::Corrupt {
-                    offset: at,
-                    what: format!(
-                        "block-table entry (block {block}, time {time}, ref {ref_id}) \
-                         violates table invariants at clock {clock}"
-                    ),
-                });
-            }
-            prev_block = Some(block);
-            table.set(block, time, ref_id);
-        }
-        if tcount > 0 && wlen < WINDOW {
-            return Err(d
-                .corrupt(format!(
-                    "{tcount} blocks left a window of {wlen} entries, which only \
-                     a full window ({WINDOW}) evicts"
-                ))
-                .into());
-        }
-        let nwords = d.len(8)?;
-        let mut words = Vec::with_capacity(nwords);
-        for _ in 0..nwords {
-            words.push(d.u64()?);
-        }
-        let base = d.u64()?;
-        let at = d.offset();
-        let len = d.u64()?;
-        let tree = TimeBits::from_snapshot_parts(words, base, len).ok_or_else(|| {
-            SnapshotError::Corrupt {
-                offset: at,
-                what: "time bitmap population does not match its stored length".to_string(),
-            }
-        })?;
         Ok(ReuseAnalyzer {
-            block_shift: block_size.trailing_zeros(),
+            block_shift: header.block_size.trailing_zeros(),
             clock,
-            table,
-            tree,
-            window,
-            distinct,
+            accesses,
+            window: Box::new(Window::new()),
+            past,
+            times: bits,
             stack,
             per_sink,
             cold,
             ref_scopes: program.references().iter().map(|r| r.scope()).collect(),
+            first_touches,
+            footprint,
             last_distance,
         })
     }
 
-    /// The per-access hot path, shared by every [`TraceSink`] entry point.
+    /// Feeds one access to `block` to the engine, through the sampler's
+    /// filter when there is one.
+    #[inline(always)]
+    fn sample(&mut self, r: u32, block: u64) {
+        if let Past::Sampled(_, sampler) = &mut self.past {
+            if !sampler.admit(r, block) {
+                return;
+            }
+        }
+        self.access_block(r, block);
+    }
+
+    /// The per-access hot path for every tracked access.
     ///
     /// The recent-access [`Window`] holds the [`WINDOW`] most recently used
-    /// distinct blocks, most recent first; every window time is greater
-    /// than every tree key, and the table/tree only ever learn about a
-    /// block when it is evicted from the window. That invariant makes the
+    /// distinct tracked blocks, most recent first; every window time is
+    /// greater than every time in the set, and the table holds exactly
+    /// the tracked blocks that left the window. That invariant makes the
     /// three cases exact:
     ///
     /// * **window hit** at slot `i`: the blocks touched since the previous
     ///   access are exactly the `i` slots before it, so `distance = i` with
-    ///   no tree or table work at all ([`Window::touch`]);
-    /// * **table hit**: all `WINDOW` window blocks are more recent than
-    ///   the previous access, so `distance = WINDOW + |tree keys >
-    ///   prev.time|`, where the count and the set update (drop
-    ///   `prev.time`, add the newly evicted oldest slot) fuse into one call
-    ///   ([`TimeBits::count_reinsert`]);
-    /// * **cold**: first touch; the block enters the window and the oldest
-    ///   entry (if the window is full) spills into the tree + table.
-    ///
-    /// A block sitting in the window may leave a stale table entry behind
-    /// from an earlier eviction; that is harmless because the window is
-    /// consulted first and the entry is overwritten on the next eviction.
+    ///   no set or table work at all ([`Window::touch`]);
+    /// * **table hit**: every window block is more recent than the
+    ///   previous access, so `distance = window.len + |set times >
+    ///   prev.time|` ([`access_past_window`](Self::access_past_window));
+    /// * **cold**: first touch; the block enters the window.
     ///
     /// Always inlined: with a plain `#[inline]` the batch loop still paid
     /// a call per access.
@@ -653,52 +828,79 @@ impl ReuseAnalyzer {
         self.last_distance = Some(distance);
     }
 
-    /// The table/tree path for an access that missed the recent window —
-    /// a long reuse or a cold first touch. Outlined and kept out of the
-    /// inlined hot path: mixing the tree machinery into `access_block`
-    /// costs the dominant short-reuse path real registers and icache.
+    /// The table path for an access that missed the recent window — a
+    /// long reuse or a cold first touch. The block moves into the window
+    /// and its table entry, if any, is taken out; the entry the window
+    /// spilled, if it was full, takes its place in the table and the time
+    /// set (fused with the count into one
+    /// [`TimeBits::count_reinsert`]), and otherwise — a window short of
+    /// full, at the start, after a rate drop or a snapshot decode — the
+    /// block's old time just leaves the set. A cold touch counts at the
+    /// engine's scale, and a sampled one may push the tracked set past
+    /// its budget. Outlined and kept out of the inlined hot path: mixing
+    /// the set machinery into `access_block` costs the dominant
+    /// short-reuse path real registers and icache.
     #[cold]
     #[inline(never)]
     fn access_past_window(&mut self, r: u32, block: u64, now: u64) {
-        let evicted = self.window.push(block, now, r);
-        match self.table.get(block) {
-            Some(prev) => {
-                let (prev_time, prev_ref) = (prev.time, prev.ref_id);
-                // The table only holds evicted blocks, so the window was
-                // full and spilled its oldest entry to make room.
-                let Some((old, old_time, old_ref)) = evicted else {
-                    unreachable!("a block-table hit implies a full window")
-                };
-                let (_, count) = self.tree.count_reinsert(prev_time, old_time);
-                self.table.set(old, old_time, old_ref);
-                let distance = WINDOW as u64 + count;
-                let carrier = self.stack.carrier(prev_time);
-                let source = self.ref_scopes[prev_ref as usize];
-                self.per_sink[r as usize].record(source, carrier, distance);
-                self.last_distance = Some(distance);
-            }
-            None => {
-                self.cold[r as usize] += 1;
-                self.distinct += 1;
-                self.last_distance = None;
-                if let Some((old, old_time, old_ref)) = evicted {
-                    self.tree.insert(old_time);
-                    self.table.set(old, old_time, old_ref);
-                }
-            }
+        let held = self.window.len as u64;
+        let spilled = self.window.push(block, now, r);
+        let prev = self.past.take(block);
+        if let Some((old, time, ref_id)) = spilled {
+            self.past.set(old, time, ref_id);
         }
+        let spilled_time = spilled.map(|(_, time, _)| time);
+        let Some(prev) = prev else {
+            let scale = self.past.scale();
+            self.cold[r as usize] += scale;
+            self.first_touches += 1;
+            self.footprint += scale;
+            self.last_distance = None;
+            if let Some(time) = spilled_time {
+                self.times.insert(time);
+            }
+            if let Past::Sampled(table, sampler) = &mut self.past {
+                sampler.fit(&mut self.window, table, &mut self.times, &mut self.per_sink);
+            }
+            return;
+        };
+        let count = match spilled_time {
+            Some(time) => self.times.count_reinsert(prev.time, time).1,
+            None => {
+                let count = self.times.count_greater(prev.time);
+                self.times.remove(prev.time);
+                count
+            }
+        };
+        let distance = held + count;
+        let carrier = self.stack.carrier(prev.time);
+        let source = self.ref_scopes[prev.ref_id as usize];
+        self.per_sink[r as usize].record(source, carrier, distance);
+        self.last_distance = Some(distance);
     }
 }
 
 impl TraceSink for ReuseAnalyzer {
     fn access(&mut self, r: RefId, addr: u64) {
-        self.access_block(r.0, addr >> self.block_shift);
+        self.accesses += 1;
+        self.sample(r.0, addr >> self.block_shift);
     }
 
     fn access_soa(&mut self, batch: &SoaBatch) {
-        // Stream both lanes in step; no per-event struct exists.
-        for (&r, &addr) in batch.refs.iter().zip(&batch.addrs) {
-            self.access_block(r, addr >> self.block_shift);
+        // Stream both lanes in step; no per-event struct exists. The
+        // front is checked once per batch, so the exact loop never looks
+        // at it.
+        self.accesses += batch.len() as u64;
+        let shift = self.block_shift;
+        let lanes = batch.refs.iter().zip(&batch.addrs);
+        if let Past::Exact(_) = self.past {
+            for (&r, &addr) in lanes {
+                self.access_block(r, addr >> shift);
+            }
+        } else {
+            for (&r, &addr) in lanes {
+                self.sample(r, addr >> shift);
+            }
         }
     }
 
@@ -766,7 +968,7 @@ impl TraceSink for MultiGrainAnalyzer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use reuselens_ir::{Expr, ProgramBuilder};
     use reuselens_trace::Executor;
@@ -1038,28 +1240,58 @@ mod tests {
         }
     }
 
-    /// Encode → decode → encode of `an` gives the same bytes, and the
-    /// decoded analyzer holds the same window.
-    fn assert_snapshot_fixpoint(an: &ReuseAnalyzer, prog: &Program) {
+    impl ReuseAnalyzer {
+        /// The sampling front, for the sampling module's tests.
+        pub(crate) fn sampler(&mut self) -> &mut Sampler {
+            match &mut self.past {
+                Past::Sampled(_, sampler) => sampler,
+                Past::Exact(_) => panic!("an exact engine has no sampler"),
+            }
+        }
+
+        /// The recent-access window's length, for the sampling module's
+        /// tests.
+        pub(crate) fn window_len(&self) -> usize {
+            self.window.len
+        }
+    }
+
+    /// Decodes the snapshot `an` encodes, checks that encoding the result
+    /// gives the same bytes, and returns it.
+    pub(crate) fn round_trip(an: &ReuseAnalyzer, prog: &Program) -> ReuseAnalyzer {
         let mut enc = Enc::new();
         an.snapshot_encode(&mut enc);
+        let header = SnapshotHeader {
+            block_size: an.block_size(),
+            sampled: matches!(an.past, Past::Sampled(..)),
+            events_replayed: an.accesses(),
+            accesses_replayed: an.accesses(),
+            nrefs: prog.references().len() as u32,
+        };
         let mut dec = Dec::new(&enc.buf, 0);
-        let back = ReuseAnalyzer::snapshot_decode(prog, an.block_size(), &mut dec)
+        let back = ReuseAnalyzer::snapshot_decode(prog, &header, &mut dec)
             .expect("decode a snapshot just encoded");
         dec.finish().expect("the snapshot is read whole");
         let mut again = Enc::new();
         back.snapshot_encode(&mut again);
         assert_eq!(again.buf, enc.buf, "encode/decode is not a fixpoint");
-        assert_eq!(back.window.len, an.window.len);
-        assert_eq!(back.window.filter, an.window.filter);
+        assert_eq!(
+            back.window.len, 0,
+            "a decoded engine starts with an empty window"
+        );
+        back
     }
 
     /// A loop cycling over `lines` distinct 64 B lines reuses each at
     /// distance `lines - 1`: below the window's last slot, at it, and
     /// one past it (the table path) for `WINDOW - 1`, `WINDOW` and
-    /// `WINDOW + 1` lines. Every access's distance matches the LRU-stack
-    /// oracle, and snapshots of the empty, partly filled and full window
-    /// are byte fixpoints.
+    /// `WINDOW + 1` lines. The program runs twice over; every access's
+    /// distance matches the LRU-stack oracle, and so does every later
+    /// access of the engines decoded from the snapshots taken with the
+    /// window half filled and at the end of the first run. A decoded
+    /// engine starts with an empty window, so its first reuses take the
+    /// table path; every snapshot is a byte fixpoint, and the resumed
+    /// engines finish with the uninterrupted profile.
     #[test]
     fn cyclic_reuse_at_the_window_edge_matches_the_oracle() {
         for lines in [WINDOW - 1, WINDOW, WINDOW + 1] {
@@ -1073,10 +1305,10 @@ mod tests {
                 });
             });
             let prog = p.finish();
-            let mut events = reuselens_trace::VecSink::new();
-            Executor::new(&prog).run(&mut events).unwrap();
+            let mut run = reuselens_trace::VecSink::new();
+            Executor::new(&prog).run(&mut run).unwrap();
+            let events = [run.events.clone(), run.events].concat();
             let addrs: Vec<u64> = events
-                .events
                 .iter()
                 .filter_map(|e| match *e {
                     reuselens_trace::Event::Access { addr, .. } => Some(addr),
@@ -1085,39 +1317,44 @@ mod tests {
                 .collect();
             let want = crate::oracle::stack_distances(&addrs, 64);
             let mut an = ReuseAnalyzer::new(&prog, 64);
-            assert_snapshot_fixpoint(&an, &prog);
+            round_trip(&an, &prog);
+            let mut resumed = Vec::new();
             let mut k = 0;
-            for event in events.events {
+            for event in events {
                 match event {
                     reuselens_trace::Event::Access { r, addr } => {
-                        an.access(r, addr);
-                        assert_eq!(an.last_distance(), want[k], "{lines} lines, access {k}");
+                        for engine in std::iter::once(&mut an).chain(&mut resumed) {
+                            engine.access(r, addr);
+                            let got = engine.last_distance();
+                            assert_eq!(got, want[k], "{lines} lines, access {k}");
+                        }
                         k += 1;
-                        if k == WINDOW / 2 {
-                            assert_snapshot_fixpoint(&an, &prog);
+                        if k == WINDOW / 2 || k == addrs.len() / 2 {
+                            resumed.push(round_trip(&an, &prog));
                         }
                     }
-                    reuselens_trace::Event::Enter(s) => an.enter(s),
-                    reuselens_trace::Event::Exit(s) => an.exit(s),
+                    reuselens_trace::Event::Enter(s) => {
+                        std::iter::once(&mut an)
+                            .chain(&mut resumed)
+                            .for_each(|e| e.enter(s));
+                    }
+                    reuselens_trace::Event::Exit(s) => {
+                        std::iter::once(&mut an)
+                            .chain(&mut resumed)
+                            .for_each(|e| e.exit(s));
+                    }
                 }
             }
             assert_eq!(k, addrs.len());
+            assert_eq!(resumed.len(), 2);
             assert_eq!(an.window.len, lines.min(WINDOW));
-            assert_snapshot_fixpoint(&an, &prog);
-            if lines > WINDOW {
-                // Evicted blocks beside a window short of full: no run
-                // leaves that, so decode refuses it.
-                let mut short = Enc::new();
-                an.window.len -= 1;
-                an.snapshot_encode(&mut short);
-                an.window.len += 1;
-                let err = ReuseAnalyzer::snapshot_decode(&prog, 64, &mut Dec::new(&short.buf, 0))
-                    .expect_err("a short window with a block table");
-                assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
-            }
+            round_trip(&an, &prog);
             let profile = an.finish();
             assert_eq!(profile.distinct_blocks, lines as u64);
             assert!(profile.accesses_balance());
+            for engine in resumed {
+                assert_eq!(engine.finish(), profile, "{lines} lines: resumed profile");
+            }
         }
     }
 

@@ -55,12 +55,14 @@ type Mid = Vec<Option<Box<Leaf>>>;
 /// t.set(42, 7, 3);
 /// let e = t.get(42).unwrap();
 /// assert_eq!((e.time, e.ref_id), (7, 3));
-/// assert_eq!(t.distinct_blocks(), 1);
+/// assert_eq!(t.len(), 1);
+/// assert_eq!(t.take(42), Some(e));
+/// assert!(t.is_empty());
 /// ```
 #[derive(Debug, Default)]
 pub struct BlockTable {
     l1: Vec<Option<Box<Mid>>>,
-    distinct: u64,
+    live: usize,
 }
 
 impl BlockTable {
@@ -68,13 +70,17 @@ impl BlockTable {
     pub fn new() -> BlockTable {
         let mut l1 = Vec::with_capacity(L1_SIZE);
         l1.resize_with(L1_SIZE, || None);
-        BlockTable { l1, distinct: 0 }
+        BlockTable { l1, live: 0 }
     }
 
-    /// Number of distinct blocks ever recorded (the `M` in the paper's
-    /// `O(log M)` bound).
-    pub fn distinct_blocks(&self) -> u64 {
-        self.distinct
+    /// Number of blocks the table holds a record for.
+    pub fn len(&self) -> usize {
+        self.live
+    }
+
+    /// True when the table holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
     }
 
     /// Looks up the last-access record for a block.
@@ -112,9 +118,29 @@ impl BlockTable {
         });
         let leaf = mid[i2].get_or_insert_with(|| Box::new(vec![EMPTY; L3_SIZE]));
         if leaf[i3].time == 0 {
-            self.distinct += 1;
+            self.live += 1;
         }
         leaf[i3] = Slot { time, ref_id };
+    }
+
+    /// Removes and returns the record for `block`, in one walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block >= MAX_BLOCKS`.
+    pub fn take(&mut self, block: u64) -> Option<BlockEntry> {
+        let (i1, i2, i3) = split(block);
+        let slot = &mut self.l1[i1].as_mut()?[i2].as_mut()?[i3];
+        if slot.time == 0 {
+            return None;
+        }
+        let entry = BlockEntry {
+            time: slot.time,
+            ref_id: slot.ref_id,
+        };
+        *slot = EMPTY;
+        self.live -= 1;
+        Some(entry)
     }
 
     /// Visits every recorded block in ascending block-number order —
@@ -166,7 +192,7 @@ mod tests {
         let t = BlockTable::new();
         assert!(t.get(0).is_none());
         assert!(t.get(MAX_BLOCKS - 1).is_none());
-        assert_eq!(t.distinct_blocks(), 0);
+        assert!(t.is_empty());
     }
 
     #[test]
@@ -178,7 +204,7 @@ mod tests {
         assert_eq!(t.get(0).unwrap().ref_id, 9);
         assert_eq!(t.get(MAX_BLOCKS - 1).unwrap().time, 2);
         assert_eq!(t.get(12345678).unwrap().ref_id, 7);
-        assert_eq!(t.distinct_blocks(), 3);
+        assert_eq!(t.len(), 3);
     }
 
     #[test]
@@ -186,7 +212,7 @@ mod tests {
         let mut t = BlockTable::new();
         t.set(5, 1, 0);
         t.set(5, 2, 1);
-        assert_eq!(t.distinct_blocks(), 1);
+        assert_eq!(t.len(), 1);
         assert_eq!(t.get(5).unwrap().time, 2);
     }
 
@@ -202,23 +228,32 @@ mod tests {
         BlockTable::new().set(0, 0, 0);
     }
 
-    /// Randomized differential test against `HashMap` (seeded, offline).
+    /// Randomized differential test against `HashMap` (seeded, offline):
+    /// sets, and takes of blocks set earlier, absent or already taken.
     #[test]
     fn matches_hashmap_reference() {
         let mut rng = SplitMix64::seed_from_u64(0xb10c_7ab1e);
         for _case in 0..64 {
             let mut t = BlockTable::new();
             let mut map: HashMap<u64, (u64, u32)> = HashMap::new();
+            let mut seen = Vec::new();
             for _ in 0..rng.gen_range(1..300) {
                 let block = rng.gen_range(0..1 << 20);
                 let time = rng.gen_range(1..1000);
                 let rid = rng.gen_range(0..16) as u32;
                 t.set(block, time, rid);
                 map.insert(block, (time, rid));
+                seen.push(block);
                 let got = t.get(block).unwrap();
                 assert_eq!((got.time, got.ref_id), map[&block]);
+                if rng.gen_range(0..3) == 0 {
+                    let victim = seen[rng.gen_range(0..seen.len() as u64) as usize];
+                    let got = t.take(victim).map(|e| (e.time, e.ref_id));
+                    assert_eq!(got, map.remove(&victim));
+                    assert!(t.get(victim).is_none());
+                }
+                assert_eq!(t.len(), map.len());
             }
-            assert_eq!(t.distinct_blocks(), map.len() as u64);
         }
     }
 }

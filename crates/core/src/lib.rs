@@ -17,8 +17,9 @@
 //!   block to its last access time and last accessor;
 //! * an [order-statistic set](TimeBits) over last-access times that counts
 //!   the distinct blocks accessed since any past time — a popcount bitmap
-//!   over the logical clock, the one such structure both engines (exact
-//!   and sampled) share;
+//!   over the logical clock, the one such structure, in the one engine
+//!   ([`ReuseAnalyzer`]), exact or behind a sampling front
+//!   ([`ReuseAnalyzer::with_sampling`]);
 //! * a [dynamic scope stack](ScopeStack) searched for the carrying scope;
 //! * per-pattern [histograms](Histogram) with logarithmic bins.
 //!
@@ -67,7 +68,7 @@ pub use budget::{AnalysisBudget, BudgetExceeded, BudgetProgress};
 pub use context::{ContextId, ContextProfile, CtxPattern, CtxPatternKey};
 pub use histogram::Histogram;
 pub use patterns::{PatternKey, ReusePattern, ReuseProfile};
-pub use sampling::{SampledAnalyzer, SamplingConfig, SamplingError, SamplingInfo};
+pub use sampling::{SamplingConfig, SamplingError, SamplingInfo};
 pub use scopestack::ScopeStack;
 pub use serialize::{read_profiles, write_profiles, ReadError, SavedProfiles};
 pub use snapshot::{

@@ -2,9 +2,9 @@
 //! [`AnalyzeOptions::checkpoint`](crate::AnalyzeOptions::checkpoint).
 //!
 //! A snapshot freezes one grain's full mid-stream analyzer state — clock,
-//! block table, order-statistic structure, recent-access window, scope
-//! stack, per-pattern histograms, cold counts, and (in sampled mode) the
-//! sampling books — so an analysis killed at any point can resume from the
+//! every tracked block with its last access (window and table together),
+//! scope stack, per-pattern histograms, cold counts, and (in sampled mode)
+//! the sampling books — so an analysis killed at any point can resume from the
 //! newest valid checkpoint and finish with a profile **bit-identical** to
 //! an uninterrupted run.
 //!
@@ -26,10 +26,11 @@
 //! payload. All integers are little-endian and fixed-width:
 //! the encoding of a given state is deterministic byte for byte.
 //!
-//! Derivable state is never serialized — Fenwick trees, hash indexes,
-//! hot-entry hints, spatial hashes and the sampled order-statistic set
-//! are all rebuilt on decode — which keeps snapshots small and removes a
-//! whole class of internally-inconsistent-snapshot corruption.
+//! Derivable state is never serialized — the order-statistic set and its
+//! Fenwick tree, the window's order, hash indexes, hot-entry hints and the
+//! unsampled memo are all rebuilt on decode, exact and sampled alike —
+//! which keeps snapshots small and removes a whole class of
+//! internally-inconsistent-snapshot corruption.
 //!
 //! ## Version policy
 //!
@@ -61,7 +62,7 @@ use reuselens_trace::frame::{self, Frame, FrameError, PublishError};
 pub(crate) use reuselens_trace::frame::{Dec, Enc};
 
 /// Current snapshot format version; see the module docs for the policy.
-pub const SNAPSHOT_VERSION: u16 = 1;
+pub const SNAPSHOT_VERSION: u16 = 2;
 
 /// File magic, the first six bytes of every snapshot.
 const MAGIC: [u8; 6] = *b"RLSNAP";
@@ -431,10 +432,10 @@ pub(crate) fn read_snapshot_bytes(path: &Path) -> Result<Vec<u8>, SnapshotError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyzer::tests::round_trip;
     use crate::analyzer::ReuseAnalyzer;
     use crate::histogram::Histogram;
-    use crate::sampling::{SampledAnalyzer, SamplingConfig};
-    use crate::timebits::TimeBits;
+    use crate::sampling::SamplingConfig;
     use reuselens_ir::{ProgramBuilder, RefId};
     use reuselens_prng::SplitMix64;
     use reuselens_trace::TraceSink;
@@ -558,45 +559,6 @@ mod tests {
 
     const COMPONENT_SEEDS: u64 = 256;
 
-    /// `TimeBits` snapshot parts rebuild an equivalent structure: same
-    /// length and identical `count_greater` at every probe, across random
-    /// monotone + sparse workloads.
-    #[test]
-    fn timebits_round_trips_across_seeds() {
-        for seed in 0..COMPONENT_SEEDS {
-            let mut rng = SplitMix64::seed_from_u64(0x7b17_5000 + seed);
-            let mut bits = TimeBits::new();
-            let mut live = Vec::new();
-            let mut next = rng.gen_range(1..50_000);
-            for _ in 0..rng.gen_range(1..300) {
-                next += rng.gen_range(1..200);
-                bits.insert(next);
-                live.push(next);
-                if !live.is_empty() && rng.gen_f64() < 0.3 {
-                    let i = rng.gen_range(0..live.len() as u64) as usize;
-                    bits.remove(live.swap_remove(i));
-                }
-            }
-            let (words, base, len) = bits.snapshot_parts();
-            let words = words.to_vec();
-            let again = TimeBits::from_snapshot_parts(words.clone(), base, len)
-                .unwrap_or_else(|| panic!("seed {seed}: valid parts rejected"));
-            assert_eq!(again.len(), bits.len(), "seed {seed}");
-            for _ in 0..64 {
-                let probe = rng.gen_range(0..next + 100);
-                assert_eq!(
-                    again.count_greater(probe),
-                    bits.count_greater(probe),
-                    "seed {seed} probe {probe}"
-                );
-            }
-            // A popcount/len mismatch must be rejected, not repaired.
-            if len > 0 {
-                assert!(TimeBits::from_snapshot_parts(words, base, len - 1).is_none());
-            }
-        }
-    }
-
     /// `Histogram` round-trips through its public `iter`/`add_n` surface —
     /// the exact encoding the snapshot uses for every pattern histogram.
     #[test]
@@ -629,10 +591,20 @@ mod tests {
         p.finish()
     }
 
+    /// Feeds `n` random accesses over two references to both engines.
+    fn feed(rng: &mut SplitMix64, n: u64, span: u64, engines: &mut [&mut ReuseAnalyzer]) {
+        for _ in 0..n {
+            let (r, addr) = (RefId(rng.gen_range(0..2) as u32), rng.gen_range(0..span));
+            for engine in engines.iter_mut() {
+                engine.access(r, addr);
+            }
+        }
+    }
+
     /// Sampled analyzer (the "sampling books") encode→decode→encode is a
-    /// byte fixpoint, and the decoded analyzer finishes into the same
-    /// profile — in both fixed and adaptive mode, mid-stream, across
-    /// 256 seeds.
+    /// byte fixpoint mid-stream, and the decoded analyzer, fed the rest
+    /// of the stream, finishes into the uninterrupted profile — in both
+    /// fixed and adaptive mode, across 256 seeds.
     #[test]
     fn sampling_books_round_trip_across_seeds() {
         let program = tiny_program(2);
@@ -647,51 +619,28 @@ mod tests {
                     budget: rng.gen_range(4..32),
                 }
             };
-            let mut a = SampledAnalyzer::new(&program, 64, config);
-            for _ in 0..rng.gen_range(1..2000) {
-                a.access(
-                    RefId((rng.gen_range(0..2)) as u32),
-                    rng.gen_range(0..1 << 18),
-                );
-            }
-            let mut enc = Enc::new();
-            a.snapshot_encode(&mut enc);
-            let first = enc.buf.clone();
-            let mut dec = Dec::new(&first, 0);
-            let b = SampledAnalyzer::snapshot_decode(&program, 64, a.accesses(), &mut dec)
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            dec.finish().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            let mut enc2 = Enc::new();
-            b.snapshot_encode(&mut enc2);
-            assert_eq!(enc2.buf, first, "seed {seed}: encode/decode not a fixpoint");
+            let mut a = ReuseAnalyzer::with_sampling(&program, 64, config);
+            let n = rng.gen_range(1..2000);
+            feed(&mut rng, n, 1 << 18, &mut [&mut a]);
+            let mut b = round_trip(&a, &program);
+            feed(&mut rng, 500, 1 << 18, &mut [&mut a, &mut b]);
             assert_eq!(b.finish(), a.finish(), "seed {seed}");
         }
     }
 
     /// Exact analyzer encode→decode→encode is a byte fixpoint mid-stream,
-    /// and the decoded analyzer finishes into the same profile.
+    /// and the decoded analyzer, fed the rest of the stream, finishes
+    /// into the uninterrupted profile.
     #[test]
     fn exact_analyzer_round_trips_across_seeds() {
         let program = tiny_program(2);
         for seed in 0..COMPONENT_SEEDS {
             let mut rng = SplitMix64::seed_from_u64(0xe8ac_7000 + seed);
             let mut a = ReuseAnalyzer::new(&program, 64);
-            for _ in 0..rng.gen_range(1..2000) {
-                a.access(
-                    RefId((rng.gen_range(0..2)) as u32),
-                    rng.gen_range(0..1 << 16),
-                );
-            }
-            let mut enc = Enc::new();
-            a.snapshot_encode(&mut enc);
-            let first = enc.buf.clone();
-            let mut dec = Dec::new(&first, 0);
-            let b = ReuseAnalyzer::snapshot_decode(&program, 64, &mut dec)
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            dec.finish().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            let mut enc2 = Enc::new();
-            b.snapshot_encode(&mut enc2);
-            assert_eq!(enc2.buf, first, "seed {seed}: encode/decode not a fixpoint");
+            let n = rng.gen_range(1..2000);
+            feed(&mut rng, n, 1 << 16, &mut [&mut a]);
+            let mut b = round_trip(&a, &program);
+            feed(&mut rng, 500, 1 << 16, &mut [&mut a, &mut b]);
             assert_eq!(b.finish(), a.finish(), "seed {seed}");
         }
     }

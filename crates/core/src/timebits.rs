@@ -4,9 +4,9 @@
 //! The analyzer's per-access question is *how many tracked blocks were
 //! last accessed after time `t`*. The paper answers it with a balanced
 //! tree over last-access times. Every clock this crate counts with is
-//! dense and bounded by the trace length: the exact analyzer's access
-//! clock and the sampled analyzer's clock (which ticks once per sampled
-//! access). Exploiting that, a flat bitmap (bit `t` set ⇔
+//! dense and bounded by the trace length: the engine's clock ticks once
+//! per access it tracks (every access when exact, every sampled one when
+//! sampled). Exploiting that, a flat bitmap (bit `t` set ⇔
 //! some tracked block was last accessed at time `t`) plus a Fenwick tree
 //! over per-word popcounts answers the same query in a handful of
 //! cache-resident array reads, where a balanced tree chases `O(log M)`
@@ -144,33 +144,6 @@ impl TimeBits {
         let count = self.count_greater(old);
         self.insert(new);
         (removed, count)
-    }
-
-    /// The serializable parts of the structure: `(words, base, len)`.
-    /// The Fenwick tree is derived state and deliberately excluded — a
-    /// snapshot reader rebuilds it, so it can never be inconsistent with
-    /// the bitmap it summarizes.
-    pub(crate) fn snapshot_parts(&self) -> (&[u64], u64, u64) {
-        (&self.words, self.base, self.len)
-    }
-
-    /// Rebuilds a set from [`snapshot_parts`](Self::snapshot_parts)
-    /// output, recomputing the Fenwick tree. Returns `None` when the
-    /// claimed `len` disagrees with the bitmap's population count — the
-    /// one invariant the parts themselves can violate.
-    pub(crate) fn from_snapshot_parts(words: Vec<u64>, base: u64, len: u64) -> Option<TimeBits> {
-        let pop: u64 = words.iter().map(|w| u64::from(w.count_ones())).sum();
-        if pop != len {
-            return None;
-        }
-        let mut t = TimeBits {
-            words,
-            fenwick: Vec::new(),
-            base,
-            len,
-        };
-        t.rebuild_fenwick();
-        Some(t)
     }
 
     /// Word index for time `t`, or `None` when `t` lies below the base.

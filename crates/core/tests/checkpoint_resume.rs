@@ -32,7 +32,7 @@ use reuselens_core::{
     ReuseProfile, SamplingConfig, SnapshotError, SNAPSHOT_VERSION,
 };
 use reuselens_ir::{Program, ProgramBuilder, RefId, ScopeId};
-use reuselens_obs::{self as obs, Counter, MetricsRecorder};
+use reuselens_obs::{self as obs, Counter, EventLog, MetricsRecorder};
 use reuselens_prng::SplitMix64;
 use reuselens_trace::fault::{Corruptor, CrashPoint};
 use reuselens_trace::{TraceBuffer, TraceSink};
@@ -464,6 +464,64 @@ fn resume_rejects_hostile_files_and_counters_reconcile() {
     );
     assert_eq!(snap.counter(Counter::CheckpointsWritten), 0);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Snapshots of the previous layout are refused by their version, never
+/// decoded: in a checkpoint directory holding only files whose preamble
+/// says version 1, resume rejects every one — counted, each rejection's
+/// reason naming the unsupported version — resumes none, and every grain
+/// replays from event 0 to the uninterrupted profiles, exact and sampled.
+#[test]
+fn version_1_snapshots_are_rejected_and_grains_replay_from_the_start() {
+    let program = program();
+    let buf = gen_buffer(Shape::Clustered, BASE_SEED ^ 0x0001_0001, 600);
+    for sampling in [SamplingConfig::Exact, SamplingConfig::fixed(0.5)] {
+        let opts = AnalyzeOptions {
+            sampling,
+            ..AnalyzeOptions::default()
+        };
+        let serial = baseline(&program, &buf, &opts);
+        let dir = temp_dir(&format!("version-1-{sampling:?}"));
+        checkpointed(&program, &buf, &opts, &ckpt(&dir, 128, false));
+        let files = snapshot_files(&dir);
+        assert!(!files.is_empty(), "{sampling:?}: no snapshot written");
+        for (name, mut bytes) in files.clone() {
+            bytes[6..8].copy_from_slice(&1u16.to_le_bytes());
+            std::fs::write(dir.join(name), bytes).expect("plant a version-1 snapshot");
+        }
+        let recorder = Arc::new(MetricsRecorder::new());
+        let log = Arc::new(EventLog::to_vec());
+        let handle = obs::Obs {
+            events: Some(log.clone()),
+            ..obs::Obs::from(recorder.clone())
+        };
+        let scope = handle.enter();
+        let resumed = checkpointed(&program, &buf, &opts, &ckpt(&dir, u64::MAX, true));
+        drop(scope);
+        assert_eq!(
+            serial, resumed,
+            "{sampling:?}: replay from event 0 diverged"
+        );
+        let snap = recorder.snapshot();
+        let planted = files.len() as u64;
+        assert_eq!(snap.counter(Counter::CheckpointsRejected), planted);
+        assert_eq!(snap.counter(Counter::CheckpointsResumed), 0);
+        let reason = SnapshotError::UnsupportedVersion {
+            found: 1,
+            supported: SNAPSHOT_VERSION,
+        }
+        .to_string();
+        let captured = log.captured();
+        let rejections: Vec<&str> = captured
+            .lines()
+            .filter(|line| line.contains("\"checkpoint_rejected\""))
+            .collect();
+        assert_eq!(rejections.len() as u64, planted, "{sampling:?}");
+        for line in rejections {
+            assert!(line.contains(&reason), "{sampling:?}: {line}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// Resume against an empty or missing directory is a clean cold start,

@@ -4,7 +4,7 @@
 //! stream (the same three access shapes as `property_oracle`: strided,
 //! pointer-chasing, clustered — but 20k–60k accesses so a 1% sample still
 //! holds enough blocks to estimate from), replays it through both the
-//! exact [`ReuseAnalyzer`] and the [`SampledAnalyzer`], and compares the
+//! exact [`ReuseAnalyzer`] and a sampled one, and compares the
 //! finished profiles:
 //!
 //! * **rate 1.0** — the sampled profile must equal the exact profile
@@ -25,7 +25,7 @@
 //! seed, rate, and the smallest failing prefix length (found by a
 //! fixed-seed coarse shrink loop), so any failure reproduces exactly.
 
-use reuselens_core::{Histogram, ReuseAnalyzer, ReuseProfile, SampledAnalyzer, SamplingConfig};
+use reuselens_core::{Histogram, ReuseAnalyzer, ReuseProfile, SamplingConfig};
 use reuselens_ir::{Program, ProgramBuilder, RefId};
 use reuselens_prng::SplitMix64;
 use reuselens_trace::TraceSink;
@@ -121,7 +121,7 @@ fn run_sampled(
     grain: u64,
     config: SamplingConfig,
 ) -> ReuseProfile {
-    let mut a = SampledAnalyzer::new(program, grain, config);
+    let mut a = ReuseAnalyzer::with_sampling(program, grain, config);
     for &addr in addrs {
         a.access(RefId(0), addr);
     }
@@ -328,7 +328,8 @@ fn adaptive_mode_holds_budget_on_every_shape() {
         let seed = BASE_SEED ^ 0xada9 ^ (case as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let addrs = gen_trace(shape, seed);
         let budget = 128u64;
-        let mut a = SampledAnalyzer::new(&program, STAT_GRAIN, SamplingConfig::adaptive(budget));
+        let mut a =
+            ReuseAnalyzer::with_sampling(&program, STAT_GRAIN, SamplingConfig::adaptive(budget));
         for &addr in &addrs {
             a.access(RefId(0), addr);
             assert!(

@@ -73,6 +73,31 @@ head -c 13 "$newest" > "$newest.torn" && mv "$newest.torn" "$newest"
     --save-profile "$CKPT_TMP/sampled-resumed.rlp" >/dev/null
 cmp "$CKPT_TMP/sampled-plain.rlp" "$CKPT_TMP/sampled-ckpt.rlp"
 cmp "$CKPT_TMP/sampled-plain.rlp" "$CKPT_TMP/sampled-resumed.rlp"
+# And adaptive: at a budget of 64 blocks the 128 B grain halves its rate
+# within its first 10,000 events, so every snapshot it writes, the torn
+# one included, carries rate drops and evictions in its sampler books.
+ADAPTIVE="--sample-rate auto:64"
+# shellcheck disable=SC2086
+./target/release/reuselens kernel stream $ADAPTIVE \
+    --save-profile "$CKPT_TMP/adaptive-plain.rlp" >/dev/null
+# shellcheck disable=SC2086
+./target/release/reuselens kernel stream $ADAPTIVE \
+    --checkpoint-dir "$CKPT_TMP/adaptive-snaps" --checkpoint-every 10000 \
+    --metrics "$CKPT_TMP/adaptive.prom" \
+    --save-profile "$CKPT_TMP/adaptive-ckpt.rlp" >/dev/null 2>&1
+drops=$(sed -n 's/^reuselens_sample_rate_drops_total //p' "$CKPT_TMP/adaptive.prom")
+if [ "${drops:-0}" -eq 0 ]; then
+    echo "adaptive kill-and-resume leg: no sampling rate drop" >&2
+    exit 1
+fi
+newest=$(ls "$CKPT_TMP/adaptive-snaps"/*.rlsnap | sort | tail -n 1)
+head -c 13 "$newest" > "$newest.torn" && mv "$newest.torn" "$newest"
+# shellcheck disable=SC2086
+./target/release/reuselens kernel stream $ADAPTIVE \
+    --checkpoint-dir "$CKPT_TMP/adaptive-snaps" --checkpoint-every 10000 --resume \
+    --save-profile "$CKPT_TMP/adaptive-resumed.rlp" >/dev/null
+cmp "$CKPT_TMP/adaptive-plain.rlp" "$CKPT_TMP/adaptive-ckpt.rlp"
+cmp "$CKPT_TMP/adaptive-plain.rlp" "$CKPT_TMP/adaptive-resumed.rlp"
 rm -rf "$CKPT_TMP"
 
 # One-lane smoke: each workload runs once as is and once pinned to one

@@ -60,8 +60,8 @@ fn checkpoint_files_are_byte_stable() {
     assert_eq!(
         got,
         owned(&[
-            ("ckpt-g64-00000000000000000040.rlsnap", 326, 0xDD7F8FBF),
-            ("ckpt-g64-00000000000000000080.rlsnap", 378, 0xFDBD3019),
+            ("ckpt-g64-00000000000000000040.rlsnap", 310, 0xDD3CB71C),
+            ("ckpt-g64-00000000000000000080.rlsnap", 362, 0xAB8A537A),
         ])
     );
 }
